@@ -4,7 +4,10 @@
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wanify_bench::{all_pair_flows, all_pair_transfers, frozen_sim, NoopHook};
-use wanify_netsim::{allocate_max_min, ConnMatrix, FairnessProblem, RateScratch, ResourceKind};
+use wanify_netsim::{
+    allocate_max_min, paper_testbed_tiled, ConnMatrix, DcId, FairnessProblem, FlowSpec,
+    LinkModelParams, NetSim, RateScratch, ResourceKind, VmType,
+};
 
 /// A standalone fairness problem shaped like the 8-DC all-pairs workload.
 fn synthetic_problem(n: usize) -> FairnessProblem {
@@ -52,6 +55,29 @@ fn bench_solver(c: &mut Criterion) {
             let rates = sim.allocate_rates_with(black_box(&flows), &mut scratch);
             black_box(rates[0])
         })
+    });
+
+    // 64 DCs, the two shapes `scale-hier` solves. A gauge is one flow:
+    // its cost must not grow with DCs². An engine solve is 34 tenants'
+    // all-pairs shuffles over the eight 8-DC blocks (1 904 flows, ~15
+    // progressive-filling rounds): its cost must track the flows still
+    // active in each round, not all flows every round.
+    let topo = paper_testbed_tiled(VmType::t2_medium(), 64);
+    let sim64 = NetSim::new(topo, LinkModelParams::frozen(), 11);
+    let gauge = [FlowSpec::new(DcId(3), DcId(40), 1)];
+    group.bench_function("allocate_rates_with_64dc_one_flow", |b| {
+        b.iter(|| black_box(sim64.allocate_rates_with(black_box(&gauge), &mut scratch)[0]))
+    });
+    let tenants: Vec<FlowSpec> = (0..34)
+        .flat_map(|k| {
+            let base = 8 * (k % 8);
+            all_pair_flows(8, 1 + k as u32 % 3)
+                .into_iter()
+                .map(move |f| FlowSpec::new(DcId(base + f.src.0), DcId(base + f.dst.0), f.conns))
+        })
+        .collect();
+    group.bench_function("allocate_rates_with_64dc_1904_flows", |b| {
+        b.iter(|| black_box(sim64.allocate_rates_with(black_box(&tenants), &mut scratch)[0]))
     });
     group.finish();
 }

@@ -36,9 +36,7 @@
 
 use crate::flow::{FlowSpec, Transfer};
 use crate::grid::{BwMatrix, ConnMatrix, Grid};
-use crate::sim::{
-    epochs_to_drain, NetSim, PairProgress, RateScratch, RunStats, MAX_EPOCHS, PAYLOAD_EPS_GB,
-};
+use crate::sim::{NetSim, PairProgress, RateScratch, RunStats, MAX_EPOCHS, PAYLOAD_EPS_GB};
 use crate::topology::DcId;
 
 /// Identifier of a submitted flow group, unique within one engine.
@@ -67,8 +65,10 @@ pub struct GroupReport {
 #[derive(Debug)]
 struct GroupState {
     id: GroupId,
-    conns: ConnMatrix,
     pairs: Vec<PairProgress>,
+    /// Parallel connections per entry of `pairs`, as submitted or as last
+    /// overwritten by [`NetEngine::apply_conns`].
+    pair_conns: Vec<u32>,
     active_pairs: usize,
     submitted_s: f64,
     /// Whether any transfer carried a strictly positive payload (drives
@@ -94,6 +94,9 @@ pub struct NetEngine {
     flows: Vec<FlowSpec>,
     /// `(group index, pair index)` per entry of `flows`.
     flow_refs: Vec<(usize, usize)>,
+    /// `(src · n + dst, gigabits)` per submitted transfer, for merging a
+    /// group's transfers per directed pair.
+    merge: Vec<(usize, f64)>,
 }
 
 impl NetEngine {
@@ -110,6 +113,7 @@ impl NetEngine {
             scratch: RateScratch::default(),
             flows: Vec::new(),
             flow_refs: Vec::new(),
+            merge: Vec::new(),
         }
     }
 
@@ -164,7 +168,7 @@ impl NetEngine {
     /// the call merely exhausted its per-call epoch budget on a slow but
     /// progressing transfer.
     pub fn has_live_flows(&self) -> bool {
-        self.groups.iter().any(|g| g.pairs.iter().any(|p| p.active && p.quota > 0.0))
+        self.groups.iter().any(|g| g.pairs.iter().any(|p| p.active && p.quota() > 0.0))
     }
 
     /// Groups whose every remaining pair held a zero rate at the last
@@ -177,7 +181,7 @@ impl NetEngine {
     pub fn stalled_groups(&self) -> Vec<GroupId> {
         self.groups
             .iter()
-            .filter(|g| g.solved && g.pairs.iter().all(|p| !p.active || p.quota <= 0.0))
+            .filter(|g| g.solved && g.pairs.iter().all(|p| !p.active || p.quota() <= 0.0))
             .map(|g| g.id)
             .collect()
     }
@@ -185,9 +189,9 @@ impl NetEngine {
     /// Whether the given in-flight group is stalled per
     /// [`NetEngine::stalled_groups`] (false for unknown/completed ids).
     pub fn is_group_stalled(&self, id: GroupId) -> bool {
-        self.groups
-            .iter()
-            .any(|g| g.id == id && g.solved && g.pairs.iter().all(|p| !p.active || p.quota <= 0.0))
+        self.groups.iter().any(|g| {
+            g.id == id && g.solved && g.pairs.iter().all(|p| !p.active || p.quota() <= 0.0)
+        })
     }
 
     /// Cancels an in-flight group: folds its accounting at the current
@@ -207,13 +211,13 @@ impl NetEngine {
         let mut remaining = Vec::new();
         for pair in &mut group.pairs {
             pair.reanchor(dt);
-            if pair.active && pair.remaining > PAYLOAD_EPS_GB {
-                remaining.push(Transfer::new(DcId(pair.src), DcId(pair.dst), pair.remaining));
+            if pair.active && pair.remaining() > PAYLOAD_EPS_GB {
+                remaining.push(Transfer::new(DcId(pair.src), DcId(pair.dst), pair.remaining()));
             }
             pair.active = false;
         }
         group.active_pairs = 0;
-        Some((Self::report(&group, dt, now), remaining))
+        Some((Self::report(&group, self.sim.topology().len(), dt, now), remaining))
     }
 
     /// Cumulative engine statistics (also mirrored into
@@ -242,16 +246,23 @@ impl NetEngine {
         let id = GroupId(self.next_group);
         self.next_group += 1;
 
-        let mut totals = BwMatrix::new(n);
+        // One flow per directed pair: a stable sort by pair keeps each
+        // pair's payloads in submission order, so their sum rounds as a
+        // running total over the transfers would, at O(pairs) cost.
+        self.merge.clear();
         for t in transfers {
-            totals.put(t.src, t.dst, totals.at(t.src, t.dst) + t.gigabits);
+            assert!(t.src.0 < n && t.dst.0 < n, "transfer endpoint outside the topology");
+            self.merge.push((t.src.0 * n + t.dst.0, t.gigabits));
         }
+        self.merge.sort_by_key(|&(key, _)| key);
         let mut pairs = Vec::new();
-        for i in 0..n {
-            for j in 0..n {
-                if totals.get(i, j) > PAYLOAD_EPS_GB {
-                    pairs.push(PairProgress::new(i, j, totals.get(i, j)));
-                }
+        let mut pair_conns = Vec::new();
+        for run in self.merge.chunk_by(|a, b| a.0 == b.0) {
+            let total = run.iter().fold(0.0, |sum, &(_, gigabits)| sum + gigabits);
+            if total > PAYLOAD_EPS_GB {
+                let (src, dst) = (run[0].0 / n, run[0].0 % n);
+                pairs.push(PairProgress::new(src, dst, total));
+                pair_conns.push(conns.get(src, dst));
             }
         }
         let any_payload = transfers.iter().any(|t| t.gigabits > 0.0);
@@ -273,8 +284,8 @@ impl NetEngine {
             let active_pairs = pairs.len();
             self.groups.push(GroupState {
                 id,
-                conns: conns.clone(),
                 pairs,
+                pair_conns,
                 active_pairs,
                 submitted_s: now,
                 any_payload,
@@ -301,6 +312,7 @@ impl NetEngine {
             return std::mem::take(&mut self.ready);
         }
         let dt = self.sim.params().epoch_dt_s.max(1e-3);
+        let n_dcs = self.sim.topology().len();
         let fast = self.sim.coalescible();
         let mut completed: Vec<GroupReport> = Vec::new();
         let mut epochs_this_call: usize = 0;
@@ -329,11 +341,7 @@ impl NetEngine {
             for (g, group) in self.groups.iter().enumerate() {
                 for (p, pair) in group.pairs.iter().enumerate() {
                     if pair.active {
-                        let c = if pair.src == pair.dst {
-                            1
-                        } else {
-                            group.conns.get(pair.src, pair.dst).max(1)
-                        };
+                        let c = if pair.src == pair.dst { 1 } else { group.pair_conns[p].max(1) };
                         self.flows.push(FlowSpec::new(DcId(pair.src), DcId(pair.dst), c));
                         self.flow_refs.push((g, p));
                     }
@@ -347,11 +355,7 @@ impl NetEngine {
             // this one check).
             for (f, &(g, p)) in self.flow_refs.iter().enumerate() {
                 let quota = rates[f] * dt / 1000.0;
-                let pair = &mut self.groups[g].pairs[p];
-                if quota != pair.quota {
-                    pair.reanchor(dt);
-                    pair.quota = quota;
-                }
+                self.groups[g].pairs[p].set_quota(quota, dt);
             }
             for group in &mut self.groups {
                 group.solved = true;
@@ -362,8 +366,8 @@ impl NetEngine {
             let k_drain: u64 = if fast {
                 let mut k = u64::MAX;
                 for &(g, p) in &self.flow_refs {
-                    let pair = &self.groups[g].pairs[p];
-                    if let Some(m) = epochs_to_drain(pair.remaining, pair.quota, pair.served) {
+                    let pair = &mut self.groups[g].pairs[p];
+                    if let Some(m) = pair.drain_epoch() {
                         k = k.min(m - pair.served);
                     }
                 }
@@ -409,7 +413,7 @@ impl NetEngine {
                 let done_at = self.sim.time_s();
                 for group in &self.groups {
                     if group.active_pairs == 0 {
-                        completed.push(Self::report(group, dt, done_at));
+                        completed.push(Self::report(group, n_dcs, dt, done_at));
                     }
                 }
                 self.groups.retain(|g| g.active_pairs > 0);
@@ -437,7 +441,7 @@ impl NetEngine {
                         // so its group completes at the deadline instead
                         // of occupying a fairness share for one more
                         // no-payload epoch.
-                        if pair.active && pair.remaining <= PAYLOAD_EPS_GB {
+                        if pair.active && pair.remaining() <= PAYLOAD_EPS_GB {
                             pair.drain(dt);
                             group.active_pairs -= 1;
                         }
@@ -446,7 +450,7 @@ impl NetEngine {
                     let done_at = self.sim.time_s();
                     for group in &self.groups {
                         if group.active_pairs == 0 {
-                            completed.push(Self::report(group, dt, done_at));
+                            completed.push(Self::report(group, n_dcs, dt, done_at));
                         }
                     }
                     self.groups.retain(|g| g.active_pairs > 0);
@@ -459,12 +463,11 @@ impl NetEngine {
     }
 
     /// Materializes a completed group's accounting.
-    fn report(group: &GroupState, dt: f64, completed_s: f64) -> GroupReport {
+    fn report(group: &GroupState, n_dcs: usize, dt: f64, completed_s: f64) -> GroupReport {
         debug_assert_eq!(group.active_pairs, 0);
         let mut makespan = if group.any_payload { dt } else { 0.0 };
         let mut min_bw = f64::INFINITY;
-        let n = group.conns.len();
-        let mut egress = vec![0.0; n];
+        let mut egress = vec![0.0; n_dcs];
         for pair in &group.pairs {
             makespan = makespan.max(pair.busy);
             if pair.busy > 0.0 {
@@ -508,7 +511,7 @@ impl NetEngine {
         assert_eq!(group_of.len(), self.sim.topology().len(), "group map must cover every DC");
         let mut demand = Grid::filled(n_groups, 0.0);
         for group in &self.groups {
-            for pair in &group.pairs {
+            for (pair, &conns) in group.pairs.iter().zip(&group.pair_conns) {
                 if !pair.active || pair.src == pair.dst {
                     continue;
                 }
@@ -516,8 +519,7 @@ impl NetEngine {
                 if gs == gd {
                     continue;
                 }
-                let conns = group.conns.get(pair.src, pair.dst).max(1);
-                let spec = FlowSpec::new(DcId(pair.src), DcId(pair.dst), conns);
+                let spec = FlowSpec::new(DcId(pair.src), DcId(pair.dst), conns.max(1));
                 let ceiling = self.sim.unreserved_ceiling_mbps(&spec);
                 demand.set(gs, gd, demand.get(gs, gd) + ceiling);
             }
@@ -599,7 +601,7 @@ impl NetEngine {
         let totals = demand_mbps;
         let mut caps = Grid::filled(n, f64::INFINITY);
         for group in &self.groups {
-            for pair in &group.pairs {
+            for (pair, &conns) in group.pairs.iter().zip(&group.pair_conns) {
                 if !pair.active || pair.src == pair.dst {
                     continue;
                 }
@@ -615,8 +617,7 @@ impl NetEngine {
                 if total <= 0.0 {
                     continue;
                 }
-                let conns = group.conns.get(pair.src, pair.dst).max(1);
-                let spec = FlowSpec::new(DcId(pair.src), DcId(pair.dst), conns);
+                let spec = FlowSpec::new(DcId(pair.src), DcId(pair.dst), conns.max(1));
                 let ceiling = self.sim.unreserved_ceiling_mbps(&spec);
                 let slice = share * (ceiling / total);
                 let cell = caps.get(pair.src, pair.dst);
@@ -640,7 +641,7 @@ impl NetEngine {
         for group in &self.groups {
             for pair in &group.pairs {
                 if pair.active {
-                    let rate = pair.quota * 1000.0 / dt;
+                    let rate = pair.quota() * 1000.0 / dt;
                     bw.set(pair.src, pair.dst, bw.get(pair.src, pair.dst) + rate);
                 }
             }
@@ -680,7 +681,9 @@ impl NetEngine {
             "connection matrix must match topology size"
         );
         for group in &mut self.groups {
-            group.conns = conns.clone();
+            for (pair, c) in group.pairs.iter().zip(&mut group.pair_conns) {
+                *c = conns.get(pair.src, pair.dst);
+            }
         }
     }
 }
@@ -738,6 +741,60 @@ mod tests {
         assert_eq!(stats.solves, blocking_stats.solves);
         assert_eq!(stats.epochs, blocking_stats.epochs);
         assert!(stats.coalesced);
+    }
+
+    #[test]
+    fn repeated_pairs_merge_as_run_transfers_sums_them() {
+        // Several transfers per pair, interleaved and out of pair order,
+        // with payloads whose sum depends on the order of addition: the
+        // sort-and-merge in `submit` must round like the running
+        // per-pair total `run_transfers` keeps.
+        let transfers = [
+            Transfer::new(DcId(2), DcId(1), 0.3),
+            Transfer::new(DcId(0), DcId(1), 0.1),
+            Transfer::new(DcId(0), DcId(2), 7.0),
+            Transfer::new(DcId(0), DcId(1), 0.2),
+            Transfer::new(DcId(2), DcId(1), 1e-10),
+            Transfer::new(DcId(0), DcId(1), 0.3),
+            Transfer::new(DcId(2), DcId(1), 0.6),
+        ];
+        let mut conns = ConnMatrix::filled(3, 1);
+        conns.set(0, 1, 3);
+        conns.set(2, 1, 0); // clamps to one connection, as in run_transfers
+
+        let mut sim = sim3();
+        let blocking = sim.run_transfers(&transfers, &conns, None);
+
+        let mut engine = NetEngine::new(sim3());
+        engine.submit(&transfers, &conns);
+        let reports = drive_to_completion(&mut engine);
+        assert_eq!(reports.len(), 1);
+        assert_eq!(reports[0].makespan_s.to_bits(), blocking.makespan_s.to_bits());
+        assert_eq!(reports[0].min_pair_bw_mbps.to_bits(), blocking.min_pair_bw_mbps.to_bits());
+        for (a, b) in reports[0].egress_gigabits.iter().zip(&blocking.egress_gigabits) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+        assert_eq!(engine.stats(), sim.last_run_stats());
+    }
+
+    #[test]
+    fn apply_conns_reaches_the_pairs_in_flight() {
+        let transfers = [Transfer::new(DcId(0), DcId(2), 30.0)];
+        let mut slow = NetEngine::new(sim3());
+        slow.submit(&transfers, &ConnMatrix::filled(3, 1));
+        let single = drive_to_completion(&mut slow).remove(0);
+
+        let mut boosted = NetEngine::new(sim3());
+        boosted.submit(&transfers, &ConnMatrix::filled(3, 1));
+        let _ = boosted.advance_until(1.0);
+        boosted.apply_conns(&ConnMatrix::filled(3, 9));
+        let nine = drive_to_completion(&mut boosted).remove(0);
+        assert!(
+            nine.makespan_s < 0.5 * single.makespan_s,
+            "nine connections from t = 1 s: {} vs {}",
+            nine.makespan_s,
+            single.makespan_s
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::flow::FlowSpec;
 use crate::grid::{BwMatrix, ConnMatrix};
-use crate::sim::{NetSim, RateScratch};
+use crate::sim::NetSim;
 use crate::stats::clamp;
 use crate::topology::DcId;
 use rand::Rng;
@@ -42,53 +42,38 @@ pub struct ProbeReading {
 }
 
 impl NetSim {
-    /// Builds the all-to-all single-flow set implied by `conns`.
-    fn all_pair_flows(&self, conns: &ConnMatrix) -> Vec<FlowSpec> {
+    /// Rates for an all-to-all measurement round under `conns`. The flow
+    /// list and the solver scratch are the simulator's own, so repeated
+    /// rounds (a stable-runtime probe solves one per second, a prediction
+    /// loop snapshots thousands of times) stay allocation-free.
+    fn measure_round(&mut self, conns: &ConnMatrix) -> BwMatrix {
         let n = self.topology().len();
-        let mut flows = Vec::with_capacity(n * (n - 1));
+        let mut probe = std::mem::take(&mut self.probe);
+        probe.flows.clear();
         for i in 0..n {
             for j in 0..n {
                 if i != j && conns.get(i, j) > 0 {
-                    flows.push(FlowSpec::new(DcId(i), DcId(j), conns.get(i, j)));
+                    probe.flows.push(FlowSpec::new(DcId(i), DcId(j), conns.get(i, j)));
                 }
             }
         }
-        flows
-    }
-
-    /// Rates for an all-to-all measurement round under `conns`, solved
-    /// through a caller-held [`RateScratch`] so repeated rounds (the
-    /// stable-runtime probe solves one per second) stay allocation-free.
-    fn measure_round(&self, conns: &ConnMatrix, scratch: &mut RateScratch) -> BwMatrix {
-        let flows = self.all_pair_flows(conns);
-        let rates = self.allocate_rates_with(&flows, scratch);
-        let n = self.topology().len();
+        let rates = self.allocate_rates_with(&probe.flows, &mut probe.rates);
         let mut bw = BwMatrix::new(n);
-        for (f, &rate) in flows.iter().zip(rates) {
+        for (f, &rate) in probe.flows.iter().zip(rates) {
             bw.put(f.src, f.dst, rate);
         }
+        self.probe = probe;
         bw
-    }
-
-    /// One isolated pair measurement through a caller-held scratch; the
-    /// single definition of lone-iPerf semantics (one flow, one second).
-    fn measure_pair_with(
-        &mut self,
-        src: DcId,
-        dst: DcId,
-        conns: u32,
-        scratch: &mut RateScratch,
-    ) -> f64 {
-        let rate = self.allocate_rates_with(&[FlowSpec::new(src, dst, conns)], scratch)[0];
-        self.advance(1.0);
-        rate
     }
 
     /// Measures one directed pair in isolation with `conns` connections,
     /// like a lone iPerf run. Advances time by one second.
     pub fn measure_pair(&mut self, src: DcId, dst: DcId, conns: u32) -> f64 {
-        let mut scratch = RateScratch::default();
-        self.measure_pair_with(src, dst, conns, &mut scratch)
+        let mut probe = std::mem::take(&mut self.probe);
+        let rate = self.allocate_rates_with(&[FlowSpec::new(src, dst, conns)], &mut probe.rates)[0];
+        self.probe = probe;
+        self.advance(1.0);
+        rate
     }
 
     /// Static-independent probe: every directed pair measured alone with a
@@ -96,11 +81,10 @@ impl NetSim {
     pub fn measure_static_independent(&mut self) -> BwMatrix {
         let n = self.topology().len();
         let mut bw = BwMatrix::new(n);
-        let mut scratch = RateScratch::default();
         for i in 0..n {
             for j in 0..n {
                 if i != j {
-                    let rate = self.measure_pair_with(DcId(i), DcId(j), 1, &mut scratch);
+                    let rate = self.measure_pair(DcId(i), DcId(j), 1);
                     bw.set(i, j, rate);
                 }
             }
@@ -111,8 +95,7 @@ impl NetSim {
     /// Static-simultaneous probe: all pairs at once, single connection each.
     /// Advances time by one second.
     pub fn measure_static_simultaneous(&mut self) -> BwMatrix {
-        let mut scratch = RateScratch::default();
-        let bw = self.measure_round(&ConnMatrix::filled(self.topology().len(), 1), &mut scratch);
+        let bw = self.measure_round(&ConnMatrix::filled(self.topology().len(), 1));
         self.advance(1.0);
         bw
     }
@@ -124,9 +107,8 @@ impl NetSim {
         let n = self.topology().len();
         let secs = duration_s.max(1);
         let mut acc = BwMatrix::new(n);
-        let mut scratch = RateScratch::default();
         for _ in 0..secs {
-            let round = self.measure_round(conns, &mut scratch);
+            let round = self.measure_round(conns);
             for i in 0..n {
                 for j in 0..n {
                     acc.set(i, j, acc.get(i, j) + round.get(i, j));
@@ -143,8 +125,7 @@ impl NetSim {
     /// observation noise — WANify's cheap model input (paper §3.1).
     pub fn snapshot(&mut self, conns: &ConnMatrix) -> ProbeReading {
         let noise = self.params().snapshot_noise;
-        let mut scratch = RateScratch::default();
-        let round = self.measure_round(conns, &mut scratch);
+        let round = self.measure_round(conns);
         let bw = {
             let rng = self.rng_mut();
             round.map(|v| {
@@ -160,8 +141,14 @@ impl NetSim {
     /// Deterministic host metrics plus probe noise.
     fn host_metrics(&mut self, conns: &ConnMatrix, bw: &BwMatrix, noise: f64) -> Vec<HostMetrics> {
         let n = self.topology().len();
-        let flows = self.all_pair_flows(conns);
-        let host_conns = self.host_connection_counts(&flows);
+        // Connections per host under the all-pairs flow set of `conns`.
+        let mut host_conns = vec![0u32; n];
+        for i in 0..n {
+            for j in (0..n).filter(|&j| j != i) {
+                host_conns[i] += conns.get(i, j);
+                host_conns[j] += conns.get(i, j);
+            }
+        }
         (0..n)
             .map(|h| {
                 let dc = self.topology().dc(DcId(h));

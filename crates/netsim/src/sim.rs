@@ -121,19 +121,29 @@ pub struct RateScratch {
     /// Problem index per input flow (`usize::MAX` = not WAN-constrained).
     problem_index: Vec<usize>,
     host_conns: Vec<u32>,
-    /// CSR grouping of WAN flows by directed-pair key `src·n + dst`:
-    /// egress resources are contiguous row ranges, paths are key runs.
-    sd_offsets: Vec<usize>,
-    sd_cursor: Vec<usize>,
-    sd_flows: Vec<usize>,
-    /// CSR grouping of WAN flows by destination (ingress resources).
+    /// `(src, dst)` of each WAN flow, by problem index. (This and the two
+    /// orderings below are `u32`: a fleet's solve holds tens of thousands
+    /// of flows, and the per-flow buffers are the scratch's footprint.)
+    wan_ends: Vec<(u32, u32)>,
+    /// WAN flows in stable order of destination — the ingress members —
+    /// with their per-DC bucket offsets.
     dst_offsets: Vec<usize>,
-    dst_cursor: Vec<usize>,
-    dst_flows: Vec<usize>,
+    by_dst: Vec<u32>,
+    /// `by_dst` stably re-sorted by source, i.e. ordered by `(src, dst)`:
+    /// egress members are the per-DC buckets, backbone paths the runs of
+    /// equal destination inside them.
+    src_offsets: Vec<usize>,
+    by_src: Vec<u32>,
+    cursor: Vec<usize>,
     rates: Vec<f64>,
 }
 
 const NOT_IN_PROBLEM: usize = usize::MAX;
+
+/// Problem flow indices out of one of [`RateScratch`]'s `u32` orderings.
+fn as_members(list: &[u32]) -> impl Iterator<Item = usize> + '_ {
+    list.iter().map(|&m| m as usize)
+}
 
 /// Progress of one directed pair through `run_transfers` (and the
 /// multi-tenant [`crate::engine::NetEngine`]), kept as an anchor plus a
@@ -143,18 +153,26 @@ const NOT_IN_PROBLEM: usize = usize::MAX;
 pub(crate) struct PairProgress {
     pub(crate) src: usize,
     pub(crate) dst: usize,
-    /// Remaining payload at the segment anchor, gigabits.
-    pub(crate) remaining: f64,
+    /// Remaining payload at the segment anchor, gigabits. Private, like
+    /// `quota`: the drain memo below is valid only while both stand.
+    remaining: f64,
     /// Moved payload at the anchor, gigabits.
     pub(crate) moved: f64,
     /// Busy time at the anchor, seconds.
     pub(crate) busy: f64,
     /// Per-epoch quota at the current rate (`rate · dt / 1000`), gigabits.
-    pub(crate) quota: f64,
+    quota: f64,
     /// Whole epochs served since the anchor.
     pub(crate) served: u64,
     pub(crate) active: bool,
+    /// Memo of [`PairProgress::drain_epoch`]: [`DRAIN_UNKNOWN`] until
+    /// asked, [`DRAIN_NEVER`] for a pair that cannot drain.
+    drain_at: u64,
 }
+
+/// No valid drain epoch is 0: a pair drains after at least one epoch.
+const DRAIN_UNKNOWN: u64 = 0;
+const DRAIN_NEVER: u64 = u64::MAX;
 
 impl PairProgress {
     pub(crate) fn new(src: usize, dst: usize, total: f64) -> Self {
@@ -167,12 +185,46 @@ impl PairProgress {
             quota: 0.0,
             served: 0,
             active: total > PAYLOAD_EPS_GB,
+            drain_at: DRAIN_UNKNOWN,
         }
+    }
+
+    /// Remaining payload at the segment anchor, in gigabits.
+    pub(crate) fn remaining(&self) -> f64 {
+        self.remaining
+    }
+
+    /// Per-epoch quota at the current rate, in gigabits.
+    pub(crate) fn quota(&self) -> f64 {
+        self.quota
     }
 
     /// Remaining payload after the served epochs, in gigabits.
     pub(crate) fn current_remaining(&self) -> f64 {
         self.remaining - self.served as f64 * self.quota
+    }
+
+    /// Installs the quota of a fresh fairness solve, re-anchoring first
+    /// if it differs from the one the pair has been served at.
+    pub(crate) fn set_quota(&mut self, quota: f64, dt: f64) {
+        if quota != self.quota {
+            self.reanchor(dt);
+            self.quota = quota;
+            self.drain_at = DRAIN_UNKNOWN;
+        }
+    }
+
+    /// Epoch count since the anchor at which an active pair drains at its
+    /// current quota ([`epochs_to_drain`]), or `None` if it never does.
+    /// The answer depends only on the anchor and the quota, so it is
+    /// computed once per (anchor, quota) and reused while epochs are
+    /// served against them.
+    pub(crate) fn drain_epoch(&mut self) -> Option<u64> {
+        if self.drain_at == DRAIN_UNKNOWN {
+            self.drain_at =
+                epochs_to_drain(self.remaining, self.quota, self.served).unwrap_or(DRAIN_NEVER);
+        }
+        (self.drain_at != DRAIN_NEVER).then_some(self.drain_at)
     }
 
     /// Folds the served epochs into the anchor; called when the pair's
@@ -184,6 +236,7 @@ impl PairProgress {
             self.moved += m * self.quota;
             self.busy += m * dt;
             self.served = 0;
+            self.drain_at = DRAIN_UNKNOWN;
         }
     }
 
@@ -209,15 +262,17 @@ impl PairProgress {
         self.remaining -= moved;
         self.moved += moved;
         self.busy += frac * dt;
+        self.drain_at = DRAIN_UNKNOWN;
     }
 }
 
 /// Smallest epoch count `m > served` at which a pair at `quota` gigabits
 /// per epoch falls to ≤ [`PAYLOAD_EPS_GB`] remaining, or `None` if it
-/// never drains (zero or vanishing rate). Evaluates the exact float
-/// expression of [`PairProgress::current_remaining`], so the answer
-/// matches per-epoch stepping bit for bit.
-pub(crate) fn epochs_to_drain(remaining: f64, quota: f64, served: u64) -> Option<u64> {
+/// never drains (zero or vanishing rate). The pair must still be active:
+/// more than [`PAYLOAD_EPS_GB`] left after `served` epochs. Evaluates
+/// the exact float expression of [`PairProgress::current_remaining`], so
+/// the answer matches per-epoch stepping bit for bit.
+fn epochs_to_drain(remaining: f64, quota: f64, served: u64) -> Option<u64> {
     if quota <= 0.0 {
         return None;
     }
@@ -236,7 +291,12 @@ pub(crate) fn epochs_to_drain(remaining: f64, quota: f64, served: u64) -> Option
         hi = hi.saturating_mul(2).min(CAP);
     }
     // left_after is monotone non-increasing in m, left_after(served) > eps.
+    // The ceil estimate is almost always exact: one look at its
+    // predecessor confirms it without the search.
     let mut lo = served;
+    if hi - lo > 1 && left_after(hi - 1) > PAYLOAD_EPS_GB {
+        return Some(hi);
+    }
     while hi - lo > 1 {
         let mid = lo + (hi - lo) / 2;
         if left_after(mid) <= PAYLOAD_EPS_GB {
@@ -276,6 +336,9 @@ pub(crate) fn epochs_until_event(now_s: f64, next_s: f64, dt: f64) -> u64 {
 pub struct NetSim {
     topo: Topology,
     params: LinkModelParams,
+    /// Per-directed-pair constants of the link model. `topo` and `params`
+    /// never change after construction, so neither do these.
+    links: Grid<LinkStatic>,
     dynamics: Dynamics,
     rng: StdRng,
     time_s: f64,
@@ -291,6 +354,28 @@ pub struct NetSim {
     faults: Option<Box<ActiveFaults>>,
     /// Total simulated seconds spent with any fault active.
     degraded_s: f64,
+    /// Buffers of the probes in `probe.rs`, which gauge thousands of
+    /// times per run.
+    pub(crate) probe: ProbeScratch,
+}
+
+/// What the link model says about a directed DC pair before any runtime
+/// state (dynamics, faults, throttles, reservations) is applied.
+#[derive(Debug, Clone, Copy, Default)]
+struct LinkStatic {
+    /// [`LinkModelParams::conn_cap_mbps`] at the pair's distance.
+    conn_cap_mbps: f64,
+    /// [`LinkModelParams::conn_weight`] at the pair's distance.
+    conn_weight: f64,
+    /// Whether the endpoints sit in different cloud providers.
+    cross_provider: bool,
+}
+
+/// Solver scratch plus the all-pairs flow list of a measurement round.
+#[derive(Debug, Default)]
+pub(crate) struct ProbeScratch {
+    pub(crate) rates: RateScratch,
+    pub(crate) flows: Vec<FlowSpec>,
 }
 
 impl NetSim {
@@ -303,9 +388,19 @@ impl NetSim {
             params.dynamics_theta,
             params.dynamics_tick_s,
         );
+        let links = Grid::from_fn(n, |i, j| {
+            let dist = topo.distance_miles(DcId(i), DcId(j));
+            LinkStatic {
+                conn_cap_mbps: params.conn_cap_mbps(dist),
+                conn_weight: params.conn_weight(dist),
+                cross_provider: topo.dc(DcId(i)).region.provider()
+                    != topo.dc(DcId(j)).region.provider(),
+            }
+        });
         Self {
             topo,
             params,
+            links,
             dynamics,
             rng: StdRng::seed_from_u64(seed),
             time_s: 0.0,
@@ -314,6 +409,7 @@ impl NetSim {
             last_run_stats: RunStats::default(),
             faults: None,
             degraded_s: 0.0,
+            probe: ProbeScratch::default(),
         }
     }
 
@@ -541,13 +637,11 @@ impl NetSim {
     /// shard's reservation tracks what it *wants*, not what it was last
     /// granted.
     pub fn unreserved_ceiling_mbps(&self, f: &FlowSpec) -> f64 {
-        let dist = self.topo.distance_miles(f.src, f.dst);
-        let mut cap = f64::from(f.conns) * self.params.conn_cap_mbps(dist);
+        let link = self.links.at(f.src, f.dst);
+        let mut cap = f64::from(f.conns) * link.conn_cap_mbps;
         cap *= self.dynamics.multiplier(f.src.0, f.dst.0);
         cap *= self.fault_factor(f.src.0, f.dst.0);
-        let src_provider = self.topo.dc(f.src).region.provider();
-        let dst_provider = self.topo.dc(f.dst).region.provider();
-        if src_provider != dst_provider {
+        if link.cross_provider {
             cap *= self.params.cross_provider_factor;
         }
         cap.min(self.throttles.at(f.src, f.dst))
@@ -561,8 +655,7 @@ impl NetSim {
 
     /// Contention weight of a flow (connections × per-connection RTT bias).
     fn flow_weight(&self, f: &FlowSpec) -> f64 {
-        let dist = self.topo.distance_miles(f.src, f.dst);
-        f64::from(f.conns) * self.params.conn_weight(dist)
+        f64::from(f.conns) * self.links.at(f.src, f.dst).conn_weight
     }
 
     /// Allocates instantaneous rates (Mbps) to a set of concurrent flows
@@ -583,7 +676,9 @@ impl NetSim {
     /// the reused workspace. Resources are constructed in a fully
     /// deterministic order (per-DC egress/ingress, then backbone paths in
     /// ascending `(src, dst)` order), so identical inputs always produce
-    /// bit-identical rates across runs and platforms.
+    /// bit-identical rates across runs and platforms. Building costs
+    /// O(flows + DCs): a one-flow gauge on a 64-DC topology does no
+    /// per-pair work.
     pub fn allocate_rates_with<'s>(
         &self,
         flows: &[FlowSpec],
@@ -595,6 +690,11 @@ impl NetSim {
         s.problem_index.clear();
         s.host_conns.clear();
         s.host_conns.resize(n, 0);
+        s.wan_ends.clear();
+        s.src_offsets.clear();
+        s.src_offsets.resize(n + 1, 0);
+        s.dst_offsets.clear();
+        s.dst_offsets.resize(n + 1, 0);
 
         for f in flows {
             if f.src == f.dst || f.conns == 0 {
@@ -605,82 +705,71 @@ impl NetSim {
             s.problem_index.push(idx);
             s.host_conns[f.src.0] += f.conns;
             s.host_conns[f.dst.0] += f.conns;
+            s.wan_ends.push((f.src.0 as u32, f.dst.0 as u32));
+            s.src_offsets[f.src.0 + 1] += 1;
+            s.dst_offsets[f.dst.0 + 1] += 1;
         }
         let wan_flows = s.problem.flow_count();
 
-        // Counting sorts: WAN flows grouped by directed pair (egress NICs
-        // are contiguous row ranges, backbone paths are key runs) and by
-        // destination (ingress NICs).
-        s.sd_offsets.clear();
-        s.sd_offsets.resize(n * n + 1, 0);
-        s.dst_offsets.clear();
-        s.dst_offsets.resize(n + 1, 0);
-        for (i, f) in flows.iter().enumerate() {
-            if s.problem_index[i] != NOT_IN_PROBLEM {
-                s.sd_offsets[f.src.0 * n + f.dst.0 + 1] += 1;
-                s.dst_offsets[f.dst.0 + 1] += 1;
-            }
-        }
-        for k in 0..n * n {
-            s.sd_offsets[k + 1] += s.sd_offsets[k];
-        }
+        // Two stable counting passes — by destination, then by source —
+        // leave the WAN flows ordered by (src, dst, index): O(flows + DCs),
+        // with no per-pair bucket however large the topology.
         for k in 0..n {
+            s.src_offsets[k + 1] += s.src_offsets[k];
             s.dst_offsets[k + 1] += s.dst_offsets[k];
         }
-        s.sd_cursor.clear();
-        s.sd_cursor.extend_from_slice(&s.sd_offsets[..n * n]);
-        s.dst_cursor.clear();
-        s.dst_cursor.extend_from_slice(&s.dst_offsets[..n]);
-        s.sd_flows.clear();
-        s.sd_flows.resize(wan_flows, 0);
-        s.dst_flows.clear();
-        s.dst_flows.resize(wan_flows, 0);
-        for (i, f) in flows.iter().enumerate() {
-            let idx = s.problem_index[i];
-            if idx == NOT_IN_PROBLEM {
-                continue;
-            }
-            let key = f.src.0 * n + f.dst.0;
-            s.sd_flows[s.sd_cursor[key]] = idx;
-            s.sd_cursor[key] += 1;
-            s.dst_flows[s.dst_cursor[f.dst.0]] = idx;
-            s.dst_cursor[f.dst.0] += 1;
+        s.by_dst.clear();
+        s.by_dst.resize(wan_flows, 0);
+        s.cursor.clear();
+        s.cursor.extend_from_slice(&s.dst_offsets[..n]);
+        for (idx, &(_, dst)) in s.wan_ends.iter().enumerate() {
+            let slot = &mut s.cursor[dst as usize];
+            s.by_dst[*slot] = idx as u32;
+            *slot += 1;
+        }
+        s.by_src.clear();
+        s.by_src.resize(wan_flows, 0);
+        s.cursor.clear();
+        s.cursor.extend_from_slice(&s.src_offsets[..n]);
+        for &idx in &s.by_dst {
+            let slot = &mut s.cursor[s.wan_ends[idx as usize].0 as usize];
+            s.by_src[*slot] = idx;
+            *slot += 1;
         }
 
         for dc in 0..n {
+            let egress = &s.by_src[s.src_offsets[dc]..s.src_offsets[dc + 1]];
+            let ingress = &s.by_dst[s.dst_offsets[dc]..s.dst_offsets[dc + 1]];
+            if egress.is_empty() && ingress.is_empty() {
+                continue;
+            }
             let d = self.topo.dc(DcId(dc));
             let divisor = self.params.congestion_divisor(s.host_conns[dc], d.conn_budget());
-            let egress = &s.sd_flows[s.sd_offsets[dc * n]..s.sd_offsets[(dc + 1) * n]];
             if !egress.is_empty() {
-                s.problem.add_resource(
+                s.problem.add_resource_with(
                     ResourceKind::Egress(dc),
                     d.egress_cap_mbps() / divisor,
-                    egress,
+                    as_members(egress),
                 );
             }
-            let ingress = &s.dst_flows[s.dst_offsets[dc]..s.dst_offsets[dc + 1]];
             if !ingress.is_empty() {
-                s.problem.add_resource(
+                s.problem.add_resource_with(
                     ResourceKind::Ingress(dc),
                     d.ingress_cap_mbps() / divisor,
-                    ingress,
+                    as_members(ingress),
                 );
             }
         }
-        // Backbone path capacity per directed pair with at least one flow,
-        // in ascending (src, dst) order — deterministic, unlike the
-        // HashMap iteration this replaces.
-        for src in 0..n {
-            for dst in 0..n {
-                let key = src * n + dst;
-                let members = &s.sd_flows[s.sd_offsets[key]..s.sd_offsets[key + 1]];
-                if !members.is_empty() {
-                    let cap = self.params.path_cap_mbps
-                        * self.dynamics.multiplier(src, dst)
-                        * self.fault_factor(src, dst);
-                    s.problem.add_resource(ResourceKind::Path(src, dst), cap, members);
-                }
-            }
+        // Backbone path capacity per directed pair with at least one
+        // flow: the runs of equal (src, dst) in `by_src`, which come out
+        // in ascending (src, dst) order.
+        for run in s.by_src.chunk_by(|&a, &b| s.wan_ends[a as usize] == s.wan_ends[b as usize]) {
+            let (src, dst) = s.wan_ends[run[0] as usize];
+            let (src, dst) = (src as usize, dst as usize);
+            let cap = self.params.path_cap_mbps
+                * self.dynamics.multiplier(src, dst)
+                * self.fault_factor(src, dst);
+            s.problem.add_resource_with(ResourceKind::Path(src, dst), cap, as_members(run));
         }
 
         s.ws.solve(&s.problem);
@@ -800,11 +889,7 @@ impl NetSim {
             // Re-anchor any pair whose per-epoch quota changed.
             for (f, &p) in flow_pairs.iter().enumerate() {
                 let quota = rates[f] * dt / 1000.0;
-                let pair = &mut pairs[p];
-                if quota != pair.quota {
-                    pair.reanchor(dt);
-                    pair.quota = quota;
-                }
+                pairs[p].set_quota(quota, dt);
             }
 
             // Ask an installed hook for its next wake time; `None` means
@@ -823,8 +908,8 @@ impl NetSim {
             } else {
                 let mut k = u64::MAX;
                 for &p in &flow_pairs {
-                    let pair = &pairs[p];
-                    if let Some(m) = epochs_to_drain(pair.remaining, pair.quota, pair.served) {
+                    let pair = &mut pairs[p];
+                    if let Some(m) = pair.drain_epoch() {
                         k = k.min(m - pair.served);
                     }
                 }
@@ -918,6 +1003,172 @@ impl NetSim {
             egress_gigabits: egress,
             epochs,
         }
+    }
+}
+
+/// Bit-exact references for the parity tests below: the rate allocation
+/// and the drain horizon as they stood before the fast paths, verbatim.
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use crate::fairness::reference::ReferenceWorkspace;
+
+    /// `NetSim::unreserved_ceiling_mbps` straight from the link model:
+    /// two `powf` and two provider lookups per call, no pair table.
+    fn unreserved_ceiling_mbps(sim: &NetSim, f: &FlowSpec) -> f64 {
+        let dist = sim.topo.distance_miles(f.src, f.dst);
+        let mut cap = f64::from(f.conns) * sim.params.conn_cap_mbps(dist);
+        cap *= sim.dynamics.multiplier(f.src.0, f.dst.0);
+        cap *= sim.fault_factor(f.src.0, f.dst.0);
+        let src_provider = sim.topo.dc(f.src).region.provider();
+        let dst_provider = sim.topo.dc(f.dst).region.provider();
+        if src_provider != dst_provider {
+            cap *= sim.params.cross_provider_factor;
+        }
+        cap.min(sim.throttles.at(f.src, f.dst))
+    }
+
+    fn flow_ceiling(sim: &NetSim, f: &FlowSpec) -> f64 {
+        unreserved_ceiling_mbps(sim, f).min(sim.backbone_caps.at(f.src, f.dst))
+    }
+
+    fn flow_weight(sim: &NetSim, f: &FlowSpec) -> f64 {
+        let dist = sim.topo.distance_miles(f.src, f.dst);
+        f64::from(f.conns) * sim.params.conn_weight(dist)
+    }
+
+    /// `NetSim::allocate_rates_with` with the `n² + 1`-bucket counting
+    /// sort, every resource kept, solved by the all-flows-per-round
+    /// reference solver.
+    pub(super) fn allocate_rates(sim: &NetSim, flows: &[FlowSpec]) -> Vec<f64> {
+        let n = sim.topo.len();
+        let mut problem = FairnessProblem::new();
+        let mut problem_index = Vec::new();
+        let mut host_conns = vec![0u32; n];
+
+        for f in flows {
+            if f.src == f.dst || f.conns == 0 {
+                problem_index.push(NOT_IN_PROBLEM);
+                continue;
+            }
+            let idx = problem.add_flow(flow_weight(sim, f), flow_ceiling(sim, f));
+            problem_index.push(idx);
+            host_conns[f.src.0] += f.conns;
+            host_conns[f.dst.0] += f.conns;
+        }
+        let wan_flows = problem.flow_count();
+
+        let mut sd_offsets = vec![0usize; n * n + 1];
+        let mut dst_offsets = vec![0usize; n + 1];
+        for (i, f) in flows.iter().enumerate() {
+            if problem_index[i] != NOT_IN_PROBLEM {
+                sd_offsets[f.src.0 * n + f.dst.0 + 1] += 1;
+                dst_offsets[f.dst.0 + 1] += 1;
+            }
+        }
+        for k in 0..n * n {
+            sd_offsets[k + 1] += sd_offsets[k];
+        }
+        for k in 0..n {
+            dst_offsets[k + 1] += dst_offsets[k];
+        }
+        let mut sd_cursor = sd_offsets[..n * n].to_vec();
+        let mut dst_cursor = dst_offsets[..n].to_vec();
+        let mut sd_flows = vec![0usize; wan_flows];
+        let mut dst_flows = vec![0usize; wan_flows];
+        for (i, f) in flows.iter().enumerate() {
+            let idx = problem_index[i];
+            if idx == NOT_IN_PROBLEM {
+                continue;
+            }
+            let key = f.src.0 * n + f.dst.0;
+            sd_flows[sd_cursor[key]] = idx;
+            sd_cursor[key] += 1;
+            dst_flows[dst_cursor[f.dst.0]] = idx;
+            dst_cursor[f.dst.0] += 1;
+        }
+
+        for dc in 0..n {
+            let d = sim.topo.dc(DcId(dc));
+            let divisor = sim.params.congestion_divisor(host_conns[dc], d.conn_budget());
+            let egress = &sd_flows[sd_offsets[dc * n]..sd_offsets[(dc + 1) * n]];
+            if !egress.is_empty() {
+                problem.add_resource(
+                    ResourceKind::Egress(dc),
+                    d.egress_cap_mbps() / divisor,
+                    egress,
+                );
+            }
+            let ingress = &dst_flows[dst_offsets[dc]..dst_offsets[dc + 1]];
+            if !ingress.is_empty() {
+                problem.add_resource(
+                    ResourceKind::Ingress(dc),
+                    d.ingress_cap_mbps() / divisor,
+                    ingress,
+                );
+            }
+        }
+        for src in 0..n {
+            for dst in 0..n {
+                let key = src * n + dst;
+                let members = &sd_flows[sd_offsets[key]..sd_offsets[key + 1]];
+                if !members.is_empty() {
+                    let cap = sim.params.path_cap_mbps
+                        * sim.dynamics.multiplier(src, dst)
+                        * sim.fault_factor(src, dst);
+                    problem.add_resource(ResourceKind::Path(src, dst), cap, members);
+                }
+            }
+        }
+
+        let mut ws = ReferenceWorkspace::default();
+        ws.solve(&problem);
+        flows
+            .iter()
+            .enumerate()
+            .map(|(i, f)| {
+                let idx = problem_index[i];
+                if idx != NOT_IN_PROBLEM {
+                    ws.rates()[idx]
+                } else if f.src == f.dst && f.conns > 0 {
+                    INTRA_DC_MBPS
+                } else {
+                    0.0
+                }
+            })
+            .collect()
+    }
+
+    /// `epochs_to_drain` without the predecessor shortcut: always the
+    /// binary search.
+    pub(super) fn epochs_to_drain(remaining: f64, quota: f64, served: u64) -> Option<u64> {
+        if quota <= 0.0 {
+            return None;
+        }
+        let left_after = |m: u64| remaining - m as f64 * quota;
+        const CAP: u64 = 1 << 53;
+        let est = ((remaining - PAYLOAD_EPS_GB) / quota).ceil();
+        let mut hi = if est.is_finite() && est >= 0.0 && est < CAP as f64 {
+            (est as u64).max(served + 1)
+        } else {
+            served + 1
+        };
+        while left_after(hi) > PAYLOAD_EPS_GB {
+            if hi >= CAP {
+                return None;
+            }
+            hi = hi.saturating_mul(2).min(CAP);
+        }
+        let mut lo = served;
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if left_after(mid) <= PAYLOAD_EPS_GB {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        Some(hi)
     }
 }
 
@@ -1053,6 +1304,32 @@ mod tests {
         let _ = sim.allocate_rates_with(&[FlowSpec::new(DcId(2), DcId(1), 3)], &mut scratch);
         // …and re-solving the original is bit-identical.
         assert_eq!(sim.allocate_rates_with(&mixed, &mut scratch), first.as_slice());
+    }
+
+    #[test]
+    fn one_flow_solve_on_64_dcs_sizes_no_buffer_by_dc_pairs() {
+        // The gauge shape: 161 280 of these per `scale-hier` rep. Every
+        // scratch buffer must be sized by flows or by DCs, never DCs².
+        let topo = crate::paper_testbed_tiled(VmType::t2_medium(), 64);
+        let sim = NetSim::new(topo, LinkModelParams::frozen(), 1);
+        let mut s = RateScratch::default();
+        let rate = sim.allocate_rates_with(&[FlowSpec::new(DcId(3), DcId(40), 1)], &mut s)[0];
+        assert!(rate > 0.0);
+        let sizes = [
+            s.problem_index.len(),
+            s.host_conns.len(),
+            s.wan_ends.len(),
+            s.dst_offsets.len(),
+            s.by_dst.len(),
+            s.src_offsets.len(),
+            s.by_src.len(),
+            s.cursor.len(),
+            s.rates.len(),
+            s.problem.flow_count(),
+            s.problem.resource_count(),
+        ];
+        assert!(sizes.iter().all(|&len| len <= 64 + 1), "{sizes:?}");
+        assert_eq!(s.problem.resource_count(), 3, "egress, ingress and one path");
     }
 
     #[test]
@@ -1330,6 +1607,155 @@ mod tests {
             (r.makespan_s.to_bits(), sim.degraded_s().to_bits())
         };
         assert_eq!(run(), run());
+    }
+
+    mod parity {
+        use super::*;
+        use crate::faults::{FaultKind, FaultSchedule};
+        use crate::{paper_testbed_n, paper_testbed_tiled};
+        use proptest::prelude::*;
+        use rand::Rng;
+
+        /// A simulator of 3, 8 or 64 DCs in a random runtime state: live
+        /// multipliers, throttles (some zero), backbone reservations and
+        /// active faults (a downed DC, degraded links and hosts).
+        fn arb_sim(rng: &mut StdRng) -> NetSim {
+            let n = [3usize, 8, 64][rng.gen_range(0usize..3)];
+            let vm = if rng.gen_range(0..2) == 0 { VmType::t2_medium() } else { VmType::t3_nano() };
+            let topo = if n <= 8 { paper_testbed_n(vm, n) } else { paper_testbed_tiled(vm, n) };
+            let params = if rng.gen_range(0..2) == 0 {
+                LinkModelParams::frozen()
+            } else {
+                LinkModelParams { dynamics_sigma: 0.2, ..LinkModelParams::default() }
+            };
+            let mut sim = NetSim::new(topo, params, rng.gen_range(0..u64::MAX));
+            sim.advance(rng.gen_range(1.0..40.0));
+            let pair = |rng: &mut StdRng| (DcId(rng.gen_range(0..n)), DcId(rng.gen_range(0..n)));
+            for _ in 0..rng.gen_range(0..6) {
+                let (src, dst) = pair(rng);
+                let cap = if rng.gen_range(0..4) == 0 { 0.0 } else { rng.gen_range(1.0..900.0) };
+                sim.set_throttle(src, dst, cap);
+            }
+            if rng.gen_range(0..2) == 0 {
+                let mut caps = Grid::filled(n, f64::INFINITY);
+                for _ in 0..rng.gen_range(1..8) {
+                    let (src, dst) = pair(rng);
+                    caps.put(src, dst, rng.gen_range(5.0..600.0));
+                }
+                sim.set_backbone_caps(caps);
+            }
+            if rng.gen_range(0..2) == 0 {
+                let (src, dst) = pair(rng);
+                let mut schedule = FaultSchedule::new()
+                    .at(0.0, FaultKind::LinkFactor { src, dst, factor: rng.gen_range(0.0..1.0) })
+                    .at(0.0, FaultKind::DcFactor { dc: src, factor: rng.gen_range(0.1..1.0) });
+                if rng.gen_range(0..2) == 0 {
+                    schedule = schedule.at(0.0, FaultKind::DcDown(dst));
+                }
+                if rng.gen_range(0..3) == 0 {
+                    schedule = schedule.at(0.0, FaultKind::GlobalFactor(rng.gen_range(0.3..1.0)));
+                }
+                sim.set_fault_schedule(schedule);
+                sim.poll_faults();
+            }
+            sim
+        }
+
+        /// The engine's flow-set shape: several groups, each the
+        /// all-pairs shuffle of a block of DCs, so most pairs carry one
+        /// flow per group; plus zero-connection and intra-DC flows. One
+        /// case in six is a lone flow (the gauge shape).
+        fn arb_flows(rng: &mut StdRng, n: usize) -> Vec<FlowSpec> {
+            if rng.gen_range(0..6) == 0 {
+                let (src, dst) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                return vec![FlowSpec::new(DcId(src), DcId(dst), rng.gen_range(0..4))];
+            }
+            let mut flows = Vec::new();
+            for _ in 0..rng.gen_range(1..9) {
+                let width = rng.gen_range(2..n.min(8) + 1);
+                let base = rng.gen_range(0..n - width + 1);
+                for i in base..base + width {
+                    for j in base..base + width {
+                        if rng.gen_range(0..8) != 0 {
+                            flows.push(FlowSpec::new(DcId(i), DcId(j), rng.gen_range(0..12)));
+                        }
+                    }
+                }
+            }
+            flows
+        }
+
+        proptest! {
+            #[test]
+            fn allocate_rates_is_bit_identical_to_reference(seed in 0u64..u64::MAX) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let sim = arb_sim(&mut rng);
+                let mut scratch = RateScratch::default();
+                // Several flow sets through one scratch: reuse must not leak.
+                for _ in 0..3 {
+                    let flows = arb_flows(&mut rng, sim.topology().len());
+                    let fast = sim.allocate_rates_with(&flows, &mut scratch);
+                    let slow = reference::allocate_rates(&sim, &flows);
+                    prop_assert_eq!(fast.len(), slow.len());
+                    for (f, (a, b)) in fast.iter().zip(&slow).enumerate() {
+                        prop_assert_eq!(a.to_bits(), b.to_bits(),
+                            "flow {} {:?}: {} vs reference {}", f, flows[f], a, b);
+                    }
+                }
+            }
+
+            #[test]
+            fn drain_shortcut_matches_the_search(
+                quota in 1e-9f64..4.0,
+                epochs in 1u64..5000,
+                crumb in -2e-9f64..2e-9,
+                edge in 0usize..4,
+                skip in 0.0f64..1.0,
+            ) {
+                // Payloads within a crumb of a whole number of epochs —
+                // or exactly the drain epsilon past one — sit on the edge
+                // where the ceil estimate is off by one.
+                let crumb = [crumb, 0.0, PAYLOAD_EPS_GB, 2.0 * PAYLOAD_EPS_GB][edge];
+                let remaining = epochs as f64 * quota + crumb;
+                if remaining > PAYLOAD_EPS_GB {
+                    let from_zero = reference::epochs_to_drain(remaining, quota, 0);
+                    prop_assert_eq!(epochs_to_drain(remaining, quota, 0), from_zero);
+                    let m = from_zero.expect("a positive quota drains");
+                    let served = (skip * (m - 1) as f64) as u64;
+                    prop_assert_eq!(epochs_to_drain(remaining, quota, served), Some(m));
+                    prop_assert_eq!(reference::epochs_to_drain(remaining, quota, served), Some(m));
+                }
+            }
+
+            #[test]
+            fn cached_drain_epoch_matches_a_fresh_search(seed in 0u64..u64::MAX) {
+                // Walk a pair through served epochs, quota changes and
+                // fractional serves; the memo must always equal a search
+                // from the pair's current state.
+                let mut rng = StdRng::seed_from_u64(seed);
+                let dt = 0.25;
+                let mut pair = PairProgress::new(0, 1, rng.gen_range(0.01..50.0));
+                pair.set_quota(rng.gen_range(1e-4..2.0), dt);
+                for _ in 0..200 {
+                    let fresh = reference::epochs_to_drain(pair.remaining, pair.quota, pair.served);
+                    prop_assert_eq!(pair.drain_epoch(), fresh);
+                    let Some(m) = fresh else { break };
+                    match rng.gen_range(0..4) {
+                        0 => pair.set_quota(rng.gen_range(0.0..2.0), dt),
+                        1 => {
+                            pair.serve_partial(rng.gen_range(0.05..0.95), dt);
+                            if pair.remaining <= PAYLOAD_EPS_GB {
+                                break;
+                            }
+                        }
+                        _ => {
+                            pair.served += rng.gen_range(0..m - pair.served);
+                            prop_assert!(pair.current_remaining() > PAYLOAD_EPS_GB);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]
