@@ -47,9 +47,9 @@ impl FeatureVector {
         }
     }
 
-    /// Row-vector form consumed by the Random Forest.
-    pub fn to_row(&self) -> Vec<f64> {
-        vec![
+    /// Row form consumed by the Random Forest, in Table-3 order.
+    pub fn to_array(&self) -> [f64; FEATURE_COUNT] {
+        [
             self.n_dcs,
             self.snapshot_bw_mbps,
             self.mem_util_dst,
@@ -74,9 +74,7 @@ mod tests {
         assert_eq!(fv.n_dcs, 3.0);
         assert!(fv.snapshot_bw_mbps > 0.0);
         assert!(fv.distance_miles > 5000.0, "US East → AP South is far");
-        let row = fv.to_row();
-        assert_eq!(row.len(), FEATURE_COUNT);
-        assert_eq!(row[1], fv.snapshot_bw_mbps);
+        assert_eq!(fv.to_array()[1], fv.snapshot_bw_mbps);
     }
 
     #[test]

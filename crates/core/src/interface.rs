@@ -78,14 +78,18 @@ impl WanifyPlan {
     /// quantization picking gradient precision — should use this feasible
     /// variant, mirroring how the local optimizers scale their targets.
     pub fn feasible_achievable_bw(&self) -> BwMatrix {
-        let n = self.global.max_bw.len();
-        BwMatrix::from_fn(n, |i, j| {
-            let row_sum: f64 =
-                (0..n).filter(|&k| k != i).map(|k| self.global.max_bw.get(i, k)).sum();
+        let max_bw = &self.global.max_bw;
+        let n = max_bw.len();
+        let mut feasible = BwMatrix::new(n);
+        for i in 0..n {
+            let row_sum: f64 = (0..n).filter(|&k| k != i).map(|k| max_bw.get(i, k)).sum();
             let host = self.global.host_egress_mbps[i];
             let feas = if row_sum > 0.0 { (host / row_sum).min(1.0) } else { 1.0 };
-            self.global.max_bw.get(i, j) * feas
-        })
+            for j in 0..n {
+                feasible.set(i, j, max_bw.get(i, j) * feas);
+            }
+        }
+        feasible
     }
 }
 

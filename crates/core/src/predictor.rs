@@ -77,7 +77,7 @@ fn append_pairs(data: &mut Dataset, snapshot: &ProbeReading, stable: &BwMatrix, 
                 continue;
             }
             let fv = FeatureVector::from_probe(snapshot, topo, DcId(i), DcId(j));
-            data.push(fv.to_row(), stable.get(i, j)).expect("feature arity is fixed");
+            data.push(fv.to_array().to_vec(), stable.get(i, j)).expect("feature arity is fixed");
         }
     }
 }
@@ -114,16 +114,23 @@ impl WanPredictionModel {
     }
 
     /// Predicts stable runtime bandwidth for one directed pair.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the model was trained on rows that are not
+    /// [`FEATURE_COUNT`] wide.
     pub fn predict_pair(&self, features: &FeatureVector) -> f64 {
-        self.forest.predict(&features.to_row()).max(0.0)
+        self.forest.predict(&features.to_array()).max(0.0)
     }
 
-    /// Predicts the full runtime bandwidth matrix from a snapshot probe.
+    /// Predicts the full runtime bandwidth matrix from a snapshot probe,
+    /// in one pass over the forest for all directed pairs.
     ///
     /// # Errors
     ///
     /// Returns [`WanifyError::DimensionMismatch`] if the probe does not
-    /// match the topology.
+    /// match the topology, and [`WanifyError::FeatureArityMismatch`] if the
+    /// model was trained on rows that are not [`FEATURE_COUNT`] wide.
     pub fn predict_matrix(
         &self,
         snapshot: &ProbeReading,
@@ -133,18 +140,35 @@ impl WanPredictionModel {
         if snapshot.bw.len() != n {
             return Err(WanifyError::DimensionMismatch { expected: n, got: snapshot.bw.len() });
         }
-        Ok(BwMatrix::from_fn(n, |i, j| {
-            if i == j {
-                0.0
-            } else {
-                self.predict_pair(&FeatureVector::from_probe(snapshot, topo, DcId(i), DcId(j)))
-            }
-        }))
+        if self.forest.n_features() != FEATURE_COUNT {
+            return Err(WanifyError::FeatureArityMismatch {
+                expected: FEATURE_COUNT,
+                got: self.forest.n_features(),
+            });
+        }
+        let mut rows = Vec::with_capacity(n * (n - 1) * FEATURE_COUNT);
+        for (i, j, _) in snapshot.bw.iter_pairs() {
+            let features = FeatureVector::from_probe(snapshot, topo, DcId(i), DcId(j));
+            rows.extend_from_slice(&features.to_array());
+        }
+        let mut predicted = vec![0.0; rows.len() / FEATURE_COUNT];
+        self.forest.predict_rows(&rows, &mut predicted);
+        // `iter_pairs_mut` visits the pairs in `iter_pairs` order.
+        let mut bw = BwMatrix::new(n);
+        for ((_, _, cell), p) in bw.iter_pairs_mut().zip(predicted) {
+            *cell = p.max(0.0);
+        }
+        Ok(bw)
     }
 
     /// Percentage training accuracy over `data` (paper §5.1: 98.51%).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data`'s width differs from the training data's.
     pub fn training_accuracy(&self, data: &Dataset) -> f64 {
-        let preds: Vec<f64> = data.iter().map(|(x, _)| self.forest.predict(x)).collect();
+        let mut preds = vec![0.0; data.len()];
+        self.forest.predict_rows(&data.row_major(), &mut preds);
         metrics::accuracy_pct(&preds, data.targets())
     }
 

@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use crate::error::WanifyError;
 use crate::predictor::{WanPredictionModel, STABLE_PROBE_S};
-use wanify_netsim::{BwMatrix, ConnMatrix, NetSim};
+use wanify_netsim::{BwMatrix, ConnMatrix, NetSim, Region};
 
 /// A provider of directed bandwidth matrices for a live network.
 ///
@@ -59,21 +59,26 @@ pub trait BandwidthSource: Send {
 ///
 /// Static sources are meant to go stale *in time* on one network, not
 /// to replay one cluster's measurements onto another: re-gauging a
-/// different topology (size or region labels) re-measures.
+/// different topology (size or regions) re-measures.
 #[derive(Debug, Clone)]
 struct StaticCache {
     bw: BwMatrix,
-    topo_labels: Vec<String>,
+    regions: Vec<Region>,
 }
 
 impl StaticCache {
     fn lookup(cache: &Option<Self>, net: &NetSim) -> Option<BwMatrix> {
-        cache.as_ref().filter(|c| c.topo_labels == net.topology().labels()).map(|c| c.bw.clone())
+        cache.as_ref().filter(|c| c.regions.iter().copied().eq(regions(net))).map(|c| c.bw.clone())
     }
 
     fn store(bw: &BwMatrix, net: &NetSim) -> Option<Self> {
-        Some(Self { bw: bw.clone(), topo_labels: net.topology().labels() })
+        Some(Self { bw: bw.clone(), regions: regions(net).collect() })
     }
+}
+
+/// The region of every DC of `net`, in index order.
+fn regions(net: &NetSim) -> impl Iterator<Item = Region> + '_ {
+    net.topology().iter().map(|(_, dc)| dc.region)
 }
 
 /// Every-pair-independently static probing, measured once then cached —
@@ -297,7 +302,7 @@ mod tests {
 
     #[test]
     fn static_cache_invalidates_on_different_regions_same_size() {
-        use wanify_netsim::{Region, Topology};
+        use wanify_netsim::Topology;
 
         let mut ind = StaticIndependent::new();
         let first = ind.gauge(&mut sim(3, 5)).unwrap();
@@ -312,6 +317,19 @@ mod tests {
         let mut net = NetSim::new(other, LinkModelParams::default(), 5);
         let second = ind.gauge(&mut net).unwrap();
         assert_ne!(first, second, "a same-size but different cluster must be re-measured");
+    }
+
+    #[test]
+    fn predicted_runtime_reports_a_model_of_another_arity() {
+        let mut data = wanify_forest::Dataset::new(4);
+        for i in 0..20 {
+            data.push(vec![f64::from(i), 1.0, 2.0, 3.0], f64::from(i)).unwrap();
+        }
+        let mut src = PredictedRuntime::new(WanPredictionModel::train(&data, 3, 1));
+        assert_eq!(
+            src.gauge(&mut sim(3, 1)),
+            Err(WanifyError::FeatureArityMismatch { expected: 6, got: 4 })
+        );
     }
 
     #[test]

@@ -97,6 +97,13 @@ impl Dataset {
         &self.ys
     }
 
+    /// Every feature row back to back, the batch form
+    /// [`RandomForest::predict_rows`](crate::RandomForest::predict_rows)
+    /// takes.
+    pub fn row_major(&self) -> Vec<f64> {
+        self.xs.iter().flatten().copied().collect()
+    }
+
     /// Iterates over `(features, target)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&[f64], f64)> {
         self.xs.iter().map(Vec::as_slice).zip(self.ys.iter().copied())
@@ -214,6 +221,11 @@ mod tests {
         let c = toy(4);
         a.extend_from(&c).unwrap();
         assert_eq!(a.len(), 6);
+    }
+
+    #[test]
+    fn row_major_concatenates_rows() {
+        assert_eq!(toy(2).row_major(), vec![0.0, -0.0, 1.0, -1.0]);
     }
 
     #[test]

@@ -1,10 +1,24 @@
 //! Random Forest regression: bagging + feature subsampling + warm start.
 //!
-//! Fit and batch prediction are parallelized with `rayon`: bagging is
-//! embarrassingly parallel, and determinism is preserved by deriving one
-//! RNG seed per tree from the forest seed *before* fanning out, so the
-//! ensemble is bit-identical at any thread count (see
+//! The fit is parallelized with `rayon`: bagging is embarrassingly
+//! parallel, and determinism is preserved by deriving one RNG seed per
+//! tree from the forest seed *before* fanning out, so the ensemble is
+//! bit-identical at any thread count (see
 //! `deterministic_across_thread_counts`).
+//!
+//! # Inference: one pass over the forest per batch
+//!
+//! [`RandomForest::predict_rows`] is the one inference path. It is
+//! tree-major: the outer loop takes the trees in ensemble order and the
+//! inner loop sends every row block through that tree (see the
+//! [`tree`](crate::tree) module for the walk), so a batch reads each
+//! tree's packed nodes once while they are cache-resident, instead of
+//! once per row. Each row's accumulator starts from the identity
+//! `Iterator::sum` starts from, receives tree 0, 1, 2, … in that order and
+//! is divided once — the sequence of float operations a per-row
+//! `trees.map(predict).sum() / n` performs, so the bits are the same; only
+//! the interleaving between rows differs. The walk is single-threaded: a
+//! 56-row gauge costs less than a fork/join.
 
 use crate::dataset::Dataset;
 use crate::tree::{RegressionTree, TreeParams};
@@ -107,22 +121,20 @@ impl RandomForest {
             .into_par_iter()
             .map(|seed| {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let (sample, oob) = if bootstrap {
-                    let n = data.len();
-                    let mut in_bag = vec![false; n];
-                    let indices: Vec<usize> = (0..n)
-                        .map(|_| {
-                            let i = rng.gen_range(0..n);
-                            in_bag[i] = true;
-                            i
-                        })
-                        .collect();
-                    let oob: Vec<usize> = (0..n).filter(|&i| !in_bag[i]).collect();
-                    (data.select(&indices), oob)
-                } else {
-                    (data.clone(), Vec::new())
-                };
-                (RegressionTree::fit(&sample, &tree_params, &mut rng), oob)
+                let n = data.len();
+                if !bootstrap {
+                    return (RegressionTree::fit(data, &tree_params, &mut rng), Vec::new());
+                }
+                let mut in_bag = vec![false; n];
+                let sample: Vec<usize> = (0..n)
+                    .map(|_| {
+                        let i = rng.gen_range(0..n);
+                        in_bag[i] = true;
+                        i
+                    })
+                    .collect();
+                let oob: Vec<usize> = (0..n).filter(|&i| !in_bag[i]).collect();
+                (RegressionTree::fit_sample(data, &sample, &tree_params, &mut rng), oob)
             })
             .collect();
         for (tree, oob) in fitted {
@@ -137,16 +149,32 @@ impl RandomForest {
     ///
     /// Panics if `row.len()` differs from the training feature count.
     pub fn predict(&self, row: &[f64]) -> f64 {
-        let sum: f64 = self.trees.iter().map(|t| t.predict(row)).sum();
-        sum / self.trees.len() as f64
+        let mut out = [0.0];
+        self.predict_rows(row, &mut out);
+        out[0]
     }
 
-    /// Predictions for a batch of rows, computed in parallel across rows
-    /// (each row's ensemble mean stays a sequential, order-stable sum, so
-    /// results are bit-identical at any thread count).
-    pub fn predict_batch<'a>(&self, rows: impl IntoIterator<Item = &'a [f64]>) -> Vec<f64> {
-        let rows: Vec<&[f64]> = rows.into_iter().collect();
-        rows.into_par_iter().map(|r| self.predict(r)).collect()
+    /// Ensemble-mean predictions for a batch: `rows` holds `out.len()`
+    /// feature rows back to back (row-major), and `out[r]` receives row
+    /// `r`'s prediction, bit-identical to [`predict`](Self::predict) on
+    /// that row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows.len()` is not `out.len()` times the training
+    /// feature count.
+    pub fn predict_rows(&self, rows: &[f64], out: &mut [f64]) {
+        assert_eq!(rows.len(), out.len() * self.n_features, "feature arity mismatch");
+        // Whatever `Iterator::sum` starts from (-0.0 on current Rust, +0.0
+        // before), so an ensemble of -0.0 leaves keeps the sign it had.
+        out.fill(std::iter::empty::<f64>().sum());
+        for tree in &self.trees {
+            tree.for_each_leaf(rows, out.len(), |r, value| out[r] += value);
+        }
+        let n_trees = self.trees.len() as f64;
+        for sum in out {
+            *sum /= n_trees;
+        }
     }
 
     /// Number of trees currently in the ensemble.
@@ -154,21 +182,39 @@ impl RandomForest {
         self.trees.len()
     }
 
+    /// Number of features per row the forest was trained on.
+    pub fn n_features(&self) -> usize {
+        self.n_features
+    }
+
+    #[cfg(test)]
+    pub(crate) fn trees(&self) -> &[RegressionTree] {
+        &self.trees
+    }
+
     /// Out-of-bag mean absolute error against `data` (the training set the
     /// forest was fitted on). Returns `None` when bootstrap was disabled or
     /// no row was ever out-of-bag.
     pub fn oob_mae(&self, data: &Dataset) -> Option<f64> {
+        // Tree-major like `predict_rows`: each tree walks its own
+        // out-of-bag rows, and every row still sums its trees in order.
+        let mut sums = vec![0.0; data.len()];
+        let mut trees = vec![0usize; data.len()];
+        let mut rows = Vec::new();
+        for (tree, oob) in self.trees.iter().zip(&self.oob_rows) {
+            // A warm-started tree may have been fitted on a longer dataset;
+            // its rows past the end of `data` have no target here.
+            let oob = &oob[..oob.partition_point(|&i| i < data.len())];
+            rows.clear();
+            rows.extend(oob.iter().flat_map(|&i| data.row(i)));
+            tree.for_each_leaf(&rows, oob.len(), |k, value| {
+                sums[oob[k]] += value;
+                trees[oob[k]] += 1;
+            });
+        }
         let mut total = 0.0;
         let mut count = 0usize;
-        for i in 0..data.len() {
-            let mut sum = 0.0;
-            let mut trees = 0usize;
-            for (t, oob) in self.trees.iter().zip(&self.oob_rows) {
-                if oob.binary_search(&i).is_ok() {
-                    sum += t.predict(data.row(i));
-                    trees += 1;
-                }
-            }
+        for (i, (&sum, &trees)) in sums.iter().zip(&trees).enumerate() {
             if trees > 0 {
                 total += (sum / trees as f64 - data.target(i)).abs();
                 count += 1;
@@ -373,8 +419,10 @@ mod tests {
                 );
             }
             let batch_single: Vec<f64> = probes.iter().map(|(r, _)| single.predict(r)).collect();
+            let rows = probes.row_major();
+            let mut batch_multi = vec![0.0; probes.len()];
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            let batch_multi = pool.install(|| multi.predict_batch(probes.iter().map(|(r, _)| r)));
+            pool.install(|| multi.predict_rows(&rows, &mut batch_multi));
             assert_eq!(batch_single, batch_multi);
         }
     }

@@ -9,9 +9,11 @@
 //! the cluster grows (§3.3.2) or the model goes stale (§3.3.4). This crate
 //! implements exactly those capabilities:
 //!
-//! * [`RegressionTree`] — CART with variance-reduction splits;
+//! * [`RegressionTree`] — CART with variance-reduction splits, fitted from
+//!   per-feature presorted orders and stored as a packed pre-order array;
 //! * [`RandomForest`] — bootstrap aggregation with per-split feature
-//!   subsampling, out-of-bag error estimation and [`RandomForest::warm_start`];
+//!   subsampling, out-of-bag error estimation, [`RandomForest::warm_start`]
+//!   and one-pass batch prediction ([`RandomForest::predict_rows`]);
 //! * [`Dataset`] — a simple row-major feature matrix;
 //! * [`metrics`] — MSE/MAE/R² plus the paper's percentage "training
 //!   accuracy" (100 − MAPE).
@@ -37,6 +39,8 @@ pub mod baseline;
 pub mod dataset;
 pub mod forest;
 pub mod metrics;
+#[cfg(test)]
+mod parity;
 pub mod tree;
 
 pub use baseline::{KnnRegressor, LinearRegressor};

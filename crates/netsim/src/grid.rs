@@ -48,6 +48,21 @@ impl<T: Copy + Default> Grid<T> {
         g
     }
 
+    /// Builds a symmetric grid: `diagonal` on the diagonal and `f(i, j)`,
+    /// evaluated once per unordered pair `i < j`, in both `(i, j)` and
+    /// `(j, i)`.
+    pub fn symmetric(n: usize, diagonal: T, mut f: impl FnMut(usize, usize) -> T) -> Self {
+        let mut g = Self::filled(n, diagonal);
+        for i in 0..n {
+            for j in i + 1..n {
+                let v = f(i, j);
+                g.set(i, j, v);
+                g.set(j, i, v);
+            }
+        }
+        g
+    }
+
     /// Builds a grid from row-major data.
     ///
     /// # Panics
@@ -217,6 +232,20 @@ mod tests {
 
     fn sample() -> BwMatrix {
         BwMatrix::from_rows(3, vec![0.0, 400.0, 120.0, 380.0, 0.0, 130.0, 110.0, 125.0, 0.0])
+    }
+
+    #[test]
+    fn symmetric_evaluates_each_unordered_pair_once() {
+        let mut calls = Vec::new();
+        let g = Grid::symmetric(3, -1.0, |i, j| {
+            calls.push((i, j));
+            (10 * i + j) as f64
+        });
+        assert_eq!(calls, [(0, 1), (0, 2), (1, 2)]);
+        assert_eq!(
+            g,
+            BwMatrix::from_rows(3, vec![-1.0, 1.0, 2.0, 1.0, -1.0, 12.0, 2.0, 12.0, -1.0])
+        );
     }
 
     #[test]

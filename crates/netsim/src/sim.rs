@@ -388,7 +388,7 @@ impl NetSim {
             params.dynamics_theta,
             params.dynamics_tick_s,
         );
-        let links = Grid::from_fn(n, |i, j| {
+        let link = |i: usize, j: usize| {
             let dist = topo.distance_miles(DcId(i), DcId(j));
             LinkStatic {
                 conn_cap_mbps: params.conn_cap_mbps(dist),
@@ -396,7 +396,12 @@ impl NetSim {
                 cross_provider: topo.dc(DcId(i)).region.provider()
                     != topo.dc(DcId(j)).region.provider(),
             }
-        });
+        };
+        // A link's statics depend on the pair only through its distance
+        // and provider mismatch, both symmetric (the topology mirrors its
+        // distance grid): one `powf` pair serves both directions, and one
+        // serves every DC's zero-mile link to itself.
+        let links = Grid::symmetric(n, link(0, 0), link);
         Self {
             topo,
             params,

@@ -102,8 +102,11 @@ impl TopologyBuilder {
         if let Some(dc) = self.dcs.iter().find(|d| d.vm_count == 0) {
             return Err(TopologyError::EmptyDataCenter(dc.region));
         }
-        let n = self.dcs.len();
-        let distances = Grid::from_fn(n, |i, j| {
+        // The haversine formula squares the only terms whose sign depends
+        // on the order of its arguments, so a distance equals its mirror
+        // bit for bit and a point is +0.0 miles from itself
+        // (`distances_mirror_bit_for_bit` pins both facts).
+        let distances = Grid::symmetric(self.dcs.len(), 0.0, |i, j| {
             haversine_miles(self.dcs[i].region.location(), self.dcs[j].region.location())
         });
         Ok(Topology { dcs: self.dcs, distances })
@@ -228,6 +231,23 @@ mod tests {
         let d01 = t.distance_miles(DcId(0), DcId(1));
         let d10 = t.distance_miles(DcId(1), DcId(0));
         assert!((d01 - d10).abs() < 1e-9 && d01 > 2000.0);
+    }
+
+    /// What lets `build` compute one triangle: over every region pair the
+    /// formula gives the same bits either way round, and +0.0 for a pair
+    /// of DCs in one place.
+    #[test]
+    fn distances_mirror_bit_for_bit() {
+        let mut regions = Region::paper_order().to_vec();
+        regions.push(Region::GcpUsCentral);
+        for &a in &regions {
+            assert_eq!(haversine_miles(a.location(), a.location()).to_bits(), 0.0f64.to_bits());
+            for &b in &regions {
+                let there = haversine_miles(a.location(), b.location());
+                let back = haversine_miles(b.location(), a.location());
+                assert_eq!(there.to_bits(), back.to_bits(), "{a:?} / {b:?}");
+            }
+        }
     }
 
     #[test]
