@@ -1400,20 +1400,9 @@ impl FleetRun {
         self.fleet.engine.cross_group_demand_mbps(group_of, n_groups)
     }
 
-    /// Applies this shard's granted backbone share as per-pair caps (see
-    /// [`NetEngine::apply_backbone_allocation`]).
-    pub(crate) fn apply_backbone_share(
-        &mut self,
-        group_of: &[usize],
-        share_mbps: &wanify_netsim::Grid<f64>,
-        demand_mbps: &wanify_netsim::Grid<f64>,
-    ) {
-        self.fleet.engine.apply_backbone_allocation(group_of, share_mbps, demand_mbps);
-    }
-
-    /// Applies several backbone tiers at once, composed cell-wise (see
-    /// [`NetEngine::apply_backbone_tiers`]); the hierarchical sharded
-    /// driver's seam.
+    /// Applies this shard's granted backbone shares as per-pair caps, one
+    /// triple per tier, composed cell-wise (see
+    /// [`NetEngine::apply_backbone_tiers`]).
     pub(crate) fn apply_backbone_tiers(
         &mut self,
         tiers: &[(&[usize], &wanify_netsim::Grid<f64>, &wanify_netsim::Grid<f64>)],

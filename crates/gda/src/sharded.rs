@@ -659,7 +659,7 @@ fn exchange_tiers(
             runs.iter().map(|r| r.cross_shard_demand(bb.groups(), bb.n_groups())).collect();
         let shares = bb.allocate(&demands);
         for ((run, share), demand) in runs.iter_mut().zip(&shares).zip(&demands) {
-            run.apply_backbone_share(bb.groups(), share, demand);
+            run.apply_backbone_tiers(&[(bb.groups(), share, demand)]);
         }
         1
     } else {

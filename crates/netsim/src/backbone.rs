@@ -17,7 +17,7 @@
 //!   [`Backbone::allocate`] splits every trunk across shards by max-min
 //!   fairness, spreading any headroom evenly;
 //! * each shard applies its granted share as per-pair caps
-//!   ([`crate::NetEngine::apply_backbone_allocation`]) and then simulates
+//!   ([`crate::NetEngine::apply_backbone_tiers`]) and then simulates
 //!   the next window **independently**, event-coalescing as usual.
 //!
 //! The exchange is deliberately coarse: reservations trail demand by one

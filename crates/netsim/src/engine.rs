@@ -1,42 +1,46 @@
-//! Resumable multi-tenant transfer engine: many flow groups, one WAN.
+//! The transfer loop, and the resumable multi-tenant engine around it.
 //!
-//! [`NetSim::run_transfers`] is a run-to-completion call: one batch of
-//! transfers gets the whole network until it drains. Real GDA clusters
-//! are not like that — queries from many tenants overlap, and every
-//! shuffle contends with everyone else's shuffles on the same NICs and
-//! backbone paths (the regime Tetrium and Kimchi actually target).
-//! [`NetEngine`] generalizes the same event-coalescing machinery into a
-//! *resumable* core:
+//! Every simulated byte in this workspace moves through one loop
+//! (`TransferLoop::advance` below): **flow groups** (one query's shuffle each)
+//! contend on one WAN under weighted max-min fairness, and the loop
+//! serves them in closed-form *rate segments* — one fairness solve per
+//! segment, where a segment ends at a pair drain, a new submission, a
+//! caller deadline, a fault boundary, a dynamics tick or a hook wake (see
+//! the [`crate::sim`] module docs for why that is bit-identical to
+//! stepping every epoch). The loop has two entry points:
 //!
-//! * [`NetEngine::submit`] registers a job-tagged **flow group** (one
-//!   query's shuffle) at the current simulation time, mid-flight of any
-//!   other group. A submission is just another rate-change event — the
+//! * [`NetSim::run_transfers`] is the blocking one: it submits one group,
+//!   advances with no deadline, optionally seats an [`EpochHook`] on the
+//!   loop (`HookSeat`), and shapes the finished group into a
+//!   [`crate::TransferReport`].
+//! * [`NetEngine`] is the resumable one. Real GDA clusters overlap
+//!   queries from many tenants, and every shuffle contends with everyone
+//!   else's on the same NICs and backbone paths (the regime Tetrium and
+//!   Kimchi actually target). [`NetEngine::submit`] registers a
+//!   job-tagged group at the current simulation time, mid-flight of any
+//!   other group — a submission is just another rate-change event: the
 //!   next solve sees the new flows, and every pair whose fair share moved
 //!   re-anchors, exactly as a pair drain would.
-//! * [`NetEngine::advance_until`] advances the simulation until the next
-//!   **group completion event** or a caller deadline (a compute timer, an
+//!   [`NetEngine::advance_until`] advances until the next **group
+//!   completion event** or a caller deadline (a compute timer, an
 //!   arrival), whichever comes first, and returns the completed groups'
 //!   [`GroupReport`]s.
 //!
-//! The engine keeps the `O(events)` cost model of the coalesced transfer
-//! loop whenever [`NetSim::coalescible`] holds (frozen *or* tick-quantized
-//! live dynamics): one fairness solve per segment, where a segment ends
-//! at a pair drain, a new submission, a caller deadline, a fault boundary
-//! or a dynamics tick.
-//! A lone group stepped to completion is **bit-identical** to
-//! [`NetSim::run_transfers`] on the same transfers: both evaluate the
-//! same closed-form per-pair expressions at the same anchor points (see
-//! `engine_matches_run_transfers_for_a_lone_group` below and the parity
-//! proptest in `wanify-gda`).
+//! A [`GroupReport`] and a [`crate::TransferReport`] are two views of the
+//! same per-pair accounting, so `run_transfers` *is* a lone group on the
+//! engine's loop rather than a second implementation held to it by tests.
 //!
 //! Flows from *different* groups on the same DC pair stay distinct and
 //! contend under weighted max-min fairness; flows *within* a group on the
-//! same pair share one flow, as in `run_transfers` (Spark executors
-//! multiplex a connection pool per peer).
+//! same pair share one flow (Spark executors multiplex a connection pool
+//! per peer).
 
 use crate::flow::{FlowSpec, Transfer};
 use crate::grid::{BwMatrix, ConnMatrix, Grid};
-use crate::sim::{NetSim, PairProgress, RateScratch, RunStats, MAX_EPOCHS, PAYLOAD_EPS_GB};
+use crate::sim::{
+    epochs_until_event, EpochCtx, EpochHook, NetSim, PairProgress, RateScratch, RunStats,
+    MAX_EPOCHS, PAYLOAD_EPS_GB,
+};
 use crate::topology::DcId;
 
 /// Identifier of a submitted flow group, unique within one engine.
@@ -55,24 +59,28 @@ pub struct GroupReport {
     /// Longest per-pair busy time within the group, seconds — the same
     /// quantity [`crate::TransferReport::makespan_s`] reports.
     pub makespan_s: f64,
-    /// Smallest per-pair mean throughput among pairs that carried data.
+    /// Smallest per-pair mean throughput among WAN pairs that carried data.
     pub min_pair_bw_mbps: f64,
-    /// Total gigabits moved per source DC (egress cost accounting).
+    /// Total gigabits moved over the WAN per source DC (egress cost
+    /// accounting; intra-DC payload never leaves the DC).
     pub egress_gigabits: Vec<f64>,
 }
 
-/// One submitted group's in-flight state.
+/// One submitted group's state, in flight and as handed back finished.
 #[derive(Debug)]
-struct GroupState {
+pub(crate) struct GroupState {
     id: GroupId,
-    pairs: Vec<PairProgress>,
+    /// One entry per directed pair with payload, ascending `(src, dst)`.
+    pub(crate) pairs: Vec<PairProgress>,
     /// Parallel connections per entry of `pairs`, as submitted or as last
-    /// overwritten by [`NetEngine::apply_conns`].
+    /// overwritten by [`NetEngine::apply_conns`] or a seated hook.
     pair_conns: Vec<u32>,
     active_pairs: usize,
     submitted_s: f64,
+    /// When the last pair drained (or the group was cancelled), seconds.
+    completed_s: f64,
     /// Whether any transfer carried a strictly positive payload (drives
-    /// the one-epoch makespan floor, as in `run_transfers`).
+    /// the one-epoch makespan floor).
     any_payload: bool,
     /// Whether the group's pairs have been through at least one fairness
     /// solve — before that, zero quotas mean "not rated yet", not
@@ -80,16 +88,80 @@ struct GroupState {
     solved: bool,
 }
 
-/// The resumable multi-tenant transfer engine. See the module docs.
+impl GroupState {
+    /// Every remaining pair held a zero rate at the last fairness solve.
+    fn stalled(&self) -> bool {
+        self.solved && self.pairs.iter().all(|p| !p.active || p.quota() <= 0.0)
+    }
+
+    /// The group's accounting. Intra-DC pairs (`src == dst`) count into
+    /// the makespan only: they neither cross the WAN (egress) nor say
+    /// anything about it (minimum pair bandwidth).
+    pub(crate) fn report(&self, n_dcs: usize, dt: f64) -> GroupReport {
+        let mut makespan = if self.any_payload { dt } else { 0.0 };
+        let mut min_bw = f64::INFINITY;
+        let mut egress = vec![0.0; n_dcs];
+        for pair in &self.pairs {
+            makespan = makespan.max(pair.busy);
+            if pair.src != pair.dst {
+                min_bw = min_bw.min(pair.achieved_mbps());
+                egress[pair.src] += pair.moved;
+            }
+        }
+        GroupReport {
+            group: self.id,
+            submitted_s: self.submitted_s,
+            completed_s: self.completed_s,
+            makespan_s: makespan,
+            min_pair_bw_mbps: if min_bw.is_finite() { min_bw } else { 0.0 },
+            egress_gigabits: egress,
+        }
+    }
+}
+
+/// An [`EpochHook`] seated on the loop for one blocking
+/// [`NetSim::run_transfers`] call, with the matrices it is shown and may
+/// edit. The seat serves that call's lone group; what a hook would mean
+/// among several tenants is deliberately left undefined.
+pub(crate) struct HookSeat<'a> {
+    hook: &'a mut dyn EpochHook,
+    /// The solver's rate per pair over the segment just served.
+    observed: BwMatrix,
+    /// Starts as the submitted per-pair sums (sub-epsilon crumbs
+    /// included), then tracks every pair the loop serves.
+    remaining: BwMatrix,
+    conns: ConnMatrix,
+}
+
+impl<'a> HookSeat<'a> {
+    /// Seats `hook` for transfers [`TransferLoop::submit`] has accepted.
+    pub(crate) fn new(
+        hook: &'a mut dyn EpochHook,
+        transfers: &[Transfer],
+        conns: &ConnMatrix,
+    ) -> Self {
+        let mut remaining = BwMatrix::new(conns.len());
+        for t in transfers {
+            remaining.put(t.src, t.dst, remaining.at(t.src, t.dst) + t.gigabits);
+        }
+        Self { hook, observed: BwMatrix::new(conns.len()), remaining, conns: conns.clone() }
+    }
+}
+
+/// The one event-coalescing transfer loop: flow groups in flight plus the
+/// reused solver buffers. It borrows the simulator per call, so the
+/// blocking [`NetSim::run_transfers`] builds one on the stack and
+/// [`NetEngine`] keeps one next to the simulator it owns.
 #[derive(Debug)]
-pub struct NetEngine {
-    sim: NetSim,
+pub(crate) struct TransferLoop {
     groups: Vec<GroupState>,
     next_group: u64,
-    /// Reports of groups that completed instantly at submission (no WAN
-    /// payload), delivered by the next `advance_until` call.
-    ready: Vec<GroupReport>,
-    stats: RunStats,
+    /// Groups that completed instantly at submission (no WAN payload),
+    /// delivered by the next `advance` call.
+    ready: Vec<GroupState>,
+    /// Cumulative solves and epochs; callers mirror it into
+    /// [`NetSim::last_run_stats`].
+    pub(crate) stats: RunStats,
     scratch: RateScratch,
     flows: Vec<FlowSpec>,
     /// `(group index, pair index)` per entry of `flows`.
@@ -99,13 +171,10 @@ pub struct NetEngine {
     merge: Vec<(usize, f64)>,
 }
 
-impl NetEngine {
-    /// Wraps `sim` into an engine. The engine drives all simulation time
-    /// while groups are in flight.
-    pub fn new(sim: NetSim) -> Self {
-        let coalesced = sim.coalescible();
+impl TransferLoop {
+    /// An empty loop; `coalesced` seeds [`RunStats::coalesced`].
+    pub(crate) fn new(coalesced: bool) -> Self {
         Self {
-            sim,
             groups: Vec::new(),
             next_group: 0,
             ready: Vec::new(),
@@ -117,128 +186,14 @@ impl NetEngine {
         }
     }
 
-    /// Read access to the wrapped simulator.
-    pub fn sim(&self) -> &NetSim {
-        &self.sim
-    }
-
-    /// Mutable access to the wrapped simulator, e.g. for gauging a
-    /// [`BandwidthSource`](crate::BwMatrix) belief between events. Probes
-    /// advance simulation time (measurement costs real seconds); in-flight
-    /// pairs do not progress during that window, so measurement occupies
-    /// wall-clock time without moving tenant payload — the monitoring-cost
-    /// tradeoff the paper's Table 2 is about.
-    pub fn sim_mut(&mut self) -> &mut NetSim {
-        &mut self.sim
-    }
-
-    /// Unwraps the simulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if groups are still in flight (their accounting would be
-    /// silently dropped).
-    pub fn into_sim(self) -> NetSim {
-        assert!(
-            self.groups.is_empty() && self.ready.is_empty(),
-            "cannot unwrap a NetEngine with {} group(s) in flight",
-            self.groups.len() + self.ready.len()
-        );
-        self.sim
-    }
-
-    /// Number of groups currently in flight (excluding instantly-completed
-    /// ones awaiting delivery).
-    pub fn active_groups(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// True when no group is in flight and no completion awaits delivery.
-    pub fn is_idle(&self) -> bool {
-        self.groups.is_empty() && self.ready.is_empty()
-    }
-
-    /// True when at least one in-flight pair held a positive rate at the
-    /// last fairness solve — i.e. another [`NetEngine::advance_until`]
-    /// call can still move payload. `false` with groups in flight means
-    /// every remaining flow is rate-zero (e.g. a 0-Mbps throttle): no
-    /// amount of stepping will ever drain them. Callers driving the
-    /// engine with open deadlines should treat an empty `advance_until`
-    /// result as a permanent stall only when this is `false`; otherwise
-    /// the call merely exhausted its per-call epoch budget on a slow but
-    /// progressing transfer.
-    pub fn has_live_flows(&self) -> bool {
-        self.groups.iter().any(|g| g.pairs.iter().any(|p| p.active && p.quota() > 0.0))
-    }
-
-    /// Groups whose every remaining pair held a zero rate at the last
-    /// fairness solve — e.g. because a fault downed a DC they must cross.
-    /// Such a group cannot progress until rates change (a fault heals, a
-    /// throttle lifts) or a caller re-routes it via
-    /// [`NetEngine::cancel_group`]. Freshly submitted groups that have not
-    /// been through a solve yet are never reported. Ids come out in
-    /// submission order.
-    pub fn stalled_groups(&self) -> Vec<GroupId> {
-        self.groups
-            .iter()
-            .filter(|g| g.solved && g.pairs.iter().all(|p| !p.active || p.quota() <= 0.0))
-            .map(|g| g.id)
-            .collect()
-    }
-
-    /// Whether the given in-flight group is stalled per
-    /// [`NetEngine::stalled_groups`] (false for unknown/completed ids).
-    pub fn is_group_stalled(&self, id: GroupId) -> bool {
-        self.groups.iter().any(|g| {
-            g.id == id && g.solved && g.pairs.iter().all(|p| !p.active || p.quota() <= 0.0)
-        })
-    }
-
-    /// Cancels an in-flight group: folds its accounting at the current
-    /// simulation time and returns the partial [`GroupReport`] plus one
-    /// [`Transfer`] per pair with undelivered payload, so a failure-aware
-    /// caller can re-place and resubmit the remainder. Time spent stalled
-    /// counts into the partial report's busy/makespan, as it would for a
-    /// pair that later drained. Returns `None` for unknown ids and for
-    /// groups that already completed (including instantly-completed groups
-    /// awaiting delivery — their report arrives via
-    /// [`NetEngine::advance_until`] as usual).
-    pub fn cancel_group(&mut self, id: GroupId) -> Option<(GroupReport, Vec<Transfer>)> {
-        let idx = self.groups.iter().position(|g| g.id == id)?;
-        let mut group = self.groups.remove(idx);
-        let dt = self.sim.params().epoch_dt_s.max(1e-3);
-        let now = self.sim.time_s();
-        let mut remaining = Vec::new();
-        for pair in &mut group.pairs {
-            pair.reanchor(dt);
-            if pair.active && pair.remaining() > PAYLOAD_EPS_GB {
-                remaining.push(Transfer::new(DcId(pair.src), DcId(pair.dst), pair.remaining()));
-            }
-            pair.active = false;
-        }
-        group.active_pairs = 0;
-        Some((Self::report(&group, self.sim.topology().len(), dt, now), remaining))
-    }
-
-    /// Cumulative engine statistics (also mirrored into
-    /// [`NetSim::last_run_stats`] after every step).
-    pub fn stats(&self) -> RunStats {
-        self.stats
-    }
-
-    /// Submits a flow group at the current simulation time and returns its
-    /// id. The group's transfers aggregate per directed pair (one flow per
-    /// pair, as in [`NetSim::run_transfers`]); `conns` is the group's
-    /// parallel-connection matrix. A group with no effective payload
-    /// completes instantly and is reported by the next
-    /// [`NetEngine::advance_until`] call.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `conns` does not match the topology size or any payload
-    /// is negative.
-    pub fn submit(&mut self, transfers: &[Transfer], conns: &ConnMatrix) -> GroupId {
-        let n = self.sim.topology().len();
+    /// See [`NetEngine::submit`].
+    pub(crate) fn submit(
+        &mut self,
+        sim: &NetSim,
+        transfers: &[Transfer],
+        conns: &ConnMatrix,
+    ) -> GroupId {
+        let n = sim.topology().len();
         assert_eq!(conns.len(), n, "connection matrix must match topology size");
         for t in transfers {
             assert!(t.gigabits >= 0.0, "transfer payload must be non-negative");
@@ -265,72 +220,59 @@ impl NetEngine {
                 pair_conns.push(conns.get(src, dst));
             }
         }
-        let any_payload = transfers.iter().any(|t| t.gigabits > 0.0);
-        let now = self.sim.time_s();
-        if pairs.is_empty() {
-            // Nothing crosses the WAN: completion is immediate, with the
-            // same one-epoch floor run_transfers applies to sub-epsilon
-            // payloads.
-            let dt = self.sim.params().epoch_dt_s.max(1e-3);
-            self.ready.push(GroupReport {
-                group: id,
-                submitted_s: now,
-                completed_s: now,
-                makespan_s: if any_payload { dt } else { 0.0 },
-                min_pair_bw_mbps: 0.0,
-                egress_gigabits: vec![0.0; n],
-            });
+        let now = sim.time_s();
+        let group = GroupState {
+            id,
+            active_pairs: pairs.len(),
+            pairs,
+            pair_conns,
+            submitted_s: now,
+            completed_s: now,
+            any_payload: transfers.iter().any(|t| t.gigabits > 0.0),
+            solved: false,
+        };
+        // With nothing to move, completion is immediate (sub-epsilon
+        // payloads still get the one-epoch makespan floor).
+        if group.pairs.is_empty() {
+            self.ready.push(group);
         } else {
-            let active_pairs = pairs.len();
-            self.groups.push(GroupState {
-                id,
-                pairs,
-                pair_conns,
-                active_pairs,
-                submitted_s: now,
-                any_payload,
-                solved: false,
-            });
+            self.groups.push(group);
         }
         id
     }
 
-    /// Advances the simulation until the next group completion or until
-    /// `deadline_s` (absolute simulation time), whichever comes first, and
-    /// returns every group that completed at that instant (often one, but
-    /// simultaneous drains are possible). An empty result means the
-    /// deadline was reached — or the engine is idle, in which case time
-    /// jumps straight to a finite deadline.
-    ///
-    /// While [`NetSim::coalescible`] holds, fairness is re-solved once
-    /// per segment (pair drain, submission, deadline, fault boundary,
-    /// dynamics tick); only the legacy continuous dynamics force the
-    /// engine to step every epoch, as `run_transfers` does.
-    pub fn advance_until(&mut self, deadline_s: f64) -> Vec<GroupReport> {
+    /// See [`NetEngine::advance_until`]; hands back the finished groups
+    /// themselves. A seated hook bounds every segment by its wake and
+    /// runs at the end of each one.
+    pub(crate) fn advance(
+        &mut self,
+        sim: &mut NetSim,
+        deadline_s: f64,
+        mut seat: Option<&mut HookSeat<'_>>,
+    ) -> Vec<GroupState> {
         if !self.ready.is_empty() {
-            self.sync_stats();
             return std::mem::take(&mut self.ready);
         }
-        let dt = self.sim.params().epoch_dt_s.max(1e-3);
-        let n_dcs = self.sim.topology().len();
-        let fast = self.sim.coalescible();
-        let mut completed: Vec<GroupReport> = Vec::new();
-        let mut epochs_this_call: usize = 0;
+        let dt = sim.epoch_dt();
+        let fast = sim.coalescible();
+        let mut completed = Vec::new();
+        let mut budget = MAX_EPOCHS as u64;
 
-        while completed.is_empty() {
-            // Apply any fault events due at this solve point.
-            self.sim.poll_faults();
-            let now = self.sim.time_s();
+        while completed.is_empty() && budget > 0 {
+            // Apply any fault events due at this solve point: rates below
+            // reflect the post-event network.
+            sim.poll_faults();
+            let now = sim.time_s();
             if self.groups.is_empty() {
                 if deadline_s.is_finite() && deadline_s > now {
                     // Idle jump: pause at each scheduled fault so the
                     // fault state and degraded-time accounting stay exact
                     // while no flows are in flight.
-                    self.sim.advance_through_faults(deadline_s);
+                    sim.advance_through_faults(deadline_s);
                 }
                 break;
             }
-            if deadline_s <= now || epochs_this_call >= MAX_EPOCHS {
+            if deadline_s <= now {
                 break;
             }
 
@@ -347,50 +289,56 @@ impl NetEngine {
                     }
                 }
             }
-            let rates = self.sim.allocate_rates_with(&self.flows, &mut self.scratch);
+            let rates = sim.allocate_rates_with(&self.flows, &mut self.scratch);
             self.stats.solves += 1;
 
             // Re-anchor every pair whose per-epoch quota changed (drains,
-            // new submissions and deadline re-entries all funnel through
-            // this one check).
-            for (f, &(g, p)) in self.flow_refs.iter().enumerate() {
-                let quota = rates[f] * dt / 1000.0;
-                self.groups[g].pairs[p].set_quota(quota, dt);
+            // new submissions, deadline re-entries and hook edits all
+            // funnel through this one check).
+            for (&(g, p), &rate) in self.flow_refs.iter().zip(rates) {
+                self.groups[g].pairs[p].set_quota(rate * dt / 1000.0, dt);
             }
             for group in &mut self.groups {
                 group.solved = true;
             }
 
-            // Epochs to the next drain event (fast path) or exactly one
-            // (per-epoch stepping under legacy continuous dynamics).
-            let k_drain: u64 = if fast {
-                let mut k = u64::MAX;
+            // A seated hook names its next wake; one that declines to
+            // (`Some(None)`) wants every epoch, which disables coalescing
+            // as the legacy continuous dynamics do. The reported flag
+            // tracks whether it scheduled (last segment wins).
+            let wake = seat.as_deref_mut().map(|s| s.hook.next_wake(now));
+            if let Some(w) = wake {
+                self.stats.coalesced = fast && w.is_some();
+            }
+            // Epochs to the nearest rate-change horizon: a pair draining,
+            // the next scheduled fault, the next dynamics tick, the wake.
+            let mut k_step: u64 = 1;
+            if fast && wake != Some(None) {
+                k_step = u64::MAX;
                 for &(g, p) in &self.flow_refs {
                     let pair = &mut self.groups[g].pairs[p];
                     if let Some(m) = pair.drain_epoch() {
-                        k = k.min(m - pair.served);
+                        k_step = k_step.min(m - pair.served);
                     }
                 }
-                k.max(1)
-            } else {
-                1
-            };
-            // Never jump past the next scheduled fault or dynamics tick:
-            // both change rates just like a drain does.
-            let k_fault = self.sim.epochs_until_next_fault(dt);
-            let k_dyn = self.sim.epochs_until_next_rate_change(dt);
-            let k_step = k_drain.min(k_fault).min(k_dyn);
+            }
+            k_step = k_step
+                .max(1)
+                .min(sim.epochs_until_next_fault(dt))
+                .min(sim.epochs_until_next_rate_change(dt));
+            if let Some(Some(w)) = wake {
+                k_step = k_step.min(epochs_until_event(now, w, dt));
+            }
             // Whole epochs that fit before the caller's deadline.
             let k_deadline: u64 = if deadline_s.is_finite() {
                 ((deadline_s - now) / dt).floor() as u64
             } else {
                 u64::MAX
             };
-            let budget = (MAX_EPOCHS - epochs_this_call) as u64;
 
             if fast && k_step == u64::MAX && !deadline_s.is_finite() {
                 // Permanent stall: no pair can ever drain (all rates are
-                // zero) and no scheduled fault will change that. Return
+                // zero) and no scheduled event will change that. Return
                 // empty instead of burning the epoch budget on no-payload
                 // epochs; callers tell this apart from slowness via
                 // `has_live_flows`.
@@ -398,39 +346,23 @@ impl NetEngine {
             }
             if k_step <= k_deadline {
                 let k = k_step.min(budget);
-                for &(g, p) in &self.flow_refs {
-                    let group = &mut self.groups[g];
-                    let pair = &mut group.pairs[p];
-                    pair.served += k;
-                    if pair.current_remaining() <= PAYLOAD_EPS_GB {
-                        pair.drain(dt);
-                        group.active_pairs -= 1;
-                    }
-                }
-                epochs_this_call += k as usize;
-                self.stats.epochs += k;
-                self.sim.advance(k as f64 * dt);
-                let done_at = self.sim.time_s();
-                for group in &self.groups {
-                    if group.active_pairs == 0 {
-                        completed.push(Self::report(group, n_dcs, dt, done_at));
-                    }
-                }
-                self.groups.retain(|g| g.active_pairs > 0);
+                budget -= k;
+                self.serve(sim, k, seat.as_deref_mut());
+                self.collect_completed(sim.time_s(), &mut completed);
             } else {
-                // The deadline lands before the next drain: serve the
+                // The deadline lands before the next event: serve the
                 // whole epochs that fit, plus the fractional remainder
-                // (multi-tenant only — a lone group never hits this), and
-                // hand control back.
+                // (multi-tenant only — a lone blocking group has no
+                // deadline), and hand control back.
                 let k = k_deadline.min(budget);
                 if k > 0 {
                     for &(g, p) in &self.flow_refs {
                         self.groups[g].pairs[p].served += k;
                     }
                     self.stats.epochs += k;
-                    self.sim.advance(k as f64 * dt);
+                    sim.advance(k as f64 * dt);
                 }
-                let frac_s = deadline_s - self.sim.time_s();
+                let frac_s = deadline_s - sim.time_s();
                 if frac_s > 0.0 {
                     for &(g, p) in &self.flow_refs {
                         let group = &mut self.groups[g];
@@ -446,50 +378,230 @@ impl NetEngine {
                             group.active_pairs -= 1;
                         }
                     }
-                    self.sim.advance(frac_s);
-                    let done_at = self.sim.time_s();
-                    for group in &self.groups {
-                        if group.active_pairs == 0 {
-                            completed.push(Self::report(group, n_dcs, dt, done_at));
-                        }
-                    }
-                    self.groups.retain(|g| g.active_pairs > 0);
+                    sim.advance(frac_s);
+                    self.collect_completed(sim.time_s(), &mut completed);
                 }
                 break;
             }
         }
-        self.sync_stats();
         completed
     }
 
-    /// Materializes a completed group's accounting.
-    fn report(group: &GroupState, n_dcs: usize, dt: f64, completed_s: f64) -> GroupReport {
-        debug_assert_eq!(group.active_pairs, 0);
-        let mut makespan = if group.any_payload { dt } else { 0.0 };
-        let mut min_bw = f64::INFINITY;
-        let mut egress = vec![0.0; n_dcs];
-        for pair in &group.pairs {
-            makespan = makespan.max(pair.busy);
-            if pair.busy > 0.0 {
-                min_bw = min_bw.min(pair.moved * 1000.0 / pair.busy);
+    /// Serves `k` whole epochs at the quotas of the last solve, moves the
+    /// clock, and runs a seated hook on the segment just closed: it sees
+    /// the solver's rates and the remaining payloads of the segment's
+    /// flows, and its connection edits reach the group before the next
+    /// solve (its throttle edits land on the simulator and stay there).
+    /// A wake-scheduling hook treats off-wake calls as no-ops.
+    pub(crate) fn serve(&mut self, sim: &mut NetSim, k: u64, seat: Option<&mut HookSeat<'_>>) {
+        let dt = sim.epoch_dt();
+        for &(g, p) in &self.flow_refs {
+            let group = &mut self.groups[g];
+            let pair = &mut group.pairs[p];
+            pair.served += k;
+            if pair.current_remaining() <= PAYLOAD_EPS_GB {
+                pair.drain(dt);
+                group.active_pairs -= 1;
             }
-            egress[pair.src] += pair.moved;
         }
-        GroupReport {
-            group: group.id,
-            submitted_s: group.submitted_s,
-            completed_s,
-            makespan_s: makespan,
-            min_pair_bw_mbps: if min_bw.is_finite() { min_bw } else { 0.0 },
-            egress_gigabits: egress,
+        self.stats.epochs += k;
+        sim.advance(k as f64 * dt);
+
+        let Some(seat) = seat else { return };
+        for pair in self.groups.iter().flat_map(|g| &g.pairs) {
+            seat.observed.set(pair.src, pair.dst, 0.0);
         }
+        for (&(g, p), &rate) in self.flow_refs.iter().zip(self.scratch.rates()) {
+            let pair = &self.groups[g].pairs[p];
+            seat.observed.set(pair.src, pair.dst, rate);
+            let left = if pair.active { pair.current_remaining() } else { 0.0 };
+            seat.remaining.set(pair.src, pair.dst, left);
+        }
+        seat.hook.on_epoch(&mut EpochCtx {
+            time_s: sim.time_s(),
+            observed_bw: &seat.observed,
+            remaining_gb: &seat.remaining,
+            conns: &mut seat.conns,
+            throttles: &mut sim.throttles,
+        });
+        self.apply_conns(&seat.conns);
     }
 
-    /// Mirrors cumulative counters into the simulator so
-    /// [`NetSim::last_run_stats`] stays coherent across mid-flight
-    /// submissions.
-    fn sync_stats(&mut self) {
-        self.sim.set_last_run_stats(self.stats);
+    /// Moves every group whose last pair has drained into `out`, in
+    /// submission order, stamped `done_at`.
+    fn collect_completed(&mut self, done_at: f64, out: &mut Vec<GroupState>) {
+        out.extend(self.groups.extract_if(.., |g| g.active_pairs == 0).map(|mut g| {
+            g.completed_s = done_at;
+            g
+        }));
+    }
+
+    /// Takes an in-flight group off the loop at the current simulation
+    /// time, its open segment folded into its accounting; `None` for ids
+    /// not in flight.
+    pub(crate) fn cancel(&mut self, sim: &NetSim, id: GroupId) -> Option<GroupState> {
+        let idx = self.groups.iter().position(|g| g.id == id)?;
+        let mut group = self.groups.remove(idx);
+        let dt = sim.epoch_dt();
+        for pair in &mut group.pairs {
+            pair.reanchor(dt);
+        }
+        group.completed_s = sim.time_s();
+        Some(group)
+    }
+
+    /// Overwrites the connection counts of every in-flight group.
+    fn apply_conns(&mut self, conns: &ConnMatrix) {
+        for group in &mut self.groups {
+            for (pair, c) in group.pairs.iter().zip(&mut group.pair_conns) {
+                *c = conns.get(pair.src, pair.dst);
+            }
+        }
+    }
+}
+
+/// The resumable multi-tenant transfer engine. See the module docs.
+#[derive(Debug)]
+pub struct NetEngine {
+    sim: NetSim,
+    lp: TransferLoop,
+}
+
+impl NetEngine {
+    /// Wraps `sim` into an engine. The engine drives all simulation time
+    /// while groups are in flight.
+    pub fn new(sim: NetSim) -> Self {
+        let lp = TransferLoop::new(sim.coalescible());
+        Self { sim, lp }
+    }
+
+    /// Read access to the wrapped simulator.
+    pub fn sim(&self) -> &NetSim {
+        &self.sim
+    }
+
+    /// Mutable access to the wrapped simulator, e.g. for gauging a
+    /// [`BandwidthSource`](crate::BwMatrix) belief between events. Probes
+    /// advance simulation time (measurement costs real seconds); in-flight
+    /// pairs do not progress during that window, so measurement occupies
+    /// wall-clock time without moving tenant payload — the monitoring-cost
+    /// tradeoff the paper's Table 2 is about.
+    pub fn sim_mut(&mut self) -> &mut NetSim {
+        &mut self.sim
+    }
+
+    /// Unwraps the simulator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if groups are still in flight (their accounting would be
+    /// silently dropped).
+    pub fn into_sim(self) -> NetSim {
+        assert!(
+            self.is_idle(),
+            "cannot unwrap a NetEngine with {} group(s) in flight",
+            self.lp.groups.len() + self.lp.ready.len()
+        );
+        self.sim
+    }
+
+    /// Number of groups currently in flight (excluding instantly-completed
+    /// ones awaiting delivery).
+    pub fn active_groups(&self) -> usize {
+        self.lp.groups.len()
+    }
+
+    /// True when no group is in flight and no completion awaits delivery.
+    pub fn is_idle(&self) -> bool {
+        self.lp.groups.is_empty() && self.lp.ready.is_empty()
+    }
+
+    /// True when at least one in-flight pair held a positive rate at the
+    /// last fairness solve — i.e. another [`NetEngine::advance_until`]
+    /// call can still move payload. `false` with groups in flight means
+    /// every remaining flow is rate-zero (e.g. a 0-Mbps throttle): no
+    /// amount of stepping will ever drain them. Callers driving the
+    /// engine with open deadlines should treat an empty `advance_until`
+    /// result as a permanent stall only when this is `false`; otherwise
+    /// the call merely exhausted its per-call epoch budget on a slow but
+    /// progressing transfer.
+    pub fn has_live_flows(&self) -> bool {
+        self.lp.groups.iter().any(|g| g.pairs.iter().any(|p| p.active && p.quota() > 0.0))
+    }
+
+    /// Groups whose every remaining pair held a zero rate at the last
+    /// fairness solve — e.g. because a fault downed a DC they must cross.
+    /// Such a group cannot progress until rates change (a fault heals, a
+    /// throttle lifts) or a caller re-routes it via
+    /// [`NetEngine::cancel_group`]. Freshly submitted groups that have not
+    /// been through a solve yet are never reported. Ids come out in
+    /// submission order.
+    pub fn stalled_groups(&self) -> Vec<GroupId> {
+        self.lp.groups.iter().filter(|g| g.stalled()).map(|g| g.id).collect()
+    }
+
+    /// Whether the given in-flight group is stalled per
+    /// [`NetEngine::stalled_groups`] (false for unknown/completed ids).
+    pub fn is_group_stalled(&self, id: GroupId) -> bool {
+        self.lp.groups.iter().any(|g| g.id == id && g.stalled())
+    }
+
+    /// Cancels an in-flight group: folds its accounting at the current
+    /// simulation time and returns the partial [`GroupReport`] plus one
+    /// [`Transfer`] per pair with undelivered payload, so a failure-aware
+    /// caller can re-place and resubmit the remainder. Time spent stalled
+    /// counts into the partial report's busy/makespan, as it would for a
+    /// pair that later drained. Returns `None` for unknown ids and for
+    /// groups that already completed (including instantly-completed groups
+    /// awaiting delivery — their report arrives via
+    /// [`NetEngine::advance_until`] as usual).
+    pub fn cancel_group(&mut self, id: GroupId) -> Option<(GroupReport, Vec<Transfer>)> {
+        let group = self.lp.cancel(&self.sim, id)?;
+        let remaining = group
+            .pairs
+            .iter()
+            .filter(|p| p.active && p.remaining() > PAYLOAD_EPS_GB)
+            .map(|p| Transfer::new(DcId(p.src), DcId(p.dst), p.remaining()))
+            .collect();
+        Some((group.report(self.sim.topology().len(), self.sim.epoch_dt()), remaining))
+    }
+
+    /// Cumulative engine statistics (also mirrored into
+    /// [`NetSim::last_run_stats`] after every step).
+    pub fn stats(&self) -> RunStats {
+        self.lp.stats
+    }
+
+    /// Submits a flow group at the current simulation time and returns its
+    /// id. The group's transfers aggregate per directed pair (one flow per
+    /// pair); `conns` is the group's parallel-connection matrix. A group
+    /// with no effective payload completes instantly and is reported by
+    /// the next [`NetEngine::advance_until`] call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `conns` does not match the topology size or any payload
+    /// is negative.
+    pub fn submit(&mut self, transfers: &[Transfer], conns: &ConnMatrix) -> GroupId {
+        self.lp.submit(&self.sim, transfers, conns)
+    }
+
+    /// Advances the simulation until the next group completion or until
+    /// `deadline_s` (absolute simulation time), whichever comes first, and
+    /// returns every group that completed at that instant (often one, but
+    /// simultaneous drains are possible). An empty result means the
+    /// deadline was reached — or the engine is idle, in which case time
+    /// jumps straight to a finite deadline.
+    ///
+    /// While [`NetSim::coalescible`] holds, fairness is re-solved once
+    /// per segment (pair drain, submission, deadline, fault boundary,
+    /// dynamics tick); only the legacy continuous dynamics force the
+    /// engine to step every epoch.
+    pub fn advance_until(&mut self, deadline_s: f64) -> Vec<GroupReport> {
+        let done = self.lp.advance(&mut self.sim, deadline_s, None);
+        self.sim.last_run_stats = self.lp.stats;
+        let (n, dt) = (self.sim.topology().len(), self.sim.epoch_dt());
+        done.iter().map(|g| g.report(n, dt)).collect()
     }
 
     /// Shard-boundary flow accounting: the engine's current demand on
@@ -510,7 +622,7 @@ impl NetEngine {
     pub fn cross_group_demand_mbps(&self, group_of: &[usize], n_groups: usize) -> Grid<f64> {
         assert_eq!(group_of.len(), self.sim.topology().len(), "group map must cover every DC");
         let mut demand = Grid::filled(n_groups, 0.0);
-        for group in &self.groups {
+        for group in &self.lp.groups {
             for (pair, &conns) in group.pairs.iter().zip(&group.pair_conns) {
                 if !pair.active || pair.src == pair.dst {
                     continue;
@@ -527,46 +639,27 @@ impl NetEngine {
         demand
     }
 
-    /// Applies one shard's granted backbone share as per-pair caps.
+    /// Applies granted backbone shares as per-pair caps, one
+    /// `(group_of, share, demand)` triple per grouping tier, composed by
+    /// per-pair **minimum** — the hierarchical-sharding seam.
     ///
-    /// `share_mbps` is this shard's grant per directed group pair (from
-    /// [`crate::Backbone::allocate`]) and `demand_mbps` is the demand
-    /// grid this engine reported via
-    /// [`NetEngine::cross_group_demand_mbps`] for that exchange — passed
-    /// back in rather than recomputed, both to avoid re-deriving every
-    /// boundary pair's ceiling and to make explicit that the grant must
-    /// be applied against the demand it was computed from. Each trunk's
-    /// grant is split across the shard's in-flight boundary pairs on that
-    /// trunk proportionally to their unreserved ceilings; pairs on trunks
-    /// the shard has no in-flight demand on — and all intra-group pairs —
-    /// stay uncapped until the next sync point (the documented coarseness
-    /// of the epoch exchange). The caps replace any previous backbone
-    /// reservation on the wrapped simulator; the next fairness solve
-    /// re-anchors every pair whose rate they change.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `group_of` does not match the topology size.
-    pub fn apply_backbone_allocation(
-        &mut self,
-        group_of: &[usize],
-        share_mbps: &Grid<f64>,
-        demand_mbps: &Grid<f64>,
-    ) {
-        let caps = self.backbone_caps(group_of, share_mbps, demand_mbps);
-        self.sim.set_backbone_caps(caps);
-    }
-
-    /// Applies several grouping tiers' grants at once, composing them by
-    /// per-pair **minimum** — the hierarchical-sharding seam. A boundary
-    /// pair crossing both a region-group border (tier 1) and a
-    /// super-group border (tier 2) is limited by whichever tier grants
-    /// it less; a pair interior to some tier is unconstrained by that
-    /// tier, exactly as in the single-tier call. Each tier is an
-    /// `(group_of, share, demand)` triple with the same semantics as
-    /// [`NetEngine::apply_backbone_allocation`]; the composed caps
-    /// replace any previous backbone reservation in one shot (two
-    /// sequential single-tier calls would instead overwrite each other).
+    /// In each tier, `share` is this shard's grant per directed group
+    /// pair (from [`crate::Backbone::allocate`]) and `demand` is the grid
+    /// this engine reported via [`NetEngine::cross_group_demand_mbps`]
+    /// for that exchange — passed back in rather than recomputed, both to
+    /// avoid re-deriving every boundary pair's ceiling and to make
+    /// explicit that the grant must be applied against the demand it was
+    /// computed from. Each trunk's grant is split across the shard's
+    /// in-flight boundary pairs on that trunk proportionally to their
+    /// unreserved ceilings; pairs on trunks the shard has no in-flight
+    /// demand on — and all pairs interior to a tier's groups — stay
+    /// uncapped by that tier until the next sync point (the documented
+    /// coarseness of the epoch exchange). A boundary pair crossing both a
+    /// region-group border (tier 1) and a super-group border (tier 2) is
+    /// limited by whichever tier grants it less. The composed caps
+    /// replace any previous backbone reservation on the wrapped simulator
+    /// in one shot; the next fairness solve re-anchors every pair whose
+    /// rate they change.
     ///
     /// # Panics
     ///
@@ -586,10 +679,8 @@ impl NetEngine {
         self.sim.set_backbone_caps(caps);
     }
 
-    /// The per-pair cap grid one tier's grant induces: each trunk's
-    /// grant split across this engine's in-flight boundary pairs on that
-    /// trunk proportionally to their unreserved ceilings (see
-    /// [`NetEngine::apply_backbone_allocation`] for the semantics).
+    /// The per-pair cap grid one tier's grant induces (see
+    /// [`NetEngine::apply_backbone_tiers`]).
     fn backbone_caps(
         &self,
         group_of: &[usize],
@@ -600,7 +691,7 @@ impl NetEngine {
         assert_eq!(group_of.len(), n, "group map must cover every DC");
         let totals = demand_mbps;
         let mut caps = Grid::filled(n, f64::INFINITY);
-        for group in &self.groups {
+        for group in &self.lp.groups {
             for (pair, &conns) in group.pairs.iter().zip(&group.pair_conns) {
                 if !pair.active || pair.src == pair.dst {
                     continue;
@@ -636,9 +727,9 @@ impl NetEngine {
     /// flow and for freshly submitted groups not yet through a solve.
     pub fn observed_pair_bw_mbps(&self) -> BwMatrix {
         let n = self.sim.topology().len();
-        let dt = self.sim.params().epoch_dt_s.max(1e-3);
+        let dt = self.sim.epoch_dt();
         let mut bw = BwMatrix::new(n);
-        for group in &self.groups {
+        for group in &self.lp.groups {
             for pair in &group.pairs {
                 if pair.active {
                     let rate = pair.quota() * 1000.0 / dt;
@@ -655,7 +746,7 @@ impl NetEngine {
     pub fn remaining_pair_gb(&self) -> BwMatrix {
         let n = self.sim.topology().len();
         let mut left = BwMatrix::new(n);
-        for group in &self.groups {
+        for group in &self.lp.groups {
             for pair in &group.pairs {
                 if pair.active {
                     let r = pair.current_remaining().max(0.0);
@@ -680,11 +771,7 @@ impl NetEngine {
             self.sim.topology().len(),
             "connection matrix must match topology size"
         );
-        for group in &mut self.groups {
-            for (pair, c) in group.pairs.iter().zip(&mut group.pair_conns) {
-                *c = conns.get(pair.src, pair.dst);
-            }
-        }
+        self.lp.apply_conns(conns);
     }
 }
 
@@ -715,66 +802,30 @@ mod tests {
     }
 
     #[test]
-    fn engine_matches_run_transfers_for_a_lone_group() {
-        let transfers = [
-            Transfer::new(DcId(0), DcId(1), 40.0),
-            Transfer::new(DcId(0), DcId(2), 10.0),
-            Transfer::new(DcId(2), DcId(1), 5.0),
-        ];
+    fn intra_dc_pairs_count_into_makespan_only() {
+        // An intra-DC transfer next to WAN ones: it never leaves its DC,
+        // so it is no egress and says nothing about WAN bandwidth.
+        let wan = [Transfer::new(DcId(0), DcId(1), 4.0), Transfer::new(DcId(1), DcId(2), 1.0)];
+        let mut mixed = wan.to_vec();
+        mixed.insert(1, Transfer::new(DcId(1), DcId(1), 2.0));
         let conns = ConnMatrix::filled(3, 2);
+        let run = |transfers: &[Transfer]| {
+            let mut engine = NetEngine::new(sim3());
+            engine.submit(transfers, &conns);
+            drive_to_completion(&mut engine).remove(0)
+        };
+        let (with, without) = (run(&mixed), run(&wan));
+        assert!((with.egress_gigabits[1] - 1.0).abs() < 1e-9, "{:?}", with.egress_gigabits);
+        let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&with.egress_gigabits), bits(&without.egress_gigabits));
+        assert_eq!(with.min_pair_bw_mbps.to_bits(), without.min_pair_bw_mbps.to_bits());
+        assert_eq!(with.makespan_s.to_bits(), without.makespan_s.to_bits());
 
-        let mut sim = sim3();
-        let blocking = sim.run_transfers(&transfers, &conns, None);
-        let blocking_stats = sim.last_run_stats();
-
-        let mut engine = NetEngine::new(sim3());
-        engine.submit(&transfers, &conns);
-        let reports = drive_to_completion(&mut engine);
-        assert_eq!(reports.len(), 1);
-        let r = &reports[0];
-        assert_eq!(r.makespan_s.to_bits(), blocking.makespan_s.to_bits());
-        assert_eq!(r.min_pair_bw_mbps.to_bits(), blocking.min_pair_bw_mbps.to_bits());
-        for (a, b) in r.egress_gigabits.iter().zip(&blocking.egress_gigabits) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        let stats = engine.sim().last_run_stats();
-        assert_eq!(stats.solves, blocking_stats.solves);
-        assert_eq!(stats.epochs, blocking_stats.epochs);
-        assert!(stats.coalesced);
-    }
-
-    #[test]
-    fn repeated_pairs_merge_as_run_transfers_sums_them() {
-        // Several transfers per pair, interleaved and out of pair order,
-        // with payloads whose sum depends on the order of addition: the
-        // sort-and-merge in `submit` must round like the running
-        // per-pair total `run_transfers` keeps.
-        let transfers = [
-            Transfer::new(DcId(2), DcId(1), 0.3),
-            Transfer::new(DcId(0), DcId(1), 0.1),
-            Transfer::new(DcId(0), DcId(2), 7.0),
-            Transfer::new(DcId(0), DcId(1), 0.2),
-            Transfer::new(DcId(2), DcId(1), 1e-10),
-            Transfer::new(DcId(0), DcId(1), 0.3),
-            Transfer::new(DcId(2), DcId(1), 0.6),
-        ];
-        let mut conns = ConnMatrix::filled(3, 1);
-        conns.set(0, 1, 3);
-        conns.set(2, 1, 0); // clamps to one connection, as in run_transfers
-
-        let mut sim = sim3();
-        let blocking = sim.run_transfers(&transfers, &conns, None);
-
-        let mut engine = NetEngine::new(sim3());
-        engine.submit(&transfers, &conns);
-        let reports = drive_to_completion(&mut engine);
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].makespan_s.to_bits(), blocking.makespan_s.to_bits());
-        assert_eq!(reports[0].min_pair_bw_mbps.to_bits(), blocking.min_pair_bw_mbps.to_bits());
-        for (a, b) in reports[0].egress_gigabits.iter().zip(&blocking.egress_gigabits) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(engine.stats(), sim.last_run_stats());
+        // On its own it still takes its epoch, and that is all it does.
+        let alone = run(&mixed[1..2]);
+        assert!(alone.makespan_s > 0.0);
+        assert_eq!(alone.min_pair_bw_mbps, 0.0);
+        assert_eq!(alone.egress_gigabits, vec![0.0; 3]);
     }
 
     #[test]
@@ -986,7 +1037,7 @@ mod tests {
         let mut share = crate::grid::Grid::filled(2, f64::INFINITY);
         share.set(0, 1, 20.0); // a 20 Mbps trunk reservation
         let demand = capped.cross_group_demand_mbps(&groups, 2);
-        capped.apply_backbone_allocation(&groups, &share, &demand);
+        capped.apply_backbone_tiers(&[(&groups, &share, &demand)]);
         assert!((capped.sim().backbone_caps().get(0, 2) - 20.0).abs() < 1e-9);
         assert!(capped.sim().backbone_caps().get(0, 1).is_infinite());
         let constrained = drive_to_completion(&mut capped).remove(0);
@@ -999,77 +1050,23 @@ mod tests {
     }
 
     #[test]
-    fn engine_fault_parity_with_run_transfers() {
-        // A lone group stepped through an outage + flap timeline must stay
-        // bit-identical to the blocking transfer loop on the same schedule.
-        let schedule = || {
-            crate::faults::FaultSchedule::new().dc_outage(DcId(2), 2.0, 8.0).link_flap(
-                DcId(0),
-                DcId(1),
-                0.5,
-                1.0,
-                4.0,
-                2,
-            )
-        };
-        let transfers =
-            [Transfer::new(DcId(0), DcId(1), 12.0), Transfer::new(DcId(0), DcId(2), 3.0)];
-        let conns = ConnMatrix::filled(3, 2);
-
-        let mut sim = sim3();
-        sim.set_fault_schedule(schedule());
-        let blocking = sim.run_transfers(&transfers, &conns, None);
-
-        let mut faulted_sim = sim3();
-        faulted_sim.set_fault_schedule(schedule());
-        let mut engine = NetEngine::new(faulted_sim);
-        engine.submit(&transfers, &conns);
-        let reports = drive_to_completion(&mut engine);
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].makespan_s.to_bits(), blocking.makespan_s.to_bits());
-        assert_eq!(reports[0].min_pair_bw_mbps.to_bits(), blocking.min_pair_bw_mbps.to_bits());
-        for (a, b) in reports[0].egress_gigabits.iter().zip(&blocking.egress_gigabits) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-        assert_eq!(engine.sim().degraded_s().to_bits(), sim.degraded_s().to_bits());
-    }
-
-    #[test]
-    fn engine_live_dynamics_parity_with_run_transfers() {
-        // Tick-quantized OU dynamics: the engine clips its jumps at the
-        // same tick boundaries the blocking loop does, and the chunked
-        // dynamics advance consumes the identical RNG stream, so a lone
-        // group must stay bit-identical — at far fewer solves than epochs.
-        let live_sim3 = || {
-            let topo = Topology::builder()
-                .dc(Region::UsEast, VmType::t3_nano(), 1)
-                .dc(Region::UsWest, VmType::t3_nano(), 1)
-                .dc(Region::ApSoutheast1, VmType::t3_nano(), 1)
-                .build()
-                .unwrap();
-            let params = LinkModelParams {
-                dynamics_tick_s: 30.0,
-                snapshot_noise: 0.0,
-                ..Default::default()
-            };
-            NetSim::new(topo, params, 19)
-        };
+    fn live_dynamics_keep_the_engine_coalescing() {
+        // Tick-quantized OU dynamics: the engine clips its jumps at tick
+        // boundaries and otherwise serves whole inter-tick segments, so a
+        // group takes far fewer solves than epochs.
+        let topo = Topology::builder()
+            .dc(Region::UsEast, VmType::t3_nano(), 1)
+            .dc(Region::UsWest, VmType::t3_nano(), 1)
+            .dc(Region::ApSoutheast1, VmType::t3_nano(), 1)
+            .build()
+            .unwrap();
+        let params =
+            LinkModelParams { dynamics_tick_s: 30.0, snapshot_noise: 0.0, ..Default::default() };
+        let mut engine = NetEngine::new(NetSim::new(topo, params, 19));
         let transfers =
             [Transfer::new(DcId(0), DcId(1), 80.0), Transfer::new(DcId(0), DcId(2), 15.0)];
-        let conns = ConnMatrix::filled(3, 2);
-
-        let mut sim = live_sim3();
-        let blocking = sim.run_transfers(&transfers, &conns, None);
-
-        let mut engine = NetEngine::new(live_sim3());
-        engine.submit(&transfers, &conns);
-        let reports = drive_to_completion(&mut engine);
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].makespan_s.to_bits(), blocking.makespan_s.to_bits());
-        assert_eq!(reports[0].min_pair_bw_mbps.to_bits(), blocking.min_pair_bw_mbps.to_bits());
-        for (a, b) in reports[0].egress_gigabits.iter().zip(&blocking.egress_gigabits) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
+        engine.submit(&transfers, &ConnMatrix::filled(3, 2));
+        assert_eq!(drive_to_completion(&mut engine).len(), 1);
         let stats = engine.sim().last_run_stats();
         assert!(stats.coalesced);
         assert!(

@@ -26,9 +26,10 @@
 //!
 //! ## Performance model
 //!
-//! [`NetSim::run_transfers`] coalesces epochs between *events* — pair
-//! drains, fault boundaries, dynamics ticks and hook wakes — performing
-//! one fairness solve per event and jumping whole segments at a time,
+//! One transfer loop (in [`engine`]) moves every payload. It coalesces
+//! epochs between *events* — pair drains, submissions, caller deadlines,
+//! fault boundaries, dynamics ticks and hook wakes — performing one
+//! fairness solve per event and jumping whole segments at a time,
 //! bit-identically to per-epoch stepping (see the [`sim`] module docs).
 //! Live dynamics stay coalescible because [`Dynamics`] is quantized onto
 //! a configurable tick ([`LinkModelParams::dynamics_tick_s`]); hooks stay
@@ -39,14 +40,16 @@
 //! (`dynamics_tick_s <= 0`) and hooks that decline to schedule force
 //! stepping every epoch.
 //!
-//! For multi-tenant workloads — many queries' shuffles contending on one
-//! WAN — the [`engine`] module generalizes the same machinery into the
-//! resumable [`NetEngine`]: job-tagged flow groups submitted mid-flight,
-//! completion events, and caller deadlines, still at one fairness solve
-//! per event. The [`backbone`] module couples *several* such engines —
-//! one per fleet shard — through finite inter-group trunks divided by a
-//! coarse epoch exchange, so shards coalesce independently between sync
-//! points and scale out across cores.
+//! The loop has two entry points. [`NetSim::run_transfers`] is the
+//! blocking one: a single flow group with the network to itself, run to
+//! completion, optionally under an [`EpochHook`]. For multi-tenant
+//! workloads — many queries' shuffles contending on one WAN — the
+//! resumable [`NetEngine`] adds job-tagged flow groups submitted
+//! mid-flight, completion events and caller deadlines, still at one
+//! fairness solve per event. The [`backbone`] module couples *several*
+//! such engines — one per fleet shard — through finite inter-group
+//! trunks divided by a coarse epoch exchange, so shards coalesce
+//! independently between sync points and scale out across cores.
 //!
 //! ## Quick example
 //!

@@ -2,7 +2,7 @@
 //!
 //! # The event-coalescing transfer loop
 //!
-//! [`NetSim::run_transfers`] advances bulk transfers in fixed epochs of
+//! Bulk transfers advance in fixed epochs of
 //! [`LinkModelParams::epoch_dt_s`] seconds. Within a *rate segment* — a
 //! stretch of epochs over which a pair's allocated rate is unchanged — the
 //! per-pair accounting is closed-form: after `m` epochs at quota `g`
@@ -24,10 +24,19 @@
 //! that decline to schedule a wake ([`EpochHook::next_wake`] returning
 //! `None`, the default) force stepping every epoch.
 //!
+//! There is one such loop in the crate and it lives in [`crate::engine`].
+//! This module holds what it is made of — the per-pair anchor accounting,
+//! the drain and event horizons, the rate allocation — and its blocking
+//! entry point: [`NetSim::run_transfers`] submits one flow group to the
+//! loop, seats its optional [`EpochHook`] on it and advances to
+//! completion. [`crate::NetEngine`] is the resumable, multi-tenant entry
+//! point to the same loop.
+//!
 //! [`NetSim::last_run_stats`] reports how many solves the previous run
 //! performed, which the perf tests and `BENCH_netsim.json` runner track.
 
 use crate::dynamics::Dynamics;
+use crate::engine::{HookSeat, TransferLoop};
 use crate::fairness::{FairnessProblem, FairnessWorkspace, ResourceKind};
 use crate::faults::{ActiveFaults, FaultSchedule};
 use crate::flow::{FlowSpec, Transfer, TransferReport};
@@ -96,7 +105,8 @@ pub trait EpochHook {
     }
 }
 
-/// Statistics about the most recent [`NetSim::run_transfers`] call.
+/// Statistics about the most recent [`NetSim::run_transfers`] call, or
+/// the cumulative work of a [`crate::NetEngine`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Fairness solves performed (one per rate segment).
@@ -138,6 +148,13 @@ pub struct RateScratch {
     rates: Vec<f64>,
 }
 
+impl RateScratch {
+    /// The rates of the last [`NetSim::allocate_rates_with`] call, Mbps.
+    pub(crate) fn rates(&self) -> &[f64] {
+        &self.rates
+    }
+}
+
 const NOT_IN_PROBLEM: usize = usize::MAX;
 
 /// Problem flow indices out of one of [`RateScratch`]'s `u32` orderings.
@@ -145,10 +162,10 @@ fn as_members(list: &[u32]) -> impl Iterator<Item = usize> + '_ {
     list.iter().map(|&m| m as usize)
 }
 
-/// Progress of one directed pair through `run_transfers` (and the
-/// multi-tenant [`crate::engine::NetEngine`]), kept as an anchor plus a
-/// whole number of epochs served at the current quota so coalesced jumps
-/// and per-epoch steps evaluate identical expressions.
+/// Progress of one directed pair of a flow group through the transfer
+/// loop, kept as an anchor plus a whole number of epochs served at the
+/// current quota so coalesced jumps and per-epoch steps evaluate
+/// identical expressions.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PairProgress {
     pub(crate) src: usize,
@@ -204,6 +221,15 @@ impl PairProgress {
         self.remaining - self.served as f64 * self.quota
     }
 
+    /// Mean throughput while busy as of the anchor, in Mbps.
+    pub(crate) fn achieved_mbps(&self) -> f64 {
+        if self.busy > 0.0 {
+            self.moved * 1000.0 / self.busy
+        } else {
+            0.0
+        }
+    }
+
     /// Installs the quota of a fresh fairness solve, re-anchoring first
     /// if it differs from the one the pair has been served at.
     pub(crate) fn set_quota(&mut self, quota: f64, dt: f64) {
@@ -251,11 +277,10 @@ impl PairProgress {
     }
 
     /// Serves a *fraction* of an epoch (`0 < frac < 1`) at the current
-    /// quota, folding straight into the anchor. Only the multi-tenant
-    /// engine uses this, when an external deadline (a compute timer of
-    /// another tenant) lands strictly inside an epoch; single-group runs
-    /// never take this path, which keeps them bit-identical to
-    /// [`NetSim::run_transfers`].
+    /// quota, folding straight into the anchor. Only a caller deadline (a
+    /// compute timer of another tenant) landing strictly inside an epoch
+    /// takes this path; [`NetSim::run_transfers`] has no deadline and
+    /// serves whole epochs only.
     pub(crate) fn serve_partial(&mut self, frac: f64, dt: f64) {
         self.reanchor(dt);
         let moved = (frac * self.quota).min(self.remaining);
@@ -342,12 +367,12 @@ pub struct NetSim {
     dynamics: Dynamics,
     rng: StdRng,
     time_s: f64,
-    throttles: Grid<f64>,
+    pub(crate) throttles: Grid<f64>,
     /// Per-pair caps reserved by a cross-shard backbone exchange
     /// ([`crate::backbone`]); `f64::INFINITY` everywhere when this
     /// simulator is not a shard of a sharded fleet.
     backbone_caps: Grid<f64>,
-    last_run_stats: RunStats,
+    pub(crate) last_run_stats: RunStats,
     /// Installed fault schedule plus live fault state; `None` until
     /// [`NetSim::set_fault_schedule`], keeping fault-free runs bit-identical
     /// to builds that predate the fault layer.
@@ -433,6 +458,11 @@ impl NetSim {
         self.time_s
     }
 
+    /// Length of one transfer epoch in seconds (at least a millisecond).
+    pub(crate) fn epoch_dt(&self) -> f64 {
+        self.params.epoch_dt_s.max(1e-3)
+    }
+
     /// Mutable access to the RNG (probe noise shares the seed stream).
     pub(crate) fn rng_mut(&mut self) -> &mut StdRng {
         &mut self.rng
@@ -451,25 +481,18 @@ impl NetSim {
 
     /// Whether the event-coalescing fast path may serve multi-epoch
     /// segments: rate changes must be schedulable, i.e. the dynamics are
-    /// tick-quantized (frozen dynamics trivially are). The single gate
-    /// shared by [`NetSim::run_transfers`] and the multi-tenant engine;
-    /// only the legacy continuous process (`dynamics_tick_s <= 0`)
-    /// reports `false`.
+    /// tick-quantized (frozen dynamics trivially are). Only the legacy
+    /// continuous process (`dynamics_tick_s <= 0`) reports `false`.
     pub fn coalescible(&self) -> bool {
         self.dynamics.is_schedulable()
     }
 
     /// Statistics about the most recent [`NetSim::run_transfers`] call or
-    /// the cumulative work of an attached [`crate::engine::NetEngine`].
+    /// the cumulative work of an attached [`crate::engine::NetEngine`]
+    /// (mirrored here after every step, so they stay coherent across
+    /// mid-flight submissions).
     pub fn last_run_stats(&self) -> RunStats {
         self.last_run_stats
-    }
-
-    /// Overwrites the run statistics; the multi-tenant engine mirrors its
-    /// cumulative solve/epoch counters here after every step so the stats
-    /// stay coherent across mid-flight submissions.
-    pub(crate) fn set_last_run_stats(&mut self, stats: RunStats) {
-        self.last_run_stats = stats;
     }
 
     /// Caps the directed pair `src → dst` at `cap_mbps` (traffic control,
@@ -528,9 +551,9 @@ impl NetSim {
     }
 
     /// Applies every scheduled fault due at the current simulation time;
-    /// returns how many events fired. `run_transfers` and the multi-tenant
-    /// engine call this at every solve point; per-epoch reference loops
-    /// (and tests) may call it directly to mirror that cadence.
+    /// returns how many events fired. The transfer loop calls this at every
+    /// solve point; per-epoch reference loops (and tests) may call it
+    /// directly to mirror that cadence.
     pub fn poll_faults(&mut self) -> usize {
         let now = self.time_s;
         self.faults.as_mut().map_or(0, |f| f.poll(now))
@@ -794,18 +817,6 @@ impl NetSim {
         &s.rates
     }
 
-    /// Total active connections per host implied by `flows`.
-    pub fn host_connection_counts(&self, flows: &[FlowSpec]) -> Vec<u32> {
-        let mut counts = vec![0u32; self.topo.len()];
-        for f in flows {
-            if f.src != f.dst {
-                counts[f.src.0] += f.conns;
-                counts[f.dst.0] += f.conns;
-            }
-        }
-        counts
-    }
-
     /// Simulates the given transfers to completion.
     ///
     /// `conns` gives the initial parallel-connection matrix; an optional
@@ -813,200 +824,68 @@ impl NetSim {
     /// throttles between epochs. Returns per-transfer completion times and
     /// bandwidth statistics.
     ///
-    /// Epochs between rate-change events — pair drains, fault
-    /// boundaries, dynamics ticks and hook wakes — are coalesced:
-    /// fairness is re-solved only where rates can actually change, with
-    /// results bit-identical to per-epoch stepping (see the module
-    /// docs). A hook whose [`EpochHook::next_wake`] returns `None` (the
-    /// default) and the legacy continuous dynamics force the per-epoch
-    /// path. [`NetSim::last_run_stats`] exposes the solve count either
-    /// way.
+    /// The transfers run as one flow group on the transfer loop of
+    /// [`crate::engine`], with the network to themselves and no deadline.
+    /// Epochs between rate-change events — pair drains, fault boundaries,
+    /// dynamics ticks and hook wakes — are coalesced: fairness is
+    /// re-solved only where rates can actually change, with results
+    /// bit-identical to per-epoch stepping (see the module docs). A hook
+    /// whose [`EpochHook::next_wake`] returns `None` (the default) and the
+    /// legacy continuous dynamics force the per-epoch path.
+    /// [`NetSim::last_run_stats`] exposes the solve count either way.
     ///
     /// # Panics
     ///
-    /// Panics if any transfer has a negative payload.
+    /// Panics if `conns` does not match the topology size or any transfer
+    /// has a negative payload.
     pub fn run_transfers<'a, 'b: 'a>(
         &mut self,
         transfers: &[Transfer],
         conns: &ConnMatrix,
-        mut hook: Option<&'a mut (dyn EpochHook + 'b)>,
+        hook: Option<&'a mut (dyn EpochHook + 'b)>,
     ) -> TransferReport {
-        let n = self.topo.len();
-        assert_eq!(conns.len(), n, "connection matrix must match topology size");
-        for t in transfers {
-            assert!(t.gigabits >= 0.0, "transfer payload must be non-negative");
-        }
-
-        // Aggregate per directed pair: multiple transfers on a pair share
-        // one flow (Spark executors multiplex a connection pool per peer).
-        let mut totals = BwMatrix::new(n);
-        for t in transfers {
-            totals.put(t.src, t.dst, totals.at(t.src, t.dst) + t.gigabits);
-        }
-        let mut pairs: Vec<PairProgress> = Vec::new();
-        for i in 0..n {
-            for j in 0..n {
-                if totals.get(i, j) > PAYLOAD_EPS_GB {
-                    pairs.push(PairProgress::new(i, j, totals.get(i, j)));
+        // With a hook, the reported flag tracks whether it scheduled wakes.
+        let mut lp = TransferLoop::new(self.coalescible() && hook.is_none());
+        let id = lp.submit(self, transfers, conns);
+        let mut seat = hook.map(|h| HookSeat::new(h, transfers, conns));
+        let group = match lp.advance(self, f64::INFINITY, seat.as_mut()).pop() {
+            Some(group) => group,
+            None => {
+                // The loop gave the group up as permanently stalled, or
+                // it ran out of `MAX_EPOCHS`. A blocking call has nobody
+                // to hand a stall to: cover what is left of the budget in
+                // one jump (clock and busy time advance, nothing moves)
+                // and report the group as it stands.
+                let left = MAX_EPOCHS as u64 - lp.stats.epochs;
+                if left > 0 {
+                    lp.serve(self, left, seat.as_mut());
                 }
+                lp.cancel(self, id).expect("the lone group is still in flight")
             }
-        }
-
-        let mut conns = conns.clone();
-        let dt = self.params.epoch_dt_s.max(1e-3);
-        let coalescible = self.coalescible();
-        // Reported flag; with a hook it tracks whether the hook actually
-        // scheduled wakes (re-sampled each segment, last one wins).
-        let mut coalesced = coalescible && hook.is_none();
-        let mut active_count = pairs.len();
-        let mut epochs = 0usize;
-        let mut solves = 0u64;
-
-        let mut scratch = RateScratch::default();
-        let mut flows: Vec<FlowSpec> = Vec::with_capacity(pairs.len());
-        let mut flow_pairs: Vec<usize> = Vec::with_capacity(pairs.len());
-        // Hook-facing matrices; hook-free runs skip the two O(n²)
-        // allocations (a 0×0 Grid is well-formed and never read).
-        let (mut observed, mut remaining_mx) = if hook.is_some() {
-            (BwMatrix::new(n), totals.clone())
-        } else {
-            (BwMatrix::new(0), BwMatrix::new(0))
         };
+        self.last_run_stats = lp.stats;
 
-        while active_count > 0 && epochs < MAX_EPOCHS {
-            // Apply any fault events due at this solve point: rates below
-            // reflect the post-event network.
-            self.poll_faults();
-            // Build the active flow set for this segment (reused buffers).
-            flows.clear();
-            flow_pairs.clear();
-            for (p, pair) in pairs.iter().enumerate() {
-                if pair.active {
-                    let c =
-                        if pair.src == pair.dst { 1 } else { conns.get(pair.src, pair.dst).max(1) };
-                    flows.push(FlowSpec::new(DcId(pair.src), DcId(pair.dst), c));
-                    flow_pairs.push(p);
-                }
-            }
-            let rates = self.allocate_rates_with(&flows, &mut scratch);
-            solves += 1;
-
-            // Re-anchor any pair whose per-epoch quota changed.
-            for (f, &p) in flow_pairs.iter().enumerate() {
-                let quota = rates[f] * dt / 1000.0;
-                pairs[p].set_quota(quota, dt);
-            }
-
-            // Ask an installed hook for its next wake time; `None` means
-            // it wants every epoch, which disables coalescing.
-            let wake: Option<Option<f64>> = hook.as_deref_mut().map(|h| h.next_wake(self.time_s));
-            if wake.is_some() {
-                coalesced = coalescible && wake.flatten().is_some();
-            }
-
-            // Epochs to advance in one step: up to the nearest rate-change
-            // horizon — a pair draining, the next scheduled fault, the
-            // next dynamics tick, or the hook's wake — exactly one when
-            // rates are unschedulable or the hook declined to schedule.
-            let k: u64 = if !coalescible || wake == Some(None) {
-                1
-            } else {
-                let mut k = u64::MAX;
-                for &p in &flow_pairs {
-                    let pair = &mut pairs[p];
-                    if let Some(m) = pair.drain_epoch() {
-                        k = k.min(m - pair.served);
-                    }
-                }
-                k = k
-                    .min((MAX_EPOCHS - epochs) as u64)
-                    .max(1)
-                    .min(self.epochs_until_next_fault(dt))
-                    .min(self.epochs_until_next_rate_change(dt));
-                if let Some(Some(w)) = wake {
-                    k = k.min(epochs_until_event(self.time_s, w, dt));
-                }
-                k
-            };
-
-            for &p in &flow_pairs {
-                let pair = &mut pairs[p];
-                pair.served += k;
-                if pair.current_remaining() <= PAYLOAD_EPS_GB {
-                    pair.drain(dt);
-                    active_count -= 1;
-                }
-            }
-            epochs += k as usize;
-            self.advance(k as f64 * dt);
-
-            if let Some(h) = hook.as_deref_mut() {
-                // Invoked at the end of every served segment; a
-                // wake-scheduling hook treats off-wake calls as no-ops.
-                for pair in &pairs {
-                    observed.set(pair.src, pair.dst, 0.0);
-                }
-                for (f, &p) in flow_pairs.iter().enumerate() {
-                    let pair = &pairs[p];
-                    observed.set(pair.src, pair.dst, rates[f]);
-                    let left = if pair.active { pair.current_remaining() } else { 0.0 };
-                    remaining_mx.set(pair.src, pair.dst, left);
-                }
-                let mut ctx = EpochCtx {
-                    time_s: self.time_s,
-                    observed_bw: &observed,
-                    remaining_gb: &remaining_mx,
-                    conns: &mut conns,
-                    throttles: &mut self.throttles,
-                };
-                h.on_epoch(&mut ctx);
-            }
-        }
-
-        // Fold any segment left open by the MAX_EPOCHS safety valve, then
-        // materialize the per-pair accounting.
+        // The group's accounting, per pair and per original transfer.
+        // Transfers on a pair share a flow, so each finishes with it.
+        let (n, dt) = (self.topo.len(), self.epoch_dt());
         let mut busy_s = BwMatrix::new(n);
-        let mut moved_gb = BwMatrix::new(n);
-        for pair in &mut pairs {
-            pair.reanchor(dt);
+        let mut achieved = BwMatrix::new(n);
+        for pair in &group.pairs {
             busy_s.set(pair.src, pair.dst, pair.busy);
-            moved_gb.set(pair.src, pair.dst, pair.moved);
+            achieved.set(pair.src, pair.dst, pair.achieved_mbps());
         }
-
-        // Per-pair mean achieved throughput while busy.
-        let achieved = BwMatrix::from_fn(n, |i, j| {
-            let busy = busy_s.get(i, j);
-            if busy > 0.0 {
-                moved_gb.get(i, j) * 1000.0 / busy
-            } else {
-                0.0
-            }
-        });
-        let min_pair = achieved
-            .iter_pairs()
-            .filter(|&(i, j, _)| totals.get(i, j) > PAYLOAD_EPS_GB)
-            .map(|(_, _, v)| v)
-            .fold(f64::INFINITY, f64::min);
-        let mut egress = vec![0.0; n];
-        for (i, _, gb) in moved_gb.iter_pairs() {
-            egress[i] += gb;
-        }
-        // Completion time per original transfer: the epoch when its pair
-        // drained. Transfers on a pair share a flow, so each finishes with
-        // the pair.
-        let completion: Vec<f64> = transfers
+        let completion = transfers
             .iter()
             .map(|t| busy_s.at(t.src, t.dst).max(if t.gigabits > 0.0 { dt } else { 0.0 }))
             .collect();
-        let makespan = completion.iter().copied().fold(0.0, f64::max);
-        self.last_run_stats = RunStats { solves, epochs: epochs as u64, coalesced };
+        let summary = group.report(n, dt);
         TransferReport {
-            makespan_s: makespan,
+            makespan_s: summary.makespan_s,
             completion_s: completion,
             achieved_bw: achieved,
-            min_pair_bw_mbps: if min_pair.is_finite() { min_pair } else { 0.0 },
-            egress_gigabits: egress,
-            epochs,
+            min_pair_bw_mbps: summary.min_pair_bw_mbps,
+            egress_gigabits: summary.egress_gigabits,
+            epochs: lp.stats.epochs as usize,
         }
     }
 }
@@ -1437,6 +1316,34 @@ mod tests {
             fast.makespan_s,
             slow.makespan_s
         );
+    }
+
+    #[test]
+    fn permanently_stalled_transfer_covers_the_epoch_budget() {
+        // The blocking tail: the loop hands back a group that can never
+        // drain, and the call — having nobody to pass the stall on to —
+        // covers the rest of `MAX_EPOCHS` in one jump. Pinned until the
+        // budget becomes a reported truncation.
+        let dead_pair = |sim: &mut NetSim| sim.set_throttle(DcId(0), DcId(1), 0.0);
+        let dead_dc = |sim: &mut NetSim| {
+            let down = crate::faults::FaultKind::DcDown(DcId(1));
+            sim.set_fault_schedule(crate::faults::FaultSchedule::new().at(0.0, down));
+        };
+        let stalls: [&dyn Fn(&mut NetSim); 2] = [&dead_pair, &dead_dc];
+        for stall in stalls {
+            let mut sim = sim3();
+            stall(&mut sim);
+            let conns = ConnMatrix::filled(3, 1);
+            let report = sim.run_transfers(&[Transfer::new(DcId(0), DcId(1), 2.0)], &conns, None);
+            assert_eq!(report.epochs, MAX_EPOCHS);
+            assert_eq!(sim.time_s(), MAX_EPOCHS as f64 * sim.epoch_dt());
+            assert_eq!(report.makespan_s, sim.time_s(), "stalled time is busy time");
+            assert_eq!(report.egress_gigabits, vec![0.0; 3], "nothing moved");
+            assert_eq!(report.min_pair_bw_mbps, 0.0);
+            let stats = sim.last_run_stats();
+            assert_eq!(stats.epochs, MAX_EPOCHS as u64);
+            assert!(stats.solves <= 2, "the budget is covered, not stepped: {}", stats.solves);
+        }
     }
 
     #[cfg(test)]

@@ -1,5 +1,6 @@
-//! Event-coalescing parity: `run_transfers`' fast path must be
-//! bit-identical to naive per-second stepping.
+//! Event-coalescing parity: the transfer loop's fast path, entered
+//! through `run_transfers`, must be bit-identical to naive per-second
+//! stepping.
 //!
 //! The reference stepper below is an independent implementation of the
 //! documented transfer semantics (see `wanify_netsim::sim` module docs):
@@ -192,6 +193,38 @@ fn coalesced_run_matches_reference_on_mixed_workload() {
     let fast = frozen_sim(3, 42).run_transfers(&transfers, &conns, None);
     let reference = reference_run(&mut frozen_sim(3, 42), &transfers, &conns);
     assert_reports_bit_identical(&fast, &reference);
+}
+
+#[test]
+fn merged_pairs_crumbs_and_clamped_cells_match_reference() {
+    // Several transfers per pair, interleaved and out of pair order, with
+    // payloads whose sum depends on the order of addition (0.1 + 0.2 +
+    // 0.3): the loop's sort-and-merge must round like the reference's
+    // running per-pair total. Plus a sub-epsilon crumb on a live pair, a
+    // crumb-only pair, a zero-connection cell (clamps to one connection)
+    // and an intra-DC transfer.
+    let transfers = [
+        Transfer::new(DcId(2), DcId(1), 0.3),
+        Transfer::new(DcId(0), DcId(1), 0.1),
+        Transfer::new(DcId(0), DcId(2), 7.0),
+        Transfer::new(DcId(0), DcId(1), 0.2),
+        Transfer::new(DcId(2), DcId(1), 1e-10),
+        Transfer::new(DcId(1), DcId(1), 1.5),
+        Transfer::new(DcId(0), DcId(1), 0.3),
+        Transfer::new(DcId(1), DcId(0), 1e-10),
+        Transfer::new(DcId(2), DcId(1), 0.6),
+    ];
+    let mut conns = ConnMatrix::filled(3, 1);
+    conns.set(0, 1, 3);
+    conns.set(2, 1, 0);
+    let mut sim = frozen_sim(3, 1);
+    let fast = sim.run_transfers(&transfers, &conns, None);
+    let reference = reference_run(&mut frozen_sim(3, 1), &transfers, &conns);
+    assert_reports_bit_identical(&fast, &reference);
+    assert_eq!(sim.last_run_stats().epochs, reference.epochs as u64);
+    assert!(fast.completion_s[4] > 0.25, "the crumb rides its pair's flow");
+    assert_eq!(fast.completion_s[7], 0.25, "a crumb-only pair takes the one-epoch floor");
+    assert_eq!(fast.egress_gigabits[1], 0.0, "intra-DC payload is no egress");
 }
 
 #[test]
@@ -528,13 +561,18 @@ proptest! {
     fn coalescing_parity_on_random_workloads(
         payloads in proptest::collection::vec((0usize..3, 0usize..3, 0.0f64..4.0), 1..7),
         conn_seed in 1u32..6,
+        zero_cell in (0usize..3, 0usize..3),
         seed in 0u64..1000,
     ) {
+        // Cells repeat and land on the diagonal (nine cells, up to six
+        // draws), and one cell asks for zero connections.
         let transfers: Vec<Transfer> = payloads
             .iter()
             .map(|&(s, d, gb)| Transfer::new(DcId(s), DcId(d), gb))
             .collect();
-        let conns = ConnMatrix::from_fn(3, |i, j| 1 + ((i as u32 + conn_seed * j as u32) % 5));
+        let mut conns =
+            ConnMatrix::from_fn(3, |i, j| 1 + ((i as u32 + conn_seed * j as u32) % 5));
+        conns.set(zero_cell.0, zero_cell.1, 0);
         let fast = frozen_sim(3, seed).run_transfers(&transfers, &conns, None);
         let reference = reference_run(&mut frozen_sim(3, seed), &transfers, &conns);
         prop_assert_eq!(fast.epochs, reference.epochs);
