@@ -12,22 +12,32 @@
 //!
 //! The fleet adds the serving-layer concerns around that core:
 //!
-//! * an **arrival queue** — deterministic seeded Poisson ([`Arrivals::Poisson`])
-//!   or closed-loop clients ([`Arrivals::Closed`]);
+//! * an **arrival queue** fed through **one arrival path with four
+//!   callers**: whoever produces an arrival — a materialized trace armed
+//!   at start (seeded Poisson [`Arrivals::Poisson`] or explicit
+//!   [`Arrivals::Scheduled`] times), a lazily pulled stream
+//!   ([`FleetRun::start_stream`]), a closed-loop client pool
+//!   ([`Arrivals::Closed`]) or an external push
+//!   ([`FleetRun::submit_job`], the sharded driver) — it is one
+//!   `(job_idx, arrival_s, profile)` moved behind one arrival timer, and
+//!   one validator checks every arrival time;
 //! * **admission control** — at most [`FleetConfig::max_concurrent`]
 //!   queries run at once, the rest wait (queue time is reported);
 //! * a **shared belief cache** — one [`BandwidthSource`] serves every
 //!   tenant, re-gauged only when older than
 //!   [`FleetConfig::regauge_every_s`] simulated seconds, amortizing the
 //!   monitoring cost the paper's Table 2 measures across queries;
-//! * **fleet statistics** — completed/s, queue-wait and makespan
-//!   percentiles, egress dollars.
+//! * **fleet statistics** in **one report** — completed/s, queue-wait
+//!   and makespan percentiles, egress dollars: [`StreamingTotals`]
+//!   absorbs every completion as it happens, and [`FleetReport::new`]
+//!   reads exact order statistics off the retained outcomes when they
+//!   are all there, the sketches when a retention cap dropped some.
 //!
 //! Everything is seeded and deterministic: identical inputs produce
 //! bit-identical [`FleetReport`]s.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::executor::{JobRun, JobStep};
 use crate::job::JobProfile;
@@ -299,13 +309,14 @@ impl StreamingTotals {
 
 /// Aggregate outcome of one fleet run.
 ///
-/// Built through [`FleetReport::new`] (exact: order statistics computed
-/// once from the full outcome vector) or [`FleetReport::streamed`]
-/// (sketched: the run completed more queries than its
-/// [`FleetConfig::retain_outcomes`] cap, `outcomes` holds only the
-/// retained prefix and the statistics come from the streaming sketches).
-/// [`FleetReport::queue_wait`] and [`FleetReport::makespan`] return the
-/// cached values either way.
+/// Built by [`FleetReport::new`] from the retained outcomes and the
+/// [`StreamingTotals`] the run accumulated. The report is exact when the
+/// two agree on the count (order statistics computed once from the full
+/// outcome vector) and [`sketched`](FleetReport::sketched) otherwise: the
+/// run completed more queries than it retained, `outcomes` holds only
+/// the retained prefix and the statistics come from the streaming
+/// sketches. [`FleetReport::queue_wait`] and [`FleetReport::makespan`]
+/// return the cached values either way.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
     /// Per-job outcomes in completion order. In a
@@ -326,8 +337,8 @@ pub struct FleetReport {
     pub faults: FaultCounters,
     /// Serving-layer counters (all zero when no gateway fronted the run).
     pub serving: ServingCounters,
-    /// Streaming aggregates (exact replays of the outcome vector for an
-    /// uncapped run).
+    /// The run's accumulated aggregates (every completion, retained or
+    /// not).
     totals: StreamingTotals,
     /// Whether the percentile statistics are sketch estimates rather
     /// than exact order statistics.
@@ -339,51 +350,27 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Assembles an exact report, computing the order statistics of
-    /// `outcomes` exactly once.
+    /// Assembles the report of a run that retained `outcomes` (in
+    /// completion order) and absorbed every completion into `totals`.
+    /// Exact order statistics when `totals.completed == outcomes.len()`,
+    /// the sketches' snapshots when the retention cap dropped some.
     pub fn new(
         outcomes: Vec<JobOutcome>,
-        duration_s: f64,
-        gauges: u64,
-        scheduler: String,
-        belief: String,
-        faults: FaultCounters,
-    ) -> Self {
-        let waits: Vec<f64> = outcomes.iter().map(JobOutcome::queue_wait_s).collect();
-        let makespans: Vec<f64> = outcomes.iter().map(JobOutcome::makespan_s).collect();
-        let mut totals = StreamingTotals::default();
-        for outcome in &outcomes {
-            totals.absorb(outcome);
-        }
-        Self {
-            outcomes,
-            duration_s,
-            gauges,
-            scheduler,
-            belief,
-            faults,
-            serving: ServingCounters::default(),
-            totals,
-            sketched: false,
-            queue_wait: Percentiles::of(&waits),
-            makespan: Percentiles::of(&makespans),
-        }
-    }
-
-    /// Assembles a sketched report from a capped run: `outcomes` is the
-    /// retained prefix, `totals` carries the full-run accounting, and
-    /// the percentile statistics are the sketches' snapshots.
-    pub fn streamed(
-        outcomes: Vec<JobOutcome>,
-        duration_s: f64,
-        gauges: u64,
-        scheduler: String,
-        belief: String,
-        faults: FaultCounters,
         totals: StreamingTotals,
+        duration_s: f64,
+        gauges: u64,
+        scheduler: String,
+        belief: String,
+        faults: FaultCounters,
     ) -> Self {
-        let queue_wait = totals.queue_wait.snapshot();
-        let makespan = totals.makespan.snapshot();
+        let sketched = totals.completed != outcomes.len();
+        let (queue_wait, makespan) = if sketched {
+            (totals.queue_wait.snapshot(), totals.makespan.snapshot())
+        } else {
+            let waits: Vec<f64> = outcomes.iter().map(JobOutcome::queue_wait_s).collect();
+            let makespans: Vec<f64> = outcomes.iter().map(JobOutcome::makespan_s).collect();
+            (Percentiles::of(&waits), Percentiles::of(&makespans))
+        };
         Self {
             outcomes,
             duration_s,
@@ -393,14 +380,13 @@ impl FleetReport {
             faults,
             serving: ServingCounters::default(),
             totals,
-            sketched: true,
+            sketched,
             queue_wait,
             makespan,
         }
     }
 
-    /// Attaches the gateway's serving-layer counters; builder-style, so
-    /// the trace-replay constructors stay untouched.
+    /// Attaches the gateway's serving-layer counters; builder-style.
     #[must_use]
     pub fn with_serving(mut self, serving: ServingCounters) -> Self {
         self.serving = serving;
@@ -479,8 +465,8 @@ struct Timer {
 
 #[derive(Debug)]
 enum TimerKind {
-    /// Job `job_idx` joins the arrival queue.
-    Arrival(usize),
+    /// The front of the `incoming` FIFO joins the arrival queue.
+    Arrival,
     /// The compute phase of the run in `slot` finishes.
     ComputeDone(usize),
     /// A watched group's stall grace period expires: if the group is
@@ -524,6 +510,11 @@ struct ActiveRun {
     attempts: u32,
     /// A re-placed shuffle remainder waiting out its backoff.
     retry: Option<(Vec<wanify_netsim::Transfer>, ConnMatrix)>,
+    /// The flow group this job has in flight (a [`JobRun`] shuffles one
+    /// group at a time), which is how engine events find their owner.
+    group: Option<GroupId>,
+    /// Whether `group` already holds a pending [`TimerKind::StallCheck`].
+    stall_watched: bool,
 }
 
 /// A fleet-level WANify agent: an [`EpochHook`] driven on a fixed timer
@@ -674,7 +665,7 @@ impl FleetEngine {
     /// completion without ever materializing the trace (see
     /// [`FleetRun::start_stream`]). Pair with a
     /// [`FleetConfig::retain_outcomes`] cap for O(in-flight) memory end
-    /// to end; the report is then [`FleetReport::streamed`].
+    /// to end; the report is then [`sketched`](FleetReport::sketched).
     ///
     /// # Errors
     ///
@@ -748,57 +739,134 @@ impl Iterator for PoissonTimes {
     }
 }
 
-/// Validates an explicit arrival schedule: one finite non-negative time
-/// per job of the trace.
-pub(crate) fn validate_schedule(times: &[f64], jobs: usize) -> Result<(), WanifyError> {
-    if times.len() != jobs {
+/// The one arrival-time check: finite, non-negative, and not before the
+/// previous arrival of an ordered source (`last_s`; an explicit schedule,
+/// which may list its jobs in any time order, passes 0).
+fn check_arrival_time(at_s: f64, last_s: f64) -> Result<(), WanifyError> {
+    if !(at_s.is_finite() && at_s >= 0.0) {
         return Err(WanifyError::InvalidConfig(format!(
-            "arrival schedule covers {} jobs but the trace has {jobs}",
-            times.len()
+            "arrival times must be finite and non-negative, got {at_s}"
         )));
     }
-    if let Some(t) = times.iter().find(|t| !(t.is_finite() && **t >= 0.0)) {
+    if at_s < last_s {
         return Err(WanifyError::InvalidConfig(format!(
-            "arrival times must be finite and non-negative, got {t}"
+            "streamed arrivals must be non-decreasing, got {at_s} after {last_s}"
         )));
     }
     Ok(())
 }
 
+/// Pulls and validates the next `(arrival_s, profile)` pair of an arrival
+/// stream that still owes `total_jobs - issued` jobs and last yielded
+/// time `last_s` — the validator behind both [`FleetRun::start_stream`]'s
+/// one-ahead pull and the sharded driver's per-window feed.
+///
+/// # Errors
+///
+/// Returns [`WanifyError::InvalidConfig`] for a stream that runs dry, and
+/// for a time that is not finite, negative, or before `last_s`.
+pub(crate) fn next_arrival(
+    stream: &mut impl Iterator<Item = (f64, JobProfile)>,
+    last_s: f64,
+    issued: usize,
+    total_jobs: usize,
+) -> Result<(f64, JobProfile), WanifyError> {
+    let Some((at_s, job)) = stream.next() else {
+        return Err(WanifyError::InvalidConfig(format!(
+            "arrival stream ran dry after {issued} of {total_jobs} jobs"
+        )));
+    };
+    check_arrival_time(at_s, last_s)?;
+    Ok((at_s, job))
+}
+
+impl Arrivals {
+    /// The absolute arrival time of each of `jobs` jobs under an
+    /// open-loop process — sampled (Poisson) or validated (Scheduled)
+    /// here, once, so a sharded fleet thins the very schedule a single
+    /// engine would serve. Empty for a (validated) closed loop, whose
+    /// arrivals are paced by completions instead.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`WanifyError::InvalidConfig`] for a non-positive Poisson
+    /// rate, a schedule that does not hold one valid time per job, or a
+    /// zero-client closed loop.
+    pub(crate) fn open_loop_times(&self, jobs: usize) -> Result<Vec<f64>, WanifyError> {
+        match self {
+            Arrivals::Poisson { rate_per_s, seed } => {
+                poisson_arrival_times(jobs, *rate_per_s, *seed)
+            }
+            Arrivals::Scheduled { times } => {
+                if times.len() != jobs {
+                    return Err(WanifyError::InvalidConfig(format!(
+                        "arrival schedule covers {} jobs but the trace has {jobs}",
+                        times.len()
+                    )));
+                }
+                times.iter().try_for_each(|&t| check_arrival_time(t, 0.0))?;
+                Ok(times.clone())
+            }
+            Arrivals::Closed { clients: 0, .. } => Err(WanifyError::InvalidConfig(
+                "closed-loop arrivals need at least one client".into(),
+            )),
+            Arrivals::Closed { .. } => Ok(Vec::new()),
+        }
+    }
+}
+
+/// Who still owes a [`FleetRun`] arrivals. Every arrival takes one path
+/// ([`FleetRun::arrive`]); the variants differ only in who calls it and
+/// when.
+enum Source {
+    /// Nobody inside the run: a materialized open-loop trace was armed in
+    /// full at start, and a serving front-end or the sharded driver
+    /// pushes from outside ([`FleetRun::push_job`]).
+    Push,
+    /// A lazily pulled stream, kept exactly one unfired arrival ahead;
+    /// `last_s` is the last time it yielded (the monotonicity guard).
+    Stream { stream: Box<dyn Iterator<Item = (f64, JobProfile)> + Send>, last_s: f64 },
+    /// A closed-loop client pool: the unissued `(job_idx, profile)` pairs,
+    /// released one per completion `think_s` after it.
+    Closed { waiting: std::vec::IntoIter<(usize, JobProfile)>, clients: usize, think_s: f64 },
+}
+
 /// A fleet mid-flight: the resumable core behind [`FleetEngine::run`].
 ///
-/// [`FleetRun::start`] seeds the arrival timers; [`FleetRun::run_until`]
-/// then advances the event loop — timer firing, admission, engine
-/// completion events — up to an absolute simulated deadline, and can be
-/// called again to continue. This windowed drive is the seam both the
-/// sharded fleet (which pauses every shard at backbone sync points) and a
-/// future async front-end (which would pause at submission-channel polls)
-/// plug into. A single `run_until(f64::INFINITY)` reproduces the
-/// uninterrupted [`FleetEngine::run`] timeline bit for bit.
+/// A constructor seeds the arrival source; [`FleetRun::run_until`] then
+/// advances the event loop — timer firing, admission, engine completion
+/// events — up to an absolute simulated deadline, and can be called
+/// again to continue. This windowed drive is the seam both the sharded
+/// fleet (which pauses every shard at backbone sync points) and the
+/// serving gateway (which pauses at submission windows) plug into. A
+/// single `run_until(f64::INFINITY)` reproduces the uninterrupted
+/// [`FleetEngine::run`] timeline bit for bit.
+///
+/// There is **one arrival path with four callers**: whoever produces an
+/// arrival, it is one `(job_idx, arrival_s, profile)` moved into the
+/// `incoming` FIFO behind one arrival timer. A materialized trace
+/// ([`FleetRun::start`], open loop) arms every job at start; a stream
+/// ([`FleetRun::start_stream`]) is pulled one ahead as arrivals fire; a
+/// closed-loop client pool ([`FleetRun::start`], closed loop) releases a
+/// job per completion; and an external producer
+/// ([`FleetRun::submit_job`], the sharded driver's window feed) pushes
+/// whenever it likes.
 pub struct FleetRun {
     fleet: FleetEngine,
-    jobs: Vec<JobProfile>,
     timers: BinaryHeap<Timer>,
     seq: u64,
     pending: VecDeque<(usize, f64, JobProfile)>,
     slots: Vec<Option<ActiveRun>>,
-    group_owner: HashMap<GroupId, usize>,
-    /// Stalled groups already holding a pending [`TimerKind::StallCheck`].
-    stall_watch: HashSet<GroupId>,
     counters: FaultCounters,
     running: usize,
     /// Retained outcomes in completion order — the full run below the
     /// [`FleetConfig::retain_outcomes`] cap, a prefix above it.
     outcomes: Vec<JobOutcome>,
     first_arrival_s: f64,
-    /// Closed-loop bookkeeping: the index of the next unsubmitted job.
-    next_closed_job: usize,
-    closed_think_s: f64,
-    closed_clients: usize,
-    closed_loop: bool,
-    /// Jobs this run will see in total (the trace length for the
-    /// materialized constructors; grows per submission for the serving
-    /// and shard-fed paths).
+    /// Who produces the arrivals not armed yet.
+    source: Source,
+    /// Jobs this run will see in total (fixed by the trace or stream
+    /// length; grows per external push).
     total_jobs: usize,
     /// Jobs whose arrival timers have been armed so far.
     issued: usize,
@@ -807,19 +875,12 @@ pub struct FleetRun {
     completed: usize,
     /// Constant-memory accounting, fed every outcome in completion order.
     totals: StreamingTotals,
-    /// Streamed/fed profiles whose arrival timers are armed but have not
-    /// fired yet. FIFO: arrivals are issued in non-decreasing time order,
-    /// so the front always matches the next arrival timer.
-    incoming: VecDeque<JobProfile>,
-    /// Pull-based arrival source: `(arrival_s, profile)` pairs with
-    /// non-decreasing times, pulled one ahead so the timer heap always
-    /// knows the next arrival without materializing the rest.
-    stream: Option<Box<dyn Iterator<Item = (f64, JobProfile)> + Send>>,
-    /// Last arrival time pulled from `stream` (monotonicity guard).
-    stream_last_t: f64,
-    /// High-water mark of per-job state held at once (retained outcomes
-    /// plus queued arrivals plus materialized profiles) — the memory
-    /// proxy the scale benchmark tracks.
+    /// `(job_idx, arrival_s, profile)` of every armed arrival whose timer
+    /// has not fired yet, ordered like the timers — by time, ties in
+    /// arming order — so the front is always the next arrival to fire.
+    incoming: VecDeque<(usize, f64, JobProfile)>,
+    /// High-water mark of per-job state held at once (see
+    /// [`FleetRun::peak_tracked`]).
     peak_tracked: usize,
 }
 
@@ -835,110 +896,72 @@ impl std::fmt::Debug for FleetRun {
 }
 
 impl FleetRun {
-    /// The shared skeleton behind every constructor: a run holding
-    /// `jobs`, no timers armed yet.
-    fn fresh(fleet: FleetEngine, jobs: Vec<JobProfile>) -> Self {
-        let total_jobs = jobs.len();
+    /// The shared skeleton behind every constructor: a run expecting
+    /// `total_jobs` jobs from `source`, nothing armed yet.
+    fn fresh(fleet: FleetEngine, total_jobs: usize, source: Source) -> Self {
         let retained = total_jobs.min(fleet.config.retain_outcomes);
         Self {
             timers: BinaryHeap::new(),
             seq: 0,
             pending: VecDeque::new(),
             slots: Vec::new(),
-            group_owner: HashMap::new(),
-            stall_watch: HashSet::new(),
             counters: FaultCounters::default(),
             running: 0,
             outcomes: Vec::with_capacity(retained),
             first_arrival_s: f64::INFINITY,
-            next_closed_job: 0,
-            closed_think_s: 0.0,
-            closed_clients: 0,
-            closed_loop: false,
+            source,
             total_jobs,
-            issued: total_jobs,
+            issued: 0,
             completed: 0,
             totals: StreamingTotals::default(),
             incoming: VecDeque::new(),
-            stream: None,
-            stream_last_t: 0.0,
             peak_tracked: 0,
             fleet,
-            jobs,
         }
     }
 
-    /// Seeds the run: validates `arrivals` and schedules the arrival
-    /// timers for `jobs`.
+    /// Seeds the run: validates `arrivals` and arms `jobs` under it, job
+    /// `i` of the trace being job index `i`.
     ///
     /// # Errors
     ///
     /// Returns [`WanifyError::InvalidConfig`] for a non-positive Poisson
-    /// rate or a zero-client closed loop.
+    /// rate, an invalid explicit schedule or a zero-client closed loop.
     pub fn start(
         fleet: FleetEngine,
         jobs: Vec<JobProfile>,
         arrivals: &Arrivals,
     ) -> Result<Self, WanifyError> {
-        let mut run = Self::fresh(fleet, jobs);
-        run.closed_loop = matches!(arrivals, Arrivals::Closed { .. });
-        match arrivals {
-            Arrivals::Poisson { rate_per_s, seed } => {
-                let times = poisson_arrival_times(run.jobs.len(), *rate_per_s, *seed)?;
-                for (idx, t) in times.into_iter().enumerate() {
-                    run.push_timer(t, TimerKind::Arrival(idx));
-                }
-            }
-            Arrivals::Scheduled { times } => {
-                validate_schedule(times, run.jobs.len())?;
-                for (idx, &t) in times.iter().enumerate() {
-                    run.push_timer(t, TimerKind::Arrival(idx));
-                }
-            }
-            Arrivals::Closed { clients, think_s } => {
-                if *clients == 0 {
-                    return Err(WanifyError::InvalidConfig(
-                        "closed-loop arrivals need at least one client".into(),
-                    ));
-                }
-                run.closed_think_s = think_s.max(0.0);
-                run.next_closed_job = (*clients).min(run.jobs.len());
-                run.closed_clients = run.next_closed_job;
-                for idx in 0..run.next_closed_job {
-                    run.push_timer(0.0, TimerKind::Arrival(idx));
-                }
-            }
-        }
-        run.arm_agent();
-        Ok(run)
+        Self::start_indexed(fleet, jobs.into_iter().enumerate().collect(), arrivals)
     }
 
-    /// Seeds an open-loop run with explicit absolute arrival times,
-    /// `arrival_times[i]` being job `i`'s arrival. The sharded fleet uses
-    /// this to *thin* one global Poisson stream across shards: arrival
-    /// times are sampled once for the whole trace and travel with the
-    /// jobs, so the fleet-wide arrival process is independent of the
-    /// shard count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WanifyError::InvalidConfig`] when the schedule length
-    /// does not match the job count.
-    pub(crate) fn start_at(
+    /// [`FleetRun::start`] over jobs that carry their own indices: the
+    /// sharded fleet hands each shard its slice of the trace as
+    /// `(global_idx, profile)` pairs, so every [`JobOutcome::job_idx`] is
+    /// the trace index at any shard count. An open-loop trace is armed
+    /// in full, in stable `(time, position)` order — the order the timer
+    /// heap pops same-instant arrivals in; a closed loop arms its first
+    /// `clients` jobs at t = 0 and keeps the rest for
+    /// [`Source::Closed`].
+    pub(crate) fn start_indexed(
         fleet: FleetEngine,
-        jobs: Vec<JobProfile>,
-        arrival_times: Vec<f64>,
+        jobs: Vec<(usize, JobProfile)>,
+        arrivals: &Arrivals,
     ) -> Result<Self, WanifyError> {
-        if arrival_times.len() != jobs.len() {
-            return Err(WanifyError::InvalidConfig(format!(
-                "arrival schedule covers {} jobs but the trace has {}",
-                arrival_times.len(),
-                jobs.len()
-            )));
-        }
-        let mut run = Self::fresh(fleet, jobs);
-        for (idx, t) in arrival_times.into_iter().enumerate() {
-            run.push_timer(t, TimerKind::Arrival(idx));
+        let times = arrivals.open_loop_times(jobs.len())?;
+        let mut run = Self::fresh(fleet, jobs.len(), Source::Push);
+        if let Arrivals::Closed { clients, think_s } = arrivals {
+            let mut waiting = jobs.into_iter();
+            for (idx, job) in waiting.by_ref().take(*clients) {
+                run.arrive(idx, 0.0, job);
+            }
+            run.source = Source::Closed { waiting, clients: *clients, think_s: think_s.max(0.0) };
+        } else {
+            let mut trace: Vec<(f64, (usize, JobProfile))> = times.into_iter().zip(jobs).collect();
+            trace.sort_by(|a, b| a.0.total_cmp(&b.0));
+            for (at_s, (idx, job)) in trace {
+                run.arrive(idx, at_s, job);
+            }
         }
         run.arm_agent();
         Ok(run)
@@ -953,67 +976,22 @@ impl FleetRun {
     /// materialized [`FleetRun::start`].
     ///
     /// A `stream` longer than `total_jobs` is truncated; one that runs
-    /// dry early strands the run, which then reports a stall instead of
-    /// finishing.
+    /// dry early is an error at the pull that finds it.
     ///
     /// # Errors
     ///
-    /// Returns [`WanifyError::InvalidConfig`] when the first streamed
-    /// arrival time is invalid (later pulls surface the same error from
-    /// the run-driving calls).
+    /// Returns [`WanifyError::InvalidConfig`] when the first pull finds
+    /// the stream dry or its arrival time invalid (later pulls surface
+    /// the same errors from the run-driving calls).
     pub fn start_stream(
         fleet: FleetEngine,
         total_jobs: usize,
         stream: Box<dyn Iterator<Item = (f64, JobProfile)> + Send>,
     ) -> Result<Self, WanifyError> {
-        let mut run = Self::fresh(fleet, Vec::new());
-        run.total_jobs = total_jobs;
-        run.stream = Some(stream);
-        run.refill_stream()?;
+        let mut run = Self::fresh(fleet, total_jobs, Source::Stream { stream, last_s: 0.0 });
+        run.pull_stream()?;
         run.arm_agent();
         Ok(run)
-    }
-
-    /// Feeds one externally-scheduled job (the sharded driver's seam for
-    /// window-by-window streaming): `idx` is the caller's global job
-    /// index, which travels with the outcome. Arrivals must be fed in
-    /// non-decreasing `arrival_s` order, at or after this run's current
-    /// simulated time.
-    pub(crate) fn feed_job(&mut self, idx: usize, job: JobProfile, arrival_s: f64) {
-        self.total_jobs += 1;
-        self.issued += 1;
-        self.incoming.push_back(job);
-        self.push_timer(arrival_s, TimerKind::Arrival(idx));
-        self.note_tracked();
-    }
-
-    /// Pulls the next arrival (if any) from the stream and arms its
-    /// timer. Called once at start and once per fired arrival, keeping
-    /// exactly one unfired streamed arrival materialized.
-    fn refill_stream(&mut self) -> Result<(), WanifyError> {
-        if self.issued >= self.total_jobs {
-            return Ok(());
-        }
-        let Some(stream) = self.stream.as_mut() else { return Ok(()) };
-        let Some((at_s, job)) = stream.next() else { return Ok(()) };
-        if !(at_s.is_finite() && at_s >= 0.0) {
-            return Err(WanifyError::InvalidConfig(format!(
-                "streamed arrival times must be finite and non-negative, got {at_s}"
-            )));
-        }
-        if at_s < self.stream_last_t {
-            return Err(WanifyError::InvalidConfig(format!(
-                "streamed arrivals must be non-decreasing, got {at_s} after {}",
-                self.stream_last_t
-            )));
-        }
-        self.stream_last_t = at_s;
-        let idx = self.issued;
-        self.issued += 1;
-        self.incoming.push_back(job);
-        self.push_timer(at_s, TimerKind::Arrival(idx));
-        self.note_tracked();
-        Ok(())
     }
 
     /// Seeds an empty serving run: no trace, no arrival timers. A
@@ -1023,25 +1001,54 @@ impl FleetRun {
     /// pending queue only ever holds jobs the front-end has already
     /// decided to admit.
     pub fn start_serving(fleet: FleetEngine) -> Self {
-        let mut run = Self::fresh(fleet, Vec::new());
+        let mut run = Self::fresh(fleet, 0, Source::Push);
         run.arm_agent();
         run
     }
 
-    /// Submits one job arriving *now* (an arrival timer at the current
-    /// simulated time) and returns its job index — the key its
-    /// [`JobOutcome`] can later be matched by, since outcomes land in
-    /// completion order. The serving seam: a front-end calls this between
-    /// [`FleetRun::serve_step`] windows.
-    pub fn submit_job(&mut self, job: JobProfile) -> usize {
-        let idx = self.jobs.len();
-        self.jobs.push(job);
-        self.total_jobs += 1;
+    /// The one arrival path: job `idx` will join the arrival queue at
+    /// `at_s` (or at once, if that is already past). The profile is
+    /// moved into `incoming` behind one arrival timer.
+    fn arrive(&mut self, idx: usize, at_s: f64, job: JobProfile) {
         self.issued += 1;
-        let now = self.fleet.engine.sim().time_s();
-        self.push_timer(now, TimerKind::Arrival(idx));
+        // Producers arm in non-decreasing time order, so this is a push
+        // to the back; the search keeps the queue in timer order for any
+        // mix of producers.
+        let at = self.incoming.partition_point(|(_, t, _)| *t <= at_s);
+        self.incoming.insert(at, (idx, at_s, job));
+        self.push_timer(at_s, TimerKind::Arrival);
         self.note_tracked();
+    }
+
+    /// Pushes one job from outside the run, arriving at `at_s` under the
+    /// caller's job index `idx` (which travels with the outcome): the
+    /// sharded driver's window feed, and [`FleetRun::submit_job`].
+    pub(crate) fn push_job(&mut self, idx: usize, at_s: f64, job: JobProfile) {
+        self.total_jobs += 1;
+        self.arrive(idx, at_s, job);
+    }
+
+    /// Submits one job arriving *now* and returns its job index — the
+    /// key its [`JobOutcome`] can later be matched by, since outcomes
+    /// land in completion order. The serving seam: a front-end calls
+    /// this between [`FleetRun::serve_step`] windows.
+    pub fn submit_job(&mut self, job: JobProfile) -> usize {
+        let idx = self.issued;
+        self.push_job(idx, self.time_s(), job);
         idx
+    }
+
+    /// Keeps a [`Source::Stream`] one arrival ahead: pulls, validates
+    /// and arms the next one while the stream still owes any. Called at
+    /// start and after each fired arrival.
+    fn pull_stream(&mut self) -> Result<(), WanifyError> {
+        let Source::Stream { stream, last_s } = &mut self.source else { return Ok(()) };
+        if self.issued < self.total_jobs {
+            let (at_s, job) = next_arrival(stream, *last_s, self.issued, self.total_jobs)?;
+            *last_s = at_s;
+            self.arrive(self.issued, at_s, job);
+        }
+        Ok(())
     }
 
     /// Queries currently running (admitted, not yet completed).
@@ -1076,18 +1083,23 @@ impl FleetRun {
     }
 
     /// High-water mark of per-job state this run has held at once:
-    /// retained outcomes + queued arrivals + materialized profiles. The
-    /// memory proxy the scale benchmark tracks — O(trace) for the
-    /// materialized constructors, O(in-flight + retained) for
-    /// [`FleetRun::start_stream`] under a retention cap.
+    /// retained outcomes + queued arrivals + armed arrivals + the
+    /// profiles a closed-loop pool has yet to release. The memory proxy
+    /// the scale benchmark tracks — O(trace) for a materialized trace
+    /// (each profile is held once and moved along, never cloned),
+    /// O(in-flight + retained) for a streamed or pushed one under a
+    /// retention cap.
     pub fn peak_tracked(&self) -> usize {
         self.peak_tracked
     }
 
     /// Records the high-water mark of per-job state held right now.
     fn note_tracked(&mut self) {
-        let tracked =
-            self.outcomes.len() + self.pending.len() + self.incoming.len() + self.jobs.len();
+        let unreleased = match &self.source {
+            Source::Closed { waiting, .. } => waiting.len(),
+            Source::Push | Source::Stream { .. } => 0,
+        };
+        let tracked = self.outcomes.len() + self.pending.len() + self.incoming.len() + unreleased;
         self.peak_tracked = self.peak_tracked.max(tracked);
     }
 
@@ -1201,14 +1213,13 @@ impl FleetRun {
             // `think_s` and submits the next job. Checked at the loop top
             // so completions from any path (timer or engine event) pace
             // the next submission.
-            if self.closed_loop {
-                while self.next_closed_job < self.total_jobs
-                    && self.next_closed_job < self.closed_clients + self.completed
-                {
-                    let idx = self.next_closed_job;
-                    self.push_timer(now + self.closed_think_s, TimerKind::Arrival(idx));
-                    self.next_closed_job += 1;
+            while let Source::Closed { waiting, clients, think_s } = &mut self.source {
+                if self.issued >= *clients + self.completed {
+                    break;
                 }
+                let Some((idx, job)) = waiting.next() else { break };
+                let at_s = now + *think_s;
+                self.arrive(idx, at_s, job);
             }
 
             // Fire every timer that is due (ties in insertion order).
@@ -1217,18 +1228,12 @@ impl FleetRun {
                 fired = true;
                 let timer = self.timers.pop().expect("peeked");
                 match timer.kind {
-                    TimerKind::Arrival(idx) => {
+                    TimerKind::Arrival => {
                         self.first_arrival_s = self.first_arrival_s.min(now);
-                        // Streamed/fed arrivals carry their profile in the
-                        // FIFO; materialized runs clone from the trace —
-                        // the same value the admit path used to clone.
-                        let job = match self.incoming.pop_front() {
-                            Some(job) => job,
-                            None => self.jobs[idx].clone(),
-                        };
+                        let (idx, _, job) =
+                            self.incoming.pop_front().expect("every arrival timer has a profile");
                         self.pending.push_back((idx, now, job));
-                        self.note_tracked();
-                        self.refill_stream()?;
+                        self.pull_stream()?;
                     }
                     TimerKind::ComputeDone(slot) => {
                         let step = self.slots[slot]
@@ -1242,25 +1247,21 @@ impl FleetRun {
                         self.dispatch(slot, step);
                     }
                     TimerKind::StallCheck(gid) => {
-                        self.stall_watch.remove(&gid);
                         // Only intervene if the group is still in flight
                         // and still rate-zero: a fault that healed inside
                         // the grace period needs no recovery.
-                        if self.group_owner.contains_key(&gid)
-                            && self.fleet.engine.is_group_stalled(gid)
-                        {
-                            self.recover_stalled(gid);
+                        if let Some(slot) = self.owner_of(gid) {
+                            self.slots[slot].as_mut().expect("owner is live").stall_watched = false;
+                            if self.fleet.engine.is_group_stalled(gid) {
+                                self.recover_stalled(gid, slot);
+                            }
                         }
                     }
                     TimerKind::RetrySubmit(slot) => {
-                        let (transfers, conns) = self.slots[slot]
-                            .as_mut()
-                            .expect("retry timer for a live run")
-                            .retry
-                            .take()
-                            .expect("retry payload stashed at cancel");
-                        let id = self.fleet.engine.submit(&transfers, &conns);
-                        self.group_owner.insert(id, slot);
+                        let active = self.slots[slot].as_mut().expect("retry timer for a live run");
+                        let (transfers, conns) =
+                            active.retry.take().expect("retry payload stashed at cancel");
+                        active.group = Some(self.fleet.engine.submit(&transfers, &conns));
                     }
                     TimerKind::AgentWake => {
                         self.agent_wake();
@@ -1341,16 +1342,14 @@ impl FleetRun {
                 );
             }
             for event in events {
-                let slot = self.group_owner.remove(&event.group).expect("every group has an owner");
+                let slot = self.owner_of(event.group).expect("every group has an owner");
+                let active = self.slots[slot].as_mut().expect("owner is live");
                 // A watched group that drained before its StallCheck fired
-                // is done with the watchdog: sweep it so the watch set
-                // only ever holds groups that are still in flight.
-                self.stall_watch.remove(&event.group);
-                let step = self.slots[slot]
-                    .as_mut()
-                    .expect("group completion for a live run")
-                    .run
-                    .on_shuffle_done(&event, self.fleet.engine.sim().topology());
+                // is done with the watchdog: the stale timer finds no
+                // owner and fires as a no-op.
+                active.group = None;
+                active.stall_watched = false;
+                let step = active.run.on_shuffle_done(&event, self.fleet.engine.sim().topology());
                 self.dispatch(slot, step);
             }
         }
@@ -1358,8 +1357,9 @@ impl FleetRun {
     }
 
     /// Finalizes the run into its report: exact when every outcome was
-    /// retained, [`FleetReport::streamed`] (sketch-backed statistics,
-    /// prefix of outcomes) when the retention cap dropped some.
+    /// retained, [`sketched`](FleetReport::sketched) (sketch-backed
+    /// statistics, prefix of outcomes) when the retention cap dropped
+    /// some.
     pub fn into_report(self) -> FleetReport {
         let duration_s = if self.first_arrival_s.is_finite() {
             self.fleet.engine.sim().time_s() - self.first_arrival_s
@@ -1368,26 +1368,15 @@ impl FleetRun {
         };
         let mut counters = self.counters;
         counters.degraded_s = self.fleet.engine.sim().degraded_s();
-        if self.completed > self.outcomes.len() {
-            FleetReport::streamed(
-                self.outcomes,
-                duration_s,
-                self.fleet.gauges,
-                self.fleet.scheduler.name().to_string(),
-                self.fleet.source.name().to_string(),
-                counters,
-                self.totals,
-            )
-        } else {
-            FleetReport::new(
-                self.outcomes,
-                duration_s,
-                self.fleet.gauges,
-                self.fleet.scheduler.name().to_string(),
-                self.fleet.source.name().to_string(),
-                counters,
-            )
-        }
+        FleetReport::new(
+            self.outcomes,
+            self.totals,
+            duration_s,
+            self.fleet.gauges,
+            self.fleet.scheduler.name().to_string(),
+            self.fleet.source.name().to_string(),
+            counters,
+        )
     }
 
     /// This shard's current demand on every directed cross-group trunk
@@ -1411,10 +1400,17 @@ impl FleetRun {
     }
 
     /// Hands the retained outcomes to the caller, leaving the run's
-    /// vector empty (the sharded streaming driver drains every shard at
-    /// each sync point so per-shard memory stays bounded by one window).
+    /// vector empty (the sharded driver drains every shard at each sync
+    /// point, so each outcome is stored once and per-shard memory stays
+    /// bounded by one window).
     pub(crate) fn take_outcomes(&mut self) -> Vec<JobOutcome> {
         std::mem::take(&mut self.outcomes)
+    }
+
+    /// The slot whose job has flow group `gid` in flight. A scan: there
+    /// are at most `max_concurrent` slots.
+    fn owner_of(&self, gid: GroupId) -> Option<usize> {
+        self.slots.iter().position(|s| s.as_ref().is_some_and(|a| a.group == Some(gid)))
     }
 
     fn push_timer(&mut self, at_s: f64, kind: TimerKind) {
@@ -1469,7 +1465,16 @@ impl FleetRun {
             conns,
         )?;
         let admitted_s = fleet.engine.sim().time_s();
-        let active = ActiveRun { run, job_idx, arrived_s, admitted_s, attempts: 0, retry: None };
+        let active = ActiveRun {
+            run,
+            job_idx,
+            arrived_s,
+            admitted_s,
+            attempts: 0,
+            retry: None,
+            group: None,
+            stall_watched: false,
+        };
         let slot = self.slots.iter().position(Option::is_none).unwrap_or_else(|| {
             self.slots.push(None);
             self.slots.len() - 1
@@ -1488,33 +1493,26 @@ impl FleetRun {
             }
             JobStep::Shuffle { transfers, conns, migration: _ } => {
                 let id = self.fleet.engine.submit(&transfers, &conns);
-                self.group_owner.insert(id, slot);
+                self.slots[slot].as_mut().expect("shuffle of a live run").group = Some(id);
             }
-            JobStep::Done(report) => {
-                let active = self.slots[slot].take().expect("finalizing a live run");
-                self.running -= 1;
-                self.record_outcome(JobOutcome {
-                    job_idx: active.job_idx,
-                    report: *report,
-                    arrived_s: active.arrived_s,
-                    admitted_s: active.admitted_s,
-                    completed_s: now,
-                    failed: false,
-                });
-            }
-            JobStep::Failed(report) => {
-                let active = self.slots[slot].take().expect("finalizing a live run");
-                self.running -= 1;
-                self.record_outcome(JobOutcome {
-                    job_idx: active.job_idx,
-                    report: *report,
-                    arrived_s: active.arrived_s,
-                    admitted_s: active.admitted_s,
-                    completed_s: now,
-                    failed: true,
-                });
-            }
+            JobStep::Done(report) => self.finalize(slot, *report, false),
+            JobStep::Failed(report) => self.finalize(slot, *report, true),
         }
+    }
+
+    /// Frees `slot` and accounts its job's completion at the current
+    /// time, `failed` when the fault policy aborted it.
+    fn finalize(&mut self, slot: usize, report: QueryReport, failed: bool) {
+        let active = self.slots[slot].take().expect("finalizing a live run");
+        self.running -= 1;
+        self.record_outcome(JobOutcome {
+            job_idx: active.job_idx,
+            report,
+            arrived_s: active.arrived_s,
+            admitted_s: active.admitted_s,
+            completed_s: self.fleet.engine.sim().time_s(),
+            failed,
+        });
     }
 
     /// Accounts one completion: the streaming totals always absorb it,
@@ -1562,7 +1560,10 @@ impl FleetRun {
         };
         let now = self.fleet.engine.sim().time_s();
         for gid in self.fleet.engine.stalled_groups() {
-            if self.group_owner.contains_key(&gid) && self.stall_watch.insert(gid) {
+            let Some(slot) = self.owner_of(gid) else { continue };
+            let active = self.slots[slot].as_mut().expect("owner is live");
+            if !active.stall_watched {
+                active.stall_watched = true;
                 self.push_timer(now + timeout_s, TimerKind::StallCheck(gid));
             }
         }
@@ -1572,14 +1573,14 @@ impl FleetRun {
     /// period: cancel it, and either abort the job (retries exhausted) or
     /// re-place the dead-destination remainder and schedule a backed-off
     /// resubmit.
-    fn recover_stalled(&mut self, gid: GroupId) {
+    fn recover_stalled(&mut self, gid: GroupId, slot: usize) {
         let policy = self.fleet.config.faults.expect("stall timers only exist under a policy");
-        let slot = self.group_owner.remove(&gid).expect("checked by the caller");
         let (partial, remaining) =
             self.fleet.engine.cancel_group(gid).expect("a stalled group is in flight");
         self.counters.stalled_flows += remaining.len() as u64;
         let attempts = {
             let active = self.slots[slot].as_mut().expect("stalled group has a live owner");
+            active.group = None;
             active.attempts += 1;
             active.attempts
         };
@@ -1897,6 +1898,28 @@ mod tests {
         let mut arrived: Vec<f64> = report.outcomes.iter().map(|o| o.arrived_s).collect();
         arrived.sort_by(f64::total_cmp);
         assert_eq!(arrived, vec![0.0, 5.0, 5.0]);
+
+        // An unsorted schedule: each job still arrives at its own time,
+        // and same-instant arrivals are admitted in trace order (one
+        // admission slot, so `admitted_s` orders them).
+        let times = vec![30.0, 0.0, 30.0, 10.0, 0.0];
+        let jobs: Vec<JobProfile> = (0..5).map(|i| small_job(3, 1.0, &format!("u{i}"))).collect();
+        let report = FleetEngine::new(
+            sim(3, 14),
+            Box::new(Tetrium::new()),
+            Box::new(Pregauged::new(BwMatrix::filled(3, 300.0))),
+            FleetConfig { max_concurrent: 1, ..FleetConfig::default() },
+        )
+        .run(&jobs, &Arrivals::Scheduled { times: times.clone() })
+        .unwrap();
+        assert_eq!(report.outcomes.len(), 5);
+        let mut admitted = vec![0.0; 5];
+        for o in &report.outcomes {
+            assert_eq!(o.arrived_s, times[o.job_idx], "job {} arrives on schedule", o.job_idx);
+            admitted[o.job_idx] = o.admitted_s;
+        }
+        assert!(admitted[1] < admitted[4], "t = 0 tie admits in trace order: {admitted:?}");
+        assert!(admitted[0] < admitted[2], "t = 30 tie admits in trace order: {admitted:?}");
     }
 
     #[test]
@@ -2030,9 +2053,9 @@ mod tests {
     fn drained_group_is_swept_from_the_stall_watch() {
         use wanify_netsim::{DcId, FaultSchedule};
         // A 2 s outage puts the shuffle under watch (timeout 30 s), heals
-        // long before the StallCheck fires, and the group drains: the gid
-        // must be swept from stall_watch at completion, and the healed
-        // stall must not be counted.
+        // long before the StallCheck fires, and the group drains: its
+        // owner must leave the watch at completion, and the healed stall
+        // must not be counted.
         let mut s = sim(3, 22);
         s.set_fault_schedule(FaultSchedule::new().dc_outage(DcId(1), 0.0, 2.0));
         let config = FleetConfig {
@@ -2058,7 +2081,10 @@ mod tests {
         run.run_until(f64::INFINITY).unwrap();
         assert_eq!(run.outcomes().len(), 1);
         assert!(!run.outcomes()[0].failed);
-        assert!(run.stall_watch.is_empty(), "completed groups must leave the watch set");
+        assert!(
+            run.slots.iter().flatten().all(|a| a.group.is_none() && !a.stall_watched),
+            "completed groups must leave the watch"
+        );
         assert_eq!(run.counters.stalled_flows, 0, "a stall that healed in grace counts nothing");
         assert_eq!(run.counters.retries, 0);
         // The stale StallCheck timer fires later as a no-op: re-running a
@@ -2131,6 +2157,34 @@ mod tests {
             .with_serving(ServingCounters { offered: 1, ..ServingCounters::default() });
         assert_eq!(report.serving.offered, 1);
         assert_eq!(report.serving.shed_jobs, 0);
+    }
+
+    #[test]
+    fn serving_run_does_not_hoard_served_profiles() {
+        // 200 jobs pushed one at a time, at most one in service: the
+        // per-job state held at once is bounded by the retention cap and
+        // the admission limit, not by how many jobs have been served.
+        let config = FleetConfig { retain_outcomes: 4, ..FleetConfig::default() };
+        let max_concurrent = config.max_concurrent;
+        let engine = FleetEngine::new(
+            sim(3, 26),
+            Box::new(Tetrium::new()),
+            Box::new(Pregauged::new(BwMatrix::filled(3, 300.0))),
+            config,
+        );
+        let mut run = FleetRun::start_serving(engine);
+        for i in 0..200 {
+            assert_eq!(run.submit_job(small_job(3, 0.1, &format!("tiny-{i}"))), i);
+            while !run.finished() {
+                run.serve_step(run.time_s() + 50.0).unwrap();
+            }
+        }
+        assert_eq!(run.completed(), 200);
+        assert!(
+            run.peak_tracked() <= 4 + max_concurrent,
+            "peak {} grew with the jobs served",
+            run.peak_tracked()
+        );
     }
 
     #[test]

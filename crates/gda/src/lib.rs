@@ -34,8 +34,22 @@
 //! * [`sharded::ShardedFleetEngine`] — the scale-out path: tenants
 //!   partitioned across shard-local engines by a [`sharded::ShardPolicy`],
 //!   coupled through a [`wanify_netsim::Backbone`] epoch exchange, run on
-//!   rayon with a deterministic merge. One shard reproduces `FleetEngine`
-//!   bit for bit; results are identical at any thread count.
+//!   rayon and drained window by window in a deterministic order. One
+//!   shard reproduces `FleetEngine` bit for bit; results are identical
+//!   at any thread count.
+//!
+//! The fleet is built around three single points. **One arrival path,
+//! four callers**: a materialized trace, a pulled stream, a closed-loop
+//! client pool and an external push (the gateway, the sharded driver)
+//! all move `(job_idx, arrival_s, profile)` into a [`fleet::FleetRun`]
+//! the same way, behind one arrival-time validator. **One window loop,
+//! two front doors**: [`sharded::ShardedFleetEngine::run`] (shards own
+//! their slice of a partitioned trace) and
+//! [`sharded::ShardedFleetEngine::run_stream`] (the driver pushes a
+//! stream's arrivals window by window) share the exchange → step →
+//! drain loop. **One report**: [`fleet::StreamingTotals`] absorbs every
+//! completion and [`fleet::FleetReport::new`] is exact exactly when the
+//! retained outcomes are all of them.
 //!
 //! The fleet scales past materialized traces: arrivals can be pulled
 //! lazily from an iterator ([`fleet::FleetRun::start_stream`],

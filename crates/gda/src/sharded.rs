@@ -19,12 +19,18 @@
 //!   max-min fairness, and applies each shard's grant as per-pair caps —
 //!   between sync points the shards simulate **independently**, each
 //!   event-coalescing as usual;
-//! * windows run on rayon (`into_par_iter`), and per-shard completion
-//!   events merge deterministically into one [`FleetReport`].
+//! * there is **one window loop with two front doors**:
+//!   [`ShardedFleetEngine::run`] partitions a materialized trace up front
+//!   and lets each shard own its slice,
+//!   [`ShardedFleetEngine::run_stream`] pushes a lazily pulled stream's
+//!   arrivals to their shards window by window; behind both, the same
+//!   loop exchanges the tiers, steps every shard to the window's edge on
+//!   rayon, and drains the window's completions — in `(completed_s,
+//!   shard)` order — into **one report**, so each outcome is stored once.
 //!
 //! Determinism is the headline property: results are **bit-identical at
 //! any `RAYON_NUM_THREADS`** (shards share no mutable state inside a
-//! window, and the merge orders by completion time with shard index as
+//! window, and the drain orders by completion time with shard index as
 //! the tiebreak), and a 1-shard sharded fleet — where no cross-shard
 //! exchange exists, so no sync deadlines are imposed — reproduces
 //! [`FleetEngine::run`](crate::FleetEngine::run) bit for bit (pinned by
@@ -167,7 +173,12 @@ pub struct ShardedFleetReport {
     /// completion time (shard index breaks ties), gauges summed, duration
     /// spanning first arrival to last completion across the whole fleet.
     pub fleet: FleetReport,
-    /// Each shard's own report, in shard order.
+    /// Each shard's own report, in shard order — accounting only: counts,
+    /// totals, class aggregates, gauges and fault counters, in a
+    /// [`sketched`](FleetReport::sketched) report with no retained
+    /// outcomes. Per-job outcomes live once, in `fleet.outcomes`; their
+    /// [`JobOutcome::job_idx`] is the trace index, which the shard policy
+    /// maps back to the shard that served them.
     pub per_shard: Vec<FleetReport>,
     /// Shard policy that partitioned the trace.
     pub policy: String,
@@ -175,8 +186,8 @@ pub struct ShardedFleetReport {
     pub backbone_syncs: u64,
     /// Peak per-job state the fleet held at once: the sum of every
     /// shard's [`FleetRun::peak_tracked`] plus the outcomes the driver
-    /// retained — the memory proxy `bench_scale` tracks. Materialized
-    /// runs hold the whole trace; streamed runs hold one window.
+    /// retained — the memory proxy `bench_scale` tracks. A materialized
+    /// run holds the whole trace; a streamed one holds one window.
     pub peak_tracked: usize,
 }
 
@@ -186,9 +197,8 @@ impl ShardedFleetReport {
         self.per_shard.len()
     }
 
-    /// Jobs served per shard, in shard order (counts every completion,
-    /// including outcomes a streaming run has already drained or a
-    /// retention cap has dropped).
+    /// Jobs served per shard, in shard order (every completion the shard
+    /// accounted, not the outcomes it retained).
     pub fn shard_sizes(&self) -> Vec<usize> {
         self.per_shard.iter().map(FleetReport::completed).collect()
     }
@@ -249,9 +259,9 @@ impl ShardedFleetEngine {
         self
     }
 
-    /// Validates shard topologies and the coupling's group maps; returns
-    /// the common DC count.
-    fn validate_shards(&self) -> Result<usize, WanifyError> {
+    /// Validates shard topologies and the coupling's group maps, then
+    /// hands the shard engines over to be started.
+    fn take_shards(&mut self) -> Result<Vec<FleetEngine>, WanifyError> {
         let n_dcs = self.shards[0].sim().topology().len();
         let coupling_groups = match (&self.hierarchy, &self.backbone) {
             (Some(h), _) => Some(h.tier1().groups().len()),
@@ -277,15 +287,15 @@ impl ShardedFleetEngine {
                 )));
             }
         }
-        Ok(n_dcs)
+        Ok(std::mem::take(&mut self.shards))
     }
 
-    /// The driver's sync-window length: the fine tier's cadence under a
-    /// hierarchy, the flat backbone's otherwise, and unbounded when the
-    /// shards are uncoupled (no coupling, or a single shard that owns
-    /// every trunk outright).
-    fn sync_window_s(&self) -> f64 {
-        if self.shards.len() < 2 {
+    /// The driver's sync-window length over `n_shards` shards: the fine
+    /// tier's cadence under a hierarchy, the flat backbone's otherwise,
+    /// and unbounded when the shards are uncoupled (no coupling, or a
+    /// single shard that owns every trunk outright).
+    fn sync_window_s(&self, n_shards: usize) -> f64 {
+        if n_shards < 2 {
             return f64::INFINITY;
         }
         match (&self.hierarchy, &self.backbone) {
@@ -298,16 +308,17 @@ impl ShardedFleetEngine {
     /// Serves `jobs` across the shards and returns the merged report.
     ///
     /// The trace is partitioned by the shard policy (preserving trace
-    /// order within each shard), and the fleet-wide load is preserved at
-    /// every shard count: a Poisson stream is sampled **once** for the
-    /// whole trace — exactly as [`FleetEngine::run`] samples it — and its
-    /// arrival times travel with the jobs to their shards (thinning, so
-    /// the aggregate arrival process never scales with the shard count),
-    /// while a closed-loop client population is split across shards
-    /// (remainder to the lowest indices, at least one client per
-    /// non-empty shard). A 1-shard fleet therefore reproduces
-    /// [`FleetEngine::run`] exactly. Shards advance in backbone sync
-    /// windows on rayon; the result is bit-identical at any thread count.
+    /// order within each shard, and each job's trace index as its
+    /// [`JobOutcome::job_idx`]), and the fleet-wide load is preserved at
+    /// every shard count: an open-loop schedule is fixed **once** for the
+    /// whole trace — a Poisson stream sampled exactly as
+    /// [`FleetEngine::run`] samples it — and its arrival times travel
+    /// with the jobs to their shards (thinning, so the aggregate arrival
+    /// process never scales with the shard count), while a closed-loop
+    /// client population is split across shards (remainder to the lowest
+    /// indices, at least one client per shard). A 1-shard fleet therefore
+    /// reproduces [`FleetEngine::run`] exactly. Each shard owns its slice
+    /// of the trace; the shared window loop only steps and drains them.
     ///
     /// # Errors
     ///
@@ -316,166 +327,50 @@ impl ShardedFleetEngine {
     /// in one window), a backbone whose group map does not cover the
     /// topology, or a shard that can no longer make progress.
     pub fn run(
-        self,
+        mut self,
         jobs: &[JobProfile],
         arrivals: &Arrivals,
     ) -> Result<ShardedFleetReport, WanifyError> {
-        let n_shards = self.shards.len();
-        self.validate_shards()?;
-        let sync_window = self.sync_window_s();
+        let engines = self.take_shards()?;
+        let n_shards = engines.len();
+        let times = arrivals.open_loop_times(jobs.len())?;
 
-        // Partition the trace, preserving order within each shard.
-        let mut per_shard_jobs: Vec<Vec<JobProfile>> = vec![Vec::new(); n_shards];
-        let mut shard_of_idx: Vec<usize> = Vec::with_capacity(jobs.len());
-        {
-            let topo = self.shards[0].sim().topology();
-            for (idx, job) in jobs.iter().enumerate() {
-                let s = self.policy.shard_of(idx, job, topo, n_shards) % n_shards;
-                per_shard_jobs[s].push(job.clone());
-                shard_of_idx.push(s);
-            }
+        let mut shard_jobs: Vec<Vec<(usize, JobProfile)>> = vec![Vec::new(); n_shards];
+        let topo = engines[0].sim().topology();
+        for (idx, job) in jobs.iter().enumerate() {
+            let s = self.policy.shard_of(idx, job, topo, n_shards) % n_shards;
+            shard_jobs[s].push((idx, job.clone()));
         }
 
-        let policy_name = self.policy.name().to_string();
         let mut runs: Vec<FleetRun> = Vec::with_capacity(n_shards);
-        match arrivals {
-            Arrivals::Poisson { rate_per_s, seed } => {
-                // Thin one global Poisson stream: arrival times are
-                // sampled once for the whole trace (exactly as the
-                // single-engine fleet samples them) and travel with the
-                // jobs to their shards, so the fleet-wide arrival process
-                // is identical at every shard count.
-                let times = fleet::poisson_arrival_times(jobs.len(), *rate_per_s, *seed)?;
-                let mut per_shard_times: Vec<Vec<f64>> = vec![Vec::new(); n_shards];
-                for (idx, t) in times.into_iter().enumerate() {
-                    per_shard_times[shard_of_idx[idx]].push(t);
-                }
-                for (engine, (shard_jobs, shard_times)) in
-                    self.shards.into_iter().zip(per_shard_jobs.into_iter().zip(per_shard_times))
-                {
-                    runs.push(FleetRun::start_at(engine, shard_jobs, shard_times)?);
-                }
-            }
-            Arrivals::Scheduled { times } => {
-                // Explicit schedules thin exactly like a Poisson stream:
-                // each job's arrival time travels with it to its shard.
-                fleet::validate_schedule(times, jobs.len())?;
-                let mut per_shard_times: Vec<Vec<f64>> = vec![Vec::new(); n_shards];
-                for (idx, &t) in times.iter().enumerate() {
-                    per_shard_times[shard_of_idx[idx]].push(t);
-                }
-                for (engine, (shard_jobs, shard_times)) in
-                    self.shards.into_iter().zip(per_shard_jobs.into_iter().zip(per_shard_times))
-                {
-                    runs.push(FleetRun::start_at(engine, shard_jobs, shard_times)?);
-                }
-            }
-            Arrivals::Closed { clients, think_s } => {
-                if *clients == 0 {
-                    return Err(WanifyError::InvalidConfig(
-                        "closed-loop arrivals need at least one client".into(),
-                    ));
-                }
-                // Split the client population across shards (remainder to
-                // the lowest indices) so the fleet-wide concurrency level
-                // does not scale with the shard count; every non-empty
-                // shard keeps at least one client so it can make
-                // progress. A single shard gets the whole population.
-                let base = *clients / n_shards;
-                let rem = *clients % n_shards;
-                for (s, (engine, shard_jobs)) in
-                    self.shards.into_iter().zip(per_shard_jobs).enumerate()
-                {
-                    let mut shard_clients = base + usize::from(s < rem);
-                    if shard_clients == 0 && !shard_jobs.is_empty() {
-                        shard_clients = 1;
-                    }
-                    let shard_arrivals =
-                        Arrivals::Closed { clients: shard_clients.max(1), think_s: *think_s };
-                    runs.push(FleetRun::start(engine, shard_jobs, &shard_arrivals)?);
-                }
-            }
+        for (s, (engine, shard_jobs)) in engines.into_iter().zip(shard_jobs).enumerate() {
+            let shard_arrivals = match arrivals {
+                // Split the client population (remainder to the lowest
+                // indices) so the fleet-wide concurrency level does not
+                // scale with the shard count; every shard keeps at least
+                // one client so a non-empty one can make progress.
+                Arrivals::Closed { clients, think_s } => Arrivals::Closed {
+                    clients: (clients / n_shards + usize::from(s < clients % n_shards)).max(1),
+                    think_s: *think_s,
+                },
+                _ => Arrivals::Scheduled {
+                    times: shard_jobs.iter().map(|(idx, _)| times[*idx]).collect(),
+                },
+            };
+            runs.push(FleetRun::start_indexed(engine, shard_jobs, &shard_arrivals)?);
         }
-
-        // Sync windows: with a coupling and ≥ 2 shards, pause every shard
-        // each sync window of simulated seconds for the epoch exchange;
-        // otherwise one unbounded window serves everything.
-        let sync_s = sync_window;
-        let mut backbone_syncs = 0u64;
-        let mut tier2_grant: Option<TierGrant> = None;
-        let mut window = 0u64;
-        loop {
-            if sync_s.is_finite() {
-                backbone_syncs += exchange_tiers(
-                    self.backbone.as_ref(),
-                    self.hierarchy.as_ref(),
-                    &mut runs,
-                    window,
-                    &mut tier2_grant,
-                );
-            }
-            window += 1;
-            let deadline_s =
-                if sync_s.is_finite() { window as f64 * sync_s } else { f64::INFINITY };
-            // Each shard owns its whole state: the window outcome cannot
-            // depend on scheduling, so any thread count is bit-identical.
-            let stepped: Vec<(FleetRun, Option<WanifyError>)> = runs
-                .into_par_iter()
-                .map(|mut run| {
-                    let err = if run.finished() { None } else { run.run_until(deadline_s).err() };
-                    (run, err)
-                })
-                .collect();
-            runs = Vec::with_capacity(n_shards);
-            for (run, err) in stepped {
-                if let Some(e) = err {
-                    return Err(e);
-                }
-                runs.push(run);
-            }
-            if runs.iter().all(FleetRun::finished) {
-                break;
-            }
-            debug_assert!(
-                sync_s.is_finite(),
-                "an unbounded window either finishes every shard or errors"
-            );
-        }
-
-        let peak_tracked = runs.iter().map(FleetRun::peak_tracked).sum();
-        let per_shard: Vec<FleetReport> = runs.into_iter().map(FleetRun::into_report).collect();
-        Ok(ShardedFleetReport {
-            fleet: merge_reports(&per_shard),
-            per_shard,
-            policy: policy_name,
-            backbone_syncs,
-            peak_tracked,
-        })
+        self.drive_windows(runs, usize::MAX, |_, _| Ok(false))
     }
 
     /// Serves `total_jobs` arrivals pulled lazily from `stream` —
     /// `(arrival_s, profile)` pairs in non-decreasing time order — with
     /// O(window) per-job state instead of O(trace): each sync window the
-    /// driver feeds the arrivals due inside it to their shards (the
-    /// policy sees the job's global index), steps every shard on rayon,
-    /// then drains the window's completions in `(completed_s, shard)`
-    /// order into fleet-wide streaming totals, retaining at most
-    /// `retain_outcomes` individual outcomes.
-    ///
-    /// Shard engines should keep their default
-    /// [`retain_outcomes`](crate::FleetConfig::retain_outcomes) —
-    /// per-shard vectors are drained every window, so they never outgrow
-    /// one window's completions; a shard-level cap would silently drop
-    /// outcomes *before* the drain and corrupt the fleet totals.
-    ///
-    /// The merged report is exact ([`FleetReport::new`]) when every
-    /// outcome fit under `retain_outcomes`, sketched
-    /// ([`FleetReport::streamed`]) otherwise; either way it is
-    /// bit-identical across repeats and `RAYON_NUM_THREADS` settings.
-    /// The drain order differs from [`ShardedFleetEngine::run`]'s global
-    /// completion-time merge only in that it is window-partitioned first,
-    /// which is the same order whenever windows align — and always
-    /// deterministic.
+    /// driver pushes the arrivals due inside it to their shards (the
+    /// policy sees the job's global index) before the shared window loop
+    /// steps and drains them, retaining at most `retain_outcomes`
+    /// individual outcomes. The same loop as [`ShardedFleetEngine::run`]
+    /// behind a different front door: with the same jobs and arrival
+    /// times the two produce the same report.
     ///
     /// # Errors
     ///
@@ -484,22 +379,67 @@ impl ShardedFleetEngine {
     /// decreasing streamed arrival times and a stream that runs dry
     /// before `total_jobs`.
     pub fn run_stream(
-        self,
+        mut self,
         total_jobs: usize,
-        stream: Box<dyn Iterator<Item = (f64, JobProfile)> + Send>,
+        mut stream: Box<dyn Iterator<Item = (f64, JobProfile)> + Send>,
         retain_outcomes: usize,
     ) -> Result<ShardedFleetReport, WanifyError> {
-        let n_shards = self.shards.len();
-        self.validate_shards()?;
-        let sync_s = self.sync_window_s();
-        let topo = self.shards[0].sim().topology().clone();
-        let policy_name = self.policy.name().to_string();
-        let mut runs: Vec<FleetRun> =
-            self.shards.into_iter().map(FleetRun::start_serving).collect();
+        let engines = self.take_shards()?;
+        let n_shards = engines.len();
+        let topo = engines[0].sim().topology().clone();
+        let runs: Vec<FleetRun> = engines.into_iter().map(FleetRun::start_serving).collect();
 
-        let mut stream = stream.peekable();
+        let policy = &self.policy;
         let mut issued = 0usize;
-        let mut last_t = 0.0f64;
+        let mut last_s = 0.0f64;
+        // The stream is pulled one arrival ahead of the window's edge.
+        let mut ahead: Option<(f64, JobProfile)> = None;
+        self.drive_windows(runs, retain_outcomes, |runs, window_end| {
+            while issued < total_jobs {
+                let (at_s, job) = match ahead.take() {
+                    Some(pulled) => pulled,
+                    None => fleet::next_arrival(&mut stream, last_s, issued, total_jobs)?,
+                };
+                last_s = at_s;
+                if at_s > window_end {
+                    ahead = Some((at_s, job));
+                    break;
+                }
+                let s = policy.shard_of(issued, &job, &topo, n_shards) % n_shards;
+                runs[s].push_job(issued, at_s, job);
+                issued += 1;
+            }
+            Ok(issued < total_jobs)
+        })
+    }
+
+    /// The one window loop behind both front doors. Each sync window:
+    /// `feed` pushes whatever arrives inside it (and says whether more
+    /// is to come), the tiers exchange, every unfinished shard advances
+    /// to the window's edge on rayon, and the window's completions are
+    /// drained in `(completed_s, shard)` order — deterministic at any
+    /// thread count — into the fleet-wide totals and, up to
+    /// `retain_outcomes`, the merged outcome vector, so each outcome is
+    /// stored once. With a coupling and ≥ 2 shards the window is the
+    /// sync cadence; otherwise one unbounded window serves everything.
+    ///
+    /// The drain order is the global completion order whenever no shard
+    /// overshoots a window's edge (a gauge at admission is the only
+    /// thing that can), and always deterministic.
+    ///
+    /// Shard engines should keep their default
+    /// [`retain_outcomes`](crate::FleetConfig::retain_outcomes):
+    /// per-shard vectors are drained every window, so they never outgrow
+    /// one window's completions, and a shard-level cap would drop
+    /// outcomes *before* the drain and corrupt the fleet totals.
+    fn drive_windows(
+        &self,
+        mut runs: Vec<FleetRun>,
+        retain_outcomes: usize,
+        mut feed: impl FnMut(&mut [FleetRun], f64) -> Result<bool, WanifyError>,
+    ) -> Result<ShardedFleetReport, WanifyError> {
+        let n_shards = runs.len();
+        let sync_s = self.sync_window_s(n_shards);
         let mut backbone_syncs = 0u64;
         let mut tier2_grant: Option<TierGrant> = None;
         let mut window = 0u64;
@@ -510,37 +450,7 @@ impl ShardedFleetEngine {
         loop {
             let window_end =
                 if sync_s.is_finite() { (window + 1) as f64 * sync_s } else { f64::INFINITY };
-
-            // Feed every arrival due inside this window to its shard.
-            while issued < total_jobs {
-                match stream.peek() {
-                    Some(&(at_s, _)) if at_s <= window_end => {
-                        if !(at_s.is_finite() && at_s >= 0.0) {
-                            return Err(WanifyError::InvalidConfig(format!(
-                                "streamed arrival times must be finite and non-negative, \
-                                 got {at_s}"
-                            )));
-                        }
-                        if at_s < last_t {
-                            return Err(WanifyError::InvalidConfig(format!(
-                                "streamed arrivals must be non-decreasing, got {at_s} \
-                                 after {last_t}"
-                            )));
-                        }
-                        last_t = at_s;
-                        let (at_s, job) = stream.next().expect("peeked");
-                        let s = self.policy.shard_of(issued, &job, &topo, n_shards) % n_shards;
-                        runs[s].feed_job(issued, job, at_s);
-                        issued += 1;
-                    }
-                    Some(_) => break,
-                    None => {
-                        return Err(WanifyError::InvalidConfig(format!(
-                            "arrival stream ran dry after {issued} of {total_jobs} jobs"
-                        )));
-                    }
-                }
-            }
+            let more_to_feed = feed(&mut runs, window_end)?;
 
             if sync_s.is_finite() {
                 backbone_syncs += exchange_tiers(
@@ -552,6 +462,8 @@ impl ShardedFleetEngine {
                 );
             }
             window += 1;
+            // Each shard owns its whole state: the window outcome cannot
+            // depend on scheduling, so any thread count is bit-identical.
             let stepped: Vec<(FleetRun, Option<WanifyError>)> = runs
                 .into_par_iter()
                 .map(|mut run| {
@@ -567,9 +479,6 @@ impl ShardedFleetEngine {
                 runs.push(run);
             }
 
-            // Drain this window's completions in (completed_s, shard)
-            // order — deterministic at any thread count — into the
-            // fleet-wide totals.
             let mut drained: Vec<(usize, JobOutcome)> = Vec::new();
             for (s, run) in runs.iter_mut().enumerate() {
                 drained.extend(run.take_outcomes().into_iter().map(|o| (s, o)));
@@ -586,7 +495,7 @@ impl ShardedFleetEngine {
                 }
             }
 
-            if issued == total_jobs && runs.iter().all(FleetRun::finished) {
+            if !more_to_feed && runs.iter().all(FleetRun::finished) {
                 break;
             }
             debug_assert!(
@@ -599,19 +508,19 @@ impl ShardedFleetEngine {
         let per_shard: Vec<FleetReport> = runs.into_iter().map(FleetRun::into_report).collect();
         let duration_s =
             if totals.completed == 0 { 0.0 } else { last_completed_s - first_arrival_s };
-        let gauges = per_shard.iter().map(|r| r.gauges).sum();
-        let faults = merge_faults(&per_shard);
-        let scheduler = per_shard.first().map_or_else(String::new, |r| r.scheduler.clone());
-        let belief = per_shard.first().map_or_else(String::new, |r| r.belief.clone());
-        let fleet = if totals.completed == outcomes.len() {
-            FleetReport::new(outcomes, duration_s, gauges, scheduler, belief, faults)
-        } else {
-            FleetReport::streamed(outcomes, duration_s, gauges, scheduler, belief, faults, totals)
-        };
+        let fleet = FleetReport::new(
+            outcomes,
+            totals,
+            duration_s,
+            per_shard.iter().map(|r| r.gauges).sum(),
+            per_shard.first().map_or_else(String::new, |r| r.scheduler.clone()),
+            per_shard.first().map_or_else(String::new, |r| r.belief.clone()),
+            merge_faults(&per_shard),
+        );
         Ok(ShardedFleetReport {
             fleet,
             per_shard,
-            policy: policy_name,
+            policy: self.policy.name().to_string(),
             backbone_syncs,
             peak_tracked,
         })
@@ -665,38 +574,6 @@ fn exchange_tiers(
     } else {
         0
     }
-}
-
-/// Deterministically merges per-shard reports into one fleet-level
-/// report: outcomes ordered by completion time with shard index as the
-/// tiebreak (a stable sort, so a single shard's order is preserved
-/// verbatim), gauges summed, duration spanning the whole fleet.
-fn merge_reports(per_shard: &[FleetReport]) -> FleetReport {
-    let mut tagged: Vec<(usize, &JobOutcome)> = per_shard
-        .iter()
-        .enumerate()
-        .flat_map(|(s, r)| r.outcomes.iter().map(move |o| (s, o)))
-        .collect();
-    tagged.sort_by(|(sa, a), (sb, b)| a.completed_s.total_cmp(&b.completed_s).then(sa.cmp(sb)));
-    let outcomes: Vec<JobOutcome> = tagged.into_iter().map(|(_, o)| o.clone()).collect();
-    let duration_s = if outcomes.is_empty() {
-        0.0
-    } else {
-        let first_arrival = outcomes.iter().map(|o| o.arrived_s).fold(f64::INFINITY, f64::min);
-        let last_completion =
-            outcomes.iter().map(|o| o.completed_s).fold(f64::NEG_INFINITY, f64::max);
-        last_completion - first_arrival
-    };
-    let gauges = per_shard.iter().map(|r| r.gauges).sum();
-    let faults = merge_faults(per_shard);
-    FleetReport::new(
-        outcomes,
-        duration_s,
-        gauges,
-        per_shard.first().map_or_else(String::new, |r| r.scheduler.clone()),
-        per_shard.first().map_or_else(String::new, |r| r.belief.clone()),
-        faults,
-    )
 }
 
 /// Merges per-shard fault counters: event counters sum across shards;

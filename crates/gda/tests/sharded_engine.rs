@@ -2,11 +2,11 @@
 //! thread-count invariance, and backbone pressure.
 
 use wanify_gda::{
-    Arrivals, FleetConfig, FleetEngine, RoundRobinShards, ShardedFleetEngine, ShardedFleetReport,
-    Tetrium,
+    poisson_times_iter, Arrivals, FleetConfig, FleetEngine, RoundRobinShards, ShardedFleetEngine,
+    ShardedFleetReport, Tetrium,
 };
 use wanify_netsim::{paper_testbed_n, Backbone, LinkModelParams, NetSim, VmType};
-use wanify_workloads::{mixed_trace, TraceConfig};
+use wanify_workloads::{mixed_trace, trace_iter, TraceConfig};
 
 fn shard_engine(n: usize, seed: u64, max_concurrent: usize) -> FleetEngine {
     FleetEngine::new(
@@ -129,12 +129,50 @@ fn closed_loop_clients_split_across_shards() {
         .run(&trace, &Arrivals::Closed { clients: 4, think_s: 0.0 })
         .unwrap();
     assert_eq!(report.fleet.outcomes.len(), 12);
-    for shard in &report.per_shard {
+    assert_eq!(report.shard_sizes(), vec![6, 6]);
+    // Outcomes live once, in the merged report; round-robin puts job
+    // `idx` on shard `idx % 2`.
+    for shard in 0..2 {
         // With 2 clients per shard, no more than 2 of a shard's jobs can
         // ever have arrived before the first completion.
-        let at_zero = shard.outcomes.iter().filter(|o| o.arrived_s == 0.0).count();
-        assert!(at_zero <= 2, "shard admitted {at_zero} jobs at t=0 with 2 clients");
+        let at_zero = report
+            .fleet
+            .outcomes
+            .iter()
+            .filter(|o| o.job_idx % 2 == shard && o.arrived_s == 0.0)
+            .count();
+        assert!(at_zero <= 2, "shard {shard} admitted {at_zero} jobs at t=0 with 2 clients");
     }
+}
+
+/// Every outcome's `job_idx` is its trace index — `mixed_trace` tags job
+/// `i`'s name with a trailing `-<i>` — and each index appears once.
+fn assert_job_idx_is_the_trace_index(report: &ShardedFleetReport, jobs: usize) {
+    let mut seen: Vec<usize> = report.fleet.outcomes.iter().map(|o| o.job_idx).collect();
+    seen.sort_unstable();
+    assert_eq!(seen, (0..jobs).collect::<Vec<_>>());
+    for o in &report.fleet.outcomes {
+        let (_, tag) = o.report.job.rsplit_once('-').expect("trace names end in -<idx>");
+        assert_eq!(tag.parse::<usize>().unwrap(), o.job_idx, "job {}", o.report.job);
+    }
+}
+
+#[test]
+fn job_idx_is_the_trace_index_on_every_sharded_path() {
+    let cfg = TraceConfig::new(4, 12, 5).scaled(0.5);
+    let trace = mixed_trace(&cfg);
+    for arrivals in [
+        Arrivals::Poisson { rate_per_s: 0.05, seed: 3 },
+        Arrivals::Closed { clients: 4, think_s: 0.0 },
+    ] {
+        let report = sharded(4, 2, 2000.0, 5.0).run(&trace, &arrivals).unwrap();
+        assert_job_idx_is_the_trace_index(&report, 12);
+    }
+    let times = poisson_times_iter(0.05, 3).unwrap();
+    let streamed = sharded(4, 2, 2000.0, 5.0)
+        .run_stream(12, Box::new(times.zip(trace_iter(&cfg))), usize::MAX)
+        .unwrap();
+    assert_job_idx_is_the_trace_index(&streamed, 12);
 }
 
 #[test]

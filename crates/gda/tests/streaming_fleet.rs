@@ -165,11 +165,12 @@ fn streamed_peak_tracked_stays_bounded_by_the_cap() {
 
 #[test]
 fn stream_that_runs_dry_reports_a_stall_not_a_hang() {
-    // Promise 10 jobs, deliver 4: the run must surface a stall error
-    // once the last delivered job drains, not spin or succeed.
+    // Promise 10 jobs, deliver 4: the run must name the cause at the
+    // pull that finds the stream dry, not spin, succeed, or report a
+    // cause-free stall after the last delivered job drains.
     let err = engine(4, 8, usize::MAX).run_stream(10, stream(4)).unwrap_err();
     let msg = format!("{err}");
-    assert!(msg.contains("stalled"), "unexpected error: {msg}");
+    assert!(msg.contains("ran dry after 4 of 10"), "unexpected error: {msg}");
 }
 
 #[test]
