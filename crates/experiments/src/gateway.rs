@@ -21,9 +21,10 @@ use wanify_netsim::{paper_testbed_n, BwMatrix, LinkModelParams, NetSim, VmType};
 use wanify_workloads::{offered_load, LoadSpec};
 
 const N_DCS: usize = 3;
-const MAX_CONCURRENT: usize = 2;
+/// Admission slots of the fleet behind the gateway.
+pub const MAX_CONCURRENT: usize = 2;
 /// Deadline slack granted to every request, in unloaded mean makespans.
-const SLACK_MAKESPANS: f64 = 4.0;
+pub const SLACK_MAKESPANS: f64 = 4.0;
 
 /// One offered-load point of the sweep.
 #[derive(Debug, Clone)]
@@ -46,8 +47,12 @@ pub struct GatewayRow {
     pub deadline_misses: u64,
     /// Good completions per simulated second.
     pub goodput_per_s: f64,
+    /// Median arrival-to-completion latency, seconds.
+    pub latency_p50_s: f64,
     /// 99th-percentile arrival-to-completion latency, seconds.
     pub latency_p99_s: f64,
+    /// Simulated seconds the sweep point ran for.
+    pub duration_s: f64,
 }
 
 /// Outcome of [`run`].
@@ -167,7 +172,9 @@ pub fn run(effort: Effort, seed: u64) -> GatewayResult {
                 rejected: s.rejected,
                 deadline_misses: s.deadline_misses,
                 goodput_per_s: r.good() as f64 / r.fleet.duration_s.max(1e-9),
+                latency_p50_s: r.latency.p50,
                 latency_p99_s: r.latency.p99,
+                duration_s: r.fleet.duration_s,
             }
         })
         .collect();
@@ -189,6 +196,10 @@ mod tests {
             at_2x >= 0.8 * at_sat,
             "goodput collapsed past saturation: {at_2x:.4} vs {at_sat:.4}"
         );
+        for row in &result.rows {
+            assert!(row.latency_p50_s.is_finite());
+            assert!(row.duration_s.is_finite() && row.duration_s > 0.0);
+        }
         assert!(result.render().contains("goodput/s"));
     }
 

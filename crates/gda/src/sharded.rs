@@ -186,7 +186,7 @@ pub struct ShardedFleetReport {
     pub backbone_syncs: u64,
     /// Peak per-job state the fleet held at once: the sum of every
     /// shard's [`FleetRun::peak_tracked`] plus the outcomes the driver
-    /// retained — the memory proxy `bench_scale` tracks. A materialized
+    /// retained — the memory proxy `bench scale` tracks. A materialized
     /// run holds the whole trace; a streamed one holds one window.
     pub peak_tracked: usize,
 }

@@ -3,9 +3,10 @@
 //! repeated runs and rayon thread counts — and a 1-shard fleet matches
 //! the single-engine `FleetEngine` exactly.
 //!
-//! CI additionally runs this under `RAYON_NUM_THREADS=1` and `=4` and
-//! diffs `bench_sharded --digest` reports, so thread-count invariance is
-//! enforced both in-process (here) and across processes (there).
+//! CI additionally runs this under `RAYON_NUM_THREADS=1` and `=4`, and
+//! `bench sharded` re-runs every arm inside 1- and 4-thread pools, so
+//! thread-count invariance is enforced through the environment (here)
+//! and through installed pools (there).
 
 use wanify_gda::{
     Arrivals, FleetConfig, FleetEngine, FleetReport, JobProfile, RoundRobinShards,
