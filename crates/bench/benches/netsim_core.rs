@@ -68,17 +68,62 @@ fn bench_solver(c: &mut Criterion) {
     group.bench_function("allocate_rates_with_64dc_one_flow", |b| {
         b.iter(|| black_box(sim64.allocate_rates_with(black_box(&gauge), &mut scratch)[0]))
     });
-    let tenants: Vec<FlowSpec> = (0..34)
-        .flat_map(|k| {
-            let base = 8 * (k % 8);
-            all_pair_flows(8, 1 + k as u32 % 3)
-                .into_iter()
-                .map(move |f| FlowSpec::new(DcId(base + f.src.0), DcId(base + f.dst.0), f.conns))
-        })
-        .collect();
+    let tenants = tenant_flows(34, 8, 8, |k, _| 1 + k as u32 % 3);
     group.bench_function("allocate_rates_with_64dc_1904_flows", |b| {
         b.iter(|| black_box(sim64.allocate_rates_with(black_box(&tenants), &mut scratch)[0]))
     });
+    group.finish();
+}
+
+/// `count` tenants' all-pairs shuffles, tenant `k` on the `width`-DC
+/// block starting at `width * (k % blocks)`, with `conns(k, pair)`
+/// connections on its `pair`-th directed pair.
+fn tenant_flows(
+    count: usize,
+    width: usize,
+    blocks: usize,
+    conns: impl Fn(usize, usize) -> u32,
+) -> Vec<FlowSpec> {
+    let mut flows = Vec::new();
+    for k in 0..count {
+        let base = width * (k % blocks);
+        for (pair, f) in all_pair_flows(width, 1).into_iter().enumerate() {
+            flows.push(FlowSpec::new(DcId(base + f.src.0), DcId(base + f.dst.0), conns(k, pair)));
+        }
+    }
+    flows
+}
+
+/// Build + solve at the three `(flows, classes)` shapes that decide what
+/// the solver's rounds cost: rounds run once per distinct `(weight,
+/// ceiling)`, so the first two must price like their class counts (a
+/// return to per-flow rounds shows here), and the third — nothing
+/// repeats — prices the class detection itself (a fat detection pass
+/// shows here).
+fn bench_flow_classes(c: &mut Criterion) {
+    let mut group = c.benchmark_group("fairness_solve");
+    group.sample_size(50);
+    let mut scratch = RateScratch::default();
+    let mut bench = |name: &str, sim: &NetSim, flows: &[FlowSpec]| {
+        group.bench_function(name, |b| {
+            b.iter(|| black_box(sim.allocate_rates_with(black_box(flows), &mut scratch)[0]))
+        });
+    };
+
+    // Eight 16-DC groups on the tiled 64-DC WAN: 1 920 flows, two DCs per
+    // region in every block, so ~30 region-pair classes (`scale-hier`).
+    let topo = paper_testbed_tiled(VmType::t2_medium(), 64);
+    let sim64 = NetSim::new(topo, LinkModelParams::frozen(), 11);
+    bench("tiled64_8x16dc", &sim64, &tenant_flows(8, 16, 4, |_, _| 1));
+
+    // 16 tenants on the same 8 DCs: 896 flows, each directed pair 16
+    // times over (`fleet-closed`).
+    let sim8 = frozen_sim(8);
+    bench("8dc_16tenants", &sim8, &tenant_flows(16, 8, 1, |_, _| 1));
+
+    // One tenant, every pair with its own connection count: 56 flows in
+    // 56 classes (`wanify-loop`'s heterogeneous plans).
+    bench("8dc_distinct_56", &sim8, &tenant_flows(1, 8, 1, |_, pair| 1 + pair as u32));
     group.finish();
 }
 
@@ -117,5 +162,5 @@ fn bench_run_transfers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(netsim_core, bench_solver, bench_run_transfers);
+criterion_group!(netsim_core, bench_solver, bench_flow_classes, bench_run_transfers);
 criterion_main!(netsim_core);

@@ -12,12 +12,15 @@
 //! Every fleet, shard, gateway and `run_transfers` event ends in one
 //! solve, so a solve must be cheap — and since every committed digest in
 //! this repo hashes its rates, it must be cheap *without changing a bit of
-//! them*. The solver therefore performs exactly the floating-point
-//! operations of the plain algorithm, in the same order, and saves only
-//! the memory touches that fed no operation. The plain algorithm (all
-//! flows and all resources scanned in every round, nothing pruned) is kept
-//! as `reference::ReferenceWorkspace` under `#[cfg(test)]`, and proptests
-//! here and in `sim.rs` hold the two to `f64::to_bits` equality.
+//! them*. The solver therefore performs, on every rate and every
+//! resource sum, exactly the floating-point operations of the plain
+//! algorithm in the same order; it saves the memory touches that fed no
+//! operation, and the operations whose operands and result are bit-equal
+//! to ones it has already performed (flow classes, below). The plain
+//! algorithm (all flows and all resources scanned in every round, nothing
+//! pruned, nothing shared) is kept as `reference::ReferenceWorkspace`
+//! under `#[cfg(test)]`, and proptests here and in `sim.rs` hold the two
+//! to `f64::to_bits` equality.
 //!
 //! * **Reuse.** [`FairnessProblem`] stores resource membership as
 //!   CSR-style flat arrays and [`FairnessProblem::clear`] keeps their
@@ -27,17 +30,17 @@
 //!   active-weight sum `active_w` are updated in place — once per round,
 //!   plus once per member when it freezes — never re-summed.
 //! * **Active sets.** A round only concerns flows that are still filling
-//!   and resources that still have one. The workspace keeps both as
-//!   ascending, order-preserving compacted lists: `active_flows` is
-//!   exactly the set of unfrozen flows, and `live` holds every resource
-//!   that is not slack (below) and has an unfrozen member (one may linger
-//!   for a round after its last member froze; its zero `active_w` excludes
-//!   it from every test). Walking a compacted list visits the elements a
-//!   full scan would have acted on, in the same order, so `t_star`, every
-//!   rate and every `used`/`active_w` update sequence are unchanged.
-//!   Growing a flow and freezing it at its ceiling share one pass, after
-//!   the resources have taken the round's growth at their pre-freeze
-//!   weight — the order the plain algorithm's separate passes produce.
+//!   and resources that still have one. The workspace keeps the resources
+//!   as an ascending, order-preserving compacted list: `live` holds every
+//!   resource that is not slack (below) and has an unfrozen member (one
+//!   may linger for a round after its last member froze; its zero
+//!   `active_w` excludes it from every test). Walking it visits the
+//!   resources a full scan would have acted on, in the same order, so
+//!   `t_star` and every `used`/`active_w` update sequence are unchanged.
+//!   The flows are kept by class (below). Growing and freezing at the
+//!   ceiling follow the resources' taking the round's growth at their
+//!   pre-freeze weight — the order the plain algorithm's separate passes
+//!   produce.
 //! * **One pass over the membership.** Preparing a solve reads each
 //!   membership entry once: it sums the resource's active weight, applies
 //!   the slack test, and threads the entry into its flow's linked list of
@@ -80,16 +83,69 @@
 //! so an ill-conditioned resource (weights fourteen decades apart, where
 //! `active_w` itself is mostly rounding) is simply never pruned.
 //!
+//! ## Flow classes
+//!
+//! A fleet's flow set repeats itself: sixteen tenants on eight DCs put
+//! the same `(connections × RTT bias, window ceiling)` on each directed
+//! pair sixteen times, and 1 900 flows on a tiled 64-DC WAN carry about
+//! thirty distinct pairs of values. A **class** is the set of active
+//! flows whose `weight.to_bits()` and `ceiling.to_bits()` are equal
+//! (value-equal, too: active flows have both above `EPS`, so no ±0 and no
+//! NaN). Classes are found by value while preparing a solve — one
+//! open-addressing lookup per active flow, nothing hinted by the caller —
+//! and the rounds then run once per class instead of once per flow. That
+//! moves no bit, in four steps:
+//!
+//! 1. *Shared accumulator.* Every member starts at rate 0 and, while
+//!    active, takes `rate += weight · t_star` with bit-equal operands each
+//!    round, so all active members of a class hold one bit pattern. The
+//!    class keeps it once; a member receives it (or the ceiling) at the
+//!    moment it freezes.
+//! 2. *Order-free `min`.* The flow part of `t_star` is the minimum of
+//!    `(ceiling − rate) / weight` over the active flows. Members of a
+//!    class contribute the same value, those values are positive and not
+//!    NaN (an active flow sits more than `EPS` below its ceiling), and
+//!    `f64::min` over such values does not depend on order or
+//!    multiplicity: the minimum over live classes is the same number.
+//! 3. *Ascending-index freezes.* Freezing a flow updates `used[r] +=
+//!    delta` and `active_w[r] = (active_w[r] − weight).max(0)` on each of
+//!    its resources, and those do not commute: every resource must see a
+//!    round's ceiling freezes in ascending flow index, as the per-flow
+//!    loop makes them. A class's member list is ascending; when several
+//!    classes reach their ceilings in one round — routine: WANify's
+//!    heterogeneous plans put `(k·w, k·c)` flows on one pair, equal ratio,
+//!    same round — their active members are marked in a bit mask that is
+//!    then read back in index order. Growing every class before freezing
+//!    any is the same as the per-flow loop's grow-and-freeze, because
+//!    growing reads no resource state. The saturation pass is the plain
+//!    one: resource by resource, member by member.
+//! 4. *Early exits.* A solve can stop with flows still active (`t_star`
+//!    not finite, `t_star ≤ EPS`, round limit). Their per-flow
+//!    accumulators would hold what their class holds, so the class's rate
+//!    is written to them on the way out.
+//!
+//! Detection is pure cost where nothing repeats (a lone plan's 28 flows
+//! are 27 classes, a gauge is one flow), so it is kept to one struct per
+//! class, a table sized by the classes rather than the flows and never
+//! cleared (slots carry the solve's stamp), and two `u32`s per flow.
+//!
 //! ## What is deliberately not done
 //!
 //! Warm-starting from the previous solve's rates, maintaining a solve
-//! incrementally across events, and aggregating the flows of one DC pair
-//! would each save more work than the above — and each changes the order
-//! in which contributions accumulate into a rate, so the low bits of
-//! every rate, and with them every committed digest, would move.
-//! Skipping a solve whose problem equals the previous one was measured
-//! instead: 5 %, 7 % and 11 % of solves on the three fleet workloads of
-//! the repo benchmark qualify, which does not pay for the state.
+//! incrementally across events, and *summing* the flows of one DC pair
+//! into one flow of their total weight would each save more work than the
+//! above — and each changes the order in which contributions accumulate
+//! into a rate or a resource sum, so the low bits of every rate, and with
+//! them every committed digest, would move. *Sharing* the arithmetic of
+//! bit-equal flows, which is what the classes do, reorders nothing: each
+//! flow still freezes on its own, in its own turn, with its own update to
+//! every resource it crosses. Nor is there much for an incremental solve
+//! to keep: on the 64-DC fleet workload 1 544 of the 1 896 rates in flight
+//! change at every event, because the NIC congestion divisors move with
+//! every drain. Skipping a solve whose problem equals the previous one
+//! was measured instead: 5 %, 7 % and 11 % of solves on the three fleet
+//! workloads of the repo benchmark qualify (8–30 % change no rate), which
+//! does not pay for the state.
 
 /// Identifies a capacity-constrained resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -207,8 +263,42 @@ const EPS: f64 = 1e-9;
 /// rounding-drift bound derived in the module docs.
 const PRUNE_SLACK: f64 = 64.0 * f64::EPSILON;
 
-/// End of a flow's resource list in [`FairnessWorkspace::link`].
+/// End of a linked list in [`FairnessWorkspace::link`] and
+/// [`FairnessWorkspace::class_link`].
 const NO_LINK: u32 = u32::MAX;
+
+/// Slots of a fresh class table (a power of two).
+const MIN_TABLE: usize = 16;
+
+/// The active flows of one solve whose weight and ceiling are bit-equal
+/// (module docs, "Flow classes"): they hold the same rate for as long as
+/// they are active, so the rounds keep it once.
+#[derive(Debug, Clone, Copy)]
+struct FlowClass {
+    weight: f64,
+    ceiling: f64,
+    /// The rate every still-active member has accumulated.
+    rate: f64,
+    /// Members not yet frozen.
+    active: u32,
+    /// Lowest-index member; [`FairnessWorkspace::class_link`] chains the
+    /// rest in ascending flow index.
+    head: u32,
+}
+
+/// Size of the most recent [`FairnessWorkspace::solve`], for tests and
+/// issues that need to know what traffic a solver change would see.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SolveShape {
+    /// Flows that took part (positive weight and ceiling).
+    pub flows: usize,
+    /// Distinct `(weight, ceiling)` bit patterns among them.
+    pub classes: usize,
+    /// Resources that survived the slack test.
+    pub live_resources: usize,
+    /// Progressive-filling rounds run.
+    pub rounds: usize,
+}
 
 /// Reusable buffers for [`allocate_max_min`]-style solves.
 ///
@@ -226,11 +316,26 @@ pub struct FairnessWorkspace {
     /// is pinned to exactly 0.0, so float residue from the incremental
     /// subtractions can never leave a ghost resource binding `t_star`.
     active_n: Vec<usize>,
-    /// Active flows in ascending index order, compacted as flows freeze.
-    /// (Flow and membership indices are kept as `u32` in the per-flow
-    /// buffers: fleets hold tens of thousands of flows per solve, and
-    /// these buffers set the solver's memory footprint.)
-    active_flows: Vec<u32>,
+    /// One entry per distinct `(weight, ceiling)` among the active flows.
+    classes: Vec<FlowClass>,
+    /// Indices into `classes` of those with an active member, compacted
+    /// as classes freeze.
+    live_classes: Vec<u32>,
+    /// Per active flow, `(class, next member of the class)`. (Flow and
+    /// membership indices are kept as `u32` in the per-flow buffers:
+    /// fleets hold tens of thousands of flows per solve, and these
+    /// buffers set the solver's memory footprint.)
+    class_link: Vec<(u32, u32)>,
+    /// Open-addressing table from `(weight, ceiling)` bits to class, as
+    /// `(stamp, class)`: a slot belongs to the current solve iff its
+    /// stamp is `stamp`, so nothing is cleared between solves. Sized by
+    /// the classes it has held (load ≤ ½), not by the flows.
+    table: Vec<(u32, u32)>,
+    stamp: u32,
+    /// One bit per flow: the members of the classes that reached their
+    /// ceiling in the current round, read back in ascending flow index.
+    /// All zero between rounds.
+    freeze_mask: Vec<u64>,
     /// Resources that can still bind — not slack, at least one active
     /// member — in ascending index order, compacted as they die.
     live: Vec<usize>,
@@ -239,6 +344,7 @@ pub struct FairnessWorkspace {
     /// and sit at the member's position in the problem's membership array.
     link_head: Vec<u32>,
     link: Vec<(u32, u32)>,
+    shape: SolveShape,
 }
 
 impl FairnessWorkspace {
@@ -250,6 +356,11 @@ impl FairnessWorkspace {
     /// Per-flow rates of the most recent [`FairnessWorkspace::solve`].
     pub fn rates(&self) -> &[f64] {
         &self.rates
+    }
+
+    /// Size of the most recent [`FairnessWorkspace::solve`].
+    pub fn last_shape(&self) -> SolveShape {
+        self.shape
     }
 
     /// Deactivates flow `f`, removing its weight from every live resource
@@ -277,16 +388,78 @@ impl FairnessWorkspace {
         problem.flow_count() + problem.resource_count() + 1
     }
 
-    /// Resets the buffers for `problem` and makes the one pass over its
-    /// membership a solve needs: per-resource active weight and count,
-    /// the slack test, and the flow → resource links of the resources
-    /// that survive it.
+    /// First slot of the probe sequence for a `(weight, ceiling)` key:
+    /// the top bits of a multiplicative hash, which depend on every bit
+    /// of the key (weights `w, 2w, 4w` differ in the exponent alone).
+    fn home_slot(&self, weight_bits: u64, ceiling_bits: u64) -> usize {
+        let key = weight_bits ^ ceiling_bits.rotate_left(32);
+        let shift = u64::BITS - self.table.len().trailing_zeros();
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift) as usize
+    }
+
+    /// The class of an active flow with this weight and ceiling, created
+    /// empty if no earlier flow of the solve had the same bits.
+    fn class_for(&mut self, weight: f64, ceiling: f64) -> u32 {
+        let (wb, cb) = (weight.to_bits(), ceiling.to_bits());
+        let mask = self.table.len() - 1;
+        let mut slot = self.home_slot(wb, cb);
+        loop {
+            let (stamp, k) = self.table[slot];
+            if stamp != self.stamp {
+                break;
+            }
+            let class = &self.classes[k as usize];
+            if class.weight.to_bits() == wb && class.ceiling.to_bits() == cb {
+                return k;
+            }
+            slot = (slot + 1) & mask;
+        }
+        let k = self.classes.len() as u32;
+        self.classes.push(FlowClass { weight, ceiling, rate: 0.0, active: 0, head: NO_LINK });
+        self.table[slot] = (self.stamp, k);
+        if self.classes.len() * 2 > self.table.len() {
+            self.grow_table();
+        }
+        k
+    }
+
+    /// Doubles the class table and re-seats the classes of the current
+    /// solve in it.
+    fn grow_table(&mut self) {
+        let slots = self.table.len() * 2;
+        self.table.clear();
+        self.table.resize(slots, (0, 0));
+        for k in 0..self.classes.len() {
+            let class = &self.classes[k];
+            let mut slot = self.home_slot(class.weight.to_bits(), class.ceiling.to_bits());
+            while self.table[slot].0 == self.stamp {
+                slot = (slot + 1) & (slots - 1);
+            }
+            self.table[slot] = (self.stamp, k as u32);
+        }
+    }
+
+    /// Invalidates every slot of the class table at once.
+    fn new_stamp(&mut self) {
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.table.fill((0, 0));
+            self.stamp = 1;
+        }
+    }
+
+    /// Resets the buffers for `problem`, sorts its active flows into
+    /// classes, and makes the one pass over its membership a solve
+    /// needs: per-resource active weight and count, the slack test, and
+    /// the flow → resource links of the resources that survive it.
     fn prepare(&mut self, problem: &FairnessProblem) {
         let n = problem.flow_count();
         let nr = problem.resource_count();
         let max_rounds = Self::max_rounds(problem);
         assert!(
-            problem.members.len() < NO_LINK as usize && nr < NO_LINK as usize,
+            n < NO_LINK as usize
+                && problem.members.len() < NO_LINK as usize
+                && nr < NO_LINK as usize,
             "problem too large for 32-bit flow links"
         );
         self.rates.clear();
@@ -305,14 +478,35 @@ impl FairnessWorkspace {
         if self.link.len() < problem.members.len() {
             self.link.resize(problem.members.len(), (NO_LINK, 0));
         }
+        if self.class_link.len() < n {
+            self.class_link.resize(n, (0, NO_LINK));
+        }
+        if self.freeze_mask.len() * 64 < n {
+            self.freeze_mask.resize(n.div_ceil(64), 0);
+        }
+        if self.table.is_empty() {
+            self.table.resize(MIN_TABLE, (0, 0));
+        }
+        self.new_stamp();
 
-        self.active_flows.clear();
-        for f in 0..n {
-            if problem.weights[f] > EPS && problem.ceilings[f] > EPS {
+        // Highest index first, each flow pushed onto the front of its
+        // class's list: the lists come out in ascending flow index.
+        self.classes.clear();
+        let mut flows = 0;
+        for f in (0..n).rev() {
+            let (weight, ceiling) = (problem.weights[f], problem.ceilings[f]);
+            if weight > EPS && ceiling > EPS {
                 self.active[f] = true;
-                self.active_flows.push(f as u32);
+                flows += 1;
+                let k = self.class_for(weight, ceiling);
+                let class = &mut self.classes[k as usize];
+                self.class_link[f] = (k, class.head);
+                class.head = f as u32;
+                class.active += 1;
             }
         }
+        self.live_classes.clear();
+        self.live_classes.extend(0..self.classes.len() as u32);
 
         self.live.clear();
         for r in 0..nr {
@@ -349,6 +543,12 @@ impl FairnessWorkspace {
                 }
             }
         }
+        self.shape = SolveShape {
+            flows,
+            classes: self.classes.len(),
+            live_resources: self.live.len(),
+            rounds: 0,
+        };
     }
 
     /// Solves `problem` by progressive filling; returns per-flow rates in
@@ -364,18 +564,19 @@ impl FairnessWorkspace {
         self.prepare(problem);
         // The two compacted lists leave the workspace for the rounds so
         // the loops below can call `freeze_flow` while walking them.
-        let mut flows = std::mem::take(&mut self.active_flows);
+        let mut classes = std::mem::take(&mut self.live_classes);
         let mut live = std::mem::take(&mut self.live);
 
         for _ in 0..Self::max_rounds(problem) {
-            if flows.is_empty() {
+            if classes.is_empty() {
                 break;
             }
+            self.shape.rounds += 1;
             // Smallest normalized headroom across ceilings and resources.
             let mut t_star = f64::INFINITY;
-            for &f in &flows {
-                let f = f as usize;
-                t_star = t_star.min((problem.ceilings[f] - self.rates[f]) / problem.weights[f]);
+            for &k in &classes {
+                let class = &self.classes[k as usize];
+                t_star = t_star.min((class.ceiling - class.rate) / class.weight);
             }
             for &r in &live {
                 if self.active_w[r] > EPS {
@@ -393,27 +594,50 @@ impl FairnessWorkspace {
                     self.used[r] += self.active_w[r] * t_star;
                 }
             }
-            // Grow every active flow and freeze it at once if it reached
-            // its ceiling. Each flow freezes at most once per solve and
-            // the freeze work is O(membership degree).
+            // Grow every live class; one that reached its ceiling leaves
+            // the list and marks its active members for the freeze below.
             let mut kept = 0;
-            for i in 0..flows.len() {
-                let f = flows[i] as usize;
-                self.rates[f] += problem.weights[f] * t_star;
-                if self.rates[f] + EPS >= problem.ceilings[f] {
-                    let delta = problem.ceilings[f] - self.rates[f];
-                    self.rates[f] = problem.ceilings[f];
-                    self.freeze_flow(f, problem.weights[f], delta);
+            for i in 0..classes.len() {
+                let k = classes[i];
+                let class = &mut self.classes[k as usize];
+                class.rate += class.weight * t_star;
+                if class.rate + EPS >= class.ceiling {
+                    class.active = 0;
+                    let mut m = class.head;
+                    while m != NO_LINK {
+                        if self.active[m as usize] {
+                            self.freeze_mask[m as usize / 64] |= 1 << (m % 64);
+                        }
+                        m = self.class_link[m as usize].1;
+                    }
                 } else {
-                    flows[kept] = f as u32;
+                    classes[kept] = k;
                     kept += 1;
                 }
             }
-            flows.truncate(kept);
-            // Freeze the members of saturated resources, dropping
-            // resources whose members are all frozen. One that dies after
-            // its turn here is skipped by the weight test and dropped a
-            // round later.
+            let at_ceiling = kept < classes.len();
+            classes.truncate(kept);
+            // Freeze the marked flows in ascending flow index, whichever
+            // classes they came from: a resource's `used` and `active_w`
+            // updates do not commute, and this is the order the per-flow
+            // loop applies them in. Each flow freezes at most once per
+            // solve and the freeze work is O(membership degree).
+            if at_ceiling {
+                for word in 0..problem.flow_count().div_ceil(64) {
+                    let mut bits = std::mem::take(&mut self.freeze_mask[word]);
+                    while bits != 0 {
+                        let f = word * 64 + bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let class = self.classes[self.class_link[f].0 as usize];
+                        self.rates[f] = class.ceiling;
+                        self.freeze_flow(f, class.weight, class.ceiling - class.rate);
+                    }
+                }
+            }
+            // Freeze the members of saturated resources at their class's
+            // rate, dropping resources whose members are all frozen. One
+            // that dies after its turn here is skipped by the weight test
+            // and dropped a round later.
             let mut saturated = false;
             let mut kept = 0;
             for i in 0..live.len() {
@@ -421,6 +645,9 @@ impl FairnessWorkspace {
                 if self.active_w[r] > EPS && self.used[r] + EPS >= problem.res_caps[r] {
                     for &m in problem.members_of(r) {
                         if self.active[m] {
+                            let class = &mut self.classes[self.class_link[m].0 as usize];
+                            class.active -= 1;
+                            self.rates[m] = class.rate;
                             self.freeze_flow(m, problem.weights[m], 0.0);
                             saturated = true;
                         }
@@ -433,14 +660,26 @@ impl FairnessWorkspace {
             }
             live.truncate(kept);
             if saturated {
-                flows.retain(|&f| self.active[f as usize]);
+                classes.retain(|&k| self.classes[k as usize].active > 0);
             }
             if t_star <= EPS {
                 // Numerical stall: everything remaining is effectively frozen.
                 break;
             }
         }
-        self.active_flows = flows;
+        // A solve that stopped early leaves active flows behind: they
+        // keep what their class had accumulated.
+        for &k in &classes {
+            let class = self.classes[k as usize];
+            let mut m = class.head;
+            while m != NO_LINK {
+                if self.active[m as usize] {
+                    self.rates[m as usize] = class.rate;
+                }
+                m = self.class_link[m as usize].1;
+            }
+        }
+        self.live_classes = classes;
         self.live = live;
         &self.rates
     }
@@ -826,14 +1065,22 @@ mod tests {
         members.iter().filter(|&&m| active(m)).map(|&m| p.ceilings[m]).fold(0.0, |a, c| a + c)
     }
 
-    fn assert_bit_identical(p: &FairnessProblem) {
-        let fast = allocate_max_min(p);
+    /// Holds the solver to the reference on `to_bits`; returns what the
+    /// solve looked like, so a test can check it exercised what it meant to.
+    fn assert_bit_identical(p: &FairnessProblem) -> SolveShape {
+        assert_bit_identical_with(&mut FairnessWorkspace::new(), p)
+    }
+
+    /// [`assert_bit_identical`] through a workspace that has history.
+    fn assert_bit_identical_with(ws: &mut FairnessWorkspace, p: &FairnessProblem) -> SolveShape {
+        let fast = ws.solve(p);
         let mut reference = reference::ReferenceWorkspace::default();
         let slow = reference.solve(p);
         assert_eq!(fast.len(), slow.len());
         for (f, (a, b)) in fast.iter().zip(slow).enumerate() {
             assert_eq!(a.to_bits(), b.to_bits(), "flow {f}: {a} vs reference {b}");
         }
+        ws.last_shape()
     }
 
     #[test]
@@ -898,6 +1145,273 @@ mod tests {
         assert_bit_identical(&p);
     }
 
+    /// The class-sharing rounds against the per-flow reference, on inputs
+    /// that repeat their `(weight, ceiling)` — the only inputs on which
+    /// member lists, shared rates and merged freezes run at all.
+    mod class_parity {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        /// Multiples a palette entry is drawn at: `(k·w, k·c)` keeps the
+        /// headroom ratio, so the multiples of one entry reach their
+        /// ceilings in the same round as distinct classes.
+        const MULTIPLES: [f64; 4] = [1.0, 2.0, 3.0, 4.0];
+
+        /// 2–400 flows over a palette of 1–6 `(weight, ceiling)` values
+        /// (some unbounded) and their multiples, with a sprinkling of dead
+        /// flows. Every flow crosses an egress and an ingress NIC of 1–8
+        /// hosts, as the simulator's do; a few further resources take
+        /// random members, one of them twice. Capacities bind, saturate,
+        /// sit on the slack edge or are zero. Returns the palette size too.
+        fn palette_problem(seed: u64) -> (FairnessProblem, usize) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let palette: Vec<(f64, f64)> = (0..rng.gen_range(1usize..7))
+                .map(|_| {
+                    let unbounded = rng.gen_range(0u32..8) == 0;
+                    let c = if unbounded { f64::INFINITY } else { rng.gen_range(5.0..2000.0) };
+                    (rng.gen_range(0.05..8.0), c)
+                })
+                .collect();
+            let mut p = FairnessProblem::new();
+            let nf = rng.gen_range(2usize..401);
+            let hosts = rng.gen_range(1usize..9);
+            let mut nics: Vec<Vec<usize>> = vec![Vec::new(); 2 * hosts];
+            for f in 0..nf {
+                let (w, c) = palette[rng.gen_range(0..palette.len())];
+                match rng.gen_range(0u32..20) {
+                    0 => p.add_flow(0.0, c),
+                    1 => p.add_flow(w, 1e-10),
+                    _ => {
+                        let k = MULTIPLES[rng.gen_range(0..MULTIPLES.len())];
+                        p.add_flow(k * w, k * c)
+                    }
+                };
+                nics[rng.gen_range(0..hosts)].push(f);
+                nics[hosts + rng.gen_range(0..hosts)].push(f);
+            }
+            for _ in 0..rng.gen_range(0usize..4) {
+                let mut members: Vec<usize> =
+                    (0..nf).filter(|_| rng.gen_range(0u32..4) == 0).collect();
+                members.push(rng.gen_range(0..nf));
+                members.push(members[rng.gen_range(0..members.len())]);
+                nics.push(members);
+            }
+            for (r, members) in nics.iter().enumerate().filter(|(_, m)| !m.is_empty()) {
+                let sum = ceiling_sum(&p, members);
+                let sum = if sum.is_finite() { sum } else { 3000.0 };
+                let cap = match rng.gen_range(0u32..10) {
+                    0 => sum,
+                    1 => f64::from_bits(sum.to_bits() + 1),
+                    2 => 1e9,
+                    3 => 0.0,
+                    4..=7 => sum * rng.gen_range(0.05..0.95),
+                    _ => rng.gen_range(50.0..3000.0),
+                };
+                p.add_resource(ResourceKind::Egress(r), cap, members);
+            }
+            (p, palette.len())
+        }
+
+        proptest! {
+            #[test]
+            fn palette_problems_are_bit_identical_to_reference(seed in 0u64..u64::MAX) {
+                let (p, palette) = palette_problem(seed);
+                let shape = assert_bit_identical(&p);
+                prop_assert!(shape.classes <= palette * MULTIPLES.len(), "{:?}", shape);
+            }
+
+            #[test]
+            fn one_workspace_serves_palette_and_distinct_problems_alike(seed in 0u64..u64::MAX) {
+                // Reuse across shapes, with the stamp about to wrap: a
+                // stale table slot or list link must never be read.
+                let mut rng = StdRng::seed_from_u64(seed);
+                let mut ws = FairnessWorkspace::new();
+                ws.stamp = u32::MAX - 2;
+                for _ in 0..6 {
+                    let p = if rng.gen_range(0u32..2) == 0 {
+                        palette_problem(rng.gen_range(0..u64::MAX)).0
+                    } else {
+                        properties::adversarial_problem(rng.gen_range(0..u64::MAX))
+                    };
+                    assert_bit_identical_with(&mut ws, &p);
+                }
+            }
+        }
+
+        #[test]
+        fn classes_tied_at_their_ceilings_freeze_in_flow_order() {
+            // A and B have one headroom ratio, so both reach their
+            // ceilings in round one, members interleaved by index on a
+            // resource that stays live: C keeps filling it until it
+            // saturates, and C's final rate is a function of the
+            // resource's `active_w` after the A/B subtractions — whose
+            // low bits depend on the order they were made in.
+            let mut sensitive = 0;
+            for seed in 0..200 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let ratio = rng.gen_range(20.0..400.0);
+                let (wa, wb, wc) =
+                    (rng.gen_range(0.1..3.0), rng.gen_range(0.1..3.0), rng.gen_range(0.1..3.0));
+                let mut p = FairnessProblem::new();
+                let n = rng.gen_range(6usize..40);
+                for f in 0..n {
+                    match f % 3 {
+                        0 => p.add_flow(wa, wa * ratio),
+                        1 => p.add_flow(wb, wb * ratio),
+                        _ => p.add_flow(wc, 1e9),
+                    };
+                }
+                // Room for everyone's growth up to the tie, and some more.
+                let members: Vec<usize> = (0..n).collect();
+                let at_tie = p.weights.iter().sum::<f64>() * ratio;
+                let cap = at_tie * rng.gen_range(1.1..2.0);
+                p.add_resource(ResourceKind::Egress(0), cap, &members);
+                let shape = assert_bit_identical(&p);
+                assert_eq!((shape.classes, shape.live_resources), (3, 1), "{shape:?}");
+                assert!(shape.rounds >= 2, "{shape:?}");
+
+                // The same problem with the tied classes' members grouped
+                // by class: if its C rates differ, this seed can tell
+                // flow order from class order.
+                let mut grouped = FairnessProblem::new();
+                let by_class = |class: usize| (0..n).filter(move |f| f % 3 == class);
+                for f in by_class(0).chain(by_class(1)).chain(by_class(2)) {
+                    grouped.add_flow(p.weights[f], p.ceilings[f]);
+                }
+                grouped.add_resource(ResourceKind::Egress(0), cap, &members);
+                let c_rate = |p: &FairnessProblem| *allocate_max_min(p).last().expect("n >= 6");
+                if c_rate(&p).to_bits() != c_rate(&grouped).to_bits() {
+                    sensitive += 1;
+                }
+            }
+            assert!(sensitive >= 20, "only {sensitive} of 200 draws are order-sensitive");
+        }
+
+        #[test]
+        fn a_class_split_by_a_saturated_resource_keeps_both_rates() {
+            // Members 0 and 1 of the class sit behind a tight NIC and
+            // freeze below the ceiling in round one; members 3 and 4 go on
+            // to reach it, and must neither re-freeze nor overwrite them.
+            let mut p = FairnessProblem::new();
+            for _ in 0..2 {
+                p.add_flow(0.7, 400.0);
+            }
+            p.add_flow(1.3, 900.0);
+            for _ in 0..2 {
+                p.add_flow(0.7, 400.0);
+            }
+            p.add_resource(ResourceKind::Egress(0), 300.0, &[0, 1, 2]);
+            p.add_resource(ResourceKind::Egress(1), 800.0, &[3, 4]);
+            let shape = assert_bit_identical(&p);
+            assert_eq!((shape.flows, shape.classes), (5, 2), "{shape:?}");
+            let rates = allocate_max_min(&p);
+            assert!(rates[0] < 100.0 && rates[0] == rates[1], "{rates:?}");
+            assert_eq!((rates[3], rates[4]), (400.0, 400.0));
+        }
+
+        #[test]
+        fn a_class_frozen_whole_by_its_resources_leaves_the_rounds() {
+            // All of class A freezes when its NIC saturates at t = 100. If
+            // it stayed in the live list, its phantom ceiling at t = 1000
+            // would cut the last round (B to its ceiling at 500, then C's
+            // NIC at 1500) in two.
+            let mut p = FairnessProblem::new();
+            for _ in 0..3 {
+                p.add_flow(1.0, 1000.0); // A
+            }
+            for _ in 0..2 {
+                p.add_flow(0.9, 450.0); // B
+            }
+            for _ in 0..2 {
+                p.add_flow(0.7, 2000.0); // C
+            }
+            p.add_resource(ResourceKind::Egress(0), 300.0, &[0, 1, 2]);
+            p.add_resource(ResourceKind::Egress(1), 2100.0, &[5, 6]);
+            let shape = assert_bit_identical(&p);
+            assert_eq!((shape.flows, shape.classes, shape.rounds), (7, 3, 3), "{shape:?}");
+        }
+
+        #[test]
+        fn a_member_listed_twice_is_frozen_once() {
+            let mut p = FairnessProblem::new();
+            for _ in 0..4 {
+                p.add_flow(0.9, 350.0);
+            }
+            p.add_flow(2.1, 5000.0);
+            // Saturates with its double entry still active…
+            p.add_resource(ResourceKind::Egress(0), 500.0, &[0, 1, 1, 4]);
+            // …and one whose double entry reaches the ceiling instead.
+            p.add_resource(ResourceKind::Egress(1), 700.0, &[2, 3, 3]);
+            let shape = assert_bit_identical(&p);
+            assert_eq!((shape.flows, shape.classes), (5, 2), "{shape:?}");
+        }
+
+        #[test]
+        fn an_unbounded_class_stops_at_its_resources_or_not_at_all() {
+            let mut p = FairnessProblem::new();
+            for _ in 0..3 {
+                p.add_flow(1.5, f64::INFINITY);
+            }
+            for _ in 0..2 {
+                p.add_flow(0.4, 120.0);
+            }
+            // Flow 0 is capped by a resource; 1 and 2 are on none, so the
+            // solve ends on a non-finite `t_star` with their class live.
+            p.add_resource(ResourceKind::Egress(0), 600.0, &[0, 3]);
+            p.add_resource(ResourceKind::Egress(1), 1000.0, &[4]);
+            let shape = assert_bit_identical(&p);
+            assert_eq!((shape.flows, shape.classes), (5, 2), "{shape:?}");
+            let rates = allocate_max_min(&p);
+            assert!((rates[0] - 480.0).abs() < 1e-6, "{rates:?}");
+            assert!(rates[1] > 0.0 && rates[1] == rates[2], "{rates:?}");
+        }
+
+        #[test]
+        fn dead_flows_join_no_class() {
+            // Bit-equal to each other (and, but for the dead field, to a
+            // live class): none of them may be counted, listed or grown.
+            let mut p = FairnessProblem::new();
+            for f in 0..12 {
+                match f % 4 {
+                    0 => p.add_flow(0.0, 250.0),
+                    1 => p.add_flow(1.1, 0.0),
+                    2 => p.add_flow(1.1, 1e-10),
+                    _ => p.add_flow(1.1, 250.0),
+                };
+            }
+            p.add_resource(ResourceKind::Egress(0), 600.0, &(0..12).collect::<Vec<_>>());
+            let shape = assert_bit_identical(&p);
+            assert_eq!((shape.flows, shape.classes), (3, 1), "{shape:?}");
+            let rates = allocate_max_min(&p);
+            assert!((0..12).all(|f| (rates[f] > 0.0) == (f % 4 == 3)), "{rates:?}");
+        }
+
+        #[test]
+        fn a_stalled_solve_leaves_its_live_classes_their_rate() {
+            // Round one ends at class A's ceiling with 5e-7 Mbps of the
+            // NIC left for weights of 2 000: round two's `t_star` is under
+            // EPS, the NIC saturates, and the solve stops with class C —
+            // on no live resource — still active at what it had reached.
+            let mut p = FairnessProblem::new();
+            for _ in 0..2 {
+                p.add_flow(1000.0, 100.0); // A
+            }
+            for _ in 0..2 {
+                p.add_flow(1000.0, 1000.0); // B
+            }
+            for _ in 0..3 {
+                p.add_flow(500.0, 5000.0); // C
+            }
+            p.add_resource(ResourceKind::Egress(0), 400.0 + 5e-7, &[0, 1, 2, 3]);
+            let shape = assert_bit_identical(&p);
+            assert_eq!((shape.flows, shape.classes, shape.rounds), (7, 3, 2), "{shape:?}");
+            let rates = allocate_max_min(&p);
+            assert!(rates[4] > 50.0 && rates[4] < 50.001, "{rates:?}");
+            assert!(rates[4] == rates[5] && rates[5] == rates[6], "{rates:?}");
+        }
+    }
+
     #[cfg(test)]
     mod properties {
         use super::*;
@@ -929,7 +1443,7 @@ mod tests {
         /// the reference: dead flows (zero or sub-epsilon weight or
         /// ceiling), weights spread over fourteen decades, unbounded
         /// ceilings, and capacities sitting on the slack-test edge.
-        fn adversarial_problem(seed: u64) -> FairnessProblem {
+        pub(super) fn adversarial_problem(seed: u64) -> FairnessProblem {
             use rand::{Rng, SeedableRng};
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
             let mut p = FairnessProblem::new();

@@ -87,7 +87,9 @@ mod params;
 pub use backbone::{Backbone, BackboneHierarchy};
 pub use dynamics::Dynamics;
 pub use engine::{GroupId, GroupReport, NetEngine};
-pub use fairness::{allocate_max_min, FairnessProblem, FairnessWorkspace, ResourceKind};
+pub use fairness::{
+    allocate_max_min, FairnessProblem, FairnessWorkspace, ResourceKind, SolveShape,
+};
 pub use faults::{FaultEvent, FaultKind, FaultSchedule};
 pub use flow::{FlowId, FlowSpec, Transfer, TransferReport};
 pub use geo::{haversine_miles, GeoPoint, Region};

@@ -291,6 +291,25 @@ impl PairProgress {
     }
 }
 
+/// Epoch counts at or past this are "never": `m as f64` stops being exact.
+const DRAIN_CAP: u64 = 1 << 53;
+
+/// Where [`epochs_to_drain`] starts looking: `(remaining − ε) / quota`
+/// rounded up, or `served + 1` if that is larger or the estimate is
+/// negative, not finite or ≥ 2^53. Rounds without `f64::ceil`, a libm
+/// call on baseline x86-64: below 2^53 the truncation converts back
+/// exactly, so one compare says whether it fell short. (NaN fails both
+/// range tests; `-0.0` passes the first, as it did `ceil`'s.)
+fn drain_estimate(remaining: f64, quota: f64, served: u64) -> u64 {
+    let est = (remaining - PAYLOAD_EPS_GB) / quota;
+    if est >= 0.0 && est < DRAIN_CAP as f64 {
+        let whole = est as u64;
+        (whole + u64::from((whole as f64) < est)).max(served + 1)
+    } else {
+        served + 1
+    }
+}
+
 /// Smallest epoch count `m > served` at which a pair at `quota` gigabits
 /// per epoch falls to ≤ [`PAYLOAD_EPS_GB`] remaining, or `None` if it
 /// never drains (zero or vanishing rate). The pair must still be active:
@@ -302,18 +321,12 @@ fn epochs_to_drain(remaining: f64, quota: f64, served: u64) -> Option<u64> {
         return None;
     }
     let left_after = |m: u64| remaining - m as f64 * quota;
-    const CAP: u64 = 1 << 53;
-    let est = ((remaining - PAYLOAD_EPS_GB) / quota).ceil();
-    let mut hi = if est.is_finite() && est >= 0.0 && est < CAP as f64 {
-        (est as u64).max(served + 1)
-    } else {
-        served + 1
-    };
+    let mut hi = drain_estimate(remaining, quota, served);
     while left_after(hi) > PAYLOAD_EPS_GB {
-        if hi >= CAP {
+        if hi >= DRAIN_CAP {
             return None;
         }
-        hi = hi.saturating_mul(2).min(CAP);
+        hi = hi.saturating_mul(2).min(DRAIN_CAP);
     }
     // left_after is monotone non-increasing in m, left_after(served) > eps.
     // The ceil estimate is almost always exact: one look at its
@@ -1023,6 +1036,17 @@ mod reference {
             .collect()
     }
 
+    /// `drain_estimate` by way of `f64::ceil`.
+    pub(super) fn drain_estimate(remaining: f64, quota: f64, served: u64) -> u64 {
+        const CAP: u64 = 1 << 53;
+        let est = ((remaining - PAYLOAD_EPS_GB) / quota).ceil();
+        if est.is_finite() && est >= 0.0 && est < CAP as f64 {
+            (est as u64).max(served + 1)
+        } else {
+            served + 1
+        }
+    }
+
     /// `epochs_to_drain` without the predecessor shortcut: always the
     /// binary search.
     pub(super) fn epochs_to_drain(remaining: f64, quota: f64, served: u64) -> Option<u64> {
@@ -1031,12 +1055,7 @@ mod reference {
         }
         let left_after = |m: u64| remaining - m as f64 * quota;
         const CAP: u64 = 1 << 53;
-        let est = ((remaining - PAYLOAD_EPS_GB) / quota).ceil();
-        let mut hi = if est.is_finite() && est >= 0.0 && est < CAP as f64 {
-            (est as u64).max(served + 1)
-        } else {
-            served + 1
-        };
+        let mut hi = drain_estimate(remaining, quota, served);
         while left_after(hi) > PAYLOAD_EPS_GB {
             if hi >= CAP {
                 return None;
@@ -1597,6 +1616,65 @@ mod tests {
             flows
         }
 
+        /// The fleet's flow-set shape: 4–8 tenants' complete shuffles of
+        /// one block of DCs, 1, 2 or 4 connections per pair, so every
+        /// directed pair carries the same `(weight, ceiling)` more than
+        /// once and `(k·w, k·c)` multiples of it beside.
+        fn arb_tenant_flows(rng: &mut StdRng, n: usize) -> Vec<FlowSpec> {
+            let width = rng.gen_range(2..n.min(16) + 1);
+            let base = rng.gen_range(0..n - width + 1);
+            let mut flows = Vec::new();
+            for _ in 0..rng.gen_range(4..9) {
+                flows.extend(shuffle(base, width, |_| [1, 2, 4][rng.gen_range(0usize..3)]));
+            }
+            flows
+        }
+
+        /// The all-pairs shuffle of DCs `base..base + width`, `conns(pair)`
+        /// connections on its `pair`-th directed pair.
+        fn shuffle(
+            base: usize,
+            width: usize,
+            mut conns: impl FnMut(usize) -> u32,
+        ) -> Vec<FlowSpec> {
+            let pairs = (0..width).flat_map(|i| (0..width).map(move |j| (i, j)));
+            pairs
+                .filter(|(i, j)| i != j)
+                .enumerate()
+                .map(|(pair, (i, j))| FlowSpec::new(DcId(base + i), DcId(base + j), conns(pair)))
+                .collect()
+        }
+
+        /// What the solver's class sharing has to work with, pinned so a
+        /// solver change is sized from a test: fleet flow sets repeat
+        /// their `(weight, ceiling)` many times over, a lone heterogeneous
+        /// plan repeats nothing.
+        #[test]
+        fn fleet_flow_sets_repeat_their_classes_and_lone_plans_do_not() {
+            let mut scratch = RateScratch::default();
+
+            // `scale-hier`: eight 16-DC groups on the tiled 64-DC WAN. A
+            // block holds two DCs of every region, so its 240 pairs fall
+            // into one class per region pair.
+            let topo = paper_testbed_tiled(VmType::t2_medium(), 64);
+            let sim = NetSim::new(topo, LinkModelParams::frozen(), 11);
+            let flows: Vec<FlowSpec> =
+                (0..8).flat_map(|k| shuffle(16 * (k % 4), 16, |_| 1)).collect();
+            sim.allocate_rates_with(&flows, &mut scratch);
+            let shape = scratch.ws.last_shape();
+            assert_eq!(shape.flows, 8 * 240);
+            assert!(shape.classes * 20 <= shape.flows, "{shape:?}");
+            assert!(shape.rounds >= 2 && shape.live_resources > 0, "{shape:?}");
+
+            // `wanify-loop`: one plan on 8 DCs, its own connection count
+            // on every pair.
+            let sim =
+                NetSim::new(paper_testbed_n(VmType::t2_medium(), 8), LinkModelParams::frozen(), 11);
+            sim.allocate_rates_with(&shuffle(0, 8, |pair| 1 + pair as u32), &mut scratch);
+            let shape = scratch.ws.last_shape();
+            assert_eq!((shape.flows, shape.classes), (56, 56), "{shape:?}");
+        }
+
         proptest! {
             #[test]
             fn allocate_rates_is_bit_identical_to_reference(seed in 0u64..u64::MAX) {
@@ -1604,8 +1682,11 @@ mod tests {
                 let sim = arb_sim(&mut rng);
                 let mut scratch = RateScratch::default();
                 // Several flow sets through one scratch: reuse must not leak.
-                for _ in 0..3 {
-                    let flows = arb_flows(&mut rng, sim.topology().len());
+                for round in 0..4 {
+                    let n = sim.topology().len();
+                    let tenants = round % 2 == 1;
+                    let flows =
+                        if tenants { arb_tenant_flows(&mut rng, n) } else { arb_flows(&mut rng, n) };
                     let fast = sim.allocate_rates_with(&flows, &mut scratch);
                     let slow = reference::allocate_rates(&sim, &flows);
                     prop_assert_eq!(fast.len(), slow.len());
@@ -1613,6 +1694,12 @@ mod tests {
                         prop_assert_eq!(a.to_bits(), b.to_bits(),
                             "flow {} {:?}: {} vs reference {}", f, flows[f], a, b);
                     }
+                    // Four tenants and three connection counts: any pair
+                    // that is up repeats a class, so the class-sharing
+                    // rounds ran on shared classes.
+                    let shape = scratch.ws.last_shape();
+                    prop_assert!(!tenants || shape.flows == 0 || shape.classes < shape.flows,
+                        "{:?}", shape);
                 }
             }
 
@@ -1636,6 +1723,43 @@ mod tests {
                     let served = (skip * (m - 1) as f64) as u64;
                     prop_assert_eq!(epochs_to_drain(remaining, quota, served), Some(m));
                     prop_assert_eq!(reference::epochs_to_drain(remaining, quota, served), Some(m));
+                }
+            }
+
+            #[test]
+            fn drain_estimate_rounds_up_like_ceil_on_the_edges(
+                quota_exp in -20i32..21,
+                mantissa in 1.0f64..2.0,
+                whole in 0u64..5000,
+                frac in -1.0f64..1.0,
+                edge in 0usize..12,
+                served in 0u64..3,
+            ) {
+                // Estimates in (-1, 0], on and beside whole numbers, around
+                // 2^52 and 2^53 (where every double is whole), infinite and
+                // NaN: the reference keeps the `ceil` expression.
+                let quota = [mantissa, 1.0][edge % 2] * 2f64.powi(quota_exp);
+                let two52 = (1u64 << 52) as f64;
+                let epochs = [
+                    frac.min(0.0),
+                    -0.0,
+                    whole as f64,
+                    whole as f64 + frac * 1e-9,
+                    whole as f64 + frac,
+                    two52 - 1.0,
+                    two52 + 1.0,
+                    2.0 * two52 - 1.0,
+                    2.0 * two52,
+                    4.0 * two52,
+                    f64::INFINITY,
+                    f64::NAN,
+                ][edge];
+                let remaining = epochs * quota + PAYLOAD_EPS_GB;
+                for quota in [quota, -quota, f64::NAN, f64::INFINITY, f64::MIN_POSITIVE] {
+                    prop_assert_eq!(
+                        drain_estimate(remaining, quota, served),
+                        reference::drain_estimate(remaining, quota, served),
+                        "remaining {} quota {}", remaining, quota);
                 }
             }
 
