@@ -49,7 +49,10 @@ fn main() {
             eprintln!("valid ids: {}", registry::experiment_ids().join(" "));
             std::process::exit(2);
         });
-        println!("=== {id} ({:.1}s) ===", start.elapsed().as_secs_f64());
+        // Wall-clock goes to stderr: stdout is the byte-stable artifact
+        // that `REPRO.md` pins.
+        eprintln!("{id}: {:.1}s", start.elapsed().as_secs_f64());
+        println!("=== {id} ===");
         println!("{output}");
     }
 }

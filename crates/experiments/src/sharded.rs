@@ -70,8 +70,6 @@ impl ShardedResult {
             .map(|r| {
                 vec![
                     if r.shards == 0 { "single".into() } else { format!("{}", r.shards) },
-                    format!("{:.3}", r.wall_s),
-                    format!("{:.2}x", r.speedup),
                     format!("{:.4}", r.throughput_jobs_per_s),
                     format!("{:.0}", r.p50_makespan_s),
                     format!("{:.0}", r.p95_makespan_s),
@@ -79,10 +77,7 @@ impl ShardedResult {
                 ]
             })
             .collect();
-        out.push_str(&render_table(
-            &["shards", "wall s", "speedup", "jobs/s", "p50 mkspan", "p95", "syncs"],
-            &rows,
-        ));
+        out.push_str(&render_table(&["shards", "jobs/s", "p50 mkspan", "p95", "syncs"], &rows));
         out
     }
 }
@@ -188,7 +183,7 @@ mod tests {
             assert!(row.throughput_jobs_per_s > 0.0, "{} shards served nothing", row.shards);
             assert!(row.p95_makespan_s >= row.p50_makespan_s);
         }
-        assert!(result.render().contains("speedup"));
+        assert!(result.render().contains("syncs"));
     }
 
     #[test]
