@@ -13,16 +13,18 @@ use crate::{
     text, timed, Bench, NoopHook, Run, Value,
 };
 use std::fmt::Write as _;
-use wanify_experiments::{gateway as gateway_study, Effort};
+use wanify::StaticIndependent;
+use wanify_experiments::common::fleet_engine;
+use wanify_experiments::{gateway as gateway_study, sharded as sharded_study, Effort};
 use wanify_gda::{
-    poisson_times_iter, Arrivals, FleetConfig, FleetEngine, FleetReport, JobProfile,
-    RoundRobinShards, ShardedFleetEngine, ShardedFleetReport, Tetrium,
+    poisson_times_iter, Arrivals, FleetReport, JobProfile, RoundRobinShards, ShardedFleetEngine,
+    ShardedFleetReport,
 };
 use wanify_netsim::{
-    paper_testbed_n, paper_testbed_tiled, Backbone, BackboneHierarchy, ConnMatrix, EpochHook,
-    LinkModelParams, NetSim, RateScratch, RunStats, Topology, VmType,
+    paper_testbed_tiled, BackboneHierarchy, ConnMatrix, EpochHook, LinkModelParams, NetSim,
+    RateScratch, RunStats, VmType,
 };
-use wanify_workloads::{mixed_trace, regional_mixed_trace, trace_iter, TraceConfig};
+use wanify_workloads::{mixed_trace, trace_iter, TraceConfig};
 
 /// Every `bench` entry; `all` runs them in this order (cheapest first).
 pub static REGISTRY: [Bench; 7] = [
@@ -53,32 +55,6 @@ const MIN_COALESCING_SPEEDUP: f64 = 10.0;
 const MIN_SPEEDUP_AT_4_SHARDS: f64 = 2.0;
 /// `scale`: completed queries per wall-second at the largest arm, full mode.
 const SCALE_MIN_JOBS_PER_WALL_S: f64 = 100.0;
-
-/// The fleet engine `fleet`, `sharded` and `scale` all build their
-/// shards from: frozen dynamics, Tetrium placement, static beliefs.
-fn engine(topo: Topology, max_concurrent: usize, regauge_every_s: f64) -> FleetEngine {
-    FleetEngine::new(
-        NetSim::new(topo, LinkModelParams::frozen(), 11),
-        Box::new(Tetrium::new()),
-        Box::new(wanify::StaticIndependent::new()),
-        FleetConfig { max_concurrent, regauge_every_s, ..FleetConfig::default() },
-    )
-}
-
-/// `shards` round-robin shards: balanced populations, so a sweep
-/// measures decomposition + parallelism rather than placement luck.
-fn round_robin(
-    shards: usize,
-    engine: impl Fn() -> FleetEngine,
-    backbone: Option<Backbone>,
-) -> ShardedFleetEngine {
-    let engines = (0..shards).map(|_| engine()).collect();
-    ShardedFleetEngine::new(engines, Box::new(RoundRobinShards::new()), backbone)
-}
-
-fn closed(clients: usize) -> Arrivals {
-    Arrivals::Closed { clients, think_s: 0.0 }
-}
 
 /// One bit-exact line per retained outcome.
 fn outcome_lines(report: &FleetReport) -> String {
@@ -290,19 +266,20 @@ fn gateway(smoke: bool) -> Run {
     let effort = if smoke { Effort::Quick } else { Effort::Full };
     let section = |r: &gateway_study::GatewayResult| {
         let rows = r.rows.iter().map(|row| {
+            let (report, s) = (&row.report, &row.report.fleet.serving);
             Obj(vec![
                 ("load_multiple", fixed(row.load_multiple, 2)),
                 ("rate_per_s", fixed(row.rate_per_s, 6)),
-                ("offered", num(row.offered)),
-                ("served", num(row.served)),
-                ("good", num(row.good)),
-                ("shed", num(row.shed)),
-                ("rejected", num(row.rejected)),
-                ("deadline_misses", num(row.deadline_misses)),
-                ("goodput_per_s", fixed(row.goodput_per_s, 6)),
-                ("latency_p50_s", fixed(row.latency_p50_s, 3)),
-                ("latency_p99_s", fixed(row.latency_p99_s, 3)),
-                ("duration_s", fixed(row.duration_s, 3)),
+                ("offered", num(s.offered)),
+                ("served", num(report.served())),
+                ("good", num(report.good())),
+                ("shed", num(s.shed_jobs)),
+                ("rejected", num(s.rejected)),
+                ("deadline_misses", num(s.deadline_misses)),
+                ("goodput_per_s", fixed(row.goodput_per_s(), 6)),
+                ("latency_p50_s", fixed(report.latency.p50, 3)),
+                ("latency_p99_s", fixed(report.latency.p99, 3)),
+                ("duration_s", fixed(report.fleet.duration_s, 3)),
             ])
         });
         Obj(vec![
@@ -316,8 +293,8 @@ fn gateway(smoke: bool) -> Run {
     };
     let (result, wall_s, digest) =
         identical("gateway", || gateway_study::run(effort, 77), |r| section(r).render(0));
-    let at_sat = result.at(1.0).expect("the sweep has a saturation point").goodput_per_s;
-    let at_2x = result.at(2.0).expect("the sweep has a 2x point").goodput_per_s;
+    let at_sat = result.at(1.0).expect("the sweep has a saturation point").goodput_per_s();
+    let at_2x = result.at(2.0).expect("the sweep has a 2x point").goodput_per_s();
     assert!(
         at_2x >= GOODPUT_FLOOR_AT_2X * at_sat,
         "goodput collapse past saturation: {at_2x:.4}/s at 2x vs {at_sat:.4}/s at 1x (floor \
@@ -333,8 +310,8 @@ fn fleet(smoke: bool) -> Run {
     let (n, n_jobs) = if smoke { (4, 16) } else { (8, 60) };
     let trace = mixed_trace(&TraceConfig::new(n, n_jobs, 42).scaled(0.5));
     let serve = |jobs: &[JobProfile], clients: usize| {
-        engine(paper_testbed_n(VmType::t2_medium(), n), clients, 300.0)
-            .run(jobs, &closed(clients))
+        fleet_engine(frozen_sim(n), Box::new(StaticIndependent::new()), clients, 300.0)
+            .run(jobs, &Arrivals::Closed { clients, think_s: 0.0 })
             .expect("bench trace matches its topology")
     };
     let (fleet, wall_s, digest) = identical("fleet", || serve(&trace, n_jobs), fleet_digest);
@@ -395,33 +372,22 @@ fn fleet(smoke: bool) -> Run {
     }
 }
 
-/// One region-tagged mixed trace served by the single engine and by
-/// 1/2/4(/8) shards coupled through a continental backbone. The 1-shard arm must
-/// reproduce the single engine bit for bit.
+/// The shard sweep of `wanify_experiments::sharded` (engines at seed 11,
+/// trace at seed 42): one region-tagged mixed trace served by the single
+/// engine and by 1/2/4(/8) shards coupled through a continental
+/// backbone. The 1-shard arm must reproduce the single engine bit for bit.
 fn sharded(smoke: bool) -> Run {
-    let (n, n_jobs, shard_counts): (usize, usize, &[usize]) =
-        if smoke { (4, 16, &[1, 2, 4]) } else { (8, 60, &[1, 2, 4, 8]) };
-    let topo = || paper_testbed_n(VmType::t2_medium(), n);
-    let backbone = || Backbone::continental(&topo(), 4000.0, 30.0);
-    let trace =
-        regional_mixed_trace(&TraceConfig::new(n, n_jobs, 42).scaled(0.5), backbone().groups());
+    let sweep = sharded_study::Sweep::new(if smoke { Effort::Quick } else { Effort::Full }, 11, 42);
+    let (n, n_jobs) = (sweep.topo.len(), sweep.trace.len());
 
-    let (single, single_wall_s) = timed(|| {
-        engine(topo(), n_jobs, 300.0)
-            .run(&trace, &closed(n_jobs))
-            .expect("bench trace matches its topology")
-    });
+    let (single, single_wall_s) = timed(|| sweep.single());
     assert_eq!(single.outcomes.len(), n_jobs, "every query must complete");
 
     let (mut arms, mut wall_arms, mut digest) = (Vec::new(), Vec::new(), String::new());
-    for &shards in shard_counts {
+    for &shards in sweep.shard_counts {
         let (report, wall_s, arm_digest) = identical(
             &format!("{shards}-shard"),
-            || {
-                round_robin(shards, || engine(topo(), n_jobs, 300.0), Some(backbone()))
-                    .run(&trace, &closed(n_jobs))
-                    .expect("bench trace matches its topology")
-            },
+            || sweep.arm(shards),
             |r: &ShardedFleetReport| fleet_digest(&r.fleet),
         );
         assert_eq!(report.fleet.outcomes.len(), n_jobs, "every query must complete");
@@ -494,7 +460,14 @@ fn scale(smoke: bool) -> Run {
             BackboneHierarchy::regional_continental(&topo(), 4000.0, 8000.0, 30.0, 90.0);
         let times = poisson_times_iter(RATE_PER_S, 42).expect("positive rate");
         let jobs = trace_iter(&TraceConfig::new(n_dcs, queries, 42).scaled(0.25));
-        let report = round_robin(shards, || engine(topo(), 8, 3600.0), None)
+        // Round-robin placement: balanced shard populations, so the arms
+        // measure decomposition + parallelism rather than placement luck.
+        let shard = |_| {
+            let sim = NetSim::new(topo(), LinkModelParams::frozen(), 11);
+            fleet_engine(sim, Box::new(StaticIndependent::new()), 8, 3600.0)
+        };
+        let engines = (0..shards).map(shard).collect();
+        let report = ShardedFleetEngine::new(engines, Box::new(RoundRobinShards::new()), None)
             .with_hierarchy(hierarchy)
             .run_stream(queries, Box::new(times.zip(jobs)), RETAIN_OUTCOMES)
             .expect("scale trace matches its topology");

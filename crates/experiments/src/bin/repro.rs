@@ -2,55 +2,48 @@
 //! beyond-the-paper fleet and fault-injection studies).
 //!
 //! ```text
-//! repro [--quick] [--seed N] <id>|all
+//! repro [--quick] [--seed N] <id>... | all
 //! ```
 //!
-//! Valid ids come from `wanify_experiments::registry` — the paper
-//! artifacts (`table1` … `sec583`), the fleet studies (`fleet`,
-//! `sharded`, `model`), the whole scenario suite (`scenarios`) and
-//! individual `scenario:<name>` entries. An unknown id exits nonzero and
-//! prints the full list.
+//! Valid ids are `wanify_experiments::registry::ENTRIES` (`all` runs
+//! exactly those, in order) plus one `scenario:<name>` per committed
+//! scenario. Every argument is checked before anything runs: an unknown
+//! id or flag exits with status 2 and the full id list. Stdout carries
+//! simulated values only — `REPRO.md` pins `repro --quick all` — and the
+//! per-id wall-clock goes to stderr.
 
-use wanify_experiments::{registry, Effort};
+use wanify_experiments::common::{Effort, ExpEnv};
+use wanify_experiments::registry;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut effort = Effort::Full;
     let mut seed = 42u64;
     let mut ids: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--quick" => effort = Effort::Quick,
             "--seed" => {
-                seed = it
+                seed = args
                     .next()
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage("--seed needs an integer"));
             }
             "--help" | "-h" => usage(""),
-            other => ids.push(other.to_string()),
+            flag if flag.starts_with('-') => usage(&format!("unknown flag: {flag}")),
+            "all" => ids.extend(registry::ENTRIES.iter().map(|e| e.id.to_string())),
+            id if registry::is_known(id) => ids.push(id.to_string()),
+            id => usage(&format!("unknown experiment id: {id}")),
         }
     }
     if ids.is_empty() {
         usage("no experiment id given");
     }
-    // `all` runs the base ids; the `scenarios` entry already covers every
-    // individual `scenario:<name>`, so those aren't repeated.
-    let selected: Vec<String> = if ids.iter().any(|i| i == "all") {
-        registry::BASE_IDS.iter().map(|s| s.to_string()).collect()
-    } else {
-        ids
-    };
-    for id in selected {
+    // The 8-DC paper environment every artifact shares, trained once.
+    let env = ExpEnv::new(8, effort, seed);
+    for id in ids {
         let start = std::time::Instant::now();
-        let output = registry::run(&id, effort, seed).unwrap_or_else(|| {
-            eprintln!("unknown experiment id: {id}");
-            eprintln!("valid ids: {}", registry::experiment_ids().join(" "));
-            std::process::exit(2);
-        });
-        // Wall-clock goes to stderr: stdout is the byte-stable artifact
-        // that `REPRO.md` pins.
+        let output = registry::run(&id, &env).expect("every id was checked");
         eprintln!("{id}: {:.1}s", start.elapsed().as_secs_f64());
         println!("=== {id} ===");
         println!("{output}");
@@ -62,7 +55,7 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: repro [--quick] [--seed N] <id>|all\nids: {}",
+        "usage: repro [--quick] [--seed N] <id>... | all\nids: {}",
         registry::experiment_ids().join(" ")
     );
     std::process::exit(2);

@@ -1,25 +1,31 @@
-//! Shared experiment infrastructure: environments, bandwidth beliefs and
-//! rendering.
+//! The evaluation grid's shared half: the environment, the arms and the
+//! one runner.
 //!
-//! Every figure/table driver used to hand-roll its own measure/predict
-//! setup; they now share one harness built on the
-//! [`BandwidthSource`] abstraction: [`ExpEnv::source`] produces the §5.2
-//! beliefs as sources, [`ExpEnv::run_baseline`] runs a job on any belief,
-//! and [`ExpEnv::compare`] performs the canonical baseline-vs-WANify
-//! experiment that fig2/fig5/fig6/fig7/fig8 all reduce to.
+//! The paper's evaluation (§5.2–§5.8) is one grid — workload × bandwidth
+//! belief × scheduler × transfer layer → latency, cost, minimum
+//! bandwidth. [`ExpEnv`] is the testbed plus the trained model; an
+//! [`Arm`] names a belief and a transfer layer; [`ExpEnv::run_arm`]
+//! executes one cell of the grid and [`crate::table`] holds what it
+//! measured. A figure module is an arm list plus a header.
 
+use std::sync::Arc;
 use wanify::{
     BandwidthAnalyzer, BandwidthSource, MeasuredRuntime, PredictedRuntime, Pregauged,
-    StaticIndependent, StaticSimultaneous, WanPredictionModel, Wanify, WanifyConfig, WanifyPlan,
+    StaticIndependent, StaticSimultaneous, WanPredictionModel, Wanify, WanifyConfig,
 };
-use wanify_gda::{run_job, JobProfile, QueryReport, Scheduler, TransferOptions};
-use wanify_netsim::{paper_testbed_n, BwMatrix, LinkModelParams, NetSim, VmType};
+use wanify_forest::Dataset;
+use wanify_gda::{
+    run_job, FleetConfig, FleetEngine, JobProfile, Kimchi, QueryReport, Scheduler, Tetrium,
+    TransferOptions,
+};
+use wanify_netsim::{
+    paper_testbed_n, BwMatrix, ConnMatrix, DcId, Grid, LinkModelParams, NetSim, Topology, VmType,
+};
 
 /// How much compute to spend on an experiment.
 ///
 /// `Quick` keeps unit/integration tests fast; `Full` approaches the
-/// paper's sample counts and is what the `repro` binary and the Criterion
-/// benches use.
+/// paper's sample counts and is what the `repro` binary runs by default.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Effort {
     /// Small sample counts for tests.
@@ -54,7 +60,9 @@ impl Effort {
     }
 }
 
-/// The bandwidth beliefs of §5.2, by provenance.
+/// The bandwidth beliefs of §5.2, by provenance. Tables label a belief
+/// by its source's name ([`BandwidthSource::name`], which every
+/// [`QueryReport`] carries as `belief`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Belief {
     /// One pair at a time, measured once (existing systems).
@@ -67,61 +75,131 @@ pub enum Belief {
     MeasuredRuntime,
 }
 
-impl Belief {
-    /// The provenance label used in tables and reports.
-    pub fn label(self) -> &'static str {
+/// Which WANify pieces an [`Arm::Wanify`] enables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WanifyMode {
+    /// Use the heterogeneous connection plan (global optimization).
+    pub global: bool,
+    /// Run the AIMD local agents during shuffles.
+    pub local: bool,
+    /// Enable traffic-control throttling.
+    pub throttling: bool,
+}
+
+impl WanifyMode {
+    /// Everything on (the paper's default WANify / WANify-TC).
+    pub const fn full() -> Self {
+        Self { global: true, local: true, throttling: true }
+    }
+
+    /// Global + local without throttling (WANify-Dynamic).
+    pub const fn dynamic() -> Self {
+        Self { global: true, local: true, throttling: false }
+    }
+
+    /// Global optimization only (the Fig. 8 ablation arm).
+    pub const fn global_only() -> Self {
+        Self { global: true, local: false, throttling: false }
+    }
+
+    /// Local agents only, on a static 1..=M window (Fig. 8 ablation arm).
+    pub const fn local_only() -> Self {
+        Self { global: false, local: true, throttling: false }
+    }
+}
+
+/// One arm of the evaluation grid: what the scheduler believes and what
+/// carries its transfers. The parallel layers run on WANify's predicted
+/// runtime bandwidth, as in the paper.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Arm {
+    /// One connection per pair, planning on the given belief (the
+    /// schedulers as published, on static-independent).
+    Single(Belief),
+    /// The same `k` parallel connections on every pair (WANify-P).
+    Uniform(u32),
+    /// WANify's heterogeneous plan per `mode`; `skew` feeds the job's
+    /// storage-layer skew weights into the plan (§5.8.1).
+    Wanify {
+        /// Which WANify pieces are on.
+        mode: WanifyMode,
+        /// Whether the plan sees the input layout's skew weights.
+        skew: bool,
+    },
+}
+
+impl Arm {
+    /// WANify per `mode`, skew-unaware.
+    pub const fn wanify(mode: WanifyMode) -> Self {
+        Arm::Wanify { mode, skew: false }
+    }
+
+    /// The belief the arm plans on.
+    pub fn belief(self) -> Belief {
         match self {
-            Belief::StaticIndependent => "static-independent",
-            Belief::StaticSimultaneous => "static-simultaneous",
-            Belief::Predicted => "predicted",
-            Belief::MeasuredRuntime => "measured-runtime",
+            Arm::Single(belief) => belief,
+            Arm::Uniform(_) | Arm::Wanify { .. } => Belief::Predicted,
         }
     }
 }
 
-/// The standard experiment environment: the 8-DC AWS testbed, a trained
-/// prediction model and the three bandwidth beliefs of §5.2.
+/// The standard experiment environment: a testbed, a trained prediction
+/// model and the bandwidth beliefs of §5.2. It is also what every registry
+/// entry runs under — `repro` builds the 8-DC one once (the fit is
+/// seed-deterministic at any thread count) and hands it to each.
 #[derive(Debug)]
 pub struct ExpEnv {
     /// Number of DCs.
     pub n: usize,
-    /// Worker VM flavor.
-    pub vm: VmType,
+    /// The testbed every [`ExpEnv::sim`] is built on.
+    pub topo: Topology,
     /// Base RNG seed; every run derives from it deterministically.
     pub seed: u64,
     /// Trained WAN prediction model, shared by every predicted source
     /// built from this environment.
-    pub model: std::sync::Arc<WanPredictionModel>,
+    pub model: Arc<WanPredictionModel>,
     /// Effort level used to build the environment.
     pub effort: Effort,
 }
 
+/// The analyzer's training set over cluster `sizes` at `effort`'s sample
+/// count, on the worker VM flavor.
+pub fn training_data(effort: Effort, sizes: &[usize], seed: u64) -> Dataset {
+    let analyzer = BandwidthAnalyzer {
+        vm: VmType::t2_medium(),
+        params: LinkModelParams::default(),
+        samples_per_size: effort.samples_per_size(),
+    };
+    analyzer.collect(sizes, seed)
+}
+
 impl ExpEnv {
-    /// Builds the environment, training the model on sizes `2..=n`
+    /// The first `n` paper regions, the model trained on sizes `2..=n`
     /// (capped to 8) as §3.3.2 prescribes.
     pub fn new(n: usize, effort: Effort, seed: u64) -> Self {
+        let topo = paper_testbed_n(VmType::t2_medium(), n);
         let sizes: Vec<usize> = (2..=n.min(8)).collect();
-        let analyzer = BandwidthAnalyzer {
-            vm: VmType::t2_medium(),
-            params: LinkModelParams::default(),
-            samples_per_size: effort.samples_per_size(),
-        };
-        let data = analyzer.collect(&sizes, seed ^ 0xA5A5);
-        let model = std::sync::Arc::new(WanPredictionModel::train(
-            &data,
-            effort.n_estimators(),
-            seed ^ 0x5A5A,
-        ));
-        Self { n, vm: VmType::t2_medium(), seed, model, effort }
+        Self::trained(topo, &sizes, [seed ^ 0xA5A5, seed ^ 0x5A5A], effort, seed)
     }
 
-    /// A fresh simulator with the environment's topology, offset by `run`.
+    /// Any testbed, the model trained on cluster `sizes` with the given
+    /// `[collect, fit]` seeds.
+    pub fn trained(
+        topo: Topology,
+        sizes: &[usize],
+        [collect_seed, fit_seed]: [u64; 2],
+        effort: Effort,
+        seed: u64,
+    ) -> Self {
+        let data = training_data(effort, sizes, collect_seed);
+        let model = WanPredictionModel::train(&data, effort.n_estimators(), fit_seed);
+        Self { n: topo.len(), topo, seed, model: Arc::new(model), effort }
+    }
+
+    /// A fresh simulator on the environment's testbed, offset by `run`.
     pub fn sim(&self, run: u64) -> NetSim {
-        NetSim::new(
-            paper_testbed_n(self.vm.clone(), self.n),
-            LinkModelParams::default(),
-            self.seed.wrapping_add(run.wrapping_mul(0x9E37_79B9)),
-        )
+        let seed = self.seed.wrapping_add(run.wrapping_mul(0x9E37_79B9));
+        NetSim::new(self.topo.clone(), LinkModelParams::default(), seed)
     }
 
     /// Builds a [`BandwidthSource`] for the requested belief.
@@ -143,130 +221,82 @@ impl ExpEnv {
         self.source(belief).gauge(sim).expect("environment sources match their topology")
     }
 
-    /// Runs `job` under `scheduler` with a plain (non-WANify) transfer
-    /// layer, planning on the given belief.
-    pub fn run_baseline(
+    /// Runs `job` under `scheduler` on one arm of the grid, on the
+    /// simulator derived from `run_id` — arms that share a `run_id` see
+    /// the same network.
+    pub fn run_arm(
         &self,
-        sim: &mut NetSim,
-        job: &JobProfile,
-        scheduler: &dyn Scheduler,
-        belief: Belief,
-    ) -> QueryReport {
-        run_job(sim, job, scheduler, self.source(belief).as_mut(), TransferOptions::default())
-            .expect("environment jobs match their topology")
-    }
-
-    /// The canonical experiment: the scheduler as published
-    /// (static-independent belief, single connections) versus the same
-    /// scheduler WANify-enabled (predicted belief, heterogeneous
-    /// connections, agents, throttling per `mode`). Both runs use the same
-    /// derived simulator seed.
-    pub fn compare(
-        &self,
-        job: &JobProfile,
-        scheduler: &dyn Scheduler,
         run_id: u64,
-        mode: WanifyMode,
-    ) -> WanifyComparison {
-        let mut sim = self.sim(run_id);
-        let baseline = self.run_baseline(&mut sim, job, scheduler, Belief::StaticIndependent);
-        let mut sim = self.sim(run_id);
-        let wanified = run_wanified(
-            &mut sim,
-            job,
-            scheduler,
-            self.source(Belief::Predicted).as_mut(),
-            mode,
-            None,
-        );
-        WanifyComparison { baseline, wanified }
+        job: &JobProfile,
+        scheduler: &dyn Scheduler,
+        arm: Arm,
+    ) -> QueryReport {
+        run_arm_on(&mut self.sim(run_id), job, scheduler, self.source(arm.belief()).as_mut(), arm)
     }
 }
 
-/// Outcome of [`ExpEnv::compare`].
-#[derive(Debug, Clone)]
-pub struct WanifyComparison {
-    /// The scheduler as published.
-    pub baseline: QueryReport,
-    /// The same scheduler with WANify engaged.
-    pub wanified: QueryReport,
+/// The two WAN-aware GDA schedulers the paper evaluates, in table order.
+pub fn wan_aware_schedulers() -> [Box<dyn Scheduler>; 2] {
+    [Box::new(Tetrium::new()), Box::new(Kimchi::new())]
 }
 
-impl WanifyComparison {
-    /// Latency improvement of WANify over the baseline, percent.
-    pub fn latency_pct(&self) -> f64 {
-        improvement_pct(self.baseline.latency_s, self.wanified.latency_s)
-    }
+/// `k` connections on every directed pair.
+pub fn uniform_conns(n: usize, k: u32) -> ConnMatrix {
+    ConnMatrix::from_fn(n, |i, j| if i == j { 1 } else { k })
+}
 
-    /// Cost improvement of WANify over the baseline, percent.
-    pub fn cost_pct(&self) -> f64 {
-        improvement_pct(self.baseline.cost.total_usd(), self.wanified.cost.total_usd())
-    }
-
-    /// Minimum-bandwidth ratio (WANify / baseline); 1 when unobserved.
-    pub fn min_bw_ratio(&self) -> f64 {
-        if self.baseline.min_bw_mbps > 0.0 {
-            self.wanified.min_bw_mbps / self.baseline.min_bw_mbps
-        } else {
-            1.0
+/// Engages a plan's finite traffic-control caps on `sim`.
+pub fn apply_throttles(sim: &mut NetSim, caps: &Grid<f64>) {
+    for (i, j, cap) in caps.iter_pairs() {
+        if cap.is_finite() {
+            sim.set_throttle(DcId(i), DcId(j), cap);
         }
     }
 }
 
-/// Which WANify pieces to enable in [`run_wanified`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WanifyMode {
-    /// Use the heterogeneous connection plan (global optimization).
-    pub global: bool,
-    /// Run the AIMD local agents during shuffles.
-    pub local: bool,
-    /// Enable traffic-control throttling.
-    pub throttling: bool,
+/// [`ExpEnv::run_arm`] for callers that bring their own simulator and
+/// their own `source`, which stands in for the arm's belief. The plain
+/// arms hand the source to the scheduler as is.
+pub fn run_arm_on(
+    sim: &mut NetSim,
+    job: &JobProfile,
+    scheduler: &dyn Scheduler,
+    source: &mut dyn BandwidthSource,
+    arm: Arm,
+) -> QueryReport {
+    let uniform;
+    let conns = match arm {
+        Arm::Wanify { mode, skew } => return wanify_arm(sim, job, scheduler, source, mode, skew),
+        Arm::Uniform(k) => {
+            uniform = uniform_conns(sim.topology().len(), k);
+            Some(&uniform)
+        }
+        Arm::Single(_) => None,
+    };
+    run_job(sim, job, scheduler, source, TransferOptions { conns, hook: None })
+        .expect("environment jobs match their topology")
 }
 
-impl WanifyMode {
-    /// Everything on (the paper's default WANify / WANify-TC).
-    pub fn full() -> Self {
-        Self { global: true, local: true, throttling: true }
-    }
-
-    /// Global + local without throttling (WANify-Dynamic).
-    pub fn dynamic() -> Self {
-        Self { global: true, local: true, throttling: false }
-    }
-
-    /// Global optimization only (the Fig. 8 ablation arm).
-    pub fn global_only() -> Self {
-        Self { global: true, local: false, throttling: false }
-    }
-
-    /// Local agents only, on a static 1..=M window (Fig. 8 ablation arm).
-    pub fn local_only() -> Self {
-        Self { global: false, local: true, throttling: false }
-    }
-}
-
-/// Runs `job` under `scheduler` with WANify engaged per `mode`, planning
-/// from any [`BandwidthSource`].
-///
-/// The source is gauged once; WANify plans on the gauged matrix, the
+/// WANify gauges the source once and plans on the gauged matrix; the
 /// scheduler receives the plan's feasible achievable-bandwidth belief,
 /// transfers start from the plan's connection matrix and the agents
 /// fine-tune from there.
-pub fn run_wanified(
+fn wanify_arm(
     sim: &mut NetSim,
     job: &JobProfile,
     scheduler: &dyn Scheduler,
     source: &mut dyn BandwidthSource,
     mode: WanifyMode,
-    skew_weights: Option<Vec<f64>>,
+    skew: bool,
 ) -> QueryReport {
-    let predicted_bw = source.gauge(sim).expect("bandwidth source must match the topology");
     let n = sim.topology().len();
-    let config =
-        WanifyConfig { throttling: mode.throttling, skew_weights, ..WanifyConfig::default() };
-    let wanify = Wanify::new(config.clone());
-    let plan: WanifyPlan = if mode.global {
+    let predicted_bw = source.gauge(sim).expect("bandwidth source must match the topology");
+    let wanify = Wanify::new(WanifyConfig {
+        throttling: mode.throttling,
+        skew_weights: skew.then(|| job.layout.skew_weights()),
+        ..WanifyConfig::default()
+    });
+    let plan = if mode.global {
         wanify.plan_matrix(&predicted_bw)
     } else {
         // Local-only ablation: a flat 1..=M window on every pair, unaware
@@ -285,16 +315,10 @@ pub fn run_wanified(
         plan
     };
 
-    // Apply initial traffic-control caps.
     sim.clear_throttles();
     if mode.throttling {
-        for (i, j, cap) in plan.initial_throttles.iter_pairs() {
-            if cap.is_finite() {
-                sim.set_throttle(wanify_netsim::DcId(i), wanify_netsim::DcId(j), cap);
-            }
-        }
+        apply_throttles(sim, &plan.initial_throttles);
     }
-
     let mut belief =
         Pregauged::named(plan.feasible_achievable_bw(), format!("wanify({})", source.name()));
     let conns = plan.initial_conns().clone();
@@ -309,6 +333,19 @@ pub fn run_wanified(
     report
 }
 
+/// The fleet engine every fleet study and fleet bench serves from:
+/// Tetrium placement over `sim`, one shared `belief` re-gauged every
+/// `regauge_every_s`, `max_concurrent` admission slots.
+pub fn fleet_engine(
+    sim: NetSim,
+    belief: Box<dyn BandwidthSource>,
+    max_concurrent: usize,
+    regauge_every_s: f64,
+) -> FleetEngine {
+    let config = FleetConfig { max_concurrent, regauge_every_s, ..FleetConfig::default() };
+    FleetEngine::new(sim, Box::new(Tetrium::new()), belief, config)
+}
+
 /// Percentage improvement of `new` over `baseline` (positive = better/lower).
 pub fn improvement_pct(baseline: f64, new: f64) -> f64 {
     if baseline == 0.0 {
@@ -317,54 +354,25 @@ pub fn improvement_pct(baseline: f64, new: f64) -> f64 {
     100.0 * (baseline - new) / baseline
 }
 
-/// Renders rows of `(label, values…)` as an aligned table.
-pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
-    let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
-    for row in rows {
-        for (k, cell) in row.iter().enumerate() {
-            if k < widths.len() {
-                widths[k] = widths[k].max(cell.len());
-            }
-        }
-    }
-    let mut out = String::new();
-    for (k, h) in header.iter().enumerate() {
-        out.push_str(&format!("{:<w$}  ", h, w = widths[k]));
-    }
-    out.push('\n');
-    for (k, _) in header.iter().enumerate() {
-        out.push_str(&format!("{:-<w$}  ", "", w = widths[k]));
-    }
-    out.push('\n');
-    for row in rows {
-        for (k, cell) in row.iter().enumerate() {
-            out.push_str(&format!("{:<w$}  ", cell, w = widths[k]));
-        }
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wanify_gda::{DataLayout, StageProfile, Tetrium};
+    use crate::table::Measured;
+    use wanify_gda::{DataLayout, StageProfile};
+
+    fn small_job(name: &str) -> JobProfile {
+        JobProfile::new(
+            name,
+            DataLayout::uniform(3, 2.0),
+            vec![StageProfile::shuffling("m", 1.0, 1.0), StageProfile::terminal("r", 0.1, 0.5)],
+        )
+    }
 
     #[test]
     fn improvement_pct_signs() {
         assert!((improvement_pct(100.0, 80.0) - 20.0).abs() < 1e-12);
         assert!(improvement_pct(100.0, 120.0) < 0.0);
         assert_eq!(improvement_pct(0.0, 5.0), 0.0);
-    }
-
-    #[test]
-    fn render_table_aligns_columns() {
-        let s = render_table(
-            &["name", "value"],
-            &[vec!["a".into(), "1".into()], vec!["long-name".into(), "2".into()]],
-        );
-        assert!(s.contains("long-name"));
-        assert!(s.lines().count() == 4);
     }
 
     #[test]
@@ -385,54 +393,45 @@ mod tests {
     #[test]
     fn wanified_run_executes_all_modes() {
         let env = ExpEnv::new(3, Effort::Quick, 5);
-        let job = JobProfile::new(
-            "t",
-            DataLayout::uniform(3, 2.0),
-            vec![StageProfile::shuffling("m", 1.0, 1.0), StageProfile::terminal("r", 0.1, 0.5)],
-        );
+        let job = small_job("t");
         for mode in [
             WanifyMode::full(),
             WanifyMode::dynamic(),
             WanifyMode::global_only(),
             WanifyMode::local_only(),
         ] {
-            let mut sim = env.sim(1);
-            let report = run_wanified(
-                &mut sim,
-                &job,
-                &Tetrium::new(),
-                env.source(Belief::Predicted).as_mut(),
-                mode,
-                None,
-            );
-            assert!(report.latency_s > 0.0, "{mode:?} must produce a run");
+            for skew in [false, true] {
+                let arm = Arm::Wanify { mode, skew };
+                let report = env.run_arm(1, &job, &Tetrium::new(), arm);
+                assert!(report.latency_s > 0.0, "{arm:?} must produce a run");
+            }
         }
+        let uniform = env.run_arm(1, &job, &Tetrium::new(), Arm::Uniform(8));
+        assert!(uniform.latency_s > 0.0 && uniform.belief == "predicted");
     }
 
     #[test]
     fn compare_produces_both_arms() {
         let env = ExpEnv::new(3, Effort::Quick, 8);
-        let job = JobProfile::new(
-            "cmp",
-            DataLayout::uniform(3, 2.0),
-            vec![StageProfile::shuffling("m", 1.0, 1.0), StageProfile::terminal("r", 0.1, 0.5)],
-        );
-        let cmp = env.compare(&job, &Tetrium::new(), 2, WanifyMode::full());
-        assert_eq!(cmp.baseline.belief, "static-independent");
-        assert!(cmp.wanified.belief.starts_with("wanify("));
-        assert!(cmp.min_bw_ratio() > 0.0);
+        let job = small_job("cmp");
+        let baseline =
+            env.run_arm(2, &job, &Tetrium::new(), Arm::Single(Belief::StaticIndependent));
+        let wanified = env.run_arm(2, &job, &Tetrium::new(), Arm::wanify(WanifyMode::full()));
+        assert_eq!(baseline.belief, "static-independent");
+        assert!(wanified.belief.starts_with("wanify("));
+        assert!(Measured::from(&wanified).gain_over(&Measured::from(&baseline)).min_bw_ratio > 0.0);
     }
 
     #[test]
     fn belief_labels_match_source_names() {
         let env = ExpEnv::new(3, Effort::Quick, 9);
-        for belief in [
-            Belief::StaticIndependent,
-            Belief::StaticSimultaneous,
-            Belief::Predicted,
-            Belief::MeasuredRuntime,
+        for (belief, label) in [
+            (Belief::StaticIndependent, "static-independent"),
+            (Belief::StaticSimultaneous, "static-simultaneous"),
+            (Belief::Predicted, "predicted"),
+            (Belief::MeasuredRuntime, "measured-runtime"),
         ] {
-            assert_eq!(env.source(belief).name(), belief.label());
+            assert_eq!(env.source(belief).name(), label);
         }
     }
 }

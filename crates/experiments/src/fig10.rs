@@ -7,168 +7,66 @@
 //! improves average latency by 26.5% / 20.3% / 7.1% over Tetrium /
 //! Tetrium-P / Tetrium-WNS, with 1.2-2.1× higher minimum bandwidth.
 
-use crate::common::{render_table, run_wanified, Belief, Effort, ExpEnv, WanifyMode};
-use wanify_gda::{run_job, JobProfile, Kimchi, Scheduler, Tetrium, TransferOptions};
-use wanify_netsim::ConnMatrix;
+use crate::common::{wan_aware_schedulers, Arm, Belief, ExpEnv, WanifyMode};
+use crate::table::{Col, Measured, Row, Table};
+use wanify_gda::{JobProfile, StageProfile};
 use wanify_workloads::wordcount;
 
-/// One approach's outcome under one scheduler.
-#[derive(Debug, Clone)]
-pub struct Fig10Row {
-    /// Scheduler label.
-    pub scheduler: String,
-    /// Approach label: `single`, `uniform-P`, `wanify-WNS`, `wanify-W`.
-    pub approach: String,
-    /// Latency, seconds.
-    pub latency_s: f64,
-    /// Cost, USD.
-    pub cost_usd: f64,
-    /// Minimum bandwidth, Mbps.
-    pub min_bw_mbps: f64,
-}
-
-/// Result of the Fig. 10 reproduction.
-#[derive(Debug, Clone)]
-pub struct Fig10 {
-    /// 4 approaches × 2 schedulers.
-    pub rows: Vec<Fig10Row>,
-}
-
-impl Fig10 {
-    /// Row lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the pair does not exist.
-    pub fn row(&self, scheduler: &str, approach: &str) -> &Fig10Row {
-        self.rows
-            .iter()
-            .find(|r| r.scheduler == scheduler && r.approach == approach)
-            .expect("row exists")
-    }
-
-    /// Rendered table.
-    pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.scheduler.clone(),
-                    r.approach.clone(),
-                    format!("{:.1}", r.latency_s),
-                    format!("${:.3}", r.cost_usd),
-                    format!("{:.0}", r.min_bw_mbps),
-                ]
-            })
-            .collect();
-        let mut s = String::from("Fig. 10: skewed WordCount (600 MB in 4 DCs)\n");
-        s.push_str(&render_table(
-            &["scheduler", "approach", "latency (s)", "cost", "min BW"],
-            &rows,
-        ));
-        s.push_str("paper: -W beats single/-P/-WNS by 26.5%/20.3%/7.1% (Tetrium)\n");
-        s
-    }
-}
+/// The four approaches, all on predicted runtime bandwidths; `-W` is
+/// `-WNS` plus the storage layer's skew weights.
+pub const ARMS: [(&str, Arm); 4] = [
+    ("single", Arm::Single(Belief::Predicted)),
+    ("uniform-P", Arm::Uniform(8)),
+    ("wanify-WNS", Arm::wanify(WanifyMode::full())),
+    ("wanify-W", Arm::Wanify { mode: WanifyMode::full(), skew: true }),
+];
 
 fn skewed_job(n: usize) -> JobProfile {
     // The paper uses 600 MB on t2.medium hardware where WordCount takes
     // minutes; the simulated fleet is ~20x faster, so the input is scaled
     // by the same factor to recreate the paper's relative WAN stress
-    // (documented in EXPERIMENTS.md). Blocks concentrate in DCs 0-3.
-    let layout = wordcount::skewed_layout(n, 600.0 * 20.0);
-    wanify_gda::JobProfile::new(
+    // (documented in REPRO.md). Blocks concentrate in DCs 0-3.
+    JobProfile::new(
         "wordcount-skewed",
-        layout,
+        wordcount::skewed_layout(n, 600.0 * 20.0),
         vec![
-            wanify_gda::StageProfile::shuffling("tokenize-map", 0.2, 2.5),
-            wanify_gda::StageProfile::terminal("count-reduce", 0.2, 1.0),
+            StageProfile::shuffling("tokenize-map", 0.2, 2.5),
+            StageProfile::terminal("count-reduce", 0.2, 1.0),
         ],
     )
 }
 
-/// Runs all approaches on both schedulers.
-pub fn run(effort: Effort, seed: u64) -> Fig10 {
-    let env = ExpEnv::new(8, effort, seed);
+/// Runs all approaches on both schedulers, one network per scheduler.
+pub fn run(env: &ExpEnv) -> Table {
     let job = skewed_job(env.n);
-    let skew = job.layout.skew_weights();
     let mut rows = Vec::new();
-
-    let schedulers: Vec<Box<dyn Scheduler>> =
-        vec![Box::new(Tetrium::new()), Box::new(Kimchi::new())];
-    for (si, scheduler) in schedulers.iter().enumerate() {
-        let run_id = si as u64 * 100;
-        // Single connection on predicted beliefs.
-        {
-            let mut sim = env.sim(run_id);
-            let r = env.run_baseline(&mut sim, &job, scheduler.as_ref(), Belief::Predicted);
-            rows.push(mk(scheduler.name(), "single", &r));
-        }
-        // Uniform parallel connections.
-        {
-            let mut sim = env.sim(run_id);
-            let conns = ConnMatrix::from_fn(env.n, |i, j| if i == j { 1 } else { 8 });
-            let r = run_job(
-                &mut sim,
-                &job,
-                scheduler.as_ref(),
-                env.source(Belief::Predicted).as_mut(),
-                TransferOptions { conns: Some(&conns), hook: None },
-            )
-            .expect("fig10 jobs match their topology");
-            rows.push(mk(scheduler.name(), "uniform-P", &r));
-        }
-        // WANify without skew weights.
-        {
-            let mut sim = env.sim(run_id);
-            let r = run_wanified(
-                &mut sim,
-                &job,
-                scheduler.as_ref(),
-                env.source(Belief::Predicted).as_mut(),
-                WanifyMode::full(),
-                None,
-            );
-            rows.push(mk(scheduler.name(), "wanify-WNS", &r));
-        }
-        // WANify with skew weights from the storage layer.
-        {
-            let mut sim = env.sim(run_id);
-            let r = run_wanified(
-                &mut sim,
-                &job,
-                scheduler.as_ref(),
-                env.source(Belief::Predicted).as_mut(),
-                WanifyMode::full(),
-                Some(skew.clone()),
-            );
-            rows.push(mk(scheduler.name(), "wanify-W", &r));
+    for (si, scheduler) in wan_aware_schedulers().iter().enumerate() {
+        for (approach, arm) in ARMS {
+            let m = Measured::from(&env.run_arm(si as u64 * 100, &job, scheduler.as_ref(), arm));
+            rows.push(Row::new(&[scheduler.name(), approach], m, m));
         }
     }
-    Fig10 { rows }
-}
-
-fn mk(scheduler: &str, approach: &str, r: &wanify_gda::QueryReport) -> Fig10Row {
-    Fig10Row {
-        scheduler: scheduler.to_string(),
-        approach: approach.to_string(),
-        latency_s: r.latency_s,
-        cost_usd: r.cost.total_usd(),
-        min_bw_mbps: r.min_bw_mbps,
-    }
+    Table::grid(
+        "Fig. 10: skewed WordCount (600 MB in 4 DCs)",
+        &["scheduler", "approach"],
+        &[("latency (s)", Col::Latency(1)), ("cost", Col::Cost(3)), ("min BW", Col::MinBw)],
+        rows,
+    )
+    .expect("two labels per row")
+    .note("paper: -W beats single/-P/-WNS by 26.5%/20.3%/7.1% (Tetrium)")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Effort;
 
     #[test]
     fn skew_aware_wanify_wins() {
-        let f = run(Effort::Quick, 81);
+        let f = run(&ExpEnv::new(8, Effort::Quick, 81));
         for sched in ["tetrium", "kimchi"] {
-            let w = f.row(sched, "wanify-W");
-            let single = f.row(sched, "single");
+            let w = f.row(&[sched, "wanify-W"]);
+            let single = f.row(&[sched, "single"]);
             assert!(
                 w.latency_s < single.latency_s,
                 "{sched}: -W {} must beat single {}",
@@ -180,9 +78,9 @@ mod tests {
 
     #[test]
     fn skew_weights_add_value_over_wns() {
-        let f = run(Effort::Quick, 82);
-        let w = f.row("tetrium", "wanify-W");
-        let wns = f.row("tetrium", "wanify-WNS");
+        let f = run(&ExpEnv::new(8, Effort::Quick, 82));
+        let w = f.row(&["tetrium", "wanify-W"]);
+        let wns = f.row(&["tetrium", "wanify-WNS"]);
         assert!(
             w.latency_s <= wns.latency_s * 1.1,
             "-W ({}) should be at least competitive with -WNS ({})",
@@ -193,7 +91,7 @@ mod tests {
 
     #[test]
     fn eight_rows_present() {
-        let f = run(Effort::Quick, 83);
+        let f = run(&ExpEnv::new(8, Effort::Quick, 83));
         assert_eq!(f.rows.len(), 8);
     }
 }

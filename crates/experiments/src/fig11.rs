@@ -6,9 +6,9 @@
 //! DCs; (b) adds 1-5 extra VMs to three DCs (non-uniform fleets). The
 //! paper's claim: predicted beats static everywhere.
 
-use crate::common::{render_table, Effort, ExpEnv};
-use wanify::{BandwidthSource, MeasuredRuntime, PredictedRuntime, StaticIndependent};
-use wanify_netsim::DcId;
+use crate::common::{Belief, ExpEnv};
+use crate::table::Table;
+use wanify_netsim::{paper_testbed_n, DcId, LinkModelParams, NetSim, VmType};
 
 /// One configuration's accuracy comparison.
 #[derive(Debug, Clone)]
@@ -35,42 +35,35 @@ pub struct Fig11 {
 impl Fig11 {
     /// Rendered summary.
     pub fn render(&self) -> String {
-        let fmt = |rows: &[AccuracyRow]| -> Vec<Vec<String>> {
-            rows.iter()
-                .map(|r| {
-                    vec![
-                        r.label.clone(),
-                        format!("{}/{}", r.static_significant, r.n_pairs),
-                        format!("{}/{}", r.predicted_significant, r.n_pairs),
-                    ]
-                })
-                .collect()
+        let table = |title: &str, rows: &[AccuracyRow]| {
+            let cells = rows.iter().map(|r| {
+                vec![
+                    r.label.clone(),
+                    format!("{}/{}", r.static_significant, r.n_pairs),
+                    format!("{}/{}", r.predicted_significant, r.n_pairs),
+                ]
+            });
+            Table::text(title, &["config", "static-independent", "predicted"], cells.collect())
+                .expect("three cells per row")
         };
-        let mut s = String::from("Fig. 11(a): significant diffs vs runtime, by cluster size\n");
-        s.push_str(&render_table(
-            &["config", "static-independent", "predicted"],
-            &fmt(&self.by_cluster_size),
-        ));
-        s.push_str("\nFig. 11(b): with extra VMs at 3 DCs\n");
-        s.push_str(&render_table(
-            &["config", "static-independent", "predicted"],
-            &fmt(&self.by_extra_vms),
-        ));
-        s.push_str("paper: predicted < static everywhere\n");
-        s
+        let by_size = table(
+            "Fig. 11(a): significant diffs vs runtime, by cluster size",
+            &self.by_cluster_size,
+        );
+        let by_vms = table("Fig. 11(b): with extra VMs at 3 DCs", &self.by_extra_vms);
+        by_size.note("").render() + &by_vms.note("paper: predicted < static everywhere").render()
     }
 }
 
 /// Significance bound in Mbps.
 const SIGNIFICANT: f64 = 100.0;
 
-fn compare(env: &ExpEnv, sim: &mut wanify_netsim::NetSim, label: &str) -> AccuracyRow {
+fn compare(env: &ExpEnv, sim: &mut NetSim, label: &str) -> AccuracyRow {
     let n = sim.topology().len();
-    let static_bw = StaticIndependent::new().gauge(sim).expect("static probe matches topology");
+    let static_bw = env.gauge(Belief::StaticIndependent, sim);
     sim.shuffle_time();
-    let predicted =
-        PredictedRuntime::new(env.model.clone()).gauge(sim).expect("snapshot matches topology");
-    let runtime = MeasuredRuntime::default().gauge(sim).expect("runtime probe matches topology");
+    let predicted = env.gauge(Belief::Predicted, sim);
+    let runtime = env.gauge(Belief::MeasuredRuntime, sim);
     AccuracyRow {
         label: label.to_string(),
         static_significant: static_bw.count_significant_diffs(&runtime, SIGNIFICANT),
@@ -80,46 +73,36 @@ fn compare(env: &ExpEnv, sim: &mut wanify_netsim::NetSim, label: &str) -> Accura
 }
 
 /// Runs both sweeps.
-pub fn run(effort: Effort, seed: u64) -> Fig11 {
+pub fn run(env: &ExpEnv) -> Fig11 {
     // One model trained across sizes serves every configuration (§3.3.2).
-    let env = ExpEnv::new(8, effort, seed);
+    let sim_on = |topo, seed| NetSim::new(topo, LinkModelParams::default(), seed);
 
-    let mut by_cluster_size = Vec::new();
-    for n in 4..=8 {
-        let mut sub_env_sim = wanify_netsim::NetSim::new(
-            wanify_netsim::paper_testbed_n(env.vm.clone(), n),
-            wanify_netsim::LinkModelParams::default(),
-            seed.wrapping_add(n as u64 * 131),
-        );
-        by_cluster_size.push(compare(&env, &mut sub_env_sim, &format!("N={n}")));
-    }
+    let by_cluster_size = (4..=8).map(|n| {
+        let topo = paper_testbed_n(VmType::t2_medium(), n);
+        compare(env, &mut sim_on(topo, env.seed.wrapping_add(n as u64 * 131)), &format!("N={n}"))
+    });
 
-    let mut by_extra_vms = Vec::new();
-    for extra in 1..=5u32 {
+    let by_extra_vms = (1..=5u32).map(|extra| {
         // Three "randomly selected" DCs — fixed here for determinism: the
         // paper also fixes its selection per run.
-        let topo = wanify_netsim::paper_testbed_n(env.vm.clone(), 8)
+        let topo = paper_testbed_n(VmType::t2_medium(), 8)
             .with_extra_vms(DcId(1), extra)
             .with_extra_vms(DcId(4), extra)
             .with_extra_vms(DcId(6), extra);
-        let mut sim = wanify_netsim::NetSim::new(
-            topo,
-            wanify_netsim::LinkModelParams::default(),
-            seed.wrapping_add(1000 + u64::from(extra)),
-        );
-        by_extra_vms.push(compare(&env, &mut sim, &format!("+{extra} VMs")));
-    }
-
-    Fig11 { by_cluster_size, by_extra_vms }
+        let mut sim = sim_on(topo, env.seed.wrapping_add(1000 + u64::from(extra)));
+        compare(env, &mut sim, &format!("+{extra} VMs"))
+    });
+    Fig11 { by_cluster_size: by_cluster_size.collect(), by_extra_vms: by_extra_vms.collect() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Effort;
 
     #[test]
     fn predicted_beats_static_overall() {
-        let f = run(Effort::Quick, 91);
+        let f = run(&ExpEnv::new(8, Effort::Quick, 91));
         let static_total: usize = f.by_cluster_size.iter().map(|r| r.static_significant).sum();
         let predicted_total: usize =
             f.by_cluster_size.iter().map(|r| r.predicted_significant).sum();
@@ -131,7 +114,7 @@ mod tests {
 
     #[test]
     fn heterogeneous_vms_also_favor_prediction() {
-        let f = run(Effort::Quick, 92);
+        let f = run(&ExpEnv::new(8, Effort::Quick, 92));
         let static_total: usize = f.by_extra_vms.iter().map(|r| r.static_significant).sum();
         let predicted_total: usize = f.by_extra_vms.iter().map(|r| r.predicted_significant).sum();
         assert!(predicted_total <= static_total);
@@ -139,7 +122,7 @@ mod tests {
 
     #[test]
     fn sweeps_have_expected_lengths() {
-        let f = run(Effort::Quick, 93);
+        let f = run(&ExpEnv::new(8, Effort::Quick, 93));
         assert_eq!(f.by_cluster_size.len(), 5);
         assert_eq!(f.by_extra_vms.len(), 5);
         assert_eq!(f.by_cluster_size[0].label, "N=4");

@@ -8,7 +8,8 @@
 //! under each approach. The paper's headline: heterogeneous connections
 //! raise the minimum bandwidth ~2.1× over uniform parallelism.
 
-use crate::common::render_table;
+use crate::common::{apply_throttles, uniform_conns};
+use crate::table::Table;
 use wanify::{MeasuredRuntime, Wanify, WanifyConfig};
 use wanify_netsim::{
     BwMatrix, ConnMatrix, DcId, LinkModelParams, NetSim, Region, Topology, Transfer, VmType,
@@ -32,8 +33,6 @@ pub struct Strategy {
 pub struct Fig2 {
     /// Single / uniform-8 / heterogeneous, in paper order.
     pub strategies: Vec<Strategy>,
-    /// DC labels.
-    pub labels: Vec<String>,
 }
 
 impl Fig2 {
@@ -61,16 +60,17 @@ impl Fig2 {
                 format!("{:.1}", s.exchange_slowest_s),
             ]);
         }
-        let mut out = String::from("Fig. 2: connection strategies on 3 DCs\n");
-        out.push_str(&render_table(
+        Table::text(
+            "Fig. 2: connection strategies on 3 DCs",
             &["strategy", "min BW (Mbps)", "max BW (Mbps)", "total conns", "fig2d slowest (s)"],
-            &rows,
-        ));
-        out.push_str(&format!(
-            "heterogeneous/uniform min-BW ratio: {:.2}x (paper: ~2.1x)\n",
+            rows,
+        )
+        .expect("five cells per row")
+        .note(format!(
+            "heterogeneous/uniform min-BW ratio: {:.2}x (paper: ~2.1x)",
             self.hetero_over_uniform_min_bw()
-        ));
-        out
+        ))
+        .render()
     }
 }
 
@@ -108,11 +108,7 @@ fn measure_strategy(
     // WANify's default model measures and transfers with TC caps engaged
     // (§3.2.2); the baselines run uncapped.
     if let Some(caps) = caps {
-        for (i, j, cap) in caps.iter_pairs() {
-            if cap.is_finite() {
-                sim.set_throttle(DcId(i), DcId(j), cap);
-            }
-        }
+        apply_throttles(&mut sim, caps);
     }
     let bw = sim.measure_runtime(conns, 20).bw;
     let report = sim.run_transfers(&exchange_transfers(), conns, None);
@@ -130,7 +126,7 @@ fn measure_strategy(
 /// Runs the three strategies with the same seed.
 pub fn run(seed: u64) -> Fig2 {
     let single = ConnMatrix::filled(3, 1);
-    let uniform = ConnMatrix::from_fn(3, |i, j| if i == j { 1 } else { 8 });
+    let uniform = uniform_conns(3, 8);
 
     // Heterogeneous: WANify's plan from the single-connection runtime
     // view, gauged through the provenance-agnostic source API.
@@ -141,14 +137,12 @@ pub fn run(seed: u64) -> Fig2 {
         .expect("probe cluster plans cleanly");
     let hetero = plan.initial_conns().clone();
 
-    let labels = probe_sim.topology().labels();
     Fig2 {
         strategies: vec![
             measure_strategy("single", &single, seed, None),
             measure_strategy("uniform-8", &uniform, seed, None),
             measure_strategy("heterogeneous", &hetero, seed, Some(&plan.initial_throttles)),
         ],
-        labels,
     }
 }
 

@@ -7,69 +7,11 @@
 //! −22% vs NoQ, SimQ/PredQ a further 13-14.5%, and WQ best (−26% vs SAGQ)
 //! with a 2× minimum-bandwidth boost.
 
-use crate::common::{improvement_pct, render_table, Belief, Effort, ExpEnv};
+use crate::common::{Belief, Effort, ExpEnv};
+use crate::table::{Col, Measured, Row, Table};
 use wanify::{Wanify, WanifyConfig};
-use wanify_netsim::{ConnMatrix, DcId};
-use wanify_workloads::quantization::{run_training, QuantConfig, QuantPolicy, TrainingReport};
-
-/// One training variant's outcome.
-#[derive(Debug, Clone)]
-pub struct Fig4Row {
-    /// Variant label.
-    pub name: String,
-    /// Training time, seconds.
-    pub training_s: f64,
-    /// Total cost, USD.
-    pub cost_usd: f64,
-    /// Minimum observed bandwidth, Mbps.
-    pub min_bw_mbps: f64,
-}
-
-/// Result of the Fig. 4 reproduction.
-#[derive(Debug, Clone)]
-pub struct Fig4 {
-    /// NoQ, SAGQ, SimQ, PredQ, WQ in paper order.
-    pub rows: Vec<Fig4Row>,
-}
-
-impl Fig4 {
-    /// Finds a row by name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the variant does not exist.
-    pub fn row(&self, name: &str) -> &Fig4Row {
-        self.rows.iter().find(|r| r.name == name).expect("variant exists")
-    }
-
-    /// WQ training-time improvement over SAGQ, percent (paper: ~26%).
-    pub fn wq_over_sagq_pct(&self) -> f64 {
-        improvement_pct(self.row("SAGQ").training_s, self.row("WQ").training_s)
-    }
-
-    /// Rendered table.
-    pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.name.clone(),
-                    format!("{:.0}", r.training_s),
-                    format!("${:.2}", r.cost_usd),
-                    format!("{:.0}", r.min_bw_mbps),
-                ]
-            })
-            .collect();
-        let mut s = String::from("Fig. 4: quantized geo-distributed training\n");
-        s.push_str(&render_table(&["variant", "training (s)", "cost", "min BW (Mbps)"], &rows));
-        s.push_str(&format!(
-            "WQ vs SAGQ: {:+.1}% training time (paper: ~26%)\n",
-            self.wq_over_sagq_pct()
-        ));
-        s
-    }
-}
+use wanify_netsim::DcId;
+use wanify_workloads::quantization::{run_training, QuantConfig, QuantPolicy};
 
 fn ml_config(effort: Effort) -> QuantConfig {
     QuantConfig {
@@ -85,31 +27,27 @@ fn ml_config(effort: Effort) -> QuantConfig {
     }
 }
 
-/// Runs all five variants.
-pub fn run(effort: Effort, seed: u64) -> Fig4 {
-    let env = ExpEnv::new(8, effort, seed);
-    let cfg = ml_config(effort);
-    let mut rows = Vec::new();
+/// The single-connection variants: full precision, then precision chosen
+/// from each belief.
+pub const VARIANTS: [(&str, Option<Belief>); 4] = [
+    ("NoQ", None),
+    ("SAGQ", Some(Belief::StaticIndependent)),
+    ("SimQ", Some(Belief::StaticSimultaneous)),
+    ("PredQ", Some(Belief::Predicted)),
+];
 
-    let variants: [(&str, Option<Belief>); 4] = [
-        ("NoQ", None),
-        ("SAGQ", Some(Belief::StaticIndependent)),
-        ("SimQ", Some(Belief::StaticSimultaneous)),
-        ("PredQ", Some(Belief::Predicted)),
-    ];
-    for (i, (name, belief)) in variants.into_iter().enumerate() {
+/// Runs all five variants (NoQ, SAGQ, SimQ, PredQ, WQ in paper order).
+pub fn run(env: &ExpEnv) -> Table {
+    let cfg = ml_config(env.effort);
+    let mut rows = Vec::new();
+    for (i, (name, belief)) in VARIANTS.into_iter().enumerate() {
         let mut sim = env.sim(i as u64);
         let policy = match belief {
             Some(belief) => QuantPolicy::BwDriven(env.gauge(belief, &mut sim)),
             None => QuantPolicy::FullPrecision,
         };
-        let report: TrainingReport = run_training(&mut sim, &cfg, &policy, None, None);
-        rows.push(Fig4Row {
-            name: name.to_string(),
-            training_s: report.training_s,
-            cost_usd: report.cost.total_usd(),
-            min_bw_mbps: report.min_bw_mbps,
-        });
+        let m = Measured::from(&run_training(&mut sim, &cfg, &policy, None, None));
+        rows.push(Row::new(&[name], m, m));
     }
 
     // WQ: predicted beliefs + WANify connection plan + local agents.
@@ -122,22 +60,26 @@ pub fn run(effort: Effort, seed: u64) -> Fig4 {
     let wanify = Wanify::new(WanifyConfig { throttling: false, ..WanifyConfig::default() });
     let plan = wanify.plan_matrix(&predicted);
     let mut agent = wanify.agent(&plan);
-    let conns: ConnMatrix = plan.initial_conns().clone();
     // WQ picks precision from the same predicted beliefs as PredQ — the
     // quantizer's accuracy/precision trade-off is unchanged — while the
     // transport layer additionally enjoys WANify's parallel heterogeneous
     // connections and throttling, which is where the extra speedup and the
     // 2x minimum-bandwidth boost come from (§5.6).
-    let policy = QuantPolicy::BwDriven(predicted.clone());
-    let report = run_training(&mut sim, &cfg, &policy, Some(&conns), Some(&mut agent));
-    rows.push(Fig4Row {
-        name: "WQ".to_string(),
-        training_s: report.training_s,
-        cost_usd: report.cost.total_usd(),
-        min_bw_mbps: report.min_bw_mbps,
-    });
+    let policy = QuantPolicy::BwDriven(predicted);
+    let report =
+        run_training(&mut sim, &cfg, &policy, Some(plan.initial_conns()), Some(&mut agent));
+    let wq = Measured::from(&report);
+    rows.push(Row::new(&["WQ"], wq, wq));
 
-    Fig4 { rows }
+    let table = Table::grid(
+        "Fig. 4: quantized geo-distributed training",
+        &["variant"],
+        &[("training (s)", Col::Latency(0)), ("cost", Col::Cost(2)), ("min BW (Mbps)", Col::MinBw)],
+        rows,
+    )
+    .expect("one label per row");
+    let over_sagq = table.row(&["WQ"]).gain_over(table.row(&["SAGQ"])).latency_pct;
+    table.note(format!("WQ vs SAGQ: {over_sagq:+.1}% training time (paper: ~26%)"))
 }
 
 #[cfg(test)]
@@ -146,31 +88,31 @@ mod tests {
 
     #[test]
     fn ordering_matches_paper() {
-        let f = run(Effort::Quick, 7);
+        let f = run(&ExpEnv::new(8, Effort::Quick, 7));
         assert_eq!(f.rows.len(), 5);
-        let noq = f.row("NoQ").training_s;
-        let sagq = f.row("SAGQ").training_s;
-        let wq = f.row("WQ").training_s;
+        let noq = f.row(&["NoQ"]).latency_s;
+        let sagq = f.row(&["SAGQ"]).latency_s;
+        let wq = f.row(&["WQ"]).latency_s;
         assert!(sagq <= noq, "quantization must not slow training: {sagq} vs {noq}");
         assert!(wq < sagq, "WANify must beat static quantization: {wq} vs {sagq}");
     }
 
     #[test]
     fn wq_boosts_minimum_bandwidth() {
-        let f = run(Effort::Quick, 8);
+        let f = run(&ExpEnv::new(8, Effort::Quick, 8));
         assert!(
-            f.row("WQ").min_bw_mbps > 1.3 * f.row("SAGQ").min_bw_mbps,
+            f.row(&["WQ"]).min_bw_mbps > 1.3 * f.row(&["SAGQ"]).min_bw_mbps,
             "paper: ~2x min BW boost, got {} vs {}",
-            f.row("WQ").min_bw_mbps,
-            f.row("SAGQ").min_bw_mbps
+            f.row(&["WQ"]).min_bw_mbps,
+            f.row(&["SAGQ"]).min_bw_mbps
         );
     }
 
     #[test]
     fn accurate_beliefs_beat_static() {
-        let f = run(Effort::Quick, 9);
-        let sagq = f.row("SAGQ").training_s;
-        let best_accurate = f.row("SimQ").training_s.min(f.row("PredQ").training_s);
+        let f = run(&ExpEnv::new(8, Effort::Quick, 9));
+        let sagq = f.row(&["SAGQ"]).latency_s;
+        let best_accurate = f.row(&["SimQ"]).latency_s.min(f.row(&["PredQ"]).latency_s);
         assert!(
             best_accurate <= sagq * 1.02,
             "accurate beliefs should not lose to static: {best_accurate} vs {sagq}"

@@ -7,124 +7,48 @@
 //! The paper's shape: WANify-P *hurts* (congestion), Dynamic helps,
 //! TC is best on latency, cost and minimum bandwidth.
 
-use crate::common::{render_table, run_wanified, Belief, Effort, ExpEnv, WanifyMode};
-use wanify_gda::{run_job, QueryReport, TransferOptions, VanillaSpark};
-use wanify_netsim::ConnMatrix;
+use crate::common::{Arm, Belief, ExpEnv, WanifyMode};
+use crate::table::{Col, Measured, Row, Table};
+use wanify_gda::{DataLayout, VanillaSpark};
 use wanify_workloads::terasort;
 
-/// One transfer approach's outcome.
-#[derive(Debug, Clone)]
-pub struct Fig5Row {
-    /// Approach label.
-    pub name: String,
-    /// Query latency, seconds.
-    pub latency_s: f64,
-    /// Total cost, USD.
-    pub cost_usd: f64,
-    /// Minimum observed bandwidth, Mbps.
-    pub min_bw_mbps: f64,
-}
+/// The four approaches, in paper order: locality-aware Spark on static
+/// beliefs and single connections, then the three transfer layers on
+/// predicted beliefs.
+pub const ARMS: [(&str, Arm); 4] = [
+    ("No WANify", Arm::Single(Belief::StaticIndependent)),
+    ("WANify-P", Arm::Uniform(8)),
+    ("WANify-Dynamic", Arm::wanify(WanifyMode::dynamic())),
+    ("WANify-TC", Arm::wanify(WanifyMode::full())),
+];
 
-/// Result of the Fig. 5 reproduction.
-#[derive(Debug, Clone)]
-pub struct Fig5 {
-    /// No-WANify, WANify-P, WANify-Dynamic, WANify-TC in paper order.
-    pub rows: Vec<Fig5Row>,
-}
-
-impl Fig5 {
-    /// Finds a row by name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the approach does not exist.
-    pub fn row(&self, name: &str) -> &Fig5Row {
-        self.rows.iter().find(|r| r.name == name).expect("approach exists")
-    }
-
-    /// Rendered table.
-    pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.name.clone(),
-                    format!("{:.0}", r.latency_s),
-                    format!("${:.2}", r.cost_usd),
-                    format!("{:.0}", r.min_bw_mbps),
-                ]
-            })
-            .collect();
-        let mut s = String::from("Fig. 5: parallel data transfer approaches (TeraSort)\n");
-        s.push_str(&render_table(&["approach", "latency (s)", "cost", "min BW (Mbps)"], &rows));
-        s.push_str("paper: TC best (61 min, $4.7, 790 Mbps); uniform-P worst\n");
-        s
-    }
-}
-
-/// Runs the four approaches.
-pub fn run(effort: Effort, seed: u64) -> Fig5 {
-    let env = ExpEnv::new(8, effort, seed);
-    let job = terasort::job(wanify_gda::DataLayout::uniform(8, 100.0 * effort.input_scale()));
-    let sched = VanillaSpark::new();
-    let mut rows = Vec::new();
-
-    // Baseline: locality-aware Spark, single connection, static beliefs.
-    {
-        let mut sim = env.sim(0);
-        let r: QueryReport = env.run_baseline(&mut sim, &job, &sched, Belief::StaticIndependent);
-        rows.push(row("No WANify", &r));
-    }
-    // WANify-P: uniform 8 parallel connections on predicted beliefs.
-    {
-        let mut sim = env.sim(1);
-        let conns = ConnMatrix::from_fn(8, |i, j| if i == j { 1 } else { 8 });
-        let r = run_job(
-            &mut sim,
-            &job,
-            &sched,
-            env.source(Belief::Predicted).as_mut(),
-            TransferOptions { conns: Some(&conns), hook: None },
-        )
-        .expect("fig5 jobs match their topology");
-        rows.push(row("WANify-P", &r));
-    }
-    // WANify-Dynamic: heterogeneous plan + agents, no throttling.
-    {
-        let mut sim = env.sim(2);
-        let mut source = env.source(Belief::Predicted);
-        let r = run_wanified(&mut sim, &job, &sched, source.as_mut(), WanifyMode::dynamic(), None);
-        rows.push(row("WANify-Dynamic", &r));
-    }
-    // WANify-TC: the default model with throttling.
-    {
-        let mut sim = env.sim(3);
-        let mut source = env.source(Belief::Predicted);
-        let r = run_wanified(&mut sim, &job, &sched, source.as_mut(), WanifyMode::full(), None);
-        rows.push(row("WANify-TC", &r));
-    }
-    Fig5 { rows }
-}
-
-fn row(name: &str, r: &QueryReport) -> Fig5Row {
-    Fig5Row {
-        name: name.to_string(),
-        latency_s: r.latency_s,
-        cost_usd: r.cost.total_usd(),
-        min_bw_mbps: r.min_bw_mbps,
-    }
+/// Runs the four approaches, each on its own network.
+pub fn run(env: &ExpEnv) -> Table {
+    let job = terasort::job(DataLayout::uniform(env.n, 100.0 * env.effort.input_scale()));
+    let rows = ARMS.iter().enumerate().map(|(k, &(name, arm))| {
+        let m = Measured::from(&env.run_arm(k as u64, &job, &VanillaSpark::new(), arm));
+        Row::new(&[name], m, m)
+    });
+    Table::grid(
+        "Fig. 5: parallel data transfer approaches (TeraSort)",
+        &["approach"],
+        &[("latency (s)", Col::Latency(0)), ("cost", Col::Cost(2)), ("min BW (Mbps)", Col::MinBw)],
+        rows.collect(),
+    )
+    .expect("one label per row")
+    .note("paper: TC best (61 min, $4.7, 790 Mbps); uniform-P worst")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Effort;
 
     #[test]
     fn tc_is_the_best_approach() {
-        let f = run(Effort::Quick, 19);
-        let tc = f.row("WANify-TC");
-        let baseline = f.row("No WANify");
+        let f = run(&ExpEnv::new(8, Effort::Quick, 19));
+        let tc = f.row(&["WANify-TC"]);
+        let baseline = f.row(&["No WANify"]);
         assert!(
             tc.latency_s < baseline.latency_s,
             "TC {} should beat single-connection {}",
@@ -136,9 +60,9 @@ mod tests {
 
     #[test]
     fn dynamic_beats_uniform_parallelism() {
-        let f = run(Effort::Quick, 20);
-        let dynamic = f.row("WANify-Dynamic");
-        let uniform = f.row("WANify-P");
+        let f = run(&ExpEnv::new(8, Effort::Quick, 20));
+        let dynamic = f.row(&["WANify-Dynamic"]);
+        let uniform = f.row(&["WANify-P"]);
         // At quick-effort scale the AIMD agents only get a handful of
         // 5-second epochs to converge, so parity with uniform parallelism
         // is acceptable; the decisive paper claim (TC best) is asserted in
@@ -154,7 +78,7 @@ mod tests {
 
     #[test]
     fn all_four_approaches_present() {
-        let f = run(Effort::Quick, 21);
+        let f = run(&ExpEnv::new(8, Effort::Quick, 21));
         assert_eq!(f.rows.len(), 4);
         assert!(f.render().contains("WANify-TC"));
     }

@@ -5,142 +5,77 @@
 //! WANify and vanilla tie; from ~7.4 MB upward WANify's heterogeneous
 //! connections cut latency and cost and lift the minimum bandwidth.
 
-use crate::common::{render_table, run_wanified, Belief, Effort, ExpEnv, WanifyMode};
+use crate::common::{Arm, Belief, ExpEnv, WanifyMode};
+use crate::table::{Col, Measured, Row, Table};
 use wanify_gda::VanillaSpark;
 use wanify_workloads::wordcount;
-
-/// One point of the sweep.
-#[derive(Debug, Clone)]
-pub struct Fig6Point {
-    /// Intermediate (shuffle) data size in MB.
-    pub intermediate_mb: f64,
-    /// Vanilla single-connection latency, seconds.
-    pub vanilla_latency_s: f64,
-    /// WANify-TC latency, seconds.
-    pub wanify_latency_s: f64,
-    /// Vanilla cost, USD.
-    pub vanilla_cost_usd: f64,
-    /// WANify cost, USD.
-    pub wanify_cost_usd: f64,
-    /// Vanilla minimum bandwidth, Mbps.
-    pub vanilla_min_bw: f64,
-    /// WANify minimum bandwidth, Mbps.
-    pub wanify_min_bw: f64,
-}
-
-/// Result of the Fig. 6 reproduction.
-#[derive(Debug, Clone)]
-pub struct Fig6 {
-    /// Sweep points in ascending shuffle size.
-    pub points: Vec<Fig6Point>,
-}
-
-impl Fig6 {
-    /// Rendered table.
-    pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .points
-            .iter()
-            .map(|p| {
-                vec![
-                    format!("{:.2}", p.intermediate_mb),
-                    format!("{:.1}", p.vanilla_latency_s),
-                    format!("{:.1}", p.wanify_latency_s),
-                    format!("${:.3}", p.vanilla_cost_usd),
-                    format!("${:.3}", p.wanify_cost_usd),
-                    format!("{:.0}", p.vanilla_min_bw),
-                    format!("{:.0}", p.wanify_min_bw),
-                ]
-            })
-            .collect();
-        let mut s = String::from("Fig. 6: WordCount shuffle-size sweep\n");
-        s.push_str(&render_table(
-            &[
-                "intermediate (MB)",
-                "vanilla lat (s)",
-                "WANify lat (s)",
-                "vanilla cost",
-                "WANify cost",
-                "vanilla minBW",
-                "WANify minBW",
-            ],
-            &rows,
-        ));
-        s.push_str("paper: ties below ~4 MB; WANify wins from ~7.4 MB up\n");
-        s
-    }
-}
 
 /// The paper's sweep sizes in MB (x-axis of Fig. 6 plus larger tails).
 pub const SWEEP_MB: [f64; 6] = [2.06, 3.63, 7.4, 40.0, 200.0, 600.0];
 
-/// Runs the sweep.
-pub fn run(effort: Effort, seed: u64) -> Fig6 {
-    let env = ExpEnv::new(8, effort, seed);
-    let sched = VanillaSpark::new();
-    let mut points = Vec::new();
-    for (k, &mb) in SWEEP_MB.iter().enumerate() {
+/// Runs the sweep: per size, WANify-TC against vanilla single-connection
+/// Spark on the same network.
+pub fn run(env: &ExpEnv) -> Table {
+    let rows = SWEEP_MB.iter().enumerate().map(|(k, &mb)| {
         // Input in [100, 600] MB as §5.1; intermediate controlled directly.
-        let input_mb = (mb * 20.0).clamp(100.0, 600.0);
-        let job = wordcount::sweep_job(8, input_mb, mb);
-        let mut sim_v = env.sim(100 + k as u64);
-        let vanilla = env.run_baseline(&mut sim_v, &job, &sched, Belief::StaticIndependent);
-        let mut sim_w = env.sim(100 + k as u64);
-        let wanified = run_wanified(
-            &mut sim_w,
-            &job,
-            &sched,
-            env.source(Belief::Predicted).as_mut(),
-            WanifyMode::full(),
-            None,
-        );
-        points.push(Fig6Point {
-            intermediate_mb: mb,
-            vanilla_latency_s: vanilla.latency_s,
-            wanify_latency_s: wanified.latency_s,
-            vanilla_cost_usd: vanilla.cost.total_usd(),
-            wanify_cost_usd: wanified.cost.total_usd(),
-            vanilla_min_bw: vanilla.min_bw_mbps,
-            wanify_min_bw: wanified.min_bw_mbps,
-        });
-    }
-    Fig6 { points }
+        let job = wordcount::sweep_job(env.n, (mb * 20.0).clamp(100.0, 600.0), mb);
+        let measure =
+            |arm| Measured::from(&env.run_arm(100 + k as u64, &job, &VanillaSpark::new(), arm));
+        let vanilla = measure(Arm::Single(Belief::StaticIndependent));
+        Row::new(&[&format!("{mb:.2}")], measure(Arm::wanify(WanifyMode::full())), vanilla)
+    });
+    Table::grid(
+        "Fig. 6: WordCount shuffle-size sweep",
+        &["intermediate (MB)"],
+        &[
+            ("vanilla lat (s)", Col::Base(&Col::Latency(1))),
+            ("WANify lat (s)", Col::Latency(1)),
+            ("vanilla cost", Col::Base(&Col::Cost(3))),
+            ("WANify cost", Col::Cost(3)),
+            ("vanilla minBW", Col::Base(&Col::MinBw)),
+            ("WANify minBW", Col::MinBw),
+        ],
+        rows.collect(),
+    )
+    .expect("one label per row")
+    .note("paper: ties below ~4 MB; WANify wins from ~7.4 MB up")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Effort;
 
     #[test]
     fn small_shuffles_tie() {
-        let f = run(Effort::Quick, 31);
-        let p = &f.points[0]; // 2.06 MB
-        let gap = (p.vanilla_latency_s - p.wanify_latency_s).abs();
+        let f = run(&ExpEnv::new(8, Effort::Quick, 31));
+        let p = &f.rows[0]; // 2.06 MB
+        let gap = (p.base.latency_s - p.latency_s).abs();
         assert!(
-            gap <= p.vanilla_latency_s * 0.35 + 3.0,
+            gap <= p.base.latency_s * 0.35 + 3.0,
             "tiny shuffles should be close: vanilla {} vs wanify {}",
-            p.vanilla_latency_s,
-            p.wanify_latency_s
+            p.base.latency_s,
+            p.latency_s
         );
     }
 
     #[test]
     fn large_shuffles_favor_wanify() {
-        let f = run(Effort::Quick, 32);
-        let p = f.points.last().unwrap(); // 600 MB
+        let f = run(&ExpEnv::new(8, Effort::Quick, 32));
+        let p = f.rows.last().unwrap(); // 600 MB
         assert!(
-            p.wanify_latency_s < p.vanilla_latency_s,
+            p.latency_s < p.base.latency_s,
             "600 MB shuffle: wanify {} should beat vanilla {}",
-            p.wanify_latency_s,
-            p.vanilla_latency_s
+            p.latency_s,
+            p.base.latency_s
         );
-        assert!(p.wanify_min_bw > p.vanilla_min_bw);
+        assert!(p.min_bw_mbps > p.base.min_bw_mbps);
     }
 
     #[test]
     fn sweep_covers_paper_sizes() {
-        let f = run(Effort::Quick, 33);
-        assert_eq!(f.points.len(), SWEEP_MB.len());
-        assert!((f.points[2].intermediate_mb - 7.4).abs() < 1e-9);
+        let f = run(&ExpEnv::new(8, Effort::Quick, 33));
+        assert_eq!(f.rows.len(), SWEEP_MB.len());
+        assert_eq!(f.rows[2].key, ["7.40"]);
     }
 }

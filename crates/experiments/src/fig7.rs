@@ -6,144 +6,71 @@
 //! throttling). The paper reports up to 24% lower latency, up to 8% lower
 //! cost, and a 3.3× higher minimum bandwidth.
 
-use crate::common::{improvement_pct, render_table, Effort, ExpEnv, WanifyMode};
-use wanify_gda::{Kimchi, Scheduler, Tetrium};
+use crate::common::{wan_aware_schedulers, Arm, Belief, ExpEnv, WanifyMode};
+use crate::table::{Col, Measured, Row, Table};
 use wanify_workloads::TpcDsQuery;
 
-/// One (query, scheduler) comparison.
-#[derive(Debug, Clone)]
-pub struct Fig7Row {
-    /// Query label.
-    pub query: String,
-    /// Scheduler label.
-    pub scheduler: String,
-    /// Baseline latency, seconds.
-    pub base_latency_s: f64,
-    /// WANify-enabled latency, seconds.
-    pub wanify_latency_s: f64,
-    /// Baseline cost, USD.
-    pub base_cost_usd: f64,
-    /// WANify-enabled cost, USD.
-    pub wanify_cost_usd: f64,
-    /// Minimum-bandwidth ratio (WANify / baseline).
-    pub min_bw_ratio: f64,
-}
-
-impl Fig7Row {
-    /// Latency improvement, percent.
-    pub fn latency_pct(&self) -> f64 {
-        improvement_pct(self.base_latency_s, self.wanify_latency_s)
-    }
-
-    /// Cost improvement, percent.
-    pub fn cost_pct(&self) -> f64 {
-        improvement_pct(self.base_cost_usd, self.wanify_cost_usd)
-    }
-}
-
-/// Result of the Fig. 7 reproduction.
-#[derive(Debug, Clone)]
-pub struct Fig7 {
-    /// All (query, scheduler) rows.
-    pub rows: Vec<Fig7Row>,
-}
-
-impl Fig7 {
-    /// Best latency improvement (paper: up to 24%).
-    pub fn best_latency_pct(&self) -> f64 {
-        self.rows.iter().map(Fig7Row::latency_pct).fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Best minimum-bandwidth ratio (paper: 3.3×).
-    pub fn best_min_bw_ratio(&self) -> f64 {
-        self.rows.iter().map(|r| r.min_bw_ratio).fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Rendered table.
-    pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.query.clone(),
-                    r.scheduler.clone(),
-                    format!("{:.0}", r.base_latency_s),
-                    format!("{:.0}", r.wanify_latency_s),
-                    format!("{:+.1}%", r.latency_pct()),
-                    format!("{:+.1}%", r.cost_pct()),
-                    format!("{:.2}x", r.min_bw_ratio),
-                ]
-            })
-            .collect();
-        let mut s = String::from("Fig. 7: TPC-DS with/without WANify\n");
-        s.push_str(&render_table(
-            &["query", "scheduler", "base (s)", "WANify (s)", "latency", "cost", "minBW"],
-            &rows,
-        ));
-        s.push_str("paper: up to 24% latency, 8% cost, 3.3x min BW\n");
-        s
-    }
-}
-
-/// Runs all queries on both schedulers through the shared
-/// baseline-vs-WANify harness ([`ExpEnv::compare`]).
-pub fn run(effort: Effort, seed: u64) -> Fig7 {
-    let env = ExpEnv::new(8, effort, seed);
+/// Runs all queries on both schedulers: WANify-enabled against the
+/// scheduler as published, on the same network.
+pub fn run(env: &ExpEnv) -> Table {
     let mut rows = Vec::new();
     for (qi, query) in TpcDsQuery::all().into_iter().enumerate() {
-        let schedulers: Vec<Box<dyn Scheduler>> =
-            vec![Box::new(Tetrium::new()), Box::new(Kimchi::new())];
-        for (si, scheduler) in schedulers.iter().enumerate() {
-            let run_id = (qi * 10 + si) as u64;
-            let job = query.job(env.n, 100.0 * effort.input_scale());
-            let cmp = env.compare(&job, scheduler.as_ref(), run_id, WanifyMode::full());
-            rows.push(Fig7Row {
-                query: query.name().to_string(),
-                scheduler: scheduler.name().to_string(),
-                base_latency_s: cmp.baseline.latency_s,
-                wanify_latency_s: cmp.wanified.latency_s,
-                base_cost_usd: cmp.baseline.cost.total_usd(),
-                wanify_cost_usd: cmp.wanified.cost.total_usd(),
-                min_bw_ratio: cmp.min_bw_ratio(),
-            });
+        let job = query.job(env.n, 100.0 * env.effort.input_scale());
+        for (si, scheduler) in wan_aware_schedulers().iter().enumerate() {
+            let measure = |arm| {
+                Measured::from(&env.run_arm((qi * 10 + si) as u64, &job, scheduler.as_ref(), arm))
+            };
+            let base = measure(Arm::Single(Belief::StaticIndependent));
+            let wanified = measure(Arm::wanify(WanifyMode::full()));
+            rows.push(Row::new(&[query.name(), scheduler.name()], wanified, base));
         }
     }
-    Fig7 { rows }
+    Table::grid(
+        "Fig. 7: TPC-DS with/without WANify",
+        &["query", "scheduler"],
+        &[
+            ("base (s)", Col::Base(&Col::Latency(0))),
+            ("WANify (s)", Col::Latency(0)),
+            ("latency", Col::LatencyGain),
+            ("cost", Col::CostGain),
+            ("minBW", Col::MinBwRatio),
+        ],
+        rows,
+    )
+    .expect("two labels per row")
+    .note("paper: up to 24% latency, 8% cost, 3.3x min BW")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Effort;
 
     #[test]
     fn wanify_reduces_latency_on_heavy_queries() {
-        let f = run(Effort::Quick, 51);
-        let q78: Vec<&Fig7Row> = f.rows.iter().filter(|r| r.query == "q78").collect();
+        let f = run(&ExpEnv::new(8, Effort::Quick, 51));
+        let q78: Vec<&Row> = f.rows.iter().filter(|r| r.key[0] == "q78").collect();
         assert!(!q78.is_empty());
         for r in q78 {
             assert!(
-                r.latency_pct() > 0.0,
+                r.gain().latency_pct > 0.0,
                 "q78 {} should improve, got {:+.1}%",
-                r.scheduler,
-                r.latency_pct()
+                r.key[1],
+                r.gain().latency_pct
             );
         }
     }
 
     #[test]
     fn min_bandwidth_rises_substantially() {
-        let f = run(Effort::Quick, 52);
-        assert!(
-            f.best_min_bw_ratio() > 1.5,
-            "paper reports 3.3x, got {:.2}x",
-            f.best_min_bw_ratio()
-        );
+        let f = run(&ExpEnv::new(8, Effort::Quick, 52));
+        let best = f.rows.iter().map(|r| r.gain().min_bw_ratio).fold(f64::NEG_INFINITY, f64::max);
+        assert!(best > 1.5, "paper reports 3.3x, got {best:.2}x");
     }
 
     #[test]
     fn all_eight_rows_present() {
-        let f = run(Effort::Quick, 53);
+        let f = run(&ExpEnv::new(8, Effort::Quick, 53));
         assert_eq!(f.rows.len(), 8);
     }
 }

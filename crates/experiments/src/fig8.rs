@@ -10,91 +10,25 @@
 //! latency, ~5% higher cost and a ~38% lower minimum bandwidth.
 
 use crate::common::{
-    improvement_pct, render_table, run_wanified, Belief, Effort, ExpEnv, WanifyMode,
+    improvement_pct, run_arm_on, wan_aware_schedulers, Arm, Belief, ExpEnv, WanifyMode,
 };
+use crate::table::{Col, Measured, Row, Table};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wanify::Pregauged;
-use wanify_gda::{Kimchi, Scheduler, Tetrium};
+use wanify_gda::Tetrium;
 use wanify_netsim::BwMatrix;
 use wanify_workloads::TpcDsQuery;
 
-/// One ablation arm's outcome for one scheduler.
-#[derive(Debug, Clone)]
-pub struct AblationRow {
-    /// Scheduler label.
-    pub scheduler: String,
-    /// Arm label.
-    pub arm: String,
-    /// Latency, seconds.
-    pub latency_s: f64,
-    /// Latency improvement vs Vanilla, percent.
-    pub latency_pct: f64,
-    /// Minimum bandwidth, Mbps.
-    pub min_bw_mbps: f64,
-}
+const FULL: Arm = Arm::wanify(WanifyMode::full());
 
-/// Error-injection outcome.
-#[derive(Debug, Clone)]
-pub struct ErrorInjection {
-    /// Latency increase of WANify-err vs WANify, percent.
-    pub latency_increase_pct: f64,
-    /// Cost increase, percent.
-    pub cost_increase_pct: f64,
-    /// Minimum-bandwidth decrease, percent.
-    pub min_bw_decrease_pct: f64,
-}
-
-/// Result of the Fig. 8 reproduction.
-#[derive(Debug, Clone)]
-pub struct Fig8 {
-    /// Ablation rows (4 arms × 2 schedulers).
-    pub ablation: Vec<AblationRow>,
-    /// Error-injection comparison (Tetrium, q78).
-    pub error_injection: ErrorInjection,
-}
-
-impl Fig8 {
-    /// Ablation row lookup.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the (scheduler, arm) pair does not exist.
-    pub fn ablation_row(&self, scheduler: &str, arm: &str) -> &AblationRow {
-        self.ablation.iter().find(|r| r.scheduler == scheduler && r.arm == arm).expect("arm exists")
-    }
-
-    /// Rendered summary.
-    pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .ablation
-            .iter()
-            .map(|r| {
-                vec![
-                    r.scheduler.clone(),
-                    r.arm.clone(),
-                    format!("{:.0}", r.latency_s),
-                    format!("{:+.1}%", r.latency_pct),
-                    format!("{:.0}", r.min_bw_mbps),
-                ]
-            })
-            .collect();
-        let mut s = String::from("Fig. 8(a): ablation on q78\n");
-        s.push_str(&render_table(
-            &["scheduler", "arm", "latency (s)", "vs vanilla", "min BW"],
-            &rows,
-        ));
-        s.push_str("paper: WANify ~23% > Global-only ~16% > Local-only ~11%\n\n");
-        s.push_str("Fig. 8(b): prediction-error injection (±100 Mbps)\n");
-        s.push_str(&format!(
-            "latency {:+.1}% (paper ~+18%), cost {:+.1}% (~+5%), min BW {:+.1}% (~-38%)\n",
-            self.error_injection.latency_increase_pct,
-            self.error_injection.cost_increase_pct,
-            -self.error_injection.min_bw_decrease_pct
-        ));
-        s
-    }
-}
+/// The ablation arms, each compared against the unmodified GDA system
+/// (`vanilla`: static-independent beliefs, single connections).
+pub const ARMS: [(&str, Arm); 3] = [
+    ("global-only", Arm::wanify(WanifyMode::global_only())),
+    ("local-only", Arm::wanify(WanifyMode::local_only())),
+    ("wanify", FULL),
+];
 
 /// Randomly adds or subtracts `delta` Mbps to every off-diagonal cell
 /// (the paper's WANify-err perturbation).
@@ -118,91 +52,65 @@ pub fn inject_error(bw: &BwMatrix, delta: f64, seed: u64) -> BwMatrix {
     })
 }
 
-/// Runs the ablation and error-injection studies.
-pub fn run(effort: Effort, seed: u64) -> Fig8 {
-    let env = ExpEnv::new(8, effort, seed);
-    let job = TpcDsQuery::Q78.job(env.n, 100.0 * effort.input_scale());
-    let mut ablation = Vec::new();
-
-    let schedulers: Vec<Box<dyn Scheduler>> =
-        vec![Box::new(Tetrium::new()), Box::new(Kimchi::new())];
-    for (si, scheduler) in schedulers.iter().enumerate() {
-        let run_id = si as u64;
-        // Vanilla: static-independent beliefs, single connections.
-        let mut sim = env.sim(run_id);
-        let vanilla =
-            env.run_baseline(&mut sim, &job, scheduler.as_ref(), Belief::StaticIndependent);
-        ablation.push(AblationRow {
-            scheduler: scheduler.name().to_string(),
-            arm: "vanilla".to_string(),
-            latency_s: vanilla.latency_s,
-            latency_pct: 0.0,
-            min_bw_mbps: vanilla.min_bw_mbps,
-        });
-        for (arm, mode) in [
-            ("global-only", WanifyMode::global_only()),
-            ("local-only", WanifyMode::local_only()),
-            ("wanify", WanifyMode::full()),
-        ] {
-            let mut sim = env.sim(run_id);
-            let r = run_wanified(
-                &mut sim,
-                &job,
-                scheduler.as_ref(),
-                env.source(Belief::Predicted).as_mut(),
-                mode,
-                None,
-            );
-            ablation.push(AblationRow {
-                scheduler: scheduler.name().to_string(),
-                arm: arm.to_string(),
-                latency_s: r.latency_s,
-                latency_pct: improvement_pct(vanilla.latency_s, r.latency_s),
-                min_bw_mbps: r.min_bw_mbps,
-            });
+/// Runs the ablation and error-injection studies: rows `[scheduler, arm]`
+/// against that scheduler's vanilla run, plus the row `["wanify-err"]` —
+/// WANify on the error-injected matrix against WANify on the clean one
+/// (Tetrium, q78), reported in the notes rather than the grid.
+pub fn run(env: &ExpEnv) -> Table {
+    let job = TpcDsQuery::Q78.job(env.n, 100.0 * env.effort.input_scale());
+    let mut rows = Vec::new();
+    for (si, scheduler) in wan_aware_schedulers().iter().enumerate() {
+        let measure = |arm| Measured::from(&env.run_arm(si as u64, &job, scheduler.as_ref(), arm));
+        let vanilla = measure(Arm::Single(Belief::StaticIndependent));
+        rows.push(Row::new(&[scheduler.name(), "vanilla"], vanilla, vanilla));
+        for (name, arm) in ARMS {
+            rows.push(Row::new(&[scheduler.name(), name], measure(arm), vanilla));
         }
     }
 
-    // Error injection on Tetrium.
+    // Error injection on Tetrium: the same network, the same gauge, then
+    // the plan sees the perturbed matrix.
+    let clean = Measured::from(&env.run_arm(77, &job, &Tetrium::new(), FULL));
     let mut sim = env.sim(77);
-    let clean = run_wanified(
-        &mut sim,
-        &job,
-        &Tetrium::new(),
-        env.source(Belief::Predicted).as_mut(),
-        WanifyMode::full(),
-        None,
-    );
-    let mut sim = env.sim(77);
-    let predicted = env.gauge(Belief::Predicted, &mut sim);
-    let erred = inject_error(&predicted, 100.0, seed ^ 0xE44);
-    let noisy = run_wanified(
-        &mut sim,
-        &job,
-        &Tetrium::new(),
-        &mut Pregauged::named(erred, "predicted+err"),
-        WanifyMode::full(),
-        None,
-    );
-    let error_injection = ErrorInjection {
-        latency_increase_pct: -improvement_pct(clean.latency_s, noisy.latency_s),
-        cost_increase_pct: -improvement_pct(clean.cost.total_usd(), noisy.cost.total_usd()),
-        min_bw_decrease_pct: improvement_pct(clean.min_bw_mbps, noisy.min_bw_mbps),
-    };
+    let noisy_bw = inject_error(&env.gauge(Belief::Predicted, &mut sim), 100.0, env.seed ^ 0xE44);
+    let mut source = Pregauged::named(noisy_bw, "predicted+err");
+    let noisy = run_arm_on(&mut sim, &job, &Tetrium::new(), &mut source, FULL);
+    let erred = Row::new(&["wanify-err"], Measured::from(&noisy), clean);
+    let (g, min_bw_pct) = (erred.gain(), -improvement_pct(clean.min_bw_mbps, erred.min_bw_mbps));
 
-    Fig8 { ablation, error_injection }
+    let mut table = Table::grid(
+        "Fig. 8(a): ablation on q78",
+        &["scheduler", "arm"],
+        &[
+            ("latency (s)", Col::Latency(0)),
+            ("vs vanilla", Col::LatencyGain),
+            ("min BW", Col::MinBw),
+        ],
+        rows,
+    )
+    .expect("two labels per row")
+    .note("paper: WANify ~23% > Global-only ~16% > Local-only ~11%")
+    .note("")
+    .note("Fig. 8(b): prediction-error injection (±100 Mbps)")
+    .note(format!(
+        "latency {:+.1}% (paper ~+18%), cost {:+.1}% (~+5%), min BW {:+.1}% (~-38%)",
+        -g.latency_pct, -g.cost_pct, min_bw_pct
+    ));
+    table.rows.push(erred);
+    table
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Effort;
 
     #[test]
     fn full_wanify_beats_partial_arms() {
-        let f = run(Effort::Quick, 61);
+        let f = run(&ExpEnv::new(8, Effort::Quick, 61));
         for sched in ["tetrium", "kimchi"] {
-            let full = f.ablation_row(sched, "wanify").latency_pct;
-            let global = f.ablation_row(sched, "global-only").latency_pct;
+            let full = f.row(&[sched, "wanify"]).gain().latency_pct;
+            let global = f.row(&[sched, "global-only"]).gain().latency_pct;
             assert!(
                 full >= global - 3.0,
                 "{sched}: full ({full:.1}%) should be at least global-only ({global:.1}%)"
@@ -213,11 +121,11 @@ mod tests {
 
     #[test]
     fn error_injection_hurts() {
-        let f = run(Effort::Quick, 62);
+        let f = run(&ExpEnv::new(8, Effort::Quick, 62));
+        let latency_increase_pct = -f.row(&["wanify-err"]).gain().latency_pct;
         assert!(
-            f.error_injection.latency_increase_pct > -3.0,
-            "±100 Mbps errors should not help latency: {:+.1}%",
-            f.error_injection.latency_increase_pct
+            latency_increase_pct > -3.0,
+            "±100 Mbps errors should not help latency: {latency_increase_pct:+.1}%"
         );
     }
 

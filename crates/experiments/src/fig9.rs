@@ -7,13 +7,13 @@
 //! error injected into targets, the paper counts 6 epochs whose deltas
 //! are significant (>100 Mbps) and observes more epochs overall.
 
-use crate::common::{Belief, Effort, ExpEnv};
+use crate::common::{apply_throttles, Belief, ExpEnv};
+use crate::table::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wanify::{Wanify, WanifyConfig};
 use wanify_gda::{run_job, Tetrium, TransferOptions};
 use wanify_netsim::stats::std_dev;
-use wanify_netsim::DcId;
 use wanify_workloads::TpcDsQuery;
 
 /// Per-epoch standard deviations of the traced source's bandwidths.
@@ -34,26 +34,11 @@ pub struct Fig9 {
     pub clean: Vec<EpochSd>,
     /// Error-injected SD trace (20% target noise).
     pub with_error: Vec<EpochSd>,
-    /// Significant (>100 Mbps) SD deltas in the clean trace.
-    pub clean_significant: usize,
-    /// Significant deltas in the error-injected trace (paper: 6).
-    pub error_significant: usize,
 }
 
 impl Fig9 {
     /// Rendered summary.
     pub fn render(&self) -> String {
-        let mut s = String::from("Fig. 9: AIMD tracking of runtime dynamics (US East)\n");
-        s.push_str(&format!(
-            "clean run: {} epochs, {} significant SD deltas (>100 Mbps)\n",
-            self.clean.len(),
-            self.clean_significant
-        ));
-        s.push_str(&format!(
-            "20% error:  {} epochs, {} significant SD deltas (paper: 6 verticals)\n",
-            self.with_error.len(),
-            self.error_significant
-        ));
         let preview: Vec<String> = self
             .clean
             .iter()
@@ -65,9 +50,19 @@ impl Fig9 {
                 )
             })
             .collect();
-        s.push_str(&preview.join("\n"));
-        s.push('\n');
-        s
+        Table::lines("Fig. 9: AIMD tracking of runtime dynamics (US East)")
+            .note(format!(
+                "clean run: {} epochs, {} significant SD deltas (>100 Mbps)",
+                self.clean.len(),
+                significant(&self.clean)
+            ))
+            .note(format!(
+                "20% error:  {} epochs, {} significant SD deltas (paper: 6 verticals)",
+                self.with_error.len(),
+                significant(&self.with_error)
+            ))
+            .note(preview.join("\n"))
+            .render()
     }
 }
 
@@ -80,11 +75,7 @@ fn trace_run(env: &ExpEnv, perturb_pct: f64, seed: u64) -> Vec<EpochSd> {
     let plan = wanify
         .plan(env.source(Belief::Predicted).as_mut(), &mut sim)
         .expect("predicted source matches the environment topology");
-    for (i, j, cap) in plan.initial_throttles.iter_pairs() {
-        if cap.is_finite() {
-            sim.set_throttle(DcId(i), DcId(j), cap);
-        }
-    }
+    apply_throttles(&mut sim, &plan.initial_throttles);
     let mut belief = wanify::Pregauged::named(plan.achievable_bw().clone(), "wanify(predicted)");
     let conns = plan.initial_conns().clone();
     let mut agent = wanify.agent(&plan).traced(0);
@@ -98,61 +89,47 @@ fn trace_run(env: &ExpEnv, perturb_pct: f64, seed: u64) -> Vec<EpochSd> {
     .expect("fig9 jobs match their topology");
     sim.clear_throttles();
 
+    // The traced source is DC 0 (US East): entry 0 of a sample is itself.
     let mut rng = StdRng::seed_from_u64(seed ^ 0xF19);
     agent
         .trace()
         .iter()
         .map(|sample| {
-            let mut targets: Vec<f64> = sample
-                .target_bw
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != 0)
-                .map(|(_, &v)| v)
-                .collect();
+            let mut targets = sample.target_bw[1..].to_vec();
             if perturb_pct > 0.0 {
                 for t in &mut targets {
                     let e: f64 = rng.gen_range(-1.0..1.0) * perturb_pct;
                     *t *= 1.0 + e;
                 }
             }
-            let observed: Vec<f64> = sample
-                .observed_bw
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != 0)
-                .map(|(_, &v)| v)
-                .collect();
             EpochSd {
                 time_s: sample.time_s,
                 target_sd: std_dev(&targets),
-                observed_sd: std_dev(&observed),
+                observed_sd: std_dev(&sample.observed_bw[1..]),
             }
         })
         .collect()
 }
 
-fn significant(trace: &[EpochSd]) -> usize {
+/// Epochs whose target and observed SDs differ significantly (>100 Mbps;
+/// the paper counts 6 in its error-injected trace).
+pub fn significant(trace: &[EpochSd]) -> usize {
     trace.iter().filter(|e| (e.target_sd - e.observed_sd).abs() > 100.0).count()
 }
 
 /// Runs the clean and error-injected traces.
-pub fn run(effort: Effort, seed: u64) -> Fig9 {
-    let env = ExpEnv::new(8, effort, seed);
-    let clean = trace_run(&env, 0.0, 201);
-    let with_error = trace_run(&env, 0.20, 202);
-    let clean_significant = significant(&clean);
-    let error_significant = significant(&with_error);
-    Fig9 { clean, with_error, clean_significant, error_significant }
+pub fn run(env: &ExpEnv) -> Fig9 {
+    Fig9 { clean: trace_run(env, 0.0, 201), with_error: trace_run(env, 0.20, 202) }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Effort;
 
     #[test]
     fn traces_are_nonempty() {
-        let f = run(Effort::Quick, 71);
+        let f = run(&ExpEnv::new(8, Effort::Quick, 71));
         assert!(!f.clean.is_empty(), "agent must record AIMD epochs");
         assert!(!f.with_error.is_empty());
     }
@@ -162,18 +139,17 @@ mod tests {
         // Significance counts are integer-valued and noisy at quick-effort
         // scale (few AIMD epochs), so allow a ±1 band around the paper's
         // qualitative claim that injected error produces more deltas.
-        let f = run(Effort::Quick, 72);
+        let f = run(&ExpEnv::new(8, Effort::Quick, 72));
+        let (clean, error) = (significant(&f.clean), significant(&f.with_error));
         assert!(
-            f.error_significant + 1 >= f.clean_significant,
-            "20% error should not reduce significant deltas: {} vs {}",
-            f.error_significant,
-            f.clean_significant
+            error + 1 >= clean,
+            "20% error should not reduce significant deltas: {error} vs {clean}"
         );
     }
 
     #[test]
     fn sds_are_finite_and_nonnegative() {
-        let f = run(Effort::Quick, 73);
+        let f = run(&ExpEnv::new(8, Effort::Quick, 73));
         for e in f.clean.iter().chain(&f.with_error) {
             assert!(e.target_sd.is_finite() && e.target_sd >= 0.0);
             assert!(e.observed_sd.is_finite() && e.observed_sd >= 0.0);

@@ -7,58 +7,22 @@
 //! do the §5.2 belief provenances rank, and what does each cost in
 //! monitoring time? Every arm serves the identical deterministic trace
 //! (same jobs, same Poisson arrivals, same seeds) through the
-//! [`FleetEngine`], varying only the shared [`BandwidthSource`] — so the
+//! [`wanify_gda::FleetEngine`], varying only the shared
+//! [`wanify::BandwidthSource`] — so the
 //! differences are purely belief-driven, as in the paper's §5.2
 //! methodology, but now measured as fleet throughput and tail makespan
 //! instead of single-query latency.
 
-use crate::common::{render_table, Belief, Effort, ExpEnv};
-use wanify_gda::{Arrivals, FleetConfig, FleetEngine, FleetReport, Tetrium};
+use crate::common::{fleet_engine, Belief, Effort, ExpEnv};
+use crate::table::Table;
+use wanify_gda::{Arrivals, FleetReport};
 use wanify_workloads::{mixed_trace, TraceConfig};
-
-/// One belief's fleet outcome.
-#[derive(Debug, Clone)]
-pub struct FleetRow {
-    /// Belief provenance label.
-    pub belief: String,
-    /// Completed queries per simulated second.
-    pub throughput_jobs_per_s: f64,
-    /// Median admission-to-completion makespan, seconds.
-    pub p50_makespan_s: f64,
-    /// 95th-percentile makespan, seconds.
-    pub p95_makespan_s: f64,
-    /// 99th-percentile makespan, seconds.
-    pub p99_makespan_s: f64,
-    /// Mean queue wait, seconds.
-    pub mean_queue_wait_s: f64,
-    /// Belief gauges performed over the whole run (the amortization the
-    /// shared cache buys).
-    pub gauges: u64,
-    /// Total egress dollars across the fleet.
-    pub network_cost_usd: f64,
-}
-
-impl FleetRow {
-    fn from_report(report: &FleetReport) -> Self {
-        let makespan = report.makespan();
-        Self {
-            belief: report.belief.clone(),
-            throughput_jobs_per_s: report.throughput_jobs_per_s(),
-            p50_makespan_s: makespan.p50,
-            p95_makespan_s: makespan.p95,
-            p99_makespan_s: makespan.p99,
-            mean_queue_wait_s: report.queue_wait().mean,
-            gauges: report.gauges,
-            network_cost_usd: report.network_cost_usd(),
-        }
-    }
-}
 
 /// Outcome of [`run`].
 #[derive(Debug, Clone)]
 pub struct FleetResult {
-    /// One row per belief provenance.
-    pub rows: Vec<FleetRow>,
+    /// One fleet report per belief provenance.
+    pub rows: Vec<FleetReport>,
     /// Queries in the trace.
     pub jobs: usize,
     /// Data centers in the testbed.
@@ -66,52 +30,57 @@ pub struct FleetResult {
 }
 
 impl FleetResult {
-    /// The row for `belief`, if present.
-    pub fn row(&self, belief: &str) -> Option<&FleetRow> {
+    /// The report for `belief`, if present.
+    pub fn row(&self, belief: &str) -> Option<&FleetReport> {
         self.rows.iter().find(|r| r.belief == belief)
     }
 
     /// Renders the comparison as an aligned text table.
     pub fn render(&self) -> String {
-        let mut out = format!(
-            "Fleet contention: {} mixed queries on {} DCs, Tetrium, shared belief cache\n\n",
-            self.jobs, self.n_dcs
-        );
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    r.belief.clone(),
-                    format!("{:.4}", r.throughput_jobs_per_s),
-                    format!("{:.0}", r.p50_makespan_s),
-                    format!("{:.0}", r.p95_makespan_s),
-                    format!("{:.0}", r.p99_makespan_s),
-                    format!("{:.0}", r.mean_queue_wait_s),
-                    format!("{}", r.gauges),
-                    format!("${:.2}", r.network_cost_usd),
-                ]
-            })
-            .collect();
-        out.push_str(&render_table(
+        let cells = self.rows.iter().map(|r| {
+            let makespan = r.makespan();
+            vec![
+                r.belief.clone(),
+                format!("{:.4}", r.throughput_jobs_per_s()),
+                format!("{:.0}", makespan.p50),
+                format!("{:.0}", makespan.p95),
+                format!("{:.0}", makespan.p99),
+                format!("{:.0}", r.queue_wait().mean),
+                format!("{}", r.gauges),
+                format!("${:.2}", r.network_cost_usd()),
+            ]
+        });
+        Table::text(
+            &format!(
+                "Fleet contention: {} mixed queries on {} DCs, Tetrium, shared belief cache\n",
+                self.jobs, self.n_dcs
+            ),
             &["belief", "jobs/s", "p50 mkspan", "p95", "p99", "mean wait", "gauges", "egress $"],
-            &rows,
-        ));
-        out
+            cells.collect(),
+        )
+        .expect("eight cells per row")
+        .render()
     }
 }
 
 /// Runs the fleet comparison across belief provenances.
 ///
-/// `Quick` effort serves 16 queries on 4 DCs; `Full` serves 60 on the
-/// 8-DC paper testbed. Identical traces and arrivals per arm.
-pub fn run(effort: Effort, seed: u64) -> FleetResult {
-    let (n, jobs, rate) = match effort {
+/// `Quick` effort serves 16 queries on its own 4-DC environment; `Full`
+/// serves 60 on the shared 8-DC paper testbed. Identical traces and
+/// arrivals per arm.
+pub fn run(env: &ExpEnv) -> FleetResult {
+    let (n, jobs, rate) = match env.effort {
         Effort::Quick => (4, 16, 0.02),
         Effort::Full => (8, 60, 0.02),
     };
-    let env = ExpEnv::new(n, effort, seed);
-    let trace = mixed_trace(&TraceConfig::new(n, jobs, seed ^ 0xF1EE).scaled(0.5));
+    let small;
+    let env = if n == env.n {
+        env
+    } else {
+        small = ExpEnv::new(n, env.effort, env.seed);
+        &small
+    };
+    let trace = mixed_trace(&TraceConfig::new(n, jobs, env.seed ^ 0xF1EE).scaled(0.5));
     let beliefs = [
         Belief::StaticIndependent,
         Belief::StaticSimultaneous,
@@ -121,21 +90,9 @@ pub fn run(effort: Effort, seed: u64) -> FleetResult {
     let rows = beliefs
         .iter()
         .map(|&belief| {
-            let report = FleetEngine::new(
-                env.sim(100),
-                Box::new(Tetrium::new()),
-                env.source(belief),
-                FleetConfig {
-                    max_concurrent: 8,
-                    regauge_every_s: 120.0,
-                    conns: None,
-                    faults: None,
-                    ..FleetConfig::default()
-                },
-            )
-            .run(&trace, &Arrivals::Poisson { rate_per_s: rate, seed: seed ^ 0xBEEF })
-            .expect("fleet traces match their topology");
-            FleetRow::from_report(&report)
+            fleet_engine(env.sim(100), env.source(belief), 8, 120.0)
+                .run(&trace, &Arrivals::Poisson { rate_per_s: rate, seed: env.seed ^ 0xBEEF })
+                .expect("fleet traces match their topology")
         })
         .collect();
     FleetResult { rows, jobs, n_dcs: n }
@@ -147,11 +104,11 @@ mod tests {
 
     #[test]
     fn every_belief_serves_the_whole_trace() {
-        let result = run(Effort::Quick, 9);
-        assert_eq!(result.rows.len(), 4);
+        let result = run(&ExpEnv::new(4, Effort::Quick, 9));
+        assert_eq!((result.rows.len(), result.n_dcs), (4, 4));
         for row in &result.rows {
-            assert!(row.throughput_jobs_per_s > 0.0, "{} served nothing", row.belief);
-            assert!(row.p99_makespan_s >= row.p50_makespan_s);
+            assert!(row.throughput_jobs_per_s() > 0.0, "{} served nothing", row.belief);
+            assert!(row.makespan().p99 >= row.makespan().p50);
         }
         assert!(result.render().contains("jobs/s"));
     }
@@ -164,11 +121,11 @@ mod tests {
         // of the measured-runtime arm's throughput while paying a far
         // shorter probe per gauge — Table 2's monitoring-cost argument,
         // fleet-sized.
-        let result = run(Effort::Quick, 4);
+        let result = run(&ExpEnv::new(4, Effort::Quick, 4));
         let predicted = result.row("predicted").expect("predicted arm");
         let measured = result.row("measured-runtime").expect("measured arm");
         assert!(predicted.gauges >= 1 && measured.gauges >= 1);
-        let ratio = predicted.throughput_jobs_per_s / measured.throughput_jobs_per_s;
+        let ratio = predicted.throughput_jobs_per_s() / measured.throughput_jobs_per_s();
         assert!(
             (0.9..=1.1).contains(&ratio),
             "predicted should track ground truth closely, got ratio {ratio:.3}"

@@ -13,10 +13,11 @@
 //! Simulated results are bit-identical across repeated runs and rayon
 //! thread counts, like everything else in this workspace.
 
-use crate::common::{render_table, Effort};
+use crate::common::{fleet_engine, Effort};
+use crate::table::Table;
 use wanify::Pregauged;
 use wanify_gateway::{Gateway, GatewayConfig, GatewayReport, GatewayRequest};
-use wanify_gda::{FleetConfig, FleetEngine, Tetrium};
+use wanify_gda::FleetConfig;
 use wanify_netsim::{paper_testbed_n, BwMatrix, LinkModelParams, NetSim, VmType};
 use wanify_workloads::{offered_load, LoadSpec};
 
@@ -27,36 +28,26 @@ pub const MAX_CONCURRENT: usize = 2;
 pub const SLACK_MAKESPANS: f64 = 4.0;
 
 /// One offered-load point of the sweep.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GatewayRow {
     /// Offered load as a multiple of the calibrated saturation rate.
     pub load_multiple: f64,
     /// Offered arrival rate, jobs per simulated second.
     pub rate_per_s: f64,
-    /// Jobs offered to the gateway.
-    pub offered: u64,
-    /// Jobs served to completion.
-    pub served: u64,
-    /// Served jobs that met their deadline without faulting.
-    pub good: u64,
-    /// Jobs shed at admission (predicted to miss their deadline).
-    pub shed: u64,
-    /// Jobs rejected on queue overflow.
-    pub rejected: u64,
-    /// Served jobs that missed their deadline anyway.
-    pub deadline_misses: u64,
-    /// Good completions per simulated second.
-    pub goodput_per_s: f64,
-    /// Median arrival-to-completion latency, seconds.
-    pub latency_p50_s: f64,
-    /// 99th-percentile arrival-to-completion latency, seconds.
-    pub latency_p99_s: f64,
-    /// Simulated seconds the sweep point ran for.
-    pub duration_s: f64,
+    /// What the gateway did with it: dispositions in
+    /// `report.fleet.serving`, latency order statistics, duration.
+    pub report: GatewayReport,
+}
+
+impl GatewayRow {
+    /// Good completions (deadline met, no fault) per simulated second.
+    pub fn goodput_per_s(&self) -> f64 {
+        self.report.good() as f64 / self.report.fleet.duration_s.max(1e-9)
+    }
 }
 
 /// Outcome of [`run`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GatewayResult {
     /// One row per offered-load multiple, in sweep order.
     pub rows: Vec<GatewayRow>,
@@ -76,29 +67,26 @@ impl GatewayResult {
 
     /// Renders the sweep as an aligned text table.
     pub fn render(&self) -> String {
-        let mut out = format!(
-            "Serving gateway under overload: {} jobs per point on {} DCs, \
-             saturation {:.4} jobs/s, deadlines at {:.0}x unloaded makespan\n\n",
-            self.jobs, N_DCS, self.saturation_rate_per_s, SLACK_MAKESPANS
-        );
-        let rows: Vec<Vec<String>> = self
-            .rows
-            .iter()
-            .map(|r| {
-                vec![
-                    format!("{:.1}x", r.load_multiple),
-                    format!("{}", r.offered),
-                    format!("{}", r.served),
-                    format!("{}", r.good),
-                    format!("{}", r.shed),
-                    format!("{}", r.rejected),
-                    format!("{}", r.deadline_misses),
-                    format!("{:.4}", r.goodput_per_s),
-                    format!("{:.1}", r.latency_p99_s),
-                ]
-            })
-            .collect();
-        out.push_str(&render_table(
+        let cells = self.rows.iter().map(|r| {
+            let s = &r.report.fleet.serving;
+            vec![
+                format!("{:.1}x", r.load_multiple),
+                format!("{}", s.offered),
+                format!("{}", r.report.served()),
+                format!("{}", r.report.good()),
+                format!("{}", s.shed_jobs),
+                format!("{}", s.rejected),
+                format!("{}", s.deadline_misses),
+                format!("{:.4}", r.goodput_per_s()),
+                format!("{:.1}", r.report.latency.p99),
+            ]
+        });
+        Table::text(
+            &format!(
+                "Serving gateway under overload: {} jobs per point on {} DCs, \
+                 saturation {:.4} jobs/s, deadlines at {:.0}x unloaded makespan\n",
+                self.jobs, N_DCS, self.saturation_rate_per_s, SLACK_MAKESPANS
+            ),
             &[
                 "load",
                 "offered",
@@ -110,23 +98,22 @@ impl GatewayResult {
                 "goodput/s",
                 "p99 s",
             ],
-            &rows,
-        ));
-        out
+            cells.collect(),
+        )
+        .expect("nine cells per row")
+        .render()
     }
 }
 
-fn engine(seed: u64) -> FleetEngine {
-    FleetEngine::new(
-        NetSim::new(paper_testbed_n(VmType::t2_medium(), N_DCS), LinkModelParams::frozen(), seed),
-        Box::new(Tetrium::new()),
-        Box::new(Pregauged::new(BwMatrix::filled(N_DCS, 300.0))),
-        FleetConfig { max_concurrent: MAX_CONCURRENT, ..FleetConfig::default() },
-    )
-}
-
 fn serve(seed: u64, requests: Vec<GatewayRequest>) -> GatewayReport {
-    Gateway::new(engine(seed), GatewayConfig { queue_depth: 8, ..GatewayConfig::default() })
+    let topo = paper_testbed_n(VmType::t2_medium(), N_DCS);
+    let engine = fleet_engine(
+        NetSim::new(topo, LinkModelParams::frozen(), seed),
+        Box::new(Pregauged::new(BwMatrix::filled(N_DCS, 300.0))),
+        MAX_CONCURRENT,
+        FleetConfig::default().regauge_every_s,
+    );
+    Gateway::new(engine, GatewayConfig { queue_depth: 8, ..GatewayConfig::default() })
         .serve(requests)
         .expect("gateway sweep point failed to run")
 }
@@ -159,22 +146,11 @@ pub fn run(effort: Effort, seed: u64) -> GatewayResult {
         .iter()
         .map(|&m| {
             let rate = m * saturation_rate_per_s;
-            let r =
-                serve(seed, to_requests(&base.clone().at_rate(rate).with_deadline_slack(slack_s)));
-            let s = &r.fleet.serving;
+            let load = base.clone().at_rate(rate).with_deadline_slack(slack_s);
             GatewayRow {
                 load_multiple: m,
                 rate_per_s: rate,
-                offered: s.offered,
-                served: r.served() as u64,
-                good: r.good() as u64,
-                shed: s.shed_jobs,
-                rejected: s.rejected,
-                deadline_misses: s.deadline_misses,
-                goodput_per_s: r.good() as f64 / r.fleet.duration_s.max(1e-9),
-                latency_p50_s: r.latency.p50,
-                latency_p99_s: r.latency.p99,
-                duration_s: r.fleet.duration_s,
+                report: serve(seed, to_requests(&load)),
             }
         })
         .collect();
@@ -189,16 +165,17 @@ mod tests {
     fn goodput_holds_past_saturation() {
         let result = run(Effort::Quick, 77);
         assert_eq!(result.rows.len(), 3);
-        let at_sat = result.at(1.0).expect("saturation point").goodput_per_s;
-        let at_2x = result.at(2.0).expect("2x point").goodput_per_s;
+        let at_sat = result.at(1.0).expect("saturation point").goodput_per_s();
+        let at_2x = result.at(2.0).expect("2x point").goodput_per_s();
         assert!(at_sat > 0.0, "saturation point served nothing");
         assert!(
             at_2x >= 0.8 * at_sat,
             "goodput collapsed past saturation: {at_2x:.4} vs {at_sat:.4}"
         );
         for row in &result.rows {
-            assert!(row.latency_p50_s.is_finite());
-            assert!(row.duration_s.is_finite() && row.duration_s > 0.0);
+            assert!(row.report.latency.p50.is_finite());
+            let duration_s = row.report.fleet.duration_s;
+            assert!(duration_s.is_finite() && duration_s > 0.0);
         }
         assert!(result.render().contains("goodput/s"));
     }
@@ -209,12 +186,13 @@ mod tests {
         let b = run(Effort::Quick, 5);
         assert_eq!(a.saturation_rate_per_s.to_bits(), b.saturation_rate_per_s.to_bits());
         for (x, y) in a.rows.iter().zip(&b.rows) {
-            assert_eq!(x.goodput_per_s.to_bits(), y.goodput_per_s.to_bits());
-            assert_eq!(x.latency_p99_s.to_bits(), y.latency_p99_s.to_bits());
-            assert_eq!(
-                (x.served, x.good, x.shed, x.rejected),
-                (y.served, y.good, y.shed, y.rejected)
-            );
+            assert_eq!(x.goodput_per_s().to_bits(), y.goodput_per_s().to_bits());
+            assert_eq!(x.report.latency.p99.to_bits(), y.report.latency.p99.to_bits());
+            let counts = |r: &GatewayRow| {
+                let s = &r.report.fleet.serving;
+                (r.report.served(), r.report.good(), s.shed_jobs, s.rejected)
+            };
+            assert_eq!(counts(x), counts(y));
         }
     }
 }

@@ -6,10 +6,9 @@
 //! the forest alongside OLS and kNN baselines and reports the accuracy of
 //! each, plus the forest's out-of-bag error.
 
-use crate::common::{render_table, Effort};
-use wanify::BandwidthAnalyzer;
+use crate::common::{training_data, Effort};
+use crate::table::Table;
 use wanify_forest::{metrics, Dataset, ForestParams, KnnRegressor, LinearRegressor, RandomForest};
-use wanify_netsim::{LinkModelParams, VmType};
 
 /// One model's accuracy numbers.
 #[derive(Debug, Clone)]
@@ -58,32 +57,28 @@ impl ModelReport {
                 ]
             })
             .collect();
-        let mut s = String::from("Model quality (paper: RF 98.51% training accuracy)\n");
-        s.push_str(&render_table(&["model", "train acc", "test acc"], &rows));
+        let mut table = Table::text(
+            "Model quality (paper: RF 98.51% training accuracy)",
+            &["model", "train acc", "test acc"],
+            rows,
+        )
+        .expect("three cells per row");
         if let Some(oob) = self.oob_mae_mbps {
-            s.push_str(&format!("forest OOB MAE: {oob:.1} Mbps\n"));
+            table = table.note(format!("forest OOB MAE: {oob:.1} Mbps"));
         }
-        s.push_str(&format!(
-            "{} samples ⇒ {} feature rows across cluster sizes\n",
-            self.n_samples, self.n_rows
-        ));
-        s
+        table
+            .note(format!(
+                "{} samples ⇒ {} feature rows across cluster sizes",
+                self.n_samples, self.n_rows
+            ))
+            .render()
     }
-}
-
-fn accuracy(preds: &[f64], targets: &[f64]) -> f64 {
-    metrics::accuracy_pct(preds, targets)
 }
 
 /// Trains the forest and baselines.
 pub fn run(effort: Effort, seed: u64) -> ModelReport {
     let sizes: Vec<usize> = vec![3, 4, 5, 6, 7, 8];
-    let analyzer = BandwidthAnalyzer {
-        vm: VmType::t2_medium(),
-        params: LinkModelParams::default(),
-        samples_per_size: effort.samples_per_size(),
-    };
-    let data = analyzer.collect(&sizes, seed);
+    let data = training_data(effort, &sizes, seed);
     let n_samples = sizes.len() * effort.samples_per_size();
     let mut rng = rand::SeedableRng::seed_from_u64(seed ^ 0x71);
     let (train, test) = data.train_test_split(0.2, &mut rng);
@@ -100,27 +95,21 @@ pub fn run(effort: Effort, seed: u64) -> ModelReport {
     let linear = LinearRegressor::fit(&train);
     let knn = KnnRegressor::fit(&train, 5);
 
-    let eval = |f: &dyn Fn(&[f64]) -> f64, d: &Dataset| -> f64 {
-        let preds: Vec<f64> = d.iter().map(|(x, _)| f(x)).collect();
-        accuracy(&preds, d.targets())
+    let row = |name: &str, predict: &dyn Fn(&[f64]) -> f64| {
+        let accuracy = |d: &Dataset| {
+            let preds: Vec<f64> = d.iter().map(|(x, _)| predict(x)).collect();
+            metrics::accuracy_pct(&preds, d.targets())
+        };
+        ModelRow {
+            name: name.to_string(),
+            train_accuracy_pct: accuracy(&train),
+            test_accuracy_pct: accuracy(&test),
+        }
     };
-
     let rows = vec![
-        ModelRow {
-            name: "random-forest".to_string(),
-            train_accuracy_pct: eval(&|x| forest.predict(x), &train),
-            test_accuracy_pct: eval(&|x| forest.predict(x), &test),
-        },
-        ModelRow {
-            name: "linear-ols".to_string(),
-            train_accuracy_pct: eval(&|x| linear.predict(x), &train),
-            test_accuracy_pct: eval(&|x| linear.predict(x), &test),
-        },
-        ModelRow {
-            name: "knn-5".to_string(),
-            train_accuracy_pct: eval(&|x| knn.predict(x), &train),
-            test_accuracy_pct: eval(&|x| knn.predict(x), &test),
-        },
+        row("random-forest", &|x| forest.predict(x)),
+        row("linear-ols", &|x| linear.predict(x)),
+        row("knn-5", &|x| knn.predict(x)),
     ];
     ModelReport { oob_mae_mbps: forest.oob_mae(&train), rows, n_samples, n_rows: data.len() }
 }

@@ -1,89 +1,140 @@
-//! The experiment-id registry behind the `repro` binary.
+//! The experiment registry behind the `repro` binary.
 //!
-//! One place lists every runnable id — the paper's tables and figures,
-//! the beyond-the-paper fleet studies, and one `scenario:<name>` id per
-//! committed fault-injection scenario — so the binary's dispatch, its
-//! usage text and its unknown-id diagnostics can never drift apart.
+//! One table lists every runnable artifact — the paper's tables and
+//! figures and the beyond-the-paper studies — and the binary's dispatch,
+//! its usage text, the crate-doc id table, the README id list and the
+//! criterion bench (`crates/bench/benches/paper_artifacts.rs`) all
+//! enumerate it. One `scenario:<name>` id per committed fault-injection
+//! scenario rides along.
 
-use crate::Effort;
+use crate::common::ExpEnv;
+use crate::{
+    fig10, fig11, fig2, fig4, fig5, fig6, fig7, fig8, fig9, fleet, gateway, model, sec583, sharded,
+    table1, table2, table4,
+};
+use wanify_scenarios::{render_markdown, run_all};
 
-/// The paper-artifact and fleet-study ids, in report order.
-pub const BASE_IDS: [&str; 18] = [
-    "table1",
-    "table2",
-    "fig2",
-    "table4",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "fig9",
-    "fig10",
-    "fig11",
-    "sec583",
-    "model",
-    "fleet",
-    "sharded",
-    "gateway",
-    "scenarios",
+/// One runnable artifact.
+#[derive(Debug)]
+pub struct Entry {
+    /// The id `repro` dispatches on.
+    pub id: &'static str,
+    /// What it reproduces (the crate-doc table's second column).
+    pub title: &'static str,
+    /// Runs it and returns the rendered artifact.
+    pub run: fn(&ExpEnv) -> String,
+}
+
+/// Every entry, in report order (`repro all` runs exactly these).
+pub static ENTRIES: [Entry; 18] = [
+    Entry {
+        id: "table1",
+        title: "static vs runtime bandwidth gaps",
+        run: |e| table1::run(e.seed).render(),
+    },
+    Entry { id: "table2", title: "monitoring-cost savings", run: |_| table2::run().render() },
+    Entry {
+        id: "fig2",
+        title: "single/uniform/heterogeneous connection bandwidths",
+        run: |e| fig2::run(e.seed).render(),
+    },
+    Entry {
+        id: "table4",
+        title: "Tetrium/Kimchi gains from runtime bandwidth",
+        run: |e| table4::run(e).render(),
+    },
+    Entry { id: "fig4", title: "ML quantization variants", run: |e| fig4::run(e).render() },
+    Entry {
+        id: "fig5",
+        title: "parallel-transfer approaches on TeraSort",
+        run: |e| fig5::run(e).render(),
+    },
+    Entry {
+        id: "fig6",
+        title: "WordCount intermediate-size sweep",
+        run: |e| fig6::run(e).render(),
+    },
+    Entry {
+        id: "fig7",
+        title: "end-to-end TPC-DS with/without WANify",
+        run: |e| fig7::run(e).render(),
+    },
+    Entry {
+        id: "fig8",
+        title: "ablation + prediction-error injection",
+        run: |e| fig8::run(e).render(),
+    },
+    Entry { id: "fig9", title: "AIMD tracking of dynamics", run: |e| fig9::run(e).render() },
+    Entry { id: "fig10", title: "skewed-input handling", run: |e| fig10::run(e).render() },
+    Entry {
+        id: "fig11",
+        title: "prediction accuracy across cluster shapes",
+        run: |e| fig11::run(e).render(),
+    },
+    Entry {
+        id: "sec583",
+        title: "heterogeneous-VM benefits",
+        run: |e| sec583::run(e.effort, e.seed).render(),
+    },
+    Entry {
+        id: "model",
+        title: "prediction-model training quality",
+        run: |e| model::run(e.effort, e.seed).render(),
+    },
+    Entry {
+        id: "fleet",
+        title: "beyond the paper: belief provenances under multi-tenant contention",
+        run: |e| fleet::run(e).render(),
+    },
+    Entry {
+        id: "sharded",
+        title: "beyond the paper: shard-count sweep of the sharded multi-sim fleet",
+        run: |e| sharded::run(e.effort, e.seed).render(),
+    },
+    Entry {
+        id: "gateway",
+        title: "beyond the paper: serving-gateway goodput across an offered-load sweep",
+        run: |e| gateway::run(e.effort, e.seed).render(),
+    },
+    Entry {
+        id: "scenarios",
+        title: "beyond the paper: the fault-injection scenario suite",
+        run: |_| render_markdown(&run_all(&wanify_scenarios::all())),
+    },
 ];
 
-/// Every valid experiment id: [`BASE_IDS`] plus one `scenario:<name>`
+/// Every valid experiment id: the [`ENTRIES`] plus one `scenario:<name>`
 /// per entry of the committed scenario catalog.
 pub fn experiment_ids() -> Vec<String> {
-    let mut ids: Vec<String> = BASE_IDS.iter().map(|s| s.to_string()).collect();
+    let mut ids: Vec<String> = ENTRIES.iter().map(|e| e.id.to_string()).collect();
     ids.extend(wanify_scenarios::all().iter().map(|s| format!("scenario:{}", s.name)));
     ids
 }
 
 /// Whether `id` is runnable.
 pub fn is_known(id: &str) -> bool {
-    if BASE_IDS.contains(&id) {
-        return true;
-    }
-    id.strip_prefix("scenario:").is_some_and(|name| wanify_scenarios::by_name(name).is_some())
+    experiment_ids().iter().any(|known| known == id)
 }
 
 /// Runs one experiment and returns its rendered output, or `None` for an
 /// unknown id.
 ///
-/// Scenario ids ignore `effort` and `seed`: committed scenario reports
-/// pin their own seeds so the artifacts stay byte-reproducible.
-pub fn run(id: &str, effort: Effort, seed: u64) -> Option<String> {
+/// Paper artifacts run on `env` — the 8-DC paper environment, or its
+/// effort and seed where they build their own testbed. Scenario ids
+/// ignore it: committed scenario reports pin their own seeds so the
+/// artifacts stay byte-reproducible.
+pub fn run(id: &str, env: &ExpEnv) -> Option<String> {
     if let Some(name) = id.strip_prefix("scenario:") {
         let spec = wanify_scenarios::by_name(name)?;
         return Some(wanify_scenarios::render_markdown(&[wanify_scenarios::run_scenario(&spec)]));
     }
-    let out = match id {
-        "table1" => crate::table1::run(seed).render(),
-        "table2" => crate::table2::run().render(),
-        "fig2" => crate::fig2::run(seed).render(),
-        "table4" => crate::table4::run(effort, seed).render(),
-        "fig4" => crate::fig4::run(effort, seed).render(),
-        "fig5" => crate::fig5::run(effort, seed).render(),
-        "fig6" => crate::fig6::run(effort, seed).render(),
-        "fig7" => crate::fig7::run(effort, seed).render(),
-        "fig8" => crate::fig8::run(effort, seed).render(),
-        "fig9" => crate::fig9::run(effort, seed).render(),
-        "fig10" => crate::fig10::run(effort, seed).render(),
-        "fig11" => crate::fig11::run(effort, seed).render(),
-        "sec583" => crate::sec583::run(effort, seed).render(),
-        "model" => crate::model::run(effort, seed).render(),
-        "fleet" => crate::fleet::run(effort, seed).render(),
-        "sharded" => crate::sharded::run(effort, seed).render(),
-        "gateway" => crate::gateway::run(effort, seed).render(),
-        "scenarios" => {
-            wanify_scenarios::render_markdown(&wanify_scenarios::run_all(&wanify_scenarios::all()))
-        }
-        _ => return None,
-    };
-    Some(out)
+    ENTRIES.iter().find(|e| e.id == id).map(|entry| (entry.run)(env))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Effort;
 
     #[test]
     fn registry_lists_paper_and_scenario_ids() {
@@ -94,7 +145,7 @@ mod tests {
         assert!(ids.iter().any(|i| i == "scenario:outage-recovery"));
         assert!(ids.iter().any(|i| i == "scenario:sustained-overload-shedding"));
         assert!(ids.iter().any(|i| i == "scenario:belief-breaker-trip"));
-        assert!(ids.len() >= BASE_IDS.len() + 8, "the scenario catalog rides along");
+        assert!(ids.len() >= ENTRIES.len() + 8, "the scenario catalog rides along");
     }
 
     #[test]
@@ -106,10 +157,38 @@ mod tests {
 
     #[test]
     fn unknown_ids_are_rejected() {
+        let env = ExpEnv::new(8, Effort::Quick, 1);
         assert!(!is_known("fig99"));
         assert!(!is_known("scenario:no-such-scenario"));
         assert!(!is_known(""));
-        assert!(run("fig99", Effort::Quick, 1).is_none());
-        assert!(run("scenario:no-such-scenario", Effort::Quick, 1).is_none());
+        assert!(run("fig99", &env).is_none());
+        assert!(run("scenario:no-such-scenario", &env).is_none());
+    }
+
+    #[test]
+    fn every_entry_renders_and_the_docs_list_exactly_the_registry() {
+        let env = ExpEnv::new(8, Effort::Quick, 42);
+        for (i, entry) in ENTRIES.iter().enumerate() {
+            assert!(ENTRIES[..i].iter().all(|e| e.id != entry.id), "duplicate id {}", entry.id);
+            let out = run(entry.id, &env).expect("a listed id runs");
+            assert!(out.lines().count() >= 2, "{} rendered {out:?}", entry.id);
+        }
+
+        // The crate-doc table: one `| `id` | title |` line per entry, in order.
+        let want: Vec<String> =
+            ENTRIES.iter().map(|e| format!("//! | `{}` | {} |", e.id, e.title)).collect();
+        let doc: Vec<&str> = include_str!("lib.rs")
+            .lines()
+            .filter(|l| l.starts_with("//! | `") && !l.contains("scenario:<name>"))
+            .collect();
+        assert_eq!(doc, want, "crates/experiments/src/lib.rs id table");
+
+        // The README id list: the first backticked run of its `Ids:` sentence.
+        let readme = include_str!("../../../README.md");
+        let listed = readme.split("\nIds: `").nth(1).expect("README has an id list");
+        let listed: Vec<&str> =
+            listed.split('`').next().expect("closing backtick").split_whitespace().collect();
+        let ids: Vec<&str> = ENTRIES.iter().map(|e| e.id).collect();
+        assert_eq!(listed, ids, "README.md id list");
     }
 }

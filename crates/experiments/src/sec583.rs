@@ -6,107 +6,37 @@
 //! WANify-enabled Tetrium. The paper reports 5%/1%/1.2× for Tetrium-r and
 //! 15%/7.4%/2× for the full stack.
 
-use crate::common::{improvement_pct, run_wanified, Effort, WanifyMode};
-use wanify::{BandwidthAnalyzer, PredictedRuntime, StaticIndependent, WanPredictionModel};
-use wanify_gda::{run_job, Tetrium, TransferOptions};
-use wanify_netsim::{paper_testbed, DcId, LinkModelParams, NetSim, VmType};
+use crate::common::{Arm, Belief, Effort, ExpEnv, WanifyMode};
+use crate::table::{Measured, Row, Table};
+use wanify_gda::Tetrium;
+use wanify_netsim::{paper_testbed, DcId, VmType};
 use wanify_workloads::TpcDsQuery;
 
-/// One arm's outcome.
-#[derive(Debug, Clone)]
-pub struct Sec583Row {
-    /// Arm label.
-    pub name: String,
-    /// Latency improvement vs vanilla, percent.
-    pub latency_pct: f64,
-    /// Cost improvement vs vanilla, percent.
-    pub cost_pct: f64,
-    /// Minimum-bandwidth ratio vs vanilla.
-    pub min_bw_ratio: f64,
-}
+/// The two arms compared against vanilla Tetrium.
+pub const ARMS: [(&str, Arm); 2] =
+    [("Tetrium-r", Arm::Single(Belief::Predicted)), ("WANify", Arm::wanify(WanifyMode::full()))];
 
-/// Result of the §5.8.3 reproduction.
-#[derive(Debug, Clone)]
-pub struct Sec583 {
-    /// Tetrium-r and WANify rows.
-    pub rows: Vec<Sec583Row>,
-}
-
-impl Sec583 {
-    /// Rendered summary.
-    pub fn render(&self) -> String {
-        let mut s = String::from(
-            "Sec 5.8.3: q78 with an extra t2.medium VM in US East (vs vanilla Tetrium)\n",
-        );
-        for r in &self.rows {
-            s.push_str(&format!(
-                "{:<12} latency {:+.1}%  cost {:+.1}%  minBW {:.2}x\n",
-                r.name, r.latency_pct, r.cost_pct, r.min_bw_ratio
-            ));
-        }
-        s.push_str("paper: Tetrium-r 5%/1%/1.2x; WANify 15%/7.4%/2x\n");
-        s
-    }
-}
-
-fn hetero_sim(seed: u64) -> NetSim {
-    let topo = paper_testbed(VmType::t2_medium()).with_extra_vms(DcId(0), 1);
-    NetSim::new(topo, LinkModelParams::default(), seed)
-}
-
-/// Runs the three arms.
-pub fn run(effort: Effort, seed: u64) -> Sec583 {
+/// Runs the three arms on the heterogeneous fleet.
+pub fn run(effort: Effort, seed: u64) -> Table {
     // Train the model on the homogeneous sizes; heterogeneous fleets are
     // covered by the host-metric features (§3.3.3).
-    let analyzer = BandwidthAnalyzer {
-        vm: VmType::t2_medium(),
-        params: LinkModelParams::default(),
-        samples_per_size: effort.samples_per_size(),
-    };
-    let data = analyzer.collect(&[6, 7, 8], seed ^ 0x583);
-    let model = std::sync::Arc::new(WanPredictionModel::train(&data, effort.n_estimators(), seed));
-    let job = TpcDsQuery::Q78.job(8, 100.0 * effort.input_scale());
-    let sched = Tetrium::new();
-
-    // Vanilla baseline.
-    let mut sim = hetero_sim(seed);
-    let vanilla =
-        run_job(&mut sim, &job, &sched, &mut StaticIndependent::new(), TransferOptions::default())
-            .expect("sec583 jobs match their topology");
-
-    // Tetrium-r: predicted beliefs, still single connection.
-    let mut sim = hetero_sim(seed);
-    let tetrium_r = run_job(
-        &mut sim,
-        &job,
-        &sched,
-        &mut PredictedRuntime::new(model.clone()),
-        TransferOptions::default(),
-    )
-    .expect("sec583 jobs match their topology");
-
-    // Full WANify.
-    let mut sim = hetero_sim(seed);
-    let full = run_wanified(
-        &mut sim,
-        &job,
-        &sched,
-        &mut PredictedRuntime::new(model.clone()),
-        WanifyMode::full(),
-        None,
-    );
-
-    let mk = |name: &str, r: &wanify_gda::QueryReport| Sec583Row {
-        name: name.to_string(),
-        latency_pct: improvement_pct(vanilla.latency_s, r.latency_s),
-        cost_pct: improvement_pct(vanilla.cost.total_usd(), r.cost.total_usd()),
-        min_bw_ratio: if vanilla.min_bw_mbps > 0.0 {
-            r.min_bw_mbps / vanilla.min_bw_mbps
-        } else {
-            1.0
-        },
-    };
-    Sec583 { rows: vec![mk("Tetrium-r", &tetrium_r), mk("WANify", &full)] }
+    let topo = paper_testbed(VmType::t2_medium()).with_extra_vms(DcId(0), 1);
+    let env = ExpEnv::trained(topo, &[6, 7, 8], [seed ^ 0x583, seed], effort, seed);
+    let job = TpcDsQuery::Q78.job(env.n, 100.0 * effort.input_scale());
+    let measure = |arm| Measured::from(&env.run_arm(0, &job, &Tetrium::new(), arm));
+    let vanilla = measure(Arm::Single(Belief::StaticIndependent));
+    let mut table =
+        Table::lines("Sec 5.8.3: q78 with an extra t2.medium VM in US East (vs vanilla Tetrium)");
+    for (name, arm) in ARMS {
+        let row = Row::new(&[name], measure(arm), vanilla);
+        let g = row.gain();
+        table.notes.push(format!(
+            "{name:<12} latency {:+.1}%  cost {:+.1}%  minBW {:.2}x",
+            g.latency_pct, g.cost_pct, g.min_bw_ratio
+        ));
+        table.rows.push(row);
+    }
+    table.note("paper: Tetrium-r 5%/1%/1.2x; WANify 15%/7.4%/2x")
 }
 
 #[cfg(test)]
@@ -116,8 +46,8 @@ mod tests {
     #[test]
     fn full_wanify_beats_prediction_only() {
         let s = run(Effort::Quick, 583);
-        let r = &s.rows[0];
-        let w = &s.rows[1];
+        let r = s.row(&["Tetrium-r"]).gain();
+        let w = s.row(&["WANify"]).gain();
         assert!(
             w.latency_pct >= r.latency_pct - 2.0,
             "full WANify ({:+.1}%) should be at least Tetrium-r ({:+.1}%)",

@@ -5,7 +5,7 @@
 //! the significant differences (>100 Mbps): 7 in (100, 200], 8 in
 //! (200, 250] and 3 above 250 Mbps — 18 significant gaps in total.
 
-use crate::common::render_table;
+use crate::table::Table;
 use wanify::{BandwidthSource, MeasuredRuntime, StaticIndependent};
 use wanify_netsim::{paper_testbed, LinkModelParams, NetSim, VmType};
 
@@ -34,20 +34,22 @@ impl Table1 {
 
     /// Rendered table next to the paper's values.
     pub fn render(&self) -> String {
-        let mut s = String::from("Table 1: static vs runtime BW gap histogram\n");
-        s.push_str(&render_table(
+        let mut table = Table::text(
+            "Table 1: static vs runtime BW gap histogram",
             &["difference interval (Mbps)", "measured count", "paper count"],
-            &[
+            vec![
                 vec!["(100, 200]".into(), self.bucket_100_200.to_string(), "7".into()],
                 vec!["(200, 250]".into(), self.bucket_200_250.to_string(), "8".into()],
                 vec!["> 250".into(), self.bucket_over_250.to_string(), "3".into()],
                 vec!["total significant".into(), self.total_significant().to_string(), "18".into()],
             ],
-        ));
+        )
+        .expect("three cells per row");
         if let Some((from, st, rt)) = &self.flipped_slowest {
-            s.push_str(&format!("slowest DC from {from}: static says {st}, runtime says {rt}\n"));
+            table =
+                table.note(format!("slowest DC from {from}: static says {st}, runtime says {rt}"));
         }
-        s
+        table.render()
     }
 }
 
@@ -62,44 +64,31 @@ pub fn run(seed: u64) -> Table1 {
     let runtime =
         MeasuredRuntime::default().gauge(&mut sim).expect("runtime probe matches topology");
 
-    let mut b1 = 0;
-    let mut b2 = 0;
-    let mut b3 = 0;
-    for (i, j, s) in static_bw.iter_pairs() {
-        let d = (s - runtime.get(i, j)).abs();
-        if d > 250.0 {
-            b3 += 1;
-        } else if d > 200.0 {
-            b2 += 1;
-        } else if d > 100.0 {
-            b1 += 1;
-        }
-    }
+    // Pairs whose static and runtime views differ by a gap in (lo, hi].
+    let gaps_in = |lo: f64, hi: f64| {
+        let gap = |(i, j, s): (usize, usize, f64)| (s - runtime.get(i, j)).abs();
+        static_bw.iter_pairs().map(gap).filter(|&d| d > lo && d <= hi).count()
+    };
 
     // The paper's flipped-decision example: the slowest destination from a
     // source differs between static and runtime views.
     let labels = sim.topology().labels();
     let n = static_bw.len();
-    let mut flipped = None;
-    for i in 0..n {
+    let flipped = (0..n).find_map(|i| {
         let slowest = |m: &wanify_netsim::BwMatrix| -> usize {
             (0..n)
                 .filter(|&j| j != i)
                 .min_by(|&a, &b| m.get(i, a).partial_cmp(&m.get(i, b)).expect("finite"))
                 .expect("n >= 2")
         };
-        let s = slowest(&static_bw);
-        let r = slowest(&runtime);
-        if s != r {
-            flipped = Some((labels[i].clone(), labels[s].clone(), labels[r].clone()));
-            break;
-        }
-    }
+        let (s, r) = (slowest(&static_bw), slowest(&runtime));
+        (s != r).then(|| (labels[i].clone(), labels[s].clone(), labels[r].clone()))
+    });
 
     Table1 {
-        bucket_100_200: b1,
-        bucket_200_250: b2,
-        bucket_over_250: b3,
+        bucket_100_200: gaps_in(100.0, 200.0),
+        bucket_200_250: gaps_in(200.0, 250.0),
+        bucket_over_250: gaps_in(250.0, f64::INFINITY),
         n_pairs: n * (n - 1),
         flipped_slowest: flipped,
     }

@@ -1,6 +1,6 @@
 //! Table 2: accurate prediction saves ~96% in monitoring costs.
 
-use crate::common::render_table;
+use crate::table::Table;
 use wanify::costs::{table2, table2_savings_pct, MonitoringCostParams, Table2Row};
 
 /// Result of the Table 2 reproduction.
@@ -26,8 +26,8 @@ impl Table2 {
                 format!("${:.0} / ${:.0} / ${:.0}", p.0, p.1, p.2),
             ]);
         }
-        let mut s = String::from("Table 2: annual BW monitoring costs\n");
-        s.push_str(&render_table(
+        Table::text(
+            "Table 2: annual BW monitoring costs",
             &[
                 "DCs",
                 "runtime monitoring",
@@ -35,10 +35,11 @@ impl Table2 {
                 "predictions",
                 "paper (mon/train/pred)",
             ],
-            &rows,
-        ));
-        s.push_str(&format!("overall savings: {:.1}% (paper: ~96%)\n", self.savings_pct));
-        s
+            rows,
+        )
+        .expect("five cells per row")
+        .note(format!("overall savings: {:.1}% (paper: ~96%)", self.savings_pct))
+        .render()
     }
 }
 

@@ -6,140 +6,59 @@
 //! (§5.2). The paper reports latency gains up to ~18% and cost gains up
 //! to ~5.2%, with predicted ≈ simultaneous.
 
-use crate::common::{improvement_pct, render_table, Belief, Effort, ExpEnv};
-use wanify_gda::{Kimchi, QueryReport, Scheduler, Tetrium};
+use crate::common::{wan_aware_schedulers, Arm, Belief, ExpEnv};
+use crate::table::{Col, Measured, Row, Table};
 use wanify_workloads::TpcDsQuery;
 
-/// One (query, scheduler, belief) cell.
-#[derive(Debug, Clone)]
-pub struct Table4Cell {
-    /// Query label.
-    pub query: String,
-    /// Scheduler label.
-    pub scheduler: String,
-    /// Belief label: `static-simultaneous` or `predicted`.
-    pub belief: String,
-    /// Latency improvement vs static-independent, percent.
-    pub perf_pct: f64,
-    /// Cost improvement vs static-independent, percent.
-    pub cost_pct: f64,
-    /// Minimum-bandwidth ratio vs static-independent.
-    pub min_bw_ratio: f64,
-}
-
-/// Result of the Table 4 reproduction.
-#[derive(Debug, Clone)]
-pub struct Table4 {
-    /// All cells in query-major order.
-    pub cells: Vec<Table4Cell>,
-}
-
-impl Table4 {
-    /// Best latency improvement across cells (paper: up to ~18%).
-    pub fn best_perf_pct(&self) -> f64 {
-        self.cells.iter().map(|c| c.perf_pct).fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Rendered table.
-    pub fn render(&self) -> String {
-        let rows: Vec<Vec<String>> = self
-            .cells
-            .iter()
-            .map(|c| {
-                vec![
-                    c.query.clone(),
-                    c.scheduler.clone(),
-                    c.belief.clone(),
-                    format!("{:+.1}%", c.perf_pct),
-                    format!("{:+.1}%", c.cost_pct),
-                    format!("{:.2}x", c.min_bw_ratio),
-                ]
-            })
-            .collect();
-        let mut s =
-            String::from("Table 4: gains over static-independent BWs (single connection)\n");
-        s.push_str(&render_table(
-            &["query", "scheduler", "belief", "perf", "cost", "minBW"],
-            &rows,
-        ));
-        s.push_str("paper: perf up to ~18%, cost up to ~5.2%, ~1.5x min BW on avg/heavy queries\n");
-        s
-    }
-}
-
-fn run_with_belief(
-    env: &ExpEnv,
-    query: TpcDsQuery,
-    scheduler: &dyn Scheduler,
-    belief: Belief,
-    run_id: u64,
-) -> QueryReport {
-    let mut sim = env.sim(run_id);
-    let job = query.job(env.n, 100.0 * env.effort.input_scale());
-    env.run_baseline(&mut sim, &job, scheduler, belief)
-}
-
-/// Runs all queries × schedulers × beliefs.
-pub fn run(effort: Effort, seed: u64) -> Table4 {
-    let env = ExpEnv::new(8, effort, seed);
-    let mut cells = Vec::new();
+/// Runs all queries × schedulers × beliefs; each row is one runtime
+/// belief's gain over static-independent on the same network.
+pub fn run(env: &ExpEnv) -> Table {
+    let mut rows = Vec::new();
     for (qi, query) in TpcDsQuery::all().into_iter().enumerate() {
-        let schedulers: Vec<Box<dyn Scheduler>> =
-            vec![Box::new(Tetrium::new()), Box::new(Kimchi::new())];
-        for (si, scheduler) in schedulers.iter().enumerate() {
+        let job = query.job(env.n, 100.0 * env.effort.input_scale());
+        for (si, scheduler) in wan_aware_schedulers().iter().enumerate() {
             let run_id = (qi * 10 + si) as u64;
-            let baseline =
-                run_with_belief(&env, query, scheduler.as_ref(), Belief::StaticIndependent, run_id);
+            let run = |belief| env.run_arm(run_id, &job, scheduler.as_ref(), Arm::Single(belief));
+            let base = Measured::from(&run(Belief::StaticIndependent));
             for belief in [Belief::StaticSimultaneous, Belief::Predicted] {
-                let report = run_with_belief(&env, query, scheduler.as_ref(), belief, run_id);
-                cells.push(Table4Cell {
-                    query: query.name().to_string(),
-                    scheduler: scheduler.name().to_string(),
-                    belief: belief.label().to_string(),
-                    perf_pct: improvement_pct(baseline.latency_s, report.latency_s),
-                    cost_pct: improvement_pct(baseline.cost.total_usd(), report.cost.total_usd()),
-                    min_bw_ratio: if baseline.min_bw_mbps > 0.0 {
-                        report.min_bw_mbps / baseline.min_bw_mbps
-                    } else {
-                        1.0
-                    },
-                });
+                let report = run(belief);
+                let key = [query.name(), scheduler.name(), &report.belief];
+                rows.push(Row::new(&key, Measured::from(&report), base));
             }
         }
     }
-    Table4 { cells }
+    Table::grid(
+        "Table 4: gains over static-independent BWs (single connection)",
+        &["query", "scheduler", "belief"],
+        &[("perf", Col::LatencyGain), ("cost", Col::CostGain), ("minBW", Col::MinBwRatio)],
+        rows,
+    )
+    .expect("three labels per row")
+    .note("paper: perf up to ~18%, cost up to ~5.2%, ~1.5x min BW on avg/heavy queries")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::common::Effort;
 
     #[test]
     fn runtime_beliefs_help_nontrivial_queries() {
-        let t = run(Effort::Quick, 42);
-        assert_eq!(t.cells.len(), 16);
-        assert!(
-            t.best_perf_pct() > 2.0,
-            "some query should gain from runtime BW, best {:.1}%",
-            t.best_perf_pct()
-        );
+        let t = run(&ExpEnv::new(8, Effort::Quick, 42));
+        assert_eq!(t.rows.len(), 16);
+        // Paper: up to ~18%.
+        let best = t.rows.iter().map(|r| r.gain().latency_pct).fold(f64::NEG_INFINITY, f64::max);
+        assert!(best > 2.0, "some query should gain from runtime BW, best {best:.1}%");
     }
 
     #[test]
     fn light_query_gains_little() {
-        let t = run(Effort::Quick, 43);
-        let q82_best = t
-            .cells
-            .iter()
-            .filter(|c| c.query == "q82")
-            .map(|c| c.perf_pct.abs())
-            .fold(0.0, f64::max);
-        let q78_best = t
-            .cells
-            .iter()
-            .filter(|c| c.query == "q78")
-            .map(|c| c.perf_pct)
-            .fold(f64::NEG_INFINITY, f64::max);
+        let t = run(&ExpEnv::new(8, Effort::Quick, 43));
+        let perf = |query: &'static str| {
+            t.rows.iter().filter(move |r| r.key[0] == query).map(|r| r.gain().latency_pct)
+        };
+        let q82_best = perf("q82").map(f64::abs).fold(0.0, f64::max);
+        let q78_best = perf("q78").fold(f64::NEG_INFINITY, f64::max);
         assert!(
             q82_best < q78_best.max(5.0) + 10.0,
             "q82 (tiny shuffle) should not dominate: q82 {q82_best:.1}% vs q78 {q78_best:.1}%"
@@ -148,11 +67,11 @@ mod tests {
 
     #[test]
     fn predicted_tracks_simultaneous() {
-        let t = run(Effort::Quick, 44);
+        let t = run(&ExpEnv::new(8, Effort::Quick, 44));
         // Across all cells, the mean gap between the two beliefs is small.
         let mut gaps = Vec::new();
-        for pair in t.cells.chunks(2) {
-            gaps.push((pair[0].perf_pct - pair[1].perf_pct).abs());
+        for pair in t.rows.chunks(2) {
+            gaps.push((pair[0].gain().latency_pct - pair[1].gain().latency_pct).abs());
         }
         let mean_gap: f64 = gaps.iter().sum::<f64>() / gaps.len() as f64;
         assert!(mean_gap < 15.0, "predicted should track simultaneous, gap {mean_gap:.1}%");

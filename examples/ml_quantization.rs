@@ -12,8 +12,7 @@
 //! ```
 
 use wanify::{Wanify, WanifyConfig};
-use wanify_experiments::common::{Belief, Effort, ExpEnv};
-use wanify_netsim::DcId;
+use wanify_experiments::common::{apply_throttles, Belief, Effort, ExpEnv};
 use wanify_workloads::quantization::{run_training, QuantConfig, QuantPolicy};
 
 fn main() {
@@ -47,7 +46,7 @@ fn main() {
         let r = run_training(&mut sim, &cfg, &QuantPolicy::BwDriven(bw), None, None);
         println!(
             "{name:<6} ({:<19}) {:>4.0}s  cost {}  bits {:?}",
-            belief.label(),
+            env.source(belief).name(),
             r.training_s,
             r.cost,
             r.bits_per_worker
@@ -60,11 +59,7 @@ fn main() {
     let predicted = env.gauge(Belief::Predicted, &mut sim);
     let wanify = Wanify::new(WanifyConfig::default());
     let plan = wanify.plan_matrix(&predicted);
-    for (i, j, cap) in plan.initial_throttles.iter_pairs() {
-        if cap.is_finite() {
-            sim.set_throttle(DcId(i), DcId(j), cap);
-        }
-    }
+    apply_throttles(&mut sim, &plan.initial_throttles);
     let mut agent = wanify.agent(&plan);
     let conns = plan.initial_conns().clone();
     // Same precision policy as PredQ; the speedup comes from the transport.

@@ -8,9 +8,8 @@
 //! cargo run --release -p wanify-experiments --example terasort_geo [input_gb]
 //! ```
 
-use wanify_experiments::common::{run_wanified, Belief, Effort, ExpEnv, WanifyMode};
-use wanify_gda::{run_job, DataLayout, TransferOptions, VanillaSpark};
-use wanify_netsim::ConnMatrix;
+use wanify_experiments::common::{Arm, Belief, Effort, ExpEnv, WanifyMode};
+use wanify_gda::{DataLayout, VanillaSpark};
 use wanify_workloads::terasort;
 
 fn main() {
@@ -22,39 +21,21 @@ fn main() {
     let sched = VanillaSpark::new();
 
     // Vanilla Spark: locality-aware, single connection per DC pair.
-    let mut sim = env.sim(0);
-    let vanilla = env.run_baseline(&mut sim, &job, &sched, Belief::StaticIndependent);
+    let vanilla = env.run_arm(0, &job, &sched, Arm::Single(Belief::StaticIndependent));
     println!(
         "vanilla Spark       latency {:>6.0}s  cost {}  min BW {:>5.0} Mbps",
         vanilla.latency_s, vanilla.cost, vanilla.min_bw_mbps
     );
 
     // Uniform parallelism: 8 connections everywhere (WANify-P).
-    let mut sim = env.sim(1);
-    let conns = ConnMatrix::from_fn(8, |i, j| if i == j { 1 } else { 8 });
-    let uniform = run_job(
-        &mut sim,
-        &job,
-        &sched,
-        env.source(Belief::Predicted).as_mut(),
-        TransferOptions { conns: Some(&conns), hook: None },
-    )
-    .expect("terasort matches the 8-DC testbed");
+    let uniform = env.run_arm(1, &job, &sched, Arm::Uniform(8));
     println!(
         "uniform 8 conns     latency {:>6.0}s  cost {}  min BW {:>5.0} Mbps",
         uniform.latency_s, uniform.cost, uniform.min_bw_mbps
     );
 
     // Full WANify: heterogeneous connections + agents + throttling.
-    let mut sim = env.sim(2);
-    let wanified = run_wanified(
-        &mut sim,
-        &job,
-        &sched,
-        env.source(Belief::Predicted).as_mut(),
-        WanifyMode::full(),
-        None,
-    );
+    let wanified = env.run_arm(2, &job, &sched, Arm::wanify(WanifyMode::full()));
     println!(
         "WANify (TC)         latency {:>6.0}s  cost {}  min BW {:>5.0} Mbps",
         wanified.latency_s, wanified.cost, wanified.min_bw_mbps

@@ -9,7 +9,7 @@
 //! cargo run --release -p wanify-experiments --example tpcds_scheduling [q82|q95|q11|q78]
 //! ```
 
-use wanify_experiments::common::{run_wanified, Belief, Effort, ExpEnv, WanifyMode};
+use wanify_experiments::common::{Arm, Belief, Effort, ExpEnv, WanifyMode};
 use wanify_gda::{Kimchi, Scheduler, Tetrium};
 use wanify_workloads::TpcDsQuery;
 
@@ -30,25 +30,14 @@ fn main() {
     for sched in &schedulers {
         println!("--- scheduler: {} ---", sched.name());
         for belief in [Belief::StaticIndependent, Belief::StaticSimultaneous, Belief::Predicted] {
-            let mut sim = env.sim(5);
-            let report = env.run_baseline(&mut sim, &job, sched.as_ref(), belief);
+            let report = env.run_arm(5, &job, sched.as_ref(), Arm::Single(belief));
             println!(
                 "  {:<22} latency {:>6.1}s  cost {}",
-                belief.label(),
-                report.latency_s,
-                report.cost
+                report.belief, report.latency_s, report.cost
             );
         }
         // And the full WANify treatment on top of the predicted belief.
-        let mut sim = env.sim(5);
-        let wanified = run_wanified(
-            &mut sim,
-            &job,
-            sched.as_ref(),
-            env.source(Belief::Predicted).as_mut(),
-            WanifyMode::full(),
-            None,
-        );
+        let wanified = env.run_arm(5, &job, sched.as_ref(), Arm::wanify(WanifyMode::full()));
         println!(
             "  {:<22} latency {:>6.1}s  cost {}  (min BW {:.0} Mbps)\n",
             "predicted + WANify", wanified.latency_s, wanified.cost, wanified.min_bw_mbps

@@ -3,7 +3,7 @@
 use wanify::{
     BandwidthAnalyzer, PredictedRuntime, Pregauged, WanPredictionModel, Wanify, WanifyConfig,
 };
-use wanify_experiments::common::{run_wanified, Belief, Effort, ExpEnv, WanifyMode};
+use wanify_experiments::common::{Arm, Belief, Effort, ExpEnv, WanifyMode};
 use wanify_gda::{run_job, DataLayout, Tetrium, TransferOptions, VanillaSpark};
 use wanify_netsim::{paper_testbed_n, ConnMatrix, LinkModelParams, NetSim, VmType};
 use wanify_workloads::terasort;
@@ -17,18 +17,8 @@ fn full_pipeline_beats_static_baseline() {
     let job = terasort::job(DataLayout::uniform(6, 12.0));
     let sched = VanillaSpark::new();
 
-    let mut sim = env.sim(0);
-    let baseline = env.run_baseline(&mut sim, &job, &sched, Belief::StaticIndependent);
-
-    let mut sim = env.sim(1);
-    let wanified = run_wanified(
-        &mut sim,
-        &job,
-        &sched,
-        env.source(Belief::Predicted).as_mut(),
-        WanifyMode::full(),
-        None,
-    );
+    let baseline = env.run_arm(0, &job, &sched, Arm::Single(Belief::StaticIndependent));
+    let wanified = env.run_arm(1, &job, &sched, Arm::wanify(WanifyMode::full()));
 
     assert!(
         wanified.latency_s < baseline.latency_s,
@@ -93,16 +83,8 @@ fn agents_adjust_connections_during_execution() {
 fn end_to_end_determinism() {
     let run = || {
         let env = ExpEnv::new(4, Effort::Quick, 606);
-        let mut sim = env.sim(0);
         let job = terasort::job(DataLayout::uniform(4, 5.0));
-        let r = run_wanified(
-            &mut sim,
-            &job,
-            &VanillaSpark::new(),
-            env.source(Belief::Predicted).as_mut(),
-            WanifyMode::full(),
-            None,
-        );
+        let r = env.run_arm(0, &job, &VanillaSpark::new(), Arm::wanify(WanifyMode::full()));
         (r.latency_s, r.cost.total_usd(), r.min_bw_mbps)
     };
     assert_eq!(run(), run());

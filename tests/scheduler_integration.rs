@@ -1,7 +1,7 @@
 //! Cross-crate scheduler behaviour on the live simulator.
 
 use wanify::Pregauged;
-use wanify_experiments::common::{Belief, Effort, ExpEnv};
+use wanify_experiments::common::{Arm, Belief, Effort, ExpEnv};
 use wanify_gda::{run_job, Kimchi, Scheduler, Tetrium, TransferOptions, VanillaSpark};
 use wanify_netsim::BwMatrix;
 use wanify_workloads::{terasort, TpcDsQuery};
@@ -16,8 +16,7 @@ fn wan_aware_schedulers_beat_vanilla_on_terasort() {
     let schedulers: Vec<Box<dyn Scheduler>> =
         vec![Box::new(VanillaSpark::new()), Box::new(Tetrium::new()), Box::new(Kimchi::new())];
     for sched in &schedulers {
-        let mut sim = env.sim(0);
-        let r = env.run_baseline(&mut sim, &job, sched.as_ref(), Belief::StaticSimultaneous);
+        let r = env.run_arm(0, &job, sched.as_ref(), Arm::Single(Belief::StaticSimultaneous));
         latencies.push((sched.name().to_string(), r.latency_s));
     }
     let vanilla = latencies[0].1;
@@ -43,8 +42,7 @@ fn kimchi_trades_latency_for_cost() {
         ],
     );
     let run_with = |sched: &dyn Scheduler, run_id: u64| {
-        let mut sim = env.sim(run_id);
-        env.run_baseline(&mut sim, &job, sched, Belief::StaticSimultaneous)
+        env.run_arm(run_id, &job, sched, Arm::Single(Belief::StaticSimultaneous))
     };
     let tetrium = run_with(&Tetrium::new(), 0);
     let kimchi = run_with(&Kimchi::new(), 0);
