@@ -1,12 +1,14 @@
-//! Microbenches for the netsim hot path: the weighted max-min solver and
-//! the event-coalescing transfer loop (small/large topologies, short and
-//! long payloads, coalesced vs forced per-epoch stepping).
+//! Microbenches for the netsim hot path: the weighted max-min solver, the
+//! transfer loop's cost per event (`engine_events`) and the
+//! event-coalescing transfer loop end to end (small/large topologies,
+//! short and long payloads, coalesced vs forced per-epoch stepping).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wanify_bench::{all_pair_flows, all_pair_transfers, frozen_sim, NoopHook};
 use wanify_netsim::{
-    allocate_max_min, paper_testbed_tiled, ConnMatrix, DcId, FairnessProblem, FlowSpec,
-    LinkModelParams, NetSim, RateScratch, ResourceKind, VmType,
+    allocate_max_min, paper_testbed_tiled, ConnMatrix, DcId, EpochCtx, EpochHook, FairnessProblem,
+    FlowSpec, LinkModelParams, NetEngine, NetSim, RateScratch, ResourceKind, RunStats, Transfer,
+    VmType,
 };
 
 /// A standalone fairness problem shaped like the 8-DC all-pairs workload.
@@ -127,6 +129,93 @@ fn bench_flow_classes(c: &mut Criterion) {
     group.finish();
 }
 
+/// Keeps `live` all-pairs groups in flight on a bare engine until
+/// `completions` have drained, replacing each drained group at once;
+/// group `k` shuffles `gb(k)` gigabits per pair over the `width`-DC block
+/// starting at `width * (k % blocks)`.
+fn churn(
+    sim: NetSim,
+    (width, blocks): (usize, usize),
+    live: usize,
+    completions: usize,
+    gb: impl Fn(usize) -> f64,
+) -> RunStats {
+    let conns = ConnMatrix::filled(sim.topology().len(), 1);
+    let mut engine = NetEngine::new(sim);
+    let mut submitted = 0;
+    let mut submit = |engine: &mut NetEngine| {
+        let base = width * (submitted % blocks);
+        let mut transfers = all_pair_transfers(width, gb(submitted));
+        for t in &mut transfers {
+            *t = Transfer::new(DcId(base + t.src.0), DcId(base + t.dst.0), t.gigabits);
+        }
+        engine.submit(&transfers, &conns);
+        submitted += 1;
+    };
+    (0..live).for_each(|_| submit(&mut engine));
+    let mut drained = 0;
+    while drained < completions {
+        for _ in engine.advance_until(f64::INFINITY) {
+            drained += 1;
+            submit(&mut engine);
+        }
+    }
+    engine.stats()
+}
+
+/// A hook that wakes every 5 s and edits nothing: the lone hooked group
+/// keeps coalescing and its flow set changes by drains alone.
+struct Watcher;
+
+impl EpochHook for Watcher {
+    fn on_epoch(&mut self, _ctx: &mut EpochCtx<'_>) {}
+
+    fn next_wake(&mut self, now_s: f64) -> Option<f64> {
+        Some(now_s + 5.0)
+    }
+}
+
+/// What one event of the transfer loop costs, build or not: each bench is
+/// a fixed script of events, and the line printed before it says how many
+/// (`solves`) and how many of them had to build their flow set first, so
+/// the mean divides into a per-event figure.
+fn bench_engine_events(c: &mut Criterion) {
+    let mut group = c.benchmark_group("engine_events");
+    group.sample_size(10);
+    let mut bench = |name: &str, script: &dyn Fn() -> RunStats| {
+        let stats = script();
+        println!("engine_events/{name}: {} events, {} builds", stats.solves, stats.builds);
+        group.bench_function(name, |b| b.iter(|| black_box(script())));
+    };
+
+    // Eight 8-DC groups churning over the eight blocks of the tiled 64-DC
+    // WAN (`scale-hier`'s shards, `probe64x8`): ~450 flows per event.
+    let tiled = || {
+        let topo = paper_testbed_tiled(VmType::t2_medium(), 64);
+        NetSim::new(topo, LinkModelParams::frozen(), 11)
+    };
+    bench("tiled64_8x8dc", &|| churn(tiled(), (8, 8), 8, 64, |k| 0.5 + (k % 7) as f64 * 0.5));
+
+    // Sixteen tenants on the same 8 DCs (`fleet-closed`, `probe8x16`):
+    // ~900 flows per event, every pair sixteen times over.
+    bench("8dc_16tenants", &|| churn(frozen_sim(8), (8, 1), 16, 32, |k| 0.5 + (k % 5) as f64));
+
+    // One hooked group with its own connection count on every pair
+    // (`wanify-loop`): built once, then only drains.
+    bench("8dc_lone_hooked", &|| {
+        let mut sim = frozen_sim(8);
+        let conns = ConnMatrix::from_fn(8, |i, j| 1 + ((3 * i + j) % 4) as u32);
+        let transfers: Vec<Transfer> = all_pair_transfers(8, 1.0)
+            .into_iter()
+            .enumerate()
+            .map(|(k, t)| Transfer::new(t.src, t.dst, 2.0 + k as f64))
+            .collect();
+        sim.run_transfers(&transfers, &conns, Some(&mut Watcher));
+        sim.last_run_stats()
+    });
+    group.finish();
+}
+
 fn bench_run_transfers(c: &mut Criterion) {
     let mut group = c.benchmark_group("run_transfers");
     group.sample_size(10);
@@ -162,5 +251,11 @@ fn bench_run_transfers(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(netsim_core, bench_solver, bench_flow_classes, bench_run_transfers);
+criterion_group!(
+    netsim_core,
+    bench_solver,
+    bench_flow_classes,
+    bench_engine_events,
+    bench_run_transfers
+);
 criterion_main!(netsim_core);

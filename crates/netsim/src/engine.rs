@@ -34,12 +34,68 @@
 //! contend under weighted max-min fairness; flows *within* a group on the
 //! same pair share one flow (Spark executors multiplex a connection pool
 //! per peer).
+//!
+//! # The standing flow-set description
+//!
+//! Every event ends in one weighted max-min solve over every pair in
+//! flight, and between two events of one loop usually nothing about the
+//! *set* of flows changed except that some pairs drained. So the loop
+//! does not derive the fairness problem per event. It keeps a
+//! **description** standing — the list of pairs in flight with their
+//! handles into the groups and into the problem (`TransferLoop::flows`),
+//! and in its [`RateScratch`] everything `NetSim::build_flow_set`
+//! derives from a flow list alone: weights, connections per host, the
+//! `(src, dst, index)`-ordered egress / ingress / path member lists.
+//! Each event does three things with it:
+//!
+//! * **build**, only if it no longer stands (`RunStats::builds` counts
+//!   these): list the active pairs from the groups, sort them into the
+//!   problem — the one routine that makes either, the same one the
+//!   stateless [`NetSim::allocate_rates_with`] runs;
+//! * **refresh**: write the ceilings and the NIC / path capacities from
+//!   the simulator as it stands (`NetSim::solve_flow_set`);
+//! * **solve**, from zero.
+//!
+//! A pair that drains is **retired in place**: it leaves the list, its
+//! connections leave its two hosts' counts, and before the next solve
+//! the description is compacted in order (`RateScratch::compact`; skipped
+//! if that event builds anyway) into, buffer for buffer, what a build
+//! over the survivors would have produced — so the solve performs the
+//! floating-point operations a rebuilt one would, in the same order, and
+//! every rate is `to_bits`-equal. (Compaction rather than tombstones: a
+//! tenth of the flows in flight drain at every event of a fleet, and
+//! flows merely marked dead soon outnumber the live ones in every list
+//! the solver walks.) Nothing is ever
+//! carried from one *solve* to the next (see [`crate::fairness`], "What is
+//! deliberately not done").
+//!
+//! What can change between two events, and what it costs:
+//!
+//! | what happens | what changes | cost | pinned by (`description_parity::`) |
+//! |---|---|---|---|
+//! | a pair drains (`serve`, or inside a deadline's fraction) | one flow fewer, two host counts | retire in place | `a_lone_group_is_built_once_and_its_hosts_follow_every_drain`, `a_pair_draining_inside_the_fraction_is_retired` |
+//! | a group completes | its flows are gone already; later groups move down an index | handles renumbered | `a_submission_builds_and_a_completion_does_not` |
+//! | [`NetEngine::submit`] | new flows, somewhere in every member list | build | same |
+//! | [`NetEngine::cancel_group`] | live flows leave, later groups move down | build | `cancel_group_builds_again` |
+//! | [`NetEngine::apply_conns`], a seated hook's `EpochCtx::conns` | weights, ceilings, host counts — if a count in flight changed | build, else nothing | `apply_conns_builds_again_only_if_a_count_in_flight_changed`, `a_lone_hooked_run_builds_once_unless_the_hook_edits_connections` |
+//! | [`NetSim::set_throttle`] / `clear_throttles`, a hook's `EpochCtx::throttles` | ceilings | refresh | `throttle_edits_reach_a_standing_description`, the hooked-run test |
+//! | [`NetEngine::apply_backbone_tiers`] (`set_backbone_caps`) | ceilings | refresh | `backbone_tiers_reach_a_standing_description` |
+//! | a fault boundary (`poll_faults`), `set_fault_schedule` | ceilings, path capacities | refresh | `fault_boundaries_reach_a_standing_description` |
+//! | a dynamics tick, `dynamics_mut()` | ceilings, path capacities | refresh | `dynamics_ticks_and_decay_reach_a_standing_description` |
+//! | a gauge through [`NetEngine::sim_mut`] | the clock, the RNG, so the multipliers | refresh | `a_gauge_through_sim_mut_reaches_a_standing_description` |
+//!
+//! The refresh reads the simulator at every event, which is why none of
+//! its mutators has to know that a description stands. In debug and test
+//! builds every event also runs the **shadow oracle**
+//! (`TransferLoop::shadow_check`): the active pairs listed afresh from the
+//! groups, the stateless entry over them, flow for flow on
+//! `f64::to_bits`.
 
 use crate::flow::{FlowSpec, Transfer};
 use crate::grid::{BwMatrix, ConnMatrix, Grid};
 use crate::sim::{
     epochs_until_event, EpochCtx, EpochHook, NetSim, PairProgress, RateScratch, RunStats,
-    MAX_EPOCHS, PAYLOAD_EPS_GB,
+    INTRA_DC_MBPS, MAX_EPOCHS, NOT_IN_PROBLEM, PAYLOAD_EPS_GB,
 };
 use crate::topology::DcId;
 
@@ -148,10 +204,11 @@ impl<'a> HookSeat<'a> {
     }
 }
 
-/// The one event-coalescing transfer loop: flow groups in flight plus the
-/// reused solver buffers. It borrows the simulator per call, so the
-/// blocking [`NetSim::run_transfers`] builds one on the stack and
-/// [`NetEngine`] keeps one next to the simulator it owns.
+/// The one event-coalescing transfer loop: flow groups in flight, the
+/// flow-set description standing between events, and the reused solver
+/// buffers. It borrows the simulator per call, so the blocking
+/// [`NetSim::run_transfers`] builds one on the stack and [`NetEngine`]
+/// keeps one next to the simulator it owns.
 #[derive(Debug)]
 pub(crate) struct TransferLoop {
     groups: Vec<GroupState>,
@@ -159,16 +216,74 @@ pub(crate) struct TransferLoop {
     /// Groups that completed instantly at submission (no WAN payload),
     /// delivered by the next `advance` call.
     ready: Vec<GroupState>,
-    /// Cumulative solves and epochs; callers mirror it into
+    /// Cumulative solves, builds and epochs; callers mirror it into
     /// [`NetSim::last_run_stats`].
     pub(crate) stats: RunStats,
+    /// Holds the description of `flows` while `standing`.
     scratch: RateScratch,
-    flows: Vec<FlowSpec>,
-    /// `(group index, pair index)` per entry of `flows`.
-    flow_refs: Vec<(usize, usize)>,
+    /// The active pairs of every group, in [`in_flight`] order: listed by
+    /// a build, shortened in place as pairs drain.
+    flows: Vec<FlowRef>,
+    /// Whether `flows` and the description in `scratch` still say which
+    /// pairs are in flight, with how many connections. Drains and
+    /// completions keep it; a submission, a cancellation and a changed
+    /// connection count clear it, and the next event builds both again
+    /// (module docs, the table).
+    standing: bool,
+    /// Whether flows retired since the description was built or last
+    /// compacted still sit in it. A build discards them with the rest, so
+    /// the compaction waits for the next event to say which it is.
+    unswept: bool,
+    /// Positions in `flows` of the pairs drained by the serve under way,
+    /// ascending.
+    drained: Vec<u32>,
+    /// Where `collect_completed` moves each group, by index.
+    moved_to: Vec<u32>,
+    /// The flow list as handed to a build.
+    specs: Vec<FlowSpec>,
     /// `(src · n + dst, gigabits)` per submitted transfer, for merging a
     /// group's transfers per directed pair.
     merge: Vec<(usize, f64)>,
+    /// The shadow oracle's flow list and stateless scratch.
+    #[cfg(any(debug_assertions, test))]
+    shadow: (Vec<FlowSpec>, RateScratch),
+}
+
+/// One pair in flight: where it sits in the loop's groups and in the
+/// standing description's problem. (`u32`s: one per flow in flight.)
+#[derive(Debug, Clone, Copy)]
+struct FlowRef {
+    group: u32,
+    pair: u32,
+    /// Problem index, or [`LAN`] for an intra-DC pair.
+    slot: u32,
+}
+
+/// [`FlowRef::slot`] of a pair the WAN does not constrain.
+const LAN: u32 = u32::MAX;
+
+impl FlowRef {
+    /// The pair's rate at the last solve of the description in `scratch`,
+    /// in Mbps, read where the solver left it.
+    fn rate(&self, scratch: &RateScratch) -> f64 {
+        if self.slot == LAN {
+            INTRA_DC_MBPS
+        } else {
+            scratch.rate(self.slot as usize)
+        }
+    }
+}
+
+/// The active pairs of `groups` as `(group index, pair index, flow)`, in
+/// submission order then ascending `(src, dst)` — fully deterministic.
+fn in_flight(groups: &[GroupState]) -> impl Iterator<Item = (usize, usize, FlowSpec)> + '_ {
+    groups.iter().enumerate().flat_map(|(g, group)| {
+        let active = group.pairs.iter().enumerate().filter(|(_, pair)| pair.active);
+        active.map(move |(p, pair)| {
+            let conns = if pair.src == pair.dst { 1 } else { group.pair_conns[p].max(1) };
+            (g, p, FlowSpec::new(DcId(pair.src), DcId(pair.dst), conns))
+        })
+    })
 }
 
 impl TransferLoop {
@@ -178,11 +293,17 @@ impl TransferLoop {
             groups: Vec::new(),
             next_group: 0,
             ready: Vec::new(),
-            stats: RunStats { solves: 0, epochs: 0, coalesced },
+            stats: RunStats { solves: 0, builds: 0, epochs: 0, coalesced },
             scratch: RateScratch::default(),
             flows: Vec::new(),
-            flow_refs: Vec::new(),
+            standing: false,
+            unswept: false,
+            drained: Vec::new(),
+            moved_to: Vec::new(),
+            specs: Vec::new(),
             merge: Vec::new(),
+            #[cfg(any(debug_assertions, test))]
+            shadow: Default::default(),
         }
     }
 
@@ -237,6 +358,7 @@ impl TransferLoop {
             self.ready.push(group);
         } else {
             self.groups.push(group);
+            self.standing = false;
         }
         id
     }
@@ -276,27 +398,25 @@ impl TransferLoop {
                 break;
             }
 
-            // Build the active flow set across all groups, in submission
-            // order then ascending (src, dst) — fully deterministic.
-            self.flows.clear();
-            self.flow_refs.clear();
-            for (g, group) in self.groups.iter().enumerate() {
-                for (p, pair) in group.pairs.iter().enumerate() {
-                    if pair.active {
-                        let c = if pair.src == pair.dst { 1 } else { group.pair_conns[p].max(1) };
-                        self.flows.push(FlowSpec::new(DcId(pair.src), DcId(pair.dst), c));
-                        self.flow_refs.push((g, p));
-                    }
-                }
+            // Every event solves from zero over the flows in flight; the
+            // description of them is built only when it no longer stands.
+            if !self.standing {
+                self.build(sim);
+            } else if self.unswept {
+                self.sweep();
             }
-            let rates = sim.allocate_rates_with(&self.flows, &mut self.scratch);
+            sim.solve_flow_set(&mut self.scratch);
             self.stats.solves += 1;
+            #[cfg(any(debug_assertions, test))]
+            self.shadow_check(sim);
 
             // Re-anchor every pair whose per-epoch quota changed (drains,
             // new submissions, deadline re-entries and hook edits all
             // funnel through this one check).
-            for (&(g, p), &rate) in self.flow_refs.iter().zip(rates) {
-                self.groups[g].pairs[p].set_quota(rate * dt / 1000.0, dt);
+            for flow in &self.flows {
+                let rate = flow.rate(&self.scratch);
+                self.groups[flow.group as usize].pairs[flow.pair as usize]
+                    .set_quota(rate * dt / 1000.0, dt);
             }
             for group in &mut self.groups {
                 group.solved = true;
@@ -315,10 +435,10 @@ impl TransferLoop {
             let mut k_step: u64 = 1;
             if fast && wake != Some(None) {
                 k_step = u64::MAX;
-                for &(g, p) in &self.flow_refs {
-                    let pair = &mut self.groups[g].pairs[p];
-                    if let Some(m) = pair.drain_epoch() {
-                        k_step = k_step.min(m - pair.served);
+                for flow in &self.flows {
+                    let pair = &mut self.groups[flow.group as usize].pairs[flow.pair as usize];
+                    if let Some(left) = pair.epochs_left_below(k_step) {
+                        k_step = left;
                     }
                 }
             }
@@ -356,17 +476,17 @@ impl TransferLoop {
                 // deadline), and hand control back.
                 let k = k_deadline.min(budget);
                 if k > 0 {
-                    for &(g, p) in &self.flow_refs {
-                        self.groups[g].pairs[p].served += k;
+                    for flow in &self.flows {
+                        self.groups[flow.group as usize].pairs[flow.pair as usize].served += k;
                     }
                     self.stats.epochs += k;
                     sim.advance(k as f64 * dt);
                 }
                 let frac_s = deadline_s - sim.time_s();
                 if frac_s > 0.0 {
-                    for &(g, p) in &self.flow_refs {
-                        let group = &mut self.groups[g];
-                        let pair = &mut group.pairs[p];
+                    for (at, flow) in self.flows.iter().enumerate() {
+                        let group = &mut self.groups[flow.group as usize];
+                        let pair = &mut group.pairs[flow.pair as usize];
                         pair.serve_partial(frac_s / dt, dt);
                         // A pair can finish *inside* the fraction (its
                         // drain was due next epoch); mark it drained now
@@ -376,8 +496,10 @@ impl TransferLoop {
                         if pair.active && pair.remaining() <= PAYLOAD_EPS_GB {
                             pair.drain(dt);
                             group.active_pairs -= 1;
+                            self.drained.push(at as u32);
                         }
                     }
+                    self.retire_drained();
                     sim.advance(frac_s);
                     self.collect_completed(sim.time_s(), &mut completed);
                 }
@@ -395,41 +517,140 @@ impl TransferLoop {
     /// A wake-scheduling hook treats off-wake calls as no-ops.
     pub(crate) fn serve(&mut self, sim: &mut NetSim, k: u64, seat: Option<&mut HookSeat<'_>>) {
         let dt = sim.epoch_dt();
-        for &(g, p) in &self.flow_refs {
-            let group = &mut self.groups[g];
-            let pair = &mut group.pairs[p];
+        for (at, flow) in self.flows.iter().enumerate() {
+            let group = &mut self.groups[flow.group as usize];
+            let pair = &mut group.pairs[flow.pair as usize];
             pair.served += k;
             if pair.current_remaining() <= PAYLOAD_EPS_GB {
                 pair.drain(dt);
                 group.active_pairs -= 1;
+                self.drained.push(at as u32);
             }
         }
         self.stats.epochs += k;
         sim.advance(k as f64 * dt);
 
-        let Some(seat) = seat else { return };
-        for pair in self.groups.iter().flat_map(|g| &g.pairs) {
-            seat.observed.set(pair.src, pair.dst, 0.0);
+        if let Some(seat) = seat {
+            for pair in self.groups.iter().flat_map(|g| &g.pairs) {
+                seat.observed.set(pair.src, pair.dst, 0.0);
+            }
+            for flow in &self.flows {
+                let pair = &self.groups[flow.group as usize].pairs[flow.pair as usize];
+                seat.observed.set(pair.src, pair.dst, flow.rate(&self.scratch));
+                let left = if pair.active { pair.current_remaining() } else { 0.0 };
+                seat.remaining.set(pair.src, pair.dst, left);
+            }
+            seat.hook.on_epoch(&mut EpochCtx {
+                time_s: sim.time_s(),
+                observed_bw: &seat.observed,
+                remaining_gb: &seat.remaining,
+                conns: &mut seat.conns,
+                throttles: &mut sim.throttles,
+            });
+            self.apply_conns(&seat.conns);
         }
-        for (&(g, p), &rate) in self.flow_refs.iter().zip(self.scratch.rates()) {
-            let pair = &self.groups[g].pairs[p];
-            seat.observed.set(pair.src, pair.dst, rate);
-            let left = if pair.active { pair.current_remaining() } else { 0.0 };
-            seat.remaining.set(pair.src, pair.dst, left);
+        self.retire_drained();
+    }
+
+    /// Lists the active pairs of every group into `flows` and builds
+    /// their description — the one place either is made.
+    fn build(&mut self, sim: &NetSim) {
+        self.specs.clear();
+        self.flows.clear();
+        for (g, p, spec) in in_flight(&self.groups) {
+            self.specs.push(spec);
+            self.flows.push(FlowRef { group: g as u32, pair: p as u32, slot: LAN });
         }
-        seat.hook.on_epoch(&mut EpochCtx {
-            time_s: sim.time_s(),
-            observed_bw: &seat.observed,
-            remaining_gb: &seat.remaining,
-            conns: &mut seat.conns,
-            throttles: &mut sim.throttles,
+        sim.build_flow_set(&self.specs, &mut self.scratch);
+        for (flow, &idx) in self.flows.iter_mut().zip(self.scratch.problem_indices()) {
+            // A pair in flight has at least one connection, so only an
+            // intra-DC one stays out of the problem.
+            flow.slot = if idx == NOT_IN_PROBLEM { LAN } else { idx as u32 };
+        }
+        self.stats.builds += 1;
+        self.standing = true;
+        self.unswept = false;
+    }
+
+    /// Takes the pairs the serve just drained off `flows`, in place and in
+    /// order, and marks their flows retired in the description; the next
+    /// event that finds the description standing compacts it first.
+    fn retire_drained(&mut self) {
+        if self.drained.is_empty() {
+            return;
+        }
+        for &at in &self.drained {
+            let slot = self.flows[at as usize].slot;
+            if slot != LAN {
+                self.scratch.retire(slot as usize);
+                self.unswept = true;
+            }
+        }
+        let mut drained = self.drained.iter().peekable();
+        let mut at = 0;
+        self.flows.retain(|_| {
+            let gone = drained.next_if(|&&d| d == at).is_some();
+            at += 1;
+            !gone
         });
-        self.apply_conns(&seat.conns);
+        self.drained.clear();
+    }
+
+    /// Compacts the retired flows out of the standing description, the
+    /// survivors keeping their order, and follows them to their new
+    /// problem indices.
+    fn sweep(&mut self) {
+        self.scratch.compact();
+        for flow in self.flows.iter_mut().filter(|flow| flow.slot != LAN) {
+            flow.slot = self.scratch.new_index(flow.slot as usize) as u32;
+        }
+        self.unswept = false;
+    }
+
+    /// The shadow oracle: the parent's per-event body — every active pair
+    /// listed from the groups, the stateless
+    /// [`NetSim::allocate_rates_with`] over that list — run next to the
+    /// standing description, which must name the same pairs in the same
+    /// order and give each the same rate, bit for bit.
+    #[cfg(any(debug_assertions, test))]
+    fn shadow_check(&mut self, sim: &NetSim) {
+        let (specs, scratch) = &mut self.shadow;
+        specs.clear();
+        let mut listed = self.flows.iter();
+        for (g, p, spec) in in_flight(&self.groups) {
+            specs.push(spec);
+            let at = listed.next().map(|flow| (flow.group as usize, flow.pair as usize));
+            assert_eq!(at, Some((g, p)), "the standing flow list lost track of the groups");
+        }
+        assert!(listed.next().is_none(), "the standing flow list kept a pair that is gone");
+        let fresh = sim.allocate_rates_with(specs, scratch);
+        for ((flow, spec), want) in self.flows.iter().zip(specs.iter()).zip(fresh) {
+            let got = flow.rate(&self.scratch);
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "standing description gives {spec:?} {got} Mbps, a fresh build {want}"
+            );
+        }
     }
 
     /// Moves every group whose last pair has drained into `out`, in
-    /// submission order, stamped `done_at`.
+    /// submission order, stamped `done_at`. Its pairs left `flows` as they
+    /// drained, so the description stands; the groups behind it move down
+    /// and `flows` follows them.
     fn collect_completed(&mut self, done_at: f64, out: &mut Vec<GroupState>) {
+        self.moved_to.clear();
+        let mut kept = 0;
+        for group in &self.groups {
+            self.moved_to.push(kept);
+            kept += u32::from(group.active_pairs > 0);
+        }
+        if kept as usize == self.groups.len() {
+            return;
+        }
+        for flow in &mut self.flows {
+            flow.group = self.moved_to[flow.group as usize];
+        }
         out.extend(self.groups.extract_if(.., |g| g.active_pairs == 0).map(|mut g| {
             g.completed_s = done_at;
             g
@@ -442,6 +663,7 @@ impl TransferLoop {
     pub(crate) fn cancel(&mut self, sim: &NetSim, id: GroupId) -> Option<GroupState> {
         let idx = self.groups.iter().position(|g| g.id == id)?;
         let mut group = self.groups.remove(idx);
+        self.standing = false;
         let dt = sim.epoch_dt();
         for pair in &mut group.pairs {
             pair.reanchor(dt);
@@ -450,11 +672,14 @@ impl TransferLoop {
         Some(group)
     }
 
-    /// Overwrites the connection counts of every in-flight group.
+    /// Overwrites the connection counts of every in-flight group. The
+    /// description stands unless a pair still in flight got a new count.
     fn apply_conns(&mut self, conns: &ConnMatrix) {
         for group in &mut self.groups {
             for (pair, c) in group.pairs.iter().zip(&mut group.pair_conns) {
-                *c = conns.get(pair.src, pair.dst);
+                let new = conns.get(pair.src, pair.dst);
+                self.standing &= *c == new || !pair.active;
+                *c = new;
             }
         }
     }
@@ -1152,6 +1377,413 @@ mod tests {
         assert!((engine.sim().time_s() - 20.0).abs() < 1e-9);
         assert!((engine.sim().degraded_s() - 4.0).abs() < 1e-9, "{}", engine.sim().degraded_s());
         assert!(!engine.sim().fault_degraded());
+    }
+
+    /// The standing flow-set description against the loop's previous body.
+    /// Under `cfg(test)` every event runs `TransferLoop::shadow_check` —
+    /// the active pairs listed afresh from the groups, the stateless
+    /// `allocate_rates_with` over them, every rate compared on `to_bits` —
+    /// so these tests only have to *reach* the code: each drives one thing
+    /// that can change a flow set or a rate between two events, says
+    /// whether it should cost a build, and checks `builds < solves`, which
+    /// is what proves events were served from a standing description.
+    mod description_parity {
+        use super::*;
+        use crate::faults::{FaultKind, FaultSchedule};
+        use crate::{paper_testbed_n, paper_testbed_tiled};
+        use proptest::prelude::*;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        /// Eight t3.nano DCs: an all-pairs group at two connections puts
+        /// 28 on every host against a budget of 16, so the congestion
+        /// divisors — and with them every NIC capacity — move with every
+        /// drain.
+        fn engine8(params: LinkModelParams) -> NetEngine {
+            NetEngine::new(NetSim::new(paper_testbed_n(VmType::t3_nano(), 8), params, 7))
+        }
+
+        /// The all-pairs shuffle of DCs `base..base + width`, `gb(k)`
+        /// gigabits on its `k`-th pair.
+        fn shuffle(base: usize, width: usize, mut gb: impl FnMut(usize) -> f64) -> Vec<Transfer> {
+            let pairs = (0..width).flat_map(|i| (0..width).map(move |j| (i, j)));
+            pairs
+                .filter(|(i, j)| i != j)
+                .enumerate()
+                .map(|(k, (i, j))| Transfer::new(DcId(base + i), DcId(base + j), gb(k)))
+                .collect()
+        }
+
+        /// Advances by one deadline-bounded step and returns the builds it
+        /// took.
+        fn builds_over(engine: &mut NetEngine, step_s: f64) -> u64 {
+            let before = engine.stats().builds;
+            let _ = engine.advance_until(engine.sim().time_s() + step_s);
+            engine.stats().builds - before
+        }
+
+        #[test]
+        fn a_lone_group_is_built_once_and_its_hosts_follow_every_drain() {
+            let mut engine = engine8(LinkModelParams::frozen());
+            engine.submit(&shuffle(0, 8, |k| 1.0 + 0.25 * k as f64), &ConnMatrix::filled(8, 2));
+            assert_eq!(drive_to_completion(&mut engine).len(), 1);
+            let stats = engine.stats();
+            assert_eq!(stats.builds, 1, "{stats:?}");
+            assert!(stats.solves >= 40, "56 staggered drains: {stats:?}");
+        }
+
+        #[test]
+        fn a_submission_builds_and_a_completion_does_not() {
+            let conns = ConnMatrix::filled(8, 1);
+            let mut engine = engine8(LinkModelParams::frozen());
+            // The short group is submitted first: when it completes, the
+            // long one behind it moves down a group index.
+            let short = engine.submit(&shuffle(0, 4, |k| 0.2 + 0.01 * k as f64), &conns);
+            engine.submit(&shuffle(2, 6, |k| 30.0 + k as f64), &conns);
+            let done = engine.advance_until(f64::INFINITY);
+            assert_eq!(done.iter().map(|r| r.group).collect::<Vec<_>>(), [short]);
+            assert_eq!(engine.stats().builds, 1, "both groups were there at the first event");
+            assert_eq!(builds_over(&mut engine, 3.3), 0, "the completion left the description");
+            engine.submit(&shuffle(0, 3, |_| 5.0), &conns);
+            assert_eq!(builds_over(&mut engine, 3.3), 1, "the submission did not");
+            assert_eq!(builds_over(&mut engine, 3.3), 0);
+            assert_eq!(drive_to_completion(&mut engine).len(), 2);
+            let stats = engine.stats();
+            assert!(stats.builds == 2 && stats.builds < stats.solves, "{stats:?}");
+        }
+
+        #[test]
+        fn cancel_group_builds_again() {
+            let conns = ConnMatrix::filled(8, 2);
+            let mut engine = engine8(LinkModelParams::frozen());
+            let first = engine.submit(&shuffle(0, 8, |k| 40.0 + k as f64), &conns);
+            engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &conns);
+            assert_eq!(builds_over(&mut engine, 2.6), 1);
+            assert!(engine.cancel_group(first).is_some());
+            assert_eq!(builds_over(&mut engine, 2.6), 1, "the group behind it moved down");
+            assert_eq!(drive_to_completion(&mut engine).len(), 1);
+            assert!(engine.stats().builds < engine.stats().solves);
+        }
+
+        #[test]
+        fn apply_conns_builds_again_only_if_a_count_in_flight_changed() {
+            let mut engine = engine8(LinkModelParams::frozen());
+            engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 1));
+            assert_eq!(builds_over(&mut engine, 1.7), 1);
+            let slow = engine.observed_pair_bw_mbps().get(0, 7);
+            engine.apply_conns(&ConnMatrix::filled(8, 1));
+            assert_eq!(builds_over(&mut engine, 1.7), 0, "the same counts");
+            let mut boosted = ConnMatrix::filled(8, 1);
+            boosted.set(0, 7, 3);
+            engine.apply_conns(&boosted);
+            assert_eq!(builds_over(&mut engine, 1.7), 1, "a new count");
+            let fast = engine.observed_pair_bw_mbps().get(0, 7);
+            assert!(fast > 1.5 * slow, "three connections on the long pair: {fast} vs {slow}");
+            assert_eq!(drive_to_completion(&mut engine).len(), 1);
+        }
+
+        #[test]
+        fn throttle_edits_reach_a_standing_description() {
+            let mut engine = engine8(LinkModelParams::frozen());
+            engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 2));
+            assert_eq!(builds_over(&mut engine, 1.7), 1);
+            let free = engine.observed_pair_bw_mbps().get(0, 1);
+            engine.sim_mut().set_throttle(DcId(0), DcId(1), 0.25 * free);
+            assert_eq!(builds_over(&mut engine, 1.7), 0);
+            let capped = engine.observed_pair_bw_mbps().get(0, 1);
+            assert!(capped <= 0.25 * free + 1e-9, "{capped} under a {} throttle", 0.25 * free);
+            engine.sim_mut().clear_throttles();
+            assert_eq!(builds_over(&mut engine, 1.7), 0);
+            assert!(engine.observed_pair_bw_mbps().get(0, 1) > capped);
+            assert_eq!(drive_to_completion(&mut engine).len(), 1);
+        }
+
+        #[test]
+        fn backbone_tiers_reach_a_standing_description() {
+            let group_of = [0usize, 0, 0, 0, 1, 1, 1, 1];
+            let mut engine = engine8(LinkModelParams::frozen());
+            engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 2));
+            assert_eq!(builds_over(&mut engine, 1.7), 1);
+            let demand = engine.cross_group_demand_mbps(&group_of, 2);
+            let mut share = Grid::filled(2, f64::INFINITY);
+            share.set(0, 1, 100.0);
+            engine.apply_backbone_tiers(&[(&group_of, &share, &demand)]);
+            assert_eq!(builds_over(&mut engine, 1.7), 0);
+            let bw = engine.observed_pair_bw_mbps();
+            let trunk: f64 =
+                (0..4).flat_map(|i| (4..8).map(move |j| (i, j))).map(|(i, j)| bw.get(i, j)).sum();
+            assert!(trunk <= 100.0 + 1e-6, "sixteen pairs share a 100 Mbps trunk: {trunk}");
+            engine.sim_mut().clear_backbone_caps();
+            assert_eq!(drive_to_completion(&mut engine).len(), 1);
+            assert_eq!(engine.stats().builds, 1);
+        }
+
+        #[test]
+        fn fault_boundaries_reach_a_standing_description() {
+            let mut engine = engine8(LinkModelParams::frozen());
+            engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 2));
+            assert_eq!(builds_over(&mut engine, 1.7), 1);
+            let now = engine.sim().time_s();
+            engine.sim_mut().set_fault_schedule(
+                FaultSchedule::new()
+                    .dc_outage(DcId(3), now + 2.0, now + 9.0)
+                    .link_flap(DcId(0), DcId(1), 0.3, now + 1.0, 4.0, 3)
+                    .straggler(DcId(5), 0.6, now + 5.0),
+            );
+            assert_eq!(builds_over(&mut engine, 4.0), 0);
+            assert_eq!(engine.observed_pair_bw_mbps().get(3, 0), 0.0, "DC 3 is down");
+            assert_eq!(drive_to_completion(&mut engine).len(), 1);
+            assert_eq!(engine.stats().builds, 1);
+        }
+
+        #[test]
+        fn dynamics_ticks_and_decay_reach_a_standing_description() {
+            for tick_s in [1.0, 30.0] {
+                let params = LinkModelParams {
+                    dynamics_tick_s: tick_s,
+                    snapshot_noise: 0.0,
+                    ..Default::default()
+                };
+                let mut engine = engine8(params);
+                engine.submit(&shuffle(0, 8, |k| 60.0 + k as f64), &ConnMatrix::filled(8, 2));
+                assert_eq!(builds_over(&mut engine, 1.7), 1);
+                engine.sim_mut().dynamics_mut().set_decay(0.004, 0.3);
+                assert_eq!(builds_over(&mut engine, 2.0 * tick_s + 0.4), 0);
+                assert_eq!(drive_to_completion(&mut engine).len(), 1);
+                let stats = engine.stats();
+                assert!(stats.builds == 1 && stats.coalesced, "{stats:?}");
+            }
+        }
+
+        #[test]
+        fn a_gauge_through_sim_mut_reaches_a_standing_description() {
+            let params = LinkModelParams { dynamics_tick_s: 1.0, ..Default::default() };
+            let mut engine = engine8(params);
+            let conns = ConnMatrix::filled(8, 2);
+            engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &conns);
+            assert_eq!(builds_over(&mut engine, 1.7), 1);
+            // A snapshot draws probe noise and moves the clock a second,
+            // and with it the multipliers.
+            let reading = engine.sim_mut().snapshot(&conns);
+            assert!(reading.bw.get(0, 1) > 0.0);
+            assert_eq!(builds_over(&mut engine, 1.7), 0);
+            assert_eq!(drive_to_completion(&mut engine).len(), 1);
+            assert_eq!(engine.stats().builds, 1);
+        }
+
+        #[test]
+        fn a_pair_draining_inside_the_fraction_is_retired() {
+            let conns = ConnMatrix::filled(8, 1);
+            let mut engine = engine8(LinkModelParams::frozen());
+            let dt = engine.sim().params().epoch_dt_s;
+            // One pair sized to drain inside a 0.9-epoch deadline, as in
+            // `pair_finishing_inside_a_fractional_serve_drains_at_the_deadline`,
+            // beside long ones that keep the group — and its description —
+            // in flight.
+            let mut transfers = shuffle(0, 3, |_| 50.0);
+            let rate = engine.sim().allocate_rates(
+                &transfers.iter().map(|t| FlowSpec::new(t.src, t.dst, 1)).collect::<Vec<_>>(),
+            )[0];
+            transfers[0].gigabits = 0.8 * rate * dt / 1000.0;
+            engine.submit(&transfers, &conns);
+            assert!(engine.advance_until(0.9 * dt).is_empty());
+            assert_eq!(engine.remaining_pair_gb().get(0, 1), 0.0, "drained inside the fraction");
+            assert_eq!(builds_over(&mut engine, 3.0), 0, "and retired from what stood");
+            assert_eq!(drive_to_completion(&mut engine).len(), 1);
+            assert_eq!(engine.stats().builds, 1);
+        }
+
+        /// Wakes every 5 s and, when it does, moves a throttle: the hook's
+        /// edits land on the simulator, never on the flow set.
+        struct ThrottleMover(f64);
+
+        impl EpochHook for ThrottleMover {
+            fn on_epoch(&mut self, ctx: &mut EpochCtx<'_>) {
+                if ctx.time_s + 1e-9 >= self.0 {
+                    self.0 += 5.0;
+                    let cap =
+                        if ctx.throttles.get(0, 1).is_finite() { f64::INFINITY } else { 150.0 };
+                    ctx.throttles.set(0, 1, cap);
+                }
+            }
+
+            fn next_wake(&mut self, _now_s: f64) -> Option<f64> {
+                Some(self.0)
+            }
+        }
+
+        /// Raises every pair to `self.1` connections once, at `self.0`.
+        struct ConnRaiser(f64, u32);
+
+        impl EpochHook for ConnRaiser {
+            fn on_epoch(&mut self, ctx: &mut EpochCtx<'_>) {
+                if ctx.time_s + 1e-9 >= self.0 {
+                    *ctx.conns = ConnMatrix::filled(ctx.conns.len(), self.1);
+                }
+            }
+
+            fn next_wake(&mut self, now_s: f64) -> Option<f64> {
+                Some(if now_s < self.0 { self.0 } else { now_s + 60.0 })
+            }
+        }
+
+        #[test]
+        fn a_lone_hooked_run_builds_once_unless_the_hook_edits_connections() {
+            let sim8 =
+                || NetSim::new(paper_testbed_n(VmType::t3_nano(), 8), LinkModelParams::frozen(), 7);
+            let transfers = shuffle(0, 8, |k| 4.0 + k as f64);
+            let conns = ConnMatrix::from_fn(8, |i, j| 1 + ((3 * i + j) % 4) as u32);
+
+            let mut sim = sim8();
+            sim.run_transfers(&transfers, &conns, Some(&mut ThrottleMover(5.0)));
+            let stats = sim.last_run_stats();
+            assert!(stats.coalesced && stats.solves >= 40, "{stats:?}");
+            assert_eq!(stats.builds, 1, "throttle edits are no reason to build: {stats:?}");
+
+            let mut sim = sim8();
+            sim.run_transfers(&transfers, &conns, Some(&mut ConnRaiser(6.0, 5)));
+            assert_eq!(sim.last_run_stats().builds, 2, "one connection edit, one more build");
+        }
+
+        /// The premise of keeping the description, pinned beside
+        /// `fleet_flow_sets_repeat_their_classes_and_lone_plans_do_not`:
+        /// eight live 8-DC groups churning over the tiled 64-DC WAN (the
+        /// repo benchmark's `probes::engine_churn` shape) find it standing
+        /// at more than four events in five.
+        #[test]
+        fn a_churning_fleet_finds_the_description_standing_at_most_events() {
+            let topo = paper_testbed_tiled(VmType::t2_medium(), 64);
+            let mut engine = NetEngine::new(NetSim::new(topo, LinkModelParams::frozen(), 11));
+            let conns = ConnMatrix::filled(64, 1);
+            let mut rng = StdRng::seed_from_u64(64);
+            let mut submitted = 0;
+            let mut submit = |engine: &mut NetEngine| {
+                engine
+                    .submit(&shuffle(8 * (submitted % 8), 8, |_| rng.gen_range(0.5..4.0)), &conns);
+                submitted += 1;
+            };
+            (0..8).for_each(|_| submit(&mut engine));
+            let mut drained = 0;
+            while drained < 24 {
+                for _ in engine.advance_until(f64::INFINITY) {
+                    drained += 1;
+                    submit(&mut engine);
+                }
+            }
+            let stats = engine.stats();
+            assert!(stats.solves >= 200, "{stats:?}");
+            assert!(5 * stats.builds <= stats.solves, "{stats:?}");
+        }
+
+        /// One step of a random multi-tenant script.
+        fn step(engine: &mut NetEngine, rng: &mut StdRng, live: &mut Vec<GroupId>) {
+            let n = engine.sim().topology().len();
+            let palette = |rng: &mut StdRng| [1u32, 2, 4][rng.gen_range(0usize..3)];
+            let now = engine.sim().time_s();
+            match rng.gen_range(0..12) {
+                // Tenants on shared pairs: blocks overlap, payloads and
+                // connection counts come from small palettes.
+                0..=2 => {
+                    let width = rng.gen_range(2..n.min(6) + 1);
+                    let base = rng.gen_range(0..n - width + 1);
+                    let sizes = [0.4, 1.0, 2.5, rng.gen_range(0.1..6.0)];
+                    let pick = rng.gen_range(1usize..5);
+                    let transfers = shuffle(base, width, |k| sizes[k % pick]);
+                    live.push(engine.submit(&transfers, &ConnMatrix::filled(n, palette(rng))));
+                }
+                // A deadline strictly inside an epoch.
+                3..=5 => {
+                    let done = engine.advance_until(now + rng.gen_range(0.05..6.0));
+                    live.retain(|id| done.iter().all(|r| r.group != *id));
+                }
+                6 => {
+                    if engine.has_live_flows() {
+                        let done = engine.advance_until(f64::INFINITY);
+                        live.retain(|id| done.iter().all(|r| r.group != *id));
+                    }
+                }
+                7 => {
+                    if !live.is_empty() {
+                        let id = live.swap_remove(rng.gen_range(0..live.len()));
+                        assert!(engine.cancel_group(id).is_some());
+                    }
+                }
+                8 => engine.apply_conns(&ConnMatrix::filled(n, palette(rng))),
+                9 => {
+                    if rng.gen_range(0..3) == 0 {
+                        engine.sim_mut().clear_throttles();
+                    } else {
+                        let cap = [0.0, 40.0, 300.0][rng.gen_range(0usize..3)];
+                        let (src, dst) = (DcId(rng.gen_range(0..n)), DcId(rng.gen_range(0..n)));
+                        engine.sim_mut().set_throttle(src, dst, cap);
+                    }
+                }
+                10 => {
+                    let group_of: Vec<usize> = (0..n).map(|dc| 2 * dc / n).collect();
+                    let demand = engine.cross_group_demand_mbps(&group_of, 2);
+                    let share = Grid::from_fn(2, |i, j| {
+                        if i == j {
+                            f64::INFINITY
+                        } else {
+                            [f64::INFINITY, 60.0, 400.0][rng.gen_range(0usize..3)]
+                        }
+                    });
+                    engine.apply_backbone_tiers(&[(&group_of, &share, &demand)]);
+                }
+                _ => {
+                    if rng.gen_range(0..2) == 0 {
+                        engine.sim_mut().dynamics_mut().set_decay(rng.gen_range(0.0..0.01), 0.4);
+                    } else {
+                        let _ = engine.sim_mut().snapshot(&ConnMatrix::filled(n, 1));
+                    }
+                }
+            }
+        }
+
+        proptest! {
+            #[test]
+            fn random_multi_tenant_scripts_are_served_from_a_standing_description(
+                seed in 0u64..u64::MAX,
+            ) {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let n = [3usize, 8][rng.gen_range(0usize..2)];
+                let params = match rng.gen_range(0..3) {
+                    0 => LinkModelParams::frozen(),
+                    1 => LinkModelParams { dynamics_tick_s: 1.0, ..Default::default() },
+                    _ => LinkModelParams { dynamics_tick_s: 30.0, ..Default::default() },
+                };
+                let mut sim = NetSim::new(paper_testbed_n(VmType::t3_nano(), n), params, seed);
+                if rng.gen_range(0..2) == 0 {
+                    let dc = |rng: &mut StdRng| DcId(rng.gen_range(0..n));
+                    sim.set_fault_schedule(
+                        FaultSchedule::new()
+                            .dc_outage(dc(&mut rng), 2.0, rng.gen_range(4.0..12.0))
+                            .link_flap(DcId(0), DcId(1), 0.4, 1.0, 3.0, 2)
+                            .at(rng.gen_range(0.0..8.0), FaultKind::GlobalFactor(0.7)),
+                    );
+                }
+                let mut engine = NetEngine::new(sim);
+                let mut live = Vec::new();
+                let first = shuffle(0, n, |k| [0.5, 2.0][k % 2]);
+                live.push(engine.submit(&first, &ConnMatrix::filled(n, 2)));
+                for _ in 0..rng.gen_range(8..30) {
+                    step(&mut engine, &mut rng, &mut live);
+                }
+                // Lift what could stall a pair for good, then drain.
+                engine.sim_mut().clear_throttles();
+                engine.sim_mut().clear_backbone_caps();
+                for _ in 0..10_000 {
+                    if engine.is_idle() {
+                        break;
+                    }
+                    let _ = engine.advance_until(f64::INFINITY);
+                }
+                prop_assert!(engine.is_idle(), "every group drains once the caps are lifted");
+                let stats = engine.stats();
+                prop_assert!(stats.builds >= 1 && stats.builds < stats.solves, "{:?}", stats);
+                prop_assert_eq!(stats, engine.sim().last_run_stats());
+            }
+        }
     }
 
     #[test]

@@ -129,23 +129,39 @@
 //! class, a table sized by the classes rather than the flows and never
 //! cleared (slots carry the solve's stamp), and two `u32`s per flow.
 //!
-//! ## What is deliberately not done
+//! ## What is kept between solves, and what is deliberately not
 //!
-//! Warm-starting from the previous solve's rates, maintaining a solve
-//! incrementally across events, and *summing* the flows of one DC pair
-//! into one flow of their total weight would each save more work than the
-//! above — and each changes the order in which contributions accumulate
-//! into a rate or a resource sum, so the low bits of every rate, and with
-//! them every committed digest, would move. *Sharing* the arithmetic of
-//! bit-equal flows, which is what the classes do, reorders nothing: each
-//! flow still freezes on its own, in its own turn, with its own update to
-//! every resource it crosses. Nor is there much for an incremental solve
-//! to keep: on the 64-DC fleet workload 1 544 of the 1 896 rates in flight
-//! change at every event, because the NIC congestion divisors move with
-//! every drain. Skipping a solve whose problem equals the previous one
-//! was measured instead: 5 %, 7 % and 11 % of solves on the three fleet
-//! workloads of the repo benchmark qualify (8–30 % change no rate), which
-//! does not pay for the state.
+//! Two things could outlive a solve, and they are treated differently.
+//!
+//! The **description** of the problem — which flows exist, their weights,
+//! which resources they cross and in what member order — is kept. The
+//! transfer loop ([`crate::engine`]) builds it when the set of flows in
+//! flight changes by more than a drain and otherwise edits it in place:
+//! `FairnessProblem::retain_flows` removes the drained flows and closes
+//! ranks, in order, leaving exactly the problem that adding the survivors
+//! alone would have built (same flow order, same resources in the same
+//! order, same member order, hence also the same round limit and the same
+//! slack margins); ceilings and capacities are overwritten before every
+//! solve. Nothing in a solve can tell such a problem from a rebuilt one,
+//! because there is nothing to tell: the buffers are equal.
+//!
+//! The **solve** is not kept: every one starts from zero rates, zero
+//! `used`, a fresh class table. Warm-starting from the previous solve's
+//! rates, maintaining a solve incrementally across events, and *summing*
+//! the flows of one DC pair into one flow of their total weight would each
+//! save more work than the above — and each changes the order in which
+//! contributions accumulate into a rate or a resource sum, so the low
+//! bits of every rate, and with them every committed digest, would move.
+//! *Sharing* the arithmetic of bit-equal flows, which is what the classes
+//! do, reorders nothing: each flow still freezes on its own, in its own
+//! turn, with its own update to every resource it crosses. Nor is there
+//! much for an incremental solve to keep: on the 64-DC fleet workload
+//! 1 544 of the 1 896 rates in flight change at every event, because the
+//! NIC congestion divisors move with every drain (and a tenth of the
+//! flows in flight drain at every event). Skipping a solve whose problem
+//! equals the previous one was measured instead: 5 %, 7 % and 11 % of
+//! solves on the three fleet workloads of the repo benchmark qualify
+//! (8–30 % change no rate), which does not pay for the state.
 
 /// Identifies a capacity-constrained resource.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -242,6 +258,75 @@ impl FairnessProblem {
     /// Number of resources.
     pub fn resource_count(&self) -> usize {
         self.res_caps.len()
+    }
+
+    /// Kind of every resource, by index.
+    pub(crate) fn kinds(&self) -> &[ResourceKind] {
+        &self.res_kinds
+    }
+
+    /// Overwrites the capacity of resource `r`, as
+    /// [`FairnessProblem::add_resource`] would have set it.
+    pub(crate) fn set_capacity(&mut self, r: usize, capacity_mbps: f64) {
+        self.res_caps[r] = capacity_mbps.max(0.0);
+    }
+
+    /// Overwrites the ceiling of every member of resource `r` with
+    /// `ceiling_mbps(member)`, as [`FairnessProblem::add_flow`] would have
+    /// set it.
+    pub(crate) fn set_member_ceilings(&mut self, r: usize, ceiling_mbps: impl Fn(usize) -> f64) {
+        for &m in &self.members[self.res_bounds[r]..self.res_bounds[r + 1]] {
+            self.ceilings[m] = ceiling_mbps(m).max(0.0);
+        }
+    }
+
+    /// Removes every flow that `keep` rejects, in place, leaving the
+    /// problem that adding only the kept flows — same order, same
+    /// resources, same member order — would have built: the survivors
+    /// close ranks (flow `f` becomes `new_index[f]`, a removed one reads
+    /// `u32::MAX` there), every member list drops the removed flows and
+    /// renumbers the rest, and a resource left without a member goes too.
+    pub(crate) fn retain_flows(&mut self, keep: impl Fn(usize) -> bool, new_index: &mut Vec<u32>) {
+        const REMOVED: u32 = u32::MAX;
+        new_index.clear();
+        let mut flows = 0;
+        for f in 0..self.weights.len() {
+            if keep(f) {
+                new_index.push(flows as u32);
+                self.weights[flows] = self.weights[f];
+                self.ceilings[flows] = self.ceilings[f];
+                flows += 1;
+            } else {
+                new_index.push(REMOVED);
+            }
+        }
+        self.weights.truncate(flows);
+        self.ceilings.truncate(flows);
+
+        let (mut resources, mut members) = (0, 0);
+        let mut lo = 0;
+        for r in 0..self.res_caps.len() {
+            let hi = self.res_bounds[r + 1];
+            let first = members;
+            for k in lo..hi {
+                let m = new_index[self.members[k]];
+                if m != REMOVED {
+                    self.members[members] = m as usize;
+                    members += 1;
+                }
+            }
+            if members > first {
+                self.res_kinds[resources] = self.res_kinds[r];
+                self.res_caps[resources] = self.res_caps[r];
+                resources += 1;
+                self.res_bounds[resources] = members;
+            }
+            lo = hi;
+        }
+        self.res_kinds.truncate(resources);
+        self.res_caps.truncate(resources);
+        self.res_bounds.truncate(resources + 1);
+        self.members.truncate(members);
     }
 
     /// Member flows of resource `r`.
@@ -1164,7 +1249,7 @@ mod tests {
         /// hosts, as the simulator's do; a few further resources take
         /// random members, one of them twice. Capacities bind, saturate,
         /// sit on the slack edge or are zero. Returns the palette size too.
-        fn palette_problem(seed: u64) -> (FairnessProblem, usize) {
+        pub(super) fn palette_problem(seed: u64) -> (FairnessProblem, usize) {
             let mut rng = StdRng::seed_from_u64(seed);
             let palette: Vec<(f64, f64)> = (0..rng.gen_range(1usize..7))
                 .map(|_| {
@@ -1409,6 +1494,57 @@ mod tests {
             let rates = allocate_max_min(&p);
             assert!(rates[4] > 50.0 && rates[4] < 50.001, "{rates:?}");
             assert!(rates[4] == rates[5] && rates[5] == rates[6], "{rates:?}");
+        }
+    }
+
+    /// [`FairnessProblem::retain_flows`] against building the kept flows
+    /// afresh, on the class-repeating problems of `class_parity` (dead
+    /// flows, members listed twice, resources that lose every member).
+    mod description_parity {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        proptest! {
+            #[test]
+            fn retain_flows_leaves_the_problem_a_fresh_build_would(seed in 0u64..u64::MAX) {
+                let (full, _) = class_parity::palette_problem(seed);
+                let mut rng = StdRng::seed_from_u64(seed ^ 0xD15C);
+                let odds = [2u32, 10, 50][rng.gen_range(0usize..3)];
+                let keep: Vec<bool> =
+                    (0..full.flow_count()).map(|_| rng.gen_range(0..odds) != 0).collect();
+
+                let mut fresh = FairnessProblem::new();
+                let mut moved = vec![usize::MAX; keep.len()];
+                for f in (0..keep.len()).filter(|&f| keep[f]) {
+                    moved[f] = fresh.add_flow(full.weights[f], full.ceilings[f]);
+                }
+                for (kind, cap, members) in full.resources() {
+                    let kept: Vec<usize> =
+                        members.iter().filter(|&&m| keep[m]).map(|&m| moved[m]).collect();
+                    if !kept.is_empty() {
+                        fresh.add_resource(kind, cap, &kept);
+                    }
+                }
+
+                let mut compacted = full.clone();
+                let mut new_index = Vec::new();
+                compacted.retain_flows(|f| keep[f], &mut new_index);
+                for f in (0..keep.len()).filter(|&f| keep[f]) {
+                    prop_assert_eq!(new_index[f] as usize, moved[f]);
+                }
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                prop_assert_eq!(bits(&compacted.weights), bits(&fresh.weights));
+                prop_assert_eq!(bits(&compacted.ceilings), bits(&fresh.ceilings));
+                prop_assert_eq!(compacted.resource_count(), fresh.resource_count());
+                for (a, b) in compacted.resources().zip(fresh.resources()) {
+                    prop_assert_eq!((a.0, a.1.to_bits(), a.2), (b.0, b.1.to_bits(), b.2));
+                }
+                // And so they solve alike, in the same number of rounds.
+                let (mut ws_a, mut ws_b) = (FairnessWorkspace::new(), FairnessWorkspace::new());
+                prop_assert_eq!(bits(ws_a.solve(&compacted)), bits(ws_b.solve(&fresh)));
+                prop_assert_eq!(ws_a.last_shape(), ws_b.last_shape());
+            }
         }
     }
 

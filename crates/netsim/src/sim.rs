@@ -26,7 +26,10 @@
 //!
 //! There is one such loop in the crate and it lives in [`crate::engine`].
 //! This module holds what it is made of — the per-pair anchor accounting,
-//! the drain and event horizons, the rate allocation — and its blocking
+//! the drain and event horizons, the rate allocation in its three steps
+//! (build the flow set's description, refresh what the simulator's state
+//! decides, solve: [`NetSim::allocate_rates_with`] is the three in a row,
+//! the loop keeps the first standing between events) — and its blocking
 //! entry point: [`NetSim::run_transfers`] submits one flow group to the
 //! loop, seats its optional [`EpochHook`] on it and advances to
 //! completion. [`crate::NetEngine`] is the resumable, multi-tenant entry
@@ -111,6 +114,10 @@ pub trait EpochHook {
 pub struct RunStats {
     /// Fairness solves performed (one per rate segment).
     pub solves: u64,
+    /// Solves that first built the flow-set description from the groups
+    /// in flight; the other `solves − builds` found it standing and did no
+    /// per-flow build work (see the [`crate::engine`] module docs).
+    pub builds: u64,
     /// Epochs simulated (matches [`TransferReport::epochs`]).
     pub epochs: u64,
     /// Whether the event-coalescing fast path served multi-epoch
@@ -119,24 +126,35 @@ pub struct RunStats {
     pub coalesced: bool,
 }
 
-/// Reusable buffers for [`NetSim::allocate_rates_with`].
+/// Reusable buffers for [`NetSim::allocate_rates_with`], and the flow-set
+/// description the transfer loop keeps standing in them between events.
 ///
 /// One scratch serves any sequence of calls on any simulator; every
 /// buffer grows to its high-water mark and is then reused, so repeated
 /// solves on the hot path are allocation-free.
+///
+/// The description is what `NetSim::build_flow_set` derives from a flow
+/// list alone — the problem's flows with their weights, the `(src, dst,
+/// index)`-ordered egress / ingress / path membership, each WAN flow's
+/// endpoints and connections, the connections per host. What the
+/// simulator's runtime state decides (ceilings, NIC and path capacities)
+/// is not part of it: `NetSim::solve_flow_set` writes those afresh
+/// before every solve.
 #[derive(Debug, Clone, Default)]
 pub struct RateScratch {
     problem: FairnessProblem,
     ws: FairnessWorkspace,
-    /// Problem index per input flow (`usize::MAX` = not WAN-constrained).
+    /// Problem index per input flow (`NOT_IN_PROBLEM` = not
+    /// WAN-constrained).
     problem_index: Vec<usize>,
     host_conns: Vec<u32>,
-    /// `(src, dst)` of each WAN flow, by problem index. (This and the two
-    /// orderings below are `u32`: a fleet's solve holds tens of thousands
-    /// of flows, and the per-flow buffers are the scratch's footprint.)
-    wan_ends: Vec<(u32, u32)>,
+    /// Each WAN flow, by problem index. (This and the two orderings below
+    /// are `u32`: a fleet's solve holds tens of thousands of flows, and the
+    /// per-flow buffers are the scratch's footprint.)
+    wan: Vec<WanFlow>,
     /// WAN flows in stable order of destination — the ingress members —
-    /// with their per-DC bucket offsets.
+    /// with their per-DC bucket offsets. (These five are the build's
+    /// working space; the membership they produce lives in `problem`.)
     dst_offsets: Vec<usize>,
     by_dst: Vec<u32>,
     /// `by_dst` stably re-sorted by source, i.e. ordered by `(src, dst)`:
@@ -145,17 +163,65 @@ pub struct RateScratch {
     src_offsets: Vec<usize>,
     by_src: Vec<u32>,
     cursor: Vec<usize>,
+    /// Where `RateScratch::compact` moved each flow it kept.
+    new_index: Vec<u32>,
+    /// Rate per input flow of the last [`NetSim::allocate_rates_with`].
     rates: Vec<f64>,
 }
 
+/// A WAN-constrained flow of a built flow set.
+#[derive(Debug, Clone, Copy)]
+struct WanFlow {
+    src: u32,
+    dst: u32,
+    /// Zero between `RateScratch::retire` and the
+    /// `RateScratch::compact` that removes the flow.
+    conns: u32,
+}
+
 impl RateScratch {
-    /// The rates of the last [`NetSim::allocate_rates_with`] call, Mbps.
-    pub(crate) fn rates(&self) -> &[f64] {
-        &self.rates
+    /// Problem index per flow of the last `NetSim::build_flow_set`, or
+    /// `NOT_IN_PROBLEM`.
+    pub(crate) fn problem_indices(&self) -> &[usize] {
+        &self.problem_index
+    }
+
+    /// Rate of problem flow `idx` at the last `NetSim::solve_flow_set`,
+    /// in Mbps.
+    pub(crate) fn rate(&self, idx: usize) -> f64 {
+        self.ws.rates()[idx]
+    }
+
+    /// Marks problem flow `idx` as gone: its connections leave its two
+    /// hosts' counts. The flow itself leaves with the next
+    /// `RateScratch::compact`, which must come before the next solve.
+    pub(crate) fn retire(&mut self, idx: usize) {
+        let flow = &mut self.wan[idx];
+        self.host_conns[flow.src as usize] -= flow.conns;
+        self.host_conns[flow.dst as usize] -= flow.conns;
+        flow.conns = 0;
+    }
+
+    /// Removes the retired flows from the standing description in place
+    /// and order: what is left is, buffer for buffer, the description
+    /// `NetSim::build_flow_set` would build for the surviving flows, so
+    /// a solve over it performs the operations a solve over a fresh build
+    /// would, in the same order. `RateScratch::new_index` then says
+    /// where each survivor went.
+    pub(crate) fn compact(&mut self) {
+        let wan = &self.wan;
+        self.problem.retain_flows(|f| wan[f].conns > 0, &mut self.new_index);
+        self.wan.retain(|flow| flow.conns > 0);
+    }
+
+    /// Problem index, since the last `RateScratch::compact`, of the
+    /// surviving flow that had index `old` before it.
+    pub(crate) fn new_index(&self, old: usize) -> usize {
+        self.new_index[old] as usize
     }
 }
 
-const NOT_IN_PROBLEM: usize = usize::MAX;
+pub(crate) const NOT_IN_PROBLEM: usize = usize::MAX;
 
 /// Problem flow indices out of one of [`RateScratch`]'s `u32` orderings.
 fn as_members(list: &[u32]) -> impl Iterator<Item = usize> + '_ {
@@ -251,6 +317,25 @@ impl PairProgress {
                 epochs_to_drain(self.remaining, self.quota, self.served).unwrap_or(DRAIN_NEVER);
         }
         (self.drain_at != DRAIN_NEVER).then_some(self.drain_at)
+    }
+
+    /// Epochs from now until the pair drains ([`PairProgress::drain_epoch`]
+    /// less `served`), if fewer than `below`; `None` if not, or never.
+    /// The loop asks every pair in flight after every solve, most quotas
+    /// have just changed (so the memo is cold) and only the soonest drain
+    /// matters — and one product settles a pair that is not it:
+    /// `remaining − m·quota` does not rise with `m`, so a pair still above
+    /// the drain threshold at `m = served + below − 1` drains no sooner
+    /// than `below` epochs from now, and is spared the division and the
+    /// search. The threshold test is the search's own expression.
+    pub(crate) fn epochs_left_below(&mut self, below: u64) -> Option<u64> {
+        if self.drain_at == DRAIN_UNKNOWN && self.quota > 0.0 {
+            let last = self.served.checked_add(below - 1).filter(|&m| m < DRAIN_CAP);
+            if last.is_some_and(|m| self.remaining - m as f64 * self.quota > PAYLOAD_EPS_GB) {
+                return None;
+            }
+        }
+        self.drain_epoch().map(|m| m - self.served).filter(|&left| left < below)
     }
 
     /// Folds the served epochs into the anchor; called when the pair's
@@ -407,6 +492,40 @@ struct LinkStatic {
     conn_weight: f64,
     /// Whether the endpoints sit in different cloud providers.
     cross_provider: bool,
+}
+
+/// Everything the simulator's runtime state says about one directed pair
+/// at one instant: what a flow's ceiling is made of besides its
+/// connection count. Read once per pair, it serves every flow on it.
+#[derive(Debug, Clone, Copy)]
+struct PairState {
+    conn_cap_mbps: f64,
+    multiplier: f64,
+    fault_factor: f64,
+    /// [`LinkModelParams::cross_provider_factor`] if the pair crosses
+    /// providers.
+    provider_factor: Option<f64>,
+    throttle_mbps: f64,
+    backbone_cap_mbps: f64,
+}
+
+impl PairState {
+    /// See [`NetSim::unreserved_ceiling_mbps`].
+    fn unreserved_ceiling_mbps(&self, conns: u32) -> f64 {
+        let mut cap = f64::from(conns) * self.conn_cap_mbps;
+        cap *= self.multiplier;
+        cap *= self.fault_factor;
+        if let Some(factor) = self.provider_factor {
+            cap *= factor;
+        }
+        cap.min(self.throttle_mbps)
+    }
+
+    /// Effective ceiling of a flow of `conns` connections in Mbps: the
+    /// unreserved ceiling further capped by any backbone reservation.
+    fn ceiling_mbps(&self, conns: u32) -> f64 {
+        self.unreserved_ceiling_mbps(conns).min(self.backbone_cap_mbps)
+    }
 }
 
 /// Solver scratch plus the all-pairs flow list of a measurement round.
@@ -678,23 +797,24 @@ impl NetSim {
     /// shard's reservation tracks what it *wants*, not what it was last
     /// granted.
     pub fn unreserved_ceiling_mbps(&self, f: &FlowSpec) -> f64 {
-        let link = self.links.at(f.src, f.dst);
-        let mut cap = f64::from(f.conns) * link.conn_cap_mbps;
-        cap *= self.dynamics.multiplier(f.src.0, f.dst.0);
-        cap *= self.fault_factor(f.src.0, f.dst.0);
-        if link.cross_provider {
-            cap *= self.params.cross_provider_factor;
-        }
-        cap.min(self.throttles.at(f.src, f.dst))
+        self.pair_state(f.src.0, f.dst.0).unreserved_ceiling_mbps(f.conns)
     }
 
-    /// Effective ceiling of a flow in Mbps: the unreserved ceiling further
-    /// capped by any backbone reservation on the pair.
-    fn flow_ceiling(&self, f: &FlowSpec) -> f64 {
-        self.unreserved_ceiling_mbps(f).min(self.backbone_caps.at(f.src, f.dst))
+    /// The directed pair `src → dst` as the simulator stands.
+    fn pair_state(&self, src: usize, dst: usize) -> PairState {
+        let link = self.links.get(src, dst);
+        PairState {
+            conn_cap_mbps: link.conn_cap_mbps,
+            multiplier: self.dynamics.multiplier(src, dst),
+            fault_factor: self.fault_factor(src, dst),
+            provider_factor: link.cross_provider.then_some(self.params.cross_provider_factor),
+            throttle_mbps: self.throttles.get(src, dst),
+            backbone_cap_mbps: self.backbone_caps.get(src, dst),
+        }
     }
 
     /// Contention weight of a flow (connections × per-connection RTT bias).
+    /// Runtime state has no part in it.
     fn flow_weight(&self, f: &FlowSpec) -> f64 {
         f64::from(f.conns) * self.links.at(f.src, f.dst).conn_weight
     }
@@ -720,18 +840,45 @@ impl NetSim {
     /// bit-identical rates across runs and platforms. Building costs
     /// O(flows + DCs): a one-flow gauge on a 64-DC topology does no
     /// per-pair work.
+    ///
+    /// This is the stateless entry: build, refresh and solve in a row
+    /// (`NetSim::build_flow_set`, `NetSim::solve_flow_set`), then one
+    /// rate per input flow. The transfer loop calls the steps apart, so
+    /// that a description outlives the event it was built for.
     pub fn allocate_rates_with<'s>(
         &self,
         flows: &[FlowSpec],
         scratch: &'s mut RateScratch,
     ) -> &'s [f64] {
-        let n = self.topo.len();
         let s = scratch;
+        self.build_flow_set(flows, s);
+        self.solve_flow_set(s);
+        s.rates.clear();
+        for (f, &idx) in flows.iter().zip(&s.problem_index) {
+            let rate = if idx != NOT_IN_PROBLEM {
+                s.ws.rates()[idx]
+            } else if f.src == f.dst && f.conns > 0 {
+                // Intra-DC transfers run at LAN speed; model as very fast.
+                INTRA_DC_MBPS
+            } else {
+                0.0
+            };
+            s.rates.push(rate);
+        }
+        &s.rates
+    }
+
+    /// Builds in `s` the description of `flows` (see [`RateScratch`]):
+    /// everything about the fairness problem that the flow list alone
+    /// decides. Ceilings and capacities are left at zero for
+    /// `NetSim::solve_flow_set`.
+    pub(crate) fn build_flow_set(&self, flows: &[FlowSpec], s: &mut RateScratch) {
+        let n = self.topo.len();
         s.problem.clear();
         s.problem_index.clear();
         s.host_conns.clear();
         s.host_conns.resize(n, 0);
-        s.wan_ends.clear();
+        s.wan.clear();
         s.src_offsets.clear();
         s.src_offsets.resize(n + 1, 0);
         s.dst_offsets.clear();
@@ -739,14 +886,14 @@ impl NetSim {
 
         for f in flows {
             if f.src == f.dst || f.conns == 0 {
-                s.problem_index.push(NOT_IN_PROBLEM); // handled after the solve
+                s.problem_index.push(NOT_IN_PROBLEM); // rated without a solve
                 continue;
             }
-            let idx = s.problem.add_flow(self.flow_weight(f), self.flow_ceiling(f));
+            let idx = s.problem.add_flow(self.flow_weight(f), 0.0);
             s.problem_index.push(idx);
             s.host_conns[f.src.0] += f.conns;
             s.host_conns[f.dst.0] += f.conns;
-            s.wan_ends.push((f.src.0 as u32, f.dst.0 as u32));
+            s.wan.push(WanFlow { src: f.src.0 as u32, dst: f.dst.0 as u32, conns: f.conns });
             s.src_offsets[f.src.0 + 1] += 1;
             s.dst_offsets[f.dst.0 + 1] += 1;
         }
@@ -763,8 +910,8 @@ impl NetSim {
         s.by_dst.resize(wan_flows, 0);
         s.cursor.clear();
         s.cursor.extend_from_slice(&s.dst_offsets[..n]);
-        for (idx, &(_, dst)) in s.wan_ends.iter().enumerate() {
-            let slot = &mut s.cursor[dst as usize];
+        for (idx, flow) in s.wan.iter().enumerate() {
+            let slot = &mut s.cursor[flow.dst as usize];
             s.by_dst[*slot] = idx as u32;
             *slot += 1;
         }
@@ -773,7 +920,7 @@ impl NetSim {
         s.cursor.clear();
         s.cursor.extend_from_slice(&s.src_offsets[..n]);
         for &idx in &s.by_dst {
-            let slot = &mut s.cursor[s.wan_ends[idx as usize].0 as usize];
+            let slot = &mut s.cursor[s.wan[idx as usize].src as usize];
             s.by_src[*slot] = idx;
             *slot += 1;
         }
@@ -781,53 +928,49 @@ impl NetSim {
         for dc in 0..n {
             let egress = &s.by_src[s.src_offsets[dc]..s.src_offsets[dc + 1]];
             let ingress = &s.by_dst[s.dst_offsets[dc]..s.dst_offsets[dc + 1]];
-            if egress.is_empty() && ingress.is_empty() {
-                continue;
-            }
-            let d = self.topo.dc(DcId(dc));
-            let divisor = self.params.congestion_divisor(s.host_conns[dc], d.conn_budget());
             if !egress.is_empty() {
-                s.problem.add_resource_with(
-                    ResourceKind::Egress(dc),
-                    d.egress_cap_mbps() / divisor,
-                    as_members(egress),
-                );
+                s.problem.add_resource_with(ResourceKind::Egress(dc), 0.0, as_members(egress));
             }
             if !ingress.is_empty() {
-                s.problem.add_resource_with(
-                    ResourceKind::Ingress(dc),
-                    d.ingress_cap_mbps() / divisor,
-                    as_members(ingress),
-                );
+                s.problem.add_resource_with(ResourceKind::Ingress(dc), 0.0, as_members(ingress));
             }
         }
-        // Backbone path capacity per directed pair with at least one
-        // flow: the runs of equal (src, dst) in `by_src`, which come out
-        // in ascending (src, dst) order.
-        for run in s.by_src.chunk_by(|&a, &b| s.wan_ends[a as usize] == s.wan_ends[b as usize]) {
-            let (src, dst) = s.wan_ends[run[0] as usize];
-            let (src, dst) = (src as usize, dst as usize);
-            let cap = self.params.path_cap_mbps
-                * self.dynamics.multiplier(src, dst)
-                * self.fault_factor(src, dst);
-            s.problem.add_resource_with(ResourceKind::Path(src, dst), cap, as_members(run));
+        // One backbone path per directed pair with at least one flow: the
+        // runs of equal (src, dst) in `by_src`, which come out in
+        // ascending (src, dst) order.
+        let ends = |idx: u32| (s.wan[idx as usize].src, s.wan[idx as usize].dst);
+        for run in s.by_src.chunk_by(|&a, &b| ends(a) == ends(b)) {
+            let (src, dst) = ends(run[0]);
+            let path = ResourceKind::Path(src as usize, dst as usize);
+            s.problem.add_resource_with(path, 0.0, as_members(run));
         }
+    }
 
-        s.ws.solve(&s.problem);
-        s.rates.clear();
-        for (i, f) in flows.iter().enumerate() {
-            let idx = s.problem_index[i];
-            let rate = if idx != NOT_IN_PROBLEM {
-                s.ws.rates()[idx]
-            } else if f.src == f.dst && f.conns > 0 {
-                // Intra-DC transfers run at LAN speed; model as very fast.
-                INTRA_DC_MBPS
-            } else {
-                0.0
+    /// Writes into the description standing in `s` what the simulator's
+    /// state decides — the congestion-degraded NIC capacities, the path
+    /// capacities, every live flow's ceiling (pair by pair: a flow is a
+    /// member of exactly one path) — and solves it from zero. All of it
+    /// is read from the simulator as it stands at the call, so nothing
+    /// that mutates the simulator (throttles, backbone caps, faults,
+    /// dynamics, gauges) has to tell a standing description.
+    pub(crate) fn solve_flow_set(&self, s: &mut RateScratch) {
+        for r in 0..s.problem.resource_count() {
+            let nic = |dc: usize, cap_mbps: f64| {
+                let budget = self.topo.dc(DcId(dc)).conn_budget();
+                cap_mbps / self.params.congestion_divisor(s.host_conns[dc], budget)
             };
-            s.rates.push(rate);
+            let cap = match s.problem.kinds()[r] {
+                ResourceKind::Egress(dc) => nic(dc, self.topo.dc(DcId(dc)).egress_cap_mbps()),
+                ResourceKind::Ingress(dc) => nic(dc, self.topo.dc(DcId(dc)).ingress_cap_mbps()),
+                ResourceKind::Path(src, dst) => {
+                    let pair = self.pair_state(src, dst);
+                    s.problem.set_member_ceilings(r, |flow| pair.ceiling_mbps(s.wan[flow].conns));
+                    self.params.path_cap_mbps * pair.multiplier * pair.fault_factor
+                }
+            };
+            s.problem.set_capacity(r, cap);
         }
-        &s.rates
+        s.ws.solve(&s.problem);
     }
 
     /// Simulates the given transfers to completion.
@@ -1221,7 +1364,7 @@ mod tests {
         let sizes = [
             s.problem_index.len(),
             s.host_conns.len(),
-            s.wan_ends.len(),
+            s.wan.len(),
             s.dst_offsets.len(),
             s.by_dst.len(),
             s.src_offsets.len(),
@@ -1760,6 +1903,33 @@ mod tests {
                         drain_estimate(remaining, quota, served),
                         reference::drain_estimate(remaining, quota, served),
                         "remaining {} quota {}", remaining, quota);
+                }
+            }
+
+            #[test]
+            fn soonest_drain_filter_agrees_with_the_search(
+                quota in 1e-9f64..4.0,
+                epochs in 1u64..5000,
+                crumb in -2e-9f64..2e-9,
+                skip in 0.0f64..1.0,
+                edge in 0usize..6,
+                far in 2u64..10_000,
+            ) {
+                // `below` on, one short of and one past the true answer,
+                // at 1, far off and at "no bound yet".
+                let remaining = epochs as f64 * quota + crumb;
+                if remaining > PAYLOAD_EPS_GB {
+                    let m = reference::epochs_to_drain(remaining, quota, 0).expect("drains");
+                    let mut pair = PairProgress::new(0, 1, remaining);
+                    pair.set_quota(quota, 0.25);
+                    pair.served = (skip * (m - 1) as f64) as u64;
+                    let left = m - pair.served;
+                    let below = [left, left + 1, left.max(2) - 1, 1, far, u64::MAX][edge];
+                    let want = Some(left).filter(|&k| k < below);
+                    prop_assert_eq!(pair.epochs_left_below(below), want, "cold memo");
+                    prop_assert_eq!(pair.epochs_left_below(below), want, "either memo state");
+                    pair.set_quota(0.0, 0.25);
+                    prop_assert_eq!(pair.epochs_left_below(below), None, "a stalled pair");
                 }
             }
 
