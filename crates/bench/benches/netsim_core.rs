@@ -175,30 +175,43 @@ impl EpochHook for Watcher {
     }
 }
 
-/// What one event of the transfer loop costs, build or not: each bench is
-/// a fixed script of events, and the line printed before it says how many
-/// (`solves`) and how many of them had to build their flow set first, so
-/// the mean divides into a per-event figure.
+/// What one event of the transfer loop costs: each bench is a fixed script
+/// of events, and the line printed before it says how many (`solves`), how
+/// many of them first renumbered the standing flow set (`builds`) and how
+/// many flows an event solves, so the mean divides into a per-event and a
+/// per-flow figure.
 fn bench_engine_events(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_events");
     group.sample_size(10);
     let mut bench = |name: &str, script: &dyn Fn() -> RunStats| {
         let stats = script();
-        println!("engine_events/{name}: {} events, {} builds", stats.solves, stats.builds);
+        println!(
+            "engine_events/{name}: {} events · {} builds · {:.0} flows/event",
+            stats.solves,
+            stats.builds,
+            stats.flows as f64 / stats.solves as f64
+        );
         group.bench_function(name, |b| b.iter(|| black_box(script())));
     };
 
     // Eight 8-DC groups churning over the eight blocks of the tiled 64-DC
-    // WAN (`scale-hier`'s shards, `probe64x8`): ~450 flows per event.
+    // WAN (`scale-hier`'s shards, `probe64x8`): ~180 flows per event, one
+    // to a pair.
     let tiled = || {
         let topo = paper_testbed_tiled(VmType::t2_medium(), 64);
         NetSim::new(topo, LinkModelParams::frozen(), 11)
     };
     bench("tiled64_8x8dc", &|| churn(tiled(), (8, 8), 8, 64, |k| 0.5 + (k % 7) as f64 * 0.5));
 
-    // Sixteen tenants on the same 8 DCs (`fleet-closed`, `probe8x16`):
-    // ~900 flows per event, every pair sixteen times over.
+    // Sixteen tenants shuffling on the same 8 DCs at once (`probe8x16`):
+    // ~270 flows per event, every pair five times over. No fleet of the
+    // repo benchmark looks like this — see the next one.
     bench("8dc_16tenants", &|| churn(frozen_sim(8), (8, 1), 16, 32, |k| 0.5 + (k % 5) as f64));
+
+    // What `fleet-closed` puts on the WAN: its sixteen closed-loop
+    // tenants think and compute between shuffles, so a few of them are in
+    // flight together: 136 flows per event there, eight to a class; 130 here.
+    bench("8dc_8tenants", &|| churn(frozen_sim(8), (8, 1), 8, 64, |k| 0.5 + (k % 5) as f64));
 
     // One hooked group with its own connection count on every pair
     // (`wanify-loop`): built once, then only drains.

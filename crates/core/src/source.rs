@@ -34,7 +34,7 @@ use std::sync::Arc;
 
 use crate::error::WanifyError;
 use crate::predictor::{WanPredictionModel, STABLE_PROBE_S};
-use wanify_netsim::{BwMatrix, ConnMatrix, NetSim, Region};
+use wanify_netsim::{BwMatrix, ConnMatrix, DataCenter, NetSim};
 
 /// A provider of directed bandwidth matrices for a live network.
 ///
@@ -59,26 +59,27 @@ pub trait BandwidthSource: Send {
 ///
 /// Static sources are meant to go stale *in time* on one network, not
 /// to replay one cluster's measurements onto another: re-gauging a
-/// different topology (size or regions) re-measures.
+/// different cluster — another size, other regions, another VM flavor or
+/// fleet size in any DC — re-measures.
 #[derive(Debug, Clone)]
 struct StaticCache {
     bw: BwMatrix,
-    regions: Vec<Region>,
+    dcs: Vec<DataCenter>,
 }
 
 impl StaticCache {
     fn lookup(cache: &Option<Self>, net: &NetSim) -> Option<BwMatrix> {
-        cache.as_ref().filter(|c| c.regions.iter().copied().eq(regions(net))).map(|c| c.bw.clone())
+        cache.as_ref().filter(|c| c.dcs.iter().eq(dcs(net))).map(|c| c.bw.clone())
     }
 
     fn store(bw: &BwMatrix, net: &NetSim) -> Option<Self> {
-        Some(Self { bw: bw.clone(), regions: regions(net).collect() })
+        Some(Self { bw: bw.clone(), dcs: dcs(net).cloned().collect() })
     }
 }
 
-/// The region of every DC of `net`, in index order.
-fn regions(net: &NetSim) -> impl Iterator<Item = Region> + '_ {
-    net.topology().iter().map(|(_, dc)| dc.region)
+/// Every DC of `net` — region, VM flavor, fleet size — in index order.
+fn dcs(net: &NetSim) -> impl Iterator<Item = &DataCenter> {
+    net.topology().iter().map(|(_, dc)| dc)
 }
 
 /// Every-pair-independently static probing, measured once then cached —
@@ -302,7 +303,7 @@ mod tests {
 
     #[test]
     fn static_cache_invalidates_on_different_regions_same_size() {
-        use wanify_netsim::Topology;
+        use wanify_netsim::{Region, Topology};
 
         let mut ind = StaticIndependent::new();
         let first = ind.gauge(&mut sim(3, 5)).unwrap();
@@ -317,6 +318,35 @@ mod tests {
         let mut net = NetSim::new(other, LinkModelParams::default(), 5);
         let second = ind.gauge(&mut net).unwrap();
         assert_ne!(first, second, "a same-size but different cluster must be re-measured");
+    }
+
+    #[test]
+    fn static_cache_invalidates_on_a_different_vm_fleet() {
+        // Same regions, another cluster: two more VMs in one DC, or
+        // another flavor everywhere, move the NIC caps the measurement
+        // ran into. (No committed artifact reaches this: each builds a
+        // fresh source per arm, which is why `REPRO.md` does not move.)
+        let topo = |vm: VmType| paper_testbed_n(vm, 3);
+        // A seed per simulator: probe noise tells a measurement from a replay.
+        let net = |topo, seed| NetSim::new(topo, LinkModelParams::default(), seed);
+        for mut source in [
+            Box::new(StaticIndependent::new()) as Box<dyn BandwidthSource>,
+            Box::new(StaticSimultaneous::default()),
+        ] {
+            let first = source.gauge(&mut net(topo(VmType::t3_nano()), 5)).unwrap();
+            let again = source.gauge(&mut net(topo(VmType::t3_nano()), 6)).unwrap();
+            assert_eq!(
+                first,
+                again,
+                "{}: the same cluster is served from the cache",
+                source.name()
+            );
+            let grown = topo(VmType::t3_nano()).with_extra_vms(wanify_netsim::DcId(1), 2);
+            let second = source.gauge(&mut net(grown, 7)).unwrap();
+            assert_ne!(first, second, "{}: a larger fleet must be re-measured", source.name());
+            let third = source.gauge(&mut net(topo(VmType::t2_medium()), 8)).unwrap();
+            assert_ne!(second, third, "{}: another flavor must be re-measured", source.name());
+        }
     }
 
     #[test]

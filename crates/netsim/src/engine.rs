@@ -38,64 +38,61 @@
 //! # The standing flow-set description
 //!
 //! Every event ends in one weighted max-min solve over every pair in
-//! flight, and between two events of one loop usually nothing about the
-//! *set* of flows changed except that some pairs drained. So the loop
-//! does not derive the fairness problem per event. It keeps a
-//! **description** standing — the list of pairs in flight with their
-//! handles into the groups and into the problem (`TransferLoop::flows`),
-//! and in its [`RateScratch`] everything `NetSim::build_flow_set`
-//! derives from a flow list alone: weights, connections per host, the
-//! `(src, dst, index)`-ordered egress / ingress / path member lists.
-//! Each event does three things with it:
+//! flight, and between two events of one loop the *set* of flows changes
+//! by a few pairs: some drained, perhaps a group joined. So the loop does
+//! not derive the fairness problem per event, and it does not sort one
+//! either. It keeps a **description** standing and edits it:
 //!
-//! * **build**, only if it no longer stands (`RunStats::builds` counts
-//!   these): list the active pairs from the groups, sort them into the
-//!   problem — the one routine that makes either, the same one the
-//!   stateless [`NetSim::allocate_rates_with`] runs;
-//! * **refresh**: write the ceilings and the NIC / path capacities from
-//!   the simulator as it stands (`NetSim::solve_flow_set`);
-//! * **solve**, from zero.
+//! * `TransferLoop::flows` gives every pair in flight a **slot**, in the
+//!   order a flow list would name them — submission order, then ascending
+//!   `(src, dst)`. A slot is never reused while its pair lives; the pair
+//!   of a slot that has drained is *retired* and the slot stays where it
+//!   is, skipped by every loop, until the slots are renumbered.
+//! * `TransferLoop::standing` (a `fairness::PairFlows`) files each WAN pair once,
+//!   under its directed DC pair, and the solver reads the three member
+//!   lists of the stateless [`NetSim::allocate_rates_with`] — egress NIC,
+//!   ingress NIC, backbone path — off that filing, in that build's order.
 //!
-//! A pair that drains is **retired in place**: it leaves the list, its
-//! connections leave its two hosts' counts, and before the next solve
-//! the description is compacted in order (`RateScratch::compact`; skipped
-//! if that event builds anyway) into, buffer for buffer, what a build
-//! over the survivors would have produced — so the solve performs the
-//! floating-point operations a rebuilt one would, in the same order, and
-//! every rate is `to_bits`-equal. (Compaction rather than tombstones: a
-//! tenth of the flows in flight drain at every event of a fleet, and
-//! flows merely marked dead soon outnumber the live ones in every list
-//! the solver walks.) Nothing is ever
-//! carried from one *solve* to the next (see [`crate::fairness`], "What is
-//! deliberately not done").
+//! Each event then does two things: **solve** from zero, the solver
+//! asking the simulator, as it stands at that instant, for the ceilings
+//! and capacities (once per occupied pair and NIC, not per flow); and
+//! **serve**. Nothing is ever carried from one *solve* to the next (see
+//! [`crate::fairness`], "What is kept between solves"), and no rate
+//! differs by a bit from the stateless entry's.
 //!
 //! What can change between two events, and what it costs:
 //!
 //! | what happens | what changes | cost | pinned by (`description_parity::`) |
 //! |---|---|---|---|
-//! | a pair drains (`serve`, or inside a deadline's fraction) | one flow fewer, two host counts | retire in place | `a_lone_group_is_built_once_and_its_hosts_follow_every_drain`, `a_pair_draining_inside_the_fraction_is_retired` |
-//! | a group completes | its flows are gone already; later groups move down an index | handles renumbered | `a_submission_builds_and_a_completion_does_not` |
-//! | [`NetEngine::submit`] | new flows, somewhere in every member list | build | same |
-//! | [`NetEngine::cancel_group`] | live flows leave, later groups move down | build | `cancel_group_builds_again` |
-//! | [`NetEngine::apply_conns`], a seated hook's `EpochCtx::conns` | weights, ceilings, host counts — if a count in flight changed | build, else nothing | `apply_conns_builds_again_only_if_a_count_in_flight_changed`, `a_lone_hooked_run_builds_once_unless_the_hook_edits_connections` |
-//! | [`NetSim::set_throttle`] / `clear_throttles`, a hook's `EpochCtx::throttles` | ceilings | refresh | `throttle_edits_reach_a_standing_description`, the hooked-run test |
-//! | [`NetEngine::apply_backbone_tiers`] (`set_backbone_caps`) | ceilings | refresh | `backbone_tiers_reach_a_standing_description` |
-//! | a fault boundary (`poll_faults`), `set_fault_schedule` | ceilings, path capacities | refresh | `fault_boundaries_reach_a_standing_description` |
-//! | a dynamics tick, `dynamics_mut()` | ceilings, path capacities | refresh | `dynamics_ticks_and_decay_reach_a_standing_description` |
-//! | a gauge through [`NetEngine::sim_mut`] | the clock, the RNG, so the multipliers | refresh | `a_gauge_through_sim_mut_reaches_a_standing_description` |
+//! | [`NetEngine::submit`] | the newest group's pairs are the last of the flow list | **append**: the next slots, each pair at the end of its pair's list and its destination's | `a_submission_appends_and_a_completion_touches_nothing` |
+//! | a pair drains (`serve`, or inside a deadline's fraction) | one flow fewer, two host counts | **remove** from one pair list and one ingress list, each a few entries long | `a_lone_group_is_built_once_and_its_hosts_follow_every_drain`, `a_pair_draining_inside_the_fraction_is_retired` |
+//! | a group completes | its pairs are retired already; later groups move down an index | group handles renumbered, lists untouched | `a_submission_appends_and_a_completion_touches_nothing` |
+//! | [`NetEngine::cancel_group`] | its live pairs leave, later groups move down | **remove**, pair by pair | `cancel_group_takes_its_pairs_out_one_by_one` |
+//! | [`NetEngine::apply_conns`], a seated hook's `EpochCtx::conns` | connection counts: weights, ceilings, host counts | **in place**: the changed entries and their two hosts | `apply_conns_rewrites_the_counts_in_flight_in_place`, `a_lone_hooked_run_builds_once_unless_the_hook_edits_connections` |
+//! | retirements leave more than one retired slot per live one (`SPARSE`) | slot numbers, nothing else | **renumber**: one pass over the slots and the lists, counted in `RunStats::builds` | `a_churn_that_leaves_the_slots_sparse_is_renumbered_in_order`, `a_churning_fleet_finds_the_description_standing_at_most_events` |
+//! | [`NetSim::set_throttle`] / `clear_throttles`, a hook's `EpochCtx::throttles` | ceilings | none: read at the solve | `throttle_edits_reach_a_standing_description`, the hooked-run test |
+//! | [`NetEngine::apply_backbone_tiers`] (`set_backbone_caps`) | ceilings | none | `backbone_tiers_reach_a_standing_description` |
+//! | a fault boundary (`poll_faults`), `set_fault_schedule` | ceilings, path capacities | none | `fault_boundaries_reach_a_standing_description` |
+//! | a dynamics tick, `dynamics_mut()` | ceilings, path capacities | none | `dynamics_ticks_and_decay_reach_a_standing_description` |
+//! | a gauge through [`NetEngine::sim_mut`] | the clock, the RNG, so the multipliers | none | `a_gauge_through_sim_mut_reaches_a_standing_description` |
 //!
-//! The refresh reads the simulator at every event, which is why none of
-//! its mutators has to know that a description stands. In debug and test
+//! The solve reads the simulator at every event, which is why none of its
+//! mutators has to know that a description stands. In debug and test
 //! builds every event also runs the **shadow oracle**
 //! (`TransferLoop::shadow_check`): the active pairs listed afresh from the
-//! groups, the stateless entry over them, flow for flow on
-//! `f64::to_bits`.
+//! groups, the stateless entry over them; the slots must name the same
+//! pairs in the same order, every rate must agree on `f64::to_bits`, the
+//! two solves on their [`crate::fairness::SolveShape`], and the rates must
+//! be physically possible (finite, within ceilings and capacities).
 
+use crate::fairness::{FairnessWorkspace, PairFlows};
 use crate::flow::{FlowSpec, Transfer};
 use crate::grid::{BwMatrix, ConnMatrix, Grid};
+#[cfg(any(debug_assertions, test))]
+use crate::sim::RateScratch;
 use crate::sim::{
-    epochs_until_event, EpochCtx, EpochHook, NetSim, PairProgress, RateScratch, RunStats,
-    INTRA_DC_MBPS, MAX_EPOCHS, NOT_IN_PROBLEM, PAYLOAD_EPS_GB,
+    epochs_until_event, EpochCtx, EpochHook, NetSim, PairProgress, RunStats, INTRA_DC_MBPS,
+    MAX_EPOCHS, PAYLOAD_EPS_GB,
 };
 use crate::topology::DcId;
 
@@ -216,31 +213,24 @@ pub(crate) struct TransferLoop {
     /// Groups that completed instantly at submission (no WAN payload),
     /// delivered by the next `advance` call.
     ready: Vec<GroupState>,
-    /// Cumulative solves, builds and epochs; callers mirror it into
-    /// [`NetSim::last_run_stats`].
+    /// Cumulative solves, flows, renumberings and epochs; callers mirror
+    /// it into [`NetSim::last_run_stats`].
     pub(crate) stats: RunStats,
-    /// Holds the description of `flows` while `standing`.
-    scratch: RateScratch,
-    /// The active pairs of every group, in [`in_flight`] order: listed by
-    /// a build, shortened in place as pairs drain.
+    /// The **slots**: every pair in flight, in [`in_flight`] order, among
+    /// the [`RETIRED`] entries of pairs that have left since the last
+    /// renumbering. A pair's position here is its slot in `standing` and
+    /// the index of its rate.
     flows: Vec<FlowRef>,
-    /// Whether `flows` and the description in `scratch` still say which
-    /// pairs are in flight, with how many connections. Drains and
-    /// completions keep it; a submission, a cancellation and a changed
-    /// connection count clear it, and the next event builds both again
-    /// (module docs, the table).
-    standing: bool,
-    /// Whether flows retired since the description was built or last
-    /// compacted still sit in it. A build discards them with the rest, so
-    /// the compaction waits for the next event to say which it is.
-    unswept: bool,
-    /// Positions in `flows` of the pairs drained by the serve under way,
-    /// ascending.
+    /// Entries of `flows` that are not retired.
+    live: usize,
+    /// The WAN pairs of `flows`, filed for the solver.
+    standing: PairFlows,
+    ws: FairnessWorkspace,
+    /// Slots of the pairs drained by the serve under way.
     drained: Vec<u32>,
-    /// Where `collect_completed` moves each group, by index.
+    /// Where `collect_completed` moves each group and `renumber` each
+    /// slot, by index.
     moved_to: Vec<u32>,
-    /// The flow list as handed to a build.
-    specs: Vec<FlowSpec>,
     /// `(src · n + dst, gigabits)` per submitted transfer, for merging a
     /// group's transfers per directed pair.
     merge: Vec<(usize, f64)>,
@@ -249,33 +239,28 @@ pub(crate) struct TransferLoop {
     shadow: (Vec<FlowSpec>, RateScratch),
 }
 
-/// One pair in flight: where it sits in the loop's groups and in the
-/// standing description's problem. (`u32`s: one per flow in flight.)
+/// One pair in flight: where it sits in the loop's groups. (`u32`s: one
+/// per slot.)
 #[derive(Debug, Clone, Copy)]
 struct FlowRef {
     group: u32,
     pair: u32,
-    /// Problem index, or [`LAN`] for an intra-DC pair.
-    slot: u32,
 }
 
-/// [`FlowRef::slot`] of a pair the WAN does not constrain.
-const LAN: u32 = u32::MAX;
+/// [`FlowRef::group`] of a slot whose pair has drained or been cancelled.
+const RETIRED: u32 = u32::MAX;
 
-impl FlowRef {
-    /// The pair's rate at the last solve of the description in `scratch`,
-    /// in Mbps, read where the solver left it.
-    fn rate(&self, scratch: &RateScratch) -> f64 {
-        if self.slot == LAN {
-            INTRA_DC_MBPS
-        } else {
-            scratch.rate(self.slot as usize)
-        }
-    }
-}
+/// The slots are renumbered once there are more than this many of them
+/// per pair in flight. Not a tuning knob: at 2, a renumbering — one pass
+/// over the slots and the lists — comes only after more than half the
+/// slots have been retired since the last one, each retirement having
+/// cost a list edit already, so it adds O(1) to each; and no loop over
+/// the slots ever skips more entries than it serves.
+const SPARSE: usize = 2;
 
 /// The active pairs of `groups` as `(group index, pair index, flow)`, in
 /// submission order then ascending `(src, dst)` — fully deterministic.
+#[cfg(any(debug_assertions, test))]
 fn in_flight(groups: &[GroupState]) -> impl Iterator<Item = (usize, usize, FlowSpec)> + '_ {
     groups.iter().enumerate().flat_map(|(g, group)| {
         let active = group.pairs.iter().enumerate().filter(|(_, pair)| pair.active);
@@ -286,6 +271,21 @@ fn in_flight(groups: &[GroupState]) -> impl Iterator<Item = (usize, usize, FlowS
     })
 }
 
+/// The slots of `flows` whose pair is still in flight, ascending.
+fn live(flows: &[FlowRef]) -> impl Iterator<Item = (usize, FlowRef)> + '_ {
+    flows.iter().copied().enumerate().filter(|(_, flow)| flow.group != RETIRED)
+}
+
+/// Rate in Mbps of the pair in `slot`, given the solver's rates by slot:
+/// the WAN does not constrain an intra-DC pair.
+fn rate_of(rates: &[f64], slot: usize, pair: &PairProgress) -> f64 {
+    if pair.src == pair.dst {
+        INTRA_DC_MBPS
+    } else {
+        rates[slot]
+    }
+}
+
 impl TransferLoop {
     /// An empty loop; `coalesced` seeds [`RunStats::coalesced`].
     pub(crate) fn new(coalesced: bool) -> Self {
@@ -293,14 +293,13 @@ impl TransferLoop {
             groups: Vec::new(),
             next_group: 0,
             ready: Vec::new(),
-            stats: RunStats { solves: 0, builds: 0, epochs: 0, coalesced },
-            scratch: RateScratch::default(),
+            stats: RunStats { coalesced, ..RunStats::default() },
             flows: Vec::new(),
-            standing: false,
-            unswept: false,
+            live: 0,
+            standing: PairFlows::default(),
+            ws: FairnessWorkspace::new(),
             drained: Vec::new(),
             moved_to: Vec::new(),
-            specs: Vec::new(),
             merge: Vec::new(),
             #[cfg(any(debug_assertions, test))]
             shadow: Default::default(),
@@ -356,10 +355,20 @@ impl TransferLoop {
         // payloads still get the one-epoch makespan floor).
         if group.pairs.is_empty() {
             self.ready.push(group);
-        } else {
-            self.groups.push(group);
-            self.standing = false;
+            return id;
         }
+        // The newest group's pairs are the last of the flow list: they
+        // take the next slots, and the description is extended by them.
+        self.standing.set_hosts(n);
+        for (p, (pair, &conns)) in group.pairs.iter().zip(&group.pair_conns).enumerate() {
+            let slot = self.flows.len() as u32;
+            self.flows.push(FlowRef { group: self.groups.len() as u32, pair: p as u32 });
+            if pair.src != pair.dst {
+                self.standing.insert(slot, pair.src, pair.dst, conns.max(1));
+            }
+        }
+        self.live += group.pairs.len();
+        self.groups.push(group);
         id
     }
 
@@ -398,29 +407,16 @@ impl TransferLoop {
                 break;
             }
 
-            // Every event solves from zero over the flows in flight; the
-            // description of them is built only when it no longer stands.
-            if !self.standing {
-                self.build(sim);
-            } else if self.unswept {
-                self.sweep();
+            // Every event solves from zero over the flows in flight, as
+            // they stand filed; the simulator is read as it is now.
+            if self.flows.len() > SPARSE * self.live {
+                self.renumber();
             }
-            sim.solve_flow_set(&mut self.scratch);
+            self.ws.solve_pairs(&self.standing, &*sim, self.flows.len());
             self.stats.solves += 1;
+            self.stats.flows += self.live as u64;
             #[cfg(any(debug_assertions, test))]
             self.shadow_check(sim);
-
-            // Re-anchor every pair whose per-epoch quota changed (drains,
-            // new submissions, deadline re-entries and hook edits all
-            // funnel through this one check).
-            for flow in &self.flows {
-                let rate = flow.rate(&self.scratch);
-                self.groups[flow.group as usize].pairs[flow.pair as usize]
-                    .set_quota(rate * dt / 1000.0, dt);
-            }
-            for group in &mut self.groups {
-                group.solved = true;
-            }
 
             // A seated hook names its next wake; one that declines to
             // (`Some(None)`) wants every epoch, which disables coalescing
@@ -430,18 +426,26 @@ impl TransferLoop {
             if let Some(w) = wake {
                 self.stats.coalesced = fast && w.is_some();
             }
-            // Epochs to the nearest rate-change horizon: a pair draining,
-            // the next scheduled fault, the next dynamics tick, the wake.
-            let mut k_step: u64 = 1;
-            if fast && wake != Some(None) {
-                k_step = u64::MAX;
-                for flow in &self.flows {
-                    let pair = &mut self.groups[flow.group as usize].pairs[flow.pair as usize];
-                    if let Some(left) = pair.epochs_left_below(k_step) {
-                        k_step = left;
-                    }
+            // Re-anchor every pair whose per-epoch quota changed (drains,
+            // new submissions, deadline re-entries and hook edits all
+            // funnel through this one check) and, while the pair is at
+            // hand, ask it for the nearest rate-change horizon of its
+            // kind: the epochs until it drains.
+            let coalesce = fast && wake != Some(None);
+            let mut k_step: u64 = if coalesce { u64::MAX } else { 1 };
+            for (slot, flow) in live(&self.flows) {
+                let pair = &mut self.groups[flow.group as usize].pairs[flow.pair as usize];
+                let rate = rate_of(self.ws.rates(), slot, pair);
+                pair.set_quota(rate * dt / 1000.0, dt);
+                if coalesce {
+                    k_step = pair.epochs_left_below(k_step).unwrap_or(k_step);
                 }
             }
+            for group in &mut self.groups {
+                group.solved = true;
+            }
+            // The other horizons: the next scheduled fault, the next
+            // dynamics tick, the wake.
             k_step = k_step
                 .max(1)
                 .min(sim.epochs_until_next_fault(dt))
@@ -476,7 +480,7 @@ impl TransferLoop {
                 // deadline), and hand control back.
                 let k = k_deadline.min(budget);
                 if k > 0 {
-                    for flow in &self.flows {
+                    for (_, flow) in live(&self.flows) {
                         self.groups[flow.group as usize].pairs[flow.pair as usize].served += k;
                     }
                     self.stats.epochs += k;
@@ -484,7 +488,7 @@ impl TransferLoop {
                 }
                 let frac_s = deadline_s - sim.time_s();
                 if frac_s > 0.0 {
-                    for (at, flow) in self.flows.iter().enumerate() {
+                    for (slot, flow) in live(&self.flows) {
                         let group = &mut self.groups[flow.group as usize];
                         let pair = &mut group.pairs[flow.pair as usize];
                         pair.serve_partial(frac_s / dt, dt);
@@ -496,7 +500,7 @@ impl TransferLoop {
                         if pair.active && pair.remaining() <= PAYLOAD_EPS_GB {
                             pair.drain(dt);
                             group.active_pairs -= 1;
-                            self.drained.push(at as u32);
+                            self.drained.push(slot as u32);
                         }
                     }
                     self.retire_drained();
@@ -517,14 +521,14 @@ impl TransferLoop {
     /// A wake-scheduling hook treats off-wake calls as no-ops.
     pub(crate) fn serve(&mut self, sim: &mut NetSim, k: u64, seat: Option<&mut HookSeat<'_>>) {
         let dt = sim.epoch_dt();
-        for (at, flow) in self.flows.iter().enumerate() {
+        for (slot, flow) in live(&self.flows) {
             let group = &mut self.groups[flow.group as usize];
             let pair = &mut group.pairs[flow.pair as usize];
             pair.served += k;
             if pair.current_remaining() <= PAYLOAD_EPS_GB {
                 pair.drain(dt);
                 group.active_pairs -= 1;
-                self.drained.push(at as u32);
+                self.drained.push(slot as u32);
             }
         }
         self.stats.epochs += k;
@@ -534,9 +538,9 @@ impl TransferLoop {
             for pair in self.groups.iter().flat_map(|g| &g.pairs) {
                 seat.observed.set(pair.src, pair.dst, 0.0);
             }
-            for flow in &self.flows {
+            for (slot, flow) in live(&self.flows) {
                 let pair = &self.groups[flow.group as usize].pairs[flow.pair as usize];
-                seat.observed.set(pair.src, pair.dst, flow.rate(&self.scratch));
+                seat.observed.set(pair.src, pair.dst, rate_of(self.ws.rates(), slot, pair));
                 let left = if pair.active { pair.current_remaining() } else { 0.0 };
                 seat.remaining.set(pair.src, pair.dst, left);
             }
@@ -552,92 +556,72 @@ impl TransferLoop {
         self.retire_drained();
     }
 
-    /// Lists the active pairs of every group into `flows` and builds
-    /// their description — the one place either is made.
-    fn build(&mut self, sim: &NetSim) {
-        self.specs.clear();
-        self.flows.clear();
-        for (g, p, spec) in in_flight(&self.groups) {
-            self.specs.push(spec);
-            self.flows.push(FlowRef { group: g as u32, pair: p as u32, slot: LAN });
+    /// Takes the pairs the serve just drained out of the description: a WAN
+    /// pair leaves its pair's run and its destination's slots (an intra-DC
+    /// one was never filed), and its slot is retired where it stands.
+    fn retire_drained(&mut self) {
+        for slot in self.drained.drain(..) {
+            self.standing.remove(slot);
+            self.flows[slot as usize].group = RETIRED;
+            self.live -= 1;
         }
-        sim.build_flow_set(&self.specs, &mut self.scratch);
-        for (flow, &idx) in self.flows.iter_mut().zip(self.scratch.problem_indices()) {
-            // A pair in flight has at least one connection, so only an
-            // intra-DC one stays out of the problem.
-            flow.slot = if idx == NOT_IN_PROBLEM { LAN } else { idx as u32 };
-        }
-        self.stats.builds += 1;
-        self.standing = true;
-        self.unswept = false;
     }
 
-    /// Takes the pairs the serve just drained off `flows`, in place and in
-    /// order, and marks their flows retired in the description; the next
-    /// event that finds the description standing compacts it first.
-    fn retire_drained(&mut self) {
-        if self.drained.is_empty() {
-            return;
-        }
-        for &at in &self.drained {
-            let slot = self.flows[at as usize].slot;
-            if slot != LAN {
-                self.scratch.retire(slot as usize);
-                self.unswept = true;
+    /// Closes the retired slots' ranks: the pairs in flight keep their
+    /// order and take slots `0..live`, and every list of the description
+    /// follows them ([`SPARSE`] says when).
+    fn renumber(&mut self) {
+        self.moved_to.clear();
+        let mut kept = 0;
+        for slot in 0..self.flows.len() {
+            let retired = self.flows[slot].group == RETIRED;
+            self.moved_to.push(if retired { RETIRED } else { kept });
+            if !retired {
+                self.flows[kept as usize] = self.flows[slot];
+                kept += 1;
             }
         }
-        let mut drained = self.drained.iter().peekable();
-        let mut at = 0;
-        self.flows.retain(|_| {
-            let gone = drained.next_if(|&&d| d == at).is_some();
-            at += 1;
-            !gone
-        });
-        self.drained.clear();
+        self.flows.truncate(kept as usize);
+        self.standing.renumber(&self.moved_to);
+        self.stats.builds += 1;
     }
 
-    /// Compacts the retired flows out of the standing description, the
-    /// survivors keeping their order, and follows them to their new
-    /// problem indices.
-    fn sweep(&mut self) {
-        self.scratch.compact();
-        for flow in self.flows.iter_mut().filter(|flow| flow.slot != LAN) {
-            flow.slot = self.scratch.new_index(flow.slot as usize) as u32;
-        }
-        self.unswept = false;
-    }
-
-    /// The shadow oracle: the parent's per-event body — every active pair
-    /// listed from the groups, the stateless
+    /// The shadow oracle: the loop's body as it was before a description
+    /// stood — every active pair listed from the groups, the stateless
     /// [`NetSim::allocate_rates_with`] over that list — run next to the
     /// standing description, which must name the same pairs in the same
-    /// order and give each the same rate, bit for bit.
+    /// order, give each the same rate bit for bit, and have taken the
+    /// same solve to get there (flows, classes, live resources, rounds).
+    /// The fresh problem also says whether those rates are physically
+    /// possible (`FairnessProblem::audit`).
     #[cfg(any(debug_assertions, test))]
     fn shadow_check(&mut self, sim: &NetSim) {
         let (specs, scratch) = &mut self.shadow;
         specs.clear();
-        let mut listed = self.flows.iter();
+        let mut listed = live(&self.flows);
         for (g, p, spec) in in_flight(&self.groups) {
             specs.push(spec);
-            let at = listed.next().map(|flow| (flow.group as usize, flow.pair as usize));
+            let at = listed.next().map(|(_, flow)| (flow.group as usize, flow.pair as usize));
             assert_eq!(at, Some((g, p)), "the standing flow list lost track of the groups");
         }
         assert!(listed.next().is_none(), "the standing flow list kept a pair that is gone");
+        assert_eq!(specs.len(), self.live, "the live count lost track of the slots");
         let fresh = sim.allocate_rates_with(specs, scratch);
-        for ((flow, spec), want) in self.flows.iter().zip(specs.iter()).zip(fresh) {
-            let got = flow.rate(&self.scratch);
+        for (((slot, _), spec), want) in live(&self.flows).zip(specs.iter()).zip(fresh) {
+            let got = if spec.src == spec.dst { INTRA_DC_MBPS } else { self.ws.rates()[slot] };
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
                 "standing description gives {spec:?} {got} Mbps, a fresh build {want}"
             );
         }
+        assert_eq!(self.ws.last_shape(), scratch.audit(), "the two solves took different paths");
     }
 
     /// Moves every group whose last pair has drained into `out`, in
-    /// submission order, stamped `done_at`. Its pairs left `flows` as they
-    /// drained, so the description stands; the groups behind it move down
-    /// and `flows` follows them.
+    /// submission order, stamped `done_at`. Its pairs' slots were retired
+    /// as they drained; the groups behind it move down and the slots
+    /// follow them.
     fn collect_completed(&mut self, done_at: f64, out: &mut Vec<GroupState>) {
         self.moved_to.clear();
         let mut kept = 0;
@@ -648,7 +632,7 @@ impl TransferLoop {
         if kept as usize == self.groups.len() {
             return;
         }
-        for flow in &mut self.flows {
+        for flow in self.flows.iter_mut().filter(|flow| flow.group != RETIRED) {
             flow.group = self.moved_to[flow.group as usize];
         }
         out.extend(self.groups.extract_if(.., |g| g.active_pairs == 0).map(|mut g| {
@@ -659,11 +643,19 @@ impl TransferLoop {
 
     /// Takes an in-flight group off the loop at the current simulation
     /// time, its open segment folded into its accounting; `None` for ids
-    /// not in flight.
+    /// not in flight. Its pairs leave the description one by one, and
+    /// the groups behind it move down.
     pub(crate) fn cancel(&mut self, sim: &NetSim, id: GroupId) -> Option<GroupState> {
         let idx = self.groups.iter().position(|g| g.id == id)?;
+        let cancelled = live(&self.flows).filter(|(_, flow)| flow.group as usize == idx);
+        self.drained.extend(cancelled.map(|(slot, _)| slot as u32));
+        self.retire_drained();
         let mut group = self.groups.remove(idx);
-        self.standing = false;
+        for flow in &mut self.flows {
+            if flow.group != RETIRED && flow.group as usize > idx {
+                flow.group -= 1;
+            }
+        }
         let dt = sim.epoch_dt();
         for pair in &mut group.pairs {
             pair.reanchor(dt);
@@ -672,15 +664,17 @@ impl TransferLoop {
         Some(group)
     }
 
-    /// Overwrites the connection counts of every in-flight group. The
-    /// description stands unless a pair still in flight got a new count.
+    /// Overwrites the connection counts of every pair in flight, in place.
     fn apply_conns(&mut self, conns: &ConnMatrix) {
-        for group in &mut self.groups {
-            for (pair, c) in group.pairs.iter().zip(&mut group.pair_conns) {
-                let new = conns.get(pair.src, pair.dst);
-                self.standing &= *c == new || !pair.active;
-                *c = new;
+        for (slot, flow) in live(&self.flows) {
+            let group = &mut self.groups[flow.group as usize];
+            let pair = &group.pairs[flow.pair as usize];
+            let count = &mut group.pair_conns[flow.pair as usize];
+            let new = conns.get(pair.src, pair.dst);
+            if (*count).max(1) != new.max(1) {
+                self.standing.set_conns(slot as u32, new.max(1));
             }
+            *count = new;
         }
     }
 }
@@ -1382,11 +1376,12 @@ mod tests {
     /// The standing flow-set description against the loop's previous body.
     /// Under `cfg(test)` every event runs `TransferLoop::shadow_check` —
     /// the active pairs listed afresh from the groups, the stateless
-    /// `allocate_rates_with` over them, every rate compared on `to_bits` —
-    /// so these tests only have to *reach* the code: each drives one thing
-    /// that can change a flow set or a rate between two events, says
-    /// whether it should cost a build, and checks `builds < solves`, which
-    /// is what proves events were served from a standing description.
+    /// `allocate_rates_with` over them, every rate compared on `to_bits`,
+    /// the two solves on `last_shape`, the rates against their ceilings
+    /// and capacities — so these tests only have to *reach* the code: each
+    /// drives one thing that can change a flow set or a rate between two
+    /// events and checks that no event paid for it with a renumbering
+    /// (`RunStats::builds`) unless retirements had left the slots sparse.
     mod description_parity {
         use super::*;
         use crate::faults::{FaultKind, FaultSchedule};
@@ -1414,8 +1409,12 @@ mod tests {
                 .collect()
         }
 
-        /// Advances by one deadline-bounded step and returns the builds it
-        /// took.
+        /// A lone all-pairs group on eight DCs halves its 56 slots this
+        /// many times at most before it is gone.
+        const LONE_56: u64 = 6;
+
+        /// Advances by one deadline-bounded step and returns the
+        /// renumberings it took.
         fn builds_over(engine: &mut NetEngine, step_s: f64) -> u64 {
             let before = engine.stats().builds;
             let _ = engine.advance_until(engine.sim().time_s() + step_s);
@@ -1428,12 +1427,13 @@ mod tests {
             engine.submit(&shuffle(0, 8, |k| 1.0 + 0.25 * k as f64), &ConnMatrix::filled(8, 2));
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
             let stats = engine.stats();
-            assert_eq!(stats.builds, 1, "{stats:?}");
             assert!(stats.solves >= 40, "56 staggered drains: {stats:?}");
+            assert!((1..=LONE_56).contains(&stats.builds), "one per halving: {stats:?}");
+            assert!(stats.flows < 56 * stats.solves && stats.flows >= stats.solves, "{stats:?}");
         }
 
         #[test]
-        fn a_submission_builds_and_a_completion_does_not() {
+        fn a_submission_appends_and_a_completion_touches_nothing() {
             let conns = ConnMatrix::filled(8, 1);
             let mut engine = engine8(LinkModelParams::frozen());
             // The short group is submitted first: when it completes, the
@@ -1442,51 +1442,62 @@ mod tests {
             engine.submit(&shuffle(2, 6, |k| 30.0 + k as f64), &conns);
             let done = engine.advance_until(f64::INFINITY);
             assert_eq!(done.iter().map(|r| r.group).collect::<Vec<_>>(), [short]);
-            assert_eq!(engine.stats().builds, 1, "both groups were there at the first event");
             assert_eq!(builds_over(&mut engine, 3.3), 0, "the completion left the description");
+            // Twelve of 42 slots are retired; the newcomer takes the next
+            // six, on pairs the long group is on too and on ones it is not.
             engine.submit(&shuffle(0, 3, |_| 5.0), &conns);
-            assert_eq!(builds_over(&mut engine, 3.3), 1, "the submission did not");
+            assert_eq!(engine.lp.flows.len(), 48);
+            assert_eq!(builds_over(&mut engine, 3.3), 0, "nor did the submission rebuild it");
             assert_eq!(builds_over(&mut engine, 3.3), 0);
+            assert_eq!(engine.stats().builds, 0);
             assert_eq!(drive_to_completion(&mut engine).len(), 2);
             let stats = engine.stats();
-            assert!(stats.builds == 2 && stats.builds < stats.solves, "{stats:?}");
+            assert!(stats.builds >= 1 && 5 * stats.builds < stats.solves, "{stats:?}");
         }
 
         #[test]
-        fn cancel_group_builds_again() {
+        fn cancel_group_takes_its_pairs_out_one_by_one() {
             let conns = ConnMatrix::filled(8, 2);
             let mut engine = engine8(LinkModelParams::frozen());
             let first = engine.submit(&shuffle(0, 8, |k| 40.0 + k as f64), &conns);
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &conns);
-            assert_eq!(builds_over(&mut engine, 2.6), 1);
+            assert_eq!(builds_over(&mut engine, 2.6), 0);
             assert!(engine.cancel_group(first).is_some());
-            assert_eq!(builds_over(&mut engine, 2.6), 1, "the group behind it moved down");
+            assert_eq!(
+                (engine.lp.flows.len(), engine.lp.live),
+                (112, 56),
+                "retired where they stood"
+            );
+            assert_eq!(builds_over(&mut engine, 2.6), 0, "the group behind it moved down");
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
-            assert!(engine.stats().builds < engine.stats().solves);
+            assert!(engine.stats().builds <= LONE_56);
         }
 
         #[test]
-        fn apply_conns_builds_again_only_if_a_count_in_flight_changed() {
+        fn apply_conns_rewrites_the_counts_in_flight_in_place() {
             let mut engine = engine8(LinkModelParams::frozen());
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 1));
-            assert_eq!(builds_over(&mut engine, 1.7), 1);
+            engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 1));
+            assert_eq!(builds_over(&mut engine, 1.7), 0);
             let slow = engine.observed_pair_bw_mbps().get(0, 7);
             engine.apply_conns(&ConnMatrix::filled(8, 1));
             assert_eq!(builds_over(&mut engine, 1.7), 0, "the same counts");
+            // Both tenants' flows on the long pair leave the class they
+            // shared with each other for a new one they share again.
             let mut boosted = ConnMatrix::filled(8, 1);
             boosted.set(0, 7, 3);
             engine.apply_conns(&boosted);
-            assert_eq!(builds_over(&mut engine, 1.7), 1, "a new count");
+            assert_eq!(builds_over(&mut engine, 1.7), 0, "a new count");
             let fast = engine.observed_pair_bw_mbps().get(0, 7);
             assert!(fast > 1.5 * slow, "three connections on the long pair: {fast} vs {slow}");
-            assert_eq!(drive_to_completion(&mut engine).len(), 1);
+            assert_eq!(drive_to_completion(&mut engine).len(), 2);
         }
 
         #[test]
         fn throttle_edits_reach_a_standing_description() {
             let mut engine = engine8(LinkModelParams::frozen());
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 2));
-            assert_eq!(builds_over(&mut engine, 1.7), 1);
+            assert_eq!(builds_over(&mut engine, 1.7), 0);
             let free = engine.observed_pair_bw_mbps().get(0, 1);
             engine.sim_mut().set_throttle(DcId(0), DcId(1), 0.25 * free);
             assert_eq!(builds_over(&mut engine, 1.7), 0);
@@ -1503,7 +1514,7 @@ mod tests {
             let group_of = [0usize, 0, 0, 0, 1, 1, 1, 1];
             let mut engine = engine8(LinkModelParams::frozen());
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 2));
-            assert_eq!(builds_over(&mut engine, 1.7), 1);
+            assert_eq!(builds_over(&mut engine, 1.7), 0);
             let demand = engine.cross_group_demand_mbps(&group_of, 2);
             let mut share = Grid::filled(2, f64::INFINITY);
             share.set(0, 1, 100.0);
@@ -1515,14 +1526,14 @@ mod tests {
             assert!(trunk <= 100.0 + 1e-6, "sixteen pairs share a 100 Mbps trunk: {trunk}");
             engine.sim_mut().clear_backbone_caps();
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
-            assert_eq!(engine.stats().builds, 1);
+            assert!(engine.stats().builds <= LONE_56);
         }
 
         #[test]
         fn fault_boundaries_reach_a_standing_description() {
             let mut engine = engine8(LinkModelParams::frozen());
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 2));
-            assert_eq!(builds_over(&mut engine, 1.7), 1);
+            assert_eq!(builds_over(&mut engine, 1.7), 0);
             let now = engine.sim().time_s();
             engine.sim_mut().set_fault_schedule(
                 FaultSchedule::new()
@@ -1533,7 +1544,7 @@ mod tests {
             assert_eq!(builds_over(&mut engine, 4.0), 0);
             assert_eq!(engine.observed_pair_bw_mbps().get(3, 0), 0.0, "DC 3 is down");
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
-            assert_eq!(engine.stats().builds, 1);
+            assert!(engine.stats().builds <= LONE_56);
         }
 
         #[test]
@@ -1546,12 +1557,12 @@ mod tests {
                 };
                 let mut engine = engine8(params);
                 engine.submit(&shuffle(0, 8, |k| 60.0 + k as f64), &ConnMatrix::filled(8, 2));
-                assert_eq!(builds_over(&mut engine, 1.7), 1);
+                assert_eq!(builds_over(&mut engine, 1.7), 0);
                 engine.sim_mut().dynamics_mut().set_decay(0.004, 0.3);
                 assert_eq!(builds_over(&mut engine, 2.0 * tick_s + 0.4), 0);
                 assert_eq!(drive_to_completion(&mut engine).len(), 1);
                 let stats = engine.stats();
-                assert!(stats.builds == 1 && stats.coalesced, "{stats:?}");
+                assert!(stats.builds <= LONE_56 && stats.coalesced, "{stats:?}");
             }
         }
 
@@ -1561,14 +1572,14 @@ mod tests {
             let mut engine = engine8(params);
             let conns = ConnMatrix::filled(8, 2);
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &conns);
-            assert_eq!(builds_over(&mut engine, 1.7), 1);
+            assert_eq!(builds_over(&mut engine, 1.7), 0);
             // A snapshot draws probe noise and moves the clock a second,
             // and with it the multipliers.
             let reading = engine.sim_mut().snapshot(&conns);
             assert!(reading.bw.get(0, 1) > 0.0);
             assert_eq!(builds_over(&mut engine, 1.7), 0);
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
-            assert_eq!(engine.stats().builds, 1);
+            assert!(engine.stats().builds <= LONE_56);
         }
 
         #[test]
@@ -1590,7 +1601,7 @@ mod tests {
             assert_eq!(engine.remaining_pair_gb().get(0, 1), 0.0, "drained inside the fraction");
             assert_eq!(builds_over(&mut engine, 3.0), 0, "and retired from what stood");
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
-            assert_eq!(engine.stats().builds, 1);
+            assert!(engine.stats().builds <= LONE_56);
         }
 
         /// Wakes every 5 s and, when it does, moves a throttle: the hook's
@@ -1635,21 +1646,26 @@ mod tests {
             let conns = ConnMatrix::from_fn(8, |i, j| 1 + ((3 * i + j) % 4) as u32);
 
             let mut sim = sim8();
+            let plain = sim.run_transfers(&transfers, &conns, Some(&mut ThrottleMover(f64::MAX)));
+            let mut sim = sim8();
             sim.run_transfers(&transfers, &conns, Some(&mut ThrottleMover(5.0)));
             let stats = sim.last_run_stats();
             assert!(stats.coalesced && stats.solves >= 40, "{stats:?}");
-            assert_eq!(stats.builds, 1, "throttle edits are no reason to build: {stats:?}");
+            assert!(stats.builds <= LONE_56, "throttle edits renumber nothing: {stats:?}");
 
+            // The hook's connection matrix reaches the standing flows in
+            // place: same slots, new counts on both hosts of every pair.
             let mut sim = sim8();
-            sim.run_transfers(&transfers, &conns, Some(&mut ConnRaiser(6.0, 5)));
-            assert_eq!(sim.last_run_stats().builds, 2, "one connection edit, one more build");
+            let raised = sim.run_transfers(&transfers, &conns, Some(&mut ConnRaiser(6.0, 5)));
+            assert!(sim.last_run_stats().builds <= LONE_56, "nor does a connection edit");
+            assert_ne!(raised.makespan_s, plain.makespan_s, "and the edit reached the flows");
         }
 
         /// The premise of keeping the description, pinned beside
         /// `fleet_flow_sets_repeat_their_classes_and_lone_plans_do_not`:
         /// eight live 8-DC groups churning over the tiled 64-DC WAN (the
-        /// repo benchmark's `probes::engine_churn` shape) find it standing
-        /// at more than four events in five.
+        /// repo benchmark's `probes::engine_churn` shape) renumber it at
+        /// fewer than one event in twenty, and solve some 140 flows at each.
         #[test]
         fn a_churning_fleet_finds_the_description_standing_at_most_events() {
             let topo = paper_testbed_tiled(VmType::t2_medium(), 64);
@@ -1672,7 +1688,50 @@ mod tests {
             }
             let stats = engine.stats();
             assert!(stats.solves >= 200, "{stats:?}");
-            assert!(5 * stats.builds <= stats.solves, "{stats:?}");
+            assert!(stats.builds >= 1 && 20 * stats.builds <= stats.solves, "{stats:?}");
+            assert!((100..200).contains(&(stats.flows / stats.solves)), "{stats:?}");
+        }
+
+        /// Six tenants on the same eight DCs, every pair shared, each
+        /// replaced as it completes and one cancelled now and then: the
+        /// slot space passes twice the live count again and again, and
+        /// every renumbering leaves the slots dense, the lists in order
+        /// (`PairFlows::insert` checks each later append) and the rates a
+        /// fresh build's (the shadow, at every event).
+        #[test]
+        fn a_churn_that_leaves_the_slots_sparse_is_renumbered_in_order() {
+            let mut engine = engine8(LinkModelParams::frozen());
+            let conns = ConnMatrix::filled(8, 1);
+            let mut rng = StdRng::seed_from_u64(8);
+            let mut submit = |engine: &mut NetEngine| {
+                engine.submit(&shuffle(0, 8, |_| rng.gen_range(0.5..4.0)), &conns)
+            };
+            for _ in 0..6 {
+                submit(&mut engine);
+            }
+            let (mut completed, mut sparse, mut high_water) = (0, 0, 0.0_f64);
+            while completed < 30 {
+                let lp = &engine.lp;
+                high_water = high_water.max(lp.flows.len() as f64 / lp.live as f64);
+                let builds = engine.stats().builds;
+                let done = engine.advance_until(engine.sim().time_s() + 0.7);
+                if engine.stats().builds > builds {
+                    sparse += 1;
+                    assert!(engine.lp.flows.len() <= SPARSE * engine.lp.live);
+                }
+                for _ in done {
+                    completed += 1;
+                    let newest = submit(&mut engine);
+                    if completed % 7 == 0 {
+                        assert!(engine.cancel_group(newest).is_some());
+                        submit(&mut engine);
+                    }
+                }
+            }
+            assert!(high_water > SPARSE as f64, "the slots never went sparse: {high_water}");
+            assert!(sparse >= 3, "{:?}", engine.stats());
+            let stats = engine.stats();
+            assert!(10 * stats.builds <= stats.solves, "{stats:?}");
         }
 
         /// One step of a random multi-tenant script.
@@ -1767,7 +1826,23 @@ mod tests {
                 let first = shuffle(0, n, |k| [0.5, 2.0][k % 2]);
                 live.push(engine.submit(&first, &ConnMatrix::filled(n, 2)));
                 for _ in 0..rng.gen_range(8..30) {
+                    let solves = engine.stats().solves;
                     step(&mut engine, &mut rng, &mut live);
+                    if engine.stats().solves > solves || engine.active_groups() == 0 {
+                        continue;
+                    }
+                    // Whatever the step was — a submission, a cancellation,
+                    // an edit of the simulator or of the counts — the one
+                    // event after it renumbers iff retirements have left
+                    // the slots sparse, and is otherwise served as it stood.
+                    let sparse = engine.lp.flows.len() > SPARSE * engine.lp.live;
+                    let before = engine.stats();
+                    let done = engine.advance_until(engine.sim().time_s() + 1e-3);
+                    live.retain(|id| done.iter().all(|r| r.group != *id));
+                    let after = engine.stats();
+                    prop_assert_eq!(after.solves - before.solves, 1);
+                    prop_assert_eq!(after.builds - before.builds, u64::from(sparse));
+                    prop_assert!(after.flows > before.flows);
                 }
                 // Lift what could stall a pair for good, then drain.
                 engine.sim_mut().clear_throttles();
@@ -1780,7 +1855,7 @@ mod tests {
                 }
                 prop_assert!(engine.is_idle(), "every group drains once the caps are lifted");
                 let stats = engine.stats();
-                prop_assert!(stats.builds >= 1 && stats.builds < stats.solves, "{:?}", stats);
+                prop_assert!(stats.builds < stats.solves, "{:?}", stats);
                 prop_assert_eq!(stats, engine.sim().last_run_stats());
             }
         }

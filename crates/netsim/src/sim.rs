@@ -40,7 +40,7 @@
 
 use crate::dynamics::Dynamics;
 use crate::engine::{HookSeat, TransferLoop};
-use crate::fairness::{FairnessProblem, FairnessWorkspace, ResourceKind};
+use crate::fairness::{FairnessProblem, FairnessWorkspace, Network, ResourceKind};
 use crate::faults::{ActiveFaults, FaultSchedule};
 use crate::flow::{FlowSpec, Transfer, TransferReport};
 use crate::grid::{BwMatrix, ConnMatrix, Grid};
@@ -114,10 +114,14 @@ pub trait EpochHook {
 pub struct RunStats {
     /// Fairness solves performed (one per rate segment).
     pub solves: u64,
-    /// Solves that first built the flow-set description from the groups
-    /// in flight; the other `solves − builds` found it standing and did no
-    /// per-flow build work (see the [`crate::engine`] module docs).
+    /// Solves that first renumbered the standing flow-set description
+    /// from end to end — the one maintenance step whose cost grows with
+    /// the flows in flight rather than with what changed (see the
+    /// [`crate::engine`] module docs).
     pub builds: u64,
+    /// Flows in flight, summed over the solves: `flows / solves` is the
+    /// size of the problem an event solves.
+    pub flows: u64,
     /// Epochs simulated (matches [`TransferReport::epochs`]).
     pub epochs: u64,
     /// Whether the event-coalescing fast path served multi-epoch
@@ -126,20 +130,11 @@ pub struct RunStats {
     pub coalesced: bool,
 }
 
-/// Reusable buffers for [`NetSim::allocate_rates_with`], and the flow-set
-/// description the transfer loop keeps standing in them between events.
+/// Reusable buffers for [`NetSim::allocate_rates_with`].
 ///
 /// One scratch serves any sequence of calls on any simulator; every
 /// buffer grows to its high-water mark and is then reused, so repeated
 /// solves on the hot path are allocation-free.
-///
-/// The description is what `NetSim::build_flow_set` derives from a flow
-/// list alone — the problem's flows with their weights, the `(src, dst,
-/// index)`-ordered egress / ingress / path membership, each WAN flow's
-/// endpoints and connections, the connections per host. What the
-/// simulator's runtime state decides (ceilings, NIC and path capacities)
-/// is not part of it: `NetSim::solve_flow_set` writes those afresh
-/// before every solve.
 #[derive(Debug, Clone, Default)]
 pub struct RateScratch {
     problem: FairnessProblem,
@@ -153,8 +148,7 @@ pub struct RateScratch {
     /// per-flow buffers are the scratch's footprint.)
     wan: Vec<WanFlow>,
     /// WAN flows in stable order of destination — the ingress members —
-    /// with their per-DC bucket offsets. (These five are the build's
-    /// working space; the membership they produce lives in `problem`.)
+    /// with their per-DC bucket offsets.
     dst_offsets: Vec<usize>,
     by_dst: Vec<u32>,
     /// `by_dst` stably re-sorted by source, i.e. ordered by `(src, dst)`:
@@ -163,61 +157,26 @@ pub struct RateScratch {
     src_offsets: Vec<usize>,
     by_src: Vec<u32>,
     cursor: Vec<usize>,
-    /// Where `RateScratch::compact` moved each flow it kept.
-    new_index: Vec<u32>,
     /// Rate per input flow of the last [`NetSim::allocate_rates_with`].
     rates: Vec<f64>,
 }
 
-/// A WAN-constrained flow of a built flow set.
+/// A WAN-constrained flow of a [`RateScratch`].
 #[derive(Debug, Clone, Copy)]
 struct WanFlow {
     src: u32,
     dst: u32,
-    /// Zero between `RateScratch::retire` and the
-    /// `RateScratch::compact` that removes the flow.
     conns: u32,
 }
 
 impl RateScratch {
-    /// Problem index per flow of the last `NetSim::build_flow_set`, or
-    /// `NOT_IN_PROBLEM`.
-    pub(crate) fn problem_indices(&self) -> &[usize] {
-        &self.problem_index
-    }
-
-    /// Rate of problem flow `idx` at the last `NetSim::solve_flow_set`,
-    /// in Mbps.
-    pub(crate) fn rate(&self, idx: usize) -> f64 {
-        self.ws.rates()[idx]
-    }
-
-    /// Marks problem flow `idx` as gone: its connections leave its two
-    /// hosts' counts. The flow itself leaves with the next
-    /// `RateScratch::compact`, which must come before the next solve.
-    pub(crate) fn retire(&mut self, idx: usize) {
-        let flow = &mut self.wan[idx];
-        self.host_conns[flow.src as usize] -= flow.conns;
-        self.host_conns[flow.dst as usize] -= flow.conns;
-        flow.conns = 0;
-    }
-
-    /// Removes the retired flows from the standing description in place
-    /// and order: what is left is, buffer for buffer, the description
-    /// `NetSim::build_flow_set` would build for the surviving flows, so
-    /// a solve over it performs the operations a solve over a fresh build
-    /// would, in the same order. `RateScratch::new_index` then says
-    /// where each survivor went.
-    pub(crate) fn compact(&mut self) {
-        let wan = &self.wan;
-        self.problem.retain_flows(|f| wan[f].conns > 0, &mut self.new_index);
-        self.wan.retain(|flow| flow.conns > 0);
-    }
-
-    /// Problem index, since the last `RateScratch::compact`, of the
-    /// surviving flow that had index `old` before it.
-    pub(crate) fn new_index(&self, old: usize) -> usize {
-        self.new_index[old] as usize
+    /// Size of the last solve, and — in builds that run the transfer
+    /// loop's shadow oracle — a check that its rates are physically
+    /// possible ([`FairnessProblem::audit`]).
+    #[cfg(any(debug_assertions, test))]
+    pub(crate) fn audit(&self) -> crate::fairness::SolveShape {
+        self.problem.audit(self.ws.rates());
+        self.ws.last_shape()
     }
 }
 
@@ -498,8 +457,9 @@ struct LinkStatic {
 /// at one instant: what a flow's ceiling is made of besides its
 /// connection count. Read once per pair, it serves every flow on it.
 #[derive(Debug, Clone, Copy)]
-struct PairState {
+pub(crate) struct PairState {
     conn_cap_mbps: f64,
+    conn_weight: f64,
     multiplier: f64,
     fault_factor: f64,
     /// [`LinkModelParams::cross_provider_factor`] if the pair crosses
@@ -805,6 +765,7 @@ impl NetSim {
         let link = self.links.get(src, dst);
         PairState {
             conn_cap_mbps: link.conn_cap_mbps,
+            conn_weight: link.conn_weight,
             multiplier: self.dynamics.multiplier(src, dst),
             fault_factor: self.fault_factor(src, dst),
             provider_factor: link.cross_provider.then_some(self.params.cross_provider_factor),
@@ -841,39 +802,16 @@ impl NetSim {
     /// O(flows + DCs): a one-flow gauge on a 64-DC topology does no
     /// per-pair work.
     ///
-    /// This is the stateless entry: build, refresh and solve in a row
-    /// (`NetSim::build_flow_set`, `NetSim::solve_flow_set`), then one
-    /// rate per input flow. The transfer loop calls the steps apart, so
-    /// that a description outlives the event it was built for.
+    /// This is the stateless entry: gauges and probes call it, and the
+    /// transfer loop, which keeps its flows standing between events
+    /// ([`crate::engine`]), is held to it rate for rate.
     pub fn allocate_rates_with<'s>(
         &self,
         flows: &[FlowSpec],
         scratch: &'s mut RateScratch,
     ) -> &'s [f64] {
-        let s = scratch;
-        self.build_flow_set(flows, s);
-        self.solve_flow_set(s);
-        s.rates.clear();
-        for (f, &idx) in flows.iter().zip(&s.problem_index) {
-            let rate = if idx != NOT_IN_PROBLEM {
-                s.ws.rates()[idx]
-            } else if f.src == f.dst && f.conns > 0 {
-                // Intra-DC transfers run at LAN speed; model as very fast.
-                INTRA_DC_MBPS
-            } else {
-                0.0
-            };
-            s.rates.push(rate);
-        }
-        &s.rates
-    }
-
-    /// Builds in `s` the description of `flows` (see [`RateScratch`]):
-    /// everything about the fairness problem that the flow list alone
-    /// decides. Ceilings and capacities are left at zero for
-    /// `NetSim::solve_flow_set`.
-    pub(crate) fn build_flow_set(&self, flows: &[FlowSpec], s: &mut RateScratch) {
         let n = self.topo.len();
+        let s = scratch;
         s.problem.clear();
         s.problem_index.clear();
         s.host_conns.clear();
@@ -889,6 +827,7 @@ impl NetSim {
                 s.problem_index.push(NOT_IN_PROBLEM); // rated without a solve
                 continue;
             }
+            // The ceiling waits for the flow's pair to be read, below.
             let idx = s.problem.add_flow(self.flow_weight(f), 0.0);
             s.problem_index.push(idx);
             s.host_conns[f.src.0] += f.conns;
@@ -929,48 +868,43 @@ impl NetSim {
             let egress = &s.by_src[s.src_offsets[dc]..s.src_offsets[dc + 1]];
             let ingress = &s.by_dst[s.dst_offsets[dc]..s.dst_offsets[dc + 1]];
             if !egress.is_empty() {
-                s.problem.add_resource_with(ResourceKind::Egress(dc), 0.0, as_members(egress));
+                let cap = self.egress_cap_mbps(dc, s.host_conns[dc]);
+                s.problem.add_resource_with(ResourceKind::Egress(dc), cap, as_members(egress));
             }
             if !ingress.is_empty() {
-                s.problem.add_resource_with(ResourceKind::Ingress(dc), 0.0, as_members(ingress));
+                let cap = self.ingress_cap_mbps(dc, s.host_conns[dc]);
+                s.problem.add_resource_with(ResourceKind::Ingress(dc), cap, as_members(ingress));
             }
         }
         // One backbone path per directed pair with at least one flow: the
         // runs of equal (src, dst) in `by_src`, which come out in
-        // ascending (src, dst) order.
+        // ascending (src, dst) order. A flow is on exactly one, so this
+        // is also where every ceiling is set, its pair read once.
         let ends = |idx: u32| (s.wan[idx as usize].src, s.wan[idx as usize].dst);
         for run in s.by_src.chunk_by(|&a, &b| ends(a) == ends(b)) {
             let (src, dst) = ends(run[0]);
+            let pair = self.pair_state(src as usize, dst as usize);
+            for flow in as_members(run) {
+                s.problem.set_ceiling(flow, pair.ceiling_mbps(s.wan[flow].conns));
+            }
             let path = ResourceKind::Path(src as usize, dst as usize);
-            s.problem.add_resource_with(path, 0.0, as_members(run));
-        }
-    }
-
-    /// Writes into the description standing in `s` what the simulator's
-    /// state decides — the congestion-degraded NIC capacities, the path
-    /// capacities, every live flow's ceiling (pair by pair: a flow is a
-    /// member of exactly one path) — and solves it from zero. All of it
-    /// is read from the simulator as it stands at the call, so nothing
-    /// that mutates the simulator (throttles, backbone caps, faults,
-    /// dynamics, gauges) has to tell a standing description.
-    pub(crate) fn solve_flow_set(&self, s: &mut RateScratch) {
-        for r in 0..s.problem.resource_count() {
-            let nic = |dc: usize, cap_mbps: f64| {
-                let budget = self.topo.dc(DcId(dc)).conn_budget();
-                cap_mbps / self.params.congestion_divisor(s.host_conns[dc], budget)
-            };
-            let cap = match s.problem.kinds()[r] {
-                ResourceKind::Egress(dc) => nic(dc, self.topo.dc(DcId(dc)).egress_cap_mbps()),
-                ResourceKind::Ingress(dc) => nic(dc, self.topo.dc(DcId(dc)).ingress_cap_mbps()),
-                ResourceKind::Path(src, dst) => {
-                    let pair = self.pair_state(src, dst);
-                    s.problem.set_member_ceilings(r, |flow| pair.ceiling_mbps(s.wan[flow].conns));
-                    self.params.path_cap_mbps * pair.multiplier * pair.fault_factor
-                }
-            };
-            s.problem.set_capacity(r, cap);
+            s.problem.add_resource_with(path, self.path_cap_mbps(&pair), as_members(run));
         }
         s.ws.solve(&s.problem);
+
+        s.rates.clear();
+        for (f, &idx) in flows.iter().zip(&s.problem_index) {
+            let rate = if idx != NOT_IN_PROBLEM {
+                s.ws.rates()[idx]
+            } else if f.src == f.dst && f.conns > 0 {
+                // Intra-DC transfers run at LAN speed; model as very fast.
+                INTRA_DC_MBPS
+            } else {
+                0.0
+            };
+            s.rates.push(rate);
+        }
+        &s.rates
     }
 
     /// Simulates the given transfers to completion.
@@ -1043,6 +977,39 @@ impl NetSim {
             egress_gigabits: summary.egress_gigabits,
             epochs: lp.stats.epochs as usize,
         }
+    }
+}
+
+/// The simulator as it stands, for a solve over flows that were standing
+/// before it: the same expressions [`NetSim::allocate_rates_with`] builds
+/// its problem from, each written once.
+impl Network for NetSim {
+    type Pair = PairState;
+
+    fn egress_cap_mbps(&self, host: usize, conns: u32) -> f64 {
+        let dc = self.topo.dc(DcId(host));
+        dc.egress_cap_mbps() / self.params.congestion_divisor(conns, dc.conn_budget())
+    }
+
+    fn ingress_cap_mbps(&self, host: usize, conns: u32) -> f64 {
+        let dc = self.topo.dc(DcId(host));
+        dc.ingress_cap_mbps() / self.params.congestion_divisor(conns, dc.conn_budget())
+    }
+
+    fn pair(&self, src: usize, dst: usize) -> PairState {
+        self.pair_state(src, dst)
+    }
+
+    fn path_cap_mbps(&self, pair: &PairState) -> f64 {
+        self.params.path_cap_mbps * pair.multiplier * pair.fault_factor
+    }
+
+    fn weight(&self, pair: &PairState, conns: u32) -> f64 {
+        f64::from(conns) * pair.conn_weight
+    }
+
+    fn ceiling_mbps(&self, pair: &PairState, conns: u32) -> f64 {
+        pair.ceiling_mbps(conns)
     }
 }
 
