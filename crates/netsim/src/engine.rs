@@ -48,10 +48,11 @@
 //!   `(src, dst)`. A slot is never reused while its pair lives; the pair
 //!   of a slot that has drained is *retired* and the slot stays where it
 //!   is, skipped by every loop, until the slots are renumbered.
-//! * `TransferLoop::standing` (a `fairness::PairFlows`) files each WAN pair once,
-//!   under its directed DC pair, and the solver reads the three member
-//!   lists of the stateless [`NetSim::allocate_rates_with`] — egress NIC,
-//!   ingress NIC, backbone path — off that filing, in that build's order.
+//! * `TransferLoop::standing` (a `fairness::PairFlows`) files each WAN
+//!   pair once, with the flows of its directed DC pair, and the solver
+//!   reads the three member lists of the stateless
+//!   [`NetSim::allocate_rates_with`] — egress NIC, ingress NIC, backbone
+//!   path — off that filing, in that build's order.
 //!
 //! Each event then does two things: **solve** from zero, the solver
 //! asking the simulator, as it stands at that instant, for the ceilings
@@ -65,7 +66,7 @@
 //! | what happens | what changes | cost | pinned by (`description_parity::`) |
 //! |---|---|---|---|
 //! | [`NetEngine::submit`] | the newest group's pairs are the last of the flow list | **append**: the next slots, each pair at the end of its pair's list and its destination's | `a_submission_appends_and_a_completion_touches_nothing` |
-//! | a pair drains (`serve`, or inside a deadline's fraction) | one flow fewer, two host counts | **remove** from one pair list and one ingress list, each a few entries long | `a_lone_group_is_built_once_and_its_hosts_follow_every_drain`, `a_pair_draining_inside_the_fraction_is_retired` |
+//! | a pair drains (`serve`, or inside a deadline's fraction) | one flow fewer, two host counts | **remove**: one pass over its source's list and its destination's, a host's worth of flows each, shared by every pair an event drains from them | `a_lone_group_is_built_once_and_its_hosts_follow_every_drain`, `a_pair_draining_inside_the_fraction_is_retired` |
 //! | a group completes | its pairs are retired already; later groups move down an index | group handles renumbered, lists untouched | `a_submission_appends_and_a_completion_touches_nothing` |
 //! | [`NetEngine::cancel_group`] | its live pairs leave, later groups move down | **remove**, pair by pair | `cancel_group_takes_its_pairs_out_one_by_one` |
 //! | [`NetEngine::apply_conns`], a seated hook's `EpochCtx::conns` | connection counts: weights, ceilings, host counts | **in place**: the changed entries and their two hosts | `apply_conns_rewrites_the_counts_in_flight_in_place`, `a_lone_hooked_run_builds_once_unless_the_hook_edits_connections` |
@@ -560,8 +561,8 @@ impl TransferLoop {
     /// pair leaves its pair's run and its destination's slots (an intra-DC
     /// one was never filed), and its slot is retired where it stands.
     fn retire_drained(&mut self) {
+        self.standing.remove_all(&self.drained);
         for slot in self.drained.drain(..) {
-            self.standing.remove(slot);
             self.flows[slot as usize].group = RETIRED;
             self.live -= 1;
         }
@@ -607,8 +608,9 @@ impl TransferLoop {
         assert!(listed.next().is_none(), "the standing flow list kept a pair that is gone");
         assert_eq!(specs.len(), self.live, "the live count lost track of the slots");
         let fresh = sim.allocate_rates_with(specs, scratch);
-        for (((slot, _), spec), want) in live(&self.flows).zip(specs.iter()).zip(fresh) {
-            let got = if spec.src == spec.dst { INTRA_DC_MBPS } else { self.ws.rates()[slot] };
+        for (((slot, flow), spec), want) in live(&self.flows).zip(specs.iter()).zip(fresh) {
+            let pair = &self.groups[flow.group as usize].pairs[flow.pair as usize];
+            let got = rate_of(self.ws.rates(), slot, pair);
             assert_eq!(
                 got.to_bits(),
                 want.to_bits(),
@@ -1476,14 +1478,18 @@ mod tests {
         #[test]
         fn apply_conns_rewrites_the_counts_in_flight_in_place() {
             let mut engine = engine8(LinkModelParams::frozen());
-            engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 1));
+            // Two tenants on every pair, at two counts: a pair's flows are
+            // two runs and two classes until the matrix below levels them.
+            engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 2));
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 1));
             assert_eq!(builds_over(&mut engine, 1.7), 0);
+            engine.apply_conns(&ConnMatrix::filled(8, 1));
+            assert_eq!(builds_over(&mut engine, 1.7), 0, "one tenant's counts halved");
             let slow = engine.observed_pair_bw_mbps().get(0, 7);
             engine.apply_conns(&ConnMatrix::filled(8, 1));
             assert_eq!(builds_over(&mut engine, 1.7), 0, "the same counts");
             // Both tenants' flows on the long pair leave the class they
-            // shared with each other for a new one they share again.
+            // share for a new one.
             let mut boosted = ConnMatrix::filled(8, 1);
             boosted.set(0, 7, 3);
             engine.apply_conns(&boosted);

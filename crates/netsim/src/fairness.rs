@@ -341,10 +341,11 @@ struct PairFlow {
 ///   the flow's class, found while the runs were walked.
 ///
 /// A flow that joins has the highest slot so far: it goes to the end of
-/// its pair's run and of its destination's slots. One that leaves is
-/// taken out of those two lists, each a host's worth of flows long.
-/// Nothing here depends on the network's state: weights, ceilings and
-/// capacities are asked of a [`Network`] at every solve.
+/// its pair's run and of its destination's slots. Flows that leave are
+/// taken out of those two lists, each a host's worth of flows long, in
+/// one pass per list however many it loses. Nothing here depends on the
+/// network's state: weights, ceilings and capacities are asked of a
+/// [`Network`] at every solve.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PairFlows {
     /// Per host, the flows out of it in `(dst, slot)` order.
@@ -357,6 +358,9 @@ pub(crate) struct PairFlows {
     ends: Vec<(u32, u32)>,
     /// Directed pairs with a flow on them: the runs of `egress`.
     pairs: usize,
+    /// Working space of `remove_all`: per host list (egress `2·host`,
+    /// ingress `2·host + 1`) whether it is losing a flow, and which are.
+    losing: (Vec<bool>, Vec<u32>),
 }
 
 impl PairFlows {
@@ -367,6 +371,7 @@ impl PairFlows {
                 egress: vec![Vec::new(); hosts],
                 ingress: vec![Vec::new(); hosts],
                 host_conns: vec![0; hosts],
+                losing: (vec![false; 2 * hosts], Vec::new()),
                 ..Self::default()
             };
         }
@@ -393,37 +398,57 @@ impl PairFlows {
         self.ends[slot as usize] = (src as u32, dst as u32);
     }
 
-    /// The flow filed under `slot`, if one is: its source host and its
-    /// position in that host's list.
-    fn find(&self, slot: u32) -> Option<(usize, usize)> {
-        let &(src, _) = self.ends.get(slot as usize).filter(|ends| ends.0 != NONE)?;
-        let at = self.egress[src as usize].iter().position(|flow| flow.slot == slot);
-        Some((src as usize, at.expect("a filed slot is listed under its source")))
-    }
-
-    /// Takes the flow filed under `slot`, if one is, out of its pair's run
-    /// and its destination's slots, and its connections off its two hosts.
-    pub(crate) fn remove(&mut self, slot: u32) {
-        let Some((src, at)) = self.find(slot) else { return };
-        let out = &mut self.egress[src];
-        let flow = out.remove(at);
-        let shares_run = |other: Option<&PairFlow>| other.is_some_and(|o| o.dst == flow.dst);
-        self.pairs -= usize::from(!shares_run(out[..at].last()) && !shares_run(out.get(at)));
-        let into = &mut self.ingress[flow.dst as usize];
-        let at = into.iter().position(|&s| s == slot);
-        into.remove(at.expect("and under its destination"));
-        self.host_conns[src] -= flow.conns;
-        self.host_conns[flow.dst as usize] -= flow.conns;
-        self.ends[slot as usize] = (NONE, NONE);
+    /// Takes the flows filed under `slots` (a slot nothing is filed under
+    /// is passed over) out of their pairs' runs and their destinations'
+    /// slots, and their connections off their hosts: one pass over each
+    /// host list that loses a flow, however many it loses.
+    pub(crate) fn remove_all(&mut self, slots: &[u32]) {
+        let Self { egress, ingress, host_conns, ends, pairs, losing } = self;
+        for &slot in slots {
+            let Some(filed) = ends.get_mut(slot as usize).filter(|ends| ends.0 != NONE) else {
+                continue;
+            };
+            let (src, dst) = std::mem::replace(filed, (NONE, NONE));
+            for list in [2 * src, 2 * dst + 1] {
+                if !std::mem::replace(&mut losing.0[list as usize], true) {
+                    losing.1.push(list);
+                }
+            }
+        }
+        for list in losing.1.drain(..) {
+            losing.0[list as usize] = false;
+            let host = list as usize / 2;
+            if list % 2 == 1 {
+                ingress[host].retain(|&slot| ends[slot as usize].0 != NONE);
+                continue;
+            }
+            let out = &mut egress[host];
+            let runs = |out: &[PairFlow]| out.chunk_by(|a, b| a.dst == b.dst).count();
+            let before = runs(out);
+            out.retain(|flow| {
+                let stays = ends[flow.slot as usize].0 != NONE;
+                if !stays {
+                    host_conns[host] -= flow.conns;
+                    host_conns[flow.dst as usize] -= flow.conns;
+                }
+                stays
+            });
+            *pairs -= before - runs(out);
+        }
     }
 
     /// Gives the flow filed under `slot`, if one is, a new connection count.
     pub(crate) fn set_conns(&mut self, slot: u32, conns: u32) {
-        let Some((src, at)) = self.find(slot) else { return };
-        let flow = &mut self.egress[src][at];
+        let Some(&(src, dst)) = self.ends.get(slot as usize).filter(|ends| ends.0 != NONE) else {
+            return;
+        };
+        let out = &mut self.egress[src as usize];
+        let flow = out.iter_mut().find(|flow| flow.slot == slot);
+        let flow = flow.expect("a filed slot is listed under its source");
         let old = std::mem::replace(&mut flow.conns, conns);
-        for host in [src, flow.dst as usize] {
-            self.host_conns[host] = self.host_conns[host] - old + conns;
+        for host in [src, dst] {
+            let on_host = &mut self.host_conns[host as usize];
+            *on_host = *on_host - old + conns;
         }
     }
 
@@ -776,7 +801,7 @@ impl FairnessWorkspace {
             (std::mem::take(&mut self.link_head), std::mem::take(&mut self.link));
         let members = CsrMembers { problem, link_head: &link_head, link: &link };
         let max_rounds = Self::max_rounds(problem.flow_count(), problem.resource_count());
-        self.rounds(&members, max_rounds);
+        self.rounds(&members, max_rounds, problem.flow_count());
         (self.link_head, self.link) = (link_head, link);
         &self.rates
     }
@@ -790,7 +815,7 @@ impl FairnessWorkspace {
     pub(crate) fn solve_pairs<N: Network>(&mut self, flows: &PairFlows, net: &N, slots: usize) {
         let mut solve = std::mem::take(&mut self.pair_solve);
         let max_rounds = self.prepare_pairs(flows, net, slots, &mut solve);
-        self.rounds(&PairMembers { flows, solve: &solve }, max_rounds);
+        self.rounds(&PairMembers { flows, solve: &solve }, max_rounds, slots);
         self.pair_solve = solve;
     }
 
@@ -830,7 +855,6 @@ impl FairnessWorkspace {
         }
         self.active_n.clear();
         self.active_n.resize(nr, 0);
-        solve.hosts = hosts;
         solve.caps.clear();
         solve.caps.resize(nr, 0.0);
         solve.in_rounds.clear();
@@ -927,8 +951,9 @@ impl FairnessWorkspace {
         load.count > 0 && !load.is_slack(capacity, max_rounds)
     }
 
-    /// The rounds of a prepared solve.
-    fn rounds(&mut self, members: &impl Members, max_rounds: usize) {
+    /// The rounds of a prepared solve. `flows` bounds the flow indices
+    /// (or slots) that `members` can name.
+    fn rounds(&mut self, members: &impl Members, max_rounds: usize, flows: usize) {
         let capacity = members.capacities();
         // The two compacted lists leave the workspace for the rounds so
         // the loops below can call `freeze_flow` while walking them.
@@ -964,7 +989,6 @@ impl FairnessWorkspace {
             // Grow every live class; one that reached its ceiling leaves
             // the list and marks its active members for the freeze below.
             let mut kept = 0;
-            let (mut first, mut last) = (usize::MAX, 0);
             for i in 0..classes.len() {
                 let k = classes[i];
                 let class = &mut self.classes[k as usize];
@@ -974,9 +998,7 @@ impl FairnessWorkspace {
                     let mut m = class.head;
                     while m != NO_LINK {
                         if self.active[m as usize] {
-                            let word = m as usize / 64;
-                            self.freeze_mask[word] |= 1 << (m % 64);
-                            (first, last) = (first.min(word), last.max(word));
+                            self.freeze_mask[m as usize / 64] |= 1 << (m % 64);
                         }
                         m = self.class_link[m as usize].1;
                     }
@@ -985,14 +1007,15 @@ impl FairnessWorkspace {
                     kept += 1;
                 }
             }
+            let at_ceiling = kept < classes.len();
             classes.truncate(kept);
             // Freeze the marked flows in ascending flow index, whichever
             // classes they came from: a resource's `used` and `active_w`
             // updates do not commute, and this is the order the per-flow
             // loop applies them in. Each flow freezes at most once per
             // solve and the freeze work is O(membership degree).
-            if first <= last {
-                for word in first..=last {
+            if at_ceiling {
+                for word in 0..flows.div_ceil(64) {
                     let mut bits = std::mem::take(&mut self.freeze_mask[word]);
                     while bits != 0 {
                         let f = word * 64 + bits.trailing_zeros() as usize;
@@ -1132,7 +1155,6 @@ impl Members for CsrMembers<'_> {
 /// resources of a [`PairFlows`] for one solve.
 #[derive(Debug, Clone, Default)]
 struct PairSolve {
-    hosts: usize,
     /// Capacity per resource.
     caps: Vec<f64>,
     /// Per resource: takes part in the rounds.
@@ -1162,7 +1184,7 @@ impl Members for PairMembers<'_> {
         // A NIC or path out of a host is a stretch of its list; an
         // ingress NIC is the other list, and the first stretch is empty.
         let set = self.flows;
-        let (out, into): (&[PairFlow], &[u32]) = match r.checked_sub(2 * self.solve.hosts) {
+        let (out, into): (&[PairFlow], &[u32]) = match r.checked_sub(2 * set.egress.len()) {
             Some(path) => {
                 let (src, lo, hi) = self.solve.paths[path];
                 (&set.egress[src as usize][lo as usize..hi as usize], &[])
@@ -2047,7 +2069,7 @@ mod tests {
             }
 
             fn leave(&mut self, slot: usize) {
-                self.set.remove(slot as u32);
+                self.set.remove_all(&[slot as u32]);
                 self.slots[slot] = None;
             }
 

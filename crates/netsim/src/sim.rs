@@ -26,11 +26,11 @@
 //!
 //! There is one such loop in the crate and it lives in [`crate::engine`].
 //! This module holds what it is made of — the per-pair anchor accounting,
-//! the drain and event horizons, the rate allocation in its three steps
-//! (build the flow set's description, refresh what the simulator's state
-//! decides, solve: [`NetSim::allocate_rates_with`] is the three in a row,
-//! the loop keeps the first standing between events) — and its blocking
-//! entry point: [`NetSim::run_transfers`] submits one flow group to the
+//! the drain and event horizons, the rate allocation
+//! ([`NetSim::allocate_rates_with`], the stateless entry: build the
+//! problem from a flow list, solve it; and the simulator's answers to a
+//! solve over flows the loop keeps standing between events, through
+//! `fairness::Network`) — and its blocking entry point: [`NetSim::run_transfers`] submits one flow group to the
 //! loop, seats its optional [`EpochHook`] on it and advances to
 //! completion. [`crate::NetEngine`] is the resumable, multi-tenant entry
 //! point to the same loop.
