@@ -1,54 +1,22 @@
-//! Microbenches for the netsim hot path: the weighted max-min solver, the
-//! transfer loop's cost per event (`engine_events`) and the
+//! Microbenches for the netsim hot path: the weighted max-min solver
+//! through the stateless entry, the transfer loop's cost per event
+//! (`engine_events`) and the
 //! event-coalescing transfer loop end to end (small/large topologies,
 //! short and long payloads, coalesced vs forced per-epoch stepping).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wanify_bench::{all_pair_flows, all_pair_transfers, frozen_sim, NoopHook};
 use wanify_netsim::{
-    allocate_max_min, paper_testbed_tiled, ConnMatrix, DcId, EpochCtx, EpochHook, FairnessProblem,
-    FlowSpec, LinkModelParams, NetEngine, NetSim, RateScratch, ResourceKind, RunStats, Transfer,
-    VmType,
+    paper_testbed_tiled, ConnMatrix, DcId, EpochCtx, EpochHook, FlowSpec, LinkModelParams,
+    NetEngine, NetSim, RateScratch, RunStats, Transfer, VmType,
 };
 
-/// A standalone fairness problem shaped like the 8-DC all-pairs workload.
-fn synthetic_problem(n: usize) -> FairnessProblem {
-    let mut p = FairnessProblem::new();
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); 2 * n];
-    let mut f = 0usize;
-    for i in 0..n {
-        for j in 0..n {
-            if i != j {
-                let idx = p.add_flow(1.0 + (f % 7) as f64, 200.0 + 37.0 * (f % 11) as f64);
-                members[i].push(idx);
-                members[n + j].push(idx);
-                f += 1;
-            }
-        }
-    }
-    for (r, m) in members.iter().enumerate() {
-        let kind = if r < n { ResourceKind::Egress(r) } else { ResourceKind::Ingress(r - n) };
-        p.add_resource(kind, 900.0, m);
-    }
-    p
-}
-
 fn bench_solver(c: &mut Criterion) {
-    let mut group = c.benchmark_group("allocate_max_min");
+    let mut group = c.benchmark_group("allocate_rates");
     group.sample_size(50);
 
-    let small = synthetic_problem(3);
-    group.bench_function("small_topology_3dc", |b| {
-        b.iter(|| black_box(allocate_max_min(black_box(&small))))
-    });
-
-    let large = synthetic_problem(8);
-    group.bench_function("large_topology_8dc", |b| {
-        b.iter(|| black_box(allocate_max_min(black_box(&large))))
-    });
-
-    // The zero-alloc path the simulator actually runs: problem build +
-    // workspace solve through reused buffers.
+    // The zero-alloc stateless entry: pair-major filing + workspace solve
+    // through reused buffers.
     let sim = frozen_sim(8);
     let flows = all_pair_flows(8, 4);
     let mut scratch = RateScratch::default();
@@ -96,7 +64,7 @@ fn tenant_flows(
     flows
 }
 
-/// Build + solve at the three `(flows, classes)` shapes that decide what
+/// Filing + solve at the three `(flows, classes)` shapes that decide what
 /// the solver's rounds cost: rounds run once per distinct `(weight,
 /// ceiling)`, so the first two must price like their class counts (a
 /// return to per-flow rounds shows here), and the third — nothing
@@ -177,7 +145,7 @@ impl EpochHook for Watcher {
 
 /// What one event of the transfer loop costs: each bench is a fixed script
 /// of events, and the line printed before it says how many (`solves`), how
-/// many of them first renumbered the standing flow set (`builds`) and how
+/// many of them first renumbered the standing flow set (`renumbers`) and how
 /// many flows an event solves, so the mean divides into a per-event and a
 /// per-flow figure.
 fn bench_engine_events(c: &mut Criterion) {
@@ -186,9 +154,9 @@ fn bench_engine_events(c: &mut Criterion) {
     let mut bench = |name: &str, script: &dyn Fn() -> RunStats| {
         let stats = script();
         println!(
-            "engine_events/{name}: {} events · {} builds · {:.0} flows/event",
+            "engine_events/{name}: {} events · {} renumbers · {:.0} flows/event",
             stats.solves,
-            stats.builds,
+            stats.renumbers,
             stats.flows as f64 / stats.solves as f64
         );
         group.bench_function(name, |b| b.iter(|| black_box(script())));
@@ -214,7 +182,7 @@ fn bench_engine_events(c: &mut Criterion) {
     bench("8dc_8tenants", &|| churn(frozen_sim(8), (8, 1), 8, 64, |k| 0.5 + (k % 5) as f64));
 
     // One hooked group with its own connection count on every pair
-    // (`wanify-loop`): built once, then only drains.
+    // (`wanify-loop`): filed once, then only drains.
     bench("8dc_lone_hooked", &|| {
         let mut sim = frozen_sim(8);
         let conns = ConnMatrix::from_fn(8, |i, j| 1 + ((3 * i + j) % 4) as u32);

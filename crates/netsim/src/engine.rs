@@ -66,11 +66,11 @@
 //! | what happens | what changes | cost | pinned by (`description_parity::`) |
 //! |---|---|---|---|
 //! | [`NetEngine::submit`] | the newest group's pairs are the last of the flow list | **append**: the next slots, each pair at the end of its pair's list and its destination's | `a_submission_appends_and_a_completion_touches_nothing` |
-//! | a pair drains (`serve`, or inside a deadline's fraction) | one flow fewer, two host counts | **remove**: one pass over its source's list and its destination's, a host's worth of flows each, shared by every pair an event drains from them | `a_lone_group_is_built_once_and_its_hosts_follow_every_drain`, `a_pair_draining_inside_the_fraction_is_retired` |
+//! | a pair drains (`serve`, or inside a deadline's fraction) | one flow fewer, two host counts | **remove**: one pass over its source's list and its destination's, a host's worth of flows each, shared by every pair an event drains from them | `a_lone_group_is_renumbered_once_per_halving_and_its_hosts_follow_every_drain`, `a_pair_draining_inside_the_fraction_is_retired` |
 //! | a group completes | its pairs are retired already; later groups move down an index | group handles renumbered, lists untouched | `a_submission_appends_and_a_completion_touches_nothing` |
 //! | [`NetEngine::cancel_group`] | its live pairs leave, later groups move down | **remove**, pair by pair | `cancel_group_takes_its_pairs_out_one_by_one` |
-//! | [`NetEngine::apply_conns`], a seated hook's `EpochCtx::conns` | connection counts: weights, ceilings, host counts | **in place**: the changed entries and their two hosts | `apply_conns_rewrites_the_counts_in_flight_in_place`, `a_lone_hooked_run_builds_once_unless_the_hook_edits_connections` |
-//! | retirements leave more than one retired slot per live one (`SPARSE`) | slot numbers, nothing else | **renumber**: one pass over the slots and the lists, counted in `RunStats::builds` | `a_churn_that_leaves_the_slots_sparse_is_renumbered_in_order`, `a_churning_fleet_finds_the_description_standing_at_most_events` |
+//! | [`NetEngine::apply_conns`], a seated hook's `EpochCtx::conns` | connection counts: weights, ceilings, host counts | **in place**: the changed entries and their two hosts | `apply_conns_rewrites_the_counts_in_flight_in_place`, `a_lone_hooked_run_renumbers_only_as_it_drains_whatever_the_hook_edits` |
+//! | retirements leave more than one retired slot per live one (`SPARSE`) | slot numbers, nothing else | **renumber**: one pass over the slots and the lists, counted in `RunStats::renumbers` | `a_churn_that_leaves_the_slots_sparse_is_renumbered_in_order`, `a_churning_fleet_finds_the_description_standing_at_most_events` |
 //! | [`NetSim::set_throttle`] / `clear_throttles`, a hook's `EpochCtx::throttles` | ceilings | none: read at the solve | `throttle_edits_reach_a_standing_description`, the hooked-run test |
 //! | [`NetEngine::apply_backbone_tiers`] (`set_backbone_caps`) | ceilings | none | `backbone_tiers_reach_a_standing_description` |
 //! | a fault boundary (`poll_faults`), `set_fault_schedule` | ceilings, path capacities | none | `fault_boundaries_reach_a_standing_description` |
@@ -80,11 +80,19 @@
 //! The solve reads the simulator at every event, which is why none of its
 //! mutators has to know that a description stands. In debug and test
 //! builds every event also runs the **shadow oracle**
-//! (`TransferLoop::shadow_check`): the active pairs listed afresh from the
-//! groups, the stateless entry over them; the slots must name the same
-//! pairs in the same order, every rate must agree on `f64::to_bits`, the
-//! two solves on their [`crate::fairness::SolveShape`], and the rates must
-//! be physically possible (finite, within ceilings and capacities).
+//! (`TransferLoop::shadow_check`), which lists the active pairs afresh
+//! from the groups — the slots must name the same pairs in the same order
+//! — and referees the standing description's rates twice over:
+//!
+//! * as a *description* oracle, the stateless entry files that list and
+//!   solves it: every rate must agree on `f64::to_bits`, and the two
+//!   solves on their [`crate::fairness::SolveShape`];
+//! * as a *physics* oracle, the textbook reference
+//!   (`sim::reference::allocate_rates`) builds the problem from the link
+//!   model flow by flow and solves it by plain progressive filling — no
+//!   pair table, no filing, no classes, no pruning: every rate must agree
+//!   with it on `f64::to_bits` too, and its problem must find them
+//!   physically possible (finite, within ceilings and capacities).
 
 use crate::fairness::{FairnessWorkspace, PairFlows};
 use crate::flow::{FlowSpec, Transfer};
@@ -584,17 +592,16 @@ impl TransferLoop {
         }
         self.flows.truncate(kept as usize);
         self.standing.renumber(&self.moved_to);
-        self.stats.builds += 1;
+        self.stats.renumbers += 1;
     }
 
-    /// The shadow oracle: the loop's body as it was before a description
-    /// stood — every active pair listed from the groups, the stateless
-    /// [`NetSim::allocate_rates_with`] over that list — run next to the
-    /// standing description, which must name the same pairs in the same
-    /// order, give each the same rate bit for bit, and have taken the
-    /// same solve to get there (flows, classes, live resources, rounds).
-    /// The fresh problem also says whether those rates are physically
-    /// possible (`FairnessProblem::audit`).
+    /// The shadow oracle (module docs): every active pair listed from the
+    /// groups, run next to the standing description, which must name the
+    /// same pairs in the same order. Over that list, the stateless
+    /// [`NetSim::allocate_rates_with`] must give each pair the same rate
+    /// bit for bit by the same solve (flows, classes, live resources,
+    /// rounds), and the textbook reference the same rate bit for bit,
+    /// within its problem's ceilings and capacities.
     #[cfg(any(debug_assertions, test))]
     fn shadow_check(&mut self, sim: &NetSim) {
         let (specs, scratch) = &mut self.shadow;
@@ -608,16 +615,27 @@ impl TransferLoop {
         assert!(listed.next().is_none(), "the standing flow list kept a pair that is gone");
         assert_eq!(specs.len(), self.live, "the live count lost track of the slots");
         let fresh = sim.allocate_rates_with(specs, scratch);
-        for (((slot, flow), spec), want) in live(&self.flows).zip(specs.iter()).zip(fresh) {
+        let physics = crate::sim::reference::allocate_rates(sim, specs);
+        let refereed = live(&self.flows).zip(specs.iter()).zip(fresh.iter().zip(&physics));
+        for (((slot, flow), spec), (filed, built)) in refereed {
             let pair = &self.groups[flow.group as usize].pairs[flow.pair as usize];
             let got = rate_of(self.ws.rates(), slot, pair);
             assert_eq!(
                 got.to_bits(),
-                want.to_bits(),
-                "standing description gives {spec:?} {got} Mbps, a fresh build {want}"
+                filed.to_bits(),
+                "standing description gives {spec:?} {got} Mbps, a fresh filing {filed}"
+            );
+            assert_eq!(
+                got.to_bits(),
+                built.to_bits(),
+                "standing description gives {spec:?} {got} Mbps, the reference {built}"
             );
         }
-        assert_eq!(self.ws.last_shape(), scratch.audit(), "the two solves took different paths");
+        assert_eq!(
+            self.ws.last_shape(),
+            scratch.last_shape(),
+            "the two solves took different paths"
+        );
     }
 
     /// Moves every group whose last pair has drained into `out`, in
@@ -1379,11 +1397,12 @@ mod tests {
     /// Under `cfg(test)` every event runs `TransferLoop::shadow_check` —
     /// the active pairs listed afresh from the groups, the stateless
     /// `allocate_rates_with` over them, every rate compared on `to_bits`,
-    /// the two solves on `last_shape`, the rates against their ceilings
-    /// and capacities — so these tests only have to *reach* the code: each
+    /// the two solves on `last_shape`, and the textbook reference over the
+    /// same list, rate for rate on `to_bits`, within its ceilings and
+    /// capacities — so these tests only have to *reach* the code: each
     /// drives one thing that can change a flow set or a rate between two
     /// events and checks that no event paid for it with a renumbering
-    /// (`RunStats::builds`) unless retirements had left the slots sparse.
+    /// (`RunStats::renumbers`) unless retirements had left the slots sparse.
     mod description_parity {
         use super::*;
         use crate::faults::{FaultKind, FaultSchedule};
@@ -1417,20 +1436,20 @@ mod tests {
 
         /// Advances by one deadline-bounded step and returns the
         /// renumberings it took.
-        fn builds_over(engine: &mut NetEngine, step_s: f64) -> u64 {
-            let before = engine.stats().builds;
+        fn renumbers_over(engine: &mut NetEngine, step_s: f64) -> u64 {
+            let before = engine.stats().renumbers;
             let _ = engine.advance_until(engine.sim().time_s() + step_s);
-            engine.stats().builds - before
+            engine.stats().renumbers - before
         }
 
         #[test]
-        fn a_lone_group_is_built_once_and_its_hosts_follow_every_drain() {
+        fn a_lone_group_is_renumbered_once_per_halving_and_its_hosts_follow_every_drain() {
             let mut engine = engine8(LinkModelParams::frozen());
             engine.submit(&shuffle(0, 8, |k| 1.0 + 0.25 * k as f64), &ConnMatrix::filled(8, 2));
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
             let stats = engine.stats();
             assert!(stats.solves >= 40, "56 staggered drains: {stats:?}");
-            assert!((1..=LONE_56).contains(&stats.builds), "one per halving: {stats:?}");
+            assert!((1..=LONE_56).contains(&stats.renumbers), "one per halving: {stats:?}");
             assert!(stats.flows < 56 * stats.solves && stats.flows >= stats.solves, "{stats:?}");
         }
 
@@ -1444,17 +1463,17 @@ mod tests {
             engine.submit(&shuffle(2, 6, |k| 30.0 + k as f64), &conns);
             let done = engine.advance_until(f64::INFINITY);
             assert_eq!(done.iter().map(|r| r.group).collect::<Vec<_>>(), [short]);
-            assert_eq!(builds_over(&mut engine, 3.3), 0, "the completion left the description");
+            assert_eq!(renumbers_over(&mut engine, 3.3), 0, "the completion left the description");
             // Twelve of 42 slots are retired; the newcomer takes the next
             // six, on pairs the long group is on too and on ones it is not.
             engine.submit(&shuffle(0, 3, |_| 5.0), &conns);
             assert_eq!(engine.lp.flows.len(), 48);
-            assert_eq!(builds_over(&mut engine, 3.3), 0, "nor did the submission rebuild it");
-            assert_eq!(builds_over(&mut engine, 3.3), 0);
-            assert_eq!(engine.stats().builds, 0);
+            assert_eq!(renumbers_over(&mut engine, 3.3), 0, "nor did the submission rebuild it");
+            assert_eq!(renumbers_over(&mut engine, 3.3), 0);
+            assert_eq!(engine.stats().renumbers, 0);
             assert_eq!(drive_to_completion(&mut engine).len(), 2);
             let stats = engine.stats();
-            assert!(stats.builds >= 1 && 5 * stats.builds < stats.solves, "{stats:?}");
+            assert!(stats.renumbers >= 1 && 5 * stats.renumbers < stats.solves, "{stats:?}");
         }
 
         #[test]
@@ -1463,16 +1482,16 @@ mod tests {
             let mut engine = engine8(LinkModelParams::frozen());
             let first = engine.submit(&shuffle(0, 8, |k| 40.0 + k as f64), &conns);
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &conns);
-            assert_eq!(builds_over(&mut engine, 2.6), 0);
+            assert_eq!(renumbers_over(&mut engine, 2.6), 0);
             assert!(engine.cancel_group(first).is_some());
             assert_eq!(
                 (engine.lp.flows.len(), engine.lp.live),
                 (112, 56),
                 "retired where they stood"
             );
-            assert_eq!(builds_over(&mut engine, 2.6), 0, "the group behind it moved down");
+            assert_eq!(renumbers_over(&mut engine, 2.6), 0, "the group behind it moved down");
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
-            assert!(engine.stats().builds <= LONE_56);
+            assert!(engine.stats().renumbers <= LONE_56);
         }
 
         #[test]
@@ -1482,18 +1501,18 @@ mod tests {
             // two runs and two classes until the matrix below levels them.
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 2));
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 1));
-            assert_eq!(builds_over(&mut engine, 1.7), 0);
+            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
             engine.apply_conns(&ConnMatrix::filled(8, 1));
-            assert_eq!(builds_over(&mut engine, 1.7), 0, "one tenant's counts halved");
+            assert_eq!(renumbers_over(&mut engine, 1.7), 0, "one tenant's counts halved");
             let slow = engine.observed_pair_bw_mbps().get(0, 7);
             engine.apply_conns(&ConnMatrix::filled(8, 1));
-            assert_eq!(builds_over(&mut engine, 1.7), 0, "the same counts");
+            assert_eq!(renumbers_over(&mut engine, 1.7), 0, "the same counts");
             // Both tenants' flows on the long pair leave the class they
             // share for a new one.
             let mut boosted = ConnMatrix::filled(8, 1);
             boosted.set(0, 7, 3);
             engine.apply_conns(&boosted);
-            assert_eq!(builds_over(&mut engine, 1.7), 0, "a new count");
+            assert_eq!(renumbers_over(&mut engine, 1.7), 0, "a new count");
             let fast = engine.observed_pair_bw_mbps().get(0, 7);
             assert!(fast > 1.5 * slow, "three connections on the long pair: {fast} vs {slow}");
             assert_eq!(drive_to_completion(&mut engine).len(), 2);
@@ -1503,14 +1522,14 @@ mod tests {
         fn throttle_edits_reach_a_standing_description() {
             let mut engine = engine8(LinkModelParams::frozen());
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 2));
-            assert_eq!(builds_over(&mut engine, 1.7), 0);
+            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
             let free = engine.observed_pair_bw_mbps().get(0, 1);
             engine.sim_mut().set_throttle(DcId(0), DcId(1), 0.25 * free);
-            assert_eq!(builds_over(&mut engine, 1.7), 0);
+            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
             let capped = engine.observed_pair_bw_mbps().get(0, 1);
             assert!(capped <= 0.25 * free + 1e-9, "{capped} under a {} throttle", 0.25 * free);
             engine.sim_mut().clear_throttles();
-            assert_eq!(builds_over(&mut engine, 1.7), 0);
+            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
             assert!(engine.observed_pair_bw_mbps().get(0, 1) > capped);
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
         }
@@ -1520,26 +1539,26 @@ mod tests {
             let group_of = [0usize, 0, 0, 0, 1, 1, 1, 1];
             let mut engine = engine8(LinkModelParams::frozen());
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 2));
-            assert_eq!(builds_over(&mut engine, 1.7), 0);
+            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
             let demand = engine.cross_group_demand_mbps(&group_of, 2);
             let mut share = Grid::filled(2, f64::INFINITY);
             share.set(0, 1, 100.0);
             engine.apply_backbone_tiers(&[(&group_of, &share, &demand)]);
-            assert_eq!(builds_over(&mut engine, 1.7), 0);
+            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
             let bw = engine.observed_pair_bw_mbps();
             let trunk: f64 =
                 (0..4).flat_map(|i| (4..8).map(move |j| (i, j))).map(|(i, j)| bw.get(i, j)).sum();
             assert!(trunk <= 100.0 + 1e-6, "sixteen pairs share a 100 Mbps trunk: {trunk}");
             engine.sim_mut().clear_backbone_caps();
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
-            assert!(engine.stats().builds <= LONE_56);
+            assert!(engine.stats().renumbers <= LONE_56);
         }
 
         #[test]
         fn fault_boundaries_reach_a_standing_description() {
             let mut engine = engine8(LinkModelParams::frozen());
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 2));
-            assert_eq!(builds_over(&mut engine, 1.7), 0);
+            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
             let now = engine.sim().time_s();
             engine.sim_mut().set_fault_schedule(
                 FaultSchedule::new()
@@ -1547,10 +1566,10 @@ mod tests {
                     .link_flap(DcId(0), DcId(1), 0.3, now + 1.0, 4.0, 3)
                     .straggler(DcId(5), 0.6, now + 5.0),
             );
-            assert_eq!(builds_over(&mut engine, 4.0), 0);
+            assert_eq!(renumbers_over(&mut engine, 4.0), 0);
             assert_eq!(engine.observed_pair_bw_mbps().get(3, 0), 0.0, "DC 3 is down");
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
-            assert!(engine.stats().builds <= LONE_56);
+            assert!(engine.stats().renumbers <= LONE_56);
         }
 
         #[test]
@@ -1563,12 +1582,12 @@ mod tests {
                 };
                 let mut engine = engine8(params);
                 engine.submit(&shuffle(0, 8, |k| 60.0 + k as f64), &ConnMatrix::filled(8, 2));
-                assert_eq!(builds_over(&mut engine, 1.7), 0);
+                assert_eq!(renumbers_over(&mut engine, 1.7), 0);
                 engine.sim_mut().dynamics_mut().set_decay(0.004, 0.3);
-                assert_eq!(builds_over(&mut engine, 2.0 * tick_s + 0.4), 0);
+                assert_eq!(renumbers_over(&mut engine, 2.0 * tick_s + 0.4), 0);
                 assert_eq!(drive_to_completion(&mut engine).len(), 1);
                 let stats = engine.stats();
-                assert!(stats.builds <= LONE_56 && stats.coalesced, "{stats:?}");
+                assert!(stats.renumbers <= LONE_56 && stats.coalesced, "{stats:?}");
             }
         }
 
@@ -1578,14 +1597,14 @@ mod tests {
             let mut engine = engine8(params);
             let conns = ConnMatrix::filled(8, 2);
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &conns);
-            assert_eq!(builds_over(&mut engine, 1.7), 0);
+            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
             // A snapshot draws probe noise and moves the clock a second,
             // and with it the multipliers.
             let reading = engine.sim_mut().snapshot(&conns);
             assert!(reading.bw.get(0, 1) > 0.0);
-            assert_eq!(builds_over(&mut engine, 1.7), 0);
+            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
-            assert!(engine.stats().builds <= LONE_56);
+            assert!(engine.stats().renumbers <= LONE_56);
         }
 
         #[test]
@@ -1605,9 +1624,9 @@ mod tests {
             engine.submit(&transfers, &conns);
             assert!(engine.advance_until(0.9 * dt).is_empty());
             assert_eq!(engine.remaining_pair_gb().get(0, 1), 0.0, "drained inside the fraction");
-            assert_eq!(builds_over(&mut engine, 3.0), 0, "and retired from what stood");
+            assert_eq!(renumbers_over(&mut engine, 3.0), 0, "and retired from what stood");
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
-            assert!(engine.stats().builds <= LONE_56);
+            assert!(engine.stats().renumbers <= LONE_56);
         }
 
         /// Wakes every 5 s and, when it does, moves a throttle: the hook's
@@ -1645,7 +1664,7 @@ mod tests {
         }
 
         #[test]
-        fn a_lone_hooked_run_builds_once_unless_the_hook_edits_connections() {
+        fn a_lone_hooked_run_renumbers_only_as_it_drains_whatever_the_hook_edits() {
             let sim8 =
                 || NetSim::new(paper_testbed_n(VmType::t3_nano(), 8), LinkModelParams::frozen(), 7);
             let transfers = shuffle(0, 8, |k| 4.0 + k as f64);
@@ -1657,13 +1676,13 @@ mod tests {
             sim.run_transfers(&transfers, &conns, Some(&mut ThrottleMover(5.0)));
             let stats = sim.last_run_stats();
             assert!(stats.coalesced && stats.solves >= 40, "{stats:?}");
-            assert!(stats.builds <= LONE_56, "throttle edits renumber nothing: {stats:?}");
+            assert!(stats.renumbers <= LONE_56, "throttle edits renumber nothing: {stats:?}");
 
             // The hook's connection matrix reaches the standing flows in
             // place: same slots, new counts on both hosts of every pair.
             let mut sim = sim8();
             let raised = sim.run_transfers(&transfers, &conns, Some(&mut ConnRaiser(6.0, 5)));
-            assert!(sim.last_run_stats().builds <= LONE_56, "nor does a connection edit");
+            assert!(sim.last_run_stats().renumbers <= LONE_56, "nor does a connection edit");
             assert_ne!(raised.makespan_s, plain.makespan_s, "and the edit reached the flows");
         }
 
@@ -1694,7 +1713,7 @@ mod tests {
             }
             let stats = engine.stats();
             assert!(stats.solves >= 200, "{stats:?}");
-            assert!(stats.builds >= 1 && 20 * stats.builds <= stats.solves, "{stats:?}");
+            assert!(stats.renumbers >= 1 && 20 * stats.renumbers <= stats.solves, "{stats:?}");
             assert!((100..200).contains(&(stats.flows / stats.solves)), "{stats:?}");
         }
 
@@ -1719,9 +1738,9 @@ mod tests {
             while completed < 30 {
                 let lp = &engine.lp;
                 high_water = high_water.max(lp.flows.len() as f64 / lp.live as f64);
-                let builds = engine.stats().builds;
+                let renumbers = engine.stats().renumbers;
                 let done = engine.advance_until(engine.sim().time_s() + 0.7);
-                if engine.stats().builds > builds {
+                if engine.stats().renumbers > renumbers {
                     sparse += 1;
                     assert!(engine.lp.flows.len() <= SPARSE * engine.lp.live);
                 }
@@ -1737,7 +1756,7 @@ mod tests {
             assert!(high_water > SPARSE as f64, "the slots never went sparse: {high_water}");
             assert!(sparse >= 3, "{:?}", engine.stats());
             let stats = engine.stats();
-            assert!(10 * stats.builds <= stats.solves, "{stats:?}");
+            assert!(10 * stats.renumbers <= stats.solves, "{stats:?}");
         }
 
         /// One step of a random multi-tenant script.
@@ -1847,7 +1866,7 @@ mod tests {
                     live.retain(|id| done.iter().all(|r| r.group != *id));
                     let after = engine.stats();
                     prop_assert_eq!(after.solves - before.solves, 1);
-                    prop_assert_eq!(after.builds - before.builds, u64::from(sparse));
+                    prop_assert_eq!(after.renumbers - before.renumbers, u64::from(sparse));
                     prop_assert!(after.flows > before.flows);
                 }
                 // Lift what could stall a pair for good, then drain.
@@ -1861,7 +1880,7 @@ mod tests {
                 }
                 prop_assert!(engine.is_idle(), "every group drains once the caps are lifted");
                 let stats = engine.stats();
-                prop_assert!(stats.builds < stats.solves, "{:?}", stats);
+                prop_assert!(stats.renumbers < stats.solves, "{:?}", stats);
                 prop_assert_eq!(stats, engine.sim().last_run_stats());
             }
         }

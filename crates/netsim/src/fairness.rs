@@ -18,13 +18,14 @@
 //! operation, and the operations whose operands and result are bit-equal
 //! to ones it has already performed (flow classes, below). The plain
 //! algorithm (all flows and all resources scanned in every round, nothing
-//! pruned, nothing shared) is kept as `reference::ReferenceWorkspace`
-//! under `#[cfg(test)]`, and proptests here and in `sim.rs` hold the two
-//! to `f64::to_bits` equality.
+//! pruned, nothing shared, over a problem built flow by flow) is kept as
+//! `reference::ReferenceWorkspace` in test and debug builds: proptests
+//! here and in `sim.rs` hold the two to `f64::to_bits` equality, and the
+//! transfer loop's shadow oracle holds every engine event to it.
 //!
-//! * **Reuse.** [`FairnessProblem`] stores resource membership as
-//!   CSR-style flat arrays and [`FairnessProblem::clear`] keeps their
-//!   capacity; [`FairnessWorkspace`] owns every buffer a solve needs, so
+//! * **Reuse.** A problem is described pair-major, as a [`PairFlows`]
+//!   whose per-host lists keep their capacity from one filing to the
+//!   next; [`FairnessWorkspace`] owns every buffer a solve needs, so
 //!   repeated solves are allocation-free once the buffers have grown.
 //! * **Incremental sums.** Each resource's consumed bandwidth `used` and
 //!   active-weight sum `active_w` are updated in place — once per round,
@@ -41,11 +42,13 @@
 //!   ceiling follow the resources' taking the round's growth at their
 //!   pre-freeze weight — the order the plain algorithm's separate passes
 //!   produce.
-//! * **One pass over the membership.** Preparing a solve reads each
-//!   membership entry once: it sums the resource's active weight, applies
-//!   the slack test, and threads the entry into its flow's linked list of
-//!   live resources, which is all the flow → resource adjacency a freeze
-//!   needs. There is no second counting sort.
+//! * **One pass per occupied pair.** Preparing a solve walks each host's
+//!   pair runs once: the pair's state, and each run of equal connection
+//!   counts' weight, ceiling and class, are asked for once, and every
+//!   flow is added to the sums of its egress NIC and its path; the
+//!   ingress NICs then take their operands from the classes. A flow's
+//!   resources are its source's egress, its destination's ingress and its
+//!   pair's path, so a freeze finds them without an adjacency list.
 //!
 //! ## Slack resources
 //!
@@ -94,7 +97,8 @@
 //! flows whose `weight.to_bits()` and `ceiling.to_bits()` are equal
 //! (value-equal, too: active flows have both above `EPS`, so no ±0 and no
 //! NaN). Classes are found by value while preparing a solve — one
-//! open-addressing lookup per active flow, nothing hinted by the caller —
+//! open-addressing lookup per run of equal connection counts on a pair,
+//! nothing hinted by the caller —
 //! and the rounds then run once per class instead of once per flow. That
 //! moves no bit, in four steps:
 //!
@@ -136,25 +140,27 @@
 //! Two things could outlive a solve, and they are treated differently.
 //!
 //! The **description** of the problem — which flows exist, on which
-//! directed pair, with how many connections — is kept, by the transfer
-//! loop ([`crate::engine`]), as a `PairFlows`: every flow filed once under
-//! its pair, in ascending *slot* (its rank in the flow list a build would
-//! be given, gaps allowed), plus per host the occupied pairs out of it and
-//! the slots into it. A flow that joins is appended, one that leaves is
-//! taken out of two short lists, a connection count is rewritten where it
-//! stands; nothing is sorted, compacted or re-listed per event. The
-//! solver reads the member lists of a built [`FairnessProblem`] off that
-//! filing (`FairnessWorkspace::solve_pairs`): the egress NIC of a host is
-//! its pairs' lists end to end, a path is one list, the ingress NIC is the
-//! host's slot list; resources are visited in the order a build creates
-//! them, and the round limit counts the flows and resources a build would
-//! have. What the network decides — ceilings, weights, capacities — is
-//! not part of the description at all: the solve asks a `Network` for it,
-//! once per occupied pair and per run of equal connection counts on it,
-//! which is also where the classes come from (one lookup per run). So the
-//! solve performs, on every sum and every rate, the operations a solve of
-//! the rebuilt problem performs, in the same order; the rounds are one
-//! loop over a membership view that both descriptions implement.
+//! directed pair, with how many connections — is a [`PairFlows`]: every
+//! flow filed once under its pair, in ascending *slot* (its rank in a flow
+//! list, gaps allowed), plus per host the occupied pairs out of it and the
+//! slots into it. The solver reads the three member lists of the textbook
+//! problem (`reference::FairnessProblem`, built flow by flow) off that
+//! filing: the egress NIC of a host is its pairs' lists end to end, a path
+//! is one list, the ingress NIC is the host's slot list; resources are
+//! visited in the order a build creates them, and the round limit counts
+//! the flows and resources a build would have. The stateless entry
+//! ([`crate::NetSim::allocate_rates_with`]) files its flow list afresh at
+//! every call, slot = input index. The transfer loop ([`crate::engine`])
+//! keeps its description standing and edits it: a flow that joins is
+//! appended, one that leaves is taken out of two short lists, a
+//! connection count is rewritten where it stands; nothing is sorted,
+//! compacted or re-listed per event. What the network decides —
+//! ceilings, weights, capacities — is not part of the description at all:
+//! the solve asks a `Network` for it, once per occupied pair and per run
+//! of equal connection counts on it, which is also where the classes come
+//! from (one lookup per run). So a solve performs, on every sum and every
+//! rate, the operations a solve of the built problem performs, in the
+//! same order.
 //!
 //! The **solve** is not kept: every one starts from zero rates, zero
 //! `used`, a fresh class table. Warm-starting from the previous solve's
@@ -174,137 +180,7 @@
 //! solves on the three fleet workloads of the repo benchmark qualify
 //! (8–30 % change no rate), which does not pay for the state.
 
-/// Identifies a capacity-constrained resource.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ResourceKind {
-    /// Aggregate WAN egress NIC of a data center.
-    Egress(usize),
-    /// Aggregate WAN ingress NIC of a data center.
-    Ingress(usize),
-    /// Backbone path for a directed region pair.
-    Path(usize, usize),
-}
-
-/// A weighted max-min allocation problem.
-///
-/// Flows are referenced by their index in insertion order. Each flow has a
-/// contention `weight` and a throughput `ceiling` (its window limit); each
-/// resource caps the sum of its member flows' rates.
-#[derive(Debug, Clone, Default)]
-pub struct FairnessProblem {
-    weights: Vec<f64>,
-    ceilings: Vec<f64>,
-    res_kinds: Vec<ResourceKind>,
-    res_caps: Vec<f64>,
-    /// CSR offsets into `members`; resource `r` owns
-    /// `members[res_bounds[r]..res_bounds[r + 1]]`.
-    res_bounds: Vec<usize>,
-    members: Vec<usize>,
-}
-
-impl FairnessProblem {
-    /// Creates an empty problem.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Empties the problem while keeping its allocations for reuse.
-    pub fn clear(&mut self) {
-        self.weights.clear();
-        self.ceilings.clear();
-        self.res_kinds.clear();
-        self.res_caps.clear();
-        self.res_bounds.clear();
-        self.members.clear();
-    }
-
-    /// Adds a flow and returns its index.
-    ///
-    /// A non-positive `weight` or `ceiling` yields a flow that is allocated
-    /// zero bandwidth.
-    pub fn add_flow(&mut self, weight: f64, ceiling_mbps: f64) -> usize {
-        self.weights.push(weight.max(0.0));
-        self.ceilings.push(ceiling_mbps.max(0.0));
-        self.weights.len() - 1
-    }
-
-    /// Adds a resource constraining the given member flows.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any member index does not refer to an added flow.
-    pub fn add_resource(&mut self, kind: ResourceKind, capacity_mbps: f64, members: &[usize]) {
-        self.add_resource_with(kind, capacity_mbps, members.iter().copied());
-    }
-
-    /// Adds a resource whose members come from an iterator, copying them
-    /// straight into the flat membership array (no intermediate `Vec`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any member index does not refer to an added flow.
-    pub fn add_resource_with(
-        &mut self,
-        kind: ResourceKind,
-        capacity_mbps: f64,
-        members: impl IntoIterator<Item = usize>,
-    ) {
-        if self.res_bounds.is_empty() {
-            self.res_bounds.push(0);
-        }
-        for m in members {
-            assert!(m < self.weights.len(), "resource member {m} refers to an unknown flow");
-            self.members.push(m);
-        }
-        self.res_kinds.push(kind);
-        self.res_caps.push(capacity_mbps.max(0.0));
-        self.res_bounds.push(self.members.len());
-    }
-
-    /// Number of flows.
-    pub fn flow_count(&self) -> usize {
-        self.weights.len()
-    }
-
-    /// Number of resources.
-    pub fn resource_count(&self) -> usize {
-        self.res_caps.len()
-    }
-
-    /// Overwrites the ceiling of flow `f`, as [`FairnessProblem::add_flow`]
-    /// would have set it.
-    pub(crate) fn set_ceiling(&mut self, f: usize, ceiling_mbps: f64) {
-        self.ceilings[f] = ceiling_mbps.max(0.0);
-    }
-
-    /// Panics unless `rates` is physically possible for this problem:
-    /// every rate finite, non-negative and at most its flow's ceiling, no
-    /// resource carrying more than its capacity (give or take the
-    /// solver's `EPS`). The transfer loop's shadow oracle holds every
-    /// event of a debug or test build to it.
-    #[cfg(any(debug_assertions, test))]
-    pub(crate) fn audit(&self, rates: &[f64]) {
-        for (f, (&rate, &ceiling)) in rates.iter().zip(&self.ceilings).enumerate() {
-            assert!(rate.is_finite() && rate >= 0.0, "flow {f} is allocated {rate} Mbps");
-            assert!(rate <= ceiling, "flow {f} runs at {rate} Mbps over a {ceiling} Mbps ceiling");
-        }
-        for (kind, capacity, members) in self.resources() {
-            let carried = members.iter().fold(0.0, |sum, &m| sum + rates[m]);
-            assert!(carried <= capacity + EPS, "{kind:?} carries {carried} of {capacity} Mbps");
-        }
-    }
-
-    /// Member flows of resource `r`.
-    fn members_of(&self, r: usize) -> &[usize] {
-        &self.members[self.res_bounds[r]..self.res_bounds[r + 1]]
-    }
-
-    /// Iterates over `(kind, capacity_mbps, members)` for every resource.
-    pub fn resources(&self) -> impl Iterator<Item = (ResourceKind, f64, &[usize])> + '_ {
-        (0..self.resource_count())
-            .map(|r| (self.res_kinds[r], self.res_caps[r], self.members_of(r)))
-    }
-}
+use crate::flow::FlowSpec;
 
 /// "None" in the `u32` indices of a [`PairFlows`] and of its solve.
 const NONE: u32 = u32::MAX;
@@ -319,10 +195,9 @@ struct PairFlow {
     conns: u32,
 }
 
-/// A standing, pair-major description of the flows between `hosts` hosts:
-/// the same allocation problem [`crate::NetSim::allocate_rates_with`]
-/// sorts into a [`FairnessProblem`] on every call, kept in a shape that is
-/// edited instead of sorted (module docs, "What is kept between solves").
+/// A pair-major description of the flows between `hosts` hosts (module
+/// docs, "What is kept between solves"): filed afresh from a flow list
+/// ([`PairFlows::file`]), or standing and edited instead of re-filed.
 ///
 /// The caller names each flow by a **slot**: a `u32` that grows with the
 /// flow's rank in the flow list a fresh build would be given and is not
@@ -332,7 +207,7 @@ struct PairFlow {
 /// problem are read off that filing:
 ///
 /// * the **egress** NIC of `src` is the host's list: its flows in
-///   `(dst, slot)` order — what the build's two counting sorts produce;
+///   `(dst, slot)` order — the build's order, `(src, dst, index)`;
 /// * the **path** of `(src, dst)` is the run of equal `dst` in that list;
 /// * the **ingress** NIC of `dst` lists its members in ascending flow
 ///   index, which interleaves the pairs `(·, dst)` (flow order is group
@@ -364,7 +239,8 @@ pub(crate) struct PairFlows {
 }
 
 impl PairFlows {
-    /// Makes an empty set for `hosts` hosts, unless it is one already.
+    /// Makes an empty set for `hosts` hosts, unless the set already has
+    /// that many (then it is left as it stands).
     pub(crate) fn set_hosts(&mut self, hosts: usize) {
         if self.egress.len() != hosts {
             *self = Self {
@@ -374,6 +250,40 @@ impl PairFlows {
                 losing: (vec![false; 2 * hosts], Vec::new()),
                 ..Self::default()
             };
+        }
+    }
+
+    /// Files `flows` afresh on `hosts` hosts, flow `i` under slot `i`,
+    /// leaving out those no WAN resource constrains (intra-DC, no
+    /// connections). A counting pass, with no sort and no insertion: each
+    /// destination lists its slots in input order, then each source takes
+    /// its flows off those lists destination by destination, which leaves
+    /// them in `(dst, slot)` order. Allocation-free once the lists have
+    /// grown.
+    pub(crate) fn file(&mut self, hosts: usize, flows: &[FlowSpec]) {
+        self.set_hosts(hosts);
+        let Self { egress, ingress, host_conns, ends, pairs, .. } = self;
+        egress.iter_mut().for_each(Vec::clear);
+        ingress.iter_mut().for_each(Vec::clear);
+        host_conns.fill(0);
+        ends.clear();
+        ends.resize(flows.len(), (NONE, NONE));
+        for (slot, flow) in flows.iter().enumerate() {
+            let (src, dst) = (flow.src.0, flow.dst.0);
+            if src != dst && flow.conns > 0 {
+                ingress[dst].push(slot as u32);
+                ends[slot] = (src as u32, dst as u32);
+                host_conns[src] += flow.conns;
+                host_conns[dst] += flow.conns;
+            }
+        }
+        *pairs = 0;
+        for (dst, into) in ingress.iter().enumerate() {
+            for &slot in into {
+                let out = &mut egress[ends[slot as usize].0 as usize];
+                *pairs += usize::from(out.last().is_none_or(|last| last.dst as usize != dst));
+                out.push(PairFlow { dst: dst as u32, slot, conns: flows[slot as usize].conns });
+            }
         }
     }
 
@@ -473,7 +383,7 @@ impl PairFlows {
 
     /// Flows filed, and the resources a build over them would create: one
     /// per occupied NIC and one per occupied pair.
-    fn size(&self) -> (usize, usize) {
+    pub(crate) fn size(&self) -> (usize, usize) {
         let (mut flows, mut resources) = (0, self.pairs);
         for (out, into) in self.egress.iter().zip(&self.ingress) {
             flows += into.len();
@@ -485,8 +395,7 @@ impl PairFlows {
 
 /// What the network says, at the instant of a solve, about the hosts and
 /// directed pairs of a [`PairFlows`]. The solve clamps every answer at
-/// zero, as [`FairnessProblem::add_flow`] and
-/// [`FairnessProblem::add_resource`] clamp their arguments.
+/// zero.
 pub(crate) trait Network {
     /// The state of one directed pair, read once for every flow on it.
     type Pair;
@@ -511,8 +420,7 @@ const EPS: f64 = 1e-9;
 /// rounding-drift bound derived in the module docs.
 const PRUNE_SLACK: f64 = 64.0 * f64::EPSILON;
 
-/// End of a linked list in [`FairnessWorkspace::link`] and
-/// [`FairnessWorkspace::class_link`].
+/// End of a linked list in [`FairnessWorkspace::class_link`].
 const NO_LINK: u32 = u32::MAX;
 
 /// Slots of a fresh class table (a power of two).
@@ -534,8 +442,8 @@ struct FlowClass {
     head: u32,
 }
 
-/// Size of the most recent [`FairnessWorkspace::solve`], for tests and
-/// issues that need to know what traffic a solver change would see.
+/// Size of a fairness solve, for tests and issues that need to know what
+/// traffic a solver change would see.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolveShape {
     /// Flows that took part (positive weight and ceiling).
@@ -548,12 +456,12 @@ pub struct SolveShape {
     pub rounds: usize,
 }
 
-/// Reusable buffers for [`allocate_max_min`]-style solves.
+/// Reusable buffers for [`FairnessWorkspace::solve_pairs`].
 ///
 /// One workspace can serve any sequence of problems; buffers grow to the
 /// high-water mark and are then reused without further allocation.
 #[derive(Debug, Clone, Default)]
-pub struct FairnessWorkspace {
+pub(crate) struct FairnessWorkspace {
     rates: Vec<f64>,
     active: Vec<bool>,
     /// Incrementally maintained bandwidth consumed per resource.
@@ -587,11 +495,6 @@ pub struct FairnessWorkspace {
     /// Resources that can still bind — not slack, at least one active
     /// member — in ascending index order, compacted as they die.
     live: Vec<usize>,
-    /// Flow → live-resource adjacency as one singly linked list per flow:
-    /// `link_head[f]` indexes `link`, whose entries are `(next, resource)`
-    /// and sit at the member's position in the problem's membership array.
-    link_head: Vec<u32>,
-    link: Vec<(u32, u32)>,
     /// The resources of the [`PairFlows`] being solved.
     pair_solve: PairSolve,
     shape: SolveShape,
@@ -599,17 +502,17 @@ pub struct FairnessWorkspace {
 
 impl FairnessWorkspace {
     /// Creates an empty workspace.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
-    /// Per-flow rates of the most recent [`FairnessWorkspace::solve`].
-    pub fn rates(&self) -> &[f64] {
+    /// Per-slot rates of the most recent solve.
+    pub(crate) fn rates(&self) -> &[f64] {
         &self.rates
     }
 
-    /// Size of the most recent [`FairnessWorkspace::solve`].
-    pub fn last_shape(&self) -> SolveShape {
+    /// Size of the most recent solve.
+    pub(crate) fn last_shape(&self) -> SolveShape {
         self.shape
     }
 
@@ -618,7 +521,7 @@ impl FairnessWorkspace {
     /// correction) into those resources' `used` sums. Each resource's
     /// update is independent of the others', so their order is immaterial.
     #[inline(always)] // out of line, the rounds' loops spill around the call: ×1.3 on small solves
-    fn freeze_flow(&mut self, members: &impl Members, f: usize, weight: f64, rate_delta: f64) {
+    fn freeze_flow(&mut self, members: &PairMembers<'_>, f: usize, weight: f64, rate_delta: f64) {
         self.active[f] = false;
         for r in members.live_resources(f) {
             self.used[r] += rate_delta;
@@ -695,97 +598,12 @@ impl FairnessWorkspace {
         }
     }
 
-    /// Resets the buffers for `problem`, sorts its active flows into
-    /// classes, and makes the one pass over its membership a solve
-    /// needs: per-resource active weight and count, the slack test, and
-    /// the flow → resource links of the resources that survive it.
-    fn prepare(&mut self, problem: &FairnessProblem) {
-        let n = problem.flow_count();
-        let nr = problem.resource_count();
-        let max_rounds = Self::max_rounds(n, nr);
-        assert!(
-            n < NO_LINK as usize
-                && problem.members.len() < NO_LINK as usize
-                && nr < NO_LINK as usize,
-            "problem too large for 32-bit flow links"
-        );
-        self.rates.clear();
-        self.rates.resize(n, 0.0);
-        self.active.clear();
-        self.active.resize(n, false);
-        self.used.clear();
-        self.used.resize(nr, 0.0);
-        self.active_w.clear();
-        self.active_w.resize(nr, 0.0);
-        self.active_n.clear();
-        self.active_n.resize(nr, 0);
-        self.link_head.clear();
-        self.link_head.resize(n, NO_LINK);
-        // Entries are written before they are read; no need to reset them.
-        if self.link.len() < problem.members.len() {
-            self.link.resize(problem.members.len(), (NO_LINK, 0));
-        }
-        if self.class_link.len() < n {
-            self.class_link.resize(n, (0, NO_LINK));
-        }
-        if self.freeze_mask.len() * 64 < n {
-            self.freeze_mask.resize(n.div_ceil(64), 0);
-        }
-        if self.table.is_empty() {
-            self.table.resize(MIN_TABLE, (0, 0));
-        }
-        self.new_stamp();
-
-        // Highest index first, each flow pushed onto the front of its
-        // class's list: the lists come out in ascending flow index.
-        self.classes.clear();
-        let mut flows = 0;
-        for f in (0..n).rev() {
-            let (weight, ceiling) = (problem.weights[f], problem.ceilings[f]);
-            if weight > EPS && ceiling > EPS {
-                self.active[f] = true;
-                flows += 1;
-                let k = self.class_for(weight, ceiling);
-                let class = &mut self.classes[k as usize];
-                self.class_link[f] = (k, class.head);
-                class.head = f as u32;
-                class.active += 1;
-            }
-        }
-        self.live_classes.clear();
-        self.live_classes.extend(0..self.classes.len() as u32);
-
-        self.live.clear();
-        for r in 0..nr {
-            let (lo, hi) = (problem.res_bounds[r], problem.res_bounds[r + 1]);
-            let mut load = Load::default();
-            for &m in &problem.members[lo..hi] {
-                if self.active[m] {
-                    load.add(problem.weights[m], problem.ceilings[m]);
-                }
-            }
-            if !self.admit(r, &load, problem.res_caps[r], max_rounds) {
-                continue;
-            }
-            self.live.push(r);
-            for k in lo..hi {
-                let m = problem.members[k];
-                if self.active[m] {
-                    self.link[k] = (self.link_head[m], r as u32);
-                    self.link_head[m] = k as u32;
-                }
-            }
-        }
-        self.shape = SolveShape {
-            flows,
-            classes: self.classes.len(),
-            live_resources: self.live.len(),
-            rounds: 0,
-        };
-    }
-
-    /// Solves `problem` by progressive filling; returns per-flow rates in
-    /// Mbps (also available afterwards via [`FairnessWorkspace::rates`]).
+    /// Solves the flows filed in `flows` on `net` as it is now, from zero,
+    /// by progressive filling: rate for rate, on `f64::to_bits`, what the
+    /// plain algorithm (`reference::ReferenceWorkspace`) gives for the
+    /// problem a build over the same flows in slot order makes. Rates are
+    /// indexed by slot, `slots` being one past the highest in use; a slot
+    /// `flows` does not list keeps whatever rate it had.
     ///
     /// Properties (checked by tests below):
     /// * no resource is oversubscribed;
@@ -793,25 +611,6 @@ impl FairnessWorkspace {
     /// * the allocation is max-min fair w.r.t. the weights: a flow is only
     ///   below its proportional share if a ceiling or a saturated resource
     ///   binds it.
-    pub fn solve(&mut self, problem: &FairnessProblem) -> &[f64] {
-        self.prepare(problem);
-        // The links leave the workspace for the rounds, which read them
-        // through the membership view while updating the rest of it.
-        let (link_head, link) =
-            (std::mem::take(&mut self.link_head), std::mem::take(&mut self.link));
-        let members = CsrMembers { problem, link_head: &link_head, link: &link };
-        let max_rounds = Self::max_rounds(problem.flow_count(), problem.resource_count());
-        self.rounds(&members, max_rounds, problem.flow_count());
-        (self.link_head, self.link) = (link_head, link);
-        &self.rates
-    }
-
-    /// Solves the flows standing in `flows` on `net` as it is now, from
-    /// zero: rate for rate, on `f64::to_bits`, what
-    /// [`FairnessWorkspace::solve`] gives for the problem a build over
-    /// the same flows in slot order would make. Rates are indexed by
-    /// slot, `slots` being one past the highest in use; a slot `flows`
-    /// does not list keeps whatever rate it had.
     pub(crate) fn solve_pairs<N: Network>(&mut self, flows: &PairFlows, net: &N, slots: usize) {
         let mut solve = std::mem::take(&mut self.pair_solve);
         let max_rounds = self.prepare_pairs(flows, net, slots, &mut solve);
@@ -819,8 +618,9 @@ impl FairnessWorkspace {
         self.pair_solve = solve;
     }
 
-    /// [`FairnessWorkspace::prepare`] for a [`PairFlows`]: the same sums
-    /// over the same members in the same order, read off the hosts' lists.
+    /// Resets the buffers for a solve of `set`, sorts its active flows
+    /// into classes, and makes the one pass over the hosts' lists a solve
+    /// needs: per-resource active weight and count, and the slack test.
     /// Resources are numbered egress `2·host`, ingress `2·host + 1`, then
     /// the occupied paths in ascending `(src, dst)` — the order a build
     /// creates them in, which is the order `live` must list them in.
@@ -951,9 +751,9 @@ impl FairnessWorkspace {
         load.count > 0 && !load.is_slack(capacity, max_rounds)
     }
 
-    /// The rounds of a prepared solve. `flows` bounds the flow indices
-    /// (or slots) that `members` can name.
-    fn rounds(&mut self, members: &impl Members, max_rounds: usize, flows: usize) {
+    /// The rounds of a prepared solve. `flows` bounds the slots that
+    /// `members` can name.
+    fn rounds(&mut self, members: &PairMembers<'_>, max_rounds: usize, flows: usize) {
         let capacity = members.capacities();
         // The two compacted lists leave the workspace for the rounds so
         // the loops below can call `freeze_flow` while walking them.
@@ -1077,8 +877,8 @@ impl FairnessWorkspace {
     }
 }
 
-/// The active members of one resource as `prepare` sums them, in member
-/// order.
+/// The active members of one resource as `prepare_pairs` sums them, in
+/// member order.
 #[derive(Debug, Clone, Copy)]
 struct Load {
     count: usize,
@@ -1111,46 +911,6 @@ impl Load {
     }
 }
 
-/// What the rounds need to know of a prepared problem's membership, so
-/// that one loop serves a [`FairnessProblem`] and a [`PairFlows`].
-trait Members {
-    /// Capacity per resource.
-    fn capacities(&self) -> &[f64];
-    /// The members of resource `r`, in member order.
-    fn members(&self, r: usize) -> impl Iterator<Item = usize>;
-    /// The resources of flow `f` that take part in the rounds.
-    fn live_resources(&self, f: usize) -> impl Iterator<Item = usize>;
-}
-
-/// A [`FairnessProblem`] with the flow → resource links `prepare` threaded.
-struct CsrMembers<'a> {
-    problem: &'a FairnessProblem,
-    link_head: &'a [u32],
-    link: &'a [(u32, u32)],
-}
-
-impl Members for CsrMembers<'_> {
-    #[inline]
-    fn capacities(&self) -> &[f64] {
-        &self.problem.res_caps
-    }
-
-    #[inline]
-    fn members(&self, r: usize) -> impl Iterator<Item = usize> {
-        self.problem.members_of(r).iter().copied()
-    }
-
-    #[inline]
-    fn live_resources(&self, f: usize) -> impl Iterator<Item = usize> {
-        let mut k = self.link_head[f];
-        std::iter::from_fn(move || {
-            let (next, r) = *self.link.get(k as usize)?;
-            k = next;
-            Some(r as usize)
-        })
-    }
-}
-
 /// What [`FairnessWorkspace::prepare_pairs`] found out about the
 /// resources of a [`PairFlows`] for one solve.
 #[derive(Debug, Clone, Default)]
@@ -1166,21 +926,24 @@ struct PairSolve {
     slot_path: Vec<u32>,
 }
 
-/// A [`PairFlows`] as prepared: a flow's resources are its source's
-/// egress NIC, its destination's ingress NIC and its pair's path.
+/// A [`PairFlows`] as prepared, as the rounds read its membership: a
+/// flow's resources are its source's egress NIC, its destination's
+/// ingress NIC and its pair's path.
 struct PairMembers<'a> {
     flows: &'a PairFlows,
     solve: &'a PairSolve,
 }
 
-impl Members for PairMembers<'_> {
+impl PairMembers<'_> {
+    /// Capacity per resource.
     #[inline]
     fn capacities(&self) -> &[f64] {
         &self.solve.caps
     }
 
+    /// The members of resource `r`, in member order.
     #[inline]
-    fn members(&self, r: usize) -> impl Iterator<Item = usize> {
+    fn members(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
         // A NIC or path out of a host is a stretch of its list; an
         // ingress NIC is the other list, and the first stretch is empty.
         let set = self.flows;
@@ -1195,28 +958,128 @@ impl Members for PairMembers<'_> {
         out.iter().map(|flow| flow.slot as usize).chain(into.iter().map(|&slot| slot as usize))
     }
 
+    /// The resources of flow `f` that take part in the rounds.
     #[inline]
-    fn live_resources(&self, f: usize) -> impl Iterator<Item = usize> {
+    fn live_resources(&self, f: usize) -> impl Iterator<Item = usize> + '_ {
         let (src, dst) = self.flows.ends[f];
         let of_flow = [2 * src as usize, 2 * dst as usize + 1, self.solve.slot_path[f] as usize];
         of_flow.into_iter().filter(|&r| self.solve.in_rounds[r])
     }
 }
 
-/// Solves the problem by progressive filling; returns per-flow rates in Mbps.
-///
-/// Convenience wrapper that allocates a fresh [`FairnessWorkspace`]; hot
-/// paths should hold a workspace and call [`FairnessWorkspace::solve`].
-pub fn allocate_max_min(problem: &FairnessProblem) -> Vec<f64> {
-    let mut ws = FairnessWorkspace::new();
-    ws.solve(problem);
-    ws.rates
-}
-
-/// Bit-exact reference for the parity tests here and in `sim.rs`.
-#[cfg(test)]
+/// The textbook problem and solver: the parity tests here and in `sim.rs`
+/// and the transfer loop's shadow oracle hold the fast path to them.
+#[cfg(any(test, debug_assertions))]
 pub(crate) mod reference {
-    use super::FairnessProblem;
+    use super::EPS;
+
+    /// Identifies a capacity-constrained resource.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum ResourceKind {
+        /// Aggregate WAN egress NIC of a data center.
+        Egress(usize),
+        /// Aggregate WAN ingress NIC of a data center.
+        Ingress(usize),
+        /// Backbone path for a directed region pair.
+        Path(usize, usize),
+    }
+
+    /// A weighted max-min allocation problem, built flow by flow and
+    /// resource by resource.
+    ///
+    /// Flows are referenced by their index in insertion order. Each flow
+    /// has a contention `weight` and a throughput `ceiling` (its window
+    /// limit); each resource caps the sum of its member flows' rates.
+    #[derive(Debug, Clone, Default)]
+    pub(crate) struct FairnessProblem {
+        pub(super) weights: Vec<f64>,
+        pub(super) ceilings: Vec<f64>,
+        res_kinds: Vec<ResourceKind>,
+        res_caps: Vec<f64>,
+        /// CSR offsets into `members`; resource `r` owns
+        /// `members[res_bounds[r]..res_bounds[r + 1]]`.
+        res_bounds: Vec<usize>,
+        members: Vec<usize>,
+    }
+
+    impl FairnessProblem {
+        /// Creates an empty problem.
+        pub(crate) fn new() -> Self {
+            Self::default()
+        }
+
+        /// Adds a flow and returns its index.
+        ///
+        /// A non-positive `weight` or `ceiling` yields a flow that is
+        /// allocated zero bandwidth.
+        pub(crate) fn add_flow(&mut self, weight: f64, ceiling_mbps: f64) -> usize {
+            self.weights.push(weight.max(0.0));
+            self.ceilings.push(ceiling_mbps.max(0.0));
+            self.weights.len() - 1
+        }
+
+        /// Adds a resource constraining the given member flows.
+        ///
+        /// # Panics
+        ///
+        /// Panics if any member index does not refer to an added flow.
+        pub(crate) fn add_resource(
+            &mut self,
+            kind: ResourceKind,
+            capacity: f64,
+            members: &[usize],
+        ) {
+            if self.res_bounds.is_empty() {
+                self.res_bounds.push(0);
+            }
+            for &m in members {
+                assert!(m < self.weights.len(), "resource member {m} refers to an unknown flow");
+                self.members.push(m);
+            }
+            self.res_kinds.push(kind);
+            self.res_caps.push(capacity.max(0.0));
+            self.res_bounds.push(self.members.len());
+        }
+
+        /// Number of flows.
+        pub(crate) fn flow_count(&self) -> usize {
+            self.weights.len()
+        }
+
+        /// Number of resources.
+        pub(crate) fn resource_count(&self) -> usize {
+            self.res_caps.len()
+        }
+
+        /// Panics unless `rates` is physically possible for this problem:
+        /// every rate finite, non-negative and at most its flow's ceiling,
+        /// no resource carrying more than its capacity (give or take the
+        /// solver's `EPS`).
+        pub(crate) fn audit(&self, rates: &[f64]) {
+            for (f, (&rate, &ceiling)) in rates.iter().zip(&self.ceilings).enumerate() {
+                assert!(rate.is_finite() && rate >= 0.0, "flow {f} is allocated {rate} Mbps");
+                assert!(
+                    rate <= ceiling,
+                    "flow {f} runs at {rate} Mbps over a {ceiling} Mbps ceiling"
+                );
+            }
+            for (kind, capacity, members) in self.resources() {
+                let carried = members.iter().fold(0.0, |sum, &m| sum + rates[m]);
+                assert!(carried <= capacity + EPS, "{kind:?} carries {carried} of {capacity} Mbps");
+            }
+        }
+
+        /// Member flows of resource `r`.
+        fn members_of(&self, r: usize) -> &[usize] {
+            &self.members[self.res_bounds[r]..self.res_bounds[r + 1]]
+        }
+
+        /// Iterates over `(kind, capacity_mbps, members)` for every resource.
+        pub(crate) fn resources(&self) -> impl Iterator<Item = (ResourceKind, f64, &[usize])> + '_ {
+            (0..self.resource_count())
+                .map(|r| (self.res_kinds[r], self.res_caps[r], self.members_of(r)))
+        }
+    }
 
     /// The solver as it stood before the active-set rewrite, kept verbatim:
     /// every round scans all flows and all resources, nothing is pruned, and
@@ -1382,148 +1245,251 @@ pub(crate) mod reference {
 
 #[cfg(test)]
 mod tests {
+    use super::reference::{FairnessProblem, ReferenceWorkspace, ResourceKind};
     use super::*;
+    use crate::topology::DcId;
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+
+    const INF: f64 = f64::INFINITY;
+
+    /// A network for the solver alone: per host the two NIC capacities,
+    /// per directed pair the weight and ceiling of one connection and the
+    /// path capacity. A NIC's capacity is divided by `1 + conns / budget`
+    /// for the connections on its host, as the link model's congestion
+    /// divisor would.
+    struct PaletteNet {
+        hosts: usize,
+        nics: Vec<(f64, f64)>,
+        pairs: Vec<(f64, f64, f64)>,
+        budget: f64,
+    }
+
+    impl PaletteNet {
+        /// Unbounded NICs and paths, no congestion, and one connection of
+        /// weight 1 and no ceiling on every pair.
+        fn open(hosts: usize) -> Self {
+            let pairs = vec![(1.0, INF, INF); hosts * hosts];
+            Self { hosts, nics: vec![(INF, INF); hosts], pairs, budget: INF }
+        }
+
+        /// Capacities, weights and ceilings drawn from small palettes, so
+        /// classes repeat, some flows are dead, and NICs and paths bind,
+        /// sit slack or are shut; NICs slow past 64 connections.
+        fn new(rng: &mut StdRng, hosts: usize) -> Self {
+            let mut pick = |palette: &[f64]| palette[rng.gen_range(0..palette.len())];
+            let nic = [0.0, 90.0, 400.0, 1e9];
+            let nics = (0..hosts).map(|_| (pick(&nic), pick(&nic))).collect();
+            let pairs = (0..hosts * hosts)
+                .map(|_| {
+                    let ceiling = pick(&[0.0, 35.0, 120.0, 120.0, INF]);
+                    (pick(&[0.5, 1.0, 1.0, 1.7]), ceiling, pick(&[0.0, 150.0, 4000.0, 4000.0]))
+                })
+                .collect();
+            Self { hosts, nics, pairs, budget: 64.0 }
+        }
+
+        /// The pair `src → dst`: weight and ceiling of one connection, path
+        /// capacity.
+        fn pair_mut(&mut self, src: usize, dst: usize) -> &mut (f64, f64, f64) {
+            &mut self.pairs[src * self.hosts + dst]
+        }
+
+        /// The capacity of `kind`, before the congestion divisor.
+        fn cap_mut(&mut self, kind: ResourceKind) -> &mut f64 {
+            match kind {
+                ResourceKind::Egress(host) => &mut self.nics[host].0,
+                ResourceKind::Ingress(host) => &mut self.nics[host].1,
+                ResourceKind::Path(src, dst) => &mut self.pair_mut(src, dst).2,
+            }
+        }
+    }
+
+    impl Network for PaletteNet {
+        type Pair = (f64, f64, f64);
+
+        fn egress_cap_mbps(&self, host: usize, conns: u32) -> f64 {
+            self.nics[host].0 / (1.0 + f64::from(conns) / self.budget)
+        }
+
+        fn ingress_cap_mbps(&self, host: usize, conns: u32) -> f64 {
+            self.nics[host].1 / (1.0 + f64::from(conns) / self.budget)
+        }
+
+        fn pair(&self, src: usize, dst: usize) -> Self::Pair {
+            self.pairs[src * self.hosts + dst]
+        }
+
+        fn path_cap_mbps(&self, pair: &Self::Pair) -> f64 {
+            pair.2
+        }
+
+        fn weight(&self, pair: &Self::Pair, conns: u32) -> f64 {
+            f64::from(conns) * pair.0
+        }
+
+        fn ceiling_mbps(&self, pair: &Self::Pair, conns: u32) -> f64 {
+            f64::from(conns) * pair.1
+        }
+    }
+
+    /// `PaletteNet::open`, with host 0's egress NIC at `egress` and one
+    /// connection from host 0 to host `k + 1` at `pairs[k]`.
+    fn fan_out(egress: f64, pairs: &[(f64, f64)]) -> PaletteNet {
+        let mut net = PaletteNet::open(pairs.len() + 1);
+        net.nics[0].0 = egress;
+        for (k, &(weight, ceiling)) in pairs.iter().enumerate() {
+            *net.pair_mut(0, k + 1) = (weight, ceiling, INF);
+        }
+        net
+    }
+
+    /// A flow as a flow list names it: `(src, dst, conns)`, across the WAN.
+    type Flow = (usize, usize, u32);
+
+    /// A flow of `conns` connections between two of `hosts` hosts.
+    fn any_flow(rng: &mut StdRng, hosts: usize, conns: u32) -> Flow {
+        let src = rng.gen_range(0..hosts);
+        (src, (src + rng.gen_range(1..hosts)) % hosts, conns)
+    }
+
+    /// `flows` filed as the stateless entry files them: flow `i` under
+    /// slot `i`.
+    fn file(hosts: usize, flows: &[Flow]) -> PairFlows {
+        let specs: Vec<FlowSpec> = flows
+            .iter()
+            .map(|&(src, dst, conns)| FlowSpec::new(DcId(src), DcId(dst), conns))
+            .collect();
+        let mut set = PairFlows::default();
+        set.file(hosts, &specs);
+        set
+    }
+
+    /// The problem the textbook build makes of `flows` on `net`: per host
+    /// its egress members in `(dst, index)` order and its ingress members
+    /// by index, then the paths in ascending `(src, dst)`.
+    fn build(net: &PaletteNet, flows: &[Flow]) -> FairnessProblem {
+        let mut p = FairnessProblem::new();
+        let mut host_conns = vec![0; net.hosts];
+        for &(src, dst, conns) in flows {
+            assert!(src != dst && conns > 0, "{:?} does not cross the WAN", (src, dst, conns));
+            let pair = net.pair(src, dst);
+            p.add_flow(net.weight(&pair, conns), net.ceiling_mbps(&pair, conns));
+            host_conns[src] += conns;
+            host_conns[dst] += conns;
+        }
+        let mut by_pair: Vec<usize> = (0..flows.len()).collect();
+        by_pair.sort_by_key(|&f| (flows[f].0, flows[f].1, f));
+        for (host, &conns) in host_conns.iter().enumerate() {
+            let egress: Vec<usize> =
+                by_pair.iter().copied().filter(|&f| flows[f].0 == host).collect();
+            if !egress.is_empty() {
+                let cap = net.egress_cap_mbps(host, conns);
+                p.add_resource(ResourceKind::Egress(host), cap, &egress);
+            }
+            let ingress: Vec<usize> = (0..flows.len()).filter(|&f| flows[f].1 == host).collect();
+            if !ingress.is_empty() {
+                let cap = net.ingress_cap_mbps(host, conns);
+                p.add_resource(ResourceKind::Ingress(host), cap, &ingress);
+            }
+        }
+        for run in by_pair.chunk_by(|&a, &b| flows[a].0 == flows[b].0 && flows[a].1 == flows[b].1) {
+            let (src, dst, _) = flows[run[0]];
+            let cap = net.path_cap_mbps(&net.pair(src, dst));
+            p.add_resource(ResourceKind::Path(src, dst), cap, run);
+        }
+        p
+    }
+
+    /// Holds the resources a solve of `set` read off its lists to
+    /// `problem`, a build over the flows it files — flow `f` under
+    /// `slots[f]`: the same resources in the same order, with the same
+    /// capacities and members.
+    fn assert_views(
+        set: &PairFlows,
+        ws: &FairnessWorkspace,
+        problem: &FairnessProblem,
+        slots: &[usize],
+    ) {
+        let hosts = set.egress.len();
+        let views = PairMembers { flows: set, solve: &ws.pair_solve };
+        let nics = (0..2 * hosts).filter(|&r| match r % 2 {
+            0 => !set.egress[r / 2].is_empty(),
+            _ => !set.ingress[r / 2].is_empty(),
+        });
+        let listed: Vec<usize> =
+            nics.chain((0..ws.pair_solve.paths.len()).map(|k| 2 * hosts + k)).collect();
+        assert_eq!(listed.len(), problem.resource_count());
+        for (&r, (kind, cap, members)) in listed.iter().zip(problem.resources()) {
+            let want = match r.checked_sub(2 * hosts) {
+                Some(k) => {
+                    let (src, lo, _) = ws.pair_solve.paths[k];
+                    let dst = set.egress[src as usize][lo as usize].dst;
+                    ResourceKind::Path(src as usize, dst as usize)
+                }
+                None if r % 2 == 0 => ResourceKind::Egress(r / 2),
+                None => ResourceKind::Ingress(r / 2),
+            };
+            assert_eq!(kind, want);
+            assert_eq!(views.capacities()[r].to_bits(), cap.to_bits(), "{kind:?}");
+            let listed: Vec<usize> = views.members(r).collect();
+            let want: Vec<usize> = members.iter().map(|&m| slots[m]).collect();
+            assert_eq!(listed, want, "{kind:?}");
+        }
+    }
+
+    /// Solves `flows` on `net` through `ws` as the stateless entry does —
+    /// filed, then `solve_pairs` — and holds the filing to a build over
+    /// the same flows resource for resource and every rate to the
+    /// reference solver's on `f64::to_bits`. Returns the rates by flow and
+    /// what the solve looked like, so a test can check it exercised what
+    /// it meant to.
+    fn solve_with(
+        ws: &mut FairnessWorkspace,
+        net: &PaletteNet,
+        flows: &[Flow],
+    ) -> (Vec<f64>, SolveShape) {
+        let set = file(net.hosts, flows);
+        ws.solve_pairs(&set, net, flows.len());
+        let problem = build(net, flows);
+        assert_views(&set, ws, &problem, &(0..flows.len()).collect::<Vec<_>>());
+        let rates = ws.rates()[..flows.len()].to_vec();
+        let mut reference = ReferenceWorkspace::default();
+        for (f, (a, b)) in rates.iter().zip(reference.solve(&problem)).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "flow {f} {:?}: {a} vs reference {b}", flows[f]);
+        }
+        (rates, ws.last_shape())
+    }
+
+    /// [`solve_with`] through a fresh workspace.
+    fn solve(net: &PaletteNet, flows: &[Flow]) -> (Vec<f64>, SolveShape) {
+        solve_with(&mut FairnessWorkspace::new(), net, flows)
+    }
 
     fn total(rates: &[f64], members: &[usize]) -> f64 {
         members.iter().map(|&m| rates[m]).sum()
     }
 
-    #[test]
-    fn single_flow_hits_min_of_ceiling_and_capacity() {
-        let mut p = FairnessProblem::new();
-        let f = p.add_flow(1.0, 500.0);
-        p.add_resource(ResourceKind::Egress(0), 1000.0, &[f]);
-        assert!((allocate_max_min(&p)[f] - 500.0).abs() < 1e-6);
-
-        let mut p = FairnessProblem::new();
-        let f = p.add_flow(1.0, 5000.0);
-        p.add_resource(ResourceKind::Egress(0), 1000.0, &[f]);
-        assert!((allocate_max_min(&p)[f] - 1000.0).abs() < 1e-6);
+    /// Sum of `members`' ceilings exactly as the solver's slack test
+    /// accumulates it (active members only, member order).
+    fn ceiling_sum(p: &FairnessProblem, members: &[usize]) -> f64 {
+        let active = |m: usize| p.weights[m] > EPS && p.ceilings[m] > EPS;
+        members.iter().filter(|&&m| active(m)).map(|&m| p.ceilings[m]).fold(0.0, |a, c| a + c)
     }
 
-    #[test]
-    fn equal_weights_split_equally() {
-        let mut p = FairnessProblem::new();
-        let a = p.add_flow(1.0, 1e9);
-        let b = p.add_flow(1.0, 1e9);
-        p.add_resource(ResourceKind::Egress(0), 1000.0, &[a, b]);
-        let r = allocate_max_min(&p);
-        assert!((r[a] - 500.0).abs() < 1e-6 && (r[b] - 500.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn weights_bias_the_split() {
-        let mut p = FairnessProblem::new();
-        let a = p.add_flow(3.0, 1e9);
-        let b = p.add_flow(1.0, 1e9);
-        p.add_resource(ResourceKind::Egress(0), 1000.0, &[a, b]);
-        let r = allocate_max_min(&p);
-        assert!((r[a] - 750.0).abs() < 1e-6 && (r[b] - 250.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ceiling_frees_capacity_for_others() {
-        let mut p = FairnessProblem::new();
-        let a = p.add_flow(1.0, 100.0); // window-limited
-        let b = p.add_flow(1.0, 1e9);
-        p.add_resource(ResourceKind::Egress(0), 1000.0, &[a, b]);
-        let r = allocate_max_min(&p);
-        assert!((r[a] - 100.0).abs() < 1e-6);
-        assert!((r[b] - 900.0).abs() < 1e-6, "b should absorb a's unused share, got {}", r[b]);
-    }
-
-    #[test]
-    fn multiple_resources_bind_the_tightest() {
-        let mut p = FairnessProblem::new();
-        let a = p.add_flow(1.0, 1e9);
-        p.add_resource(ResourceKind::Egress(0), 800.0, &[a]);
-        p.add_resource(ResourceKind::Ingress(1), 300.0, &[a]);
-        p.add_resource(ResourceKind::Path(0, 1), 4000.0, &[a]);
-        assert!((allocate_max_min(&p)[a] - 300.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn zero_weight_flow_gets_nothing() {
-        let mut p = FairnessProblem::new();
-        let a = p.add_flow(0.0, 1e9);
-        let b = p.add_flow(1.0, 1e9);
-        p.add_resource(ResourceKind::Egress(0), 1000.0, &[a, b]);
-        let r = allocate_max_min(&p);
-        assert_eq!(r[a], 0.0);
-        assert!((r[b] - 1000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn empty_problem_returns_empty() {
-        assert!(allocate_max_min(&FairnessProblem::new()).is_empty());
-    }
-
-    #[test]
-    fn shared_middle_resource_triangle() {
-        // Two flows share host 0 egress; one of them is also path-limited.
-        let mut p = FairnessProblem::new();
-        let near = p.add_flow(4.0, 1e9);
-        let far = p.add_flow(1.0, 120.0);
-        p.add_resource(ResourceKind::Egress(0), 1000.0, &[near, far]);
-        let r = allocate_max_min(&p);
-        assert!((r[far] - 120.0).abs() < 1e-6);
-        assert!((r[near] - 880.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn clear_keeps_capacity_and_resets_state() {
-        let mut p = FairnessProblem::new();
-        let a = p.add_flow(1.0, 100.0);
-        p.add_resource(ResourceKind::Egress(0), 50.0, &[a]);
-        p.clear();
-        assert_eq!(p.flow_count(), 0);
-        assert_eq!(p.resource_count(), 0);
-        let b = p.add_flow(1.0, 1e9);
-        p.add_resource(ResourceKind::Egress(0), 700.0, &[b]);
-        assert!((allocate_max_min(&p)[b] - 700.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn huge_weights_leave_no_ghost_resources() {
-        // Float residue from the incremental active-weight subtraction
-        // must not let a saturated resource whose members all froze keep
-        // binding t_star; flows on other resources must still fill up.
-        let mut p = FairnessProblem::new();
-        let a = p.add_flow(1.0e8 / 3.0, 1e9);
-        let b = p.add_flow(1.0e8 / 7.0, 1e9);
-        let c = p.add_flow(1.0, 1e9);
-        p.add_resource(ResourceKind::Egress(0), 500.0, &[a, b]);
-        p.add_resource(ResourceKind::Egress(1), 800.0, &[c]);
-        let fast = allocate_max_min(&p);
-        let slow = reference_solve(&p);
-        for (f, (&x, &y)) in fast.iter().zip(&slow).enumerate() {
-            assert!((x - y).abs() < 1e-6, "flow {f}: incremental {x} vs reference {y}");
+    /// Gives every resource `flows` occupy on `net` the capacity `cap`
+    /// draws from its members' ceiling sum (3 000 if that sum is not
+    /// finite). `net` must not congest: its budget is unbounded.
+    fn draw_caps(net: &mut PaletteNet, flows: &[Flow], mut cap: impl FnMut(f64) -> f64) {
+        let p = build(net, flows);
+        for (kind, _, members) in p.resources() {
+            let sum = ceiling_sum(&p, members);
+            *net.cap_mut(kind) = cap(if sum.is_finite() { sum } else { 3000.0 });
         }
-        assert!((fast[c] - 800.0).abs() < 1e-6, "flow c must fill its own NIC, got {}", fast[c]);
-    }
-
-    #[test]
-    fn workspace_reuse_is_consistent() {
-        let mut ws = FairnessWorkspace::new();
-        let mut big = FairnessProblem::new();
-        for i in 0..20 {
-            let f = big.add_flow(1.0 + i as f64, 1e9);
-            big.add_resource(ResourceKind::Egress(i), 100.0, &[f]);
-        }
-        let first = ws.solve(&big).to_vec();
-
-        // A smaller problem in between must not leak state…
-        let mut small = FairnessProblem::new();
-        let a = small.add_flow(2.0, 1e9);
-        small.add_resource(ResourceKind::Egress(0), 10.0, &[a]);
-        assert!((ws.solve(&small)[a] - 10.0).abs() < 1e-6);
-
-        // …and re-solving the big problem is bit-identical.
-        assert_eq!(ws.solve(&big), first.as_slice());
     }
 
     /// Textbook progressive filling with per-round full recomputation —
-    /// the reference the incremental solver is checked against.
+    /// no incremental sums — which the solvers are checked against to a
+    /// tolerance.
     fn reference_solve(p: &FairnessProblem) -> Vec<f64> {
         const EPS: f64 = 1e-9;
         let n = p.flow_count();
@@ -1576,60 +1542,210 @@ mod tests {
         rates
     }
 
-    /// Sum of `members`' ceilings exactly as the solver's slack test
-    /// accumulates it (active members only, member order).
-    fn ceiling_sum(p: &FairnessProblem, members: &[usize]) -> f64 {
-        let active = |m: usize| p.weights[m] > EPS && p.ceilings[m] > EPS;
-        members.iter().filter(|&&m| active(m)).map(|&m| p.ceilings[m]).fold(0.0, |a, c| a + c)
+    /// Three pairs into host 3, `tenants` flows on each, tenant by tenant:
+    /// the first two pairs share one headroom ratio and reach their
+    /// ceilings in round one, the third has no window limit and keeps
+    /// filling host 3's ingress NIC, which has room for everyone's growth
+    /// up to the tie and some more — so the third pair's rate depends on
+    /// the order of the NIC's weight subtractions at the tie.
+    fn tied(seed: u64) -> (PaletteNet, Vec<Flow>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ratio = rng.gen_range(20.0..400.0);
+        let w = [rng.gen_range(0.1..3.0), rng.gen_range(0.1..3.0), rng.gen_range(0.1..3.0)];
+        let tenants = rng.gen_range(2usize..12);
+        let mut net = PaletteNet::open(4);
+        *net.pair_mut(0, 3) = (w[0], w[0] * ratio, INF);
+        *net.pair_mut(1, 3) = (w[1], w[1] * ratio, INF);
+        *net.pair_mut(2, 3) = (w[2], 1e9, INF);
+        let at_tie = tenants as f64 * (w[0] + w[1] + w[2]) * ratio;
+        net.nics[3].1 = at_tie * rng.gen_range(1.1..2.0);
+        let flows = (0..tenants).flat_map(|_| (0..3).map(|src| (src, 3, 1))).collect();
+        (net, flows)
     }
 
-    /// Holds the solver to the reference on `to_bits`; returns what the
-    /// solve looked like, so a test can check it exercised what it meant to.
-    fn assert_bit_identical(p: &FairnessProblem) -> SolveShape {
-        assert_bit_identical_with(&mut FairnessWorkspace::new(), p)
+    /// Whether the last of `tied`'s `flows` takes another rate than
+    /// `interleaved` when the same flows come pair by pair: if so, the
+    /// draw can tell slot order from class order.
+    fn order_sensitive(net: &PaletteNet, flows: &[Flow], interleaved: f64) -> bool {
+        let mut by_pair = flows.to_vec();
+        by_pair.sort_by_key(|&(src, _, _)| src);
+        solve(net, &by_pair).0[flows.len() - 1].to_bits() != interleaved.to_bits()
     }
 
-    /// [`assert_bit_identical`] through a workspace that has history.
-    fn assert_bit_identical_with(ws: &mut FairnessWorkspace, p: &FairnessProblem) -> SolveShape {
-        let fast = ws.solve(p);
-        let mut reference = reference::ReferenceWorkspace::default();
-        let slow = reference.solve(p);
-        assert_eq!(fast.len(), slow.len());
-        for (f, (a, b)) in fast.iter().zip(slow).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "flow {f}: {a} vs reference {b}");
+    impl PairFlows {
+        /// The longest buffer the set holds, for tests that bound its
+        /// footprint.
+        pub(crate) fn footprint(&self) -> usize {
+            let lists = self.egress.iter().map(Vec::len).chain(self.ingress.iter().map(Vec::len));
+            let per_host = [self.egress.len(), self.host_conns.len(), self.losing.0.len()];
+            lists.chain(per_host).chain([self.ends.len()]).max().unwrap_or(0)
         }
-        ws.last_shape()
+    }
+
+    impl FairnessWorkspace {
+        /// The longest buffer the workspace holds, for tests that bound its
+        /// footprint.
+        pub(crate) fn footprint(&self) -> usize {
+            let solve = &self.pair_solve;
+            let per_slot = [self.rates.len(), self.active.len(), self.class_link.len()];
+            let per_resource = [self.used.len(), self.active_w.len(), self.active_n.len()];
+            let rest =
+                [self.classes.len(), self.table.len(), self.freeze_mask.len(), self.live.len()];
+            let of_solve = [solve.caps.len(), solve.in_rounds.len(), solve.paths.len()];
+            let all = per_slot.into_iter().chain(per_resource).chain(rest).chain(of_solve);
+            all.chain([solve.slot_path.len()]).max().unwrap_or(0)
+        }
+    }
+
+    #[test]
+    fn single_flow_hits_min_of_ceiling_and_capacity() {
+        let mut net = fan_out(1000.0, &[(1.0, 500.0)]);
+        assert!((solve(&net, &[(0, 1, 1)]).0[0] - 500.0).abs() < 1e-6);
+        *net.pair_mut(0, 1) = (1.0, 5000.0, INF);
+        assert!((solve(&net, &[(0, 1, 1)]).0[0] - 1000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn equal_weights_split_equally() {
+        let net = fan_out(1000.0, &[(1.0, 1e9), (1.0, 1e9)]);
+        let r = solve(&net, &[(0, 1, 1), (0, 2, 1)]).0;
+        assert!((r[0] - 500.0).abs() < 1e-6 && (r[1] - 500.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn weights_bias_the_split() {
+        // Three connections against one, on one pair.
+        let r = solve(&fan_out(1000.0, &[(1.0, 1e9)]), &[(0, 1, 3), (0, 1, 1)]).0;
+        assert!((r[0] - 750.0).abs() < 1e-6 && (r[1] - 250.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn ceiling_frees_capacity_for_others() {
+        // The first flow is window-limited.
+        let net = fan_out(1000.0, &[(1.0, 100.0), (1.0, 1e9)]);
+        let r = solve(&net, &[(0, 1, 1), (0, 2, 1)]).0;
+        assert!((r[0] - 100.0).abs() < 1e-6);
+        assert!((r[1] - 900.0).abs() < 1e-6, "b should absorb a's unused share, got {}", r[1]);
+    }
+
+    #[test]
+    fn multiple_resources_bind_the_tightest() {
+        let mut net = fan_out(800.0, &[(1.0, 1e9)]);
+        net.nics[1].1 = 300.0;
+        net.pair_mut(0, 1).2 = 4000.0;
+        assert!((solve(&net, &[(0, 1, 1)]).0[0] - 300.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn zero_weight_flow_gets_nothing() {
+        let net = fan_out(1000.0, &[(0.0, 1e9), (1.0, 1e9)]);
+        let r = solve(&net, &[(0, 1, 1), (0, 2, 1)]).0;
+        assert_eq!(r[0], 0.0);
+        assert!((r[1] - 1000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn empty_problem_returns_empty() {
+        let (rates, shape) = solve(&PaletteNet::open(3), &[]);
+        assert!(rates.is_empty());
+        assert_eq!(shape, SolveShape::default());
+    }
+
+    #[test]
+    fn shared_middle_resource_triangle() {
+        // Two flows share host 0 egress; one of them is also path-limited.
+        let mut net = fan_out(1000.0, &[(4.0, 1e9), (1.0, 1e9)]);
+        net.pair_mut(0, 2).2 = 120.0;
+        let (r, shape) = solve(&net, &[(0, 1, 1), (0, 2, 1)]);
+        assert!((r[1] - 120.0).abs() < 1e-6);
+        assert!((r[0] - 880.0).abs() < 1e-6);
+        assert_eq!(shape.rounds, 2, "{shape:?}");
+    }
+
+    #[test]
+    fn clear_keeps_capacity_and_resets_state() {
+        // Re-filing a set keeps its lists' capacity and forgets what they
+        // held, connection counts included: host 0's NIC slows with the
+        // connections on it, so a stale count would show in the rate.
+        let mut net = fan_out(50.0, &[(1.0, 100.0), (1.0, 1e9)]);
+        net.budget = 64.0;
+        let mut set = file(net.hosts, &[(0, 1, 4), (0, 1, 2), (0, 2, 3)]);
+        let capacity = set.egress[0].capacity();
+        set.file(net.hosts, &[FlowSpec::new(DcId(0), DcId(2), 1)]);
+        assert_eq!((set.egress[0].capacity(), set.size()), (capacity, (1, 3)));
+        let mut ws = FairnessWorkspace::new();
+        ws.solve_pairs(&set, &net, 1);
+        let fresh = solve(&net, &[(0, 2, 1)]).0[0];
+        assert_eq!(ws.rates()[0].to_bits(), fresh.to_bits());
+        assert!((fresh - 50.0 / (1.0 + 1.0 / 64.0)).abs() < 1e-9, "{fresh}");
+    }
+
+    #[test]
+    fn huge_weights_leave_no_ghost_resources() {
+        // Float residue from the incremental active-weight subtraction
+        // must not let a saturated resource whose members all froze keep
+        // binding t_star; flows on other resources must still fill up.
+        let mut net = fan_out(500.0, &[(1.0e8 / 3.0, 1e9), (1.0e8 / 7.0, 1e9)]);
+        net.nics[1].0 = 800.0;
+        *net.pair_mut(1, 2) = (1.0, 1e9, INF);
+        let flows = [(0, 1, 1), (0, 2, 1), (1, 2, 1)];
+        let fast = solve(&net, &flows).0;
+        let slow = reference_solve(&build(&net, &flows));
+        for (f, (&x, &y)) in fast.iter().zip(&slow).enumerate() {
+            assert!((x - y).abs() < 1e-6, "flow {f}: incremental {x} vs reference {y}");
+        }
+        assert!((fast[2] - 800.0).abs() < 1e-6, "flow c must fill its own NIC, got {}", fast[2]);
+    }
+
+    #[test]
+    fn workspace_reuse_is_consistent() {
+        let mut ws = FairnessWorkspace::new();
+        // Twenty hosts in a ring, each flow alone on its egress NIC.
+        let mut big = PaletteNet::open(20);
+        let ring: Vec<Flow> = (0..20).map(|i| (i, (i + 1) % 20, 1)).collect();
+        for (i, &(src, dst, _)) in ring.iter().enumerate() {
+            big.nics[src].0 = 100.0;
+            *big.pair_mut(src, dst) = (1.0 + i as f64, 1e9, INF);
+        }
+        let first = solve_with(&mut ws, &big, &ring).0;
+
+        // A smaller problem in between must not leak state…
+        let small = fan_out(10.0, &[(2.0, 1e9)]);
+        assert!((solve_with(&mut ws, &small, &[(0, 1, 1)]).0[0] - 10.0).abs() < 1e-6);
+
+        // …and re-solving the big problem is bit-identical.
+        assert_eq!(solve_with(&mut ws, &big, &ring).0, first);
     }
 
     #[test]
     fn slack_resources_are_pruned_and_binding_ones_kept() {
         // The sim's common shape: window-limited flows under a NIC that
         // binds and a 4 Gbps path that cannot.
-        let mut p = FairnessProblem::new();
-        let a = p.add_flow(1.0, 900.0);
-        let b = p.add_flow(2.0, 700.0);
-        p.add_resource(ResourceKind::Egress(0), 1000.0, &[a, b]);
-        p.add_resource(ResourceKind::Path(0, 1), 4000.0, &[a, b]);
-        p.add_resource(ResourceKind::Ingress(1), 1600.0, &[a, b]); // cap == sum: kept
+        let mut net = fan_out(1000.0, &[(1.0, 450.0)]);
+        net.pair_mut(0, 1).2 = 4000.0;
+        net.nics[1].1 = 1350.0; // == the ceiling sum: kept
+        let flows = [(0, 1, 2), (0, 1, 1)];
         let mut ws = FairnessWorkspace::new();
-        ws.prepare(&p);
-        assert_eq!(ws.live, vec![0, 2]);
-        assert_bit_identical(&p);
+        ws.prepare_pairs(&file(2, &flows), &net, flows.len(), &mut PairSolve::default());
+        assert_eq!(ws.live, vec![0, 3], "egress 0 and ingress 1, not the path");
+        let shape = solve(&net, &flows).1;
+        assert_eq!((shape.live_resources, file(2, &flows).size().1), (2, 3));
     }
 
     #[test]
     fn pruning_margin_edge_is_bit_identical() {
         // Capacities at, one ulp either side of, and a few margins around
         // the members' ceiling sum: whichever side of the slack test each
-        // lands on, the rates must not move by a bit.
-        let weights = [0.31, 2.7, 0.004, 1.0, 0.09];
-        let ceilings = [121.3, 1704.9, 87.25, 410.0, 933.1];
-        let members = [0, 1, 2, 3, 4];
-        let mut base = FairnessProblem::new();
-        for (&w, &c) in weights.iter().zip(&ceilings) {
-            base.add_flow(w, c);
-        }
-        let sum = ceiling_sum(&base, &members);
+        // lands on, the rates must not move by a bit. Five flows out of
+        // host 0, two of them into host 2, whose NIC is slack.
+        let pairs = [(0.31, 121.3), (0.9, 568.3), (0.004, 87.25), (0.09, 933.1)];
+        let mut net = fan_out(0.0, &pairs);
+        net.nics[2].1 = 2500.0;
+        let flows = [(0, 1, 1), (0, 2, 3), (0, 3, 1), (0, 2, 1), (0, 4, 1)];
+        let p = build(&net, &flows);
+        let (kind, _, egress) = p.resources().next().expect("host 0's egress comes first");
+        assert_eq!(kind, ResourceKind::Egress(0));
+        let sum = ceiling_sum(&p, egress);
         let ulp = |x: f64, k: i64| f64::from_bits((x.to_bits() as i64 + k) as u64);
         let caps = [
             sum,
@@ -1643,24 +1759,25 @@ mod tests {
             sum - 1e-9,
         ];
         for cap in caps {
-            let mut p = base.clone();
-            p.add_resource(ResourceKind::Egress(0), cap, &members);
-            p.add_resource(ResourceKind::Ingress(1), 2500.0, &members[1..4]);
-            assert_bit_identical(&p);
+            net.nics[0].0 = cap;
+            solve(&net, &flows);
         }
     }
 
     #[test]
     fn infinite_ceilings_are_never_pruned() {
-        let mut p = FairnessProblem::new();
-        let a = p.add_flow(1.0, f64::INFINITY);
-        let b = p.add_flow(3.0, 50.0);
-        p.add_resource(ResourceKind::Egress(0), f64::INFINITY, &[a, b]);
-        p.add_resource(ResourceKind::Path(0, 1), 4000.0, &[a, b]);
+        // The unbounded flow keeps an unbounded NIC and a 4 Gbps path in
+        // the rounds; the bounded one's own ingress NIC and path are slack.
+        let mut net = fan_out(INF, &[(1.0, INF), (3.0, 50.0)]);
+        net.pair_mut(0, 1).2 = 4000.0;
+        net.pair_mut(0, 2).2 = 4000.0;
+        let flows = [(0, 1, 1), (0, 2, 1)];
         let mut ws = FairnessWorkspace::new();
-        ws.prepare(&p);
-        assert_eq!(ws.live, vec![0, 1]);
-        assert_bit_identical(&p);
+        ws.prepare_pairs(&file(3, &flows), &net, flows.len(), &mut PairSolve::default());
+        assert_eq!(ws.live, vec![0, 3, 6], "egress 0, ingress 1 and the path 0 → 1");
+        let (rates, shape) = solve(&net, &flows);
+        assert_eq!((shape.live_resources, shape.rounds), (3, 2), "{shape:?}");
+        assert!((rates[0] - 4000.0).abs() < 1e-6 && rates[1] == 50.0, "{rates:?}");
     }
 
     /// The class-sharing rounds against the per-flow reference, on inputs
@@ -1669,161 +1786,112 @@ mod tests {
     mod class_parity {
         use super::*;
         use proptest::prelude::*;
-        use rand::{rngs::StdRng, Rng, SeedableRng};
 
-        /// Multiples a palette entry is drawn at: `(k·w, k·c)` keeps the
-        /// headroom ratio, so the multiples of one entry reach their
-        /// ceilings in the same round as distinct classes.
-        const MULTIPLES: [f64; 4] = [1.0, 2.0, 3.0, 4.0];
+        /// Connection counts a flow is drawn at: `(k·w, k·c)` keeps the
+        /// headroom ratio of its pair's one connection, so the multiples on
+        /// a pair reach their ceilings in the same round as distinct
+        /// classes.
+        const MULTIPLES: [u32; 4] = [1, 2, 3, 4];
 
-        /// 2–400 flows over a palette of 1–6 `(weight, ceiling)` values
-        /// (some unbounded) and their multiples, with a sprinkling of dead
-        /// flows. Every flow crosses an egress and an ingress NIC of 1–8
-        /// hosts, as the simulator's do; a few further resources take
-        /// random members, one of them twice. Capacities bind, saturate,
-        /// sit on the slack edge or are zero. Returns the palette size too.
-        pub(super) fn palette_problem(seed: u64) -> (FairnessProblem, usize) {
+        /// Tenants on shared pairs: 2–400 flows among 2–8 hosts at 1–4
+        /// connections, every pair's one connection drawn from a palette
+        /// of 1–6 `(weight, ceiling)` values (some unbounded), a
+        /// sprinkling of pairs dead. NICs and paths bind, saturate, sit on
+        /// the slack edge or are zero. Returns the palette size too.
+        pub(super) fn palette_flows(seed: u64) -> (PaletteNet, Vec<Flow>, usize) {
             let mut rng = StdRng::seed_from_u64(seed);
             let palette: Vec<(f64, f64)> = (0..rng.gen_range(1usize..7))
                 .map(|_| {
                     let unbounded = rng.gen_range(0u32..8) == 0;
-                    let c = if unbounded { f64::INFINITY } else { rng.gen_range(5.0..2000.0) };
+                    let c = if unbounded { INF } else { rng.gen_range(5.0..2000.0) };
                     (rng.gen_range(0.05..8.0), c)
                 })
                 .collect();
-            let mut p = FairnessProblem::new();
-            let nf = rng.gen_range(2usize..401);
-            let hosts = rng.gen_range(1usize..9);
-            let mut nics: Vec<Vec<usize>> = vec![Vec::new(); 2 * hosts];
-            for f in 0..nf {
+            let hosts = rng.gen_range(2usize..9);
+            let mut net = PaletteNet::open(hosts);
+            for pair in &mut net.pairs {
                 let (w, c) = palette[rng.gen_range(0..palette.len())];
-                match rng.gen_range(0u32..20) {
-                    0 => p.add_flow(0.0, c),
-                    1 => p.add_flow(w, 1e-10),
-                    _ => {
-                        let k = MULTIPLES[rng.gen_range(0..MULTIPLES.len())];
-                        p.add_flow(k * w, k * c)
-                    }
+                *pair = match rng.gen_range(0u32..20) {
+                    0 => (0.0, c, INF),
+                    1 => (w, 1e-10, INF),
+                    _ => (w, c, INF),
                 };
-                nics[rng.gen_range(0..hosts)].push(f);
-                nics[hosts + rng.gen_range(0..hosts)].push(f);
             }
-            for _ in 0..rng.gen_range(0usize..4) {
-                let mut members: Vec<usize> =
-                    (0..nf).filter(|_| rng.gen_range(0u32..4) == 0).collect();
-                members.push(rng.gen_range(0..nf));
-                members.push(members[rng.gen_range(0..members.len())]);
-                nics.push(members);
-            }
-            for (r, members) in nics.iter().enumerate().filter(|(_, m)| !m.is_empty()) {
-                let sum = ceiling_sum(&p, members);
-                let sum = if sum.is_finite() { sum } else { 3000.0 };
-                let cap = match rng.gen_range(0u32..10) {
-                    0 => sum,
-                    1 => f64::from_bits(sum.to_bits() + 1),
-                    2 => 1e9,
-                    3 => 0.0,
-                    4..=7 => sum * rng.gen_range(0.05..0.95),
-                    _ => rng.gen_range(50.0..3000.0),
-                };
-                p.add_resource(ResourceKind::Egress(r), cap, members);
-            }
-            (p, palette.len())
+            let flows: Vec<Flow> = (0..rng.gen_range(2usize..401))
+                .map(|_| {
+                    let conns = MULTIPLES[rng.gen_range(0..MULTIPLES.len())];
+                    any_flow(&mut rng, hosts, conns)
+                })
+                .collect();
+            draw_caps(&mut net, &flows, |sum| match rng.gen_range(0u32..10) {
+                0 => sum,
+                1 => f64::from_bits(sum.to_bits() + 1),
+                2 => 1e9,
+                3 => 0.0,
+                4..=7 => sum * rng.gen_range(0.05..0.95),
+                _ => rng.gen_range(50.0..3000.0),
+            });
+            (net, flows, palette.len())
         }
 
         proptest! {
             #[test]
             fn palette_problems_are_bit_identical_to_reference(seed in 0u64..u64::MAX) {
-                let (p, palette) = palette_problem(seed);
-                let shape = assert_bit_identical(&p);
+                let (net, flows, palette) = palette_flows(seed);
+                let shape = solve(&net, &flows).1;
                 prop_assert!(shape.classes <= palette * MULTIPLES.len(), "{:?}", shape);
             }
 
             #[test]
             fn one_workspace_serves_palette_and_distinct_problems_alike(seed in 0u64..u64::MAX) {
-                // Reuse across shapes, with the stamp about to wrap: a
-                // stale table slot or list link must never be read.
+                // Reuse across shapes and host counts, with the stamp about
+                // to wrap: a stale table slot or list link must never be
+                // read.
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut ws = FairnessWorkspace::new();
                 ws.stamp = u32::MAX - 2;
                 for _ in 0..6 {
-                    let p = if rng.gen_range(0u32..2) == 0 {
-                        palette_problem(rng.gen_range(0..u64::MAX)).0
+                    let (net, flows) = if rng.gen_range(0u32..2) == 0 {
+                        let (net, flows, _) = palette_flows(rng.gen_range(0..u64::MAX));
+                        (net, flows)
                     } else {
-                        properties::adversarial_problem(rng.gen_range(0..u64::MAX))
+                        properties::adversarial_flows(rng.gen_range(0..u64::MAX))
                     };
-                    assert_bit_identical_with(&mut ws, &p);
+                    solve_with(&mut ws, &net, &flows);
                 }
             }
         }
 
         #[test]
         fn classes_tied_at_their_ceilings_freeze_in_flow_order() {
-            // A and B have one headroom ratio, so both reach their
-            // ceilings in round one, members interleaved by index on a
-            // resource that stays live: C keeps filling it until it
-            // saturates, and C's final rate is a function of the
-            // resource's `active_w` after the A/B subtractions — whose
-            // low bits depend on the order they were made in.
+            // The tied pairs' flows are interleaved by slot on host 3's
+            // ingress NIC: each of its weight subtractions must come in
+            // slot order, as the per-flow loop makes them.
             let mut sensitive = 0;
             for seed in 0..200 {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let ratio = rng.gen_range(20.0..400.0);
-                let (wa, wb, wc) =
-                    (rng.gen_range(0.1..3.0), rng.gen_range(0.1..3.0), rng.gen_range(0.1..3.0));
-                let mut p = FairnessProblem::new();
-                let n = rng.gen_range(6usize..40);
-                for f in 0..n {
-                    match f % 3 {
-                        0 => p.add_flow(wa, wa * ratio),
-                        1 => p.add_flow(wb, wb * ratio),
-                        _ => p.add_flow(wc, 1e9),
-                    };
-                }
-                // Room for everyone's growth up to the tie, and some more.
-                let members: Vec<usize> = (0..n).collect();
-                let at_tie = p.weights.iter().sum::<f64>() * ratio;
-                let cap = at_tie * rng.gen_range(1.1..2.0);
-                p.add_resource(ResourceKind::Egress(0), cap, &members);
-                let shape = assert_bit_identical(&p);
+                let (net, flows) = tied(seed);
+                let (rates, shape) = solve(&net, &flows);
                 assert_eq!((shape.classes, shape.live_resources), (3, 1), "{shape:?}");
                 assert!(shape.rounds >= 2, "{shape:?}");
-
-                // The same problem with the tied classes' members grouped
-                // by class: if its C rates differ, this seed can tell
-                // flow order from class order.
-                let mut grouped = FairnessProblem::new();
-                let by_class = |class: usize| (0..n).filter(move |f| f % 3 == class);
-                for f in by_class(0).chain(by_class(1)).chain(by_class(2)) {
-                    grouped.add_flow(p.weights[f], p.ceilings[f]);
-                }
-                grouped.add_resource(ResourceKind::Egress(0), cap, &members);
-                let c_rate = |p: &FairnessProblem| *allocate_max_min(p).last().expect("n >= 6");
-                if c_rate(&p).to_bits() != c_rate(&grouped).to_bits() {
-                    sensitive += 1;
-                }
+                sensitive += usize::from(order_sensitive(&net, &flows, rates[flows.len() - 1]));
             }
             assert!(sensitive >= 20, "only {sensitive} of 200 draws are order-sensitive");
         }
 
         #[test]
         fn a_class_split_by_a_saturated_resource_keeps_both_rates() {
-            // Members 0 and 1 of the class sit behind a tight NIC and
-            // freeze below the ceiling in round one; members 3 and 4 go on
-            // to reach it, and must neither re-freeze nor overwrite them.
-            let mut p = FairnessProblem::new();
-            for _ in 0..2 {
-                p.add_flow(0.7, 400.0);
-            }
-            p.add_flow(1.3, 900.0);
-            for _ in 0..2 {
-                p.add_flow(0.7, 400.0);
-            }
-            p.add_resource(ResourceKind::Egress(0), 300.0, &[0, 1, 2]);
-            p.add_resource(ResourceKind::Egress(1), 800.0, &[3, 4]);
-            let shape = assert_bit_identical(&p);
+            // Two flows of the class sit behind host 0's tight NIC and
+            // freeze below the ceiling in round one; two out of host 1 go
+            // on to reach it, and must neither re-freeze nor overwrite
+            // them.
+            let mut net = PaletteNet::open(4);
+            (net.nics[0].0, net.nics[1].0) = (300.0, 800.0);
+            *net.pair_mut(0, 2) = (0.7, 400.0, INF);
+            *net.pair_mut(1, 2) = (0.7, 400.0, INF);
+            *net.pair_mut(0, 3) = (1.3, 900.0, INF);
+            let flows = [(0, 2, 1), (0, 2, 1), (0, 3, 1), (1, 2, 1), (1, 2, 1)];
+            let (rates, shape) = solve(&net, &flows);
             assert_eq!((shape.flows, shape.classes), (5, 2), "{shape:?}");
-            let rates = allocate_max_min(&p);
             assert!(rates[0] < 100.0 && rates[0] == rates[1], "{rates:?}");
             assert_eq!((rates[3], rates[4]), (400.0, 400.0));
         }
@@ -1834,53 +1902,31 @@ mod tests {
             // it stayed in the live list, its phantom ceiling at t = 1000
             // would cut the last round (B to its ceiling at 500, then C's
             // NIC at 1500) in two.
-            let mut p = FairnessProblem::new();
-            for _ in 0..3 {
-                p.add_flow(1.0, 1000.0); // A
-            }
-            for _ in 0..2 {
-                p.add_flow(0.9, 450.0); // B
-            }
-            for _ in 0..2 {
-                p.add_flow(0.7, 2000.0); // C
-            }
-            p.add_resource(ResourceKind::Egress(0), 300.0, &[0, 1, 2]);
-            p.add_resource(ResourceKind::Egress(1), 2100.0, &[5, 6]);
-            let shape = assert_bit_identical(&p);
+            let mut net = PaletteNet::open(5);
+            (net.nics[0].0, net.nics[1].0) = (300.0, 2100.0);
+            *net.pair_mut(0, 1) = (1.0, 1000.0, INF); // A
+            *net.pair_mut(2, 3) = (0.9, 450.0, INF); // B
+            *net.pair_mut(1, 4) = (0.7, 2000.0, INF); // C
+            let flows =
+                [(0, 1, 1), (0, 1, 1), (0, 1, 1), (2, 3, 1), (2, 3, 1), (1, 4, 1), (1, 4, 1)];
+            let shape = solve(&net, &flows).1;
             assert_eq!((shape.flows, shape.classes, shape.rounds), (7, 3, 3), "{shape:?}");
         }
 
         #[test]
-        fn a_member_listed_twice_is_frozen_once() {
-            let mut p = FairnessProblem::new();
-            for _ in 0..4 {
-                p.add_flow(0.9, 350.0);
-            }
-            p.add_flow(2.1, 5000.0);
-            // Saturates with its double entry still active…
-            p.add_resource(ResourceKind::Egress(0), 500.0, &[0, 1, 1, 4]);
-            // …and one whose double entry reaches the ceiling instead.
-            p.add_resource(ResourceKind::Egress(1), 700.0, &[2, 3, 3]);
-            let shape = assert_bit_identical(&p);
-            assert_eq!((shape.flows, shape.classes), (5, 2), "{shape:?}");
-        }
-
-        #[test]
         fn an_unbounded_class_stops_at_its_resources_or_not_at_all() {
-            let mut p = FairnessProblem::new();
-            for _ in 0..3 {
-                p.add_flow(1.5, f64::INFINITY);
-            }
-            for _ in 0..2 {
-                p.add_flow(0.4, 120.0);
-            }
-            // Flow 0 is capped by a resource; 1 and 2 are on none, so the
+            // Flow 0 of the unbounded class is capped by host 0's NIC;
+            // flows 1 and 2 cross only unbounded NICs and a path, so the
             // solve ends on a non-finite `t_star` with their class live.
-            p.add_resource(ResourceKind::Egress(0), 600.0, &[0, 3]);
-            p.add_resource(ResourceKind::Egress(1), 1000.0, &[4]);
-            let shape = assert_bit_identical(&p);
+            let mut net = PaletteNet::open(4);
+            (net.nics[0].0, net.nics[1].0) = (600.0, 1000.0);
+            *net.pair_mut(0, 1) = (1.5, INF, INF);
+            *net.pair_mut(2, 3) = (1.5, INF, INF);
+            *net.pair_mut(0, 2) = (0.4, 120.0, INF);
+            *net.pair_mut(1, 2) = (0.4, 120.0, INF);
+            let flows = [(0, 1, 1), (2, 3, 1), (2, 3, 1), (0, 2, 1), (1, 2, 1)];
+            let (rates, shape) = solve(&net, &flows);
             assert_eq!((shape.flows, shape.classes), (5, 2), "{shape:?}");
-            let rates = allocate_max_min(&p);
             assert!((rates[0] - 480.0).abs() < 1e-6, "{rates:?}");
             assert!(rates[1] > 0.0 && rates[1] == rates[2], "{rates:?}");
         }
@@ -1889,151 +1935,41 @@ mod tests {
         fn dead_flows_join_no_class() {
             // Bit-equal to each other (and, but for the dead field, to a
             // live class): none of them may be counted, listed or grown.
-            let mut p = FairnessProblem::new();
-            for f in 0..12 {
-                match f % 4 {
-                    0 => p.add_flow(0.0, 250.0),
-                    1 => p.add_flow(1.1, 0.0),
-                    2 => p.add_flow(1.1, 1e-10),
-                    _ => p.add_flow(1.1, 250.0),
-                };
-            }
-            p.add_resource(ResourceKind::Egress(0), 600.0, &(0..12).collect::<Vec<_>>());
-            let shape = assert_bit_identical(&p);
+            let net = fan_out(600.0, &[(0.0, 250.0), (1.1, 0.0), (1.1, 1e-10), (1.1, 250.0)]);
+            let flows: Vec<Flow> = (0..12).map(|f| (0, 1 + f % 4, 1)).collect();
+            let (rates, shape) = solve(&net, &flows);
             assert_eq!((shape.flows, shape.classes), (3, 1), "{shape:?}");
-            let rates = allocate_max_min(&p);
             assert!((0..12).all(|f| (rates[f] > 0.0) == (f % 4 == 3)), "{rates:?}");
         }
 
         #[test]
         fn a_stalled_solve_leaves_its_live_classes_their_rate() {
-            // Round one ends at class A's ceiling with 5e-7 Mbps of the
-            // NIC left for weights of 2 000: round two's `t_star` is under
-            // EPS, the NIC saturates, and the solve stops with class C —
-            // on no live resource — still active at what it had reached.
-            let mut p = FairnessProblem::new();
-            for _ in 0..2 {
-                p.add_flow(1000.0, 100.0); // A
-            }
-            for _ in 0..2 {
-                p.add_flow(1000.0, 1000.0); // B
-            }
-            for _ in 0..3 {
-                p.add_flow(500.0, 5000.0); // C
-            }
-            p.add_resource(ResourceKind::Egress(0), 400.0 + 5e-7, &[0, 1, 2, 3]);
-            let shape = assert_bit_identical(&p);
+            // Round one ends at class A's ceiling with 5e-7 Mbps of host
+            // 0's NIC left for weights of 2 000: round two's `t_star` is
+            // under EPS, the NIC saturates, and the solve stops with class
+            // C — on no binding resource — still active at what it had
+            // reached.
+            let mut net = fan_out(400.0 + 5e-7, &[(1000.0, 100.0), (1000.0, 1000.0)]);
+            *net.pair_mut(2, 1) = (500.0, 5000.0, INF); // C
+            let flows =
+                [(0, 1, 1), (0, 1, 1), (0, 2, 1), (0, 2, 1), (2, 1, 1), (2, 1, 1), (2, 1, 1)];
+            let (rates, shape) = solve(&net, &flows);
             assert_eq!((shape.flows, shape.classes, shape.rounds), (7, 3, 2), "{shape:?}");
-            let rates = allocate_max_min(&p);
             assert!(rates[4] > 50.0 && rates[4] < 50.001, "{rates:?}");
             assert!(rates[4] == rates[5] && rates[5] == rates[6], "{rates:?}");
         }
     }
 
-    /// A standing [`PairFlows`] against the problem a build over the same
-    /// flows makes: the same resources with the same members in the same
-    /// order, the same solve (`last_shape`, rounds included), every rate
-    /// bit for bit — after joins, departures, connection edits and
-    /// renumberings, on networks whose answers come from small palettes
-    /// (classes repeat, some flows are dead, NICs and paths bind, sit
-    /// slack or are shut).
+    /// A standing [`PairFlows`] against the stateless filing of the same
+    /// flows and the problem a build over them makes: the same resources
+    /// with the same members in the same order, the same solve
+    /// (`last_shape`, rounds included), every rate bit for bit — after
+    /// joins, departures, connection edits and renumberings, on networks
+    /// whose answers come from small palettes (classes repeat, some flows
+    /// are dead, NICs and paths bind, sit slack or are shut).
     mod description_parity {
         use super::*;
         use proptest::prelude::*;
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-
-        /// Per host the two NIC capacities; per directed pair the weight
-        /// and ceiling of one connection and the path capacity.
-        struct PaletteNet {
-            hosts: usize,
-            nics: Vec<(f64, f64)>,
-            pairs: Vec<(f64, f64, f64)>,
-        }
-
-        impl PaletteNet {
-            fn new(rng: &mut StdRng, hosts: usize) -> Self {
-                let mut pick = |palette: &[f64]| palette[rng.gen_range(0..palette.len())];
-                let nic = [0.0, 90.0, 400.0, 1e9];
-                let nics = (0..hosts).map(|_| (pick(&nic), pick(&nic))).collect();
-                let pairs = (0..hosts * hosts)
-                    .map(|_| {
-                        let ceiling = pick(&[0.0, 35.0, 120.0, 120.0, f64::INFINITY]);
-                        (pick(&[0.5, 1.0, 1.0, 1.7]), ceiling, pick(&[0.0, 150.0, 4000.0, 4000.0]))
-                    })
-                    .collect();
-                Self { hosts, nics, pairs }
-            }
-        }
-
-        impl Network for PaletteNet {
-            type Pair = (f64, f64, f64);
-
-            fn egress_cap_mbps(&self, host: usize, conns: u32) -> f64 {
-                self.nics[host].0 / (1.0 + f64::from(conns) / 64.0)
-            }
-
-            fn ingress_cap_mbps(&self, host: usize, conns: u32) -> f64 {
-                self.nics[host].1 / (1.0 + f64::from(conns) / 64.0)
-            }
-
-            fn pair(&self, src: usize, dst: usize) -> Self::Pair {
-                self.pairs[src * self.hosts + dst]
-            }
-
-            fn path_cap_mbps(&self, pair: &Self::Pair) -> f64 {
-                pair.2
-            }
-
-            fn weight(&self, pair: &Self::Pair, conns: u32) -> f64 {
-                f64::from(conns) * pair.0
-            }
-
-            fn ceiling_mbps(&self, pair: &Self::Pair, conns: u32) -> f64 {
-                f64::from(conns) * pair.1
-            }
-        }
-
-        /// A flow as a flow list names it.
-        type Flow = (usize, usize, u32);
-
-        /// The problem [`crate::NetSim::allocate_rates_with`] builds for
-        /// `flows` on `net`: per host its egress members in `(dst, index)`
-        /// order and its ingress members by index, then the paths in
-        /// ascending `(src, dst)`.
-        fn build(net: &PaletteNet, flows: &[Flow]) -> FairnessProblem {
-            let mut p = FairnessProblem::new();
-            let mut host_conns = vec![0; net.hosts];
-            for &(src, dst, conns) in flows {
-                let pair = net.pair(src, dst);
-                p.add_flow(net.weight(&pair, conns), net.ceiling_mbps(&pair, conns));
-                host_conns[src] += conns;
-                host_conns[dst] += conns;
-            }
-            let mut by_pair: Vec<usize> = (0..flows.len()).collect();
-            by_pair.sort_by_key(|&f| (flows[f].0, flows[f].1, f));
-            for (host, &conns) in host_conns.iter().enumerate() {
-                let egress: Vec<usize> =
-                    by_pair.iter().copied().filter(|&f| flows[f].0 == host).collect();
-                if !egress.is_empty() {
-                    let cap = net.egress_cap_mbps(host, conns);
-                    p.add_resource(ResourceKind::Egress(host), cap, &egress);
-                }
-                let ingress: Vec<usize> =
-                    (0..flows.len()).filter(|&f| flows[f].1 == host).collect();
-                if !ingress.is_empty() {
-                    let cap = net.ingress_cap_mbps(host, conns);
-                    p.add_resource(ResourceKind::Ingress(host), cap, &ingress);
-                }
-            }
-            for run in
-                by_pair.chunk_by(|&a, &b| flows[a].0 == flows[b].0 && flows[a].1 == flows[b].1)
-            {
-                let (src, dst, _) = flows[run[0]];
-                let cap = net.path_cap_mbps(&net.pair(src, dst));
-                p.add_resource(ResourceKind::Path(src, dst), cap, run);
-            }
-            p
-        }
 
         /// A [`PairFlows`] under edit, beside the flow list it stands for
         /// (`None`: a slot whose flow has left).
@@ -2047,13 +1983,24 @@ mod tests {
             fn new(seed: u64) -> (Self, StdRng) {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let hosts = rng.gen_range(2usize..7);
+                (Self::on(PaletteNet::new(&mut rng, hosts)), rng)
+            }
+
+            /// Nothing standing yet on `net`.
+            fn on(net: PaletteNet) -> Self {
                 let mut set = PairFlows::default();
-                set.set_hosts(hosts);
-                (Self { net: PaletteNet::new(&mut rng, hosts), set, slots: Vec::new() }, rng)
+                set.set_hosts(net.hosts);
+                Self { net, set, slots: Vec::new() }
             }
 
             fn live(&self) -> Vec<usize> {
                 (0..self.slots.len()).filter(|&slot| self.slots[slot].is_some()).collect()
+            }
+
+            /// A flow joins under the next slot.
+            fn push(&mut self, (src, dst, conns): Flow) {
+                self.set.insert(self.slots.len() as u32, src, dst, conns);
+                self.slots.push(Some((src, dst, conns)));
             }
 
             /// A tenant joins: one flow of `conns` connections on each of
@@ -2062,8 +2009,7 @@ mod tests {
                 let hosts = self.net.hosts;
                 for (src, dst) in (0..hosts).flat_map(|i| (0..hosts).map(move |j| (i, j))) {
                     if src != dst && (all || rng.gen_range(0..3) != 0) {
-                        self.set.insert(self.slots.len() as u32, src, dst, conns);
-                        self.slots.push(Some((src, dst, conns)));
+                        self.push((src, dst, conns));
                     }
                 }
             }
@@ -2111,47 +2057,21 @@ mod tests {
                 }
             }
 
-            /// Holds the standing set to a build over its flow list:
-            /// resources, members, capacities, shape and every rate.
+            /// Holds the standing set to the stateless filing of its flow
+            /// list (shape and every rate) and to a build over it
+            /// (resources, members, capacities).
             fn check(&self, ws: &mut FairnessWorkspace) -> SolveShape {
                 let live = self.live();
                 let flows: Vec<Flow> = live.iter().map(|&slot| self.slots[slot].unwrap()).collect();
-                let fresh = build(&self.net, &flows);
                 ws.solve_pairs(&self.set, &self.net, self.slots.len());
-                let mut reference = FairnessWorkspace::new();
-                reference.solve(&fresh);
+                let (rates, shape) = solve(&self.net, &flows);
                 for (f, &slot) in live.iter().enumerate() {
-                    let (got, want) = (ws.rates()[slot], reference.rates()[f]);
+                    let (got, want) = (ws.rates()[slot], rates[f]);
                     assert_eq!(got.to_bits(), want.to_bits(), "slot {slot}: {got} vs {want}");
                 }
-                assert_eq!(ws.last_shape(), reference.last_shape());
-
-                let hosts = self.net.hosts;
-                let views = PairMembers { flows: &self.set, solve: &ws.pair_solve };
-                let nics = (0..2 * hosts).filter(|&r| match r % 2 {
-                    0 => !self.set.egress[r / 2].is_empty(),
-                    _ => !self.set.ingress[r / 2].is_empty(),
-                });
-                let listed: Vec<usize> =
-                    nics.chain((0..ws.pair_solve.paths.len()).map(|k| 2 * hosts + k)).collect();
-                assert_eq!(listed.len(), fresh.resource_count());
-                for (&r, (kind, cap, members)) in listed.iter().zip(fresh.resources()) {
-                    let want = match r.checked_sub(2 * hosts) {
-                        Some(k) => {
-                            let (src, lo, _) = ws.pair_solve.paths[k];
-                            let dst = self.set.egress[src as usize][lo as usize].dst;
-                            ResourceKind::Path(src as usize, dst as usize)
-                        }
-                        None if r % 2 == 0 => ResourceKind::Egress(r / 2),
-                        None => ResourceKind::Ingress(r / 2),
-                    };
-                    assert_eq!(kind, want);
-                    assert_eq!(views.capacities()[r].to_bits(), cap.to_bits(), "{kind:?}");
-                    let slots: Vec<usize> = views.members(r).collect();
-                    let want: Vec<usize> = members.iter().map(|&m| live[m]).collect();
-                    assert_eq!(slots, want, "{kind:?}");
-                }
-                ws.last_shape()
+                assert_eq!(ws.last_shape(), shape);
+                assert_views(&self.set, ws, &build(&self.net, &flows), &live);
+                shape
             }
         }
 
@@ -2199,48 +2119,20 @@ mod tests {
 
         #[test]
         fn classes_tied_at_their_ceilings_freeze_in_slot_order() {
-            // `class_parity`'s order-sensitive case, standing: two pairs
-            // into one host with one headroom ratio reach their ceilings
-            // in round one, their flows interleaved by slot (tenant by
-            // tenant) on the ingress NIC, which a third pair keeps
-            // filling — its rate depends on the order of the NIC's
-            // weight subtractions.
+            // `class_parity`'s order-sensitive case, standing: the tied
+            // pairs' flows join tenant by tenant, so host 3's slot list
+            // interleaves them as the stateless filing does.
             let mut sensitive = 0;
             for seed in 0..200 {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let ratio = rng.gen_range(20.0..400.0);
-                let w = [rng.gen_range(0.1..3.0), rng.gen_range(0.1..3.0), rng.gen_range(0.1..3.0)];
-                let tenants = rng.gen_range(2usize..12);
-                let mut pairs = vec![(1.0, 0.0, 1e12); 16];
-                pairs[3] = (w[0], w[0] * ratio, 1e12); // 0 → 3
-                pairs[4 + 3] = (w[1], w[1] * ratio, 1e12); // 1 → 3
-                pairs[8 + 3] = (w[2], 1e9, 1e12); // 2 → 3
-                let at_tie = tenants as f64 * (w[0] + w[1] + w[2]) * ratio;
-                let mut nics = vec![(1e12, 1e12); 4];
-                nics[3].1 = at_tie * rng.gen_range(1.1..2.0) * (1.0 + 3.0 * tenants as f64 / 64.0);
-                let net = PaletteNet { hosts: 4, nics, pairs };
-                let mut set = PairFlows::default();
-                set.set_hosts(4);
-                let mut standing = Standing { net, set, slots: Vec::new() };
-                for _ in 0..tenants {
-                    for src in 0..3 {
-                        standing.set.insert(standing.slots.len() as u32, src, 3, 1);
-                        standing.slots.push(Some((src, 3, 1)));
-                    }
-                }
+                let (net, flows) = tied(seed);
+                let mut standing = Standing::on(net);
+                flows.iter().for_each(|&flow| standing.push(flow));
                 let mut ws = FairnessWorkspace::new();
                 let shape = standing.check(&mut ws);
                 assert_eq!((shape.classes, shape.live_resources), (3, 1), "{shape:?}");
                 assert!(shape.rounds >= 2, "{shape:?}");
-                let last = ws.rates()[3 * tenants - 1];
-
-                // The same flows with the tied pairs' members pair by
-                // pair — the order the pair lists alone would give.
-                let by_pair = (0..3).flat_map(|src| (0..tenants).map(move |_| (src, 3usize, 1u32)));
-                let grouped = build(&standing.net, &by_pair.collect::<Vec<_>>());
-                if allocate_max_min(&grouped)[3 * tenants - 1].to_bits() != last.to_bits() {
-                    sensitive += 1;
-                }
+                let last = ws.rates()[flows.len() - 1];
+                sensitive += usize::from(order_sensitive(&standing.net, &flows, last));
             }
             assert!(sensitive >= 20, "only {sensitive} of 200 draws are order-sensitive");
         }
@@ -2273,43 +2165,42 @@ mod tests {
         }
     }
 
-    #[cfg(test)]
     mod properties {
         use super::*;
         use proptest::prelude::*;
 
-        fn arb_problem() -> impl Strategy<Value = FairnessProblem> {
-            (2usize..6, 1usize..4).prop_flat_map(|(nf, nr)| {
-                let flows = proptest::collection::vec((0.1f64..10.0, 10.0f64..5000.0), nf);
-                let resources = proptest::collection::vec(
-                    (50.0f64..3000.0, proptest::collection::vec(0usize..nf, 1..=nf)),
-                    nr,
-                );
-                (flows, resources).prop_map(|(flows, resources)| {
-                    let mut p = FairnessProblem::new();
-                    for (w, c) in flows {
-                        p.add_flow(w, c);
-                    }
-                    for (i, (cap, mut members)) in resources.into_iter().enumerate() {
-                        members.sort_unstable();
-                        members.dedup();
-                        p.add_resource(ResourceKind::Egress(i), cap, &members);
-                    }
-                    p
+        /// 2–5 flows among 2–4 hosts at 1–3 connections: every pair's one
+        /// connection has a random weight and ceiling, every NIC and path a
+        /// random capacity.
+        fn plain_flows(seed: u64) -> (PaletteNet, Vec<Flow>) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let hosts = rng.gen_range(2usize..5);
+            let mut net = PaletteNet::open(hosts);
+            for pair in &mut net.pairs {
+                let (w, c) = (rng.gen_range(0.1..10.0), rng.gen_range(10.0..5000.0));
+                *pair = (w, c, rng.gen_range(50.0..3000.0));
+            }
+            for nic in &mut net.nics {
+                *nic = (rng.gen_range(50.0..3000.0), rng.gen_range(50.0..3000.0));
+            }
+            let flows = (0..rng.gen_range(2usize..6))
+                .map(|_| {
+                    let conns = rng.gen_range(1u32..4);
+                    any_flow(&mut rng, hosts, conns)
                 })
-            })
+                .collect();
+            (net, flows)
         }
 
-        /// Problems built to stress the active-set solver's parity with
-        /// the reference: dead flows (zero or sub-epsilon weight or
-        /// ceiling), weights spread over fourteen decades, unbounded
-        /// ceilings, and capacities sitting on the slack-test edge.
-        pub(super) fn adversarial_problem(seed: u64) -> FairnessProblem {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            let mut p = FairnessProblem::new();
-            let nf = rng.gen_range(1usize..48);
-            for _ in 0..nf {
+        /// Flows built to stress the active-set solver's parity with the
+        /// reference: dead pairs (zero or sub-epsilon weight or ceiling),
+        /// weights spread over fourteen decades, unbounded ceilings, and
+        /// capacities sitting on the slack-test edge.
+        pub(super) fn adversarial_flows(seed: u64) -> (PaletteNet, Vec<Flow>) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let hosts = rng.gen_range(2usize..7);
+            let mut net = PaletteNet::open(hosts);
+            for pair in &mut net.pairs {
                 let w = match rng.gen_range(0u32..10) {
                     0 => 0.0,
                     1 => 1e-10,
@@ -2318,48 +2209,46 @@ mod tests {
                 };
                 let c = match rng.gen_range(0u32..12) {
                     0 => 0.0,
-                    1 => f64::INFINITY,
+                    1 => INF,
                     2 => 1e9,
                     _ => rng.gen_range(1.0..5000.0),
                 };
-                p.add_flow(w, c);
+                *pair = (w, c, INF);
             }
-            let nr = rng.gen_range(1usize..10);
-            for r in 0..nr {
-                let mut members: Vec<usize> =
-                    (0..nf).filter(|_| rng.gen_range(0u32..3) == 0).collect();
-                if members.is_empty() {
-                    members.push(rng.gen_range(0..nf));
-                }
-                let sum = ceiling_sum(&p, &members);
-                let cap = match rng.gen_range(0u32..8) {
-                    0 => sum,
-                    1 => f64::from_bits(sum.to_bits() + 1),
-                    2 => f64::from_bits(sum.to_bits().saturating_sub(1)),
-                    3 => sum + rng.gen_range(0.0..1e-8),
-                    4 => sum * (1.0 + rng.gen_range(0.0..1e-10)),
-                    5 => 4000.0,
-                    _ => rng.gen_range(50.0..3000.0),
-                };
-                p.add_resource(ResourceKind::Egress(r), cap, &members);
-            }
-            p
+            let flows: Vec<Flow> = (0..rng.gen_range(1usize..48))
+                .map(|_| {
+                    let conns = rng.gen_range(1u32..4);
+                    any_flow(&mut rng, hosts, conns)
+                })
+                .collect();
+            draw_caps(&mut net, &flows, |sum| match rng.gen_range(0u32..8) {
+                0 => sum,
+                1 => f64::from_bits(sum.to_bits() + 1),
+                2 => f64::from_bits(sum.to_bits().saturating_sub(1)),
+                3 => sum + rng.gen_range(0.0..1e-8),
+                4 => sum * (1.0 + rng.gen_range(0.0..1e-10)),
+                5 => 4000.0,
+                _ => rng.gen_range(50.0..3000.0),
+            });
+            (net, flows)
         }
 
         proptest! {
             #[test]
-            fn no_resource_oversubscribed(p in arb_problem()) {
-                let rates = allocate_max_min(&p);
-                for (kind, cap, members) in p.resources() {
+            fn no_resource_oversubscribed(seed in 0u64..u64::MAX) {
+                let (net, flows) = plain_flows(seed);
+                let rates = solve(&net, &flows).0;
+                for (kind, cap, members) in build(&net, &flows).resources() {
                     let used = total(&rates, members);
-                    prop_assert!(used <= cap + 1e-6,
-                        "{kind:?} used {used} of {cap}");
+                    prop_assert!(used <= cap + 1e-6, "{kind:?} used {used} of {cap}");
                 }
             }
 
             #[test]
-            fn no_flow_exceeds_ceiling(p in arb_problem()) {
-                let rates = allocate_max_min(&p);
+            fn no_flow_exceeds_ceiling(seed in 0u64..u64::MAX) {
+                let (net, flows) = plain_flows(seed);
+                let rates = solve(&net, &flows).0;
+                let p = build(&net, &flows);
                 for (f, &rate) in rates.iter().enumerate() {
                     prop_assert!(rate <= p.ceilings[f] + 1e-6);
                     prop_assert!(rate >= 0.0);
@@ -2367,9 +2256,11 @@ mod tests {
             }
 
             #[test]
-            fn allocation_is_pareto_efficient(p in arb_problem()) {
+            fn allocation_is_pareto_efficient(seed in 0u64..u64::MAX) {
                 // Every flow is blocked by its ceiling or by a saturated resource.
-                let rates = allocate_max_min(&p);
+                let (net, flows) = plain_flows(seed);
+                let rates = solve(&net, &flows).0;
+                let p = build(&net, &flows);
                 for f in 0..p.flow_count() {
                     if rates[f] + 1e-6 >= p.ceilings[f] {
                         continue;
@@ -2377,8 +2268,7 @@ mod tests {
                     let blocked = p.resources().any(|(_, cap, members)| {
                         members.contains(&f) && total(&rates, members) + 1e-6 >= cap
                     });
-                    let unconstrained = !p.resources().any(|(_, _, members)| members.contains(&f));
-                    prop_assert!(blocked || unconstrained,
+                    prop_assert!(blocked,
                         "flow {f} at {} below ceiling {} with slack everywhere",
                         rates[f], p.ceilings[f]);
                 }
@@ -2386,18 +2276,22 @@ mod tests {
 
             #[test]
             fn active_set_solver_is_bit_identical_to_reference(seed in 0u64..u64::MAX) {
-                assert_bit_identical(&adversarial_problem(seed));
+                let (net, flows) = adversarial_flows(seed);
+                solve(&net, &flows);
             }
 
             #[test]
-            fn active_set_solver_is_bit_identical_on_plain_problems(p in arb_problem()) {
-                assert_bit_identical(&p);
+            fn active_set_solver_is_bit_identical_on_plain_problems(seed in 0u64..u64::MAX) {
+                let (net, flows) = plain_flows(seed);
+                let shape = solve(&net, &flows).1;
+                prop_assert!(shape.flows == flows.len() && shape.rounds >= 1, "{:?}", shape);
             }
 
             #[test]
-            fn incremental_matches_reference_solver(p in arb_problem()) {
-                let fast = allocate_max_min(&p);
-                let slow = reference_solve(&p);
+            fn incremental_matches_reference_solver(seed in 0u64..u64::MAX) {
+                let (net, flows) = plain_flows(seed);
+                let fast = solve(&net, &flows).0;
+                let slow = reference_solve(&build(&net, &flows));
                 for (f, (&a, &b)) in fast.iter().zip(&slow).enumerate() {
                     prop_assert!((a - b).abs() < 1e-6,
                         "flow {f}: incremental {a} vs reference {b}");

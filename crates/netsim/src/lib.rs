@@ -34,11 +34,16 @@
 //! Live dynamics stay coalescible because [`Dynamics`] is quantized onto
 //! a configurable tick ([`LinkModelParams::dynamics_tick_s`]); hooks stay
 //! coalescible when they schedule their wakes via
-//! [`EpochHook::next_wake`], as the AIMD agent does. The solver runs
-//! allocation-free through [`FairnessWorkspace`] / [`RateScratch`]
-//! reusable buffers. Only the legacy continuous dynamics
-//! (`dynamics_tick_s <= 0`) and hooks that decline to schedule force
-//! stepping every epoch.
+//! [`EpochHook::next_wake`], as the AIMD agent does. Only the legacy
+//! continuous dynamics (`dynamics_tick_s <= 0`) and hooks that decline to
+//! schedule force stepping every epoch.
+//!
+//! Every solve reads one pair-major description of its flows (see the
+//! [`fairness`] module docs): the loop keeps its own standing between
+//! events and edits it, and the stateless [`NetSim::allocate_rates_with`]
+//! under gauges and probes files its flow list into a reusable
+//! [`RateScratch`]. Both are allocation-free once their buffers have
+//! grown.
 //!
 //! The loop has two entry points. [`NetSim::run_transfers`] is the
 //! blocking one: a single flow group with the network to itself, run to
@@ -87,9 +92,7 @@ mod params;
 pub use backbone::{Backbone, BackboneHierarchy};
 pub use dynamics::Dynamics;
 pub use engine::{GroupId, GroupReport, NetEngine};
-pub use fairness::{
-    allocate_max_min, FairnessProblem, FairnessWorkspace, ResourceKind, SolveShape,
-};
+pub use fairness::SolveShape;
 pub use faults::{FaultEvent, FaultKind, FaultSchedule};
 pub use flow::{FlowId, FlowSpec, Transfer, TransferReport};
 pub use geo::{haversine_miles, GeoPoint, Region};

@@ -25,22 +25,22 @@
 //! `None`, the default) force stepping every epoch.
 //!
 //! There is one such loop in the crate and it lives in [`crate::engine`].
-//! This module holds what it is made of — the per-pair anchor accounting,
-//! the drain and event horizons, the rate allocation
-//! ([`NetSim::allocate_rates_with`], the stateless entry: build the
-//! problem from a flow list, solve it; and the simulator's answers to a
-//! solve over flows the loop keeps standing between events, through
-//! `fairness::Network`) — and its blocking entry point: [`NetSim::run_transfers`] submits one flow group to the
-//! loop, seats its optional [`EpochHook`] on it and advances to
-//! completion. [`crate::NetEngine`] is the resumable, multi-tenant entry
-//! point to the same loop.
+//! This module holds what it is made of: the per-pair anchor accounting,
+//! the drain and event horizons, and the simulator's answers to a
+//! fairness solve (through `fairness::Network`). It also holds two entry
+//! points. [`NetSim::allocate_rates_with`] is the stateless one: it files
+//! a flow list pair-major and solves it, for gauges and probes.
+//! [`NetSim::run_transfers`] is the blocking one: it submits one flow
+//! group to the loop, seats its optional [`EpochHook`] on it and advances
+//! to completion. [`crate::NetEngine`] is the resumable, multi-tenant
+//! entry point to the same loop.
 //!
 //! [`NetSim::last_run_stats`] reports how many solves the previous run
 //! performed, which the perf tests and `BENCH_netsim.json` runner track.
 
 use crate::dynamics::Dynamics;
 use crate::engine::{HookSeat, TransferLoop};
-use crate::fairness::{FairnessProblem, FairnessWorkspace, Network, ResourceKind};
+use crate::fairness::{FairnessWorkspace, Network, PairFlows, SolveShape};
 use crate::faults::{ActiveFaults, FaultSchedule};
 use crate::flow::{FlowSpec, Transfer, TransferReport};
 use crate::grid::{BwMatrix, ConnMatrix, Grid};
@@ -114,11 +114,11 @@ pub trait EpochHook {
 pub struct RunStats {
     /// Fairness solves performed (one per rate segment).
     pub solves: u64,
-    /// Solves that first renumbered the standing flow-set description
-    /// from end to end — the one maintenance step whose cost grows with
-    /// the flows in flight rather than with what changed (see the
-    /// [`crate::engine`] module docs).
-    pub builds: u64,
+    /// Solves that first renumbered the slots of the standing flow-set
+    /// description from end to end — the one maintenance step whose cost
+    /// grows with the flows in flight rather than with what changed (see
+    /// the [`crate::engine`] module docs).
+    pub renumbers: u64,
     /// Flows in flight, summed over the solves: `flows / solves` is the
     /// size of the problem an event solves.
     pub flows: u64,
@@ -137,54 +137,19 @@ pub struct RunStats {
 /// solves on the hot path are allocation-free.
 #[derive(Debug, Clone, Default)]
 pub struct RateScratch {
-    problem: FairnessProblem,
+    /// The WAN flows of the last call, each under its input index.
+    flows: PairFlows,
     ws: FairnessWorkspace,
-    /// Problem index per input flow (`NOT_IN_PROBLEM` = not
-    /// WAN-constrained).
-    problem_index: Vec<usize>,
-    host_conns: Vec<u32>,
-    /// Each WAN flow, by problem index. (This and the two orderings below
-    /// are `u32`: a fleet's solve holds tens of thousands of flows, and the
-    /// per-flow buffers are the scratch's footprint.)
-    wan: Vec<WanFlow>,
-    /// WAN flows in stable order of destination — the ingress members —
-    /// with their per-DC bucket offsets.
-    dst_offsets: Vec<usize>,
-    by_dst: Vec<u32>,
-    /// `by_dst` stably re-sorted by source, i.e. ordered by `(src, dst)`:
-    /// egress members are the per-DC buckets, backbone paths the runs of
-    /// equal destination inside them.
-    src_offsets: Vec<usize>,
-    by_src: Vec<u32>,
-    cursor: Vec<usize>,
-    /// Rate per input flow of the last [`NetSim::allocate_rates_with`].
+    /// Rate per input flow of the last call.
     rates: Vec<f64>,
 }
 
-/// A WAN-constrained flow of a [`RateScratch`].
-#[derive(Debug, Clone, Copy)]
-struct WanFlow {
-    src: u32,
-    dst: u32,
-    conns: u32,
-}
-
 impl RateScratch {
-    /// Size of the last solve, and — in builds that run the transfer
-    /// loop's shadow oracle — a check that its rates are physically
-    /// possible ([`FairnessProblem::audit`]).
-    #[cfg(any(debug_assertions, test))]
-    pub(crate) fn audit(&self) -> crate::fairness::SolveShape {
-        self.problem.audit(self.ws.rates());
+    /// Size of the last solve: the flows, classes, live resources and
+    /// rounds a change to the solver would see on this input.
+    pub fn last_shape(&self) -> SolveShape {
         self.ws.last_shape()
     }
-}
-
-pub(crate) const NOT_IN_PROBLEM: usize = usize::MAX;
-
-/// Problem flow indices out of one of [`RateScratch`]'s `u32` orderings.
-fn as_members(list: &[u32]) -> impl Iterator<Item = usize> + '_ {
-    list.iter().map(|&m| m as usize)
 }
 
 /// Progress of one directed pair of a flow group through the transfer
@@ -774,12 +739,6 @@ impl NetSim {
         }
     }
 
-    /// Contention weight of a flow (connections × per-connection RTT bias).
-    /// Runtime state has no part in it.
-    fn flow_weight(&self, f: &FlowSpec) -> f64 {
-        f64::from(f.conns) * self.links.at(f.src, f.dst).conn_weight
-    }
-
     /// Allocates instantaneous rates (Mbps) to a set of concurrent flows
     /// under weighted max-min fairness with congestion-degraded NIC caps.
     ///
@@ -793,14 +752,14 @@ impl NetSim {
         self.allocate_rates_with(flows, &mut scratch).to_vec()
     }
 
-    /// Allocation-free variant of [`NetSim::allocate_rates`]: builds the
-    /// fairness problem in `scratch`'s reused buffers and solves it with
-    /// the reused workspace. Resources are constructed in a fully
-    /// deterministic order (per-DC egress/ingress, then backbone paths in
-    /// ascending `(src, dst)` order), so identical inputs always produce
-    /// bit-identical rates across runs and platforms. Building costs
-    /// O(flows + DCs): a one-flow gauge on a 64-DC topology does no
-    /// per-pair work.
+    /// Allocation-free variant of [`NetSim::allocate_rates`]: files the
+    /// flows pair-major in `scratch`'s reused lists, each under its input
+    /// index, and solves them with the reused workspace. Resources are
+    /// visited in a fully deterministic order (per-DC egress/ingress, then
+    /// backbone paths in ascending `(src, dst)` order), so identical inputs
+    /// always produce bit-identical rates across runs and platforms.
+    /// Filing costs O(flows + DCs): a one-flow gauge on a 64-DC topology
+    /// does no per-pair work.
     ///
     /// This is the stateless entry: gauges and probes call it, and the
     /// transfer loop, which keeps its flows standing between events
@@ -810,100 +769,17 @@ impl NetSim {
         flows: &[FlowSpec],
         scratch: &'s mut RateScratch,
     ) -> &'s [f64] {
-        let n = self.topo.len();
         let s = scratch;
-        s.problem.clear();
-        s.problem_index.clear();
-        s.host_conns.clear();
-        s.host_conns.resize(n, 0);
-        s.wan.clear();
-        s.src_offsets.clear();
-        s.src_offsets.resize(n + 1, 0);
-        s.dst_offsets.clear();
-        s.dst_offsets.resize(n + 1, 0);
-
-        for f in flows {
-            if f.src == f.dst || f.conns == 0 {
-                s.problem_index.push(NOT_IN_PROBLEM); // rated without a solve
-                continue;
-            }
-            // The ceiling waits for the flow's pair to be read, below.
-            let idx = s.problem.add_flow(self.flow_weight(f), 0.0);
-            s.problem_index.push(idx);
-            s.host_conns[f.src.0] += f.conns;
-            s.host_conns[f.dst.0] += f.conns;
-            s.wan.push(WanFlow { src: f.src.0 as u32, dst: f.dst.0 as u32, conns: f.conns });
-            s.src_offsets[f.src.0 + 1] += 1;
-            s.dst_offsets[f.dst.0 + 1] += 1;
-        }
-        let wan_flows = s.problem.flow_count();
-
-        // Two stable counting passes — by destination, then by source —
-        // leave the WAN flows ordered by (src, dst, index): O(flows + DCs),
-        // with no per-pair bucket however large the topology.
-        for k in 0..n {
-            s.src_offsets[k + 1] += s.src_offsets[k];
-            s.dst_offsets[k + 1] += s.dst_offsets[k];
-        }
-        s.by_dst.clear();
-        s.by_dst.resize(wan_flows, 0);
-        s.cursor.clear();
-        s.cursor.extend_from_slice(&s.dst_offsets[..n]);
-        for (idx, flow) in s.wan.iter().enumerate() {
-            let slot = &mut s.cursor[flow.dst as usize];
-            s.by_dst[*slot] = idx as u32;
-            *slot += 1;
-        }
-        s.by_src.clear();
-        s.by_src.resize(wan_flows, 0);
-        s.cursor.clear();
-        s.cursor.extend_from_slice(&s.src_offsets[..n]);
-        for &idx in &s.by_dst {
-            let slot = &mut s.cursor[s.wan[idx as usize].src as usize];
-            s.by_src[*slot] = idx;
-            *slot += 1;
-        }
-
-        for dc in 0..n {
-            let egress = &s.by_src[s.src_offsets[dc]..s.src_offsets[dc + 1]];
-            let ingress = &s.by_dst[s.dst_offsets[dc]..s.dst_offsets[dc + 1]];
-            if !egress.is_empty() {
-                let cap = self.egress_cap_mbps(dc, s.host_conns[dc]);
-                s.problem.add_resource_with(ResourceKind::Egress(dc), cap, as_members(egress));
-            }
-            if !ingress.is_empty() {
-                let cap = self.ingress_cap_mbps(dc, s.host_conns[dc]);
-                s.problem.add_resource_with(ResourceKind::Ingress(dc), cap, as_members(ingress));
-            }
-        }
-        // One backbone path per directed pair with at least one flow: the
-        // runs of equal (src, dst) in `by_src`, which come out in
-        // ascending (src, dst) order. A flow is on exactly one, so this
-        // is also where every ceiling is set, its pair read once.
-        let ends = |idx: u32| (s.wan[idx as usize].src, s.wan[idx as usize].dst);
-        for run in s.by_src.chunk_by(|&a, &b| ends(a) == ends(b)) {
-            let (src, dst) = ends(run[0]);
-            let pair = self.pair_state(src as usize, dst as usize);
-            for flow in as_members(run) {
-                s.problem.set_ceiling(flow, pair.ceiling_mbps(s.wan[flow].conns));
-            }
-            let path = ResourceKind::Path(src as usize, dst as usize);
-            s.problem.add_resource_with(path, self.path_cap_mbps(&pair), as_members(run));
-        }
-        s.ws.solve(&s.problem);
-
+        s.flows.file(self.topo.len(), flows);
+        s.ws.solve_pairs(&s.flows, self, flows.len());
+        let solved = s.ws.rates();
         s.rates.clear();
-        for (f, &idx) in flows.iter().zip(&s.problem_index) {
-            let rate = if idx != NOT_IN_PROBLEM {
-                s.ws.rates()[idx]
-            } else if f.src == f.dst && f.conns > 0 {
-                // Intra-DC transfers run at LAN speed; model as very fast.
-                INTRA_DC_MBPS
-            } else {
-                0.0
-            };
-            s.rates.push(rate);
-        }
+        s.rates.extend(flows.iter().enumerate().map(|(slot, f)| match (f.src == f.dst, f.conns) {
+            (_, 0) => 0.0,
+            // Intra-DC transfers run at LAN speed; model as very fast.
+            (true, _) => INTRA_DC_MBPS,
+            (false, _) => solved[slot],
+        }));
         &s.rates
     }
 
@@ -980,9 +856,8 @@ impl NetSim {
     }
 }
 
-/// The simulator as it stands, for a solve over flows that were standing
-/// before it: the same expressions [`NetSim::allocate_rates_with`] builds
-/// its problem from, each written once.
+/// The simulator as it stands, for a fairness solve: what the link model
+/// says of every NIC and directed pair at this instant.
 impl Network for NetSim {
     type Pair = PairState;
 
@@ -1013,12 +888,16 @@ impl Network for NetSim {
     }
 }
 
-/// Bit-exact references for the parity tests below: the rate allocation
-/// and the drain horizon as they stood before the fast paths, verbatim.
-#[cfg(test)]
-mod reference {
+/// Bit-exact references for the parity tests below and for the transfer
+/// loop's shadow oracle: the rate allocation and the drain horizon as they
+/// stood before the fast paths, verbatim.
+#[cfg(any(test, debug_assertions))]
+pub(crate) mod reference {
     use super::*;
-    use crate::fairness::reference::ReferenceWorkspace;
+    use crate::fairness::reference::{FairnessProblem, ReferenceWorkspace, ResourceKind};
+
+    /// Problem index of an input flow that no WAN resource constrains.
+    const NOT_IN_PROBLEM: usize = usize::MAX;
 
     /// `NetSim::unreserved_ceiling_mbps` straight from the link model:
     /// two `powf` and two provider lookups per call, no pair table.
@@ -1044,10 +923,12 @@ mod reference {
         f64::from(f.conns) * sim.params.conn_weight(dist)
     }
 
-    /// `NetSim::allocate_rates_with` with the `n² + 1`-bucket counting
-    /// sort, every resource kept, solved by the all-flows-per-round
-    /// reference solver.
-    pub(super) fn allocate_rates(sim: &NetSim, flows: &[FlowSpec]) -> Vec<f64> {
+    /// `NetSim::allocate_rates_with` straight from the link model: a
+    /// problem built flow by flow with the `n² + 1`-bucket counting sort,
+    /// every resource kept, solved by the all-flows-per-round reference
+    /// solver — whose rates the problem then holds to its physical limits
+    /// (`FairnessProblem::audit`).
+    pub(crate) fn allocate_rates(sim: &NetSim, flows: &[FlowSpec]) -> Vec<f64> {
         let n = sim.topo.len();
         let mut problem = FairnessProblem::new();
         let mut problem_index = Vec::new();
@@ -1129,7 +1010,7 @@ mod reference {
         }
 
         let mut ws = ReferenceWorkspace::default();
-        ws.solve(&problem);
+        problem.audit(ws.solve(&problem));
         flows
             .iter()
             .enumerate()
@@ -1147,6 +1028,7 @@ mod reference {
     }
 
     /// `drain_estimate` by way of `f64::ceil`.
+    #[cfg(test)]
     pub(super) fn drain_estimate(remaining: f64, quota: f64, served: u64) -> u64 {
         const CAP: u64 = 1 << 53;
         let est = ((remaining - PAYLOAD_EPS_GB) / quota).ceil();
@@ -1159,6 +1041,7 @@ mod reference {
 
     /// `epochs_to_drain` without the predecessor shortcut: always the
     /// binary search.
+    #[cfg(test)]
     pub(super) fn epochs_to_drain(remaining: f64, quota: f64, served: u64) -> Option<u64> {
         if quota <= 0.0 {
             return None;
@@ -1328,21 +1211,9 @@ mod tests {
         let mut s = RateScratch::default();
         let rate = sim.allocate_rates_with(&[FlowSpec::new(DcId(3), DcId(40), 1)], &mut s)[0];
         assert!(rate > 0.0);
-        let sizes = [
-            s.problem_index.len(),
-            s.host_conns.len(),
-            s.wan.len(),
-            s.dst_offsets.len(),
-            s.by_dst.len(),
-            s.src_offsets.len(),
-            s.by_src.len(),
-            s.cursor.len(),
-            s.rates.len(),
-            s.problem.flow_count(),
-            s.problem.resource_count(),
-        ];
-        assert!(sizes.iter().all(|&len| len <= 64 + 1), "{sizes:?}");
-        assert_eq!(s.problem.resource_count(), 3, "egress, ingress and one path");
+        let sizes = [s.flows.footprint(), s.ws.footprint(), s.rates.len()];
+        assert!(sizes.iter().all(|&len| len <= 2 * 64 + 1), "{sizes:?}");
+        assert_eq!(s.flows.size(), (1, 3), "egress, ingress and one path");
     }
 
     #[test]
@@ -1657,11 +1528,10 @@ mod tests {
         use proptest::prelude::*;
         use rand::Rng;
 
-        /// A simulator of 3, 8 or 64 DCs in a random runtime state: live
+        /// A simulator of `n` DCs in a random runtime state: live
         /// multipliers, throttles (some zero), backbone reservations and
         /// active faults (a downed DC, degraded links and hosts).
-        fn arb_sim(rng: &mut StdRng) -> NetSim {
-            let n = [3usize, 8, 64][rng.gen_range(0usize..3)];
+        fn arb_sim(rng: &mut StdRng, n: usize) -> NetSim {
             let vm = if rng.gen_range(0..2) == 0 { VmType::t2_medium() } else { VmType::t3_nano() };
             let topo = if n <= 8 { paper_testbed_n(vm, n) } else { paper_testbed_tiled(vm, n) };
             let params = if rng.gen_range(0..2) == 0 {
@@ -1789,25 +1659,33 @@ mod tests {
             #[test]
             fn allocate_rates_is_bit_identical_to_reference(seed in 0u64..u64::MAX) {
                 let mut rng = StdRng::seed_from_u64(seed);
-                let sim = arb_sim(&mut rng);
+                // Two simulators of different sizes, 3, 8 or 64 DCs, take
+                // turns on one scratch: its lists re-size at every turn,
+                // and no turn may leak into the next.
+                let first = rng.gen_range(0usize..3);
+                let second = (first + rng.gen_range(1usize..3)) % 3;
+                let sims = [first, second].map(|k| arb_sim(&mut rng, [3, 8, 64][k]));
                 let mut scratch = RateScratch::default();
-                // Several flow sets through one scratch: reuse must not leak.
                 for round in 0..4 {
+                    let sim = &sims[round % 2];
                     let n = sim.topology().len();
-                    let tenants = round % 2 == 1;
+                    let tenants = round / 2 == 1;
                     let flows =
                         if tenants { arb_tenant_flows(&mut rng, n) } else { arb_flows(&mut rng, n) };
                     let fast = sim.allocate_rates_with(&flows, &mut scratch);
-                    let slow = reference::allocate_rates(&sim, &flows);
+                    let slow = reference::allocate_rates(sim, &flows);
                     prop_assert_eq!(fast.len(), slow.len());
                     for (f, (a, b)) in fast.iter().zip(&slow).enumerate() {
                         prop_assert_eq!(a.to_bits(), b.to_bits(),
                             "flow {} {:?}: {} vs reference {}", f, flows[f], a, b);
                     }
+                    let mut fresh = RateScratch::default();
+                    sim.allocate_rates_with(&flows, &mut fresh);
+                    prop_assert_eq!(scratch.last_shape(), fresh.last_shape());
                     // Four tenants and three connection counts: any pair
                     // that is up repeats a class, so the class-sharing
                     // rounds ran on shared classes.
-                    let shape = scratch.ws.last_shape();
+                    let shape = scratch.last_shape();
                     prop_assert!(!tenants || shape.flows == 0 || shape.classes < shape.flows,
                         "{:?}", shape);
                 }
