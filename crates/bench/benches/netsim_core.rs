@@ -144,19 +144,17 @@ impl EpochHook for Watcher {
 }
 
 /// What one event of the transfer loop costs: each bench is a fixed script
-/// of events, and the line printed before it says how many (`solves`), how
-/// many of them first renumbered the standing flow set (`renumbers`) and how
-/// many flows an event solves, so the mean divides into a per-event and a
-/// per-flow figure.
+/// of events, and the line printed before it says how many (`solves`) and
+/// how many flows an event files and solves, so the mean divides into a
+/// per-event and a per-flow figure.
 fn bench_engine_events(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_events");
     group.sample_size(10);
     let mut bench = |name: &str, script: &dyn Fn() -> RunStats| {
         let stats = script();
         println!(
-            "engine_events/{name}: {} events · {} renumbers · {:.0} flows/event",
+            "engine_events/{name}: {} events · {:.0} flows/event",
             stats.solves,
-            stats.renumbers,
             stats.flows as f64 / stats.solves as f64
         );
         group.bench_function(name, |b| b.iter(|| black_box(script())));
@@ -182,7 +180,7 @@ fn bench_engine_events(c: &mut Criterion) {
     bench("8dc_8tenants", &|| churn(frozen_sim(8), (8, 1), 8, 64, |k| 0.5 + (k % 5) as f64));
 
     // One hooked group with its own connection count on every pair
-    // (`wanify-loop`): filed once, then only drains.
+    // (`wanify-loop`): 56 pairs at the start, then only drains.
     bench("8dc_lone_hooked", &|| {
         let mut sim = frozen_sim(8);
         let conns = ConnMatrix::from_fn(8, |i, j| 1 + ((3 * i + j) % 4) as u32);

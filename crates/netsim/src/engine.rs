@@ -35,70 +35,39 @@
 //! same pair share one flow (Spark executors multiplex a connection pool
 //! per peer).
 //!
-//! # The standing flow-set description
+//! # The flows in flight
 //!
 //! Every event ends in one weighted max-min solve over every pair in
-//! flight, and between two events of one loop the *set* of flows changes
-//! by a few pairs: some drained, perhaps a group joined. So the loop does
-//! not derive the fairness problem per event, and it does not sort one
-//! either. It keeps a **description** standing and edits it:
-//!
-//! * `TransferLoop::flows` gives every pair in flight a **slot**, in the
-//!   order a flow list would name them — submission order, then ascending
-//!   `(src, dst)`. A slot is never reused while its pair lives; the pair
-//!   of a slot that has drained is *retired* and the slot stays where it
-//!   is, skipped by every loop, until the slots are renumbered.
-//! * `TransferLoop::standing` (a `fairness::PairFlows`) files each WAN
-//!   pair once, with the flows of its directed DC pair, and the solver
-//!   reads the three member lists of the stateless
-//!   [`NetSim::allocate_rates_with`] — egress NIC, ingress NIC, backbone
-//!   path — off that filing, in that build's order.
-//!
-//! Each event then does two things: **solve** from zero, the solver
-//! asking the simulator, as it stands at that instant, for the ceilings
-//! and capacities (once per occupied pair and NIC, not per flow); and
-//! **serve**. Nothing is ever carried from one *solve* to the next (see
+//! flight. `TransferLoop::flows` lists those pairs in the order a flow
+//! list would name them — submission order, then ascending `(src, dst)` —
+//! each with its endpoints and connection count: a submission appends its
+//! group's pairs, a drain or [`NetEngine::cancel_group`] closes the list
+//! up behind the pairs that leave, and [`NetEngine::apply_conns`] or a
+//! seated hook's `EpochCtx::conns` rewrites the counts. Before each solve
+//! the loop files that list afresh by the counting pass
+//! [`NetSim::allocate_rates_with`] uses (`fairness::PairFlows::file`; an
+//! intra-DC pair is a gap no WAN resource constrains) and solves it from
+//! zero, the solver asking the simulator, as it stands at that instant,
+//! for the ceilings and capacities (once per occupied pair and NIC, not
+//! per flow). So no mutator — of the groups, the counts, the throttles,
+//! the backbone caps, the faults, the dynamics or the clock — has anything
+//! to maintain, nothing is carried from one solve to the next (see
 //! [`crate::fairness`], "What is kept between solves"), and no rate
-//! differs by a bit from the stateless entry's.
+//! differs by a bit from the stateless entry's over the same list.
 //!
-//! What can change between two events, and what it costs:
-//!
-//! | what happens | what changes | cost | pinned by (`description_parity::`) |
-//! |---|---|---|---|
-//! | [`NetEngine::submit`] | the newest group's pairs are the last of the flow list | **append**: the next slots, each pair at the end of its pair's list and its destination's | `a_submission_appends_and_a_completion_touches_nothing` |
-//! | a pair drains (`serve`, or inside a deadline's fraction) | one flow fewer, two host counts | **remove**: one pass over its source's list and its destination's, a host's worth of flows each, shared by every pair an event drains from them | `a_lone_group_is_renumbered_once_per_halving_and_its_hosts_follow_every_drain`, `a_pair_draining_inside_the_fraction_is_retired` |
-//! | a group completes | its pairs are retired already; later groups move down an index | group handles renumbered, lists untouched | `a_submission_appends_and_a_completion_touches_nothing` |
-//! | [`NetEngine::cancel_group`] | its live pairs leave, later groups move down | **remove**, pair by pair | `cancel_group_takes_its_pairs_out_one_by_one` |
-//! | [`NetEngine::apply_conns`], a seated hook's `EpochCtx::conns` | connection counts: weights, ceilings, host counts | **in place**: the changed entries and their two hosts | `apply_conns_rewrites_the_counts_in_flight_in_place`, `a_lone_hooked_run_renumbers_only_as_it_drains_whatever_the_hook_edits` |
-//! | retirements leave more than one retired slot per live one (`SPARSE`) | slot numbers, nothing else | **renumber**: one pass over the slots and the lists, counted in `RunStats::renumbers` | `a_churn_that_leaves_the_slots_sparse_is_renumbered_in_order`, `a_churning_fleet_finds_the_description_standing_at_most_events` |
-//! | [`NetSim::set_throttle`] / `clear_throttles`, a hook's `EpochCtx::throttles` | ceilings | none: read at the solve | `throttle_edits_reach_a_standing_description`, the hooked-run test |
-//! | [`NetEngine::apply_backbone_tiers`] (`set_backbone_caps`) | ceilings | none | `backbone_tiers_reach_a_standing_description` |
-//! | a fault boundary (`poll_faults`), `set_fault_schedule` | ceilings, path capacities | none | `fault_boundaries_reach_a_standing_description` |
-//! | a dynamics tick, `dynamics_mut()` | ceilings, path capacities | none | `dynamics_ticks_and_decay_reach_a_standing_description` |
-//! | a gauge through [`NetEngine::sim_mut`] | the clock, the RNG, so the multipliers | none | `a_gauge_through_sim_mut_reaches_a_standing_description` |
-//!
-//! The solve reads the simulator at every event, which is why none of its
-//! mutators has to know that a description stands. In debug and test
-//! builds every event also runs the **shadow oracle**
-//! (`TransferLoop::shadow_check`), which lists the active pairs afresh
-//! from the groups — the slots must name the same pairs in the same order
-//! — and referees the standing description's rates twice over:
-//!
-//! * as a *description* oracle, the stateless entry files that list and
-//!   solves it: every rate must agree on `f64::to_bits`, and the two
-//!   solves on their [`crate::fairness::SolveShape`];
-//! * as a *physics* oracle, the textbook reference
-//!   (`sim::reference::allocate_rates`) builds the problem from the link
-//!   model flow by flow and solves it by plain progressive filling — no
-//!   pair table, no filing, no classes, no pruning: every rate must agree
-//!   with it on `f64::to_bits` too, and its problem must find them
-//!   physically possible (finite, within ceilings and capacities).
+//! In debug and test builds every event also runs the **shadow oracle**
+//! (`TransferLoop::shadow_check`). It lists the active pairs afresh from
+//! the groups, and the loop's list must name the same pairs in the same
+//! order. Over that list the textbook reference
+//! (`sim::reference::allocate_rates`) builds the problem from the link
+//! model flow by flow and solves it by plain progressive filling — no pair
+//! table, no filing, no classes, no pruning: every rate must agree with it
+//! on `f64::to_bits`, and its problem must find them physically possible
+//! (finite, within ceilings and capacities).
 
 use crate::fairness::{FairnessWorkspace, PairFlows};
 use crate::flow::{FlowSpec, Transfer};
 use crate::grid::{BwMatrix, ConnMatrix, Grid};
-#[cfg(any(debug_assertions, test))]
-use crate::sim::RateScratch;
 use crate::sim::{
     epochs_until_event, EpochCtx, EpochHook, NetSim, PairProgress, RunStats, INTRA_DC_MBPS,
     MAX_EPOCHS, PAYLOAD_EPS_GB,
@@ -134,9 +103,6 @@ pub(crate) struct GroupState {
     id: GroupId,
     /// One entry per directed pair with payload, ascending `(src, dst)`.
     pub(crate) pairs: Vec<PairProgress>,
-    /// Parallel connections per entry of `pairs`, as submitted or as last
-    /// overwritten by [`NetEngine::apply_conns`] or a seated hook.
-    pair_conns: Vec<u32>,
     active_pairs: usize,
     submitted_s: f64,
     /// When the last pair drained (or the group was cancelled), seconds.
@@ -211,8 +177,8 @@ impl<'a> HookSeat<'a> {
 }
 
 /// The one event-coalescing transfer loop: flow groups in flight, the
-/// flow-set description standing between events, and the reused solver
-/// buffers. It borrows the simulator per call, so the blocking
+/// list of their pairs, and the reused filing and solver buffers. It
+/// borrows the simulator per call, so the blocking
 /// [`NetSim::run_transfers`] builds one on the stack and [`NetEngine`]
 /// keeps one next to the simulator it owns.
 #[derive(Debug)]
@@ -222,77 +188,76 @@ pub(crate) struct TransferLoop {
     /// Groups that completed instantly at submission (no WAN payload),
     /// delivered by the next `advance` call.
     ready: Vec<GroupState>,
-    /// Cumulative solves, flows, renumberings and epochs; callers mirror
-    /// it into [`NetSim::last_run_stats`].
+    /// Cumulative solves, flows and epochs; callers mirror it into
+    /// [`NetSim::last_run_stats`].
     pub(crate) stats: RunStats,
-    /// The **slots**: every pair in flight, in [`in_flight`] order, among
-    /// the [`RETIRED`] entries of pairs that have left since the last
-    /// renumbering. A pair's position here is its slot in `standing` and
-    /// the index of its rate.
+    /// Every pair in flight, in [`in_flight`] order. A pair's position
+    /// here is its slot in `filed` and the index of its rate.
     flows: Vec<FlowRef>,
-    /// Entries of `flows` that are not retired.
-    live: usize,
-    /// The WAN pairs of `flows`, filed for the solver.
-    standing: PairFlows,
+    /// `flows` as the last solve filed them.
+    filed: PairFlows,
     ws: FairnessWorkspace,
-    /// Slots of the pairs drained by the serve under way.
+    /// Slots of the pairs drained by the serve under way, ascending.
     drained: Vec<u32>,
-    /// Where `collect_completed` moves each group and `renumber` each
-    /// slot, by index.
+    /// Where `collect_completed` moves each group, by index.
     moved_to: Vec<u32>,
     /// `(src · n + dst, gigabits)` per submitted transfer, for merging a
     /// group's transfers per directed pair.
     merge: Vec<(usize, f64)>,
-    /// The shadow oracle's flow list and stateless scratch.
+    /// The shadow oracle's flow list.
     #[cfg(any(debug_assertions, test))]
-    shadow: (Vec<FlowSpec>, RateScratch),
+    shadow: Vec<FlowSpec>,
 }
 
-/// One pair in flight: where it sits in the loop's groups. (`u32`s: one
-/// per slot.)
+/// One pair in flight: where it sits in the loop's groups, and the flow
+/// it is filed as.
 #[derive(Debug, Clone, Copy)]
 struct FlowRef {
     group: u32,
     pair: u32,
+    src: u32,
+    dst: u32,
+    /// Parallel connections, as submitted or as last overwritten by
+    /// [`NetEngine::apply_conns`] or a seated hook, at least one.
+    conns: u32,
 }
 
-/// [`FlowRef::group`] of a slot whose pair has drained or been cancelled.
-const RETIRED: u32 = u32::MAX;
+impl FlowRef {
+    /// `(src, dst, conns)`, as [`PairFlows::file`] reads a flow.
+    fn ends(&self) -> (usize, usize, u32) {
+        (self.src as usize, self.dst as usize, self.conns)
+    }
 
-/// The slots are renumbered once there are more than this many of them
-/// per pair in flight. Not a tuning knob: at 2, a renumbering — one pass
-/// over the slots and the lists — comes only after more than half the
-/// slots have been retired since the last one, each retirement having
-/// cost a list edit already, so it adds O(1) to each; and no loop over
-/// the slots ever skips more entries than it serves.
-const SPARSE: usize = 2;
+    /// The pair as a flow list names it.
+    fn spec(&self) -> FlowSpec {
+        FlowSpec::new(DcId(self.src as usize), DcId(self.dst as usize), self.conns)
+    }
 
-/// The active pairs of `groups` as `(group index, pair index, flow)`, in
-/// submission order then ascending `(src, dst)` — fully deterministic.
+    /// Rate in Mbps of the pair in `slot`, given the solver's rates by
+    /// slot: the WAN does not constrain an intra-DC pair.
+    fn rate(&self, rates: &[f64], slot: usize) -> f64 {
+        if self.src == self.dst {
+            INTRA_DC_MBPS
+        } else {
+            rates[slot]
+        }
+    }
+
+    /// The pair as [`in_flight`] lists it.
+    #[cfg(any(debug_assertions, test))]
+    fn listed(&self) -> (usize, usize, usize, usize) {
+        (self.group as usize, self.pair as usize, self.src as usize, self.dst as usize)
+    }
+}
+
+/// The active pairs of `groups` as `(group index, pair index, src, dst)`,
+/// in submission order then ascending `(src, dst)` — fully deterministic.
 #[cfg(any(debug_assertions, test))]
-fn in_flight(groups: &[GroupState]) -> impl Iterator<Item = (usize, usize, FlowSpec)> + '_ {
+fn in_flight(groups: &[GroupState]) -> impl Iterator<Item = (usize, usize, usize, usize)> + '_ {
     groups.iter().enumerate().flat_map(|(g, group)| {
         let active = group.pairs.iter().enumerate().filter(|(_, pair)| pair.active);
-        active.map(move |(p, pair)| {
-            let conns = if pair.src == pair.dst { 1 } else { group.pair_conns[p].max(1) };
-            (g, p, FlowSpec::new(DcId(pair.src), DcId(pair.dst), conns))
-        })
+        active.map(move |(p, pair)| (g, p, pair.src, pair.dst))
     })
-}
-
-/// The slots of `flows` whose pair is still in flight, ascending.
-fn live(flows: &[FlowRef]) -> impl Iterator<Item = (usize, FlowRef)> + '_ {
-    flows.iter().copied().enumerate().filter(|(_, flow)| flow.group != RETIRED)
-}
-
-/// Rate in Mbps of the pair in `slot`, given the solver's rates by slot:
-/// the WAN does not constrain an intra-DC pair.
-fn rate_of(rates: &[f64], slot: usize, pair: &PairProgress) -> f64 {
-    if pair.src == pair.dst {
-        INTRA_DC_MBPS
-    } else {
-        rates[slot]
-    }
 }
 
 impl TransferLoop {
@@ -304,8 +269,7 @@ impl TransferLoop {
             ready: Vec::new(),
             stats: RunStats { coalesced, ..RunStats::default() },
             flows: Vec::new(),
-            live: 0,
-            standing: PairFlows::default(),
+            filed: PairFlows::default(),
             ws: FairnessWorkspace::new(),
             drained: Vec::new(),
             moved_to: Vec::new(),
@@ -339,14 +303,22 @@ impl TransferLoop {
             self.merge.push((t.src.0 * n + t.dst.0, t.gigabits));
         }
         self.merge.sort_by_key(|&(key, _)| key);
+        // The newest group's pairs are the last of the flow list.
+        let g = self.groups.len() as u32;
         let mut pairs = Vec::new();
-        let mut pair_conns = Vec::new();
         for run in self.merge.chunk_by(|a, b| a.0 == b.0) {
             let total = run.iter().fold(0.0, |sum, &(_, gigabits)| sum + gigabits);
             if total > PAYLOAD_EPS_GB {
                 let (src, dst) = (run[0].0 / n, run[0].0 % n);
+                let (pair, conns) = (pairs.len() as u32, conns.get(src, dst).max(1));
+                self.flows.push(FlowRef {
+                    group: g,
+                    pair,
+                    src: src as u32,
+                    dst: dst as u32,
+                    conns,
+                });
                 pairs.push(PairProgress::new(src, dst, total));
-                pair_conns.push(conns.get(src, dst));
             }
         }
         let now = sim.time_s();
@@ -354,7 +326,6 @@ impl TransferLoop {
             id,
             active_pairs: pairs.len(),
             pairs,
-            pair_conns,
             submitted_s: now,
             completed_s: now,
             any_payload: transfers.iter().any(|t| t.gigabits > 0.0),
@@ -364,20 +335,9 @@ impl TransferLoop {
         // payloads still get the one-epoch makespan floor).
         if group.pairs.is_empty() {
             self.ready.push(group);
-            return id;
+        } else {
+            self.groups.push(group);
         }
-        // The newest group's pairs are the last of the flow list: they
-        // take the next slots, and the description is extended by them.
-        self.standing.set_hosts(n);
-        for (p, (pair, &conns)) in group.pairs.iter().zip(&group.pair_conns).enumerate() {
-            let slot = self.flows.len() as u32;
-            self.flows.push(FlowRef { group: self.groups.len() as u32, pair: p as u32 });
-            if pair.src != pair.dst {
-                self.standing.insert(slot, pair.src, pair.dst, conns.max(1));
-            }
-        }
-        self.live += group.pairs.len();
-        self.groups.push(group);
         id
     }
 
@@ -416,14 +376,12 @@ impl TransferLoop {
                 break;
             }
 
-            // Every event solves from zero over the flows in flight, as
-            // they stand filed; the simulator is read as it is now.
-            if self.flows.len() > SPARSE * self.live {
-                self.renumber();
-            }
-            self.ws.solve_pairs(&self.standing, &*sim, self.flows.len());
+            // Every event files the flows in flight afresh and solves them
+            // from zero; the simulator is read as it is now.
+            self.filed.file(sim.topology().len(), &self.flows, FlowRef::ends);
+            self.ws.solve_pairs(&self.filed, &*sim, self.flows.len());
             self.stats.solves += 1;
-            self.stats.flows += self.live as u64;
+            self.stats.flows += self.flows.len() as u64;
             #[cfg(any(debug_assertions, test))]
             self.shadow_check(sim);
 
@@ -442,10 +400,9 @@ impl TransferLoop {
             // kind: the epochs until it drains.
             let coalesce = fast && wake != Some(None);
             let mut k_step: u64 = if coalesce { u64::MAX } else { 1 };
-            for (slot, flow) in live(&self.flows) {
+            for (slot, flow) in self.flows.iter().enumerate() {
                 let pair = &mut self.groups[flow.group as usize].pairs[flow.pair as usize];
-                let rate = rate_of(self.ws.rates(), slot, pair);
-                pair.set_quota(rate * dt / 1000.0, dt);
+                pair.set_quota(flow.rate(self.ws.rates(), slot) * dt / 1000.0, dt);
                 if coalesce {
                     k_step = pair.epochs_left_below(k_step).unwrap_or(k_step);
                 }
@@ -489,7 +446,7 @@ impl TransferLoop {
                 // deadline), and hand control back.
                 let k = k_deadline.min(budget);
                 if k > 0 {
-                    for (_, flow) in live(&self.flows) {
+                    for flow in &self.flows {
                         self.groups[flow.group as usize].pairs[flow.pair as usize].served += k;
                     }
                     self.stats.epochs += k;
@@ -497,7 +454,7 @@ impl TransferLoop {
                 }
                 let frac_s = deadline_s - sim.time_s();
                 if frac_s > 0.0 {
-                    for (slot, flow) in live(&self.flows) {
+                    for (slot, flow) in self.flows.iter().enumerate() {
                         let group = &mut self.groups[flow.group as usize];
                         let pair = &mut group.pairs[flow.pair as usize];
                         pair.serve_partial(frac_s / dt, dt);
@@ -530,7 +487,7 @@ impl TransferLoop {
     /// A wake-scheduling hook treats off-wake calls as no-ops.
     pub(crate) fn serve(&mut self, sim: &mut NetSim, k: u64, seat: Option<&mut HookSeat<'_>>) {
         let dt = sim.epoch_dt();
-        for (slot, flow) in live(&self.flows) {
+        for (slot, flow) in self.flows.iter().enumerate() {
             let group = &mut self.groups[flow.group as usize];
             let pair = &mut group.pairs[flow.pair as usize];
             pair.served += k;
@@ -547,9 +504,9 @@ impl TransferLoop {
             for pair in self.groups.iter().flat_map(|g| &g.pairs) {
                 seat.observed.set(pair.src, pair.dst, 0.0);
             }
-            for (slot, flow) in live(&self.flows) {
+            for (slot, flow) in self.flows.iter().enumerate() {
                 let pair = &self.groups[flow.group as usize].pairs[flow.pair as usize];
-                seat.observed.set(pair.src, pair.dst, rate_of(self.ws.rates(), slot, pair));
+                seat.observed.set(pair.src, pair.dst, flow.rate(self.ws.rates(), slot));
                 let left = if pair.active { pair.current_remaining() } else { 0.0 };
                 seat.remaining.set(pair.src, pair.dst, left);
             }
@@ -565,83 +522,51 @@ impl TransferLoop {
         self.retire_drained();
     }
 
-    /// Takes the pairs the serve just drained out of the description: a WAN
-    /// pair leaves its pair's run and its destination's slots (an intra-DC
-    /// one was never filed), and its slot is retired where it stands.
+    /// Takes the pairs the serve just drained off the list, which closes
+    /// up behind them in order.
     fn retire_drained(&mut self) {
-        self.standing.remove_all(&self.drained);
-        for slot in self.drained.drain(..) {
-            self.flows[slot as usize].group = RETIRED;
-            self.live -= 1;
+        if self.drained.is_empty() {
+            return;
         }
-    }
-
-    /// Closes the retired slots' ranks: the pairs in flight keep their
-    /// order and take slots `0..live`, and every list of the description
-    /// follows them ([`SPARSE`] says when).
-    fn renumber(&mut self) {
-        self.moved_to.clear();
-        let mut kept = 0;
-        for slot in 0..self.flows.len() {
-            let retired = self.flows[slot].group == RETIRED;
-            self.moved_to.push(if retired { RETIRED } else { kept });
-            if !retired {
-                self.flows[kept as usize] = self.flows[slot];
-                kept += 1;
-            }
-        }
-        self.flows.truncate(kept as usize);
-        self.standing.renumber(&self.moved_to);
-        self.stats.renumbers += 1;
+        let mut drained = self.drained.drain(..).peekable();
+        let mut slot = 0;
+        self.flows.retain(|_| {
+            slot += 1;
+            drained.next_if_eq(&(slot - 1)).is_none()
+        });
     }
 
     /// The shadow oracle (module docs): every active pair listed from the
-    /// groups, run next to the standing description, which must name the
-    /// same pairs in the same order. Over that list, the stateless
-    /// [`NetSim::allocate_rates_with`] must give each pair the same rate
-    /// bit for bit by the same solve (flows, classes, live resources,
-    /// rounds), and the textbook reference the same rate bit for bit,
-    /// within its problem's ceilings and capacities.
+    /// groups, which the loop's list must name in the same order; over the
+    /// list, the textbook reference must give each pair the loop's rate
+    /// bit for bit, within its problem's ceilings and capacities.
     #[cfg(any(debug_assertions, test))]
     fn shadow_check(&mut self, sim: &NetSim) {
-        let (specs, scratch) = &mut self.shadow;
-        specs.clear();
-        let mut listed = live(&self.flows);
-        for (g, p, spec) in in_flight(&self.groups) {
-            specs.push(spec);
-            let at = listed.next().map(|(_, flow)| (flow.group as usize, flow.pair as usize));
-            assert_eq!(at, Some((g, p)), "the standing flow list lost track of the groups");
+        let mut listed = self.flows.iter();
+        for pair in in_flight(&self.groups) {
+            let at = listed.next().map(FlowRef::listed);
+            assert_eq!(at, Some(pair), "the flow list lost track of the groups");
         }
-        assert!(listed.next().is_none(), "the standing flow list kept a pair that is gone");
-        assert_eq!(specs.len(), self.live, "the live count lost track of the slots");
-        let fresh = sim.allocate_rates_with(specs, scratch);
+        assert!(listed.next().is_none(), "the flow list kept a pair that is gone");
+        let specs = &mut self.shadow;
+        specs.clear();
+        specs.extend(self.flows.iter().map(FlowRef::spec));
         let physics = crate::sim::reference::allocate_rates(sim, specs);
-        let refereed = live(&self.flows).zip(specs.iter()).zip(fresh.iter().zip(&physics));
-        for (((slot, flow), spec), (filed, built)) in refereed {
-            let pair = &self.groups[flow.group as usize].pairs[flow.pair as usize];
-            let got = rate_of(self.ws.rates(), slot, pair);
-            assert_eq!(
-                got.to_bits(),
-                filed.to_bits(),
-                "standing description gives {spec:?} {got} Mbps, a fresh filing {filed}"
-            );
+        for (slot, (flow, built)) in self.flows.iter().zip(physics).enumerate() {
+            let got = flow.rate(self.ws.rates(), slot);
             assert_eq!(
                 got.to_bits(),
                 built.to_bits(),
-                "standing description gives {spec:?} {got} Mbps, the reference {built}"
+                "the loop gives {:?} {got} Mbps, the reference {built}",
+                specs[slot]
             );
         }
-        assert_eq!(
-            self.ws.last_shape(),
-            scratch.last_shape(),
-            "the two solves took different paths"
-        );
     }
 
     /// Moves every group whose last pair has drained into `out`, in
-    /// submission order, stamped `done_at`. Its pairs' slots were retired
-    /// as they drained; the groups behind it move down and the slots
-    /// follow them.
+    /// submission order, stamped `done_at`. Its pairs left the list as
+    /// they drained; the groups behind it move down, and the list's group
+    /// indices follow them.
     fn collect_completed(&mut self, done_at: f64, out: &mut Vec<GroupState>) {
         self.moved_to.clear();
         let mut kept = 0;
@@ -652,7 +577,7 @@ impl TransferLoop {
         if kept as usize == self.groups.len() {
             return;
         }
-        for flow in self.flows.iter_mut().filter(|flow| flow.group != RETIRED) {
+        for flow in &mut self.flows {
             flow.group = self.moved_to[flow.group as usize];
         }
         out.extend(self.groups.extract_if(.., |g| g.active_pairs == 0).map(|mut g| {
@@ -663,19 +588,16 @@ impl TransferLoop {
 
     /// Takes an in-flight group off the loop at the current simulation
     /// time, its open segment folded into its accounting; `None` for ids
-    /// not in flight. Its pairs leave the description one by one, and
-    /// the groups behind it move down.
+    /// not in flight. Its pairs leave the list, and the groups behind it
+    /// move down.
     pub(crate) fn cancel(&mut self, sim: &NetSim, id: GroupId) -> Option<GroupState> {
         let idx = self.groups.iter().position(|g| g.id == id)?;
-        let cancelled = live(&self.flows).filter(|(_, flow)| flow.group as usize == idx);
-        self.drained.extend(cancelled.map(|(slot, _)| slot as u32));
-        self.retire_drained();
+        self.flows.retain_mut(|flow| {
+            let stays = flow.group as usize != idx;
+            flow.group -= u32::from(flow.group as usize > idx);
+            stays
+        });
         let mut group = self.groups.remove(idx);
-        for flow in &mut self.flows {
-            if flow.group != RETIRED && flow.group as usize > idx {
-                flow.group -= 1;
-            }
-        }
         let dt = sim.epoch_dt();
         for pair in &mut group.pairs {
             pair.reanchor(dt);
@@ -684,17 +606,10 @@ impl TransferLoop {
         Some(group)
     }
 
-    /// Overwrites the connection counts of every pair in flight, in place.
+    /// Overwrites the connection counts of every pair in flight.
     fn apply_conns(&mut self, conns: &ConnMatrix) {
-        for (slot, flow) in live(&self.flows) {
-            let group = &mut self.groups[flow.group as usize];
-            let pair = &group.pairs[flow.pair as usize];
-            let count = &mut group.pair_conns[flow.pair as usize];
-            let new = conns.get(pair.src, pair.dst);
-            if (*count).max(1) != new.max(1) {
-                self.standing.set_conns(slot as u32, new.max(1));
-            }
-            *count = new;
+        for flow in &mut self.flows {
+            flow.conns = conns.get(flow.src as usize, flow.dst as usize).max(1);
         }
     }
 }
@@ -861,19 +776,14 @@ impl NetEngine {
     pub fn cross_group_demand_mbps(&self, group_of: &[usize], n_groups: usize) -> Grid<f64> {
         assert_eq!(group_of.len(), self.sim.topology().len(), "group map must cover every DC");
         let mut demand = Grid::filled(n_groups, 0.0);
-        for group in &self.lp.groups {
-            for (pair, &conns) in group.pairs.iter().zip(&group.pair_conns) {
-                if !pair.active || pair.src == pair.dst {
-                    continue;
-                }
-                let (gs, gd) = (group_of[pair.src], group_of[pair.dst]);
-                if gs == gd {
-                    continue;
-                }
-                let spec = FlowSpec::new(DcId(pair.src), DcId(pair.dst), conns.max(1));
-                let ceiling = self.sim.unreserved_ceiling_mbps(&spec);
-                demand.set(gs, gd, demand.get(gs, gd) + ceiling);
+        for flow in &self.lp.flows {
+            let (src, dst, _) = flow.ends();
+            let (gs, gd) = (group_of[src], group_of[dst]);
+            if gs == gd {
+                continue;
             }
+            let ceiling = self.sim.unreserved_ceiling_mbps(&flow.spec());
+            demand.set(gs, gd, demand.get(gs, gd) + ceiling);
         }
         demand
     }
@@ -930,31 +840,26 @@ impl NetEngine {
         assert_eq!(group_of.len(), n, "group map must cover every DC");
         let totals = demand_mbps;
         let mut caps = Grid::filled(n, f64::INFINITY);
-        for group in &self.lp.groups {
-            for (pair, &conns) in group.pairs.iter().zip(&group.pair_conns) {
-                if !pair.active || pair.src == pair.dst {
-                    continue;
-                }
-                let (gs, gd) = (group_of[pair.src], group_of[pair.dst]);
-                if gs == gd {
-                    continue;
-                }
-                let share = share_mbps.get(gs, gd);
-                if share.is_infinite() {
-                    continue;
-                }
-                let total = totals.get(gs, gd);
-                if total <= 0.0 {
-                    continue;
-                }
-                let spec = FlowSpec::new(DcId(pair.src), DcId(pair.dst), conns.max(1));
-                let ceiling = self.sim.unreserved_ceiling_mbps(&spec);
-                let slice = share * (ceiling / total);
-                let cell = caps.get(pair.src, pair.dst);
-                // Flows from several groups can share a DC pair; their
-                // slices add up to the pair's aggregate cap.
-                caps.set(pair.src, pair.dst, if cell.is_infinite() { slice } else { cell + slice });
+        for flow in &self.lp.flows {
+            let (src, dst, _) = flow.ends();
+            let (gs, gd) = (group_of[src], group_of[dst]);
+            if gs == gd {
+                continue;
             }
+            let share = share_mbps.get(gs, gd);
+            if share.is_infinite() {
+                continue;
+            }
+            let total = totals.get(gs, gd);
+            if total <= 0.0 {
+                continue;
+            }
+            let ceiling = self.sim.unreserved_ceiling_mbps(&flow.spec());
+            let slice = share * (ceiling / total);
+            let cell = caps.get(src, dst);
+            // Flows from several groups can share a DC pair; their
+            // slices add up to the pair's aggregate cap.
+            caps.set(src, dst, if cell.is_infinite() { slice } else { cell + slice });
         }
         caps
     }
@@ -1393,16 +1298,15 @@ mod tests {
         assert!(!engine.sim().fault_degraded());
     }
 
-    /// The standing flow-set description against the loop's previous body.
-    /// Under `cfg(test)` every event runs `TransferLoop::shadow_check` —
-    /// the active pairs listed afresh from the groups, the stateless
-    /// `allocate_rates_with` over them, every rate compared on `to_bits`,
-    /// the two solves on `last_shape`, and the textbook reference over the
-    /// same list, rate for rate on `to_bits`, within its ceilings and
-    /// capacities — so these tests only have to *reach* the code: each
-    /// drives one thing that can change a flow set or a rate between two
-    /// events and checks that no event paid for it with a renumbering
-    /// (`RunStats::renumbers`) unless retirements had left the slots sparse.
+    /// The loop's list of the flows in flight — the description of the
+    /// flow set that stands between events — against the groups. Under
+    /// `cfg(test)` every event runs `TransferLoop::shadow_check` — the
+    /// active pairs listed afresh from the groups, the loop's list held to
+    /// them, and the textbook reference over them, rate for rate on
+    /// `to_bits`, within its ceilings and capacities — so these tests only
+    /// have to *reach* the code: each drives one thing that can change a
+    /// flow set or a rate between two events, and checks the list right
+    /// after it, before an event has filed it.
     mod description_parity {
         use super::*;
         use crate::faults::{FaultKind, FaultSchedule};
@@ -1430,27 +1334,16 @@ mod tests {
                 .collect()
         }
 
-        /// A lone all-pairs group on eight DCs halves its 56 slots this
-        /// many times at most before it is gone.
-        const LONE_56: u64 = 6;
-
-        /// Advances by one deadline-bounded step and returns the
-        /// renumberings it took.
-        fn renumbers_over(engine: &mut NetEngine, step_s: f64) -> u64 {
-            let before = engine.stats().renumbers;
-            let _ = engine.advance_until(engine.sim().time_s() + step_s);
-            engine.stats().renumbers - before
+        /// Asserts that the loop lists exactly the pairs in flight, in flow
+        /// order: what the next event files.
+        fn assert_listed(engine: &NetEngine) {
+            let listed: Vec<_> = engine.lp.flows.iter().map(FlowRef::listed).collect();
+            assert_eq!(listed, in_flight(&engine.lp.groups).collect::<Vec<_>>());
         }
 
-        #[test]
-        fn a_lone_group_is_renumbered_once_per_halving_and_its_hosts_follow_every_drain() {
-            let mut engine = engine8(LinkModelParams::frozen());
-            engine.submit(&shuffle(0, 8, |k| 1.0 + 0.25 * k as f64), &ConnMatrix::filled(8, 2));
-            assert_eq!(drive_to_completion(&mut engine).len(), 1);
-            let stats = engine.stats();
-            assert!(stats.solves >= 40, "56 staggered drains: {stats:?}");
-            assert!((1..=LONE_56).contains(&stats.renumbers), "one per halving: {stats:?}");
-            assert!(stats.flows < 56 * stats.solves && stats.flows >= stats.solves, "{stats:?}");
+        /// Advances by one deadline-bounded step.
+        fn advance_by(engine: &mut NetEngine, step_s: f64) {
+            let _ = engine.advance_until(engine.sim().time_s() + step_s);
         }
 
         #[test]
@@ -1461,19 +1354,24 @@ mod tests {
             // long one behind it moves down a group index.
             let short = engine.submit(&shuffle(0, 4, |k| 0.2 + 0.01 * k as f64), &conns);
             engine.submit(&shuffle(2, 6, |k| 30.0 + k as f64), &conns);
+            assert_eq!(engine.lp.flows.len(), 12 + 30);
+            assert_listed(&engine);
             let done = engine.advance_until(f64::INFINITY);
             assert_eq!(done.iter().map(|r| r.group).collect::<Vec<_>>(), [short]);
-            assert_eq!(renumbers_over(&mut engine, 3.3), 0, "the completion left the description");
-            // Twelve of 42 slots are retired; the newcomer takes the next
-            // six, on pairs the long group is on too and on ones it is not.
+            // Its pairs left the list as they drained, so the completion
+            // takes nothing off it: the long group's pairs stand, group 0.
+            assert_eq!(engine.lp.flows.len(), 30);
+            assert_listed(&engine);
+            advance_by(&mut engine, 3.3);
+            // The newcomer's six pairs go to the end, on pairs the long
+            // group is on too and on ones it is not.
+            let before = engine.lp.flows.len();
             engine.submit(&shuffle(0, 3, |_| 5.0), &conns);
-            assert_eq!(engine.lp.flows.len(), 48);
-            assert_eq!(renumbers_over(&mut engine, 3.3), 0, "nor did the submission rebuild it");
-            assert_eq!(renumbers_over(&mut engine, 3.3), 0);
-            assert_eq!(engine.stats().renumbers, 0);
+            assert_eq!(engine.lp.flows.len(), before + 6);
+            assert_listed(&engine);
+            advance_by(&mut engine, 3.3);
+            assert_listed(&engine);
             assert_eq!(drive_to_completion(&mut engine).len(), 2);
-            let stats = engine.stats();
-            assert!(stats.renumbers >= 1 && 5 * stats.renumbers < stats.solves, "{stats:?}");
         }
 
         #[test]
@@ -1482,16 +1380,12 @@ mod tests {
             let mut engine = engine8(LinkModelParams::frozen());
             let first = engine.submit(&shuffle(0, 8, |k| 40.0 + k as f64), &conns);
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &conns);
-            assert_eq!(renumbers_over(&mut engine, 2.6), 0);
+            advance_by(&mut engine, 2.6);
             assert!(engine.cancel_group(first).is_some());
-            assert_eq!(
-                (engine.lp.flows.len(), engine.lp.live),
-                (112, 56),
-                "retired where they stood"
-            );
-            assert_eq!(renumbers_over(&mut engine, 2.6), 0, "the group behind it moved down");
+            assert_eq!(engine.lp.flows.len(), 56, "its 56 pairs left the list");
+            assert_listed(&engine);
+            advance_by(&mut engine, 2.6);
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
-            assert!(engine.stats().renumbers <= LONE_56);
         }
 
         #[test]
@@ -1501,18 +1395,22 @@ mod tests {
             // two runs and two classes until the matrix below levels them.
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 2));
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 1));
-            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
+            advance_by(&mut engine, 1.7);
             engine.apply_conns(&ConnMatrix::filled(8, 1));
-            assert_eq!(renumbers_over(&mut engine, 1.7), 0, "one tenant's counts halved");
+            assert_listed(&engine);
+            assert!(engine.lp.flows.iter().all(|flow| flow.conns == 1), "one tenant's halved");
+            advance_by(&mut engine, 1.7);
             let slow = engine.observed_pair_bw_mbps().get(0, 7);
             engine.apply_conns(&ConnMatrix::filled(8, 1));
-            assert_eq!(renumbers_over(&mut engine, 1.7), 0, "the same counts");
+            assert_listed(&engine);
+            advance_by(&mut engine, 1.7);
             // Both tenants' flows on the long pair leave the class they
             // share for a new one.
             let mut boosted = ConnMatrix::filled(8, 1);
             boosted.set(0, 7, 3);
             engine.apply_conns(&boosted);
-            assert_eq!(renumbers_over(&mut engine, 1.7), 0, "a new count");
+            assert_listed(&engine);
+            advance_by(&mut engine, 1.7);
             let fast = engine.observed_pair_bw_mbps().get(0, 7);
             assert!(fast > 1.5 * slow, "three connections on the long pair: {fast} vs {slow}");
             assert_eq!(drive_to_completion(&mut engine).len(), 2);
@@ -1522,14 +1420,15 @@ mod tests {
         fn throttle_edits_reach_a_standing_description() {
             let mut engine = engine8(LinkModelParams::frozen());
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 2));
-            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
+            advance_by(&mut engine, 1.7);
             let free = engine.observed_pair_bw_mbps().get(0, 1);
             engine.sim_mut().set_throttle(DcId(0), DcId(1), 0.25 * free);
-            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
+            assert_listed(&engine);
+            advance_by(&mut engine, 1.7);
             let capped = engine.observed_pair_bw_mbps().get(0, 1);
             assert!(capped <= 0.25 * free + 1e-9, "{capped} under a {} throttle", 0.25 * free);
             engine.sim_mut().clear_throttles();
-            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
+            advance_by(&mut engine, 1.7);
             assert!(engine.observed_pair_bw_mbps().get(0, 1) > capped);
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
         }
@@ -1539,26 +1438,26 @@ mod tests {
             let group_of = [0usize, 0, 0, 0, 1, 1, 1, 1];
             let mut engine = engine8(LinkModelParams::frozen());
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 2));
-            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
+            advance_by(&mut engine, 1.7);
             let demand = engine.cross_group_demand_mbps(&group_of, 2);
             let mut share = Grid::filled(2, f64::INFINITY);
             share.set(0, 1, 100.0);
             engine.apply_backbone_tiers(&[(&group_of, &share, &demand)]);
-            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
+            assert_listed(&engine);
+            advance_by(&mut engine, 1.7);
             let bw = engine.observed_pair_bw_mbps();
             let trunk: f64 =
                 (0..4).flat_map(|i| (4..8).map(move |j| (i, j))).map(|(i, j)| bw.get(i, j)).sum();
             assert!(trunk <= 100.0 + 1e-6, "sixteen pairs share a 100 Mbps trunk: {trunk}");
             engine.sim_mut().clear_backbone_caps();
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
-            assert!(engine.stats().renumbers <= LONE_56);
         }
 
         #[test]
         fn fault_boundaries_reach_a_standing_description() {
             let mut engine = engine8(LinkModelParams::frozen());
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &ConnMatrix::filled(8, 2));
-            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
+            advance_by(&mut engine, 1.7);
             let now = engine.sim().time_s();
             engine.sim_mut().set_fault_schedule(
                 FaultSchedule::new()
@@ -1566,10 +1465,11 @@ mod tests {
                     .link_flap(DcId(0), DcId(1), 0.3, now + 1.0, 4.0, 3)
                     .straggler(DcId(5), 0.6, now + 5.0),
             );
-            assert_eq!(renumbers_over(&mut engine, 4.0), 0);
+            assert_listed(&engine);
+            advance_by(&mut engine, 4.0);
             assert_eq!(engine.observed_pair_bw_mbps().get(3, 0), 0.0, "DC 3 is down");
+            assert_listed(&engine);
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
-            assert!(engine.stats().renumbers <= LONE_56);
         }
 
         #[test]
@@ -1582,12 +1482,12 @@ mod tests {
                 };
                 let mut engine = engine8(params);
                 engine.submit(&shuffle(0, 8, |k| 60.0 + k as f64), &ConnMatrix::filled(8, 2));
-                assert_eq!(renumbers_over(&mut engine, 1.7), 0);
+                advance_by(&mut engine, 1.7);
                 engine.sim_mut().dynamics_mut().set_decay(0.004, 0.3);
-                assert_eq!(renumbers_over(&mut engine, 2.0 * tick_s + 0.4), 0);
+                assert_listed(&engine);
+                advance_by(&mut engine, 2.0 * tick_s + 0.4);
                 assert_eq!(drive_to_completion(&mut engine).len(), 1);
-                let stats = engine.stats();
-                assert!(stats.renumbers <= LONE_56 && stats.coalesced, "{stats:?}");
+                assert!(engine.stats().coalesced);
             }
         }
 
@@ -1597,14 +1497,14 @@ mod tests {
             let mut engine = engine8(params);
             let conns = ConnMatrix::filled(8, 2);
             engine.submit(&shuffle(0, 8, |k| 20.0 + k as f64), &conns);
-            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
+            advance_by(&mut engine, 1.7);
             // A snapshot draws probe noise and moves the clock a second,
             // and with it the multipliers.
             let reading = engine.sim_mut().snapshot(&conns);
             assert!(reading.bw.get(0, 1) > 0.0);
-            assert_eq!(renumbers_over(&mut engine, 1.7), 0);
+            assert_listed(&engine);
+            advance_by(&mut engine, 1.7);
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
-            assert!(engine.stats().renumbers <= LONE_56);
         }
 
         #[test]
@@ -1624,9 +1524,9 @@ mod tests {
             engine.submit(&transfers, &conns);
             assert!(engine.advance_until(0.9 * dt).is_empty());
             assert_eq!(engine.remaining_pair_gb().get(0, 1), 0.0, "drained inside the fraction");
-            assert_eq!(renumbers_over(&mut engine, 3.0), 0, "and retired from what stood");
+            assert_eq!(engine.lp.flows.len(), 5, "and off the list");
+            assert_listed(&engine);
             assert_eq!(drive_to_completion(&mut engine).len(), 1);
-            assert!(engine.stats().renumbers <= LONE_56);
         }
 
         /// Wakes every 5 s and, when it does, moves a throttle: the hook's
@@ -1664,7 +1564,7 @@ mod tests {
         }
 
         #[test]
-        fn a_lone_hooked_run_renumbers_only_as_it_drains_whatever_the_hook_edits() {
+        fn a_lone_hooked_run_files_whatever_the_hook_edits() {
             let sim8 =
                 || NetSim::new(paper_testbed_n(VmType::t3_nano(), 8), LinkModelParams::frozen(), 7);
             let transfers = shuffle(0, 8, |k| 4.0 + k as f64);
@@ -1676,23 +1576,21 @@ mod tests {
             sim.run_transfers(&transfers, &conns, Some(&mut ThrottleMover(5.0)));
             let stats = sim.last_run_stats();
             assert!(stats.coalesced && stats.solves >= 40, "{stats:?}");
-            assert!(stats.renumbers <= LONE_56, "throttle edits renumber nothing: {stats:?}");
 
-            // The hook's connection matrix reaches the standing flows in
-            // place: same slots, new counts on both hosts of every pair.
+            // The hook's connection matrix reaches the list's counts, and
+            // the next event files them.
             let mut sim = sim8();
             let raised = sim.run_transfers(&transfers, &conns, Some(&mut ConnRaiser(6.0, 5)));
-            assert!(sim.last_run_stats().renumbers <= LONE_56, "nor does a connection edit");
             assert_ne!(raised.makespan_s, plain.makespan_s, "and the edit reached the flows");
         }
 
-        /// The premise of keeping the description, pinned beside
+        /// The traffic an event files, pinned beside
         /// `fleet_flow_sets_repeat_their_classes_and_lone_plans_do_not`:
         /// eight live 8-DC groups churning over the tiled 64-DC WAN (the
-        /// repo benchmark's `probes::engine_churn` shape) renumber it at
-        /// fewer than one event in twenty, and solve some 140 flows at each.
+        /// repo benchmark's `probes::engine_churn` shape) solve some 140
+        /// flows at each event.
         #[test]
-        fn a_churning_fleet_finds_the_description_standing_at_most_events() {
+        fn a_churning_fleet_files_some_140_flows_per_event() {
             let topo = paper_testbed_tiled(VmType::t2_medium(), 64);
             let mut engine = NetEngine::new(NetSim::new(topo, LinkModelParams::frozen(), 11));
             let conns = ConnMatrix::filled(64, 1);
@@ -1713,50 +1611,7 @@ mod tests {
             }
             let stats = engine.stats();
             assert!(stats.solves >= 200, "{stats:?}");
-            assert!(stats.renumbers >= 1 && 20 * stats.renumbers <= stats.solves, "{stats:?}");
             assert!((100..200).contains(&(stats.flows / stats.solves)), "{stats:?}");
-        }
-
-        /// Six tenants on the same eight DCs, every pair shared, each
-        /// replaced as it completes and one cancelled now and then: the
-        /// slot space passes twice the live count again and again, and
-        /// every renumbering leaves the slots dense, the lists in order
-        /// (`PairFlows::insert` checks each later append) and the rates a
-        /// fresh build's (the shadow, at every event).
-        #[test]
-        fn a_churn_that_leaves_the_slots_sparse_is_renumbered_in_order() {
-            let mut engine = engine8(LinkModelParams::frozen());
-            let conns = ConnMatrix::filled(8, 1);
-            let mut rng = StdRng::seed_from_u64(8);
-            let mut submit = |engine: &mut NetEngine| {
-                engine.submit(&shuffle(0, 8, |_| rng.gen_range(0.5..4.0)), &conns)
-            };
-            for _ in 0..6 {
-                submit(&mut engine);
-            }
-            let (mut completed, mut sparse, mut high_water) = (0, 0, 0.0_f64);
-            while completed < 30 {
-                let lp = &engine.lp;
-                high_water = high_water.max(lp.flows.len() as f64 / lp.live as f64);
-                let renumbers = engine.stats().renumbers;
-                let done = engine.advance_until(engine.sim().time_s() + 0.7);
-                if engine.stats().renumbers > renumbers {
-                    sparse += 1;
-                    assert!(engine.lp.flows.len() <= SPARSE * engine.lp.live);
-                }
-                for _ in done {
-                    completed += 1;
-                    let newest = submit(&mut engine);
-                    if completed % 7 == 0 {
-                        assert!(engine.cancel_group(newest).is_some());
-                        submit(&mut engine);
-                    }
-                }
-            }
-            assert!(high_water > SPARSE as f64, "the slots never went sparse: {high_water}");
-            assert!(sparse >= 3, "{:?}", engine.stats());
-            let stats = engine.stats();
-            assert!(10 * stats.renumbers <= stats.solves, "{stats:?}");
         }
 
         /// One step of a random multi-tenant script.
@@ -1780,11 +1635,12 @@ mod tests {
                     let done = engine.advance_until(now + rng.gen_range(0.05..6.0));
                     live.retain(|id| done.iter().all(|r| r.group != *id));
                 }
+                // The next completion, or a minute: with no deadline, a pair
+                // a throttle holds at zero while the dynamics tick would
+                // spend the whole epoch budget a tick at a time.
                 6 => {
-                    if engine.has_live_flows() {
-                        let done = engine.advance_until(f64::INFINITY);
-                        live.retain(|id| done.iter().all(|r| r.group != *id));
-                    }
+                    let done = engine.advance_until(now + 60.0);
+                    live.retain(|id| done.iter().all(|r| r.group != *id));
                 }
                 7 => {
                     if !live.is_empty() {
@@ -1826,7 +1682,7 @@ mod tests {
 
         proptest! {
             #[test]
-            fn random_multi_tenant_scripts_are_served_from_a_standing_description(
+            fn random_multi_tenant_scripts_keep_the_list_in_order(
                 seed in 0u64..u64::MAX,
             ) {
                 let mut rng = StdRng::seed_from_u64(seed);
@@ -1853,21 +1709,20 @@ mod tests {
                 for _ in 0..rng.gen_range(8..30) {
                     let solves = engine.stats().solves;
                     step(&mut engine, &mut rng, &mut live);
+                    // Whatever the step was — a submission, a cancellation,
+                    // a serve, an edit of the simulator or of the counts —
+                    // the list names the pairs in flight, and the one event
+                    // after it files every one of them.
+                    assert_listed(&engine);
                     if engine.stats().solves > solves || engine.active_groups() == 0 {
                         continue;
                     }
-                    // Whatever the step was — a submission, a cancellation,
-                    // an edit of the simulator or of the counts — the one
-                    // event after it renumbers iff retirements have left
-                    // the slots sparse, and is otherwise served as it stood.
-                    let sparse = engine.lp.flows.len() > SPARSE * engine.lp.live;
-                    let before = engine.stats();
+                    let (before, listed) = (engine.stats(), engine.lp.flows.len() as u64);
                     let done = engine.advance_until(engine.sim().time_s() + 1e-3);
                     live.retain(|id| done.iter().all(|r| r.group != *id));
                     let after = engine.stats();
                     prop_assert_eq!(after.solves - before.solves, 1);
-                    prop_assert_eq!(after.renumbers - before.renumbers, u64::from(sparse));
-                    prop_assert!(after.flows > before.flows);
+                    prop_assert_eq!(after.flows - before.flows, listed);
                 }
                 // Lift what could stall a pair for good, then drain.
                 engine.sim_mut().clear_throttles();
@@ -1879,9 +1734,8 @@ mod tests {
                     let _ = engine.advance_until(f64::INFINITY);
                 }
                 prop_assert!(engine.is_idle(), "every group drains once the caps are lifted");
-                let stats = engine.stats();
-                prop_assert!(stats.renumbers < stats.solves, "{:?}", stats);
-                prop_assert_eq!(stats, engine.sim().last_run_stats());
+                prop_assert!(engine.lp.flows.is_empty());
+                prop_assert_eq!(engine.stats(), engine.sim().last_run_stats());
             }
         }
     }

@@ -137,24 +137,26 @@
 //!
 //! ## What is kept between solves, and what is deliberately not
 //!
-//! Two things could outlive a solve, and they are treated differently.
+//! Two things could outlive a solve, and neither does: only the capacity
+//! of the buffers is kept.
 //!
 //! The **description** of the problem — which flows exist, on which
 //! directed pair, with how many connections — is a [`PairFlows`]: every
-//! flow filed once under its pair, in ascending *slot* (its rank in a flow
-//! list, gaps allowed), plus per host the occupied pairs out of it and the
-//! slots into it. The solver reads the three member lists of the textbook
-//! problem (`reference::FairnessProblem`, built flow by flow) off that
-//! filing: the egress NIC of a host is its pairs' lists end to end, a path
-//! is one list, the ingress NIC is the host's slot list; resources are
-//! visited in the order a build creates them, and the round limit counts
-//! the flows and resources a build would have. The stateless entry
-//! ([`crate::NetSim::allocate_rates_with`]) files its flow list afresh at
-//! every call, slot = input index. The transfer loop ([`crate::engine`])
-//! keeps its description standing and edits it: a flow that joins is
-//! appended, one that leaves is taken out of two short lists, a
-//! connection count is rewritten where it stands; nothing is sorted,
-//! compacted or re-listed per event. What the network decides —
+//! flow filed once under its pair, in ascending *slot* (its index in a
+//! flow list; flows no WAN resource constrains are gaps), plus per host
+//! the occupied pairs out of it and the slots into it. The solver reads
+//! the three member lists of the textbook problem
+//! (`reference::FairnessProblem`, built flow by flow) off that filing: the
+//! egress NIC of a host is its pairs' lists end to end, a path is one
+//! list, the ingress NIC is the host's slot list; resources are visited in
+//! the order a build creates them, and the round limit counts the flows
+//! and resources a build would have. Both callers file afresh before every
+//! solve, by one counting pass with no sort: the stateless entry
+//! ([`crate::NetSim::allocate_rates_with`]) its flow list, the transfer
+//! loop ([`crate::engine`]) its list of the pairs in flight. Filing costs
+//! one pass over the flows and the hosts; a filing kept and edited across
+//! events cost about as much in bookkeeping at the sizes the fleets solve,
+//! and more where events are small and churny. What the network decides —
 //! ceilings, weights, capacities — is not part of the description at all:
 //! the solve asks a `Network` for it, once per occupied pair and per run
 //! of equal connection counts on it, which is also where the classes come
@@ -180,8 +182,6 @@
 //! solves on the three fleet workloads of the repo benchmark qualify
 //! (8–30 % change no rate), which does not pay for the state.
 
-use crate::flow::FlowSpec;
-
 /// "None" in the `u32` indices of a [`PairFlows`] and of its solve.
 const NONE: u32 = u32::MAX;
 
@@ -196,15 +196,13 @@ struct PairFlow {
 }
 
 /// A pair-major description of the flows between `hosts` hosts (module
-/// docs, "What is kept between solves"): filed afresh from a flow list
-/// ([`PairFlows::file`]), or standing and edited instead of re-filed.
+/// docs, "What is kept between solves"), filed afresh from a flow list
+/// before every solve ([`PairFlows::file`]).
 ///
-/// The caller names each flow by a **slot**: a `u32` that grows with the
-/// flow's rank in the flow list a fresh build would be given and is not
-/// reused while the flow lives (so ascending slot *is* ascending flow
-/// index, with gaps where flows have left). A flow is filed once, with
-/// the flows of its directed pair, and the three member lists of a built
-/// problem are read off that filing:
+/// Each flow is named by its **slot**, its index in the list, so ascending
+/// slot *is* ascending flow index. A flow is filed once, with the flows of
+/// its directed pair, and the three member lists of a built problem are
+/// read off that filing:
 ///
 /// * the **egress** NIC of `src` is the host's list: its flows in
 ///   `(dst, slot)` order — the build's order, `(src, dst, index)`;
@@ -215,12 +213,10 @@ struct PairFlow {
 ///   the slots bound for it, ascending. Its sums take their operands from
 ///   the flow's class, found while the runs were walked.
 ///
-/// A flow that joins has the highest slot so far: it goes to the end of
-/// its pair's run and of its destination's slots. Flows that leave are
-/// taken out of those two lists, each a host's worth of flows long, in
-/// one pass per list however many it loses. Nothing here depends on the
-/// network's state: weights, ceilings and capacities are asked of a
-/// [`Network`] at every solve.
+/// A flow no WAN resource constrains (intra-DC, no connections) is not
+/// filed: its slot is a gap in every list, and a solve never writes its
+/// rate. Nothing here depends on the network's state: weights, ceilings
+/// and capacities are asked of a [`Network`] at every solve.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PairFlows {
     /// Per host, the flows out of it in `(dst, slot)` order.
@@ -233,48 +229,43 @@ pub(crate) struct PairFlows {
     ends: Vec<(u32, u32)>,
     /// Directed pairs with a flow on them: the runs of `egress`.
     pairs: usize,
-    /// Working space of `remove_all`: per host list (egress `2·host`,
-    /// ingress `2·host + 1`) whether it is losing a flow, and which are.
-    losing: (Vec<bool>, Vec<u32>),
 }
 
 impl PairFlows {
-    /// Makes an empty set for `hosts` hosts, unless the set already has
-    /// that many (then it is left as it stands).
-    pub(crate) fn set_hosts(&mut self, hosts: usize) {
+    /// Files `flows` afresh on `hosts` hosts, flow `i` under slot `i` with
+    /// the `(src, dst, conns)` that `ends_of` reads off it, leaving out
+    /// those no WAN resource constrains (intra-DC, no connections). A
+    /// counting pass, with no sort and no insertion: each destination
+    /// lists its slots in input order, then each source takes its flows
+    /// off those lists destination by destination, which leaves them in
+    /// `(dst, slot)` order. Allocation-free once the lists have grown.
+    pub(crate) fn file<F>(
+        &mut self,
+        hosts: usize,
+        flows: &[F],
+        ends_of: impl Fn(&F) -> (usize, usize, u32),
+    ) {
         if self.egress.len() != hosts {
             *self = Self {
                 egress: vec![Vec::new(); hosts],
                 ingress: vec![Vec::new(); hosts],
                 host_conns: vec![0; hosts],
-                losing: (vec![false; 2 * hosts], Vec::new()),
                 ..Self::default()
             };
         }
-    }
-
-    /// Files `flows` afresh on `hosts` hosts, flow `i` under slot `i`,
-    /// leaving out those no WAN resource constrains (intra-DC, no
-    /// connections). A counting pass, with no sort and no insertion: each
-    /// destination lists its slots in input order, then each source takes
-    /// its flows off those lists destination by destination, which leaves
-    /// them in `(dst, slot)` order. Allocation-free once the lists have
-    /// grown.
-    pub(crate) fn file(&mut self, hosts: usize, flows: &[FlowSpec]) {
-        self.set_hosts(hosts);
-        let Self { egress, ingress, host_conns, ends, pairs, .. } = self;
+        let Self { egress, ingress, host_conns, ends, pairs } = self;
         egress.iter_mut().for_each(Vec::clear);
         ingress.iter_mut().for_each(Vec::clear);
         host_conns.fill(0);
         ends.clear();
         ends.resize(flows.len(), (NONE, NONE));
         for (slot, flow) in flows.iter().enumerate() {
-            let (src, dst) = (flow.src.0, flow.dst.0);
-            if src != dst && flow.conns > 0 {
+            let (src, dst, conns) = ends_of(flow);
+            if src != dst && conns > 0 {
                 ingress[dst].push(slot as u32);
                 ends[slot] = (src as u32, dst as u32);
-                host_conns[src] += flow.conns;
-                host_conns[dst] += flow.conns;
+                host_conns[src] += conns;
+                host_conns[dst] += conns;
             }
         }
         *pairs = 0;
@@ -282,103 +273,10 @@ impl PairFlows {
             for &slot in into {
                 let out = &mut egress[ends[slot as usize].0 as usize];
                 *pairs += usize::from(out.last().is_none_or(|last| last.dst as usize != dst));
-                out.push(PairFlow { dst: dst as u32, slot, conns: flows[slot as usize].conns });
+                let conns = ends_of(&flows[slot as usize]).2;
+                out.push(PairFlow { dst: dst as u32, slot, conns });
             }
         }
-    }
-
-    /// Files a flow of `conns` connections from `src` to `dst` under
-    /// `slot`, which must exceed every slot filed before it.
-    pub(crate) fn insert(&mut self, slot: u32, src: usize, dst: usize, conns: u32) {
-        let (out, into) = (&mut self.egress[src], &mut self.ingress[dst]);
-        let at = out.partition_point(|flow| flow.dst as usize <= dst);
-        debug_assert!(
-            out[..at].last().is_none_or(|last| (last.dst as usize, last.slot) < (dst, slot))
-                && into.last().is_none_or(|&last| last < slot),
-            "slot {slot} joins out of order"
-        );
-        self.pairs += usize::from(out[..at].last().is_none_or(|last| last.dst as usize != dst));
-        out.insert(at, PairFlow { dst: dst as u32, slot, conns });
-        into.push(slot);
-        self.host_conns[src] += conns;
-        self.host_conns[dst] += conns;
-        if self.ends.len() <= slot as usize {
-            self.ends.resize(slot as usize + 1, (NONE, NONE));
-        }
-        self.ends[slot as usize] = (src as u32, dst as u32);
-    }
-
-    /// Takes the flows filed under `slots` (a slot nothing is filed under
-    /// is passed over) out of their pairs' runs and their destinations'
-    /// slots, and their connections off their hosts: one pass over each
-    /// host list that loses a flow, however many it loses.
-    pub(crate) fn remove_all(&mut self, slots: &[u32]) {
-        let Self { egress, ingress, host_conns, ends, pairs, losing } = self;
-        for &slot in slots {
-            let Some(filed) = ends.get_mut(slot as usize).filter(|ends| ends.0 != NONE) else {
-                continue;
-            };
-            let (src, dst) = std::mem::replace(filed, (NONE, NONE));
-            for list in [2 * src, 2 * dst + 1] {
-                if !std::mem::replace(&mut losing.0[list as usize], true) {
-                    losing.1.push(list);
-                }
-            }
-        }
-        for list in losing.1.drain(..) {
-            losing.0[list as usize] = false;
-            let host = list as usize / 2;
-            if list % 2 == 1 {
-                ingress[host].retain(|&slot| ends[slot as usize].0 != NONE);
-                continue;
-            }
-            let out = &mut egress[host];
-            let runs = |out: &[PairFlow]| out.chunk_by(|a, b| a.dst == b.dst).count();
-            let before = runs(out);
-            out.retain(|flow| {
-                let stays = ends[flow.slot as usize].0 != NONE;
-                if !stays {
-                    host_conns[host] -= flow.conns;
-                    host_conns[flow.dst as usize] -= flow.conns;
-                }
-                stays
-            });
-            *pairs -= before - runs(out);
-        }
-    }
-
-    /// Gives the flow filed under `slot`, if one is, a new connection count.
-    pub(crate) fn set_conns(&mut self, slot: u32, conns: u32) {
-        let Some(&(src, dst)) = self.ends.get(slot as usize).filter(|ends| ends.0 != NONE) else {
-            return;
-        };
-        let out = &mut self.egress[src as usize];
-        let flow = out.iter_mut().find(|flow| flow.slot == slot);
-        let flow = flow.expect("a filed slot is listed under its source");
-        let old = std::mem::replace(&mut flow.conns, conns);
-        for host in [src, dst] {
-            let on_host = &mut self.host_conns[host as usize];
-            *on_host = *on_host - old + conns;
-        }
-    }
-
-    /// Renames every slot `s` to `new_slot[s]`. The map must keep the
-    /// filed slots' order and never raise one.
-    pub(crate) fn renumber(&mut self, new_slot: &[u32]) {
-        for flow in self.egress.iter_mut().flatten() {
-            flow.slot = new_slot[flow.slot as usize];
-        }
-        for slot in self.ingress.iter_mut().flatten() {
-            *slot = new_slot[*slot as usize];
-        }
-        let mut slots = 0;
-        for (old, &new) in new_slot.iter().enumerate().take(self.ends.len()) {
-            if new != NONE {
-                self.ends[new as usize] = self.ends[old];
-                slots = new as usize + 1;
-            }
-        }
-        self.ends.truncate(slots);
     }
 
     /// Flows filed, and the resources a build over them would create: one
@@ -1247,7 +1145,6 @@ pub(crate) mod reference {
 mod tests {
     use super::reference::{FairnessProblem, ReferenceWorkspace, ResourceKind};
     use super::*;
-    use crate::topology::DcId;
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
     const INF: f64 = f64::INFINITY;
@@ -1352,15 +1249,10 @@ mod tests {
         (src, (src + rng.gen_range(1..hosts)) % hosts, conns)
     }
 
-    /// `flows` filed as the stateless entry files them: flow `i` under
-    /// slot `i`.
+    /// `flows` filed as both callers file theirs: flow `i` under slot `i`.
     fn file(hosts: usize, flows: &[Flow]) -> PairFlows {
-        let specs: Vec<FlowSpec> = flows
-            .iter()
-            .map(|&(src, dst, conns)| FlowSpec::new(DcId(src), DcId(dst), conns))
-            .collect();
         let mut set = PairFlows::default();
-        set.file(hosts, &specs);
+        set.file(hosts, flows, |&flow| flow);
         set
     }
 
@@ -1577,7 +1469,7 @@ mod tests {
         /// footprint.
         pub(crate) fn footprint(&self) -> usize {
             let lists = self.egress.iter().map(Vec::len).chain(self.ingress.iter().map(Vec::len));
-            let per_host = [self.egress.len(), self.host_conns.len(), self.losing.0.len()];
+            let per_host = [self.egress.len(), self.host_conns.len()];
             lists.chain(per_host).chain([self.ends.len()]).max().unwrap_or(0)
         }
     }
@@ -1671,7 +1563,7 @@ mod tests {
         net.budget = 64.0;
         let mut set = file(net.hosts, &[(0, 1, 4), (0, 1, 2), (0, 2, 3)]);
         let capacity = set.egress[0].capacity();
-        set.file(net.hosts, &[FlowSpec::new(DcId(0), DcId(2), 1)]);
+        set.file(net.hosts, &[(0, 2, 1)], |&flow: &Flow| flow);
         assert_eq!((set.egress[0].capacity(), set.size()), (capacity, (1, 3)));
         let mut ws = FairnessWorkspace::new();
         ws.solve_pairs(&set, &net, 1);
@@ -1960,206 +1852,186 @@ mod tests {
         }
     }
 
-    /// A standing [`PairFlows`] against the stateless filing of the same
-    /// flows and the problem a build over them makes: the same resources
-    /// with the same members in the same order, the same solve
-    /// (`last_shape`, rounds included), every rate bit for bit — after
-    /// joins, departures, connection edits and renumberings, on networks
-    /// whose answers come from small palettes (classes repeat, some flows
-    /// are dead, NICs and paths bind, sit slack or are shut).
+    /// [`PairFlows::file`] over flow lists with unfiled gaps — intra-DC
+    /// flows and flows of no connections, where the transfer loop's list
+    /// has its intra-DC pairs — against the problem a build over the filed
+    /// flows makes: the same resources with the same members in the same
+    /// order, the same solve (`last_shape`, rounds included), every rate
+    /// bit for bit, on networks whose answers come from small palettes
+    /// (classes repeat, some flows are dead, NICs and paths bind, sit
+    /// slack or are shut). One set and one workspace serve a list as
+    /// tenants join, leave and change their counts, as the loop's do.
     mod description_parity {
         use super::*;
         use proptest::prelude::*;
 
-        /// A [`PairFlows`] under edit, beside the flow list it stands for
-        /// (`None`: a slot whose flow has left).
-        struct Standing {
-            net: PaletteNet,
-            set: PairFlows,
-            slots: Vec<Option<Flow>>,
+        /// Whether the filing lists `flow`: it crosses the WAN.
+        fn crosses(&(src, dst, conns): &Flow) -> bool {
+            src != dst && conns > 0
         }
 
-        impl Standing {
-            fn new(seed: u64) -> (Self, StdRng) {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let hosts = rng.gen_range(2usize..7);
-                (Self::on(PaletteNet::new(&mut rng, hosts)), rng)
+        /// A flow no WAN resource constrains: intra-DC, or of no
+        /// connections.
+        fn gap(rng: &mut StdRng, hosts: usize) -> Flow {
+            let host = rng.gen_range(0..hosts);
+            if rng.gen_range(0..2) == 0 {
+                (host, host, 1)
+            } else {
+                (host, (host + 1) % hosts, 0)
             }
+        }
 
-            /// Nothing standing yet on `net`.
-            fn on(net: PaletteNet) -> Self {
-                let mut set = PairFlows::default();
-                set.set_hosts(net.hosts);
-                Self { net, set, slots: Vec::new() }
-            }
-
-            fn live(&self) -> Vec<usize> {
-                (0..self.slots.len()).filter(|&slot| self.slots[slot].is_some()).collect()
-            }
-
-            /// A flow joins under the next slot.
-            fn push(&mut self, (src, dst, conns): Flow) {
-                self.set.insert(self.slots.len() as u32, src, dst, conns);
-                self.slots.push(Some((src, dst, conns)));
-            }
-
-            /// A tenant joins: one flow of `conns` connections on each of
-            /// some pairs (on all of them if `all`), ascending.
-            fn join(&mut self, rng: &mut StdRng, conns: u32, all: bool) {
-                let hosts = self.net.hosts;
-                for (src, dst) in (0..hosts).flat_map(|i| (0..hosts).map(move |j| (i, j))) {
-                    if src != dst && (all || rng.gen_range(0..3) != 0) {
-                        self.push((src, dst, conns));
-                    }
+        /// A tenant: one flow of `conns` connections on each of some pairs
+        /// (on all of them, and no gap, if `all`), ascending.
+        fn tenant(rng: &mut StdRng, hosts: usize, conns: u32, all: bool) -> Vec<Flow> {
+            let mut flows = Vec::new();
+            for (src, dst) in (0..hosts).flat_map(|i| (0..hosts).map(move |j| (i, j))) {
+                if src != dst && (all || rng.gen_range(0..3) != 0) {
+                    flows.push((src, dst, conns));
+                }
+                if !all && rng.gen_range(0..8) == 0 {
+                    flows.push(gap(rng, hosts));
                 }
             }
+            flows
+        }
 
-            fn leave(&mut self, slot: usize) {
-                self.set.remove_all(&[slot as u32]);
-                self.slots[slot] = None;
-            }
-
-            fn set_conns(&mut self, slot: usize, conns: u32) {
-                self.set.set_conns(slot as u32, conns);
-                self.slots[slot].as_mut().expect("a live slot").2 = conns;
-            }
-
-            fn renumber(&mut self) {
-                let mut kept = 0;
-                let keep = |flow: &Option<Flow>| flow.map_or(NONE, |_| (kept, kept += 1).0);
-                let new_slot: Vec<u32> = self.slots.iter().map(keep).collect();
-                self.set.renumber(&new_slot);
-                self.slots.retain(Option::is_some);
-            }
-
-            /// One random edit.
-            fn step(&mut self, rng: &mut StdRng) {
-                let live = self.live();
-                let pick = |rng: &mut StdRng| live[rng.gen_range(0..live.len())];
-                match rng.gen_range(0..8) {
-                    0 | 1 => {
-                        let conns = [1, 2, 4][rng.gen_range(0usize..3)];
-                        self.join(rng, conns, false);
-                    }
-                    2..=4 if !live.is_empty() => {
-                        for _ in 0..rng.gen_range(1..live.len().min(6) + 1) {
-                            let slot = pick(rng);
-                            if self.slots[slot].is_some() {
-                                self.leave(slot);
-                            }
+        /// One random edit of `list`: a tenant joins at the end, some flows
+        /// leave and the list closes up behind them, a count changes, or a
+        /// flow stops crossing the WAN.
+        fn step(rng: &mut StdRng, hosts: usize, list: &mut Vec<Flow>) {
+            let len = list.len();
+            match rng.gen_range(0..8) {
+                0 | 1 => {
+                    let conns = [1, 2, 4][rng.gen_range(0usize..3)];
+                    list.extend(tenant(rng, hosts, conns, false));
+                }
+                2..=4 if len > 0 => {
+                    for _ in 0..rng.gen_range(1..len.min(6) + 1) {
+                        if !list.is_empty() {
+                            list.remove(rng.gen_range(0..list.len()));
                         }
                     }
-                    5 if !live.is_empty() => {
-                        self.set_conns(pick(rng), [1, 2, 3][rng.gen_range(0usize..3)])
-                    }
-                    6 => self.renumber(),
-                    _ => {}
                 }
+                5 if len > 0 => list[rng.gen_range(0..len)].2 = [1, 2, 3][rng.gen_range(0usize..3)],
+                6 if len > 0 => list[rng.gen_range(0..len)] = gap(rng, hosts),
+                _ => {}
             }
+        }
 
-            /// Holds the standing set to the stateless filing of its flow
-            /// list (shape and every rate) and to a build over it
-            /// (resources, members, capacities).
-            fn check(&self, ws: &mut FairnessWorkspace) -> SolveShape {
-                let live = self.live();
-                let flows: Vec<Flow> = live.iter().map(|&slot| self.slots[slot].unwrap()).collect();
-                ws.solve_pairs(&self.set, &self.net, self.slots.len());
-                let (rates, shape) = solve(&self.net, &flows);
-                for (f, &slot) in live.iter().enumerate() {
-                    let (got, want) = (ws.rates()[slot], rates[f]);
-                    assert_eq!(got.to_bits(), want.to_bits(), "slot {slot}: {got} vs {want}");
-                }
-                assert_eq!(ws.last_shape(), shape);
-                assert_views(&self.set, ws, &build(&self.net, &flows), &live);
-                shape
+        /// Files `list` into `set`, solves it through `ws`, and holds both to
+        /// the list without its gaps: the views to a build over it, the
+        /// shape and every rate to [`solve`]'s.
+        fn check(
+            set: &mut PairFlows,
+            ws: &mut FairnessWorkspace,
+            net: &PaletteNet,
+            list: &[Flow],
+        ) -> SolveShape {
+            set.file(net.hosts, list, |&flow| flow);
+            ws.solve_pairs(set, net, list.len());
+            let filed: Vec<usize> = (0..list.len()).filter(|&slot| crosses(&list[slot])).collect();
+            let flows: Vec<Flow> = filed.iter().map(|&slot| list[slot]).collect();
+            let (rates, shape) = solve(net, &flows);
+            for (f, &slot) in filed.iter().enumerate() {
+                let (got, want) = (ws.rates()[slot], rates[f]);
+                assert_eq!(got.to_bits(), want.to_bits(), "slot {slot}: {got} vs {want}");
             }
+            assert_eq!(ws.last_shape(), shape);
+            assert_views(set, ws, &build(net, &flows), &filed);
+            shape
         }
 
         proptest! {
             #[test]
             fn the_views_list_a_fresh_builds_resources_in_its_order(seed in 0u64..u64::MAX) {
-                let (mut standing, mut rng) = Standing::new(seed);
-                let mut ws = FairnessWorkspace::new();
+                let mut rng = StdRng::seed_from_u64(seed);
+                let hosts = rng.gen_range(2usize..7);
+                let net = PaletteNet::new(&mut rng, hosts);
+                let (mut set, mut ws) = (PairFlows::default(), FairnessWorkspace::new());
                 // Two tenants alike: every live flow shares its class.
-                standing.join(&mut rng, 2, true);
-                standing.join(&mut rng, 2, true);
-                let shape = standing.check(&mut ws);
+                let mut list = tenant(&mut rng, hosts, 2, true);
+                list.extend(tenant(&mut rng, hosts, 2, true));
+                let shape = check(&mut set, &mut ws, &net, &list);
                 prop_assert!(2 * shape.classes <= shape.flows, "{:?}", shape);
                 for _ in 0..rng.gen_range(4..25) {
-                    standing.step(&mut rng);
-                    standing.check(&mut ws);
+                    step(&mut rng, hosts, &mut list);
+                    check(&mut set, &mut ws, &net, &list);
                 }
             }
         }
 
         #[test]
         fn the_round_limit_counts_flows_and_resources_not_slots() {
-            // Most of the slot space is retired; the limit — which enters
-            // every slack margin — is the one a build over the survivors
-            // has, whatever the slot count says.
-            let (mut standing, mut rng) = Standing::new(7);
-            (0..4).for_each(|_| standing.join(&mut rng, 1, false));
-            for slot in standing.live() {
-                if slot % 5 != 0 {
-                    standing.leave(slot);
+            // Three slots in four are gaps; the limit — which enters every
+            // slack margin — is the one a build over the filed flows has,
+            // whatever the slot count says.
+            let mut rng = StdRng::seed_from_u64(7);
+            let net = PaletteNet::new(&mut rng, 5);
+            let mut list = Vec::new();
+            for _ in 0..4 {
+                for flow in tenant(&mut rng, 5, 1, true) {
+                    list.push(flow);
+                    list.extend((0..3).map(|_| gap(&mut rng, 5)));
                 }
             }
-            let live = standing.live();
-            assert!(live.len() >= 2 && standing.slots.len() > 3 * live.len());
-            let flows: Vec<Flow> = live.iter().map(|&slot| standing.slots[slot].unwrap()).collect();
-            let fresh = build(&standing.net, &flows);
-            assert_eq!(standing.set.size(), (fresh.flow_count(), fresh.resource_count()));
+            let flows: Vec<Flow> = list.iter().copied().filter(crosses).collect();
+            assert_eq!(list.len(), 4 * flows.len());
+            let set = file(5, &list);
+            let fresh = build(&net, &flows);
+            assert_eq!(set.size(), (fresh.flow_count(), fresh.resource_count()));
             let mut ws = FairnessWorkspace::new();
-            let mut solve = PairSolve::default();
-            let limit =
-                ws.prepare_pairs(&standing.set, &standing.net, standing.slots.len(), &mut solve);
+            let limit = ws.prepare_pairs(&set, &net, list.len(), &mut PairSolve::default());
             assert_eq!(limit, fresh.flow_count() + fresh.resource_count() + 1);
-            standing.check(&mut ws);
+            check(&mut PairFlows::default(), &mut ws, &net, &list);
         }
 
         #[test]
         fn classes_tied_at_their_ceilings_freeze_in_slot_order() {
-            // `class_parity`'s order-sensitive case, standing: the tied
-            // pairs' flows join tenant by tenant, so host 3's slot list
-            // interleaves them as the stateless filing does.
+            // `class_parity`'s order-sensitive case with a gap after every
+            // flow: host 3's slot list interleaves the tied pairs tenant by
+            // tenant, as the loop's list does, and the gaps move no freeze.
             let mut sensitive = 0;
             for seed in 0..200 {
                 let (net, flows) = tied(seed);
-                let mut standing = Standing::on(net);
-                flows.iter().for_each(|&flow| standing.push(flow));
+                let list: Vec<Flow> = flows.iter().flat_map(|&flow| [flow, (3, 3, 1)]).collect();
                 let mut ws = FairnessWorkspace::new();
-                let shape = standing.check(&mut ws);
+                let shape = check(&mut PairFlows::default(), &mut ws, &net, &list);
                 assert_eq!((shape.classes, shape.live_resources), (3, 1), "{shape:?}");
                 assert!(shape.rounds >= 2, "{shape:?}");
-                let last = ws.rates()[flows.len() - 1];
-                sensitive += usize::from(order_sensitive(&standing.net, &flows, last));
+                let last = ws.rates()[list.len() - 2];
+                sensitive += usize::from(order_sensitive(&net, &flows, last));
             }
             assert!(sensitive >= 20, "only {sensitive} of 200 draws are order-sensitive");
         }
 
         #[test]
         fn a_retired_slot_is_never_visited() {
-            let (mut standing, mut rng) = Standing::new(11);
-            (0..3).for_each(|_| standing.join(&mut rng, 2, false));
-            let mut ws = FairnessWorkspace::new();
-            standing.check(&mut ws);
+            // Flows that stop crossing the WAN between two filings leave
+            // gaps: the next solve neither lists nor writes their slots,
+            // whatever the workspace held for them.
+            let mut rng = StdRng::seed_from_u64(11);
+            let net = PaletteNet::new(&mut rng, 5);
+            let mut list: Vec<Flow> = (0..3).flat_map(|_| tenant(&mut rng, 5, 2, false)).collect();
+            let (mut set, mut ws) = (PairFlows::default(), FairnessWorkspace::new());
+            check(&mut set, &mut ws, &net, &list);
             let gone: Vec<usize> =
-                standing.live().into_iter().filter(|slot| slot % 3 == 1).collect();
+                (0..list.len()).filter(|&slot| slot % 3 == 1 && crosses(&list[slot])).collect();
+            assert!(gone.len() >= 5, "{gone:?}");
             for &slot in &gone {
-                standing.leave(slot);
+                list[slot] = (slot % 5, slot % 5, 2);
                 // Whatever the next solve writes here would show.
                 ws.rates[slot] = f64::NAN;
                 ws.active[slot] = true;
                 ws.class_link[slot] = (NONE, slot as u32);
             }
-            standing.check(&mut ws);
-            let listed = standing.set.egress.iter().flatten().map(|flow| flow.slot);
-            let listed: Vec<u32> =
-                listed.chain(standing.set.ingress.iter().flatten().copied()).collect();
+            check(&mut set, &mut ws, &net, &list);
+            let listed = set.egress.iter().flatten().map(|flow| flow.slot);
+            let listed: Vec<u32> = listed.chain(set.ingress.iter().flatten().copied()).collect();
             for &slot in &gone {
                 assert!(ws.rates[slot].is_nan(), "slot {slot} was written");
                 assert!(!listed.contains(&(slot as u32)), "slot {slot} is still listed");
-                assert_eq!(standing.set.ends[slot], (NONE, NONE));
+                assert_eq!(set.ends[slot], (NONE, NONE));
             }
             assert!(ws.freeze_mask.iter().all(|&word| word == 0));
         }

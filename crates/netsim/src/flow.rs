@@ -65,6 +65,11 @@ pub struct TransferReport {
     /// Coalesced runs *cover* the same epochs they skip re-solving for,
     /// so this count is identical on the fast and per-epoch paths.
     pub epochs: usize,
+    /// Whether some payload was still undelivered when the run stopped:
+    /// the transfers stalled for good or ran out of
+    /// [`crate::sim::MAX_EPOCHS`], and the other fields describe them as
+    /// they stood then.
+    pub truncated: bool,
 }
 
 impl TransferReport {

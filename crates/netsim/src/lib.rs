@@ -39,11 +39,11 @@
 //! schedule force stepping every epoch.
 //!
 //! Every solve reads one pair-major description of its flows (see the
-//! [`fairness`] module docs): the loop keeps its own standing between
-//! events and edits it, and the stateless [`NetSim::allocate_rates_with`]
-//! under gauges and probes files its flow list into a reusable
-//! [`RateScratch`]. Both are allocation-free once their buffers have
-//! grown.
+//! [`fairness`] module docs), filed afresh by one counting pass: the loop
+//! files its pairs in flight at every event, and the stateless
+//! [`NetSim::allocate_rates_with`] under gauges and probes files its flow
+//! list into a reusable [`RateScratch`]. Both are allocation-free once
+//! their buffers have grown.
 //!
 //! The loop has two entry points. [`NetSim::run_transfers`] is the
 //! blocking one: a single flow group with the network to itself, run to

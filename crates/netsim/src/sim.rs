@@ -114,13 +114,8 @@ pub trait EpochHook {
 pub struct RunStats {
     /// Fairness solves performed (one per rate segment).
     pub solves: u64,
-    /// Solves that first renumbered the slots of the standing flow-set
-    /// description from end to end — the one maintenance step whose cost
-    /// grows with the flows in flight rather than with what changed (see
-    /// the [`crate::engine`] module docs).
-    pub renumbers: u64,
     /// Flows in flight, summed over the solves: `flows / solves` is the
-    /// size of the problem an event solves.
+    /// size of the problem an event files and solves.
     pub flows: u64,
     /// Epochs simulated (matches [`TransferReport::epochs`]).
     pub epochs: u64,
@@ -761,16 +756,16 @@ impl NetSim {
     /// Filing costs O(flows + DCs): a one-flow gauge on a 64-DC topology
     /// does no per-pair work.
     ///
-    /// This is the stateless entry: gauges and probes call it, and the
-    /// transfer loop, which keeps its flows standing between events
-    /// ([`crate::engine`]), is held to it rate for rate.
+    /// This is the stateless entry, for gauges and probes. The transfer
+    /// loop ([`crate::engine`]) files its pairs in flight with the same
+    /// pass and solves them with the same workspace code at every event.
     pub fn allocate_rates_with<'s>(
         &self,
         flows: &[FlowSpec],
         scratch: &'s mut RateScratch,
     ) -> &'s [f64] {
         let s = scratch;
-        s.flows.file(self.topo.len(), flows);
+        s.flows.file(self.topo.len(), flows, |f| (f.src.0, f.dst.0, f.conns));
         s.ws.solve_pairs(&s.flows, self, flows.len());
         let solved = s.ws.rates();
         s.rates.clear();
@@ -800,6 +795,11 @@ impl NetSim {
     /// legacy continuous dynamics force the per-epoch path.
     /// [`NetSim::last_run_stats`] exposes the solve count either way.
     ///
+    /// Transfers the loop gives up on — permanently stalled (every
+    /// remaining pair at rate zero, nothing scheduled to change that) or
+    /// out of [`MAX_EPOCHS`] — are reported as they stand over the whole
+    /// epoch budget, with [`TransferReport::truncated`] set.
+    ///
     /// # Panics
     ///
     /// Panics if `conns` does not match the topology size or any transfer
@@ -814,19 +814,19 @@ impl NetSim {
         let mut lp = TransferLoop::new(self.coalescible() && hook.is_none());
         let id = lp.submit(self, transfers, conns);
         let mut seat = hook.map(|h| HookSeat::new(h, transfers, conns));
-        let group = match lp.advance(self, f64::INFINITY, seat.as_mut()).pop() {
-            Some(group) => group,
+        let (group, truncated) = match lp.advance(self, f64::INFINITY, seat.as_mut()).pop() {
+            Some(group) => (group, false),
             None => {
                 // The loop gave the group up as permanently stalled, or
                 // it ran out of `MAX_EPOCHS`. A blocking call has nobody
                 // to hand a stall to: cover what is left of the budget in
                 // one jump (clock and busy time advance, nothing moves)
-                // and report the group as it stands.
+                // and report the group as it stands, truncated.
                 let left = MAX_EPOCHS as u64 - lp.stats.epochs;
                 if left > 0 {
                     lp.serve(self, left, seat.as_mut());
                 }
-                lp.cancel(self, id).expect("the lone group is still in flight")
+                (lp.cancel(self, id).expect("the lone group is still in flight"), true)
             }
         };
         self.last_run_stats = lp.stats;
@@ -852,6 +852,7 @@ impl NetSim {
             min_pair_bw_mbps: summary.min_pair_bw_mbps,
             egress_gigabits: summary.egress_gigabits,
             epochs: lp.stats.epochs as usize,
+            truncated,
         }
     }
 }
@@ -1241,7 +1242,7 @@ mod tests {
         ];
         let conns = ConnMatrix::filled(3, 1);
         let report = sim.run_transfers(&transfers, &conns, None);
-        assert!(report.makespan_s >= 1.0);
+        assert!(report.makespan_s >= 1.0 && !report.truncated);
         assert_eq!(report.completion_s.len(), 3);
         assert!(report.min_pair_bw_mbps > 0.0);
         assert!(report.egress_gigabits[0] > 4.9, "DC0 sent 5 Gb total");
@@ -1322,8 +1323,7 @@ mod tests {
     fn permanently_stalled_transfer_covers_the_epoch_budget() {
         // The blocking tail: the loop hands back a group that can never
         // drain, and the call — having nobody to pass the stall on to —
-        // covers the rest of `MAX_EPOCHS` in one jump. Pinned until the
-        // budget becomes a reported truncation.
+        // covers the rest of `MAX_EPOCHS` in one jump and says so.
         let dead_pair = |sim: &mut NetSim| sim.set_throttle(DcId(0), DcId(1), 0.0);
         let dead_dc = |sim: &mut NetSim| {
             let down = crate::faults::FaultKind::DcDown(DcId(1));
@@ -1335,6 +1335,7 @@ mod tests {
             stall(&mut sim);
             let conns = ConnMatrix::filled(3, 1);
             let report = sim.run_transfers(&[Transfer::new(DcId(0), DcId(1), 2.0)], &conns, None);
+            assert!(report.truncated, "the budget is reported, not silently covered");
             assert_eq!(report.epochs, MAX_EPOCHS);
             assert_eq!(sim.time_s(), MAX_EPOCHS as f64 * sim.epoch_dt());
             assert_eq!(report.makespan_s, sim.time_s(), "stalled time is busy time");

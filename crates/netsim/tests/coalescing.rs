@@ -148,12 +148,14 @@ fn reference_run(sim: &mut NetSim, transfers: &[Transfer], conns: &ConnMatrix) -
         min_pair_bw_mbps: if min_pair.is_finite() { min_pair } else { 0.0 },
         egress_gigabits: egress,
         epochs,
+        truncated: pairs.iter().any(|p| p.active),
     }
 }
 
 /// Bit-level equality over every report field.
 fn assert_reports_bit_identical(fast: &TransferReport, reference: &TransferReport) {
     assert_eq!(fast.epochs, reference.epochs, "epoch counts differ");
+    assert_eq!(fast.truncated, reference.truncated, "one run gave up, the other did not");
     assert_eq!(
         fast.makespan_s.to_bits(),
         reference.makespan_s.to_bits(),
