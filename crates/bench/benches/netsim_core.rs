@@ -5,7 +5,7 @@
 //! short and long payloads, coalesced vs forced per-epoch stepping).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use wanify_bench::{all_pair_flows, all_pair_transfers, frozen_sim, NoopHook};
+use wanify_bench::{all_pair_flows, all_pair_transfers, frozen_sim, live_sim, NoopHook};
 use wanify_netsim::{
     paper_testbed_tiled, ConnMatrix, DcId, EpochCtx, EpochHook, FlowSpec, LinkModelParams,
     NetEngine, NetSim, RateScratch, RunStats, Transfer, VmType,
@@ -144,18 +144,21 @@ impl EpochHook for Watcher {
 }
 
 /// What one event of the transfer loop costs: each bench is a fixed script
-/// of events, and the line printed before it says how many (`solves`) and
-/// how many flows an event files and solves, so the mean divides into a
-/// per-event and a per-flow figure.
+/// of events, and the line printed before it says how many (`solves`), how
+/// many flows an event files and solves, and how many progressive-filling
+/// rounds a solve runs, so the mean divides into a per-event and a
+/// per-flow figure.
 fn bench_engine_events(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_events");
     group.sample_size(10);
     let mut bench = |name: &str, script: &dyn Fn() -> RunStats| {
         let stats = script();
+        let per_solve = |count: u64| count as f64 / stats.solves as f64;
         println!(
-            "engine_events/{name}: {} events · {:.0} flows/event",
+            "engine_events/{name}: {} events · {:.0} flows/event · {:.1} rounds/solve",
             stats.solves,
-            stats.flows as f64 / stats.solves as f64
+            per_solve(stats.flows),
+            per_solve(stats.rounds)
         );
         group.bench_function(name, |b| b.iter(|| black_box(script())));
     };
@@ -178,6 +181,14 @@ fn bench_engine_events(c: &mut Criterion) {
     // tenants think and compute between shuffles, so a few of them are in
     // flight together: 136 flows per event there, eight to a class; 130 here.
     bench("8dc_8tenants", &|| churn(frozen_sim(8), (8, 1), 8, 64, |k| 0.5 + (k % 5) as f64));
+
+    // The same eight tenants on live dynamics (30 s ticks), as
+    // `gateway-overload` runs them: every pair's bandwidth moves on its
+    // own, so a class is about a pair, and rounds double: 18 per solve
+    // here, 24 in `gateway-overload` (89 flows in 34 classes per event).
+    bench("8dc_live_8tenants", &|| {
+        churn(live_sim(8, 30.0), (8, 1), 8, 64, |k| 0.5 + (k % 5) as f64)
+    });
 
     // One hooked group with its own connection count on every pair
     // (`wanify-loop`): 56 pairs at the start, then only drains.

@@ -77,8 +77,11 @@ pub struct QueryReport {
 /// # Errors
 ///
 /// Returns [`WanifyError::DimensionMismatch`] when the job layout width
-/// differs from the topology size, and propagates any gauge failure from
-/// the bandwidth source.
+/// differs from the topology size, [`WanifyError::InvalidConfig`] naming
+/// the job and the stage when a shuffle never finishes (the simulator
+/// gave it up as [`wanify_netsim::TransferReport::truncated`]: permanently
+/// stalled, or out of its epoch budget), and propagates any gauge failure
+/// from the bandwidth source.
 pub fn run_job<S: BandwidthSource + ?Sized>(
     sim: &mut NetSim,
     job: &JobProfile,
@@ -105,6 +108,16 @@ pub fn run_job<S: BandwidthSource + ?Sized>(
             JobStep::Shuffle { transfers, conns, migration } => {
                 let hook = if migration { None } else { opts.hook.as_deref_mut() };
                 let tr = sim.run_transfers(&transfers, &conns, hook);
+                if tr.truncated {
+                    let stage = match run.phase {
+                        RunPhase::Shuffling(s) => format!("stage `{}`", job.stages[s].name),
+                        _ => "input migration".to_string(),
+                    };
+                    return Err(WanifyError::InvalidConfig(format!(
+                        "job `{}` stalled: the {stage} shuffle did not finish within {} epochs",
+                        job.name, tr.epochs
+                    )));
+                }
                 let group = GroupReport {
                     group: GroupId(0),
                     submitted_s: 0.0,
@@ -745,6 +758,24 @@ mod tests {
         )
         .unwrap_err();
         assert_eq!(err, wanify::WanifyError::DimensionMismatch { expected: 4, got: 3 });
+    }
+
+    #[test]
+    fn a_shuffle_that_never_finishes_is_an_error_naming_the_job_and_stage() {
+        // Vanilla Spark reduces everywhere, so 0 → 1 carries map output;
+        // at 0 Mbps that pair can never drain.
+        let mut s = sim(3);
+        s.set_throttle(DcId(0), DcId(1), 0.0);
+        let err = run_job(
+            &mut s,
+            &sort_job(3, 3.0),
+            &VanillaSpark::new(),
+            &mut wanify::StaticIndependent::new(),
+            TransferOptions::default(),
+        )
+        .unwrap_err();
+        let WanifyError::InvalidConfig(message) = err else { panic!("got {err:?}") };
+        assert!(message.contains("job `sort`") && message.contains("stage `map`"), "{message}");
     }
 
     #[test]

@@ -382,6 +382,7 @@ impl TransferLoop {
             self.ws.solve_pairs(&self.filed, &*sim, self.flows.len());
             self.stats.solves += 1;
             self.stats.flows += self.flows.len() as u64;
+            self.stats.rounds += self.ws.last_shape().rounds as u64;
             #[cfg(any(debug_assertions, test))]
             self.shadow_check(sim);
 
@@ -1723,6 +1724,8 @@ mod tests {
                     let after = engine.stats();
                     prop_assert_eq!(after.solves - before.solves, 1);
                     prop_assert_eq!(after.flows - before.flows, listed);
+                    let rounds = engine.lp.ws.last_shape().rounds as u64;
+                    prop_assert_eq!(after.rounds - before.rounds, rounds);
                 }
                 // Lift what could stall a pair for good, then drain.
                 engine.sim_mut().clear_throttles();

@@ -27,9 +27,17 @@
 //!   whose per-host lists keep their capacity from one filing to the
 //!   next; [`FairnessWorkspace`] owns every buffer a solve needs, so
 //!   repeated solves are allocation-free once the buffers have grown.
-//! * **Incremental sums.** Each resource's consumed bandwidth `used` and
-//!   active-weight sum `active_w` are updated in place — once per round,
-//!   plus once per member when it freezes — never re-summed.
+//! * **Incremental sums.** Each resource is one record (`Res`): its
+//!   capacity, whether it takes part in the rounds, and its consumed
+//!   bandwidth `used`, active-weight sum `active_w` and active-member
+//!   count, updated in place — once per round, plus once per member when
+//!   it freezes — never re-summed. A freeze touches its flow's three
+//!   records. The class part of `t_star`, the minimum headroom over the
+//!   live classes, is carried too: the grow pass folds it over the
+//!   classes that stay, in list order — the list, order and values the
+//!   next round's scan would fold — and a saturation that drops classes
+//!   refolds it over the survivors in the pass that drops them. So each
+//!   live class is visited once per round.
 //! * **Active sets.** A round only concerns flows that are still filling
 //!   and resources that still have one. The workspace keeps the resources
 //!   as an ascending, order-preserving compacted list: `live` holds every
@@ -41,7 +49,17 @@
 //!   The flows are kept by class (below). Growing and freezing at the
 //!   ceiling follow the resources' taking the round's growth at their
 //!   pre-freeze weight — the order the plain algorithm's separate passes
-//!   produce.
+//!   produce. A resource that saturates is **settled** before its members
+//!   are walked: it leaves the rounds at once, and its members' freezes
+//!   update only their other resources. That is exact because nothing
+//!   reads its sums again. The walk freezes every active member, so
+//!   afterwards its count would be 0 and `active_w` pinned to 0.0, and
+//!   `used` would have taken `+= 0.0`, which leaves a sum that is never
+//!   −0.0 unchanged. During the walk only the members' `active` flags are
+//!   read. A later resource of the pass reads only its own sums. A later
+//!   round could only reach it through a member, and none is left
+//!   active. The plain algorithm drops it from every later test as well,
+//!   on its zero weight.
 //! * **One pass per occupied pair.** Preparing a solve walks each host's
 //!   pair runs once: the pair's state, and each run of equal connection
 //!   counts' weight, ceiling and class, are asked for once, and every
@@ -112,7 +130,8 @@
 //!    class contribute the same value, those values are positive and not
 //!    NaN (an active flow sits more than `EPS` below its ceiling), and
 //!    `f64::min` over such values does not depend on order or
-//!    multiplicity: the minimum over live classes is the same number.
+//!    multiplicity: the minimum over live classes is the same number. (It
+//!    is carried from the grow pass, above, without reordering anything.)
 //! 3. *Ascending-index freezes.* Freezing a flow updates `used[r] +=
 //!    delta` and `active_w[r] = (active_w[r] − weight).max(0)` on each of
 //!    its resources, and those do not commute: every resource must see a
@@ -340,6 +359,33 @@ struct FlowClass {
     head: u32,
 }
 
+impl FlowClass {
+    /// Normalized headroom `(ceiling − rate) / weight`: the class's part
+    /// in `t_star`.
+    #[inline]
+    fn headroom(&self) -> f64 {
+        (self.ceiling - self.rate) / self.weight
+    }
+}
+
+/// One resource of a solve: its capacity and the sums the rounds keep of
+/// its active members, in one record, so a freeze touches three records.
+#[derive(Debug, Clone, Copy, Default)]
+struct Res {
+    /// Bandwidth consumed, maintained incrementally.
+    used: f64,
+    /// Sum of the active members' weights, maintained incrementally.
+    active_w: f64,
+    cap: f64,
+    /// Active members; when it reaches zero `active_w` is pinned to
+    /// exactly 0.0, so float residue from the incremental subtractions can
+    /// never leave a ghost resource binding `t_star`.
+    active_n: u32,
+    /// Takes part in the rounds: not slack, and not settled (module docs,
+    /// "Active sets").
+    in_rounds: bool,
+}
+
 /// Size of a fairness solve, for tests and issues that need to know what
 /// traffic a solver change would see.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -362,14 +408,8 @@ pub struct SolveShape {
 pub(crate) struct FairnessWorkspace {
     rates: Vec<f64>,
     active: Vec<bool>,
-    /// Incrementally maintained bandwidth consumed per resource.
-    used: Vec<f64>,
-    /// Incrementally maintained sum of active member weights per resource.
-    active_w: Vec<f64>,
-    /// Active member count per resource; when it reaches zero `active_w`
-    /// is pinned to exactly 0.0, so float residue from the incremental
-    /// subtractions can never leave a ghost resource binding `t_star`.
-    active_n: Vec<usize>,
+    /// Per resource, everything the rounds read and update of it.
+    res: Vec<Res>,
     /// One entry per distinct `(weight, ceiling)` among the active flows.
     classes: Vec<FlowClass>,
     /// Indices into `classes` of those with an active member, compacted
@@ -414,18 +454,22 @@ impl FairnessWorkspace {
         self.shape
     }
 
-    /// Deactivates flow `f`, removing its weight from every live resource
-    /// it belongs to and folding `rate_delta` (a ceiling clamp
-    /// correction) into those resources' `used` sums. Each resource's
-    /// update is independent of the others', so their order is immaterial.
+    /// Deactivates flow `f`, removing its weight from every resource it
+    /// belongs to that takes part in the rounds and folding `rate_delta`
+    /// (a ceiling clamp correction) into those resources' `used` sums.
+    /// Each resource's update is independent of the others', so their
+    /// order is immaterial.
     #[inline(always)] // out of line, the rounds' loops spill around the call: ×1.3 on small solves
     fn freeze_flow(&mut self, members: &PairMembers<'_>, f: usize, weight: f64, rate_delta: f64) {
         self.active[f] = false;
-        for r in members.live_resources(f) {
-            self.used[r] += rate_delta;
-            self.active_n[r] -= 1;
-            self.active_w[r] =
-                if self.active_n[r] == 0 { 0.0 } else { (self.active_w[r] - weight).max(0.0) };
+        for r in members.resources(f) {
+            let res = &mut self.res[r];
+            if res.in_rounds {
+                res.used += rate_delta;
+                res.active_n -= 1;
+                res.active_w =
+                    if res.active_n == 0 { 0.0 } else { (res.active_w - weight).max(0.0) };
+            }
         }
     }
 
@@ -547,16 +591,8 @@ impl FairnessWorkspace {
         if self.freeze_mask.len() * 64 < slots {
             self.freeze_mask.resize(slots.div_ceil(64), 0);
         }
-        for sums in [&mut self.used, &mut self.active_w] {
-            sums.clear();
-            sums.resize(nr, 0.0);
-        }
-        self.active_n.clear();
-        self.active_n.resize(nr, 0);
-        solve.caps.clear();
-        solve.caps.resize(nr, 0.0);
-        solve.in_rounds.clear();
-        solve.in_rounds.resize(nr, false);
+        self.res.clear();
+        self.res.resize(nr, Res::default());
         solve.paths.clear();
         if self.table.is_empty() {
             self.table.resize(MIN_TABLE, (0, 0));
@@ -584,6 +620,11 @@ impl FairnessWorkspace {
                         ceiling = net.ceiling_mbps(&pair, flow.conns).max(0.0);
                         let live = weight > EPS && ceiling > EPS;
                         class = if live { self.class_for(weight, ceiling) } else { NONE };
+                        if live {
+                            // The slack test's `min w_f`, once per run.
+                            nic.floor(weight);
+                            path.floor(weight);
+                        }
                     }
                     let f = flow.slot as usize;
                     self.active[f] = class != NONE;
@@ -602,13 +643,11 @@ impl FairnessWorkspace {
                 }
                 solve.paths.push((src as u32, lo as u32, (lo + on_pair.len()) as u32));
                 lo += on_pair.len();
-                solve.caps[r] = net.path_cap_mbps(&pair).max(0.0);
-                solve.in_rounds[r] = self.admit(r, &path, solve.caps[r], max_rounds);
+                self.res[r] = path.admit(net.path_cap_mbps(&pair), max_rounds);
             }
             if !out.is_empty() {
-                let r = 2 * src;
-                solve.caps[r] = net.egress_cap_mbps(src, set.host_conns[src]).max(0.0);
-                solve.in_rounds[r] = self.admit(r, &nic, solve.caps[r], max_rounds);
+                let cap = net.egress_cap_mbps(src, set.host_conns[src]);
+                self.res[2 * src] = nic.admit(cap, max_rounds);
             }
         }
         // The ingress members, in ascending flow index: a flow's weight
@@ -622,14 +661,14 @@ impl FairnessWorkspace {
                 if self.active[slot as usize] {
                     let class = &self.classes[self.class_link[slot as usize].0 as usize];
                     nic.add(class.weight, class.ceiling);
+                    nic.floor(class.weight);
                 }
             }
-            let r = 2 * dst + 1;
-            solve.caps[r] = net.ingress_cap_mbps(dst, set.host_conns[dst]).max(0.0);
-            solve.in_rounds[r] = self.admit(r, &nic, solve.caps[r], max_rounds);
+            let cap = net.ingress_cap_mbps(dst, set.host_conns[dst]);
+            self.res[2 * dst + 1] = nic.admit(cap, max_rounds);
         }
         self.live.clear();
-        self.live.extend((0..nr).filter(|&r| solve.in_rounds[r]));
+        self.live.extend((0..nr).filter(|&r| self.res[r].in_rounds));
         self.live_classes.clear();
         self.live_classes.extend(0..self.classes.len() as u32);
         self.shape = SolveShape {
@@ -641,22 +680,18 @@ impl FairnessWorkspace {
         max_rounds
     }
 
-    /// Records resource `r`'s active members and says whether it takes
-    /// part in the rounds: it has an active member and is not slack.
-    fn admit(&mut self, r: usize, load: &Load, capacity: f64, max_rounds: usize) -> bool {
-        self.active_n[r] = load.count;
-        self.active_w[r] = load.weight;
-        load.count > 0 && !load.is_slack(capacity, max_rounds)
-    }
-
     /// The rounds of a prepared solve. `flows` bounds the slots that
     /// `members` can name.
     fn rounds(&mut self, members: &PairMembers<'_>, max_rounds: usize, flows: usize) {
-        let capacity = members.capacities();
         // The two compacted lists leave the workspace for the rounds so
         // the loops below can call `freeze_flow` while walking them.
         let mut classes = std::mem::take(&mut self.live_classes);
         let mut live = std::mem::take(&mut self.live);
+
+        // The class part of the next round's `t_star`: the minimum headroom
+        // over `classes`, folded in list order as a scan of it would be.
+        let mut class_t =
+            classes.iter().fold(f64::INFINITY, |t, &k| t.min(self.classes[k as usize].headroom()));
 
         for _ in 0..max_rounds {
             if classes.is_empty() {
@@ -664,14 +699,11 @@ impl FairnessWorkspace {
             }
             self.shape.rounds += 1;
             // Smallest normalized headroom across ceilings and resources.
-            let mut t_star = f64::INFINITY;
-            for &k in &classes {
-                let class = &self.classes[k as usize];
-                t_star = t_star.min((class.ceiling - class.rate) / class.weight);
-            }
+            let mut t_star = class_t;
             for &r in &live {
-                if self.active_w[r] > EPS {
-                    t_star = t_star.min((capacity[r] - self.used[r]).max(0.0) / self.active_w[r]);
+                let res = &self.res[r];
+                if res.active_w > EPS {
+                    t_star = t_star.min((res.cap - res.used).max(0.0) / res.active_w);
                 }
             }
             if !t_star.is_finite() {
@@ -680,13 +712,16 @@ impl FairnessWorkspace {
             // Resources first: their `used` must take this round's growth
             // at the pre-freeze active weight, before any clamp correction.
             for &r in &live {
-                if self.active_w[r] > EPS {
-                    self.used[r] += self.active_w[r] * t_star;
+                let res = &mut self.res[r];
+                if res.active_w > EPS {
+                    res.used += res.active_w * t_star;
                 }
             }
             // Grow every live class; one that reached its ceiling leaves
-            // the list and marks its active members for the freeze below.
+            // the list and marks its active members for the freeze below,
+            // one that stays folds its headroom into the next `class_t`.
             let mut kept = 0;
+            class_t = f64::INFINITY;
             for i in 0..classes.len() {
                 let k = classes[i];
                 let class = &mut self.classes[k as usize];
@@ -701,6 +736,7 @@ impl FairnessWorkspace {
                         m = self.class_link[m as usize].1;
                     }
                 } else {
+                    class_t = class_t.min(class.headroom());
                     classes[kept] = k;
                     kept += 1;
                 }
@@ -725,14 +761,18 @@ impl FairnessWorkspace {
                 }
             }
             // Freeze the members of saturated resources at their class's
-            // rate, dropping resources whose members are all frozen. One
-            // that dies after its turn here is skipped by the weight test
-            // and dropped a round later.
+            // rate, dropping resources whose members are all frozen. A
+            // saturated resource is settled before its walk (module docs,
+            // "Active sets"); one that dies after its turn here is skipped
+            // by the weight test and dropped a round later.
             let mut saturated = false;
             let mut kept = 0;
             for i in 0..live.len() {
                 let r = live[i];
-                if self.active_w[r] > EPS && self.used[r] + EPS >= capacity[r] {
+                let res = &mut self.res[r];
+                if res.active_w > EPS && res.used + EPS >= res.cap {
+                    res.in_rounds = false;
+                    saturated = true;
                     for m in members.members(r) {
                         if self.active[m] {
                             let class = &mut self.classes[self.class_link[m].0 as usize];
@@ -740,18 +780,25 @@ impl FairnessWorkspace {
                             self.rates[m] = class.rate;
                             let weight = class.weight;
                             self.freeze_flow(members, m, weight, 0.0);
-                            saturated = true;
                         }
                     }
-                }
-                if self.active_n[r] > 0 {
+                } else if res.active_n > 0 {
                     live[kept] = r;
                     kept += 1;
                 }
             }
             live.truncate(kept);
             if saturated {
-                classes.retain(|&k| self.classes[k as usize].active > 0);
+                // Classes frozen whole leave; `class_t` is refolded over the
+                // survivors, in list order.
+                class_t = f64::INFINITY;
+                classes.retain(|&k| {
+                    let class = &self.classes[k as usize];
+                    if class.active > 0 {
+                        class_t = class_t.min(class.headroom());
+                    }
+                    class.active > 0
+                });
             }
             if t_star <= EPS {
                 // Numerical stall: everything remaining is effectively frozen.
@@ -796,7 +843,26 @@ impl Load {
         self.count += 1;
         self.weight += weight;
         self.ceilings += ceiling;
+    }
+
+    /// Folds a member's weight into `min_weight`: once per run of equal
+    /// weights is enough.
+    fn floor(&mut self, weight: f64) {
         self.min_weight = self.min_weight.min(weight);
+    }
+
+    /// The resource of capacity `capacity` (clamped at zero) these members
+    /// load. It takes part in the rounds if it has an active member and is
+    /// not slack.
+    fn admit(&self, capacity: f64, max_rounds: usize) -> Res {
+        let cap = capacity.max(0.0);
+        Res {
+            used: 0.0,
+            active_w: self.weight,
+            cap,
+            active_n: self.count as u32,
+            in_rounds: self.count > 0 && !self.is_slack(cap, max_rounds),
+        }
     }
 
     /// Slack test (module docs): the members' ceilings cannot fill the
@@ -813,10 +879,6 @@ impl Load {
 /// resources of a [`PairFlows`] for one solve.
 #[derive(Debug, Clone, Default)]
 struct PairSolve {
-    /// Capacity per resource.
-    caps: Vec<f64>,
-    /// Per resource: takes part in the rounds.
-    in_rounds: Vec<bool>,
     /// Per path resource, counted from `2·hosts`: its source host and
     /// its run in that host's list.
     paths: Vec<(u32, u32, u32)>,
@@ -833,12 +895,6 @@ struct PairMembers<'a> {
 }
 
 impl PairMembers<'_> {
-    /// Capacity per resource.
-    #[inline]
-    fn capacities(&self) -> &[f64] {
-        &self.solve.caps
-    }
-
     /// The members of resource `r`, in member order.
     #[inline]
     fn members(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
@@ -856,12 +912,11 @@ impl PairMembers<'_> {
         out.iter().map(|flow| flow.slot as usize).chain(into.iter().map(|&slot| slot as usize))
     }
 
-    /// The resources of flow `f` that take part in the rounds.
+    /// The resources of flow `f`: egress, ingress, path.
     #[inline]
-    fn live_resources(&self, f: usize) -> impl Iterator<Item = usize> + '_ {
+    fn resources(&self, f: usize) -> [usize; 3] {
         let (src, dst) = self.flows.ends[f];
-        let of_flow = [2 * src as usize, 2 * dst as usize + 1, self.solve.slot_path[f] as usize];
-        of_flow.into_iter().filter(|&r| self.solve.in_rounds[r])
+        [2 * src as usize, 2 * dst as usize + 1, self.solve.slot_path[f] as usize]
     }
 }
 
@@ -1322,7 +1377,7 @@ mod tests {
                 None => ResourceKind::Ingress(r / 2),
             };
             assert_eq!(kind, want);
-            assert_eq!(views.capacities()[r].to_bits(), cap.to_bits(), "{kind:?}");
+            assert_eq!(ws.res[r].cap.to_bits(), cap.to_bits(), "{kind:?}");
             let listed: Vec<usize> = views.members(r).collect();
             let want: Vec<usize> = members.iter().map(|&m| slots[m]).collect();
             assert_eq!(listed, want, "{kind:?}");
@@ -1479,13 +1534,15 @@ mod tests {
         /// footprint.
         pub(crate) fn footprint(&self) -> usize {
             let solve = &self.pair_solve;
-            let per_slot = [self.rates.len(), self.active.len(), self.class_link.len()];
-            let per_resource = [self.used.len(), self.active_w.len(), self.active_n.len()];
-            let rest =
-                [self.classes.len(), self.table.len(), self.freeze_mask.len(), self.live.len()];
-            let of_solve = [solve.caps.len(), solve.in_rounds.len(), solve.paths.len()];
-            let all = per_slot.into_iter().chain(per_resource).chain(rest).chain(of_solve);
-            all.chain([solve.slot_path.len()]).max().unwrap_or(0)
+            let per_slot = [
+                self.rates.len(),
+                self.active.len(),
+                self.class_link.len(),
+                self.freeze_mask.len(),
+            ];
+            let rest = [self.res.len(), self.classes.len(), self.table.len(), self.live.len()];
+            let of_solve = [solve.paths.len(), solve.slot_path.len()];
+            per_slot.into_iter().chain(rest).chain(of_solve).max().unwrap_or(0)
         }
     }
 
@@ -1803,6 +1860,67 @@ mod tests {
                 [(0, 1, 1), (0, 1, 1), (0, 1, 1), (2, 3, 1), (2, 3, 1), (1, 4, 1), (1, 4, 1)];
             let shape = solve(&net, &flows).1;
             assert_eq!((shape.flows, shape.classes, shape.rounds), (7, 3, 3), "{shape:?}");
+        }
+
+        #[test]
+        fn a_saturated_nic_settles_once_and_its_members_update_their_other_resources() {
+            // Host 0's egress NIC saturates in round one with its six
+            // members active: two tenants on the pairs into hosts 1–3, tied
+            // class by class across the pairs and interleaved by slot. Their
+            // freezes skip the dying NIC but reach hosts 1–3's ingress NICs
+            // and their own paths, all live, which host 4's flows go on to
+            // fill one NIC a round.
+            for seed in 0..50 {
+                let mut rng = StdRng::seed_from_u64(seed);
+                let (w, w4) = (rng.gen_range(0.1..3.0), rng.gen_range(0.1..3.0));
+                let mut net = PaletteNet::open(5);
+                let egress = rng.gen_range(100.0..500.0);
+                net.nics[0].0 = egress;
+                let t1 = egress / (9.0 * w);
+                for dst in 1..4 {
+                    *net.pair_mut(0, dst) = (w, INF, INF);
+                    *net.pair_mut(4, dst) = (w4, INF, INF);
+                    net.nics[dst].1 = t1 * 3.0 * (w + w4) * rng.gen_range(1.5..4.0);
+                }
+                let flows: Vec<Flow> = (1..3)
+                    .flat_map(|conns| [0, 4].map(|src| (1..4).map(move |dst| (src, dst, conns))))
+                    .flatten()
+                    .collect();
+                let mut ws = FairnessWorkspace::new();
+                ws.prepare_pairs(&file(5, &flows), &net, flows.len(), &mut PairSolve::default());
+                // Both egress NICs, the three ingress NICs, all six paths.
+                assert_eq!(ws.live, vec![0, 3, 5, 7, 8, 10, 11, 12, 13, 14, 15]);
+                let (rates, shape) = solve_with(&mut ws, &net, &flows);
+                assert_eq!((shape.flows, shape.classes, shape.live_resources), (12, 4, 11));
+                assert!(shape.rounds >= 2, "{shape:?}");
+                let out_of_0: Vec<usize> = (0..12).filter(|&f| flows[f].0 == 0).collect();
+                assert!((total(&rates, &out_of_0) - egress).abs() < 1e-6, "{rates:?}");
+                for f in out_of_0 {
+                    let conns = f64::from(flows[f].2);
+                    assert!((rates[f] - conns * w * t1).abs() < 1e-6, "{rates:?}");
+                }
+            }
+        }
+
+        #[test]
+        fn a_class_frozen_whole_leaves_the_next_t_star() {
+            // Host 0's NIC freezes all of class A at t1 = 300.3 / 2.1 in
+            // round one, below A's ceiling; class B, on host 1's NIC,
+            // survives. A's headroom undercuts B's next step, so it must
+            // leave the carried minimum with A, or round two would stop
+            // short at it.
+            let mut net = PaletteNet::open(4);
+            (net.nics[0].0, net.nics[1].0) = (300.3, 3000.7);
+            *net.pair_mut(0, 2) = (0.7, 600.1, INF); // A
+            *net.pair_mut(1, 3) = (1.1, INF, INF); // B
+            let flows = [(0, 2, 1), (1, 3, 1), (0, 2, 1), (1, 3, 1), (0, 2, 1)];
+            let (rates, shape) = solve(&net, &flows);
+            assert_eq!((shape.flows, shape.classes, shape.rounds), (5, 2, 2), "{shape:?}");
+            let t1 = 300.3 / 2.1;
+            let (a, b) = ((600.1 - 0.7 * t1) / 0.7, (3000.7 - 2.2 * t1) / 2.2);
+            assert!(a < b, "A's headroom {a} must undercut B's step {b}");
+            assert!((rates[0] - 0.7 * t1).abs() < 1e-6, "{rates:?}");
+            assert!((rates[1] - 3000.7 / 2.0).abs() < 1e-6, "{rates:?}");
         }
 
         #[test]

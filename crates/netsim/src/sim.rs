@@ -117,6 +117,9 @@ pub struct RunStats {
     /// Flows in flight, summed over the solves: `flows / solves` is the
     /// size of the problem an event files and solves.
     pub flows: u64,
+    /// Progressive-filling rounds, summed over the solves: `rounds /
+    /// solves` is what a solve's rounds loop runs per event.
+    pub rounds: u64,
     /// Epochs simulated (matches [`TransferReport::epochs`]).
     pub epochs: u64,
     /// Whether the event-coalescing fast path served multi-epoch
