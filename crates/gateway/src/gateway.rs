@@ -16,10 +16,12 @@
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use crate::breaker::BreakerHandle;
-use crate::quota::{tenant_class, QuotaConfig, TokenBucket};
+use crate::quota::{QuotaConfig, TokenBucket};
 use wanify::WanifyError;
-use wanify_gda::{FleetEngine, FleetReport, FleetRun, JobProfile, Percentiles, ServingCounters};
-use wanify_netsim::DcId;
+use wanify_gda::{
+    job_family, stage_compute_s, FleetEngine, FleetReport, FleetRun, JobProfile, Percentiles,
+    ServingCounters,
+};
 
 /// What to do with a request that finds the submission queue full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -227,7 +229,7 @@ impl Gateway {
         self.counters.offered += 1;
         let now = self.run.time_s();
         if let Some(quota) = self.cfg.quota {
-            let class = tenant_class(&req.job.name);
+            let class = job_family(&req.job.name);
             let bucket = self
                 .buckets
                 .entry(class.to_string())
@@ -435,11 +437,7 @@ impl Gateway {
         let mut data: Vec<f64> = (0..n).map(|i| job.layout.gb_at(i)).collect();
         let mut total_s = 0.0;
         for stage in &job.stages {
-            total_s += data
-                .iter()
-                .enumerate()
-                .map(|(j, gb)| gb * stage.compute_s_per_gb / f64::from(topo.dc(DcId(j)).vcpus()))
-                .fold(0.0, f64::max);
+            total_s += stage_compute_s(&data, stage.compute_s_per_gb, topo);
             let out: Vec<f64> = data.iter().map(|gb| gb * stage.selectivity).collect();
             let total_out: f64 = out.iter().sum();
             if stage.shuffles && total_out > 1e-12 {

@@ -30,4 +30,4 @@ pub use breaker::{BreakerConfig, BreakerHandle, BreakerStats, CircuitBreakerSour
 pub use gateway::{
     Disposition, Gateway, GatewayConfig, GatewayReport, GatewayRequest, OverloadPolicy,
 };
-pub use quota::{tenant_class, QuotaConfig};
+pub use quota::QuotaConfig;

@@ -3,7 +3,7 @@
 //!
 //! Classes are job *families* — the name prefix before the trailing
 //! `-<index>` tag the trace generators append (`terasort-7` → `terasort`,
-//! `q42-3` → `q42`) — the same keying
+//! `q42-3` → `q42`, see [`wanify_gda::job_family`]) — the same keying
 //! [`wanify_gda::TenantClassShards`] uses to home tenants to shards.
 //! Buckets refill in *simulated* time, so quota decisions are as
 //! deterministic as everything else in the workspace.
@@ -53,23 +53,9 @@ impl TokenBucket {
     }
 }
 
-/// Extracts a job's tenant class: the name up to its trailing `-<tag>`
-/// (the whole name when there is none).
-pub fn tenant_class(name: &str) -> &str {
-    name.rsplit_once('-').map_or(name, |(family, _)| family)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn class_is_the_family_prefix() {
-        assert_eq!(tenant_class("terasort-7"), "terasort");
-        assert_eq!(tenant_class("q42-3"), "q42");
-        assert_eq!(tenant_class("wordcount-12@g1"), "wordcount");
-        assert_eq!(tenant_class("solo"), "solo");
-    }
 
     #[test]
     fn bucket_enforces_burst_then_rate() {

@@ -138,8 +138,9 @@ pub fn run_job<S: BandwidthSource + ?Sized>(
 }
 
 /// Straggler-dominated compute time of one stage: every DC processes its
-/// local data, the stage waits for the busiest DC (§2.1).
-fn stage_compute_s(data_gb: &[f64], compute_s_per_gb: f64, topo: &Topology) -> f64 {
+/// local data, the stage waits for the busiest DC (§2.1). `data_gb` is
+/// indexed by `DcId`.
+pub fn stage_compute_s(data_gb: &[f64], compute_s_per_gb: f64, topo: &Topology) -> f64 {
     data_gb
         .iter()
         .enumerate()
@@ -496,20 +497,7 @@ impl JobRun {
         );
         self.absorb_partial(partial);
         self.stage_latencies_s.push(self.latency_s - self.stage_start_s);
-        self.phase = RunPhase::Finished;
-        let cost =
-            CostModel::new().price(topo, self.latency_s, &self.egress_gb, self.job.input_gb());
-        JobStep::Failed(Box::new(QueryReport {
-            job: self.job.name.clone(),
-            scheduler: self.scheduler_name.clone(),
-            belief: self.belief_name.clone(),
-            latency_s: self.latency_s,
-            cost,
-            min_bw_mbps: self.min_bw.unwrap_or(0.0),
-            shuffle_gb: self.shuffle_gb,
-            egress_gb: self.egress_gb.clone(),
-            stage_latencies_s: self.stage_latencies_s.clone(),
-        }))
+        JobStep::Failed(self.finish(topo))
     }
 
     /// Folds a cancelled group's partial accounting into the run: elapsed
@@ -542,21 +530,26 @@ impl JobRun {
         if s + 1 < self.job.stages.len() {
             self.begin_compute(s + 1, topo)
         } else {
-            self.phase = RunPhase::Finished;
-            let cost =
-                CostModel::new().price(topo, self.latency_s, &self.egress_gb, self.job.input_gb());
-            JobStep::Done(Box::new(QueryReport {
-                job: self.job.name.clone(),
-                scheduler: self.scheduler_name.clone(),
-                belief: self.belief_name.clone(),
-                latency_s: self.latency_s,
-                cost,
-                min_bw_mbps: self.min_bw.unwrap_or(0.0),
-                shuffle_gb: self.shuffle_gb,
-                egress_gb: self.egress_gb.clone(),
-                stage_latencies_s: self.stage_latencies_s.clone(),
-            }))
+            JobStep::Done(self.finish(topo))
         }
+    }
+
+    /// Marks the run finished and reports it, pricing what actually ran.
+    fn finish(&mut self, topo: &Topology) -> Box<QueryReport> {
+        self.phase = RunPhase::Finished;
+        let cost =
+            CostModel::new().price(topo, self.latency_s, &self.egress_gb, self.job.input_gb());
+        Box::new(QueryReport {
+            job: self.job.name.clone(),
+            scheduler: self.scheduler_name.clone(),
+            belief: self.belief_name.clone(),
+            latency_s: self.latency_s,
+            cost,
+            min_bw_mbps: self.min_bw.unwrap_or(0.0),
+            shuffle_gb: self.shuffle_gb,
+            egress_gb: self.egress_gb.clone(),
+            stage_latencies_s: self.stage_latencies_s.clone(),
+        })
     }
 }
 

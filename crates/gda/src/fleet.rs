@@ -552,7 +552,8 @@ impl std::fmt::Debug for FleetAgent {
 /// [`BandwidthSource`]; [`FleetEngine::run`] consumes the engine and a
 /// job trace and returns the [`FleetReport`].
 pub struct FleetEngine {
-    engine: NetEngine,
+    /// The simulator; the sharded driver exchanges backbone grants on it.
+    pub(crate) engine: NetEngine,
     scheduler: Box<dyn Scheduler>,
     source: Box<dyn BandwidthSource>,
     config: FleetConfig,
@@ -792,7 +793,7 @@ impl Arrivals {
     /// Returns [`WanifyError::InvalidConfig`] for a non-positive Poisson
     /// rate, a schedule that does not hold one valid time per job, or a
     /// zero-client closed loop.
-    pub(crate) fn open_loop_times(&self, jobs: usize) -> Result<Vec<f64>, WanifyError> {
+    pub fn open_loop_times(&self, jobs: usize) -> Result<Vec<f64>, WanifyError> {
         match self {
             Arrivals::Poisson { rate_per_s, seed } => {
                 poisson_arrival_times(jobs, *rate_per_s, *seed)
@@ -852,7 +853,7 @@ enum Source {
 /// ([`FleetRun::submit_job`], the sharded driver's window feed) pushes
 /// whenever it likes.
 pub struct FleetRun {
-    fleet: FleetEngine,
+    pub(crate) fleet: FleetEngine,
     timers: BinaryHeap<Timer>,
     seq: u64,
     pending: VecDeque<(usize, f64, JobProfile)>,
@@ -1377,26 +1378,6 @@ impl FleetRun {
             self.fleet.source.name().to_string(),
             counters,
         )
-    }
-
-    /// This shard's current demand on every directed cross-group trunk
-    /// (see [`NetEngine::cross_group_demand_mbps`]).
-    pub(crate) fn cross_shard_demand(
-        &self,
-        group_of: &[usize],
-        n_groups: usize,
-    ) -> wanify_netsim::Grid<f64> {
-        self.fleet.engine.cross_group_demand_mbps(group_of, n_groups)
-    }
-
-    /// Applies this shard's granted backbone shares as per-pair caps, one
-    /// triple per tier, composed cell-wise (see
-    /// [`NetEngine::apply_backbone_tiers`]).
-    pub(crate) fn apply_backbone_tiers(
-        &mut self,
-        tiers: &[(&[usize], &wanify_netsim::Grid<f64>, &wanify_netsim::Grid<f64>)],
-    ) {
-        self.fleet.engine.apply_backbone_tiers(tiers);
     }
 
     /// Hands the retained outcomes to the caller, leaving the run's

@@ -57,10 +57,10 @@
 //! memory, per-job accounting can be capped
 //! ([`fleet::FleetConfig::retain_outcomes`]) with everything past the cap
 //! folded into deterministic P² percentile [`sketch`]es and
-//! per-tenant-class aggregates (sums stay bitwise-exact), and shards can
-//! be coupled through a two-tier [`wanify_netsim::BackboneHierarchy`]
-//! (regional trunks every sync window, continental trunks every Nth) for
-//! tiled 64+ DC topologies. `BENCH_scale.json` pins the resulting
+//! per-tenant-class aggregates (sums stay bitwise-exact), and shards
+//! couple through one tier list, a [`wanify_netsim::BackboneHierarchy`]
+//! (a flat backbone is one tier; tiled 64+ DC topologies add continental
+//! trunks every Nth sync window to the regional ones). `BENCH_scale.json` pins the resulting
 //! 60 → 10k → 100k query trajectory with a flat memory ceiling.
 
 pub mod cost;
@@ -73,7 +73,7 @@ pub mod sketch;
 pub mod storage;
 
 pub use cost::{CostBreakdown, CostModel};
-pub use executor::{run_job, JobRun, JobStep, QueryReport, TransferOptions};
+pub use executor::{run_job, stage_compute_s, JobRun, JobStep, QueryReport, TransferOptions};
 pub use fleet::{
     poisson_arrival_times, poisson_times_iter, Arrivals, FaultCounters, FaultPolicy, FleetAgent,
     FleetConfig, FleetEngine, FleetReport, FleetRun, JobOutcome, Percentiles, PoissonTimes,

@@ -14,11 +14,13 @@
 //! * every shard is a full [`FleetEngine`] (own simulator, scheduler,
 //!   belief cache) driven as a resumable [`FleetRun`], so per-shard
 //!   event loops and fairness solves only carry that shard's tenants;
-//! * shards are coupled through a [`Backbone`]: at every sync point the
-//!   driver collects per-shard cross-group demand, divides each trunk by
-//!   max-min fairness, and applies each shard's grant as per-pair caps —
-//!   between sync points the shards simulate **independently**, each
-//!   event-coalescing as usual;
+//! * shards are coupled through one tier list, a [`BackboneHierarchy`]
+//!   (a flat [`Backbone`] is its single tier): at every sync point the
+//!   driver refreshes each tier whose cadence is due — collects
+//!   per-shard cross-group demand, divides each trunk by max-min
+//!   fairness — and applies every tier's held grant to each shard as
+//!   per-pair caps, composed by minimum; between sync points the shards
+//!   simulate **independently**, each event-coalescing as usual;
 //! * there is **one window loop with two front doors**:
 //!   [`ShardedFleetEngine::run`] partitions a materialized trace up front
 //!   and lets each shard own its slice,
@@ -44,7 +46,7 @@ use rayon::prelude::*;
 use wanify::WanifyError;
 use wanify_netsim::{Backbone, BackboneHierarchy, Grid, Topology};
 
-/// A coarse-tier grant held between refreshes: per-shard shares and the
+/// A tier's grant held between refreshes: per-shard shares and the
 /// demand snapshot they were computed against.
 type TierGrant = (Vec<Grid<f64>>, Vec<Grid<f64>>);
 
@@ -131,11 +133,10 @@ impl ShardPolicy for TenantClassShards {
     }
 
     fn shard_of(&self, _idx: usize, job: &JobProfile, _topo: &Topology, n_shards: usize) -> usize {
-        // Family = name up to the trailing "-<index>" tag; FNV-1a keeps
-        // the mapping stable across runs and platforms.
-        let family = job.name.rsplit_once('-').map_or(job.name.as_str(), |(f, _)| f);
+        // FNV-1a of the family keeps the mapping stable across runs and
+        // platforms.
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in family.bytes() {
+        for b in crate::job_family(&job.name).bytes() {
             hash ^= u64::from(b);
             hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
         }
@@ -208,8 +209,7 @@ impl ShardedFleetReport {
 pub struct ShardedFleetEngine {
     shards: Vec<FleetEngine>,
     policy: Box<dyn ShardPolicy>,
-    backbone: Option<Backbone>,
-    hierarchy: Option<BackboneHierarchy>,
+    coupling: Option<BackboneHierarchy>,
 }
 
 impl std::fmt::Debug for ShardedFleetEngine {
@@ -217,8 +217,7 @@ impl std::fmt::Debug for ShardedFleetEngine {
         f.debug_struct("ShardedFleetEngine")
             .field("shards", &self.shards.len())
             .field("policy", &self.policy.name())
-            .field("backbone", &self.backbone.is_some())
-            .field("hierarchy", &self.hierarchy.is_some())
+            .field("tiers", &self.coupling.as_ref().map_or(0, |h| h.tiers().len()))
             .finish()
     }
 }
@@ -240,22 +239,20 @@ impl ShardedFleetEngine {
         backbone: Option<Backbone>,
     ) -> Self {
         assert!(!shards.is_empty(), "a sharded fleet needs at least one shard");
-        Self { shards, policy, backbone, hierarchy: None }
+        Self { shards, policy, coupling: backbone.map(BackboneHierarchy::from) }
     }
 
-    /// Couples the shards through a two-tier [`BackboneHierarchy`]
+    /// Couples the shards through a multi-tier [`BackboneHierarchy`]
     /// instead of a flat backbone: the fine tier (e.g. regional trunks)
-    /// exchanges every one of its sync windows, the coarse tier (e.g.
-    /// continental trunks) only every
-    /// [`sync_ratio`](BackboneHierarchy::sync_ratio)-th window, its last
-    /// grant persisting in between. Both tiers' caps compose cell-wise,
-    /// so a flow crossing both a regional and a continental boundary is
-    /// bounded by the tighter of its two grants. Replaces any flat
-    /// backbone passed to [`ShardedFleetEngine::new`].
+    /// exchanges every sync window, a coarser tier (e.g. continental
+    /// trunks) only at its cadence, its last grant persisting in
+    /// between. The tiers' caps compose cell-wise, so a flow crossing
+    /// both a regional and a continental boundary is bounded by the
+    /// tighter of its two grants. Replaces any flat backbone passed to
+    /// [`ShardedFleetEngine::new`].
     #[must_use]
     pub fn with_hierarchy(mut self, hierarchy: BackboneHierarchy) -> Self {
-        self.backbone = None;
-        self.hierarchy = Some(hierarchy);
+        self.coupling = Some(hierarchy);
         self
     }
 
@@ -263,12 +260,8 @@ impl ShardedFleetEngine {
     /// hands the shard engines over to be started.
     fn take_shards(&mut self) -> Result<Vec<FleetEngine>, WanifyError> {
         let n_dcs = self.shards[0].sim().topology().len();
-        let coupling_groups = match (&self.hierarchy, &self.backbone) {
-            (Some(h), _) => Some(h.tier1().groups().len()),
-            (None, Some(bb)) => Some(bb.groups().len()),
-            (None, None) => None,
-        };
-        if let Some(got) = coupling_groups {
+        if let Some(h) = &self.coupling {
+            let got = h.tiers()[0].0.groups().len();
             if got != n_dcs {
                 return Err(WanifyError::DimensionMismatch { expected: n_dcs, got });
             }
@@ -288,21 +281,6 @@ impl ShardedFleetEngine {
             }
         }
         Ok(std::mem::take(&mut self.shards))
-    }
-
-    /// The driver's sync-window length over `n_shards` shards: the fine
-    /// tier's cadence under a hierarchy, the flat backbone's otherwise,
-    /// and unbounded when the shards are uncoupled (no coupling, or a
-    /// single shard that owns every trunk outright).
-    fn sync_window_s(&self, n_shards: usize) -> f64 {
-        if n_shards < 2 {
-            return f64::INFINITY;
-        }
-        match (&self.hierarchy, &self.backbone) {
-            (Some(h), _) => h.tier1().sync_every_s(),
-            (None, Some(bb)) => bb.sync_every_s(),
-            (None, None) => f64::INFINITY,
-        }
     }
 
     /// Serves `jobs` across the shards and returns the merged report.
@@ -421,7 +399,9 @@ impl ShardedFleetEngine {
     /// thread count — into the fleet-wide totals and, up to
     /// `retain_outcomes`, the merged outcome vector, so each outcome is
     /// stored once. With a coupling and ≥ 2 shards the window is the
-    /// sync cadence; otherwise one unbounded window serves everything.
+    /// finest tier's sync interval; otherwise (no coupling, or a single
+    /// shard that owns every trunk outright) the shards are uncoupled and
+    /// one unbounded window serves everything.
     ///
     /// The drain order is the global completion order whenever no shard
     /// overshoots a window's edge (a gauge at admission is the only
@@ -439,9 +419,10 @@ impl ShardedFleetEngine {
         mut feed: impl FnMut(&mut [FleetRun], f64) -> Result<bool, WanifyError>,
     ) -> Result<ShardedFleetReport, WanifyError> {
         let n_shards = runs.len();
-        let sync_s = self.sync_window_s(n_shards);
+        let coupling = self.coupling.as_ref().filter(|_| n_shards > 1);
+        let sync_s = coupling.map_or(f64::INFINITY, |h| h.tiers()[0].0.sync_every_s());
         let mut backbone_syncs = 0u64;
-        let mut tier2_grant: Option<TierGrant> = None;
+        let mut grants = vec![TierGrant::default(); coupling.map_or(0, |h| h.tiers().len())];
         let mut window = 0u64;
         let mut totals = StreamingTotals::default();
         let mut outcomes: Vec<JobOutcome> = Vec::new();
@@ -452,14 +433,8 @@ impl ShardedFleetEngine {
                 if sync_s.is_finite() { (window + 1) as f64 * sync_s } else { f64::INFINITY };
             let more_to_feed = feed(&mut runs, window_end)?;
 
-            if sync_s.is_finite() {
-                backbone_syncs += exchange_tiers(
-                    self.backbone.as_ref(),
-                    self.hierarchy.as_ref(),
-                    &mut runs,
-                    window,
-                    &mut tier2_grant,
-                );
+            if let Some(h) = coupling {
+                backbone_syncs += exchange_tiers(h, &mut runs, window, &mut grants);
             }
             window += 1;
             // Each shard owns its whole state: the window outcome cannot
@@ -527,53 +502,38 @@ impl ShardedFleetEngine {
     }
 }
 
-/// One sync-point exchange: allocates every due tier and applies the
-/// grants to all shards. A flat backbone refreshes every window. Under a
-/// hierarchy, the fine tier refreshes every window while the coarse tier
-/// refreshes only every `sync_ratio`-th window — its last grant (shares
-/// *and* the demand snapshot they were computed against) persists in
-/// between — and both tiers' caps are applied together, composed
-/// cell-wise by the engine. Returns the number of tier exchanges
-/// performed.
+/// One sync-point exchange: every tier whose cadence divides `window`
+/// refreshes its grant (shares *and* the demand snapshot they were
+/// computed against) — at window 0 every tier does — and every shard
+/// then applies all held grants at once, composed cell-wise by the
+/// engine. Returns the number of tier exchanges performed.
 fn exchange_tiers(
-    backbone: Option<&Backbone>,
-    hierarchy: Option<&BackboneHierarchy>,
+    coupling: &BackboneHierarchy,
     runs: &mut [FleetRun],
     window: u64,
-    tier2_grant: &mut Option<TierGrant>,
+    grants: &mut [TierGrant],
 ) -> u64 {
-    if let Some(h) = hierarchy {
-        let (t1, t2) = (h.tier1(), h.tier2());
-        let d1: Vec<Grid<f64>> =
-            runs.iter().map(|r| r.cross_shard_demand(t1.groups(), t1.n_groups())).collect();
-        let s1 = t1.allocate(&d1);
-        let mut exchanges = 1;
-        if window.is_multiple_of(h.sync_ratio() as u64) {
-            let d2: Vec<Grid<f64>> =
-                runs.iter().map(|r| r.cross_shard_demand(t2.groups(), t2.n_groups())).collect();
-            let s2 = t2.allocate(&d2);
-            *tier2_grant = Some((s2, d2));
+    let mut exchanges = 0;
+    for ((bb, cadence), grant) in coupling.tiers().iter().zip(grants.iter_mut()) {
+        if window.is_multiple_of(*cadence) {
+            let demands: Vec<Grid<f64>> = runs
+                .iter()
+                .map(|r| r.fleet.engine.cross_group_demand_mbps(bb.groups(), bb.n_groups()))
+                .collect();
+            *grant = (bb.allocate(&demands), demands);
             exchanges += 1;
         }
-        let (s2, d2) = tier2_grant.as_ref().expect("tier 2 granted at window 0");
-        for (i, run) in runs.iter_mut().enumerate() {
-            run.apply_backbone_tiers(&[
-                (t1.groups(), &s1[i], &d1[i]),
-                (t2.groups(), &s2[i], &d2[i]),
-            ]);
-        }
-        exchanges
-    } else if let Some(bb) = backbone {
-        let demands: Vec<Grid<f64>> =
-            runs.iter().map(|r| r.cross_shard_demand(bb.groups(), bb.n_groups())).collect();
-        let shares = bb.allocate(&demands);
-        for ((run, share), demand) in runs.iter_mut().zip(&shares).zip(&demands) {
-            run.apply_backbone_tiers(&[(bb.groups(), share, demand)]);
-        }
-        1
-    } else {
-        0
     }
+    for (s, run) in runs.iter_mut().enumerate() {
+        let held: Vec<_> = coupling
+            .tiers()
+            .iter()
+            .zip(grants.iter())
+            .map(|((bb, _), (shares, demands))| (bb.groups(), &shares[s], &demands[s]))
+            .collect();
+        run.fleet.engine.apply_backbone_tiers(&held);
+    }
+    exchanges
 }
 
 /// Merges per-shard fault counters: event counters sum across shards;

@@ -1,13 +1,16 @@
 //! Hierarchical backbone coupling and window-streamed sharded serving:
 //! completion, determinism across repeats and thread counts, coupling
-//! pressure, and equivalence between the materialized and streamed
-//! drivers.
+//! pressure, the tiers' exchange cadence, and equivalence between the
+//! materialized and streamed drivers.
 
+use wanify::Pregauged;
 use wanify_gda::{
     poisson_arrival_times, Arrivals, FleetConfig, FleetEngine, RoundRobinShards,
     ShardedFleetEngine, ShardedFleetReport, Tetrium,
 };
-use wanify_netsim::{paper_testbed_n, BackboneHierarchy, LinkModelParams, NetSim, VmType};
+use wanify_netsim::{
+    paper_testbed_n, Backbone, BackboneHierarchy, BwMatrix, LinkModelParams, NetSim, VmType,
+};
 use wanify_workloads::{mixed_trace, trace_iter, TraceConfig};
 
 const N_DCS: usize = 8;
@@ -35,6 +38,24 @@ fn hier_sharded(n_shards: usize, regional_mbps: f64, continental_mbps: f64) -> S
         None,
     )
     .with_hierarchy(hierarchy(regional_mbps, continental_mbps))
+}
+
+/// 3 shards on a pregauged belief: admission gauges take no simulated
+/// time, so no shard overshoots a window edge.
+fn pregauged_sharded(flat: Option<Backbone>) -> ShardedFleetEngine {
+    let engine = || {
+        FleetEngine::new(
+            NetSim::new(paper_testbed_n(VmType::t2_medium(), N_DCS), LinkModelParams::frozen(), 11),
+            Box::new(Tetrium::new()),
+            Box::new(Pregauged::new(BwMatrix::filled(N_DCS, 300.0))),
+            FleetConfig { max_concurrent: 16, ..FleetConfig::default() },
+        )
+    };
+    ShardedFleetEngine::new(
+        (0..3).map(|_| engine()).collect(),
+        Box::new(RoundRobinShards::new()),
+        flat,
+    )
 }
 
 fn run_key(report: &ShardedFleetReport) -> Vec<(String, u64, u64, u64)> {
@@ -67,6 +88,37 @@ fn hierarchical_fleet_completes_and_exchanges_both_tiers() {
     for pair in report.fleet.outcomes.windows(2) {
         assert!(pair[0].completed_s <= pair[1].completed_s);
     }
+}
+
+#[test]
+fn every_tier_exchanges_at_its_cadence() {
+    // A closed loop starts at 0 s, so a run that never overshoots a
+    // window edge spans w = max(1, ⌈duration / 2 s⌉) tier-1 windows.
+    let trace = mixed_trace(&TraceConfig::new(N_DCS, 12, 5).scaled(0.5));
+    let arrivals = Arrivals::Closed { clients: 4, think_s: 0.0 };
+    let windows = |r: &ShardedFleetReport| ((r.fleet.duration_s / 2.0).ceil() as u64).max(1);
+
+    let hier = pregauged_sharded(None)
+        .with_hierarchy(hierarchy(3000.0, 6000.0))
+        .run(&trace, &arrivals)
+        .unwrap();
+    let w = windows(&hier);
+    assert!(w > 3, "the run must span several tier-2 windows, got {w}");
+    assert_eq!(hier.backbone_syncs, w + w.div_ceil(3), "tier 1 every window, tier 2 every third");
+
+    // Narrow regional trunks, so a flat backbone left in place would show.
+    let narrow = || Backbone::regional(&paper_testbed_n(VmType::t2_medium(), N_DCS), 50.0, 2.0);
+    let flat = pregauged_sharded(Some(narrow())).run(&trace, &arrivals).unwrap();
+    assert_eq!(flat.backbone_syncs, windows(&flat), "a flat backbone exchanges once a window");
+    assert_ne!(run_key(&flat), run_key(&hier), "50 Mbps trunks must bind");
+
+    // A hierarchy replaces the flat backbone outright.
+    let replaced = pregauged_sharded(Some(narrow()))
+        .with_hierarchy(hierarchy(3000.0, 6000.0))
+        .run(&trace, &arrivals)
+        .unwrap();
+    assert_eq!(run_key(&replaced), run_key(&hier));
+    assert_eq!(replaced.backbone_syncs, hier.backbone_syncs);
 }
 
 #[test]

@@ -10,15 +10,21 @@
 //!
 //! * [`Backbone`] partitions the data centers into **region groups** and
 //!   assigns every directed group pair a finite trunk capacity;
-//! * at every **sync point** (each [`Backbone::sync_every_s`] simulated
-//!   seconds) the fleet driver collects each shard's cross-group *demand*
-//!   (the unreserved ceilings of its in-flight boundary flows, see
+//! * [`BackboneHierarchy`] is the coupling a fleet runs: a list of
+//!   backbone tiers, finest first, each with a cadence in **sync
+//!   windows** (the finest tier's [`Backbone::sync_every_s`]). A flat
+//!   backbone is one tier exchanged every window; a two-tier hierarchy
+//!   adds coarse super-group trunks exchanged every `r`-th window;
+//! * at every sync point the fleet driver takes every tier that is due,
+//!   collects each shard's cross-group *demand* on it (the unreserved
+//!   ceilings of its in-flight boundary flows, see
 //!   [`crate::NetEngine::cross_group_demand_mbps`]), and
 //!   [`Backbone::allocate`] splits every trunk across shards by max-min
 //!   fairness, spreading any headroom evenly;
-//! * each shard applies its granted share as per-pair caps
-//!   ([`crate::NetEngine::apply_backbone_tiers`]) and then simulates
-//!   the next window **independently**, event-coalescing as usual.
+//! * each shard applies every tier's last grant as per-pair caps,
+//!   composed by minimum ([`crate::NetEngine::apply_backbone_tiers`]),
+//!   and then simulates the next window **independently**,
+//!   event-coalescing as usual.
 //!
 //! The exchange is deliberately coarse: reservations trail demand by one
 //! window (a shard whose boundary traffic appears mid-window runs on the
@@ -85,43 +91,38 @@ impl Backbone {
     /// A backbone grouping `topo`'s DCs by continent (Americas, Europe,
     /// Asia-Pacific), with `trunk_mbps` capacity per directed trunk — the
     /// natural region-group decomposition of the paper's 8-DC testbed.
-    /// Group ids are compacted in order of first appearance, so
-    /// topologies spanning fewer continents still get dense groups
-    /// (important for `group % n_shards` style placement).
     pub fn continental(topo: &Topology, trunk_mbps: f64, sync_every_s: f64) -> Self {
-        let mut seen: Vec<usize> = Vec::new();
-        let group_of: Vec<usize> = topo
-            .iter()
-            .map(|(_, dc)| {
-                let c = continent_of(dc.region);
-                match seen.iter().position(|&s| s == c) {
-                    Some(dense) => dense,
-                    None => {
-                        seen.push(c);
-                        seen.len() - 1
-                    }
-                }
-            })
-            .collect();
-        Self::new(group_of, Grid::filled(seen.len(), trunk_mbps), sync_every_s)
+        Self::grouped_by(topo, continent_of, trunk_mbps, sync_every_s)
     }
 
     /// A backbone grouping `topo`'s DCs by cloud region, with
     /// `trunk_mbps` capacity per directed trunk — the fine tier of a
     /// [`BackboneHierarchy`] over tiled many-DC topologies
     /// ([`crate::paper_testbed_tiled`]), where every region hosts
-    /// several DCs. Group ids are compacted in order of first
-    /// appearance, like [`Backbone::continental`].
+    /// several DCs.
     pub fn regional(topo: &Topology, trunk_mbps: f64, sync_every_s: f64) -> Self {
-        let mut seen: Vec<Region> = Vec::new();
+        Self::grouped_by(topo, |region| region, trunk_mbps, sync_every_s)
+    }
+
+    /// A uniform backbone grouping `topo`'s DCs by `key` of their region.
+    /// Group ids are compacted in order of first appearance, so
+    /// topologies spanning fewer keys still get dense groups (important
+    /// for `group % n_shards` style placement).
+    fn grouped_by<K: PartialEq>(
+        topo: &Topology,
+        key: impl Fn(Region) -> K,
+        trunk_mbps: f64,
+        sync_every_s: f64,
+    ) -> Self {
+        let mut seen: Vec<K> = Vec::new();
         let group_of: Vec<usize> = topo
             .iter()
-            .map(|(_, dc)| match seen.iter().position(|&s| s == dc.region) {
-                Some(dense) => dense,
-                None => {
-                    seen.push(dc.region);
+            .map(|(_, dc)| {
+                let k = key(dc.region);
+                seen.iter().position(|s| *s == k).unwrap_or_else(|| {
+                    seen.push(k);
                     seen.len() - 1
-                }
+                })
             })
             .collect();
         Self::new(group_of, Grid::filled(seen.len(), trunk_mbps), sync_every_s)
@@ -245,36 +246,41 @@ impl Backbone {
     }
 }
 
-/// A two-tier backbone: shards-of-shards.
+/// The coupling of a sharded fleet: an ordered list of [`Backbone`]
+/// tiers, finest first, each exchanged at its own cadence.
 ///
-/// Large fleets split a 64+ DC topology across many shards, but a flat
-/// [`Backbone`] forces every shard pair through one exchange at one
-/// granularity. A hierarchy layers two:
+/// A flat backbone is a one-tier hierarchy ([`From<Backbone>`]),
+/// exchanged every sync window. Large fleets split a 64+ DC topology
+/// across many shards and layer two tiers ([`BackboneHierarchy::new`]):
 ///
 /// * **tier 1** (fine): region groups with their own trunk capacities,
-///   exchanged every `tier1.sync_every_s()` — the frequent, cheap sync
-///   between sibling shards;
+///   exchanged every `sync_every_s()` of its own — the sync window, the
+///   frequent, cheap sync between sibling shards;
 /// * **tier 2** (coarse): super-groups (e.g. continents) with their own
-///   trunks, exchanged every `tier2.sync_every_s()` — an integer
-///   multiple of the tier-1 window, so tier-2 syncs land exactly on
-///   every `sync_ratio()`-th tier-1 sync point.
+///   trunks, exchanged every `r`-th window, where `r` (its cadence) is
+///   the integer ratio of the two tiers' `sync_every_s()`.
 ///
 /// Tier 1 must **refine** tier 2: two DCs sharing a tier-1 group always
 /// share a tier-2 super-group, so a boundary pair's tier-2 trunk is a
-/// strictly coarser constraint and the two grants compose by per-pair
-/// minimum ([`crate::NetEngine::apply_backbone_tiers`]). Between tier-2
-/// syncs a shard keeps running on its stale tier-2 grant — the same
-/// one-window coarseness the flat exchange already accepts, one level
-/// up.
+/// strictly coarser constraint and the tiers' grants compose by per-pair
+/// minimum ([`crate::NetEngine::apply_backbone_tiers`]). Between its
+/// exchanges a tier's last grant persists — the same one-window
+/// coarseness the fine tier already accepts, one level up.
 #[derive(Debug, Clone)]
 pub struct BackboneHierarchy {
-    tier1: Backbone,
-    tier2: Backbone,
-    sync_ratio: usize,
+    /// `(backbone, cadence in sync windows)`, finest first; the finest
+    /// tier's cadence is 1.
+    tiers: Vec<(Backbone, u64)>,
+}
+
+impl From<Backbone> for BackboneHierarchy {
+    fn from(flat: Backbone) -> Self {
+        Self { tiers: vec![(flat, 1)] }
+    }
 }
 
 impl BackboneHierarchy {
-    /// Builds the hierarchy and validates its invariants.
+    /// Builds a two-tier hierarchy and validates its invariants.
     ///
     /// # Panics
     ///
@@ -301,14 +307,14 @@ impl BackboneHierarchy {
             }
         }
         let ratio = tier2.sync_every_s() / tier1.sync_every_s();
-        let sync_ratio = ratio.round() as usize;
+        let cadence = ratio.round() as u64;
         assert!(
-            sync_ratio >= 1 && (ratio - sync_ratio as f64).abs() < 1e-9,
+            cadence >= 1 && (ratio - cadence as f64).abs() < 1e-9,
             "tier-2 sync window ({}s) must be an integer multiple of tier 1's ({}s)",
             tier2.sync_every_s(),
             tier1.sync_every_s()
         );
-        Self { tier1, tier2, sync_ratio }
+        Self { tiers: vec![(tier1, 1), (tier2, cadence)] }
     }
 
     /// The natural hierarchy for tiled paper topologies: tier 1 groups
@@ -326,19 +332,11 @@ impl BackboneHierarchy {
         )
     }
 
-    /// The fine tier (region groups).
-    pub fn tier1(&self) -> &Backbone {
-        &self.tier1
-    }
-
-    /// The coarse tier (super-groups).
-    pub fn tier2(&self) -> &Backbone {
-        &self.tier2
-    }
-
-    /// How many tier-1 windows one tier-2 window spans.
-    pub fn sync_ratio(&self) -> usize {
-        self.sync_ratio
+    /// The tiers, finest first, each with its cadence: how many sync
+    /// windows (each the finest tier's [`Backbone::sync_every_s`]) lie
+    /// between its exchanges. The finest tier's cadence is 1.
+    pub fn tiers(&self) -> &[(Backbone, u64)] {
+        &self.tiers
     }
 }
 
@@ -472,13 +470,13 @@ mod tests {
     fn hierarchy_validates_refinement_and_sync_ratio() {
         let topo = crate::paper_testbed_tiled(VmType::t2_medium(), 16);
         let h = BackboneHierarchy::regional_continental(&topo, 2000.0, 5000.0, 10.0, 30.0);
-        assert_eq!(h.sync_ratio(), 3);
-        assert_eq!(h.tier1().n_groups(), 8);
-        assert_eq!(h.tier2().n_groups(), 3);
+        let [(t1, 1), (t2, 3)] = h.tiers() else { panic!("two tiers, cadences 1 and 3") };
+        assert_eq!(t1.n_groups(), 8);
+        assert_eq!(t2.n_groups(), 3);
         // Refinement in action: a regional boundary inside a continent
         // crosses tier 1 but not tier 2.
-        assert!(h.tier1().is_cross(DcId(0), DcId(1)));
-        assert!(!h.tier2().is_cross(DcId(0), DcId(1)), "US East / US West share a continent");
+        assert!(t1.is_cross(DcId(0), DcId(1)));
+        assert!(!t2.is_cross(DcId(0), DcId(1)), "US East / US West share a continent");
     }
 
     #[test]

@@ -241,7 +241,7 @@ pub fn render_markdown(outcomes: &[ScenarioOutcome]) -> String {
         let _ = writeln!(
             md,
             "| scheduler / belief | {} / {} |",
-            spec.sched.label(),
+            spec.sched.build().name(),
             spec.belief.label()
         );
         let _ = writeln!(md, "| faults / policy | {} events / {policy} |", spec.faults.len());

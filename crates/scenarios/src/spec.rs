@@ -17,8 +17,8 @@ use wanify_gateway::{
     OverloadPolicy, QuotaConfig,
 };
 use wanify_gda::{
-    poisson_arrival_times, Arrivals, FaultPolicy, FleetAgent, FleetConfig, FleetEngine,
-    FleetReport, JobProfile, Kimchi, Scheduler, Tetrium, VanillaSpark,
+    Arrivals, FaultPolicy, FleetAgent, FleetConfig, FleetEngine, FleetReport, JobProfile, Kimchi,
+    Scheduler, Tetrium, VanillaSpark,
 };
 use wanify_netsim::{
     paper_testbed_n, Backbone, BwMatrix, ConnMatrix, FaultSchedule, LinkModelParams, NetSim,
@@ -170,15 +170,6 @@ impl SchedKind {
             SchedKind::Vanilla => Box::new(VanillaSpark::new()),
             SchedKind::Tetrium => Box::new(Tetrium::new()),
             SchedKind::Kimchi => Box::new(Kimchi::new()),
-        }
-    }
-
-    /// Short human label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedKind::Vanilla => "vanilla-spark",
-            SchedKind::Tetrium => "tetrium",
-            SchedKind::Kimchi => "kimchi",
         }
     }
 }
@@ -764,25 +755,13 @@ impl ScenarioSpec {
     /// trace.
     pub fn gateway_requests(&self) -> Vec<GatewayRequest> {
         let gw = self.gateway.expect("spec declares a gateway");
-        let times: Vec<f64> = match &self.arrivals {
-            Arrivals::Poisson { rate_per_s, seed } => {
-                poisson_arrival_times(self.jobs, *rate_per_s, *seed).unwrap_or_else(|e| {
-                    panic!("scenario {}: bad Poisson arrivals: {e:?}", self.name)
-                })
-            }
-            Arrivals::Scheduled { times } => {
-                assert_eq!(
-                    times.len(),
-                    self.jobs,
-                    "scenario {}: scheduled arrivals must cover the trace",
-                    self.name
-                );
-                times.clone()
-            }
-            Arrivals::Closed { .. } => {
-                panic!("scenario {}: gateway arm needs open-loop arrivals", self.name)
-            }
-        };
+        if let Arrivals::Closed { .. } = self.arrivals {
+            panic!("scenario {}: gateway arm needs open-loop arrivals", self.name)
+        }
+        let times = self
+            .arrivals
+            .open_loop_times(self.jobs)
+            .unwrap_or_else(|e| panic!("scenario {}: bad open-loop arrivals: {e:?}", self.name));
         self.trace()
             .into_iter()
             .zip(times)
