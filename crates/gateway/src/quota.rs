@@ -56,6 +56,15 @@ impl TokenBucket {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wanify_gda::job_family;
+
+    #[test]
+    fn class_is_the_family_prefix() {
+        assert_eq!(job_family("terasort-7"), "terasort");
+        assert_eq!(job_family("q42-3"), "q42");
+        assert_eq!(job_family("wordcount-12@g1"), "wordcount");
+        assert_eq!(job_family("solo"), "solo");
+    }
 
     #[test]
     fn bucket_enforces_burst_then_rate() {

@@ -448,10 +448,6 @@ mod tests {
         assert_eq!(job_family("terasort-17"), "terasort");
         assert_eq!(job_family("tpcds-q82-7@g1"), "tpcds-q82");
         assert_eq!(job_family("untagged"), "untagged");
-        assert_eq!(job_family("terasort-7"), "terasort");
-        assert_eq!(job_family("q42-3"), "q42");
-        assert_eq!(job_family("wordcount-12@g1"), "wordcount");
-        assert_eq!(job_family("solo"), "solo");
     }
 
     #[test]
