@@ -13,7 +13,7 @@
 //! collapsing past saturation: capacity is spent only on work that can
 //! still succeed.
 
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::breaker::BreakerHandle;
 use crate::quota::{QuotaConfig, TokenBucket};
@@ -146,11 +146,12 @@ pub struct Gateway {
     dispositions: Vec<Option<Disposition>>,
     /// `(arrival_s, deadline_s)` per request.
     reqs: Vec<(f64, Option<f64>)>,
-    /// Fleet job index → request index.
-    owner: HashMap<usize, usize>,
-    /// Fleet job index → the raw (uncalibrated) makespan estimate at
-    /// admission, the denominator of the calibration feedback.
-    raw_est: HashMap<usize, f64>,
+    /// Request index per fleet job index (dense: the serving run numbers
+    /// its submissions 0, 1, 2, …).
+    owner: Vec<usize>,
+    /// The raw (uncalibrated) makespan estimate at admission per fleet
+    /// job index, the denominator of the calibration feedback.
+    raw_est: Vec<f64>,
     /// EWMA of observed/predicted makespan: the static belief model
     /// cannot see link sharing or transport overheads, so the gateway
     /// learns a correction factor from every completion.
@@ -191,8 +192,8 @@ impl Gateway {
             counters: ServingCounters::default(),
             dispositions: Vec::new(),
             reqs: Vec::new(),
-            owner: HashMap::new(),
-            raw_est: HashMap::new(),
+            owner: Vec::new(),
+            raw_est: Vec::new(),
             calibration: 1.0,
             recorded: 0,
             breaker: None,
@@ -369,27 +370,25 @@ impl Gateway {
                 }
             }
             let job_idx = self.run.submit_job(head.job);
-            self.owner.insert(job_idx, head.req);
-            self.raw_est.insert(job_idx, raw);
+            debug_assert_eq!(job_idx, self.owner.len(), "serving job indices are dense");
+            self.owner.push(head.req);
+            self.raw_est.push(raw);
         }
     }
 
     /// Folds newly completed outcomes into dispositions and the
     /// deadline-miss counter.
     fn absorb_completions(&mut self) {
-        while self.recorded < self.run.outcomes().len() {
-            let o = self.run.outcomes()[self.recorded].clone();
-            self.recorded += 1;
-            let req = self.owner[&o.job_idx];
+        for o in &self.run.outcomes()[self.recorded..] {
+            let req = self.owner[o.job_idx];
             let met = self.reqs[req].1.is_none_or(|d| o.completed_s <= d + 1e-9);
             if !met {
                 self.counters.deadline_misses += 1;
             }
-            if let Some(raw) = self.raw_est.remove(&o.job_idx) {
-                if raw > 1e-9 && !o.failed {
-                    let ratio = ((o.completed_s - o.admitted_s) / raw).clamp(0.01, 100.0);
-                    self.calibration = 0.5 * self.calibration + 0.5 * ratio;
-                }
+            let raw = self.raw_est[o.job_idx];
+            if raw > 1e-9 && !o.failed {
+                let ratio = ((o.completed_s - o.admitted_s) / raw).clamp(0.01, 100.0);
+                self.calibration = 0.5 * self.calibration + 0.5 * ratio;
             }
             self.dispositions[req] = Some(Disposition::Served {
                 completed_s: o.completed_s,
@@ -397,6 +396,7 @@ impl Gateway {
                 failed: o.failed,
             });
         }
+        self.recorded = self.run.outcomes().len();
     }
 
     /// Predicted makespan of `job`: the belief-model estimate

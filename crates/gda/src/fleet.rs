@@ -12,15 +12,14 @@
 //!
 //! The fleet adds the serving-layer concerns around that core:
 //!
-//! * an **arrival queue** fed through **one arrival path with four
+//! * an **arrival queue** fed through **one arrival path with three
 //!   callers**: whoever produces an arrival — a materialized trace armed
 //!   at start (seeded Poisson [`Arrivals::Poisson`] or explicit
-//!   [`Arrivals::Scheduled`] times), a lazily pulled stream
-//!   ([`FleetRun::start_stream`]), a closed-loop client pool
+//!   [`Arrivals::Scheduled`] times), a closed-loop client pool
 //!   ([`Arrivals::Closed`]) or an external push
-//!   ([`FleetRun::submit_job`], the sharded driver) — it is one
-//!   `(job_idx, arrival_s, profile)` moved behind one arrival timer, and
-//!   one validator checks every arrival time;
+//!   ([`FleetRun::submit_job`], the sharded driver's streamed feed) — it
+//!   is one `(job_idx, arrival_s, profile)` moved behind one arrival
+//!   timer, and one validator checks every arrival time;
 //! * **admission control** — at most [`FleetConfig::max_concurrent`]
 //!   queries run at once, the rest wait (queue time is reported);
 //! * a **shared belief cache** — one [`BandwidthSource`] serves every
@@ -29,9 +28,10 @@
 //!   monitoring cost the paper's Table 2 measures across queries;
 //! * **fleet statistics** in **one report** — completed/s, queue-wait
 //!   and makespan percentiles, egress dollars: [`StreamingTotals`]
-//!   absorbs every completion as it happens, and [`FleetReport::new`]
-//!   reads exact order statistics off the retained outcomes when they
-//!   are all there, the sketches when a retention cap dropped some.
+//!   absorbs every completion once, where the report is built, and
+//!   [`FleetReport::new`] reads exact order statistics off the retained
+//!   outcomes when they are all there, the sketches when the driver that
+//!   built the totals kept fewer.
 //!
 //! Everything is seeded and deterministic: identical inputs produce
 //! bit-identical [`FleetReport`]s.
@@ -140,25 +140,11 @@ pub struct FleetConfig {
     /// Stall detection and recovery; `None` keeps the legacy behaviour
     /// (a permanently stalled flow is a fleet error, not a retry).
     pub faults: Option<FaultPolicy>,
-    /// Per-query [`JobOutcome`] retention cap. Completions beyond this
-    /// many are still fully accounted — streaming P² percentile sketches
-    /// and per-tenant-class aggregates absorb every query — but their
-    /// individual outcomes are dropped, bounding the run's memory at any
-    /// fleet size. The default (`usize::MAX`) retains everything, so
-    /// reports stay exact and bit-identical to the uncapped engine; a
-    /// capped run's report is [`sketched`](FleetReport::sketched).
-    pub retain_outcomes: usize,
 }
 
 impl Default for FleetConfig {
     fn default() -> Self {
-        Self {
-            max_concurrent: 16,
-            regauge_every_s: 60.0,
-            conns: None,
-            faults: None,
-            retain_outcomes: usize::MAX,
-        }
+        Self { max_concurrent: 16, regauge_every_s: 60.0, conns: None, faults: None }
     }
 }
 
@@ -265,9 +251,9 @@ impl Percentiles {
 
 /// Constant-memory accounting of a fleet run: everything the report
 /// needs that would otherwise be recomputed by iterating the retained
-/// [`JobOutcome`]s — which a capped run no longer has. Fed one outcome
-/// at a time in completion order, so an uncapped run's totals are
-/// bit-identical to iterating its outcome vector.
+/// [`JobOutcome`]s — which a driver that keeps only some of them no
+/// longer has. Fed one outcome at a time in completion order, so totals
+/// fed every outcome are bit-identical to iterating the outcome vector.
 #[derive(Debug, Clone, Default)]
 pub struct StreamingTotals {
     /// Queries completed (including failed ones).
@@ -310,12 +296,12 @@ impl StreamingTotals {
 /// Aggregate outcome of one fleet run.
 ///
 /// Built by [`FleetReport::new`] from the retained outcomes and the
-/// [`StreamingTotals`] the run accumulated. The report is exact when the
-/// two agree on the count (order statistics computed once from the full
-/// outcome vector) and [`sketched`](FleetReport::sketched) otherwise: the
-/// run completed more queries than it retained, `outcomes` holds only
-/// the retained prefix and the statistics come from the streaming
-/// sketches. [`FleetReport::queue_wait`] and [`FleetReport::makespan`]
+/// [`StreamingTotals`] that absorbed every completion. The report is
+/// exact when the two agree on the count (order statistics computed once
+/// from the full outcome vector) and [`sketched`](FleetReport::sketched)
+/// otherwise: the driver kept fewer outcomes than it absorbed (the
+/// sharded fleet's streamed run), `outcomes` holds only the retained
+/// prefix and the statistics come from the streaming sketches. [`FleetReport::queue_wait`] and [`FleetReport::makespan`]
 /// return the cached values either way.
 #[derive(Debug, Clone)]
 pub struct FleetReport {
@@ -353,7 +339,7 @@ impl FleetReport {
     /// Assembles the report of a run that retained `outcomes` (in
     /// completion order) and absorbed every completion into `totals`.
     /// Exact order statistics when `totals.completed == outcomes.len()`,
-    /// the sketches' snapshots when the retention cap dropped some.
+    /// the sketches' snapshots when the driver dropped some.
     pub fn new(
         outcomes: Vec<JobOutcome>,
         totals: StreamingTotals,
@@ -394,14 +380,14 @@ impl FleetReport {
     }
 
     /// Whether the percentile statistics are streaming-sketch estimates
-    /// (the run outgrew its outcome-retention cap) rather than exact
+    /// (the driver kept fewer outcomes than completed) rather than exact
     /// order statistics.
     pub fn sketched(&self) -> bool {
         self.sketched
     }
 
-    /// Queries completed, including any whose individual outcomes were
-    /// dropped by the retention cap.
+    /// Queries completed, including any whose individual outcomes the
+    /// driver dropped.
     pub fn completed(&self) -> usize {
         self.totals.completed
     }
@@ -660,52 +646,14 @@ impl FleetEngine {
         run.run_until(f64::INFINITY)?;
         Ok(run.into_report())
     }
-
-    /// Runs `total_jobs` arrivals pulled lazily from `stream` —
-    /// `(arrival_s, profile)` pairs in non-decreasing time order — to
-    /// completion without ever materializing the trace (see
-    /// [`FleetRun::start_stream`]). Pair with a
-    /// [`FleetConfig::retain_outcomes`] cap for O(in-flight) memory end
-    /// to end; the report is then [`sketched`](FleetReport::sketched).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WanifyError`] exactly as [`FleetEngine::run`] does, plus
-    /// [`WanifyError::InvalidConfig`] for invalid streamed arrival times
-    /// or a stream that runs dry before `total_jobs`.
-    pub fn run_stream(
-        self,
-        total_jobs: usize,
-        stream: Box<dyn Iterator<Item = (f64, JobProfile)> + Send>,
-    ) -> Result<FleetReport, WanifyError> {
-        let mut run = FleetRun::start_stream(self, total_jobs, stream)?;
-        run.run_until(f64::INFINITY)?;
-        Ok(run.into_report())
-    }
 }
 
-/// Samples the absolute arrival time of each of `jobs` jobs from a
-/// seeded Poisson stream — the one arrival-time source shared by
-/// [`FleetRun::start`], the sharded fleet's thinning path, and the
-/// serving gateway's open-loop load generator, so all of them draw
-/// bit-identical schedules from identical inputs.
-///
-/// # Errors
-///
-/// Returns [`WanifyError::InvalidConfig`] for a rate that is not finite
-/// and positive.
-pub fn poisson_arrival_times(
-    jobs: usize,
-    rate_per_s: f64,
-    seed: u64,
-) -> Result<Vec<f64>, WanifyError> {
-    Ok(poisson_times_iter(rate_per_s, seed)?.take(jobs).collect())
-}
-
-/// The streaming form of [`poisson_arrival_times`]: an unbounded,
-/// seeded, clonable iterator of absolute arrival times. Taking the
-/// first `n` items reproduces the materialized schedule bit for bit,
-/// so a million-query stream costs O(1) memory instead of a Vec.
+/// An unbounded, seeded, clonable iterator of absolute Poisson arrival
+/// times — the one arrival-time source shared by [`FleetRun::start`]
+/// (which takes the first `n`), the sharded fleet's streamed feed and
+/// the serving gateway's open-loop load generator, so all of them draw
+/// bit-identical schedules from identical inputs, and a million-query
+/// stream costs O(1) memory instead of a Vec.
 ///
 /// # Errors
 ///
@@ -759,8 +707,8 @@ fn check_arrival_time(at_s: f64, last_s: f64) -> Result<(), WanifyError> {
 
 /// Pulls and validates the next `(arrival_s, profile)` pair of an arrival
 /// stream that still owes `total_jobs - issued` jobs and last yielded
-/// time `last_s` — the validator behind both [`FleetRun::start_stream`]'s
-/// one-ahead pull and the sharded driver's per-window feed.
+/// time `last_s` — the validator behind the sharded driver's per-window
+/// feed.
 ///
 /// # Errors
 ///
@@ -796,7 +744,7 @@ impl Arrivals {
     pub fn open_loop_times(&self, jobs: usize) -> Result<Vec<f64>, WanifyError> {
         match self {
             Arrivals::Poisson { rate_per_s, seed } => {
-                poisson_arrival_times(jobs, *rate_per_s, *seed)
+                Ok(poisson_times_iter(*rate_per_s, *seed)?.take(jobs).collect())
             }
             Arrivals::Scheduled { times } => {
                 if times.len() != jobs {
@@ -824,9 +772,6 @@ enum Source {
     /// full at start, and a serving front-end or the sharded driver
     /// pushes from outside ([`FleetRun::push_job`]).
     Push,
-    /// A lazily pulled stream, kept exactly one unfired arrival ahead;
-    /// `last_s` is the last time it yielded (the monotonicity guard).
-    Stream { stream: Box<dyn Iterator<Item = (f64, JobProfile)> + Send>, last_s: f64 },
     /// A closed-loop client pool: the unissued `(job_idx, profile)` pairs,
     /// released one per completion `think_s` after it.
     Closed { waiting: std::vec::IntoIter<(usize, JobProfile)>, clients: usize, think_s: f64 },
@@ -843,15 +788,18 @@ enum Source {
 /// single `run_until(f64::INFINITY)` reproduces the uninterrupted
 /// [`FleetEngine::run`] timeline bit for bit.
 ///
-/// There is **one arrival path with four callers**: whoever produces an
+/// There is **one arrival path with three callers**: whoever produces an
 /// arrival, it is one `(job_idx, arrival_s, profile)` moved into the
 /// `incoming` FIFO behind one arrival timer. A materialized trace
-/// ([`FleetRun::start`], open loop) arms every job at start; a stream
-/// ([`FleetRun::start_stream`]) is pulled one ahead as arrivals fire; a
+/// ([`FleetRun::start`], open loop) arms every job at start; a
 /// closed-loop client pool ([`FleetRun::start`], closed loop) releases a
 /// job per completion; and an external producer
-/// ([`FleetRun::submit_job`], the sharded driver's window feed) pushes
-/// whenever it likes.
+/// ([`FleetRun::submit_job`], the sharded driver's window feed of a
+/// streamed trace) pushes whenever it likes.
+///
+/// The run keeps every outcome until its driver takes them: whoever
+/// drops outcomes decides how many to keep, and totals are computed
+/// once, where a report is built ([`FleetRun::into_report`]).
 pub struct FleetRun {
     pub(crate) fleet: FleetEngine,
     timers: BinaryHeap<Timer>,
@@ -860,22 +808,19 @@ pub struct FleetRun {
     slots: Vec<Option<ActiveRun>>,
     counters: FaultCounters,
     running: usize,
-    /// Retained outcomes in completion order — the full run below the
-    /// [`FleetConfig::retain_outcomes`] cap, a prefix above it.
+    /// Outcomes in completion order, not yet taken by the driver.
     outcomes: Vec<JobOutcome>,
     first_arrival_s: f64,
     /// Who produces the arrivals not armed yet.
     source: Source,
-    /// Jobs this run will see in total (fixed by the trace or stream
-    /// length; grows per external push).
+    /// Jobs this run will see in total (fixed by the trace length; grows
+    /// per external push).
     total_jobs: usize,
     /// Jobs whose arrival timers have been armed so far.
     issued: usize,
-    /// Jobs completed — `>= outcomes.len()` once the retention cap drops
-    /// individual outcomes.
+    /// Jobs completed — `>= outcomes.len()` once the driver takes
+    /// outcomes.
     completed: usize,
-    /// Constant-memory accounting, fed every outcome in completion order.
-    totals: StreamingTotals,
     /// `(job_idx, arrival_s, profile)` of every armed arrival whose timer
     /// has not fired yet, ordered like the timers — by time, ties in
     /// arming order — so the front is always the next arrival to fire.
@@ -900,7 +845,6 @@ impl FleetRun {
     /// The shared skeleton behind every constructor: a run expecting
     /// `total_jobs` jobs from `source`, nothing armed yet.
     fn fresh(fleet: FleetEngine, total_jobs: usize, source: Source) -> Self {
-        let retained = total_jobs.min(fleet.config.retain_outcomes);
         Self {
             timers: BinaryHeap::new(),
             seq: 0,
@@ -908,13 +852,12 @@ impl FleetRun {
             slots: Vec::new(),
             counters: FaultCounters::default(),
             running: 0,
-            outcomes: Vec::with_capacity(retained),
+            outcomes: Vec::with_capacity(total_jobs),
             first_arrival_s: f64::INFINITY,
             source,
             total_jobs,
             issued: 0,
             completed: 0,
-            totals: StreamingTotals::default(),
             incoming: VecDeque::new(),
             peak_tracked: 0,
             fleet,
@@ -968,33 +911,6 @@ impl FleetRun {
         Ok(run)
     }
 
-    /// Seeds a streaming run: `total_jobs` arrivals pulled lazily from
-    /// `stream`, which yields `(arrival_s, profile)` pairs in
-    /// non-decreasing time order. Only one unfired arrival is
-    /// materialized at a time, so the per-job memory held by the run is
-    /// O(in-flight + retained outcomes) instead of O(trace). With the
-    /// same jobs and arrival times, the timeline is bit-identical to the
-    /// materialized [`FleetRun::start`].
-    ///
-    /// A `stream` longer than `total_jobs` is truncated; one that runs
-    /// dry early is an error at the pull that finds it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`WanifyError::InvalidConfig`] when the first pull finds
-    /// the stream dry or its arrival time invalid (later pulls surface
-    /// the same errors from the run-driving calls).
-    pub fn start_stream(
-        fleet: FleetEngine,
-        total_jobs: usize,
-        stream: Box<dyn Iterator<Item = (f64, JobProfile)> + Send>,
-    ) -> Result<Self, WanifyError> {
-        let mut run = Self::fresh(fleet, total_jobs, Source::Stream { stream, last_s: 0.0 });
-        run.pull_stream()?;
-        run.arm_agent();
-        Ok(run)
-    }
-
     /// Seeds an empty serving run: no trace, no arrival timers. A
     /// front-end (the gateway crate) feeds it incrementally through
     /// [`FleetRun::submit_job`] and steps it with [`FleetRun::serve_step`],
@@ -1039,19 +955,6 @@ impl FleetRun {
         idx
     }
 
-    /// Keeps a [`Source::Stream`] one arrival ahead: pulls, validates
-    /// and arms the next one while the stream still owes any. Called at
-    /// start and after each fired arrival.
-    fn pull_stream(&mut self) -> Result<(), WanifyError> {
-        let Source::Stream { stream, last_s } = &mut self.source else { return Ok(()) };
-        if self.issued < self.total_jobs {
-            let (at_s, job) = next_arrival(stream, *last_s, self.issued, self.total_jobs)?;
-            *last_s = at_s;
-            self.arrive(self.issued, at_s, job);
-        }
-        Ok(())
-    }
-
     /// Queries currently running (admitted, not yet completed).
     pub fn running(&self) -> usize {
         self.running
@@ -1070,26 +973,25 @@ impl FleetRun {
         self.fleet.config.max_concurrent
     }
 
-    /// Retained outcomes so far, in completion order (the full set below
-    /// the [`FleetConfig::retain_outcomes`] cap, a prefix above it — see
-    /// [`FleetRun::completed`] for the true count).
+    /// Outcomes so far, in completion order, less any the driver has
+    /// taken (see [`FleetRun::completed`] for the true count).
     pub fn outcomes(&self) -> &[JobOutcome] {
         &self.outcomes
     }
 
-    /// Queries completed so far, including any whose individual outcomes
-    /// were dropped by the retention cap.
+    /// Queries completed so far, including any whose outcomes the driver
+    /// has taken.
     pub fn completed(&self) -> usize {
         self.completed
     }
 
     /// High-water mark of per-job state this run has held at once:
-    /// retained outcomes + queued arrivals + armed arrivals + the
+    /// untaken outcomes + queued arrivals + armed arrivals + the
     /// profiles a closed-loop pool has yet to release. The memory proxy
     /// the scale benchmark tracks — O(trace) for a materialized trace
     /// (each profile is held once and moved along, never cloned),
-    /// O(in-flight + retained) for a streamed or pushed one under a
-    /// retention cap.
+    /// O(in-flight) for a pushed one whose driver takes the outcomes as
+    /// they land.
     pub fn peak_tracked(&self) -> usize {
         self.peak_tracked
     }
@@ -1098,7 +1000,7 @@ impl FleetRun {
     fn note_tracked(&mut self) {
         let unreleased = match &self.source {
             Source::Closed { waiting, .. } => waiting.len(),
-            Source::Push | Source::Stream { .. } => 0,
+            Source::Push => 0,
         };
         let tracked = self.outcomes.len() + self.pending.len() + self.incoming.len() + unreleased;
         self.peak_tracked = self.peak_tracked.max(tracked);
@@ -1234,7 +1136,6 @@ impl FleetRun {
                         let (idx, _, job) =
                             self.incoming.pop_front().expect("every arrival timer has a profile");
                         self.pending.push_back((idx, now, job));
-                        self.pull_stream()?;
                     }
                     TimerKind::ComputeDone(slot) => {
                         let step = self.slots[slot]
@@ -1357,10 +1258,9 @@ impl FleetRun {
         Ok(self.completed - completed_at_entry)
     }
 
-    /// Finalizes the run into its report: exact when every outcome was
-    /// retained, [`sketched`](FleetReport::sketched) (sketch-backed
-    /// statistics, prefix of outcomes) when the retention cap dropped
-    /// some.
+    /// Finalizes the run into its exact report: the outcomes still held
+    /// are absorbed into the totals here, in completion order (a driver
+    /// that took outcomes along the way builds its own totals from them).
     pub fn into_report(self) -> FleetReport {
         let duration_s = if self.first_arrival_s.is_finite() {
             self.fleet.engine.sim().time_s() - self.first_arrival_s
@@ -1369,9 +1269,11 @@ impl FleetRun {
         };
         let mut counters = self.counters;
         counters.degraded_s = self.fleet.engine.sim().degraded_s();
+        let mut totals = StreamingTotals::default();
+        self.outcomes.iter().for_each(|o| totals.absorb(o));
         FleetReport::new(
             self.outcomes,
-            self.totals,
+            totals,
             duration_s,
             self.fleet.gauges,
             self.fleet.scheduler.name().to_string(),
@@ -1380,7 +1282,7 @@ impl FleetRun {
         )
     }
 
-    /// Hands the retained outcomes to the caller, leaving the run's
+    /// Hands the outcomes held so far to the caller, leaving the run's
     /// vector empty (the sharded driver drains every shard at each sync
     /// point, so each outcome is stored once and per-shard memory stays
     /// bounded by one window).
@@ -1486,7 +1388,8 @@ impl FleetRun {
     fn finalize(&mut self, slot: usize, report: QueryReport, failed: bool) {
         let active = self.slots[slot].take().expect("finalizing a live run");
         self.running -= 1;
-        self.record_outcome(JobOutcome {
+        self.completed += 1;
+        self.outcomes.push(JobOutcome {
             job_idx: active.job_idx,
             report,
             arrived_s: active.arrived_s,
@@ -1494,17 +1397,7 @@ impl FleetRun {
             completed_s: self.fleet.engine.sim().time_s(),
             failed,
         });
-    }
-
-    /// Accounts one completion: the streaming totals always absorb it,
-    /// the outcome vector keeps it only below the retention cap.
-    fn record_outcome(&mut self, outcome: JobOutcome) {
-        self.completed += 1;
-        self.totals.absorb(&outcome);
-        if self.outcomes.len() < self.fleet.config.retain_outcomes {
-            self.outcomes.push(outcome);
-            self.note_tracked();
-        }
+        self.note_tracked();
     }
 
     /// One fleet-level agent wake: observe the engine's aggregate state,
@@ -2142,10 +2035,11 @@ mod tests {
 
     #[test]
     fn serving_run_does_not_hoard_served_profiles() {
-        // 200 jobs pushed one at a time, at most one in service: the
-        // per-job state held at once is bounded by the retention cap and
-        // the admission limit, not by how many jobs have been served.
-        let config = FleetConfig { retain_outcomes: 4, ..FleetConfig::default() };
+        // 200 jobs pushed one at a time, at most one in service, the
+        // driver taking each outcome as it lands: the per-job state held
+        // at once is bounded by the admission limit, not by how many
+        // jobs have been served.
+        let config = FleetConfig::default();
         let max_concurrent = config.max_concurrent;
         let engine = FleetEngine::new(
             sim(3, 26),
@@ -2154,15 +2048,18 @@ mod tests {
             config,
         );
         let mut run = FleetRun::start_serving(engine);
+        let mut taken = 0;
         for i in 0..200 {
             assert_eq!(run.submit_job(small_job(3, 0.1, &format!("tiny-{i}"))), i);
             while !run.finished() {
                 run.serve_step(run.time_s() + 50.0).unwrap();
             }
+            taken += run.take_outcomes().len();
         }
         assert_eq!(run.completed(), 200);
+        assert_eq!(taken, 200, "every outcome reaches the driver exactly once");
         assert!(
-            run.peak_tracked() <= 4 + max_concurrent,
+            run.peak_tracked() <= 1 + max_concurrent,
             "peak {} grew with the jobs served",
             run.peak_tracked()
         );

@@ -39,25 +39,27 @@
 //!   at any thread count.
 //!
 //! The fleet is built around three single points. **One arrival path,
-//! four callers**: a materialized trace, a pulled stream, a closed-loop
-//! client pool and an external push (the gateway, the sharded driver)
+//! three callers**: a materialized trace, a closed-loop client pool and
+//! an external push (the gateway, the sharded driver's streamed feed)
 //! all move `(job_idx, arrival_s, profile)` into a [`fleet::FleetRun`]
 //! the same way, behind one arrival-time validator. **One window loop,
 //! two front doors**: [`sharded::ShardedFleetEngine::run`] (shards own
 //! their slice of a partitioned trace) and
 //! [`sharded::ShardedFleetEngine::run_stream`] (the driver pushes a
 //! stream's arrivals window by window) share the exchange → step →
-//! drain loop. **One report**: [`fleet::StreamingTotals`] absorbs every
-//! completion and [`fleet::FleetReport::new`] is exact exactly when the
-//! retained outcomes are all of them.
+//! drain loop. **One report**: a [`fleet::FleetRun`] keeps every outcome
+//! until its driver takes them, [`fleet::StreamingTotals`] absorbs each
+//! completion once, where the report is built, and
+//! [`fleet::FleetReport::new`] is exact exactly when the retained
+//! outcomes are all of them.
 //!
-//! The fleet scales past materialized traces: arrivals can be pulled
-//! lazily from an iterator ([`fleet::FleetRun::start_stream`],
-//! [`sharded::ShardedFleetEngine::run_stream`]) so the trace is O(1)
-//! memory, per-job accounting can be capped
-//! ([`fleet::FleetConfig::retain_outcomes`]) with everything past the cap
-//! folded into deterministic P² percentile [`sketch`]es and
-//! per-tenant-class aggregates (sums stay bitwise-exact), and shards
+//! The fleet scales past materialized traces: the streamed sharded run
+//! ([`sharded::ShardedFleetEngine::run_stream`]) pulls arrivals lazily
+//! from an iterator so the trace is O(1) memory, and its
+//! `retain_outcomes` argument caps the per-job outcomes the driver keeps,
+//! with every completion still folded into deterministic P² percentile
+//! [`sketch`]es and per-tenant-class aggregates (sums stay
+//! bitwise-exact), and shards
 //! couple through one tier list, a [`wanify_netsim::BackboneHierarchy`]
 //! (a flat backbone is one tier; tiled 64+ DC topologies add continental
 //! trunks every Nth sync window to the regional ones). `BENCH_scale.json` pins the resulting
@@ -75,9 +77,8 @@ pub mod storage;
 pub use cost::{CostBreakdown, CostModel};
 pub use executor::{run_job, stage_compute_s, JobRun, JobStep, QueryReport, TransferOptions};
 pub use fleet::{
-    poisson_arrival_times, poisson_times_iter, Arrivals, FaultCounters, FaultPolicy, FleetAgent,
-    FleetConfig, FleetEngine, FleetReport, FleetRun, JobOutcome, Percentiles, PoissonTimes,
-    ServingCounters, StreamingTotals,
+    poisson_times_iter, Arrivals, FaultCounters, FaultPolicy, FleetAgent, FleetConfig, FleetEngine,
+    FleetReport, FleetRun, JobOutcome, Percentiles, PoissonTimes, ServingCounters, StreamingTotals,
 };
 pub use job::{JobProfile, StageProfile};
 pub use scheduler::{Kimchi, PlacementCtx, Scheduler, Tetrium, VanillaSpark};

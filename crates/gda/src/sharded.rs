@@ -174,13 +174,6 @@ pub struct ShardedFleetReport {
     /// completion time (shard index breaks ties), gauges summed, duration
     /// spanning first arrival to last completion across the whole fleet.
     pub fleet: FleetReport,
-    /// Each shard's own report, in shard order — accounting only: counts,
-    /// totals, class aggregates, gauges and fault counters, in a
-    /// [`sketched`](FleetReport::sketched) report with no retained
-    /// outcomes. Per-job outcomes live once, in `fleet.outcomes`; their
-    /// [`JobOutcome::job_idx`] is the trace index, which the shard policy
-    /// maps back to the shard that served them.
-    pub per_shard: Vec<FleetReport>,
     /// Shard policy that partitioned the trace.
     pub policy: String,
     /// Backbone epoch exchanges performed (0 when uncoupled).
@@ -190,18 +183,23 @@ pub struct ShardedFleetReport {
     /// retained — the memory proxy `bench scale` tracks. A materialized
     /// run holds the whole trace; a streamed one holds one window.
     pub peak_tracked: usize,
+    /// Jobs each shard completed, in shard order. Per-job outcomes live
+    /// once, in `fleet.outcomes`; their [`JobOutcome::job_idx`] is the
+    /// trace index, which the shard policy maps back to the shard that
+    /// served them.
+    shard_completed: Vec<usize>,
 }
 
 impl ShardedFleetReport {
     /// Number of shards.
     pub fn shards(&self) -> usize {
-        self.per_shard.len()
+        self.shard_completed.len()
     }
 
-    /// Jobs served per shard, in shard order (every completion the shard
-    /// accounted, not the outcomes it retained).
+    /// Jobs served per shard, in shard order (every completion, not only
+    /// the outcomes the driver retained).
     pub fn shard_sizes(&self) -> Vec<usize> {
-        self.per_shard.iter().map(FleetReport::completed).collect()
+        self.shard_completed.clone()
     }
 }
 
@@ -398,20 +396,14 @@ impl ShardedFleetEngine {
     /// drained in `(completed_s, shard)` order — deterministic at any
     /// thread count — into the fleet-wide totals and, up to
     /// `retain_outcomes`, the merged outcome vector, so each outcome is
-    /// stored once. With a coupling and ≥ 2 shards the window is the
-    /// finest tier's sync interval; otherwise (no coupling, or a single
-    /// shard that owns every trunk outright) the shards are uncoupled and
-    /// one unbounded window serves everything.
+    /// absorbed and stored once. With a coupling and ≥ 2 shards the
+    /// window is the finest tier's sync interval; otherwise (no coupling,
+    /// or a single shard that owns every trunk outright) the shards are
+    /// uncoupled and one unbounded window serves everything.
     ///
     /// The drain order is the global completion order whenever no shard
     /// overshoots a window's edge (a gauge at admission is the only
     /// thing that can), and always deterministic.
-    ///
-    /// Shard engines should keep their default
-    /// [`retain_outcomes`](crate::FleetConfig::retain_outcomes):
-    /// per-shard vectors are drained every window, so they never outgrow
-    /// one window's completions, and a shard-level cap would drop
-    /// outcomes *before* the drain and corrupt the fleet totals.
     fn drive_windows(
         &self,
         mut runs: Vec<FleetRun>,
@@ -480,24 +472,27 @@ impl ShardedFleetEngine {
         }
 
         let peak_tracked = runs.iter().map(FleetRun::peak_tracked).sum::<usize>() + outcomes.len();
-        let per_shard: Vec<FleetReport> = runs.into_iter().map(FleetRun::into_report).collect();
+        let shard_completed = runs.iter().map(FleetRun::completed).collect();
+        // The drain took every outcome, so these reports carry only each
+        // shard's gauges, fault counters and names.
+        let shards: Vec<FleetReport> = runs.into_iter().map(FleetRun::into_report).collect();
         let duration_s =
             if totals.completed == 0 { 0.0 } else { last_completed_s - first_arrival_s };
         let fleet = FleetReport::new(
             outcomes,
             totals,
             duration_s,
-            per_shard.iter().map(|r| r.gauges).sum(),
-            per_shard.first().map_or_else(String::new, |r| r.scheduler.clone()),
-            per_shard.first().map_or_else(String::new, |r| r.belief.clone()),
-            merge_faults(&per_shard),
+            shards.iter().map(|r| r.gauges).sum(),
+            shards[0].scheduler.clone(),
+            shards[0].belief.clone(),
+            merge_faults(&shards),
         );
         Ok(ShardedFleetReport {
             fleet,
-            per_shard,
             policy: self.policy.name().to_string(),
             backbone_syncs,
             peak_tracked,
+            shard_completed,
         })
     }
 }
@@ -540,9 +535,9 @@ fn exchange_tiers(
 /// degraded time does not — every shard replicates the same WAN (and
 /// fault schedule), so summing would multiply one outage by the shard
 /// count.
-fn merge_faults(per_shard: &[FleetReport]) -> crate::fleet::FaultCounters {
+fn merge_faults(shards: &[FleetReport]) -> crate::fleet::FaultCounters {
     let mut faults = crate::fleet::FaultCounters::default();
-    for r in per_shard {
+    for r in shards {
         faults.stalled_flows += r.faults.stalled_flows;
         faults.retries += r.faults.retries;
         faults.replacements += r.faults.replacements;

@@ -28,13 +28,7 @@ fn fleet(params: LinkModelParams, seed: u64, conns: Option<ConnMatrix>) -> Fleet
         NetSim::new(paper_testbed_n(VmType::t2_medium(), N_DCS), params, seed),
         Box::new(Tetrium::new()),
         Box::new(wanify::StaticIndependent::new()),
-        FleetConfig {
-            max_concurrent: 8,
-            regauge_every_s: 300.0,
-            conns,
-            faults: None,
-            ..FleetConfig::default()
-        },
+        FleetConfig { max_concurrent: 8, regauge_every_s: 300.0, conns, faults: None },
     )
 }
 

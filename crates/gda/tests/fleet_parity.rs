@@ -102,7 +102,6 @@ fn check_parity(
             regauge_every_s: f64::INFINITY,
             conns: Some(conns),
             faults: None,
-            ..FleetConfig::default()
         },
     )
     .run(std::slice::from_ref(&job), &Arrivals::Closed { clients: 1, think_s: 0.0 })

@@ -1,12 +1,14 @@
 //! Hierarchical backbone coupling and window-streamed sharded serving:
 //! completion, determinism across repeats and thread counts, coupling
-//! pressure, the tiers' exchange cadence, and equivalence between the
-//! materialized and streamed drivers.
+//! pressure, the tiers' exchange cadence, equivalence between the
+//! materialized and streamed drivers, and the streamed driver's outcome
+//! cap: exact totals, sketched percentiles close to the exact ones, and
+//! per-job state bounded by one window.
 
 use wanify::Pregauged;
 use wanify_gda::{
-    poisson_arrival_times, Arrivals, FleetConfig, FleetEngine, RoundRobinShards,
-    ShardedFleetEngine, ShardedFleetReport, Tetrium,
+    poisson_times_iter, Arrivals, FleetConfig, FleetEngine, FleetReport, JobProfile,
+    RoundRobinShards, ShardedFleetEngine, ShardedFleetReport, Tetrium,
 };
 use wanify_netsim::{
     paper_testbed_n, Backbone, BackboneHierarchy, BwMatrix, LinkModelParams, NetSim, VmType,
@@ -58,9 +60,26 @@ fn pregauged_sharded(flat: Option<Backbone>) -> ShardedFleetEngine {
     )
 }
 
+/// The first `n` arrival times of the seeded Poisson stream.
+fn poisson_times(n: usize, rate_per_s: f64, seed: u64) -> Vec<f64> {
+    poisson_times_iter(rate_per_s, seed).unwrap().take(n).collect()
+}
+
+/// `cfg`'s trace, streamed lazily behind the seeded Poisson times.
+fn stream(
+    cfg: &TraceConfig,
+    rate_per_s: f64,
+    seed: u64,
+) -> Box<dyn Iterator<Item = (f64, JobProfile)> + Send> {
+    Box::new(poisson_times_iter(rate_per_s, seed).unwrap().zip(trace_iter(cfg)))
+}
+
 fn run_key(report: &ShardedFleetReport) -> Vec<(String, u64, u64, u64)> {
+    fleet_key(&report.fleet)
+}
+
+fn fleet_key(report: &FleetReport) -> Vec<(String, u64, u64, u64)> {
     report
-        .fleet
         .outcomes
         .iter()
         .map(|o| {
@@ -162,15 +181,11 @@ fn streamed_sharded_run_matches_materialized() {
     // Same trace, same thinned Poisson schedule, same hierarchy: the
     // window-streamed driver must reproduce the materialized one.
     let cfg = TraceConfig::new(N_DCS, 16, 6).scaled(0.5);
-    let trace = mixed_trace(&cfg);
-    let times = poisson_arrival_times(16, 0.08, 21).unwrap();
-
     let materialized = hier_sharded(3, 3000.0, 6000.0)
-        .run(&trace, &Arrivals::Scheduled { times: times.clone() })
+        .run(&mixed_trace(&cfg), &Arrivals::Scheduled { times: poisson_times(16, 0.08, 21) })
         .unwrap();
-    let streamed = hier_sharded(3, 3000.0, 6000.0)
-        .run_stream(16, Box::new(times.into_iter().zip(trace_iter(&cfg))), usize::MAX)
-        .unwrap();
+    let streamed =
+        hier_sharded(3, 3000.0, 6000.0).run_stream(16, stream(&cfg, 0.08, 21), usize::MAX).unwrap();
 
     assert_eq!(run_key(&materialized), run_key(&streamed));
     assert_eq!(materialized.fleet.duration_s.to_bits(), streamed.fleet.duration_s.to_bits());
@@ -180,28 +195,121 @@ fn streamed_sharded_run_matches_materialized() {
 }
 
 #[test]
-fn streamed_sharded_run_caps_outcomes_without_losing_totals() {
-    let cfg = TraceConfig::new(N_DCS, 24, 6).scaled(0.5);
-    let times = poisson_arrival_times(24, 0.08, 21).unwrap();
-    let exact = hier_sharded(3, 3000.0, 6000.0)
-        .run(&mixed_trace(&cfg), &Arrivals::Scheduled { times: times.clone() })
+fn one_shard_stream_is_bit_identical_to_the_single_engine() {
+    // An uncoupled lone shard is fed the whole stream in one unbounded
+    // window, so it must reproduce the single engine's Poisson run.
+    let cfg = TraceConfig::new(4, 24, 5).scaled(0.5);
+    let engine = || {
+        FleetEngine::new(
+            NetSim::new(paper_testbed_n(VmType::t2_medium(), 4), LinkModelParams::frozen(), 7),
+            Box::new(Tetrium::new()),
+            Box::new(wanify::StaticIndependent::new()),
+            FleetConfig { max_concurrent: 8, regauge_every_s: 300.0, ..FleetConfig::default() },
+        )
+    };
+    let single = engine()
+        .run(&mixed_trace(&cfg), &Arrivals::Poisson { rate_per_s: 0.08, seed: 17 })
         .unwrap();
-    let capped = hier_sharded(3, 3000.0, 6000.0)
-        .run_stream(24, Box::new(times.into_iter().zip(trace_iter(&cfg))), 6)
+    let streamed = ShardedFleetEngine::new(vec![engine()], Box::new(RoundRobinShards::new()), None)
+        .run_stream(24, stream(&cfg, 0.08, 17), usize::MAX)
         .unwrap();
+    assert_eq!(fleet_key(&single), run_key(&streamed));
+    assert_eq!(single.duration_s.to_bits(), streamed.fleet.duration_s.to_bits());
+    assert_eq!(single.gauges, streamed.fleet.gauges);
+    assert!(!streamed.fleet.sketched());
+    assert_eq!(streamed.fleet.completed(), 24);
+}
 
+#[test]
+fn streamed_sharded_run_caps_outcomes_without_losing_totals() {
+    // 3 admission slots fleet-wide against a hot offered rate: real
+    // queueing, so the queue-wait distribution is non-degenerate and the
+    // sketch has an actual shape to track.
+    let hot = || {
+        ShardedFleetEngine::new(
+            (0..3).map(|_| shard_engine(11, 1)).collect(),
+            Box::new(RoundRobinShards::new()),
+            None,
+        )
+        .with_hierarchy(hierarchy(3000.0, 6000.0))
+    };
+    let cfg = TraceConfig::new(N_DCS, 160, 6).scaled(0.5);
+    let exact = hot()
+        .run(&mixed_trace(&cfg), &Arrivals::Scheduled { times: poisson_times(160, 1.0, 21) })
+        .unwrap();
+    let capped = hot().run_stream(160, stream(&cfg, 1.0, 21), 8).unwrap();
+
+    // The timeline itself is untouched by accounting: the retained
+    // prefix matches the exact run's first outcomes bit for bit.
     assert!(capped.fleet.sketched());
-    assert_eq!(capped.fleet.outcomes.len(), 6);
-    assert_eq!(capped.fleet.completed(), 24);
-    assert_eq!(capped.shard_sizes().iter().sum::<usize>(), 24);
-    assert_eq!(capped.fleet.failed_jobs(), exact.fleet.failed_jobs());
-    assert_eq!(
-        capped.fleet.total_egress_gb().to_bits(),
-        exact.fleet.total_egress_gb().to_bits(),
-        "sums absorb in the same global order"
-    );
-    assert_eq!(capped.fleet.total_cost_usd().to_bits(), exact.fleet.total_cost_usd().to_bits());
+    assert_eq!(capped.fleet.outcomes.len(), 8);
+    assert_eq!(run_key(&exact)[..8], run_key(&capped)[..]);
+    assert_eq!(capped.fleet.completed(), 160);
+    assert_eq!(capped.shard_sizes().iter().sum::<usize>(), 160);
     assert_eq!(capped.fleet.duration_s.to_bits(), exact.fleet.duration_s.to_bits());
+
+    // Sums and counts absorb in the same global order, so they stay
+    // bitwise equal to the exact run's.
+    let (c, e) = (&capped.fleet, &exact.fleet);
+    assert_eq!(c.failed_jobs(), e.failed_jobs());
+    assert_eq!(c.total_egress_gb().to_bits(), e.total_egress_gb().to_bits());
+    assert_eq!(c.total_cost_usd().to_bits(), e.total_cost_usd().to_bits());
+    assert_eq!(c.network_cost_usd().to_bits(), e.network_cost_usd().to_bits());
+    assert_eq!(c.throughput_jobs_per_s().to_bits(), e.throughput_jobs_per_s().to_bits());
+
+    // Percentiles come from the P² sketches: estimates, but close. The
+    // bounds are loose — this pins the *wiring*; the sketch unit tests
+    // pin 1% accuracy at 20k i.i.d. samples.
+    for (sk, ex) in [(c.makespan(), e.makespan()), (c.queue_wait(), e.queue_wait())] {
+        for (s, x, rel) in [(sk.p50, ex.p50, 0.25), (sk.p95, ex.p95, 0.35), (sk.p99, ex.p99, 0.35)]
+        {
+            // Relative bound with a small absolute floor (exact p50
+            // queue wait is 0.0 when admissions are uncontended).
+            let tol = rel * x.abs() + 0.05;
+            assert!((s - x).abs() <= tol, "sketched {s} vs exact {x} (tol {tol})");
+        }
+        // The exact mean sums in sorted order, the sketch in completion
+        // order: same values, different rounding — ulp-level agreement.
+        assert!((sk.mean - ex.mean).abs() <= 1e-9 * ex.mean.abs().max(1.0), "{sk:?} {ex:?}");
+        assert_eq!(sk.max.to_bits(), ex.max.to_bits(), "max absorbs exactly");
+    }
+}
+
+#[test]
+fn per_class_aggregates_cover_every_job() {
+    let cfg = TraceConfig::new(N_DCS, 40, 5).scaled(0.5);
+    let report = hier_sharded(3, 3000.0, 6000.0).run_stream(40, stream(&cfg, 0.08, 17), 8).unwrap();
+    assert!(report.fleet.sketched());
+    let classes = report.fleet.classes();
+    assert!(!classes.is_empty());
+    assert_eq!(classes.total_jobs(), 40, "every completion lands in exactly one class");
+    for (name, stats) in classes.iter() {
+        assert!(stats.jobs > 0, "class {name} exists but holds no jobs");
+        assert!(stats.makespan.count() == stats.jobs);
+    }
+}
+
+#[test]
+fn streamed_peak_tracked_stays_bounded_by_the_cap() {
+    let cfg = TraceConfig::new(N_DCS, 40, 5).scaled(0.5);
+    // Materialized: every shard holds its whole slice of the trace, and
+    // the driver every outcome.
+    let materialized = hier_sharded(3, 3000.0, 6000.0)
+        .run(&mixed_trace(&cfg), &Arrivals::Scheduled { times: poisson_times(40, 0.08, 17) })
+        .unwrap();
+    assert!(materialized.peak_tracked >= 40);
+
+    // Streamed + capped: one window's arrivals and completions per shard
+    // plus at most `retain_outcomes` outcomes — far below the trace.
+    let streamed =
+        hier_sharded(3, 3000.0, 6000.0).run_stream(40, stream(&cfg, 0.08, 17), 8).unwrap();
+    assert!(
+        streamed.peak_tracked < materialized.peak_tracked,
+        "streamed peak {} must undercut materialized peak {}",
+        streamed.peak_tracked,
+        materialized.peak_tracked
+    );
+    assert!(streamed.peak_tracked <= 8 + 40, "peak {}", streamed.peak_tracked);
 }
 
 #[test]
@@ -210,10 +318,7 @@ fn streamed_sharded_run_is_thread_count_invariant() {
     let run_with = |threads: usize| {
         let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
         pool.install(|| {
-            let times = poisson_arrival_times(12, 0.08, 4).unwrap();
-            hier_sharded(4, 2500.0, 5000.0)
-                .run_stream(12, Box::new(times.into_iter().zip(trace_iter(&cfg))), 4)
-                .unwrap()
+            hier_sharded(4, 2500.0, 5000.0).run_stream(12, stream(&cfg, 0.08, 4), 4).unwrap()
         })
     };
     let serial = run_with(1);
@@ -225,10 +330,22 @@ fn streamed_sharded_run_is_thread_count_invariant() {
 
 #[test]
 fn streamed_stream_that_runs_dry_errors() {
+    // Promise 9 jobs, deliver 4: the run must name the cause at the pull
+    // that finds the stream dry, not spin, succeed, or report a
+    // cause-free stall after the last delivered job drains.
     let cfg = TraceConfig::new(N_DCS, 4, 6).scaled(0.5);
-    let times = poisson_arrival_times(4, 0.08, 21).unwrap();
     let err = hier_sharded(2, 3000.0, 6000.0)
-        .run_stream(9, Box::new(times.into_iter().zip(trace_iter(&cfg))), usize::MAX)
+        .run_stream(9, stream(&cfg, 0.08, 21), usize::MAX)
         .unwrap_err();
-    assert!(format!("{err}").contains("ran dry"), "{err}");
+    assert!(format!("{err}").contains("ran dry after 4 of 9"), "{err}");
+}
+
+#[test]
+fn decreasing_streamed_arrivals_are_rejected() {
+    let jobs = mixed_trace(&TraceConfig::new(N_DCS, 3, 5).scaled(0.5));
+    let ooo = vec![(5.0, jobs[0].clone()), (2.0, jobs[1].clone()), (9.0, jobs[2].clone())];
+    let err = hier_sharded(2, 3000.0, 6000.0)
+        .run_stream(3, Box::new(ooo.into_iter()), usize::MAX)
+        .unwrap_err();
+    assert!(format!("{err}").contains("non-decreasing"), "{err}");
 }

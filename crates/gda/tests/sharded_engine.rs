@@ -13,13 +13,7 @@ fn shard_engine(n: usize, seed: u64, max_concurrent: usize) -> FleetEngine {
         NetSim::new(paper_testbed_n(VmType::t2_medium(), n), LinkModelParams::frozen(), seed),
         Box::new(Tetrium::new()),
         Box::new(wanify::StaticIndependent::new()),
-        FleetConfig {
-            max_concurrent,
-            regauge_every_s: 300.0,
-            conns: None,
-            faults: None,
-            ..FleetConfig::default()
-        },
+        FleetConfig { max_concurrent, regauge_every_s: 300.0, conns: None, faults: None },
     )
 }
 

@@ -27,13 +27,7 @@ fn engine(n: usize, seed: u64, max_concurrent: usize, sched_id: usize) -> FleetE
         sim,
         scheduler,
         Box::new(wanify::StaticIndependent::new()),
-        FleetConfig {
-            max_concurrent,
-            regauge_every_s: 120.0,
-            conns: None,
-            faults: None,
-            ..FleetConfig::default()
-        },
+        FleetConfig { max_concurrent, regauge_every_s: 120.0, conns: None, faults: None },
     )
 }
 
@@ -93,16 +87,15 @@ fn check_one_shard_parity(
     assert_eq!(sharded.shards(), 1);
     assert_eq!(sharded.backbone_syncs, 0, "a lone shard never epoch-exchanges");
     assert_reports_bit_identical(&sharded.fleet, &single);
-    // The shard's own report is accounting-only (outcomes live once, in
-    // the merged report): its counts and sums must still be the single
-    // engine's.
-    let shard = &sharded.per_shard[0];
-    assert_eq!(shard.completed(), single.completed());
-    assert_eq!(shard.failed_jobs(), single.failed_jobs());
-    assert_eq!(shard.gauges, single.gauges);
-    assert_eq!(shard.total_egress_gb().to_bits(), single.total_egress_gb().to_bits());
-    assert_eq!(shard.total_cost_usd().to_bits(), single.total_cost_usd().to_bits());
-    assert_eq!(shard.network_cost_usd().to_bits(), single.network_cost_usd().to_bits());
+    // The drain absorbs each completion once, into the merged report:
+    // its counts and sums must still be the single engine's.
+    let fleet = &sharded.fleet;
+    assert_eq!(sharded.shard_sizes(), vec![single.completed()]);
+    assert_eq!(fleet.completed(), single.completed());
+    assert_eq!(fleet.failed_jobs(), single.failed_jobs());
+    assert_eq!(fleet.total_egress_gb().to_bits(), single.total_egress_gb().to_bits());
+    assert_eq!(fleet.total_cost_usd().to_bits(), single.total_cost_usd().to_bits());
+    assert_eq!(fleet.network_cost_usd().to_bits(), single.network_cost_usd().to_bits());
 }
 
 proptest! {

@@ -666,7 +666,6 @@ impl ScenarioSpec {
             regauge_every_s: self.regauge_every_s,
             conns: None,
             faults: self.policy,
-            ..FleetConfig::default()
         }
     }
 

@@ -75,10 +75,10 @@ pub struct OfferedJob {
 }
 
 /// Samples the deterministic open-loop request stream of `spec`: the
-/// mixed multi-tenant trace ([`mixed_trace`]) with Poisson arrival
-/// times ([`poisson_arrival_times`]) at the offered rate, sorted by
-/// arrival (Poisson times are already non-decreasing). Equal specs
-/// produce bit-identical streams.
+/// mixed multi-tenant trace ([`mixed_trace`](crate::mixed_trace)) with
+/// Poisson arrival times ([`poisson_times_iter`]) at the offered rate,
+/// sorted by arrival (Poisson times are already non-decreasing). Equal
+/// specs produce bit-identical streams.
 ///
 /// # Panics
 ///

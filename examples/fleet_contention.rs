@@ -17,13 +17,7 @@ fn serve(jobs: &[wanify_gda::JobProfile], max_concurrent: usize) -> FleetReport 
         sim,
         Box::new(Tetrium::new()),
         Box::new(wanify::StaticIndependent::new()),
-        FleetConfig {
-            max_concurrent,
-            regauge_every_s: 300.0,
-            conns: None,
-            faults: None,
-            ..FleetConfig::default()
-        },
+        FleetConfig { max_concurrent, regauge_every_s: 300.0, conns: None, faults: None },
     )
     .run(jobs, &Arrivals::Closed { clients: max_concurrent, think_s: 0.0 })
     .expect("trace matches the 8-DC testbed")

@@ -30,7 +30,6 @@ fn faulted_engine(faults: &FaultSchedule, policy: FaultPolicy, seed: u64) -> Fle
             regauge_every_s: f64::INFINITY,
             conns: None,
             faults: Some(policy),
-            ..FleetConfig::default()
         },
     )
 }

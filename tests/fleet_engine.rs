@@ -18,13 +18,7 @@ fn run_fleet(jobs: &[JobProfile], max_concurrent: usize, seed: u64) -> FleetRepo
         sim(seed),
         Box::new(Tetrium::new()),
         Box::new(wanify::StaticIndependent::new()),
-        FleetConfig {
-            max_concurrent,
-            regauge_every_s: 300.0,
-            conns: None,
-            faults: None,
-            ..FleetConfig::default()
-        },
+        FleetConfig { max_concurrent, regauge_every_s: 300.0, conns: None, faults: None },
     )
     .run(jobs, &Arrivals::Closed { clients: max_concurrent, think_s: 0.0 })
     .expect("trace matches the 8-DC testbed")

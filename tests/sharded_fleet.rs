@@ -23,13 +23,7 @@ fn engine(max_concurrent: usize) -> FleetEngine {
         NetSim::new(paper_testbed_n(VmType::t2_medium(), N_DCS), LinkModelParams::frozen(), 5),
         Box::new(Tetrium::new()),
         Box::new(wanify::StaticIndependent::new()),
-        FleetConfig {
-            max_concurrent,
-            regauge_every_s: 300.0,
-            conns: None,
-            faults: None,
-            ..FleetConfig::default()
-        },
+        FleetConfig { max_concurrent, regauge_every_s: 300.0, conns: None, faults: None },
     )
 }
 
