@@ -10,7 +10,7 @@
 use crate::global::GlobalPlan;
 use crate::local::LocalOptimizer;
 use crate::relations::DcRelations;
-use crate::throttle::{throttle_caps_clamped, throttle_caps_masked};
+use crate::throttle::throttle_caps;
 use wanify_netsim::{BwMatrix, EpochCtx, EpochHook};
 
 /// One recorded agent step, used by the dynamics analysis of Fig. 9.
@@ -143,10 +143,7 @@ impl EpochHook for WanifyAgent {
         // hurting exactly the transfers the caps are meant to protect.
         if self.throttling && self.updates == 1 {
             let targets = self.target_bw_matrix();
-            let caps = match &self.relations {
-                Some(rel) => throttle_caps_masked(&targets, &self.host_egress_mbps, rel),
-                None => throttle_caps_clamped(&targets, &self.host_egress_mbps),
-            };
+            let caps = throttle_caps(&targets, &self.host_egress_mbps, self.relations.as_ref());
             for i in 0..n {
                 for j in 0..n {
                     ctx.throttles.set(i, j, caps.get(i, j));

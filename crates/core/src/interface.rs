@@ -10,9 +10,10 @@
 use crate::agent::WanifyAgent;
 use crate::error::WanifyError;
 use crate::global::{optimize_global, GlobalPlan};
+use crate::local::feasible_factor;
 use crate::relations::{infer_dc_relations, DcRelations};
 use crate::source::BandwidthSource;
-use crate::throttle::throttle_caps_masked;
+use crate::throttle::throttle_caps;
 use wanify_netsim::{BwMatrix, ConnMatrix, Grid, NetSim};
 
 /// Configuration of the WANify pipeline.
@@ -54,14 +55,13 @@ pub struct WanifyPlan {
     pub global: GlobalPlan,
     /// Initial traffic-control caps (infinite when throttling is off).
     pub initial_throttles: Grid<f64>,
-    /// Initial connection matrix: AIMD starts from the window maximum.
-    pub max_cons: ConnMatrix,
 }
 
 impl WanifyPlan {
-    /// The connection matrix a GDA system should open initially.
+    /// The connection matrix a GDA system should open initially: AIMD
+    /// starts from the window maximum.
     pub fn initial_conns(&self) -> &ConnMatrix {
-        &self.max_cons
+        &self.global.max_cons
     }
 
     /// Achievable bandwidth matrix at the initial configuration, which a
@@ -78,18 +78,10 @@ impl WanifyPlan {
     /// quantization picking gradient precision — should use this feasible
     /// variant, mirroring how the local optimizers scale their targets.
     pub fn feasible_achievable_bw(&self) -> BwMatrix {
-        let max_bw = &self.global.max_bw;
-        let n = max_bw.len();
-        let mut feasible = BwMatrix::new(n);
-        for i in 0..n {
-            let row_sum: f64 = (0..n).filter(|&k| k != i).map(|k| max_bw.get(i, k)).sum();
-            let host = self.global.host_egress_mbps[i];
-            let feas = if row_sum > 0.0 { (host / row_sum).min(1.0) } else { 1.0 };
-            for j in 0..n {
-                feasible.set(i, j, max_bw.get(i, j) * feas);
-            }
-        }
-        feasible
+        let (max_bw, hosts) = (&self.global.max_bw, &self.global.host_egress_mbps);
+        let factor: Vec<f64> =
+            (0..max_bw.len()).map(|i| feasible_factor(max_bw, i, hosts[i])).collect();
+        BwMatrix::from_fn(max_bw.len(), |i, j| max_bw.get(i, j) * factor[i])
     }
 }
 
@@ -133,19 +125,10 @@ impl Wanify {
     /// Runs Algorithm 1 + global optimization on an already-gauged
     /// bandwidth matrix (the low-level step behind [`Wanify::plan`]).
     ///
-    /// # Panics
-    ///
-    /// Panics if configured skew/rvec vectors mismatch the matrix size —
-    /// use [`Wanify::try_plan_matrix`] for a fallible variant.
-    pub fn plan_matrix(&self, predicted_bw: &BwMatrix) -> WanifyPlan {
-        self.try_plan_matrix(predicted_bw).expect("configuration consistent with matrix size")
-    }
-
-    /// Fallible version of [`Wanify::plan_matrix`].
-    ///
     /// # Errors
     ///
-    /// Returns [`WanifyError`] on dimension mismatches or invalid config.
+    /// Returns [`WanifyError`] when the configured skew/rvec vectors
+    /// mismatch the matrix size or the configuration is invalid.
     pub fn try_plan_matrix(&self, predicted_bw: &BwMatrix) -> Result<WanifyPlan, WanifyError> {
         let relations = infer_dc_relations(predicted_bw, self.config.relation_min_diff_mbps)?;
         let global = optimize_global(
@@ -156,12 +139,11 @@ impl Wanify {
             self.config.rvec.as_deref(),
         )?;
         let initial_throttles = if self.config.throttling {
-            throttle_caps_masked(&global.max_bw, &global.host_egress_mbps, &relations)
+            throttle_caps(&global.max_bw, &global.host_egress_mbps, Some(&relations))
         } else {
             Grid::filled(predicted_bw.len(), f64::INFINITY)
         };
-        let max_cons = global.max_cons.clone();
-        Ok(WanifyPlan { relations, global, initial_throttles, max_cons })
+        Ok(WanifyPlan { relations, global, initial_throttles })
     }
 
     /// Spawns the local-agent fleet for a plan.
@@ -181,25 +163,26 @@ mod tests {
 
     #[test]
     fn plan_produces_heterogeneous_connections() {
-        let plan = Wanify::new(WanifyConfig::default()).plan_matrix(&bw3());
-        let weak = plan.max_cons.get(0, 2); // 120 Mbps link
-        let strong = plan.max_cons.get(0, 1); // 400 Mbps link
+        let plan = Wanify::new(WanifyConfig::default()).try_plan_matrix(&bw3()).unwrap();
+        let weak = plan.initial_conns().get(0, 2); // 120 Mbps link
+        let strong = plan.initial_conns().get(0, 1); // 400 Mbps link
         assert!(weak > strong, "distant pair gets more connections: {weak} vs {strong}");
     }
 
     #[test]
     fn throttling_toggle_controls_initial_caps() {
-        let on = Wanify::new(WanifyConfig::default()).plan_matrix(&bw3());
+        let on = Wanify::new(WanifyConfig::default()).try_plan_matrix(&bw3()).unwrap();
         assert!(on.initial_throttles.iter_pairs().any(|(_, _, c)| c.is_finite()));
         let off = Wanify::new(WanifyConfig { throttling: false, ..WanifyConfig::default() })
-            .plan_matrix(&bw3());
+            .try_plan_matrix(&bw3())
+            .unwrap();
         assert!(off.initial_throttles.iter_pairs().all(|(_, _, c)| c.is_infinite()));
     }
 
     #[test]
     fn achievable_bw_scales_with_connections() {
-        let plan = Wanify::new(WanifyConfig::default()).plan_matrix(&bw3());
-        let c = plan.max_cons.get(0, 2);
+        let plan = Wanify::new(WanifyConfig::default()).try_plan_matrix(&bw3()).unwrap();
+        let c = plan.initial_conns().get(0, 2);
         assert!((plan.achievable_bw().get(0, 2) - 120.0 * f64::from(c)).abs() < 1e-9);
     }
 
@@ -216,15 +199,31 @@ mod tests {
     fn agent_respects_config_interval() {
         let config = WanifyConfig { aimd_interval_s: 2.5, ..WanifyConfig::default() };
         let wanify = Wanify::new(config);
-        let plan = wanify.plan_matrix(&bw3());
+        let plan = wanify.try_plan_matrix(&bw3()).unwrap();
         let agent = wanify.agent(&plan);
         assert_eq!(agent.updates(), 0);
     }
 
     #[test]
     fn initial_conns_equal_window_maximum() {
-        let plan = Wanify::new(WanifyConfig::default()).plan_matrix(&bw3());
+        let plan = Wanify::new(WanifyConfig::default()).try_plan_matrix(&bw3()).unwrap();
         assert_eq!(plan.initial_conns(), &plan.global.max_cons);
+    }
+
+    #[test]
+    fn agent_and_throttles_follow_the_plan_bit_for_bit() {
+        let wanify = Wanify::default();
+        let plan = wanify.try_plan_matrix(&bw3()).unwrap();
+        let bits = |m: &BwMatrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let targets = wanify.agent(&plan).target_bw_matrix();
+        assert_eq!(bits(&targets), bits(&plan.feasible_achievable_bw()));
+        let caps = throttle_caps(
+            &plan.global.max_bw,
+            &plan.global.host_egress_mbps,
+            Some(&plan.relations),
+        );
+        assert_eq!(plan.initial_throttles, caps);
+        assert!(caps.iter_pairs().any(|(_, _, c)| c.is_finite()), "the plan throttles something");
     }
 
     #[test]
@@ -238,11 +237,15 @@ mod tests {
 
         // A measuring source and a replayed matrix go through the same API.
         let measured = wanify.plan(&mut MeasuredRuntime::default(), &mut net).unwrap();
-        assert_eq!(measured.max_cons.len(), 3);
+        assert_eq!(measured.initial_conns().len(), 3);
 
         let mut replay = Pregauged::from(bw3());
         let replayed = wanify.plan(&mut replay, &mut net).unwrap();
-        assert_eq!(replayed, wanify.plan_matrix(&bw3()), "replay matches matrix-level planning");
+        assert_eq!(
+            replayed,
+            wanify.try_plan_matrix(&bw3()).unwrap(),
+            "replay matches matrix-level planning"
+        );
 
         // Trait objects work too (dyn BandwidthSource).
         let dynamic: &mut dyn BandwidthSource = &mut replay;

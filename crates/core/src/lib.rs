@@ -42,7 +42,7 @@
 //! // plan heterogeneous connections that lift the weakest links.
 //! let wanify = Wanify::new(WanifyConfig::default());
 //! let plan = wanify.plan(&mut MeasuredRuntime::default(), &mut net)?;
-//! assert!(plan.max_cons.iter_pairs().any(|(_, _, c)| c > 1));
+//! assert!(plan.initial_conns().iter_pairs().any(|(_, _, c)| c > 1));
 //! # Ok::<(), wanify::WanifyError>(())
 //! ```
 
@@ -72,4 +72,4 @@ pub use source::{
     BandwidthSource, MeasuredRuntime, PredictedRuntime, Pregauged, StaticIndependent,
     StaticSimultaneous,
 };
-pub use throttle::{throttle_caps, throttle_caps_clamped, throttle_caps_masked};
+pub use throttle::throttle_caps;

@@ -16,6 +16,7 @@
 //! utilization says nothing about the network (§3.2.2).
 
 use crate::global::GlobalPlan;
+use wanify_netsim::BwMatrix;
 
 /// Significant bandwidth difference in Mbps (paper: 100 Mbps [13, 24]).
 pub const SIGNIFICANT_DELTA_MBPS: f64 = 100.0;
@@ -23,6 +24,20 @@ pub const SIGNIFICANT_DELTA_MBPS: f64 = 100.0;
 /// Data-transfer size below which AIMD updates are skipped (1 MB, §3.2.2),
 /// expressed in gigabits.
 pub const SKIP_BELOW_GB: f64 = 8.0 / 1024.0;
+
+/// The factor `min(1, host / off-diagonal row sum)` that scales row `src`
+/// of an achievable-bandwidth matrix down to its host's egress estimate:
+/// the linear model of Eq. 3 can promise more than a VM's NIC can push.
+/// A zero row or a non-finite host estimate leaves the row unscaled.
+pub(crate) fn feasible_factor(achievable_bw: &BwMatrix, src: usize, host_mbps: f64) -> f64 {
+    let n = achievable_bw.len();
+    let row_sum: f64 = (0..n).filter(|&j| j != src).map(|j| achievable_bw.get(src, j)).sum();
+    if row_sum > 0.0 && host_mbps.is_finite() {
+        (host_mbps / row_sum).min(1.0)
+    } else {
+        1.0
+    }
+}
 
 /// Current AIMD mode for one destination.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,9 +77,7 @@ impl LocalOptimizer {
         // congested forever (the paper's targets track observed bandwidth,
         // Fig. 9). The linear achievable row can exceed the host's egress
         // estimate; scale it down proportionally when it does.
-        let row_sum: f64 = (0..n).filter(|&j| j != src).map(|j| plan.max_bw.get(src, j)).sum();
-        let host = plan.host_egress_mbps.get(src).copied().unwrap_or(f64::INFINITY);
-        let feas = if row_sum > 0.0 && host.is_finite() { (host / row_sum).min(1.0) } else { 1.0 };
+        let feas = feasible_factor(&plan.max_bw, src, plan.host_egress_mbps[src]);
         let max_bw: Vec<f64> = (0..n).map(|j| plan.max_bw.get(src, j) * feas).collect();
         let min_bw: Vec<f64> = (0..n).map(|j| plan.min_bw.get(src, j).min(max_bw[j])).collect();
         let mut o = Self {
@@ -141,7 +154,6 @@ mod tests {
     use super::*;
     use crate::global::optimize_global;
     use crate::relations::infer_dc_relations;
-    use wanify_netsim::BwMatrix;
 
     fn plan() -> GlobalPlan {
         let bw = BwMatrix::from_rows(

@@ -113,16 +113,6 @@ impl WanPredictionModel {
         }
     }
 
-    /// Predicts stable runtime bandwidth for one directed pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model was trained on rows that are not
-    /// [`FEATURE_COUNT`] wide.
-    pub fn predict_pair(&self, features: &FeatureVector) -> f64 {
-        self.forest.predict(&features.to_array()).max(0.0)
-    }
-
     /// Predicts the full runtime bandwidth matrix from a snapshot probe,
     /// in one pass over the forest for all directed pairs.
     ///

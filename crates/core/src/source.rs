@@ -171,12 +171,6 @@ impl PredictedRuntime {
     pub fn model(&self) -> &WanPredictionModel {
         &self.model
     }
-
-    /// Mutable access to the model (e.g. to record drift or retrain);
-    /// clones the forest first if other handles share it.
-    pub fn model_mut(&mut self) -> &mut WanPredictionModel {
-        Arc::make_mut(&mut self.model)
-    }
 }
 
 impl BandwidthSource for PredictedRuntime {

@@ -297,12 +297,12 @@ fn wanify_arm(
         ..WanifyConfig::default()
     });
     let plan = if mode.global {
-        wanify.plan_matrix(&predicted_bw)
+        wanify.try_plan_matrix(&predicted_bw).expect("skew weights cover every DC")
     } else {
         // Local-only ablation: a flat 1..=M window on every pair, unaware
         // of inferred closeness (paper §5.5).
         let flat = BwMatrix::from_fn(n, |i, j| if i == j { 0.0 } else { 1.0 });
-        let mut plan = wanify.plan_matrix(&flat);
+        let mut plan = wanify.try_plan_matrix(&flat).expect("skew weights cover every DC");
         // Achievable BW still derives from the prediction so AIMD targets
         // are meaningful.
         plan.global.max_bw = BwMatrix::from_fn(n, |i, j| {

@@ -58,7 +58,7 @@ pub fn run(env: &ExpEnv) -> Table {
     let mut sim = env.sim(9);
     let predicted = env.gauge(Belief::Predicted, &mut sim);
     let wanify = Wanify::new(WanifyConfig { throttling: false, ..WanifyConfig::default() });
-    let plan = wanify.plan_matrix(&predicted);
+    let plan = wanify.try_plan_matrix(&predicted).expect("no skew or rvec vector to mismatch");
     let mut agent = wanify.agent(&plan);
     // WQ picks precision from the same predicted beliefs as PredQ — the
     // quantizer's accuracy/precision trade-off is unchanged — while the

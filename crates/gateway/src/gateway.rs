@@ -399,16 +399,6 @@ impl Gateway {
         self.recorded = self.run.outcomes().len();
     }
 
-    /// Predicted makespan of `job`: the belief-model estimate
-    /// ([`Gateway::raw_estimate_s`]) scaled by the learned
-    /// observed/predicted calibration factor. This is the figure the
-    /// shedding decision uses; public so load generators and benches can
-    /// calibrate offered load against the gateway's own notion of
-    /// service time.
-    pub fn estimate_makespan_s(&self, job: &JobProfile) -> f64 {
-        self.raw_estimate_s(job) * self.calibration
-    }
-
     /// Model-based makespan prediction of `job` on the current belief:
     /// per-stage straggler compute (the executor's own model) plus
     /// shuffle volume over the mean off-diagonal belief bandwidth, the

@@ -79,11 +79,6 @@ impl RegionGroupShards {
     pub fn new(group_of: Vec<usize>) -> Self {
         Self { group_of }
     }
-
-    /// Builds the policy from the backbone's own grouping.
-    pub fn from_backbone(backbone: &Backbone) -> Self {
-        Self::new(backbone.groups().to_vec())
-    }
 }
 
 impl ShardPolicy for RegionGroupShards {

@@ -22,12 +22,8 @@
 //! fire the same OU steps and consume the same RNG draws — the invariant
 //! behind the coalesced-vs-stepped bit parity. With `tick_s == 1` and
 //! whole-second advances the trajectories are bit-identical to the legacy
-//! per-second process.
-//!
-//! A non-positive `tick_s` selects the legacy continuous process (one OU
-//! step of the advance's full width per call); it is unschedulable, so
-//! [`crate::NetSim::coalescible`] reports `false` and the simulator steps
-//! per epoch as before.
+//! per-second process. The tick must be positive: every run is
+//! schedulable.
 
 use crate::grid::Grid;
 use crate::stats::{clamp, sample_standard_normal};
@@ -87,7 +83,7 @@ pub struct Dynamics {
     multipliers: Grid<f64>,
     sigma: f64,
     theta: f64,
-    /// Quantization tick, seconds; non-positive = legacy continuous.
+    /// Quantization tick, seconds (positive).
     tick_s: f64,
     /// Seconds accumulated toward the next tick boundary.
     acc_s: f64,
@@ -110,9 +106,13 @@ impl Dynamics {
 
     /// Creates dynamics quantized onto an explicit tick. Larger ticks
     /// (e.g. 30 s for fleet runs) mean longer constant-rate segments and
-    /// proportionally fewer fairness solves; `tick_s <= 0` selects the
-    /// legacy continuous (unschedulable) process.
+    /// proportionally fewer fairness solves.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tick_s` is not positive.
     pub fn with_tick(n: usize, sigma: f64, theta: f64, tick_s: f64) -> Self {
+        assert!(tick_s > 0.0, "the dynamics tick must be positive, got {tick_s}");
         Self {
             multipliers: Grid::filled(n, 1.0),
             sigma,
@@ -134,12 +134,10 @@ impl Dynamics {
     ///
     /// Panics if `amplitude` is not in `[0, 1)` (the factor must stay
     /// strictly positive — a zero multiplier would alias a fault-layer
-    /// outage) or `period_s` is not positive, or if the dynamics run the
-    /// legacy continuous process (`tick_s <= 0`).
+    /// outage) or `period_s` is not positive.
     pub fn set_diurnal(&mut self, amplitude: f64, period_s: f64, phase_s: f64) {
         assert!((0.0..1.0).contains(&amplitude), "diurnal amplitude must be in [0, 1)");
         assert!(period_s > 0.0, "diurnal period must be positive");
-        assert!(self.tick_s > 0.0, "piecewise components need a positive tick");
         self.diurnal = Some(Diurnal { amplitude, period_s, phase_s });
         self.resample_det();
     }
@@ -150,12 +148,10 @@ impl Dynamics {
     ///
     /// # Panics
     ///
-    /// Panics if `slope_per_s` is negative, `floor` is not in `(0, 1]`,
-    /// or the dynamics run the legacy continuous process (`tick_s <= 0`).
+    /// Panics if `slope_per_s` is negative or `floor` is not in `(0, 1]`.
     pub fn set_decay(&mut self, slope_per_s: f64, floor: f64) {
         assert!(slope_per_s >= 0.0, "decay slope must be non-negative");
         assert!(floor > 0.0 && floor <= 1.0, "decay floor must be in (0, 1]");
-        assert!(self.tick_s > 0.0, "piecewise components need a positive tick");
         self.decay = Some(Decay { slope_per_s, floor });
         self.resample_det();
     }
@@ -167,29 +163,10 @@ impl Dynamics {
         self.sigma == 0.0 && self.diurnal.is_none() && self.decay.is_none()
     }
 
-    /// Whether rate changes are schedulable (tick-quantized): the
-    /// precondition for the event-coalescing fast path under live
-    /// dynamics. `false` only for the legacy continuous process.
-    pub fn is_schedulable(&self) -> bool {
-        self.tick_s > 0.0
-    }
-
-    /// Quantization tick in seconds (non-positive = legacy continuous).
-    pub fn tick_s(&self) -> f64 {
-        self.tick_s
-    }
-
     /// The absolute time of the next multiplier change strictly after
     /// `t_s` — the next tick boundary — or `None` when nothing will ever
     /// change again (frozen, or a finished decay as the only component).
-    ///
-    /// Only meaningful for schedulable dynamics; the legacy continuous
-    /// process returns `None` but is guarded off the fast path by
-    /// [`Dynamics::is_schedulable`].
     pub fn next_change_after(&self, t_s: f64) -> Option<f64> {
-        if !self.is_schedulable() {
-            return None;
-        }
         let model_t = self.ticks_done as f64 * self.tick_s;
         let still_changing = self.sigma != 0.0
             || self.diurnal.is_some()
@@ -217,11 +194,6 @@ impl Dynamics {
     /// Frozen dynamics consume no randomness at all.
     pub fn advance(&mut self, dt_s: f64, rng: &mut StdRng) {
         if self.is_frozen() {
-            return;
-        }
-        if self.tick_s <= 0.0 {
-            // Legacy continuous process: one OU step of the full width.
-            self.ou_step(dt_s, rng);
             return;
         }
         self.acc_s += dt_s;
@@ -440,10 +412,6 @@ mod tests {
         // Frozen dynamics never change.
         let frozen = Dynamics::new(3, 0.0, 0.25);
         assert_eq!(frozen.next_change_after(5.0), None);
-        // The legacy continuous process is unschedulable.
-        let continuous = Dynamics::with_tick(3, 0.1, 0.25, 0.0);
-        assert!(!continuous.is_schedulable());
-        assert_eq!(continuous.next_change_after(0.0), None);
     }
 
     #[test]

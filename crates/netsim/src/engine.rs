@@ -354,7 +354,6 @@ impl TransferLoop {
             return std::mem::take(&mut self.ready);
         }
         let dt = sim.epoch_dt();
-        let fast = sim.coalescible();
         let mut completed = Vec::new();
         let mut budget = MAX_EPOCHS as u64;
 
@@ -387,19 +386,19 @@ impl TransferLoop {
             self.shadow_check(sim);
 
             // A seated hook names its next wake; one that declines to
-            // (`Some(None)`) wants every epoch, which disables coalescing
-            // as the legacy continuous dynamics do. The reported flag
-            // tracks whether it scheduled (last segment wins).
+            // (`Some(None)`) wants every epoch, which disables coalescing.
+            // The reported flag tracks whether it scheduled (last segment
+            // wins).
             let wake = seat.as_deref_mut().map(|s| s.hook.next_wake(now));
             if let Some(w) = wake {
-                self.stats.coalesced = fast && w.is_some();
+                self.stats.coalesced = w.is_some();
             }
             // Re-anchor every pair whose per-epoch quota changed (drains,
             // new submissions, deadline re-entries and hook edits all
             // funnel through this one check) and, while the pair is at
             // hand, ask it for the nearest rate-change horizon of its
             // kind: the epochs until it drains.
-            let coalesce = fast && wake != Some(None);
+            let coalesce = wake != Some(None);
             let mut k_step: u64 = if coalesce { u64::MAX } else { 1 };
             for (slot, flow) in self.flows.iter().enumerate() {
                 let pair = &mut self.groups[flow.group as usize].pairs[flow.pair as usize];
@@ -427,7 +426,7 @@ impl TransferLoop {
                 u64::MAX
             };
 
-            if fast && k_step == u64::MAX && !deadline_s.is_finite() {
+            if k_step == u64::MAX && !deadline_s.is_finite() {
                 // Permanent stall: no pair can ever drain (all rates are
                 // zero) and no scheduled event will change that. Return
                 // empty instead of burning the epoch budget on no-payload
@@ -626,7 +625,7 @@ impl NetEngine {
     /// Wraps `sim` into an engine. The engine drives all simulation time
     /// while groups are in flight.
     pub fn new(sim: NetSim) -> Self {
-        let lp = TransferLoop::new(sim.coalescible());
+        let lp = TransferLoop::new(true);
         Self { sim, lp }
     }
 
@@ -748,10 +747,8 @@ impl NetEngine {
     /// deadline was reached — or the engine is idle, in which case time
     /// jumps straight to a finite deadline.
     ///
-    /// While [`NetSim::coalescible`] holds, fairness is re-solved once
-    /// per segment (pair drain, submission, deadline, fault boundary,
-    /// dynamics tick); only the legacy continuous dynamics force the
-    /// engine to step every epoch.
+    /// Fairness is re-solved once per segment (pair drain, submission,
+    /// deadline, fault boundary, dynamics tick), never every epoch.
     pub fn advance_until(&mut self, deadline_s: f64) -> Vec<GroupReport> {
         let done = self.lp.advance(&mut self.sim, deadline_s, None);
         self.sim.last_run_stats = self.lp.stats;

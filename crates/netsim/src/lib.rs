@@ -34,9 +34,8 @@
 //! Live dynamics stay coalescible because [`Dynamics`] is quantized onto
 //! a configurable tick ([`LinkModelParams::dynamics_tick_s`]); hooks stay
 //! coalescible when they schedule their wakes via
-//! [`EpochHook::next_wake`], as the AIMD agent does. Only the legacy
-//! continuous dynamics (`dynamics_tick_s <= 0`) and hooks that decline to
-//! schedule force stepping every epoch.
+//! [`EpochHook::next_wake`], as the AIMD agent does. Only hooks that
+//! decline to schedule force stepping every epoch.
 //!
 //! Every solve reads one pair-major description of its flows (see the
 //! [`fairness`] module docs), filed afresh by one counting pass: the loop

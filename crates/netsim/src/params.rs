@@ -48,8 +48,8 @@ pub struct LinkModelParams {
     /// epochs between them. 1 s (the default) is bit-compatible with the
     /// legacy per-second process; larger ticks (e.g. 30 s for fleet runs)
     /// trade temporal resolution for proportionally fewer fairness
-    /// solves. Non-positive selects the legacy continuous (unschedulable)
-    /// process.
+    /// solves. Must be positive: [`crate::NetSim::new`] rejects anything
+    /// else.
     pub dynamics_tick_s: f64,
     /// Relative observation noise of a 1-second snapshot probe.
     pub snapshot_noise: f64,

@@ -20,9 +20,8 @@
 //! expressions at the same anchor points — and tick-quantized dynamics
 //! consume identical RNG draws whether time advances in one jump or many
 //! steps — the fast path is *bit-identical* to per-epoch stepping. Only
-//! the legacy continuous dynamics (`dynamics_tick_s <= 0`) and hooks
-//! that decline to schedule a wake ([`EpochHook::next_wake`] returning
-//! `None`, the default) force stepping every epoch.
+//! hooks that decline to schedule a wake ([`EpochHook::next_wake`]
+//! returning `None`, the default) force stepping every epoch.
 //!
 //! There is one such loop in the crate and it lives in [`crate::engine`].
 //! This module holds what it is made of: the per-pair anchor accounting,
@@ -460,6 +459,10 @@ pub(crate) struct ProbeScratch {
 
 impl NetSim {
     /// Creates a simulator over `topo` with the given parameters and seed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `params.dynamics_tick_s` is not positive.
     pub fn new(topo: Topology, params: LinkModelParams, seed: u64) -> Self {
         let n = topo.len();
         let dynamics = Dynamics::with_tick(
@@ -532,14 +535,6 @@ impl NetSim {
     /// components ([`Dynamics::set_diurnal`], [`Dynamics::set_decay`]).
     pub fn dynamics_mut(&mut self) -> &mut Dynamics {
         &mut self.dynamics
-    }
-
-    /// Whether the event-coalescing fast path may serve multi-epoch
-    /// segments: rate changes must be schedulable, i.e. the dynamics are
-    /// tick-quantized (frozen dynamics trivially are). Only the legacy
-    /// continuous process (`dynamics_tick_s <= 0`) reports `false`.
-    pub fn coalescible(&self) -> bool {
-        self.dynamics.is_schedulable()
     }
 
     /// Statistics about the most recent [`NetSim::run_transfers`] call or
@@ -794,8 +789,8 @@ impl NetSim {
     /// dynamics ticks and hook wakes — are coalesced: fairness is
     /// re-solved only where rates can actually change, with results
     /// bit-identical to per-epoch stepping (see the module docs). A hook
-    /// whose [`EpochHook::next_wake`] returns `None` (the default) and the
-    /// legacy continuous dynamics force the per-epoch path.
+    /// whose [`EpochHook::next_wake`] returns `None` (the default) forces
+    /// the per-epoch path.
     /// [`NetSim::last_run_stats`] exposes the solve count either way.
     ///
     /// Transfers the loop gives up on — permanently stalled (every
@@ -814,7 +809,7 @@ impl NetSim {
         hook: Option<&'a mut (dyn EpochHook + 'b)>,
     ) -> TransferReport {
         // With a hook, the reported flag tracks whether it scheduled wakes.
-        let mut lp = TransferLoop::new(self.coalescible() && hook.is_none());
+        let mut lp = TransferLoop::new(hook.is_none());
         let id = lp.submit(self, transfers, conns);
         let mut seat = hook.map(|h| HookSeat::new(h, transfers, conns));
         let (group, truncated) = match lp.advance(self, f64::INFINITY, seat.as_mut()).pop() {
@@ -1086,6 +1081,14 @@ mod tests {
             .build()
             .unwrap();
         NetSim::new(topo, LinkModelParams::frozen(), 1)
+    }
+
+    #[test]
+    #[should_panic(expected = "tick must be positive")]
+    fn zero_dynamics_tick_is_rejected() {
+        let topo = sim3().topology().clone();
+        let params = LinkModelParams { dynamics_tick_s: 0.0, ..LinkModelParams::default() };
+        let _ = NetSim::new(topo, params, 1);
     }
 
     #[test]

@@ -172,11 +172,6 @@ impl Topology {
         self.distances.get(a.0, b.0)
     }
 
-    /// Distance matrix in miles (feature `Dij` of the prediction model).
-    pub fn distance_matrix(&self) -> &Grid<f64> {
-        &self.distances
-    }
-
     /// Region display names, used to label rendered matrices.
     pub fn labels(&self) -> Vec<String> {
         self.dcs.iter().map(|d| d.region.name().to_string()).collect()

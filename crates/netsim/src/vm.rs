@@ -57,20 +57,6 @@ impl VmType {
         }
     }
 
-    /// AWS t2.large — the paper's Spark master VM (§5.1).
-    pub fn t2_large() -> Self {
-        Self {
-            name: "t2.large".to_string(),
-            vcpus: 2,
-            mem_gib: 8.0,
-            wan_egress_mbps: 3000.0,
-            wan_ingress_mbps: 3000.0,
-            conn_budget: 32,
-            price_per_hour: 0.0928,
-            unlimited_burst: true,
-        }
-    }
-
     /// AWS m5.large — the §2.1 example (10 Gbps network, 5 Gbps WAN).
     pub fn m5_large() -> Self {
         Self {

@@ -8,10 +8,7 @@
 //! satisfy. Adding a scenario to the suite is ~20 lines of spec in
 //! [`crate::catalog`], not a new binary.
 
-use wanify::{
-    infer_dc_relations, optimize_global, BandwidthSource, MeasuredRuntime, Pregauged,
-    StaticIndependent, WanifyAgent,
-};
+use wanify::{BandwidthSource, MeasuredRuntime, Pregauged, StaticIndependent, Wanify};
 use wanify_gateway::{
     BreakerConfig, BreakerHandle, CircuitBreakerSource, FlakySource, GatewayConfig, GatewayRequest,
     OverloadPolicy, QuotaConfig,
@@ -94,7 +91,7 @@ impl DynamicsSpec {
 }
 
 /// An AIMD agent fleet riding the scenario's faulted arms: every shard
-/// gets its own [`WanifyAgent`] planned from a runtime probe of the
+/// gets its own [`wanify::WanifyAgent`] planned from a runtime probe of the
 /// clean network, waking every `interval_s` simulated seconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AgentSpec {
@@ -637,9 +634,10 @@ impl ScenarioSpec {
         sim
     }
 
-    /// Builds the spec's [`FleetAgent`]: a [`WanifyAgent`] planned from
-    /// a runtime probe of the clean (no-fault) network, exactly as the
-    /// paper's gauging step would run before the workload arrives.
+    /// Builds the spec's [`FleetAgent`]: a [`wanify::WanifyAgent`] that
+    /// the default [`Wanify`] facade plans from a runtime probe of the
+    /// clean (no-fault) network, exactly as the paper's gauging step would
+    /// run before the workload arrives.
     ///
     /// # Panics
     ///
@@ -648,13 +646,13 @@ impl ScenarioSpec {
         let spec = self.agent.expect("spec declares an agent");
         let mut probe = self.sim(false);
         let bw = probe.measure_runtime(&ConnMatrix::filled(self.n_dcs, 1), 5).bw;
-        let relations = infer_dc_relations(&bw, 30.0)
-            .unwrap_or_else(|e| panic!("scenario {}: relation inference failed: {e:?}", self.name));
-        let plan = optimize_global(&bw, &relations, 8, None, None)
-            .unwrap_or_else(|e| panic!("scenario {}: global planning failed: {e:?}", self.name));
+        let wanify = Wanify::default();
+        let plan = wanify
+            .try_plan_matrix(&bw)
+            .unwrap_or_else(|e| panic!("scenario {}: planning failed: {e:?}", self.name));
         FleetAgent {
-            conns: plan.max_cons.clone(),
-            hook: Box::new(WanifyAgent::new(&plan).with_relations(relations)),
+            conns: plan.initial_conns().clone(),
+            hook: Box::new(wanify.agent(&plan)),
             interval_s: spec.interval_s,
         }
     }
@@ -845,7 +843,6 @@ mod tests {
             .agents(5.0);
         assert!(spec.has_live_dynamics());
         let mut sim = spec.sim(false);
-        assert!(sim.coalescible(), "scenario dynamics must stay schedulable");
         assert!(sim.dynamics_mut().next_change_after(0.0).is_some());
         // The faulted arm builds its agent (probe + plan) without issue.
         let _ = spec.engine(true);

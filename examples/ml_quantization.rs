@@ -58,7 +58,7 @@ fn main() {
     let mut sim = env.sim(2);
     let predicted = env.gauge(Belief::Predicted, &mut sim);
     let wanify = Wanify::new(WanifyConfig::default());
-    let plan = wanify.plan_matrix(&predicted);
+    let plan = wanify.try_plan_matrix(&predicted).expect("no skew or rvec vector to mismatch");
     apply_throttles(&mut sim, &plan.initial_throttles);
     let mut agent = wanify.agent(&plan);
     let conns = plan.initial_conns().clone();

@@ -58,7 +58,7 @@ fn main() {
     let wanify = Wanify::new(WanifyConfig::default());
     let plan = wanify.plan(&mut predictor, &mut sim).expect("predictor matches topology");
     println!("optimized connections (max window):");
-    println!("{}", plan.max_cons.to_f64().render(&labels));
+    println!("{}", plan.initial_conns().to_f64().render(&labels));
     let before = runtime.min_off_diag();
     for (i, j, cap) in plan.initial_throttles.iter_pairs() {
         if cap.is_finite() {

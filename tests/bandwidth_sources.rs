@@ -32,9 +32,9 @@ fn plan_works_with_every_source() {
         let plan = wanify
             .plan(source.as_mut(), &mut sim)
             .unwrap_or_else(|e| panic!("{} failed to plan: {e}", source.name()));
-        assert_eq!(plan.max_cons.len(), 4, "{}", source.name());
+        assert_eq!(plan.initial_conns().len(), 4, "{}", source.name());
         assert!(
-            plan.max_cons.iter_pairs().any(|(_, _, c)| c >= 1),
+            plan.initial_conns().iter_pairs().any(|(_, _, c)| c >= 1),
             "{} must open connections",
             source.name()
         );

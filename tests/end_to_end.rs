@@ -49,8 +49,8 @@ fn predicted_matrix_feeds_planning_for_unseen_cluster_size() {
     let plan = Wanify::new(WanifyConfig::default())
         .plan(&mut source, &mut sim)
         .expect("model generalizes to the unseen size");
-    assert_eq!(plan.max_cons.len(), 4);
-    assert!(plan.max_cons.iter_pairs().any(|(_, _, c)| c > 1));
+    assert_eq!(plan.initial_conns().len(), 4);
+    assert!(plan.initial_conns().iter_pairs().any(|(_, _, c)| c > 1));
 }
 
 /// Agents drive live transfers: connection counts in the simulator change
@@ -111,10 +111,10 @@ fn multi_cloud_refactoring_end_to_end() {
     let mut sim = NetSim::new(topo, LinkModelParams::default(), 909);
     let runtime = sim.measure_runtime(&ConnMatrix::filled(4, 1), 20).bw;
     let wanify = Wanify::new(WanifyConfig { rvec: Some(rvec), ..WanifyConfig::default() });
-    let plan = wanify.plan_matrix(&runtime);
+    let plan = wanify.try_plan_matrix(&runtime).unwrap();
 
     // rvec scales achievable bandwidth for cross-provider pairs only.
-    let base = Wanify::new(WanifyConfig::default()).plan_matrix(&runtime);
+    let base = Wanify::new(WanifyConfig::default()).try_plan_matrix(&runtime).unwrap();
     let cross = plan.achievable_bw().get(0, 3) / base.achievable_bw().get(0, 3);
     let same = plan.achievable_bw().get(0, 1) / base.achievable_bw().get(0, 1);
     assert!((cross - 0.8).abs() < 1e-9, "cross-provider scaled by rvec: {cross}");
