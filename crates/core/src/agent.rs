@@ -143,12 +143,8 @@ impl EpochHook for WanifyAgent {
         // hurting exactly the transfers the caps are meant to protect.
         if self.throttling && self.updates == 1 {
             let targets = self.target_bw_matrix();
-            let caps = throttle_caps(&targets, &self.host_egress_mbps, self.relations.as_ref());
-            for i in 0..n {
-                for j in 0..n {
-                    ctx.throttles.set(i, j, caps.get(i, j));
-                }
-            }
+            *ctx.throttles =
+                throttle_caps(&targets, &self.host_egress_mbps, self.relations.as_ref());
         }
 
         if let Some(src) = self.trace_src {

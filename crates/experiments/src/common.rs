@@ -19,7 +19,7 @@ use wanify_gda::{
     TransferOptions,
 };
 use wanify_netsim::{
-    paper_testbed_n, BwMatrix, ConnMatrix, DcId, Grid, LinkModelParams, NetSim, Topology, VmType,
+    paper_testbed_n, BwMatrix, ConnMatrix, LinkModelParams, NetSim, Topology, VmType,
 };
 
 /// How much compute to spend on an experiment.
@@ -245,15 +245,6 @@ pub fn uniform_conns(n: usize, k: u32) -> ConnMatrix {
     ConnMatrix::from_fn(n, |i, j| if i == j { 1 } else { k })
 }
 
-/// Engages a plan's finite traffic-control caps on `sim`.
-pub fn apply_throttles(sim: &mut NetSim, caps: &Grid<f64>) {
-    for (i, j, cap) in caps.iter_pairs() {
-        if cap.is_finite() {
-            sim.set_throttle(DcId(i), DcId(j), cap);
-        }
-    }
-}
-
 /// [`ExpEnv::run_arm`] for callers that bring their own simulator and
 /// their own `source`, which stands in for the arm's belief. The plain
 /// arms hand the source to the scheduler as is.
@@ -315,10 +306,8 @@ fn wanify_arm(
         plan
     };
 
-    sim.clear_throttles();
-    if mode.throttling {
-        apply_throttles(sim, &plan.initial_throttles);
-    }
+    // A plan without throttling carries an all-uncapped table.
+    sim.set_throttles(&plan.initial_throttles);
     let mut belief =
         Pregauged::named(plan.feasible_achievable_bw(), format!("wanify({})", source.name()));
     let conns = plan.initial_conns().clone();

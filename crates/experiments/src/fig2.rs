@@ -8,7 +8,7 @@
 //! under each approach. The paper's headline: heterogeneous connections
 //! raise the minimum bandwidth ~2.1× over uniform parallelism.
 
-use crate::common::{apply_throttles, uniform_conns};
+use crate::common::uniform_conns;
 use crate::table::Table;
 use wanify::{MeasuredRuntime, Wanify, WanifyConfig};
 use wanify_netsim::{
@@ -108,7 +108,7 @@ fn measure_strategy(
     // WANify's default model measures and transfers with TC caps engaged
     // (§3.2.2); the baselines run uncapped.
     if let Some(caps) = caps {
-        apply_throttles(&mut sim, caps);
+        sim.set_throttles(caps);
     }
     let bw = sim.measure_runtime(conns, 20).bw;
     let report = sim.run_transfers(&exchange_transfers(), conns, None);

@@ -7,7 +7,7 @@
 //! error injected into targets, the paper counts 6 epochs whose deltas
 //! are significant (>100 Mbps) and observes more epochs overall.
 
-use crate::common::{apply_throttles, Belief, ExpEnv};
+use crate::common::{Belief, ExpEnv};
 use crate::table::Table;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -75,7 +75,7 @@ fn trace_run(env: &ExpEnv, perturb_pct: f64, seed: u64) -> Vec<EpochSd> {
     let plan = wanify
         .plan(env.source(Belief::Predicted).as_mut(), &mut sim)
         .expect("predicted source matches the environment topology");
-    apply_throttles(&mut sim, &plan.initial_throttles);
+    sim.set_throttles(&plan.initial_throttles);
     let mut belief = wanify::Pregauged::named(plan.achievable_bw().clone(), "wanify(predicted)");
     let conns = plan.initial_conns().clone();
     let mut agent = wanify.agent(&plan).traced(0);

@@ -415,15 +415,7 @@ impl Gateway {
         if n < 2 || job.layout.len() != n {
             return 0.0;
         }
-        let mut sum = 0.0;
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    sum += bw.get(i, j);
-                }
-            }
-        }
-        let mean_mbps = (sum / (n * (n - 1)) as f64).max(1e-6);
+        let mean_mbps = bw.mean_off_diag().max(1e-6);
         let mut data: Vec<f64> = (0..n).map(|i| job.layout.gb_at(i)).collect();
         let mut total_s = 0.0;
         for stage in &job.stages {

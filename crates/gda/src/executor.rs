@@ -228,7 +228,8 @@ pub struct JobRun {
     bw_belief: BwMatrix,
     belief_name: String,
     scheduler_name: String,
-    conns: ConnMatrix,
+    /// Stage-shuffle connections; `None` means single connections.
+    conns: Option<ConnMatrix>,
     phase: RunPhase,
     data_gb: Vec<f64>,
     latency_s: f64,
@@ -278,7 +279,7 @@ impl JobRun {
             bw_belief,
             belief_name: belief_name.into(),
             scheduler_name: scheduler.name().to_string(),
-            conns: conns.unwrap_or_else(|| ConnMatrix::filled(n, 1)),
+            conns,
             phase: RunPhase::Computing(0),
             data_gb,
             latency_s: 0.0,
@@ -310,13 +311,7 @@ impl JobRun {
             self.data_gb = new_layout;
             if !transfers.is_empty() {
                 self.phase = RunPhase::Migrating;
-                // Migration always runs on single connections (§2.2).
-                let n = topo.len();
-                return JobStep::Shuffle {
-                    transfers,
-                    conns: ConnMatrix::filled(n, 1),
-                    migration: true,
-                };
+                return self.shuffle(transfers, true);
             }
         }
         self.begin_compute(0, topo)
@@ -354,7 +349,7 @@ impl JobRun {
             self.data_gb = fractions.iter().map(|r| r * total_out).collect();
             if !transfers.is_empty() {
                 self.phase = RunPhase::Shuffling(s);
-                return JobStep::Shuffle { transfers, conns: self.conns.clone(), migration: false };
+                return self.shuffle(transfers, false);
             }
         } else {
             self.data_gb = out_gb;
@@ -374,11 +369,7 @@ impl JobRun {
         for (i, gb) in report.egress_gigabits.iter().enumerate() {
             self.egress_gb[i] += gb / 8.0;
         }
-        match self.phase {
-            RunPhase::Migrating => self.begin_compute(0, topo),
-            RunPhase::Shuffling(s) => self.finish_stage(s, topo),
-            phase => panic!("on_shuffle_done in phase {phase:?}"),
-        }
+        self.shuffle_drained(topo)
     }
 
     /// Feeds back a *cancelled* stalled flow group: absorbs the partial
@@ -470,15 +461,9 @@ impl JobRun {
 
         if transfers.is_empty() {
             // The whole remainder resolved locally: the shuffle is over.
-            let step = match self.phase {
-                RunPhase::Migrating => self.begin_compute(0, topo),
-                RunPhase::Shuffling(s) => self.finish_stage(s, topo),
-                phase => unreachable!("checked above, phase {phase:?}"),
-            };
-            return (step, redirected);
+            return (self.shuffle_drained(topo), redirected);
         }
-        let conns = if migration { ConnMatrix::filled(n, 1) } else { self.conns.clone() };
-        (JobStep::Shuffle { transfers, conns, migration }, redirected)
+        (self.shuffle(transfers, migration), redirected)
     }
 
     /// Aborts the run after a fault policy exhausted its retries: absorbs
@@ -512,6 +497,25 @@ impl JobRun {
         }
         for (i, gb) in partial.egress_gigabits.iter().enumerate() {
             self.egress_gb[i] += gb / 8.0;
+        }
+    }
+
+    /// Emits a shuffle of `transfers`. Stage shuffles run on the run's
+    /// connection matrix; input migration always runs on single
+    /// connections (§2.2).
+    fn shuffle(&self, transfers: Vec<Transfer>, migration: bool) -> JobStep {
+        let stage_conns = self.conns.as_ref().filter(|_| !migration).cloned();
+        let conns = stage_conns.unwrap_or_else(|| ConnMatrix::filled(self.data_gb.len(), 1));
+        JobStep::Shuffle { transfers, conns, migration }
+    }
+
+    /// The step after a drained shuffle: stage 0's compute after input
+    /// migration, else the close of the shuffling stage.
+    fn shuffle_drained(&mut self, topo: &Topology) -> JobStep {
+        match self.phase {
+            RunPhase::Migrating => self.begin_compute(0, topo),
+            RunPhase::Shuffling(s) => self.finish_stage(s, topo),
+            phase => panic!("shuffle drained in phase {phase:?}"),
         }
     }
 

@@ -48,7 +48,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use wanify::source::BandwidthSource;
 use wanify::WanifyError;
-use wanify_netsim::{BwMatrix, ConnMatrix, DcId, EpochCtx, EpochHook, GroupId, NetEngine, NetSim};
+use wanify_netsim::{BwMatrix, ConnMatrix, EpochCtx, EpochHook, GroupId, NetEngine, NetSim};
 
 /// Recovery knobs for a failure-aware fleet.
 ///
@@ -1417,12 +1417,7 @@ impl FleetRun {
             throttles: &mut throttles,
         };
         agent.hook.on_epoch(&mut ctx);
-        let n = throttles.len();
-        for i in 0..n {
-            for j in 0..n {
-                fleet.engine.sim_mut().set_throttle(DcId(i), DcId(j), throttles.get(i, j));
-            }
-        }
+        fleet.engine.sim_mut().set_throttles(&throttles);
         fleet.engine.apply_conns(&agent.conns);
     }
 

@@ -6,7 +6,7 @@
 //! inter-region egress dollars: reduce fractions favour DCs that are both
 //! fast to reach *and* hold expensive-to-export data locally.
 
-use super::{normalize, PlacementCtx, Scheduler};
+use super::{migrate_stranded, normalize, PlacementCtx, Scheduler};
 use crate::cost::egress_price_per_gb;
 use wanify_netsim::DcId;
 
@@ -39,17 +39,14 @@ impl Scheduler for Kimchi {
     /// Reduce weight at `j` is `1/unit_time_j`, boosted by how much egress
     /// cost is avoided by keeping `j`'s own (priced) output local.
     fn place_reduce(&self, ctx: &PlacementCtx<'_>) -> Vec<f64> {
-        let n = ctx.n();
         let total_out: f64 = ctx.out_gb.iter().sum();
-        let weights: Vec<f64> = (0..n)
+        let weights: Vec<f64> = (0..ctx.n())
             .map(|j| {
-                let t = ctx.unit_time_at(j);
-                let latency_term = if t <= 0.0 { 1.0 } else { 1.0 / t };
                 // Egress avoided per unit fraction placed at j: j's own
                 // output priced at j's region egress rate.
                 let price = egress_price_per_gb(ctx.topo.dc(DcId(j)).region);
                 let avoided = if total_out > 0.0 { price * ctx.out_gb[j] / total_out } else { 0.0 };
-                latency_term * (1.0 + self.cost_weight * avoided / 0.138)
+                ctx.latency_weight(j) * (1.0 + self.cost_weight * avoided / 0.138)
             })
             .collect();
         normalize(&weights)
@@ -58,34 +55,11 @@ impl Scheduler for Kimchi {
     /// Kimchi migrates stranded input like Tetrium, but only when the move
     /// itself is cheap (small data or cheap source region).
     fn migrate_input(&self, ctx: &PlacementCtx<'_>) -> Option<Vec<f64>> {
-        let n = ctx.n();
-        let best_out: Vec<f64> = (0..n)
-            .map(|i| (0..n).filter(|&j| j != i).map(|j| ctx.bw.get(i, j)).fold(0.0, f64::max))
-            .collect();
-        let mut sorted = best_out.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite bandwidth"));
-        let median = sorted[n / 2];
         let total: f64 = ctx.out_gb.iter().sum();
-        let mut layout = ctx.out_gb.to_vec();
-        let mut changed = false;
-        for i in 0..n {
-            let stranded = layout[i] > 0.0 && best_out[i] < 0.25 * median;
-            // Cost guard: do not pay to move a large share of pricey data.
-            let price = egress_price_per_gb(ctx.topo.dc(DcId(i)).region);
-            let cheap_enough = layout[i] <= 0.35 * total || price <= 0.05;
-            if stranded && cheap_enough {
-                let target = (0..n)
-                    .filter(|&j| j != i)
-                    .max_by(|&a, &b| {
-                        ctx.bw.get(i, a).partial_cmp(&ctx.bw.get(i, b)).expect("finite")
-                    })
-                    .expect("at least two DCs");
-                layout[target] += layout[i];
-                layout[i] = 0.0;
-                changed = true;
-            }
-        }
-        changed.then_some(layout)
+        // Cost guard: do not pay to move a large share of pricey data.
+        migrate_stranded(ctx, 0.25, |i, gb| {
+            gb <= 0.35 * total || egress_price_per_gb(ctx.topo.dc(DcId(i)).region) <= 0.05
+        })
     }
 }
 

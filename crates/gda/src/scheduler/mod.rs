@@ -63,6 +63,52 @@ impl PlacementCtx<'_> {
         let compute = total_out * self.compute_s_per_gb / vcpus.max(1.0);
         aggregate + worst_link + compute
     }
+
+    /// Latency-equalizing reduce weight of DC `j`: `1 / unit_time_j`, or
+    /// 1 when the unit time is zero.
+    pub(crate) fn latency_weight(&self, j: usize) -> f64 {
+        let t = self.unit_time_at(j);
+        if t <= 0.0 {
+            1.0
+        } else {
+            1.0 / t
+        }
+    }
+}
+
+/// Migrates input away from DCs whose *strongest outgoing link* is below
+/// `ratio` times the cluster median of strongest links — they would
+/// bottleneck every shuffle they feed. DCs are visited in index order on
+/// the layout as it changes; a stranded DC whose input `movable(dc, gb)`
+/// accepts sends all of it over its best link. A NaN belief cell counts
+/// as 0 Mbps. Returns `None` when nothing moves.
+pub(crate) fn migrate_stranded(
+    ctx: &PlacementCtx<'_>,
+    ratio: f64,
+    movable: impl Fn(usize, f64) -> bool,
+) -> Option<Vec<f64>> {
+    let n = ctx.n();
+    let mbps = |i, j| if ctx.bw.get(i, j).is_nan() { 0.0 } else { ctx.bw.get(i, j) };
+    let best_out: Vec<f64> = (0..n)
+        .map(|i| (0..n).filter(|&j| j != i).map(|j| mbps(i, j)).fold(0.0, f64::max))
+        .collect();
+    let mut sorted = best_out.clone();
+    sorted.sort_by(f64::total_cmp);
+    let median = sorted[n / 2];
+    let mut layout = ctx.out_gb.to_vec();
+    let mut changed = false;
+    for i in 0..n {
+        if layout[i] > 0.0 && best_out[i] < ratio * median && movable(i, layout[i]) {
+            let target = (0..n)
+                .filter(|&j| j != i)
+                .max_by(|&a, &b| mbps(i, a).total_cmp(&mbps(i, b)))
+                .expect("at least two DCs");
+            layout[target] += layout[i];
+            layout[i] = 0.0;
+            changed = true;
+        }
+    }
+    changed.then_some(layout)
 }
 
 /// A reduce-task and data placement policy.
@@ -238,6 +284,24 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn nan_belief_cell_does_not_panic_migration() {
+        use wanify_netsim::{paper_testbed_n, VmType};
+        let topo = paper_testbed_n(VmType::t2_medium(), 3);
+        // DC 0's only finite link is a 1 Mbps one; its other cell is NaN.
+        let bw = BwMatrix::from_fn(3, |i, j| match (i, j) {
+            _ if i == j => 0.0,
+            (0, 1) => f64::NAN,
+            (0, _) => 1.0,
+            _ => 1000.0,
+        });
+        let out = vec![5.0, 5.0, 5.0];
+        let ctx = PlacementCtx { topo: &topo, bw: &bw, out_gb: &out, compute_s_per_gb: 0.0 };
+        for s in [&Tetrium::new() as &dyn Scheduler, &Kimchi::new()] {
+            assert_eq!(s.migrate_input(&ctx), Some(vec![0.0, 5.0, 10.0]), "{}", s.name());
         }
     }
 

@@ -7,7 +7,7 @@
 //! and inputs stranded behind very weak links are migrated out before the
 //! job starts (the behaviour the paper highlights in §2.2).
 
-use super::{normalize, PlacementCtx, Scheduler};
+use super::{migrate_stranded, normalize, PlacementCtx, Scheduler};
 
 /// Latency-optimal WAN-aware scheduler.
 #[derive(Debug, Clone)]
@@ -38,47 +38,12 @@ impl Scheduler for Tetrium {
     /// Minimizes `max_j (r_j · unit_time_j)` subject to `Σ r_j = 1`, whose
     /// optimum equalizes completion times: `r_j ∝ 1 / unit_time_j`.
     fn place_reduce(&self, ctx: &PlacementCtx<'_>) -> Vec<f64> {
-        let weights: Vec<f64> = (0..ctx.n())
-            .map(|j| {
-                let t = ctx.unit_time_at(j);
-                if t <= 0.0 {
-                    1.0
-                } else {
-                    1.0 / t
-                }
-            })
-            .collect();
-        normalize(&weights)
+        normalize(&(0..ctx.n()).map(|j| ctx.latency_weight(j)).collect::<Vec<_>>())
     }
 
-    /// Migrates input away from DCs whose *strongest outgoing link* is
-    /// still far below the cluster median — they would bottleneck every
-    /// shuffle they feed.
+    /// Moves every stranded input, whatever it costs to move.
     fn migrate_input(&self, ctx: &PlacementCtx<'_>) -> Option<Vec<f64>> {
-        let n = ctx.n();
-        let best_out: Vec<f64> = (0..n)
-            .map(|i| (0..n).filter(|&j| j != i).map(|j| ctx.bw.get(i, j)).fold(0.0, f64::max))
-            .collect();
-        let mut sorted = best_out.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite bandwidth"));
-        let median = sorted[n / 2];
-        let mut layout = ctx.out_gb.to_vec();
-        let mut changed = false;
-        for i in 0..n {
-            if layout[i] > 0.0 && best_out[i] < self.migration_ratio * median {
-                // Send the stranded input over its best link.
-                let target = (0..n)
-                    .filter(|&j| j != i)
-                    .max_by(|&a, &b| {
-                        ctx.bw.get(i, a).partial_cmp(&ctx.bw.get(i, b)).expect("finite")
-                    })
-                    .expect("at least two DCs");
-                layout[target] += layout[i];
-                layout[i] = 0.0;
-                changed = true;
-            }
-        }
-        changed.then_some(layout)
+        migrate_stranded(ctx, self.migration_ratio, |_, _| true)
     }
 }
 

@@ -551,6 +551,18 @@ impl NetSim {
         self.throttles.put(src, dst, cap_mbps.max(0.0));
     }
 
+    /// Replaces the whole traffic-control table with `caps`, each cell
+    /// stored as [`NetSim::set_throttle`] stores it; `f64::INFINITY`
+    /// leaves a pair uncapped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `caps` does not match the topology size.
+    pub fn set_throttles(&mut self, caps: &Grid<f64>) {
+        assert_eq!(caps.len(), self.topo.len(), "throttle caps must match topology size");
+        self.throttles = caps.map(|cap| cap.max(0.0));
+    }
+
     /// Removes all traffic-control caps.
     pub fn clear_throttles(&mut self) {
         let n = self.topo.len();
@@ -1138,6 +1150,35 @@ mod tests {
         sim.clear_throttles();
         let rates = sim.allocate_rates(&[FlowSpec::new(DcId(0), DcId(1), 8)]);
         assert!(rates[0] > 1000.0);
+    }
+
+    #[test]
+    fn set_throttles_replaces_the_table() {
+        let mut sim = sim3();
+        sim.set_throttle(DcId(1), DcId(2), 50.0);
+        let mut caps = Grid::filled(3, f64::INFINITY);
+        caps.set(0, 1, -5.0);
+        caps.set(0, 2, 120.0);
+        sim.set_throttles(&caps);
+        let t = sim.throttles();
+        assert_eq!(t.get(0, 1).to_bits(), 0.0f64.to_bits(), "a negative cap stores 0");
+        assert_eq!(t.get(0, 2), 120.0);
+        assert!(t.get(1, 0).is_infinite(), "an infinite cell is uncapped");
+        assert!(t.get(1, 2).is_infinite(), "a cap absent from the table is gone");
+        // Cell by cell, `set_throttle` builds the same table bit for bit.
+        let mut by_cell = sim3();
+        by_cell.set_throttle(DcId(1), DcId(2), 50.0);
+        for i in 0..3 {
+            for j in 0..3 {
+                by_cell.set_throttle(DcId(i), DcId(j), caps.get(i, j));
+            }
+        }
+        let bits = |g: &Grid<f64>| g.as_slice().iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(sim.throttles()), bits(by_cell.throttles()));
+        let wrong_size = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            sim.set_throttles(&Grid::filled(4, f64::INFINITY));
+        }));
+        assert!(wrong_size.is_err(), "a table of another size is rejected");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! ```
 
 use wanify::{Wanify, WanifyConfig};
-use wanify_experiments::common::{apply_throttles, Belief, Effort, ExpEnv};
+use wanify_experiments::common::{Belief, Effort, ExpEnv};
 use wanify_workloads::quantization::{run_training, QuantConfig, QuantPolicy};
 
 fn main() {
@@ -59,7 +59,7 @@ fn main() {
     let predicted = env.gauge(Belief::Predicted, &mut sim);
     let wanify = Wanify::new(WanifyConfig::default());
     let plan = wanify.try_plan_matrix(&predicted).expect("no skew or rvec vector to mismatch");
-    apply_throttles(&mut sim, &plan.initial_throttles);
+    sim.set_throttles(&plan.initial_throttles);
     let mut agent = wanify.agent(&plan);
     let conns = plan.initial_conns().clone();
     // Same precision policy as PredQ; the speedup comes from the transport.

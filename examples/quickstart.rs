@@ -60,11 +60,7 @@ fn main() {
     println!("optimized connections (max window):");
     println!("{}", plan.initial_conns().to_f64().render(&labels));
     let before = runtime.min_off_diag();
-    for (i, j, cap) in plan.initial_throttles.iter_pairs() {
-        if cap.is_finite() {
-            sim.set_throttle(wanify_netsim::DcId(i), wanify_netsim::DcId(j), cap);
-        }
-    }
+    sim.set_throttles(&plan.initial_throttles);
     let balanced = sim.measure_runtime(plan.initial_conns(), 20);
     println!(
         "minimum cluster bandwidth: {:.0} -> {:.0} Mbps ({:.1}x)",

@@ -121,11 +121,7 @@ fn multi_cloud_refactoring_end_to_end() {
     assert!((same - 1.0).abs() < 1e-9, "intra-provider untouched: {same}");
 
     // The plan still raises the weakest link when executed.
-    for (i, j, cap) in plan.initial_throttles.iter_pairs() {
-        if cap.is_finite() {
-            sim.set_throttle(wanify_netsim::DcId(i), wanify_netsim::DcId(j), cap);
-        }
-    }
+    sim.set_throttles(&plan.initial_throttles);
     let balanced = sim.measure_runtime(plan.initial_conns(), 20).bw;
     assert!(
         balanced.min_off_diag() > runtime.min_off_diag(),
