@@ -33,6 +33,7 @@
 //! | `fleet` | beyond the paper: belief provenances under multi-tenant contention |
 //! | `sharded` | beyond the paper: shard-count sweep of the sharded multi-sim fleet |
 //! | `gateway` | beyond the paper: serving-gateway goodput across an offered-load sweep |
+//! | `knee` | beyond the paper: closed-loop throughput knee against the tenant count |
 //! | `scenarios` | beyond the paper: the fault-injection scenario suite |
 //! | `scenario:<name>` | one committed fault-injection scenario |
 //!
@@ -51,6 +52,7 @@ pub mod fig8;
 pub mod fig9;
 pub mod fleet;
 pub mod gateway;
+pub mod knee;
 pub mod model;
 pub mod registry;
 pub mod sec583;

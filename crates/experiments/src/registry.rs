@@ -9,8 +9,8 @@
 
 use crate::common::ExpEnv;
 use crate::{
-    fig10, fig11, fig2, fig4, fig5, fig6, fig7, fig8, fig9, fleet, gateway, model, sec583, sharded,
-    table1, table2, table4,
+    fig10, fig11, fig2, fig4, fig5, fig6, fig7, fig8, fig9, fleet, gateway, knee, model, sec583,
+    sharded, table1, table2, table4,
 };
 use wanify_scenarios::{render_markdown, run_all};
 
@@ -26,7 +26,7 @@ pub struct Entry {
 }
 
 /// Every entry, in report order (`repro all` runs exactly these).
-pub static ENTRIES: [Entry; 18] = [
+pub static ENTRIES: [Entry; 19] = [
     Entry {
         id: "table1",
         title: "static vs runtime bandwidth gaps",
@@ -95,6 +95,11 @@ pub static ENTRIES: [Entry; 18] = [
         id: "gateway",
         title: "beyond the paper: serving-gateway goodput across an offered-load sweep",
         run: |e| gateway::run(e.effort, e.seed).render(),
+    },
+    Entry {
+        id: "knee",
+        title: "beyond the paper: closed-loop throughput knee against the tenant count",
+        run: |e| knee::run(e.effort, e.seed).render(),
     },
     Entry {
         id: "scenarios",
