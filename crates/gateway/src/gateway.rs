@@ -261,7 +261,8 @@ impl Gateway {
     ///
     /// # Errors
     ///
-    /// Propagates any [`WanifyError`] from the underlying fleet run.
+    /// Returns [`WanifyError::InvalidConfig`] for an infinite `t`, and
+    /// propagates any other [`WanifyError`] from the underlying fleet run.
     pub fn advance_to(&mut self, t: f64) -> Result<(), WanifyError> {
         loop {
             self.pump();

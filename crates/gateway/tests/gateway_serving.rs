@@ -179,6 +179,17 @@ fn breaker_keeps_serving_through_a_gauge_outage() {
 }
 
 #[test]
+fn an_infinite_serving_deadline_is_an_error_not_a_panic() {
+    let mut gw = Gateway::new(engine(1, 1), GatewayConfig::default());
+    match gw.advance_to(f64::INFINITY) {
+        Err(wanify::WanifyError::InvalidConfig(msg)) => assert!(msg.contains("finite"), "{msg}"),
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+    // The gateway is still usable afterwards.
+    gw.advance_to(10.0).unwrap();
+}
+
+#[test]
 fn gateway_runs_are_bit_deterministic() {
     let run = || {
         Gateway::new(

@@ -1071,16 +1071,18 @@ impl FleetRun {
     /// front-end refill freed admission slots mid-window; the same
     /// deadline-tie semantics as `run_until` apply.
     ///
-    /// # Panics
-    ///
-    /// Panics if `deadline_s` is not finite (a serving window needs an
-    /// edge to idle toward).
-    ///
     /// # Errors
     ///
-    /// Returns [`WanifyError`] exactly as [`FleetRun::run_until`] does.
+    /// Returns [`WanifyError::InvalidConfig`] if `deadline_s` is not
+    /// finite (a serving window needs an edge to idle toward), and
+    /// otherwise any [`WanifyError`] exactly as [`FleetRun::run_until`]
+    /// does.
     pub fn serve_step(&mut self, deadline_s: f64) -> Result<usize, WanifyError> {
-        assert!(deadline_s.is_finite(), "serving windows need a finite deadline, got {deadline_s}");
+        if !deadline_s.is_finite() {
+            return Err(WanifyError::InvalidConfig(format!(
+                "serving windows need a finite deadline, got {deadline_s}"
+            )));
+        }
         let done = self.drive(deadline_s, true)?;
         if done > 0 {
             return Ok(done);
