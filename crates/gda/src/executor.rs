@@ -9,6 +9,7 @@
 use crate::cost::{CostBreakdown, CostModel};
 use crate::job::JobProfile;
 use crate::scheduler::{PlacementCtx, Scheduler};
+use std::sync::Arc;
 use wanify::source::BandwidthSource;
 use wanify::WanifyError;
 use wanify_netsim::{
@@ -225,7 +226,9 @@ enum RunPhase {
 pub struct JobRun {
     job: JobProfile,
     /// Belief matrix gauged at admission; placements use it throughout.
-    bw_belief: BwMatrix,
+    /// Shared, not copied: a fleet hands every job admitted between two
+    /// gauges the same allocation.
+    bw_belief: Arc<BwMatrix>,
     belief_name: String,
     scheduler_name: String,
     /// Stage-shuffle connections; `None` means single connections.
@@ -246,8 +249,10 @@ pub struct JobRun {
 impl JobRun {
     /// Builds the state machine for `job`, planning every placement on
     /// `bw_belief` (the matrix a [`BandwidthSource`] gauged at admission).
-    /// `conns` is the per-shuffle connection matrix; `None` means single
-    /// connections (vanilla Spark).
+    /// The run only reads the belief, so it takes a plain matrix or a
+    /// shared one: a fleet passes each job an `Arc` of its cached gauge
+    /// rather than a copy of it. `conns` is the per-shuffle connection
+    /// matrix; `None` means single connections (vanilla Spark).
     ///
     /// # Errors
     ///
@@ -255,13 +260,14 @@ impl JobRun {
     /// the belief matrix does not match the topology.
     pub fn new(
         job: JobProfile,
-        bw_belief: BwMatrix,
+        bw_belief: impl Into<Arc<BwMatrix>>,
         belief_name: impl Into<String>,
         scheduler: &dyn Scheduler,
         topo: &Topology,
         conns: Option<ConnMatrix>,
     ) -> Result<Self, WanifyError> {
         let n = topo.len();
+        let bw_belief = bw_belief.into();
         if job.layout.len() != n {
             return Err(WanifyError::DimensionMismatch { expected: n, got: job.layout.len() });
         }
@@ -295,6 +301,12 @@ impl JobRun {
     /// The job this run executes.
     pub fn job(&self) -> &JobProfile {
         &self.job
+    }
+
+    /// The belief this run plans on.
+    #[cfg(test)]
+    pub(crate) fn belief(&self) -> &Arc<BwMatrix> {
+        &self.bw_belief
     }
 
     /// Kicks off the run: decides input migration on the belief matrix and
@@ -414,7 +426,7 @@ impl JobRun {
             }
             _ => self.job.stages[0].compute_s_per_gb,
         };
-        let mut masked = self.bw_belief.clone();
+        let mut masked = BwMatrix::clone(&self.bw_belief);
         for i in 0..n {
             for j in 0..n {
                 if !dcs_up[i] || !dcs_up[j] {

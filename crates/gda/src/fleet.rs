@@ -38,6 +38,7 @@
 
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, VecDeque};
+use std::sync::Arc;
 
 use crate::executor::{JobRun, JobStep};
 use crate::job::JobProfile;
@@ -544,7 +545,8 @@ pub struct FleetEngine {
     source: Box<dyn BandwidthSource>,
     config: FleetConfig,
     /// Shared belief cache: the gauged matrix and when it was gauged.
-    belief: Option<(BwMatrix, f64)>,
+    /// Every job admitted until the next gauge shares this allocation.
+    belief: Option<(Arc<BwMatrix>, f64)>,
     gauges: u64,
     /// An optional fleet-level agent, driven by a recurring timer.
     agent: Option<FleetAgent>,
@@ -1009,7 +1011,7 @@ impl FleetRun {
     /// The shared belief cache's current bandwidth matrix, if anything
     /// has been gauged yet (admission-control estimators read this).
     pub fn belief_bw(&self) -> Option<&BwMatrix> {
-        self.fleet.belief.as_ref().map(|(bw, _)| bw)
+        self.fleet.belief.as_ref().map(|(bw, _)| &**bw)
     }
 
     /// Read access to the underlying simulator (topology, time, stats).
@@ -1312,7 +1314,9 @@ impl FleetRun {
     }
 
     /// Admits one job: refreshes the shared belief if stale and builds its
-    /// state machine in a free slot.
+    /// state machine in a free slot. The job holds the cached belief
+    /// itself, an `Arc` of it, not a copy: a belief costs one matrix per
+    /// gauge, not one per job in flight.
     fn admit(
         &mut self,
         job_idx: usize,
@@ -1330,7 +1334,7 @@ impl FleetRun {
             // the monitoring cost the shared cache amortizes over tenants.
             let bw = fleet.source.gauge(fleet.engine.sim_mut())?;
             let gauged_at = fleet.engine.sim().time_s();
-            fleet.belief = Some((bw, gauged_at));
+            fleet.belief = Some((Arc::new(bw), gauged_at));
             fleet.gauges += 1;
         }
         let (bw, _) = fleet.belief.as_ref().expect("belief gauged above");
@@ -1343,7 +1347,7 @@ impl FleetRun {
         };
         let run = JobRun::new(
             job,
-            bw.clone(),
+            Arc::clone(bw),
             fleet.source.name(),
             fleet.scheduler.as_ref(),
             fleet.engine.sim().topology(),
@@ -1566,6 +1570,45 @@ mod tests {
             fleet(3, 3, config).run(&jobs, &Arrivals::Closed { clients: 4, think_s: 0.0 }).unwrap();
         assert_eq!(report.outcomes.len(), 4);
         assert!(report.queue_wait().max > 0.0, "with one admission slot, someone must have waited");
+    }
+
+    #[test]
+    fn jobs_admitted_between_gauges_share_one_belief_allocation() {
+        let config =
+            FleetConfig { max_concurrent: 5, regauge_every_s: 30.0, ..FleetConfig::default() };
+        let mut run = FleetRun::start_serving(fleet(3, 5, config));
+        let beliefs = |run: &FleetRun| -> Vec<Arc<BwMatrix>> {
+            run.slots.iter().flatten().map(|active| Arc::clone(active.run.belief())).collect()
+        };
+        for i in 0..3 {
+            run.submit_job(small_job(3, 60.0, &format!("early{i}")));
+        }
+        run.serve_step(run.time_s() + 1.0).unwrap();
+        let first = Arc::clone(&run.fleet.belief.as_ref().expect("gauged at admission").0);
+        let early = beliefs(&run);
+        assert_eq!(early.len(), 3, "all three admitted at one gauge");
+        assert!(early.iter().all(|bw| Arc::ptr_eq(bw, &first)));
+        // One matrix: the cache, `first`, the three jobs and `early`'s
+        // three clones all hold the same allocation.
+        assert_eq!(Arc::strong_count(&first), 2 + 3 + 3);
+
+        // Past the regauge interval the next admission gauges afresh, and
+        // the jobs admitted after it share the new allocation.
+        while run.time_s() < 40.0 {
+            run.serve_step(40.0).unwrap();
+        }
+        assert!(run.running() > 0, "the early jobs are still in flight");
+        let late: Vec<usize> =
+            (0..2).map(|i| run.submit_job(small_job(3, 60.0, &format!("late{i}")))).collect();
+        run.serve_step(run.time_s() + 0.5).unwrap();
+        let second = Arc::clone(&run.fleet.belief.as_ref().expect("regauged").0);
+        assert!(!Arc::ptr_eq(&first, &second), "a regauge starts a new allocation");
+        let admitted: Vec<&ActiveRun> = run.slots.iter().flatten().collect();
+        for active in &admitted {
+            let want = if late.contains(&active.job_idx) { &second } else { &first };
+            assert!(Arc::ptr_eq(active.run.belief(), want), "job {}", active.job_idx);
+        }
+        assert_eq!(admitted.iter().filter(|a| late.contains(&a.job_idx)).count(), 2);
     }
 
     #[test]

@@ -72,7 +72,7 @@ use crate::sim::{
     epochs_until_event, EpochCtx, EpochHook, NetSim, PairProgress, RunStats, INTRA_DC_MBPS,
     MAX_EPOCHS, PAYLOAD_EPS_GB,
 };
-use crate::topology::DcId;
+use crate::topology::{DcId, Topology};
 
 /// Identifier of a submitted flow group, unique within one engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -131,9 +131,9 @@ impl GroupState {
         let mut egress = vec![0.0; n_dcs];
         for pair in &self.pairs {
             makespan = makespan.max(pair.busy);
-            if pair.src != pair.dst {
+            if pair.src() != pair.dst() {
                 min_bw = min_bw.min(pair.achieved_mbps());
-                egress[pair.src] += pair.moved;
+                egress[pair.src()] += pair.moved;
             }
         }
         GroupReport {
@@ -210,17 +210,20 @@ pub(crate) struct TransferLoop {
 }
 
 /// One pair in flight: where it sits in the loop's groups, and the flow
-/// it is filed as.
+/// it is filed as. The endpoints are `u16`, as in [`PairProgress`].
 #[derive(Debug, Clone, Copy)]
 struct FlowRef {
     group: u32,
     pair: u32,
-    src: u32,
-    dst: u32,
+    src: u16,
+    dst: u16,
     /// Parallel connections, as submitted or as last overwritten by
     /// [`NetEngine::apply_conns`] or a seated hook, at least one.
     conns: u32,
 }
+
+const _: () = assert!(std::mem::size_of::<FlowRef>() <= 16);
+const _: () = assert!(Topology::MAX_DCS <= 1 << 16, "every DC index fits a u16 endpoint");
 
 impl FlowRef {
     /// `(src, dst, conns)`, as [`PairFlows::file`] reads a flow.
@@ -256,7 +259,7 @@ impl FlowRef {
 fn in_flight(groups: &[GroupState]) -> impl Iterator<Item = (usize, usize, usize, usize)> + '_ {
     groups.iter().enumerate().flat_map(|(g, group)| {
         let active = group.pairs.iter().enumerate().filter(|(_, pair)| pair.active);
-        active.map(move |(p, pair)| (g, p, pair.src, pair.dst))
+        active.map(move |(p, pair)| (g, p, pair.src(), pair.dst()))
     })
 }
 
@@ -303,9 +306,11 @@ impl TransferLoop {
             self.merge.push((t.src.0 * n + t.dst.0, t.gigabits));
         }
         self.merge.sort_by_key(|&(key, _)| key);
-        // The newest group's pairs are the last of the flow list.
+        // The newest group's pairs are the last of the flow list. A group
+        // holds its pairs until it is collected, so their vector is sized
+        // to the runs rather than left with a doubling's slack.
         let g = self.groups.len() as u32;
-        let mut pairs = Vec::new();
+        let mut pairs = Vec::with_capacity(self.merge.chunk_by(|a, b| a.0 == b.0).count());
         for run in self.merge.chunk_by(|a, b| a.0 == b.0) {
             let total = run.iter().fold(0.0, |sum, &(_, gigabits)| sum + gigabits);
             if total > PAYLOAD_EPS_GB {
@@ -314,8 +319,8 @@ impl TransferLoop {
                 self.flows.push(FlowRef {
                     group: g,
                     pair,
-                    src: src as u32,
-                    dst: dst as u32,
+                    src: src as u16,
+                    dst: dst as u16,
                     conns,
                 });
                 pairs.push(PairProgress::new(src, dst, total));
@@ -502,13 +507,13 @@ impl TransferLoop {
 
         if let Some(seat) = seat {
             for pair in self.groups.iter().flat_map(|g| &g.pairs) {
-                seat.observed.set(pair.src, pair.dst, 0.0);
+                seat.observed.set(pair.src(), pair.dst(), 0.0);
             }
             for (slot, flow) in self.flows.iter().enumerate() {
                 let pair = &self.groups[flow.group as usize].pairs[flow.pair as usize];
-                seat.observed.set(pair.src, pair.dst, flow.rate(self.ws.rates(), slot));
+                seat.observed.set(pair.src(), pair.dst(), flow.rate(self.ws.rates(), slot));
                 let left = if pair.active { pair.current_remaining() } else { 0.0 };
-                seat.remaining.set(pair.src, pair.dst, left);
+                seat.remaining.set(pair.src(), pair.dst(), left);
             }
             seat.hook.on_epoch(&mut EpochCtx {
                 time_s: sim.time_s(),
@@ -715,7 +720,7 @@ impl NetEngine {
             .pairs
             .iter()
             .filter(|p| p.active && p.remaining() > PAYLOAD_EPS_GB)
-            .map(|p| Transfer::new(DcId(p.src), DcId(p.dst), p.remaining()))
+            .map(|p| Transfer::new(DcId(p.src()), DcId(p.dst()), p.remaining()))
             .collect();
         Some((group.report(self.sim.topology().len(), self.sim.epoch_dt()), remaining))
     }
@@ -875,7 +880,7 @@ impl NetEngine {
             for pair in &group.pairs {
                 if pair.active {
                     let rate = pair.quota() * 1000.0 / dt;
-                    bw.set(pair.src, pair.dst, bw.get(pair.src, pair.dst) + rate);
+                    bw.set(pair.src(), pair.dst(), bw.get(pair.src(), pair.dst()) + rate);
                 }
             }
         }
@@ -892,7 +897,7 @@ impl NetEngine {
             for pair in &group.pairs {
                 if pair.active {
                     let r = pair.current_remaining().max(0.0);
-                    left.set(pair.src, pair.dst, left.get(pair.src, pair.dst) + r);
+                    left.set(pair.src(), pair.dst(), left.get(pair.src(), pair.dst()) + r);
                 }
             }
         }

@@ -23,10 +23,12 @@
 //! here and in `sim.rs` hold the two to `f64::to_bits` equality, and the
 //! transfer loop's shadow oracle holds every engine event to it.
 //!
-//! * **Reuse.** A problem is described pair-major, as a [`PairFlows`]
-//!   whose per-host lists keep their capacity from one filing to the
-//!   next; [`FairnessWorkspace`] owns every buffer a solve needs, so
-//!   repeated solves are allocation-free once the buffers have grown.
+//! * **Reuse.** A problem is described pair-major, as a [`PairFlows`]:
+//!   two flat member arrays, one per direction, cut into per-host lists
+//!   by offsets, each keeping its capacity from one filing to the next
+//!   (a fixed set of buffers at any host count, not two lists per host);
+//!   [`FairnessWorkspace`] owns every buffer a solve needs, so repeated
+//!   solves are allocation-free once the buffers have grown.
 //! * **Incremental sums.** Each resource is one record (`Res`): its
 //!   capacity, whether it takes part in the rounds, and its consumed
 //!   bandwidth `used`, active-weight sum `active_w` and active-member
@@ -163,7 +165,8 @@
 //! directed pair, with how many connections — is a [`PairFlows`]: every
 //! flow filed once under its pair, in ascending *slot* (its index in a
 //! flow list; flows no WAN resource constrains are gaps), plus per host
-//! the occupied pairs out of it and the slots into it. The solver reads
+//! the occupied pairs out of it and the slots into it, each host's list
+//! a stretch of one flat array. The solver reads
 //! the three member lists of the textbook problem
 //! (`reference::FairnessProblem`, built flow by flow) off that filing: the
 //! egress NIC of a host is its pairs' lists end to end, a path is one
@@ -232,21 +235,32 @@ struct PairFlow {
 ///   the slots bound for it, ascending. Its sums take their operands from
 ///   the flow's class, found while the runs were walked.
 ///
+/// The hosts' lists lie end to end in two flat arrays, one for each
+/// direction, host by host, each host's list found by its offset. So a
+/// filing holds the same few buffers whatever the host count, each at
+/// the high-water mark of one filing's flows or hosts.
+///
 /// A flow no WAN resource constrains (intra-DC, no connections) is not
 /// filed: its slot is a gap in every list, and a solve never writes its
 /// rate. Nothing here depends on the network's state: weights, ceilings
 /// and capacities are asked of a [`Network`] at every solve.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct PairFlows {
-    /// Per host, the flows out of it in `(dst, slot)` order.
-    egress: Vec<Vec<PairFlow>>,
-    /// Per host, the slots of the flows into it, ascending.
-    ingress: Vec<Vec<u32>>,
+    /// Every host's flows out of it, each host's in `(dst, slot)` order.
+    egress: Vec<PairFlow>,
+    /// Where each host's flows start in `egress`, and one past the last.
+    egress_at: Vec<u32>,
+    /// Every host's slots of the flows into it, each host's ascending.
+    ingress: Vec<u32>,
+    /// Where each host's slots start in `ingress`, and one past the last.
+    ingress_at: Vec<u32>,
     /// Connections per host, both directions.
     host_conns: Vec<u32>,
     /// `(src, dst)` of each filed slot.
     ends: Vec<(u32, u32)>,
-    /// Directed pairs with a flow on them: the runs of `egress`.
+    /// Per host, where the next flow of a filing goes in one of the lists.
+    cursor: Vec<u32>,
+    /// Directed pairs with a flow on them: the runs of the egress lists.
     pairs: usize,
 }
 
@@ -254,59 +268,94 @@ impl PairFlows {
     /// Files `flows` afresh on `hosts` hosts, flow `i` under slot `i` with
     /// the `(src, dst, conns)` that `ends_of` reads off it, leaving out
     /// those no WAN resource constrains (intra-DC, no connections). A
-    /// counting pass, with no sort and no insertion: each destination
-    /// lists its slots in input order, then each source takes its flows
-    /// off those lists destination by destination, which leaves them in
-    /// `(dst, slot)` order. Allocation-free once the lists have grown.
+    /// counting pass, with no sort and no insertion: each host's flows
+    /// are counted into offsets, each destination lists its slots in
+    /// input order, then each source takes its flows off those lists
+    /// destination by destination, which leaves them in `(dst, slot)`
+    /// order. Allocation-free once the buffers have grown.
     pub(crate) fn file<F>(
         &mut self,
         hosts: usize,
         flows: &[F],
         ends_of: impl Fn(&F) -> (usize, usize, u32),
     ) {
-        if self.egress.len() != hosts {
-            *self = Self {
-                egress: vec![Vec::new(); hosts],
-                ingress: vec![Vec::new(); hosts],
-                host_conns: vec![0; hosts],
-                ..Self::default()
-            };
+        let Self { egress, egress_at, ingress, ingress_at, host_conns, ends, cursor, pairs } = self;
+        for at in [&mut *egress_at, &mut *ingress_at] {
+            at.clear();
+            at.resize(hosts + 1, 0);
         }
-        let Self { egress, ingress, host_conns, ends, pairs } = self;
-        egress.iter_mut().for_each(Vec::clear);
-        ingress.iter_mut().for_each(Vec::clear);
-        host_conns.fill(0);
+        host_conns.clear();
+        host_conns.resize(hosts, 0);
         ends.clear();
         ends.resize(flows.len(), (NONE, NONE));
+        let mut filed = 0;
         for (slot, flow) in flows.iter().enumerate() {
             let (src, dst, conns) = ends_of(flow);
             if src != dst && conns > 0 {
-                ingress[dst].push(slot as u32);
                 ends[slot] = (src as u32, dst as u32);
+                egress_at[src + 1] += 1;
+                ingress_at[dst + 1] += 1;
                 host_conns[src] += conns;
                 host_conns[dst] += conns;
+                filed += 1;
+            }
+        }
+        for at in [&mut *egress_at, &mut *ingress_at] {
+            for host in 0..hosts {
+                at[host + 1] += at[host];
+            }
+        }
+        ingress.clear();
+        ingress.resize(filed, 0);
+        cursor.clear();
+        cursor.extend_from_slice(&ingress_at[..hosts]);
+        for (slot, &(_, dst)) in ends.iter().enumerate() {
+            if dst != NONE {
+                let at = &mut cursor[dst as usize];
+                ingress[*at as usize] = slot as u32;
+                *at += 1;
             }
         }
         *pairs = 0;
-        for (dst, into) in ingress.iter().enumerate() {
-            for &slot in into {
-                let out = &mut egress[ends[slot as usize].0 as usize];
-                *pairs += usize::from(out.last().is_none_or(|last| last.dst as usize != dst));
+        egress.clear();
+        egress.resize(filed, PairFlow { dst: NONE, slot: NONE, conns: 0 });
+        cursor.copy_from_slice(&egress_at[..hosts]);
+        for dst in 0..hosts {
+            for &slot in &ingress[ingress_at[dst] as usize..ingress_at[dst + 1] as usize] {
+                let src = ends[slot as usize].0 as usize;
+                let at = cursor[src] as usize;
+                let new_pair = at == egress_at[src] as usize || egress[at - 1].dst as usize != dst;
+                *pairs += usize::from(new_pair);
                 let conns = ends_of(&flows[slot as usize]).2;
-                out.push(PairFlow { dst: dst as u32, slot, conns });
+                egress[at] = PairFlow { dst: dst as u32, slot, conns };
+                cursor[src] += 1;
             }
         }
+    }
+
+    /// Hosts of the last filing.
+    fn hosts(&self) -> usize {
+        self.host_conns.len()
+    }
+
+    /// `host`'s flows out of it, in `(dst, slot)` order.
+    fn egress_of(&self, host: usize) -> &[PairFlow] {
+        &self.egress[self.egress_at[host] as usize..self.egress_at[host + 1] as usize]
+    }
+
+    /// `host`'s slots of the flows into it, ascending.
+    fn ingress_of(&self, host: usize) -> &[u32] {
+        &self.ingress[self.ingress_at[host] as usize..self.ingress_at[host + 1] as usize]
     }
 
     /// Flows filed, and the resources a build over them would create: one
     /// per occupied NIC and one per occupied pair.
     pub(crate) fn size(&self) -> (usize, usize) {
-        let (mut flows, mut resources) = (0, self.pairs);
-        for (out, into) in self.egress.iter().zip(&self.ingress) {
-            flows += into.len();
-            resources += usize::from(!out.is_empty()) + usize::from(!into.is_empty());
-        }
-        (flows, resources)
+        let occupied = |list: &[u32], host: usize| usize::from(list[host] < list[host + 1]);
+        let nics = (0..self.hosts())
+            .map(|host| occupied(&self.egress_at, host) + occupied(&self.ingress_at, host))
+            .sum::<usize>();
+        (self.ingress.len(), self.pairs + nics)
     }
 }
 
@@ -574,7 +623,7 @@ impl FairnessWorkspace {
         slots: usize,
         solve: &mut PairSolve,
     ) -> usize {
-        let hosts = set.egress.len();
+        let hosts = set.hosts();
         let (listed, resources) = set.size();
         let nr = 2 * hosts + set.pairs;
         let max_rounds = Self::max_rounds(listed, resources);
@@ -605,9 +654,10 @@ impl FairnessWorkspace {
         // connection counts, each flow into its class and into the sums
         // of its NIC and its path.
         let mut flows = 0;
-        for (src, out) in set.egress.iter().enumerate() {
+        for src in 0..hosts {
+            let out = set.egress_of(src);
             let mut nic = Load::default();
-            let mut lo = 0;
+            let mut lo = set.egress_at[src];
             for on_pair in out.chunk_by(|a, b| a.dst == b.dst) {
                 let r = 2 * hosts + solve.paths.len();
                 let pair = net.pair(src, on_pair[0].dst as usize);
@@ -641,8 +691,9 @@ impl FairnessWorkspace {
                     nic.add(weight, ceiling);
                     path.add(weight, ceiling);
                 }
-                solve.paths.push((src as u32, lo as u32, (lo + on_pair.len()) as u32));
-                lo += on_pair.len();
+                let hi = lo + on_pair.len() as u32;
+                solve.paths.push((lo, hi));
+                lo = hi;
                 self.res[r] = path.admit(net.path_cap_mbps(&pair), max_rounds);
             }
             if !out.is_empty() {
@@ -652,7 +703,8 @@ impl FairnessWorkspace {
         }
         // The ingress members, in ascending flow index: a flow's weight
         // and ceiling are its class's.
-        for (dst, into) in set.ingress.iter().enumerate() {
+        for dst in 0..hosts {
+            let into = set.ingress_of(dst);
             if into.is_empty() {
                 continue;
             }
@@ -879,9 +931,9 @@ impl Load {
 /// resources of a [`PairFlows`] for one solve.
 #[derive(Debug, Clone, Default)]
 struct PairSolve {
-    /// Per path resource, counted from `2·hosts`: its source host and
-    /// its run in that host's list.
-    paths: Vec<(u32, u32, u32)>,
+    /// Per path resource, counted from `2·hosts`: its run in the flat
+    /// egress list.
+    paths: Vec<(u32, u32)>,
     /// Per active slot: its path's resource.
     slot_path: Vec<u32>,
 }
@@ -901,13 +953,13 @@ impl PairMembers<'_> {
         // A NIC or path out of a host is a stretch of its list; an
         // ingress NIC is the other list, and the first stretch is empty.
         let set = self.flows;
-        let (out, into): (&[PairFlow], &[u32]) = match r.checked_sub(2 * set.egress.len()) {
+        let (out, into): (&[PairFlow], &[u32]) = match r.checked_sub(2 * set.hosts()) {
             Some(path) => {
-                let (src, lo, hi) = self.solve.paths[path];
-                (&set.egress[src as usize][lo as usize..hi as usize], &[])
+                let (lo, hi) = self.solve.paths[path];
+                (&set.egress[lo as usize..hi as usize], &[])
             }
-            None if r.is_multiple_of(2) => (&set.egress[r / 2], &[]),
-            None => (&[], &set.ingress[r / 2]),
+            None if r.is_multiple_of(2) => (set.egress_of(r / 2), &[]),
+            None => (&[], set.ingress_of(r / 2)),
         };
         out.iter().map(|flow| flow.slot as usize).chain(into.iter().map(|&slot| slot as usize))
     }
@@ -1357,11 +1409,11 @@ mod tests {
         problem: &FairnessProblem,
         slots: &[usize],
     ) {
-        let hosts = set.egress.len();
+        let hosts = set.hosts();
         let views = PairMembers { flows: set, solve: &ws.pair_solve };
         let nics = (0..2 * hosts).filter(|&r| match r % 2 {
-            0 => !set.egress[r / 2].is_empty(),
-            _ => !set.ingress[r / 2].is_empty(),
+            0 => !set.egress_of(r / 2).is_empty(),
+            _ => !set.ingress_of(r / 2).is_empty(),
         });
         let listed: Vec<usize> =
             nics.chain((0..ws.pair_solve.paths.len()).map(|k| 2 * hosts + k)).collect();
@@ -1369,8 +1421,8 @@ mod tests {
         for (&r, (kind, cap, members)) in listed.iter().zip(problem.resources()) {
             let want = match r.checked_sub(2 * hosts) {
                 Some(k) => {
-                    let (src, lo, _) = ws.pair_solve.paths[k];
-                    let dst = set.egress[src as usize][lo as usize].dst;
+                    let (src, dst) =
+                        set.ends[set.egress[ws.pair_solve.paths[k].0 as usize].slot as usize];
                     ResourceKind::Path(src as usize, dst as usize)
                 }
                 None if r % 2 == 0 => ResourceKind::Egress(r / 2),
@@ -1523,9 +1575,14 @@ mod tests {
         /// The longest buffer the set holds, for tests that bound its
         /// footprint.
         pub(crate) fn footprint(&self) -> usize {
-            let lists = self.egress.iter().map(Vec::len).chain(self.ingress.iter().map(Vec::len));
-            let per_host = [self.egress.len(), self.host_conns.len()];
-            lists.chain(per_host).chain([self.ends.len()]).max().unwrap_or(0)
+            let lists = [self.egress.len(), self.ingress.len(), self.ends.len()];
+            let per_host = [
+                self.egress_at.len(),
+                self.ingress_at.len(),
+                self.host_conns.len(),
+                self.cursor.len(),
+            ];
+            lists.into_iter().chain(per_host).max().unwrap_or(0)
         }
     }
 
@@ -1619,9 +1676,9 @@ mod tests {
         let mut net = fan_out(50.0, &[(1.0, 100.0), (1.0, 1e9)]);
         net.budget = 64.0;
         let mut set = file(net.hosts, &[(0, 1, 4), (0, 1, 2), (0, 2, 3)]);
-        let capacity = set.egress[0].capacity();
+        let capacity = set.egress.capacity();
         set.file(net.hosts, &[(0, 2, 1)], |&flow: &Flow| flow);
-        assert_eq!((set.egress[0].capacity(), set.size()), (capacity, (1, 3)));
+        assert_eq!((set.egress.capacity(), set.size()), (capacity, (1, 3)));
         let mut ws = FairnessWorkspace::new();
         ws.solve_pairs(&set, &net, 1);
         let fresh = solve(&net, &[(0, 2, 1)]).0[0];
@@ -2060,6 +2117,26 @@ mod tests {
             shape
         }
 
+        #[test]
+        fn one_flat_filing_serves_any_host_count_in_turn() {
+            // The lists lie end to end in flat arrays cut by per-host
+            // offsets: a filing on fewer hosts than the last, or more, must
+            // cut them afresh and list every member where a build would.
+            let mut rng = StdRng::seed_from_u64(29);
+            let (mut set, mut ws) = (PairFlows::default(), FairnessWorkspace::new());
+            let mut high_water = 0;
+            for hosts in [6, 3, 5, 2, 6, 4] {
+                let net = PaletteNet::new(&mut rng, hosts);
+                let mut list = tenant(&mut rng, hosts, 2, false);
+                list.extend(tenant(&mut rng, hosts, 1, false));
+                list.extend(tenant(&mut rng, hosts, 2, true));
+                check(&mut set, &mut ws, &net, &list);
+                high_water = high_water.max(list.len());
+                assert_eq!(set.egress_at.len(), hosts + 1);
+                assert!(set.footprint() <= high_water, "{} > {high_water}", set.footprint());
+            }
+        }
+
         proptest! {
             #[test]
             fn the_views_list_a_fresh_builds_resources_in_its_order(seed in 0u64..u64::MAX) {
@@ -2144,8 +2221,8 @@ mod tests {
                 ws.class_link[slot] = (NONE, slot as u32);
             }
             check(&mut set, &mut ws, &net, &list);
-            let listed = set.egress.iter().flatten().map(|flow| flow.slot);
-            let listed: Vec<u32> = listed.chain(set.ingress.iter().flatten().copied()).collect();
+            let listed = set.egress.iter().map(|flow| flow.slot);
+            let listed: Vec<u32> = listed.chain(set.ingress.iter().copied()).collect();
             for &slot in &gone {
                 assert!(ws.rates[slot].is_nan(), "slot {slot} was written");
                 assert!(!listed.contains(&(slot as u32)), "slot {slot} is still listed");

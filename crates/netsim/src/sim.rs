@@ -153,10 +153,15 @@ impl RateScratch {
 /// loop, kept as an anchor plus a whole number of epochs served at the
 /// current quota so coalesced jumps and per-epoch steps evaluate
 /// identical expressions.
+///
+/// Every pair of every group in flight holds one, so it is kept small:
+/// the endpoints are `u16` ([`Topology::MAX_DCS`] bounds them) and share
+/// one word with `active`.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PairProgress {
-    pub(crate) src: usize,
-    pub(crate) dst: usize,
+    src: u16,
+    dst: u16,
+    pub(crate) active: bool,
     /// Remaining payload at the segment anchor, gigabits. Private, like
     /// `quota`: the drain memo below is valid only while both stand.
     remaining: f64,
@@ -168,7 +173,6 @@ pub(crate) struct PairProgress {
     quota: f64,
     /// Whole epochs served since the anchor.
     pub(crate) served: u64,
-    pub(crate) active: bool,
     /// Memo of [`PairProgress::drain_epoch`]: [`DRAIN_UNKNOWN`] until
     /// asked, [`DRAIN_NEVER`] for a pair that cannot drain.
     drain_at: u64,
@@ -178,11 +182,15 @@ pub(crate) struct PairProgress {
 const DRAIN_UNKNOWN: u64 = 0;
 const DRAIN_NEVER: u64 = u64::MAX;
 
+const _: () = assert!(std::mem::size_of::<PairProgress>() <= 56);
+
 impl PairProgress {
+    /// A pair of `total` gigabits from `src` to `dst`, DCs of a
+    /// [`Topology`] (so below [`Topology::MAX_DCS`]).
     pub(crate) fn new(src: usize, dst: usize, total: f64) -> Self {
         Self {
-            src,
-            dst,
+            src: src as u16,
+            dst: dst as u16,
             remaining: total,
             moved: 0.0,
             busy: 0.0,
@@ -191,6 +199,16 @@ impl PairProgress {
             active: total > PAYLOAD_EPS_GB,
             drain_at: DRAIN_UNKNOWN,
         }
+    }
+
+    /// Source DC.
+    pub(crate) fn src(&self) -> usize {
+        usize::from(self.src)
+    }
+
+    /// Destination DC.
+    pub(crate) fn dst(&self) -> usize {
+        usize::from(self.dst)
     }
 
     /// Remaining payload at the segment anchor, in gigabits.
@@ -847,8 +865,8 @@ impl NetSim {
         let mut busy_s = BwMatrix::new(n);
         let mut achieved = BwMatrix::new(n);
         for pair in &group.pairs {
-            busy_s.set(pair.src, pair.dst, pair.busy);
-            achieved.set(pair.src, pair.dst, pair.achieved_mbps());
+            busy_s.set(pair.src(), pair.dst(), pair.busy);
+            achieved.set(pair.src(), pair.dst(), pair.achieved_mbps());
         }
         let completion = transfers
             .iter()

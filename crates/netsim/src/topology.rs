@@ -58,6 +58,8 @@ pub enum TopologyError {
     TooFewDataCenters(usize),
     /// A data center was declared with zero VMs.
     EmptyDataCenter(Region),
+    /// More than [`Topology::MAX_DCS`] data centers were supplied.
+    TooManyDataCenters(usize),
 }
 
 impl std::fmt::Display for TopologyError {
@@ -68,6 +70,13 @@ impl std::fmt::Display for TopologyError {
             }
             TopologyError::EmptyDataCenter(r) => {
                 write!(f, "data center in {r} was declared with zero VMs")
+            }
+            TopologyError::TooManyDataCenters(n) => {
+                write!(
+                    f,
+                    "a WAN topology holds at most {} data centers, got {n}",
+                    Topology::MAX_DCS
+                )
             }
         }
     }
@@ -93,11 +102,14 @@ impl TopologyBuilder {
     ///
     /// # Errors
     ///
-    /// Returns [`TopologyError`] if fewer than two DCs were added or any DC
-    /// has zero VMs.
+    /// Returns [`TopologyError`] if fewer than two or more than
+    /// [`Topology::MAX_DCS`] DCs were added, or any DC has zero VMs.
     pub fn build(self) -> Result<Topology, TopologyError> {
         if self.dcs.len() < 2 {
             return Err(TopologyError::TooFewDataCenters(self.dcs.len()));
+        }
+        if self.dcs.len() > Topology::MAX_DCS {
+            return Err(TopologyError::TooManyDataCenters(self.dcs.len()));
         }
         if let Some(dc) = self.dcs.iter().find(|d| d.vm_count == 0) {
             return Err(TopologyError::EmptyDataCenter(dc.region));
@@ -121,6 +133,10 @@ pub struct Topology {
 }
 
 impl Topology {
+    /// The most data centers a topology holds: the transfer engine keeps
+    /// the endpoints of every pair in flight as `u16`.
+    pub const MAX_DCS: usize = 1 << 16;
+
     /// Starts building a topology.
     ///
     /// # Examples
@@ -217,6 +233,22 @@ mod tests {
             .build()
             .unwrap_err();
         assert_eq!(err, TopologyError::EmptyDataCenter(Region::UsWest));
+    }
+
+    #[test]
+    fn builder_rejects_more_dcs_than_u16_endpoints_name() {
+        let many = |n: usize| {
+            let mut b = Topology::builder();
+            b.dcs = vec![
+                DataCenter { region: Region::UsEast, vm: VmType::t2_medium(), vm_count: 1 };
+                n
+            ];
+            b
+        };
+        let err = many(Topology::MAX_DCS + 1).build().unwrap_err();
+        assert_eq!(err, TopologyError::TooManyDataCenters(Topology::MAX_DCS + 1));
+        assert_eq!(Topology::MAX_DCS - 1, usize::from(u16::MAX), "the largest index is a u16");
+        assert!(many(8).build().is_ok());
     }
 
     #[test]
