@@ -262,6 +262,9 @@ pub(crate) struct PairFlows {
     cursor: Vec<u32>,
     /// Directed pairs with a flow on them: the runs of the egress lists.
     pairs: usize,
+    /// NICs with a flow on them: the hosts with a non-empty list, counted
+    /// once per list.
+    nics: usize,
 }
 
 impl PairFlows {
@@ -279,7 +282,8 @@ impl PairFlows {
         flows: &[F],
         ends_of: impl Fn(&F) -> (usize, usize, u32),
     ) {
-        let Self { egress, egress_at, ingress, ingress_at, host_conns, ends, cursor, pairs } = self;
+        let Self { egress, egress_at, ingress, ingress_at, host_conns, ends, cursor, pairs, nics } =
+            self;
         for at in [&mut *egress_at, &mut *ingress_at] {
             at.clear();
             at.resize(hosts + 1, 0);
@@ -288,25 +292,29 @@ impl PairFlows {
         host_conns.resize(hosts, 0);
         ends.clear();
         ends.resize(flows.len(), (NONE, NONE));
-        let mut filed = 0;
+        // Each host's flows out and in, counted one place up; a host's
+        // first flow either way occupies its NIC.
+        *nics = 0;
         for (slot, flow) in flows.iter().enumerate() {
             let (src, dst, conns) = ends_of(flow);
             if src != dst && conns > 0 {
                 ends[slot] = (src as u32, dst as u32);
-                egress_at[src + 1] += 1;
-                ingress_at[dst + 1] += 1;
+                for count in [&mut egress_at[src + 1], &mut ingress_at[dst + 1]] {
+                    *nics += usize::from(*count == 0);
+                    *count += 1;
+                }
                 host_conns[src] += conns;
                 host_conns[dst] += conns;
-                filed += 1;
             }
         }
-        for at in [&mut *egress_at, &mut *ingress_at] {
-            for host in 0..hosts {
-                at[host + 1] += at[host];
-            }
+        for host in 0..hosts {
+            egress_at[host + 1] += egress_at[host];
+            ingress_at[host + 1] += ingress_at[host];
         }
-        ingress.clear();
+        // Every entry of both lists is written below.
+        let filed = ingress_at[hosts] as usize;
         ingress.resize(filed, 0);
+        egress.resize(filed, PairFlow { dst: NONE, slot: NONE, conns: 0 });
         cursor.clear();
         cursor.extend_from_slice(&ingress_at[..hosts]);
         for (slot, &(_, dst)) in ends.iter().enumerate() {
@@ -316,20 +324,19 @@ impl PairFlows {
                 *at += 1;
             }
         }
+        // The ingress lists end to end are every filed slot by
+        // destination, then ascending: each source takes its flows in that
+        // order.
         *pairs = 0;
-        egress.clear();
-        egress.resize(filed, PairFlow { dst: NONE, slot: NONE, conns: 0 });
         cursor.copy_from_slice(&egress_at[..hosts]);
-        for dst in 0..hosts {
-            for &slot in &ingress[ingress_at[dst] as usize..ingress_at[dst + 1] as usize] {
-                let src = ends[slot as usize].0 as usize;
-                let at = cursor[src] as usize;
-                let new_pair = at == egress_at[src] as usize || egress[at - 1].dst as usize != dst;
-                *pairs += usize::from(new_pair);
-                let conns = ends_of(&flows[slot as usize]).2;
-                egress[at] = PairFlow { dst: dst as u32, slot, conns };
-                cursor[src] += 1;
-            }
+        for &slot in ingress.iter() {
+            let (src, dst) = ends[slot as usize];
+            let at = &mut cursor[src as usize];
+            let first = *at == egress_at[src as usize] || egress[*at as usize - 1].dst != dst;
+            *pairs += usize::from(first);
+            let conns = ends_of(&flows[slot as usize]).2;
+            egress[*at as usize] = PairFlow { dst, slot, conns };
+            *at += 1;
         }
     }
 
@@ -351,11 +358,7 @@ impl PairFlows {
     /// Flows filed, and the resources a build over them would create: one
     /// per occupied NIC and one per occupied pair.
     pub(crate) fn size(&self) -> (usize, usize) {
-        let occupied = |list: &[u32], host: usize| usize::from(list[host] < list[host + 1]);
-        let nics = (0..self.hosts())
-            .map(|host| occupied(&self.egress_at, host) + occupied(&self.ingress_at, host))
-            .sum::<usize>();
-        (self.ingress.len(), self.pairs + nics)
+        (self.ingress.len(), self.pairs + self.nics)
     }
 }
 
@@ -655,9 +658,8 @@ impl FairnessWorkspace {
         // of its NIC and its path.
         let mut flows = 0;
         for src in 0..hosts {
-            let out = set.egress_of(src);
+            let (out, mut lo) = (set.egress_of(src), set.egress_at[src]);
             let mut nic = Load::default();
-            let mut lo = set.egress_at[src];
             for on_pair in out.chunk_by(|a, b| a.dst == b.dst) {
                 let r = 2 * hosts + solve.paths.len();
                 let pair = net.pair(src, on_pair[0].dst as usize);
