@@ -258,8 +258,9 @@ pub(crate) struct PairFlows {
     host_conns: Vec<u32>,
     /// `(src, dst)` of each filed slot.
     ends: Vec<(u32, u32)>,
-    /// Per host, where the next flow of a filing goes in one of the lists.
-    cursor: Vec<u32>,
+    /// Per host, where the next flow of a filing goes in one of the lists,
+    /// and the destination of the last flow it took there.
+    cursor: Vec<(u32, u32)>,
     /// Directed pairs with a flow on them: the runs of the egress lists.
     pairs: usize,
     /// NICs with a flow on them: the hosts with a non-empty list, counted
@@ -290,24 +291,22 @@ impl PairFlows {
         }
         host_conns.clear();
         host_conns.resize(hosts, 0);
+        // Each host's flows out and in, counted one place up.
         ends.clear();
-        ends.resize(flows.len(), (NONE, NONE));
-        // Each host's flows out and in, counted one place up; a host's
-        // first flow either way occupies its NIC.
-        *nics = 0;
-        for (slot, flow) in flows.iter().enumerate() {
+        ends.extend(flows.iter().map(|flow| {
             let (src, dst, conns) = ends_of(flow);
-            if src != dst && conns > 0 {
-                ends[slot] = (src as u32, dst as u32);
-                for count in [&mut egress_at[src + 1], &mut ingress_at[dst + 1]] {
-                    *nics += usize::from(*count == 0);
-                    *count += 1;
-                }
-                host_conns[src] += conns;
-                host_conns[dst] += conns;
+            if src == dst || conns == 0 {
+                return (NONE, NONE);
             }
-        }
+            egress_at[src + 1] += 1;
+            ingress_at[dst + 1] += 1;
+            host_conns[src] += conns;
+            host_conns[dst] += conns;
+            (src as u32, dst as u32)
+        }));
+        *nics = 0;
         for host in 0..hosts {
+            *nics += usize::from(egress_at[host + 1] > 0) + usize::from(ingress_at[host + 1] > 0);
             egress_at[host + 1] += egress_at[host];
             ingress_at[host + 1] += ingress_at[host];
         }
@@ -316,24 +315,27 @@ impl PairFlows {
         ingress.resize(filed, 0);
         egress.resize(filed, PairFlow { dst: NONE, slot: NONE, conns: 0 });
         cursor.clear();
-        cursor.extend_from_slice(&ingress_at[..hosts]);
+        cursor.extend(ingress_at[..hosts].iter().map(|&at| (at, NONE)));
         for (slot, &(_, dst)) in ends.iter().enumerate() {
             if dst != NONE {
-                let at = &mut cursor[dst as usize];
+                let (at, _) = &mut cursor[dst as usize];
                 ingress[*at as usize] = slot as u32;
                 *at += 1;
             }
         }
         // The ingress lists end to end are every filed slot by
         // destination, then ascending: each source takes its flows in that
-        // order.
+        // order, and a flow opens a pair unless its source's last one went
+        // to the same destination.
         *pairs = 0;
-        cursor.copy_from_slice(&egress_at[..hosts]);
+        for (next, &at) in cursor.iter_mut().zip(&egress_at[..hosts]) {
+            *next = (at, NONE);
+        }
         for &slot in ingress.iter() {
             let (src, dst) = ends[slot as usize];
-            let at = &mut cursor[src as usize];
-            let first = *at == egress_at[src as usize] || egress[*at as usize - 1].dst != dst;
-            *pairs += usize::from(first);
+            let (at, last) = &mut cursor[src as usize];
+            *pairs += usize::from(*last != dst);
+            *last = dst;
             let conns = ends_of(&flows[slot as usize]).2;
             egress[*at as usize] = PairFlow { dst, slot, conns };
             *at += 1;
