@@ -303,12 +303,6 @@ impl JobRun {
         &self.job
     }
 
-    /// The belief this run plans on.
-    #[cfg(test)]
-    pub(crate) fn belief(&self) -> &Arc<BwMatrix> {
-        &self.bw_belief
-    }
-
     /// Kicks off the run: decides input migration on the belief matrix and
     /// returns the first step.
     pub fn start(&mut self, scheduler: &dyn Scheduler, topo: &Topology) -> JobStep {
@@ -607,6 +601,13 @@ mod tests {
     use crate::scheduler::{Tetrium, VanillaSpark};
     use crate::storage::DataLayout;
     use wanify_netsim::{paper_testbed_n, LinkModelParams, VmType};
+
+    impl JobRun {
+        /// The belief this run plans on.
+        pub(crate) fn belief(&self) -> &Arc<BwMatrix> {
+            &self.bw_belief
+        }
+    }
 
     fn sim(n: usize) -> NetSim {
         NetSim::new(paper_testbed_n(VmType::t2_medium(), n), LinkModelParams::frozen(), 7)

@@ -258,14 +258,23 @@ pub(crate) struct PairFlows {
     host_conns: Vec<u32>,
     /// `(src, dst)` of each filed slot.
     ends: Vec<(u32, u32)>,
-    /// Per host, where the next flow of a filing goes in one of the lists,
-    /// and the destination of the last flow it took there.
-    cursor: Vec<(u32, u32)>,
+    /// Per host, where a filing puts its next flow in each list, and the
+    /// destination of the last flow it took out of the host.
+    cursor: Vec<Cursor>,
+    /// Hosts with a flow out of them, ascending.
+    sources: Vec<u32>,
+    /// Hosts with a flow into them, ascending.
+    sinks: Vec<u32>,
     /// Directed pairs with a flow on them: the runs of the egress lists.
     pairs: usize,
-    /// NICs with a flow on them: the hosts with a non-empty list, counted
-    /// once per list.
-    nics: usize,
+}
+
+/// A host's place in the lists of a [`PairFlows::file`] under way.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    out: u32,
+    into: u32,
+    last: u32,
 }
 
 impl PairFlows {
@@ -283,8 +292,18 @@ impl PairFlows {
         flows: &[F],
         ends_of: impl Fn(&F) -> (usize, usize, u32),
     ) {
-        let Self { egress, egress_at, ingress, ingress_at, host_conns, ends, cursor, pairs, nics } =
-            self;
+        let Self {
+            egress,
+            egress_at,
+            ingress,
+            ingress_at,
+            host_conns,
+            ends,
+            cursor,
+            sources,
+            sinks,
+            pairs,
+        } = self;
         for at in [&mut *egress_at, &mut *ingress_at] {
             at.clear();
             at.resize(hosts + 1, 0);
@@ -304,21 +323,30 @@ impl PairFlows {
             host_conns[dst] += conns;
             (src as u32, dst as u32)
         }));
-        *nics = 0;
+        // The counts become offsets, and each host's cursors start at its
+        // lists' first entries.
+        cursor.clear();
+        sources.clear();
+        sinks.clear();
+        let (mut out, mut into) = (0, 0);
         for host in 0..hosts {
-            *nics += usize::from(egress_at[host + 1] > 0) + usize::from(ingress_at[host + 1] > 0);
-            egress_at[host + 1] += egress_at[host];
-            ingress_at[host + 1] += ingress_at[host];
+            let (flows_out, flows_in) = (egress_at[host + 1], ingress_at[host + 1]);
+            cursor.push(Cursor { out, into, last: NONE });
+            if flows_out > 0 {
+                sources.push(host as u32);
+            }
+            if flows_in > 0 {
+                sinks.push(host as u32);
+            }
+            (out, into) = (out + flows_out, into + flows_in);
+            (egress_at[host + 1], ingress_at[host + 1]) = (out, into);
         }
         // Every entry of both lists is written below.
-        let filed = ingress_at[hosts] as usize;
-        ingress.resize(filed, 0);
-        egress.resize(filed, PairFlow { dst: NONE, slot: NONE, conns: 0 });
-        cursor.clear();
-        cursor.extend(ingress_at[..hosts].iter().map(|&at| (at, NONE)));
+        ingress.resize(into as usize, 0);
+        egress.resize(out as usize, PairFlow { dst: NONE, slot: NONE, conns: 0 });
         for (slot, &(_, dst)) in ends.iter().enumerate() {
             if dst != NONE {
-                let (at, _) = &mut cursor[dst as usize];
+                let at = &mut cursor[dst as usize].into;
                 ingress[*at as usize] = slot as u32;
                 *at += 1;
             }
@@ -328,17 +356,14 @@ impl PairFlows {
         // order, and a flow opens a pair unless its source's last one went
         // to the same destination.
         *pairs = 0;
-        for (next, &at) in cursor.iter_mut().zip(&egress_at[..hosts]) {
-            *next = (at, NONE);
-        }
         for &slot in ingress.iter() {
             let (src, dst) = ends[slot as usize];
-            let (at, last) = &mut cursor[src as usize];
+            let Cursor { out, last, .. } = &mut cursor[src as usize];
             *pairs += usize::from(*last != dst);
             *last = dst;
             let conns = ends_of(&flows[slot as usize]).2;
-            egress[*at as usize] = PairFlow { dst, slot, conns };
-            *at += 1;
+            egress[*out as usize] = PairFlow { dst, slot, conns };
+            *out += 1;
         }
     }
 
@@ -360,7 +385,7 @@ impl PairFlows {
     /// Flows filed, and the resources a build over them would create: one
     /// per occupied NIC and one per occupied pair.
     pub(crate) fn size(&self) -> (usize, usize) {
-        (self.ingress.len(), self.pairs + self.nics)
+        (self.ingress.len(), self.pairs + self.sources.len() + self.sinks.len())
     }
 }
 
@@ -659,7 +684,8 @@ impl FairnessWorkspace {
         // connection counts, each flow into its class and into the sums
         // of its NIC and its path.
         let mut flows = 0;
-        for src in 0..hosts {
+        for &src in &set.sources {
+            let src = src as usize;
             let (out, mut lo) = (set.egress_of(src), set.egress_at[src]);
             let mut nic = Load::default();
             for on_pair in out.chunk_by(|a, b| a.dst == b.dst) {
@@ -700,20 +726,15 @@ impl FairnessWorkspace {
                 lo = hi;
                 self.res[r] = path.admit(net.path_cap_mbps(&pair), max_rounds);
             }
-            if !out.is_empty() {
-                let cap = net.egress_cap_mbps(src, set.host_conns[src]);
-                self.res[2 * src] = nic.admit(cap, max_rounds);
-            }
+            let cap = net.egress_cap_mbps(src, set.host_conns[src]);
+            self.res[2 * src] = nic.admit(cap, max_rounds);
         }
         // The ingress members, in ascending flow index: a flow's weight
         // and ceiling are its class's.
-        for dst in 0..hosts {
-            let into = set.ingress_of(dst);
-            if into.is_empty() {
-                continue;
-            }
+        for &dst in &set.sinks {
+            let dst = dst as usize;
             let mut nic = Load::default();
-            for &slot in into {
+            for &slot in set.ingress_of(dst) {
                 if self.active[slot as usize] {
                     let class = &self.classes[self.class_link[slot as usize].0 as usize];
                     nic.add(class.weight, class.ceiling);
@@ -1585,6 +1606,8 @@ mod tests {
                 self.ingress_at.len(),
                 self.host_conns.len(),
                 self.cursor.len(),
+                self.sources.len(),
+                self.sinks.len(),
             ];
             lists.into_iter().chain(per_host).max().unwrap_or(0)
         }
