@@ -1,5 +1,5 @@
 //! The bench harness: one registry, one identity gate, one writer, one
-//! drift gate — plus the workload builders the criterion benches share.
+//! drift gate.
 //!
 //! * **Registry** ([`suite::REGISTRY`]) — every tracked workload is a
 //!   [`Bench`]: a name, its committed file `BENCH_<name>.json`, and one
@@ -16,9 +16,8 @@
 //!   the committed file contains this run's `deterministic` section
 //!   verbatim; the `wall` section is exempt.
 //!
-//! `benches/netsim_core.rs` and the `netsim`/`dynamics` entries measure
-//! the same 8-DC all-pairs workload; defining it once here keeps the
-//! criterion microbenches and the committed trajectory comparable.
+//! The `netsim` entry also times, in its `wall.probes` object, the
+//! solver and transfer-loop shapes no other row prices.
 
 pub mod suite;
 

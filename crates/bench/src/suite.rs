@@ -13,6 +13,7 @@ use crate::{
     text, timed, Bench, NoopHook, Run, Value,
 };
 use std::fmt::Write as _;
+use std::hint::black_box;
 use wanify::StaticIndependent;
 use wanify_experiments::common::fleet_engine;
 use wanify_experiments::{gateway as gateway_study, sharded as sharded_study, Effort};
@@ -21,8 +22,8 @@ use wanify_gda::{
     ShardedFleetReport,
 };
 use wanify_netsim::{
-    paper_testbed_tiled, BackboneHierarchy, ConnMatrix, EpochHook, LinkModelParams, NetSim,
-    RateScratch, RunStats, VmType,
+    paper_testbed_tiled, BackboneHierarchy, ConnMatrix, DcId, EpochHook, FlowSpec, LinkModelParams,
+    NetEngine, NetSim, RateScratch, RunStats, VmType,
 };
 use wanify_workloads::{mixed_trace, trace_iter, TraceConfig};
 
@@ -166,7 +167,8 @@ fn coalescing(label: &str, sim: impl Fn() -> NetSim, payload_gb: f64, smoke: boo
 }
 
 /// The netsim hot path: solver ns/iter through the zero-alloc
-/// `RateScratch` path, and event coalescing on a frozen network. Full
+/// `RateScratch` path, event coalescing on a frozen network, and the
+/// [`probes`]. Full
 /// mode sizes the slowest pair past 1000 simulated seconds, the regime
 /// the coalescing loop is built for.
 fn netsim(smoke: bool) -> Run {
@@ -192,9 +194,107 @@ fn netsim(smoke: bool) -> Run {
                 Obj(vec![("ns_per_iter", fixed(solver_wall_s * 1e9 / f64::from(iters), 1))]),
             ),
             ("run_transfers_long", Obj(long.wall)),
+            ("probes", probes(smoke)),
         ]),
         digest: long.digest,
     }
+}
+
+/// `count` tenants' all-pairs shuffles, tenant `k` on the `width`-DC
+/// block starting at `width * (k % blocks)`, with `conns(k, pair)`
+/// connections on its `pair`-th directed pair.
+fn tenant_flows(
+    count: usize,
+    width: usize,
+    blocks: usize,
+    conns: impl Fn(usize, usize) -> u32,
+) -> Vec<FlowSpec> {
+    let mut flows = Vec::new();
+    for k in 0..count {
+        let base = width * (k % blocks);
+        for (pair, f) in all_pair_flows(width, 1).into_iter().enumerate() {
+            flows.push(FlowSpec::new(DcId(base + f.src.0), DcId(base + f.dst.0), conns(k, pair)));
+        }
+    }
+    flows
+}
+
+/// Keeps `live` all-pairs groups in flight on a bare 8-DC engine until
+/// 64 have drained, replacing each drained group at once; group `k`
+/// shuffles `0.5 + k % 5` gigabits per pair.
+fn churn(sim: NetSim, live: usize) -> RunStats {
+    let conns = ConnMatrix::filled(sim.topology().len(), 1);
+    let mut engine = NetEngine::new(sim);
+    let mut submitted = 0;
+    let mut submit = |engine: &mut NetEngine| {
+        engine.submit(&all_pair_transfers(8, 0.5 + (submitted % 5) as f64), &conns);
+        submitted += 1;
+    };
+    (0..live).for_each(|_| submit(&mut engine));
+    let mut drained = 0;
+    while drained < 64 {
+        for _ in engine.advance_until(f64::INFINITY) {
+            drained += 1;
+            submit(&mut engine);
+        }
+    }
+    engine.stats()
+}
+
+/// One solve of `flows` on `sim` through `scratch`, as one event.
+fn solve(sim: &NetSim, flows: &[FlowSpec], scratch: &mut RateScratch) -> RunStats {
+    black_box(sim.allocate_rates_with(flows, scratch)[0]);
+    let s = scratch.last_shape();
+    RunStats { solves: 1, flows: s.flows as u64, rounds: s.rounds as u64, ..Default::default() }
+}
+
+/// The solver and transfer-loop shapes no other row prices, outside the
+/// identity gate. Each is timed as the fastest of five loops of at least
+/// 5 ms and written beside its events, flows per event and rounds per
+/// solve; smoke runs each once, untimed.
+fn probes(smoke: bool) -> Value {
+    let mut scratch = RateScratch::default();
+    let mut probe = |name, run: &dyn Fn(&mut RateScratch) -> RunStats| {
+        let stats = run(&mut scratch);
+        let events = stats.solves as f64;
+        let per_solve = |count: u64| fixed(count as f64 / events, 1);
+        let mut row = vec![
+            ("events", num(stats.solves)),
+            ("flows_per_event", per_solve(stats.flows)),
+            ("rounds_per_solve", per_solve(stats.rounds)),
+        ];
+        if !smoke {
+            let mut per_run_s = |reps: u32| {
+                let mut sum = || (0..reps).map(|_| run(&mut scratch).solves).sum::<u64>();
+                timed(|| black_box(sum())).1 / f64::from(reps)
+            };
+            let reps = (5e-3 / per_run_s(1).max(1e-9)).ceil().min(1e5) as u32;
+            let us = (0..5).map(|_| per_run_s(reps)).fold(f64::INFINITY, f64::min) * 1e6;
+            row.extend([("us_per_run", fixed(us, 3)), ("us_per_event", fixed(us / events, 3))]);
+        }
+        (name, Obj(row))
+    };
+    let sim64 =
+        NetSim::new(paper_testbed_tiled(VmType::t2_medium(), 64), LinkModelParams::frozen(), 11);
+    let sim8 = frozen_sim(8);
+    let tenants = tenant_flows(34, 8, 8, |k, _| 1 + k as u32 % 3);
+    let (tiled, distinct) =
+        (tenant_flows(8, 16, 4, |_, _| 1), tenant_flows(1, 8, 1, |_, p| 1 + p as u32));
+    let gauge = [FlowSpec::new(DcId(3), DcId(40), 1)];
+    Obj(vec![
+        // `scale-hier`'s pair-by-pair gauge: must not grow with DCs².
+        probe("allocate_rates/64dc_one_flow", &|s| solve(&sim64, &gauge, s)),
+        // 34 tenants over the eight 8-DC blocks: rounds track the flows left.
+        probe("allocate_rates/64dc_1904_flows", &|s| solve(&sim64, &tenants, s)),
+        // Eight 16-DC groups, ~30 region-pair classes (`scale-hier`).
+        probe("fairness_solve/tiled64_8x16dc", &|s| solve(&sim64, &tiled, s)),
+        // Nothing repeats (`wanify-loop`'s plans): prices class detection.
+        probe("fairness_solve/8dc_distinct_56", &|s| solve(&sim8, &distinct, s)),
+        // What `fleet-closed` puts on the WAN: ~130 flows per event.
+        probe("engine_events/8dc_8tenants", &|_| churn(frozen_sim(8), 8)),
+        // The same on live dynamics, as `gateway-overload` runs it.
+        probe("engine_events/8dc_live_8tenants", &|_| churn(live_sim(8, 30.0), 8)),
+    ])
 }
 
 /// Event coalescing *under live dynamics*: with the OU process quantized
