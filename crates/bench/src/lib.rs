@@ -335,6 +335,25 @@ mod tests {
     }
 
     #[test]
+    fn the_readme_runs_only_registry_entries_and_no_cargo_bench() {
+        let readme = include_str!("../../../README.md");
+        assert!(!readme.contains("cargo bench"), "README.md names a `cargo bench` target");
+        let names: Vec<&str> = suite::REGISTRY.iter().map(|b| b.name).collect();
+        for line in readme.lines().filter_map(|l| l.split("--bin bench -- ").nth(1)) {
+            let name = line.split_whitespace().next().unwrap_or("");
+            // `<name>` stands for the list the README gives right after it.
+            assert!(
+                names.contains(&name) || name == "all" || name == "<name>",
+                "README.md runs `bench {name}`"
+            );
+        }
+        let list = readme.split("`<name>` is one of ").nth(1).expect("the README's name list");
+        let listed: Vec<&str> =
+            list.split(" — ").next().expect("list").split('`').skip(1).step_by(2).collect();
+        assert_eq!(listed, names, "README.md bench name list");
+    }
+
+    #[test]
     fn the_gate_really_installs_one_and_four_thread_pools() {
         // Whatever the ambient count is, it cannot equal both 1 and 4.
         let gate = std::panic::catch_unwind(|| {

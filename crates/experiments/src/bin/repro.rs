@@ -1,16 +1,16 @@
 //! Regenerates the WANify paper's tables and figures (plus the
-//! beyond-the-paper fleet and fault-injection studies).
+//! beyond-the-paper fleet, sharding, serving and knee studies).
 //!
 //! ```text
 //! repro [--quick] [--seed N] <id>... | all
 //! ```
 //!
 //! Valid ids are `wanify_experiments::registry::ENTRIES` (`all` runs
-//! exactly those, in order) plus one `scenario:<name>` per committed
-//! scenario. Every argument is checked before anything runs: an unknown
-//! id or flag exits with status 2 and the full id list. Stdout carries
-//! simulated values only — `REPRO.md` pins `repro --quick all` — and the
-//! per-id wall-clock goes to stderr.
+//! exactly those, in order); the fault-injection scenarios run through
+//! `scenario_runner`. Every argument is checked before anything runs: an
+//! unknown id or flag exits with status 2 and the full id list. Stdout
+//! carries simulated values only — `REPRO.md` pins `repro --quick all` —
+//! and the per-id wall-clock goes to stderr.
 
 use wanify_experiments::common::{Effort, ExpEnv};
 use wanify_experiments::registry;

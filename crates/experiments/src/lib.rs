@@ -34,8 +34,6 @@
 //! | `sharded` | beyond the paper: shard-count sweep of the sharded multi-sim fleet |
 //! | `gateway` | beyond the paper: serving-gateway goodput across an offered-load sweep |
 //! | `knee` | beyond the paper: closed-loop throughput knee against the tenant count |
-//! | `scenarios` | beyond the paper: the fault-injection scenario suite |
-//! | `scenario:<name>` | one committed fault-injection scenario |
 //!
 //! [`registry::ENTRIES`] is the single source of truth for this table;
 //! `REPRO.md` at the repository root pins `repro --quick all`.

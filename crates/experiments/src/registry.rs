@@ -2,17 +2,15 @@
 //!
 //! One table lists every runnable artifact — the paper's tables and
 //! figures and the beyond-the-paper studies — and the binary's dispatch,
-//! its usage text, the crate-doc id table, the README id list and the
-//! criterion bench (`crates/bench/benches/paper_artifacts.rs`) all
-//! enumerate it. One `scenario:<name>` id per committed fault-injection
-//! scenario rides along.
+//! its usage text, the crate-doc id table and the README id list all
+//! enumerate it. The fault-injection scenarios have their own front
+//! door, `scenario_runner`, and their own pinned report, `SCENARIOS.md`.
 
 use crate::common::ExpEnv;
 use crate::{
     fig10, fig11, fig2, fig4, fig5, fig6, fig7, fig8, fig9, fleet, gateway, knee, model, sec583,
     sharded, table1, table2, table4,
 };
-use wanify_scenarios::{render_markdown, run_all};
 
 /// One runnable artifact.
 #[derive(Debug)]
@@ -26,7 +24,7 @@ pub struct Entry {
 }
 
 /// Every entry, in report order (`repro all` runs exactly these).
-pub static ENTRIES: [Entry; 19] = [
+pub static ENTRIES: [Entry; 18] = [
     Entry {
         id: "table1",
         title: "static vs runtime bandwidth gaps",
@@ -101,19 +99,11 @@ pub static ENTRIES: [Entry; 19] = [
         title: "beyond the paper: closed-loop throughput knee against the tenant count",
         run: |e| knee::run(e.effort, e.seed).render(),
     },
-    Entry {
-        id: "scenarios",
-        title: "beyond the paper: the fault-injection scenario suite",
-        run: |_| render_markdown(&run_all(&wanify_scenarios::all())),
-    },
 ];
 
-/// Every valid experiment id: the [`ENTRIES`] plus one `scenario:<name>`
-/// per entry of the committed scenario catalog.
+/// Every valid experiment id, in [`ENTRIES`] order.
 pub fn experiment_ids() -> Vec<String> {
-    let mut ids: Vec<String> = ENTRIES.iter().map(|e| e.id.to_string()).collect();
-    ids.extend(wanify_scenarios::all().iter().map(|s| format!("scenario:{}", s.name)));
-    ids
+    ENTRIES.iter().map(|e| e.id.to_string()).collect()
 }
 
 /// Whether `id` is runnable.
@@ -124,15 +114,9 @@ pub fn is_known(id: &str) -> bool {
 /// Runs one experiment and returns its rendered output, or `None` for an
 /// unknown id.
 ///
-/// Paper artifacts run on `env` — the 8-DC paper environment, or its
-/// effort and seed where they build their own testbed. Scenario ids
-/// ignore it: committed scenario reports pin their own seeds so the
-/// artifacts stay byte-reproducible.
+/// Artifacts run on `env` — the 8-DC paper environment, or its effort
+/// and seed where they build their own testbed.
 pub fn run(id: &str, env: &ExpEnv) -> Option<String> {
-    if let Some(name) = id.strip_prefix("scenario:") {
-        let spec = wanify_scenarios::by_name(name)?;
-        return Some(wanify_scenarios::render_markdown(&[wanify_scenarios::run_scenario(&spec)]));
-    }
     ENTRIES.iter().find(|e| e.id == id).map(|entry| (entry.run)(env))
 }
 
@@ -147,10 +131,6 @@ mod tests {
         assert!(ids.iter().any(|i| i == "fig5"));
         assert!(ids.iter().any(|i| i == "sharded"));
         assert!(ids.iter().any(|i| i == "gateway"));
-        assert!(ids.iter().any(|i| i == "scenario:outage-recovery"));
-        assert!(ids.iter().any(|i| i == "scenario:sustained-overload-shedding"));
-        assert!(ids.iter().any(|i| i == "scenario:belief-breaker-trip"));
-        assert!(ids.len() >= ENTRIES.len() + 8, "the scenario catalog rides along");
     }
 
     #[test]
@@ -164,10 +144,8 @@ mod tests {
     fn unknown_ids_are_rejected() {
         let env = ExpEnv::new(8, Effort::Quick, 1);
         assert!(!is_known("fig99"));
-        assert!(!is_known("scenario:no-such-scenario"));
         assert!(!is_known(""));
         assert!(run("fig99", &env).is_none());
-        assert!(run("scenario:no-such-scenario", &env).is_none());
     }
 
     #[test]
@@ -182,10 +160,8 @@ mod tests {
         // The crate-doc table: one `| `id` | title |` line per entry, in order.
         let want: Vec<String> =
             ENTRIES.iter().map(|e| format!("//! | `{}` | {} |", e.id, e.title)).collect();
-        let doc: Vec<&str> = include_str!("lib.rs")
-            .lines()
-            .filter(|l| l.starts_with("//! | `") && !l.contains("scenario:<name>"))
-            .collect();
+        let doc: Vec<&str> =
+            include_str!("lib.rs").lines().filter(|l| l.starts_with("//! | `")).collect();
         assert_eq!(doc, want, "crates/experiments/src/lib.rs id table");
 
         // The README id list: the first backticked run of its `Ids:` sentence.

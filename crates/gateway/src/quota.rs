@@ -4,8 +4,7 @@
 //! Classes are job *families* — the name prefix before the trailing
 //! `-<index>` tag the trace generators append (`terasort-7` → `terasort`,
 //! `q42-3` → `q42`, see [`wanify_gda::job_family`]) — the same keying
-//! [`wanify_gda::TenantClassShards`] uses to home tenants to shards.
-//! Buckets refill in *simulated* time, so quota decisions are as
+//! the fleet's per-class aggregates use. Buckets refill in *simulated* time, so quota decisions are as
 //! deterministic as everything else in the workspace.
 
 /// Token-bucket rate limit applied independently to every tenant class.

@@ -82,9 +82,6 @@ pub use fleet::{
 };
 pub use job::{JobProfile, StageProfile};
 pub use scheduler::{Kimchi, PlacementCtx, Scheduler, Tetrium, VanillaSpark};
-pub use sharded::{
-    RegionGroupShards, RoundRobinShards, ShardPolicy, ShardedFleetEngine, ShardedFleetReport,
-    TenantClassShards,
-};
+pub use sharded::{RoundRobinShards, ShardPolicy, ShardedFleetEngine, ShardedFleetReport};
 pub use sketch::{job_family, ClassAggregates, ClassStats, P2Quantile, StreamingPercentiles};
 pub use storage::DataLayout;

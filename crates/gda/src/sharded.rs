@@ -8,9 +8,7 @@
 //! with the decomposition distributed node runtimes use:
 //!
 //! * a pluggable [`ShardPolicy`] assigns each tenant to one of N
-//!   **shards** — by the region group its data lives in
-//!   ([`RegionGroupShards`]), by tenant class ([`TenantClassShards`]), or
-//!   round-robin ([`RoundRobinShards`]);
+//!   **shards** ([`RoundRobinShards`] balances them by trace index);
 //! * every shard is a full [`FleetEngine`] (own simulator, scheduler,
 //!   belief cache) driven as a resumable [`FleetRun`], so per-shard
 //!   event loops and fairness solves only carry that shard's tenants;
@@ -61,82 +59,6 @@ pub trait ShardPolicy: Send {
     /// Shard for job `idx` of the trace (reduced modulo `n_shards` by the
     /// driver).
     fn shard_of(&self, idx: usize, job: &JobProfile, topo: &Topology, n_shards: usize) -> usize;
-}
-
-/// Shards tenants by the region group holding the plurality of their
-/// input data: queries live near their data, so most of a shard's
-/// traffic stays inside its group and only the remainder crosses the
-/// backbone.
-#[derive(Debug, Clone)]
-pub struct RegionGroupShards {
-    /// Region group per DC, indexed by `DcId` (e.g.
-    /// [`Backbone::groups`]).
-    group_of: Vec<usize>,
-}
-
-impl RegionGroupShards {
-    /// Builds the policy from a DC → group map.
-    pub fn new(group_of: Vec<usize>) -> Self {
-        Self { group_of }
-    }
-}
-
-impl ShardPolicy for RegionGroupShards {
-    fn name(&self) -> &str {
-        "region-group"
-    }
-
-    fn shard_of(&self, _idx: usize, job: &JobProfile, _topo: &Topology, n_shards: usize) -> usize {
-        // Plurality by *group*, not by single DC: a home group whose data
-        // is spread over several DCs must still beat one concentrated
-        // foreign DC. Ties break to the lowest group id.
-        let n_groups = self.group_of.iter().copied().max().map_or(1, |g| g + 1);
-        let mut gb_per_group = vec![0.0f64; n_groups];
-        for dc in 0..job.layout.len() {
-            if let Some(&g) = self.group_of.get(dc) {
-                gb_per_group[g] += job.layout.gb_at(dc);
-            }
-        }
-        let mut best_group = 0usize;
-        let mut best_gb = f64::NEG_INFINITY;
-        for (g, &gb) in gb_per_group.iter().enumerate() {
-            if gb > best_gb {
-                best_gb = gb;
-                best_group = g;
-            }
-        }
-        best_group % n_shards
-    }
-}
-
-/// Shards tenants by workload family (the job-name prefix before the
-/// trace index), so e.g. all TeraSorts contend with each other but never
-/// with the TPC-DS tenants' event loop.
-#[derive(Debug, Clone, Default)]
-pub struct TenantClassShards;
-
-impl TenantClassShards {
-    /// Creates the policy.
-    pub fn new() -> Self {
-        Self
-    }
-}
-
-impl ShardPolicy for TenantClassShards {
-    fn name(&self) -> &str {
-        "tenant-class"
-    }
-
-    fn shard_of(&self, _idx: usize, job: &JobProfile, _topo: &Topology, n_shards: usize) -> usize {
-        // FNV-1a of the family keeps the mapping stable across runs and
-        // platforms.
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in crate::job_family(&job.name).bytes() {
-            hash ^= u64::from(b);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        (hash % n_shards as u64) as usize
-    }
 }
 
 /// Shards tenants round-robin by trace index: balanced shard populations
@@ -564,48 +486,6 @@ mod tests {
                 StageProfile::terminal("reduce", 0.1, 0.5),
             ],
         )
-    }
-
-    #[test]
-    fn region_group_policy_follows_the_data() {
-        let topo = paper_testbed_n(VmType::t2_medium(), 4);
-        let policy = RegionGroupShards::new(vec![0, 0, 1, 1]);
-        let mut layout = DataLayout::uniform(4, 8.0);
-        // Pile the data onto DC3 (group 1).
-        for from in 0..3 {
-            let all = layout.blocks_per_dc[from];
-            layout.move_blocks(from, 3, all);
-        }
-        assert_eq!(policy.shard_of(0, &job("hot", layout), &topo, 2), 1);
-        let uniform = job("cold", DataLayout::uniform(4, 8.0));
-        assert_eq!(policy.shard_of(0, &uniform, &topo, 2), 0, "ties break to the lowest group");
-    }
-
-    #[test]
-    fn region_group_policy_uses_the_group_plurality_not_the_largest_dc() {
-        // Group 0 holds 6 GB spread over two DCs; group 1 holds a single
-        // 4 GB concentration. The plurality (group 0) must win even
-        // though DC3 is individually the largest.
-        let topo = paper_testbed_n(VmType::t2_medium(), 4);
-        let policy = RegionGroupShards::new(vec![0, 0, 1, 1]);
-        let spread = job("spread", DataLayout::from_gb(&[3.0, 3.0, 0.0, 4.0]));
-        assert_eq!(policy.shard_of(0, &spread, &topo, 2), 0);
-    }
-
-    #[test]
-    fn tenant_class_policy_is_stable_per_family() {
-        let topo = paper_testbed_n(VmType::t2_medium(), 4);
-        let policy = TenantClassShards::new();
-        let a = job("terasort-3", DataLayout::uniform(4, 2.0));
-        let b = job("terasort-17", DataLayout::uniform(4, 5.0));
-        let c = job("q82-3", DataLayout::uniform(4, 2.0));
-        assert_eq!(
-            policy.shard_of(0, &a, &topo, 3),
-            policy.shard_of(9, &b, &topo, 3),
-            "same family must land on the same shard regardless of index"
-        );
-        // Different families spread (for this particular pair of names).
-        assert_ne!(policy.shard_of(0, &a, &topo, 3), policy.shard_of(0, &c, &topo, 3));
     }
 
     #[test]

@@ -250,9 +250,8 @@ pub struct ClassStats {
 
 /// Per-tenant-class roll-ups keyed by workload family — the part of
 /// `"terasort-17@g2"` before the trace-index tag (here `"terasort"`),
-/// the same family rule [`TenantClassShards`](crate::TenantClassShards)
-/// shards by. A `BTreeMap` keeps iteration (and any derived digest)
-/// deterministic.
+/// as [`job_family`] cuts it. A `BTreeMap` keeps iteration (and any
+/// derived digest) deterministic.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ClassAggregates {
     classes: BTreeMap<String, ClassStats>,

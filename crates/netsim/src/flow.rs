@@ -3,10 +3,6 @@
 use crate::grid::BwMatrix;
 use crate::topology::DcId;
 
-/// Identifier of a flow within one allocation round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct FlowId(pub usize);
-
 /// A live directed flow between two data centers.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowSpec {

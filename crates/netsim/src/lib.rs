@@ -93,7 +93,7 @@ pub use dynamics::Dynamics;
 pub use engine::{GroupId, GroupReport, NetEngine};
 pub use fairness::SolveShape;
 pub use faults::{FaultEvent, FaultKind, FaultSchedule};
-pub use flow::{FlowId, FlowSpec, Transfer, TransferReport};
+pub use flow::{FlowSpec, Transfer, TransferReport};
 pub use geo::{haversine_miles, GeoPoint, Region};
 pub use grid::{BwMatrix, ConnMatrix, Grid};
 pub use params::LinkModelParams;

@@ -3,7 +3,7 @@
 //!
 //! Each entry is ~20 lines of declarative spec — the point of the
 //! harness. [`all`] returns them in report order; [`by_name`] resolves a
-//! `scenario:<name>` experiment id.
+//! name given to `scenario_runner`.
 
 use crate::spec::{
     BeliefKind, BreakerSpec, DynamicsSpec, GatewaySpec, Invariant, ScenarioSpec, SchedKind,
@@ -273,7 +273,7 @@ pub fn all() -> Vec<ScenarioSpec> {
     ]
 }
 
-/// Resolves a scenario by name (the `scenario:<name>` experiment id).
+/// Resolves a scenario by its [`ScenarioSpec::name`].
 pub fn by_name(name: &str) -> Option<ScenarioSpec> {
     all().into_iter().find(|s| s.name == name)
 }
@@ -319,6 +319,33 @@ mod tests {
     fn by_name_resolves_and_rejects() {
         assert!(by_name("outage-recovery").is_some());
         assert!(by_name("no-such-scenario").is_none());
+    }
+
+    #[test]
+    fn the_readme_lists_the_catalog_and_runs_only_its_names() {
+        let readme = include_str!("../../../README.md");
+        let names: Vec<&str> = all().iter().map(|s| s.name).collect();
+
+        // The backticked names of the sentence that introduces the catalog.
+        let sentence = readme.split("(`wanify_scenarios::catalog`)").nth(1).expect("catalog");
+        let sentence = sentence.split('.').next().expect("sentence");
+        let listed: Vec<&str> = sentence.split('`').skip(1).step_by(2).collect();
+        assert_eq!(listed, names, "README.md catalog list");
+
+        // Every name a `scenario_runner` command line passes.
+        for line in readme.lines().filter_map(|l| l.split("--bin scenario_runner --").nth(1)) {
+            let mut args = line.split('#').next().unwrap_or("").split_whitespace();
+            while let Some(arg) = args.next() {
+                match arg {
+                    "--out" | "--digest" => {
+                        args.next();
+                    }
+                    "\\" => {}
+                    flag if flag.starts_with("--") => {}
+                    name => assert!(names.contains(&name), "README.md runs unknown `{name}`"),
+                }
+            }
+        }
     }
 
     #[test]

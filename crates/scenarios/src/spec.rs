@@ -371,7 +371,7 @@ impl Invariant {
 /// One declarative fault-injection scenario.
 #[derive(Debug, Clone)]
 pub struct ScenarioSpec {
-    /// Unique kebab-case id (the `scenario:<name>` experiment key).
+    /// Unique kebab-case id (the name `scenario_runner` takes).
     pub name: &'static str,
     /// One-sentence story of what the scenario exercises.
     pub summary: &'static str,

@@ -1,0 +1,169 @@
+//! Metamorphic relations: properties that hold between two runs, so they
+//! need no second implementation to check against.
+//!
+//! **R1, relabelling.** Under frozen dynamics a DC's index is only a
+//! name: renaming the DCs by a permutation — topology order, data
+//! layouts, connection counts, transfers — and renaming the results back
+//! gives the same times bit for bit: every completion, makespan, job
+//! latency and stage latency.
+//!
+//! Accumulated volumes are not label-free. The fairness solve and the
+//! per-DC egress sums add in DC-index order, so a renamed run's
+//! per-pair achieved bandwidth and per-DC egress differ from the
+//! original's by up to 3 ulp on these inputs. They are left out of R1
+//! until those sums stop depending on the labels.
+
+use wanify_gda::{
+    Arrivals, DataLayout, FleetConfig, FleetEngine, FleetRun, JobProfile, Kimchi, QueryReport,
+    Scheduler, Tetrium, VanillaSpark,
+};
+use wanify_netsim::{
+    paper_testbed_n, DcId, Grid, LinkModelParams, NetSim, RunStats, Topology, Transfer, VmType,
+};
+use wanify_workloads::{mixed_trace, TraceConfig};
+
+const N_DCS: usize = 6;
+
+/// A fixed derangement: old DC `i` is renamed `SIGMA[i]`.
+const SIGMA: [usize; N_DCS] = [2, 4, 0, 5, 1, 3];
+
+/// Renames DCs by [`SIGMA`]: whatever old DC `i` held, new DC
+/// `SIGMA[i]` holds.
+struct Relabel;
+
+impl Relabel {
+    fn dc(&self, d: DcId) -> DcId {
+        DcId(SIGMA[d.0])
+    }
+
+    /// A per-DC vector, renamed.
+    fn vec<T: Clone>(&self, v: &[T]) -> Vec<T> {
+        let mut out = v.to_vec();
+        for (i, x) in v.iter().enumerate() {
+            out[SIGMA[i]] = x.clone();
+        }
+        out
+    }
+
+    /// A pair grid, renamed.
+    fn grid<T: Copy + Default>(&self, g: &Grid<T>) -> Grid<T> {
+        let mut out = Grid::new(g.len());
+        for (i, j, x) in g.iter_pairs() {
+            out.set(SIGMA[i], SIGMA[j], x);
+        }
+        out
+    }
+
+    fn topology(&self, topo: &Topology) -> Topology {
+        let dcs = self.vec(&topo.iter().map(|(_, dc)| dc.clone()).collect::<Vec<_>>());
+        dcs.into_iter()
+            .fold(Topology::builder(), |b, dc| b.dc(dc.region, dc.vm, dc.vm_count))
+            .build()
+            .expect("a permutation of a valid topology")
+    }
+
+    fn transfers(&self, transfers: &[Transfer]) -> Vec<Transfer> {
+        transfers
+            .iter()
+            .map(|t| Transfer::new(self.dc(t.src), self.dc(t.dst), t.gigabits))
+            .collect()
+    }
+
+    fn job(&self, job: &JobProfile) -> JobProfile {
+        let layout =
+            DataLayout { blocks_per_dc: self.vec(&job.layout.blocks_per_dc), ..job.layout };
+        JobProfile { layout, ..job.clone() }
+    }
+}
+
+fn frozen(topo: Topology) -> NetSim {
+    NetSim::new(topo, LinkModelParams::frozen(), 11)
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn r1_relabelling_leaves_a_lone_group_bit_identical() {
+    let topo = paper_testbed_n(VmType::t2_medium(), N_DCS);
+    let pairs: Vec<(usize, usize)> =
+        (0..N_DCS).flat_map(|i| (0..N_DCS).filter(move |&j| j != i).map(move |j| (i, j))).collect();
+    let transfers: Vec<Transfer> = pairs
+        .iter()
+        .enumerate()
+        .map(|(k, &(i, j))| Transfer::new(DcId(i), DcId(j), 2.0 + 0.75 * k as f64))
+        .collect();
+    let conns = Grid::from_fn(N_DCS, |i, j| 1 + ((3 * i + 5 * j) % 7) as u32);
+
+    let mut sim = frozen(topo.clone());
+    let base = sim.run_transfers(&transfers, &conns, None);
+    let stats = sim.last_run_stats();
+    let mut moved_sim = frozen(Relabel.topology(&topo));
+    let moved =
+        moved_sim.run_transfers(&Relabel.transfers(&transfers), &Relabel.grid(&conns), None);
+
+    // Rule 3: the run must share NICs across pairs of several classes.
+    assert!(!base.truncated && stats.solves > 1, "{stats:?}");
+    assert!(stats.flows / stats.solves > N_DCS as u64, "{stats:?}");
+    assert_eq!(bits(&moved.completion_s), bits(&base.completion_s), "transfer i stays transfer i");
+    assert_eq!(moved.makespan_s.to_bits(), base.makespan_s.to_bits());
+}
+
+/// Runs `jobs` on a closed-loop fleet of `clients` and returns the
+/// reports by job name and the engine's counters.
+fn fleet(
+    topo: Topology,
+    scheduler: Box<dyn Scheduler>,
+    jobs: &[JobProfile],
+    clients: usize,
+) -> (Vec<QueryReport>, RunStats) {
+    let config =
+        FleetConfig { max_concurrent: clients, regauge_every_s: 300.0, conns: None, faults: None };
+    let engine = FleetEngine::new(
+        frozen(topo),
+        scheduler,
+        Box::new(wanify::StaticIndependent::new()),
+        config,
+    );
+    let arrivals = Arrivals::Closed { clients, think_s: 0.0 };
+    let mut run = FleetRun::start(engine, jobs.to_vec(), &arrivals).expect("trace fits the WAN");
+    run.run_until(f64::INFINITY).expect("the fleet drains");
+    let stats = run.sim().last_run_stats();
+    let mut reports: Vec<QueryReport> =
+        run.into_report().outcomes.into_iter().map(|o| o.report).collect();
+    reports.sort_by(|a, b| a.job.cmp(&b.job));
+    (reports, stats)
+}
+
+#[test]
+fn r1_relabelling_leaves_every_fleet_job_bit_identical() {
+    let topo = paper_testbed_n(VmType::t2_medium(), N_DCS);
+    let trace = mixed_trace(&TraceConfig::new(N_DCS, 12, 42).scaled(0.5));
+    let moved_trace: Vec<JobProfile> = trace.iter().map(|j| Relabel.job(j)).collect();
+    let schedulers: [fn() -> Box<dyn Scheduler>; 3] =
+        [|| Box::new(VanillaSpark::new()), || Box::new(Tetrium::new()), || Box::new(Kimchi::new())];
+    for scheduler in schedulers {
+        for clients in [1, 4] {
+            let (base, stats) = fleet(topo.clone(), scheduler(), &trace, clients);
+            let (moved, _) = fleet(Relabel.topology(&topo), scheduler(), &moved_trace, clients);
+            let cell = format!("{} × {clients} clients", base[0].scheduler);
+            assert_eq!(base.len(), trace.len(), "{cell}: every job completes");
+            if clients > 1 {
+                // Rule 3: more flows per event than one tenant's all-pairs shuffle.
+                let per_event = stats.flows / stats.solves;
+                assert!(per_event > (N_DCS * (N_DCS - 1)) as u64, "{cell}: {per_event} flows");
+            }
+            for (b, m) in base.iter().zip(&moved) {
+                assert_eq!(b.job, m.job, "{cell}");
+                assert_eq!(m.latency_s.to_bits(), b.latency_s.to_bits(), "{cell}: {}", b.job);
+                assert_eq!(
+                    bits(&m.stage_latencies_s),
+                    bits(&b.stage_latencies_s),
+                    "{cell}: {}",
+                    b.job
+                );
+            }
+        }
+    }
+}
