@@ -219,18 +219,18 @@ fn tenant_flows(
     flows
 }
 
-/// Keeps `live` all-pairs groups in flight on a bare 8-DC engine until
+/// Keeps eight all-pairs groups in flight on a bare 8-DC engine until
 /// 64 have drained, replacing each drained group at once; group `k`
 /// shuffles `0.5 + k % 5` gigabits per pair.
-fn churn(sim: NetSim, live: usize) -> RunStats {
-    let conns = ConnMatrix::filled(sim.topology().len(), 1);
+fn churn(sim: NetSim) -> RunStats {
+    let conns = ConnMatrix::filled(8, 1);
     let mut engine = NetEngine::new(sim);
     let mut submitted = 0;
     let mut submit = |engine: &mut NetEngine| {
         engine.submit(&all_pair_transfers(8, 0.5 + (submitted % 5) as f64), &conns);
         submitted += 1;
     };
-    (0..live).for_each(|_| submit(&mut engine));
+    (0..8).for_each(|_| submit(&mut engine));
     let mut drained = 0;
     while drained < 64 {
         for _ in engine.advance_until(f64::INFINITY) {
@@ -291,9 +291,9 @@ fn probes(smoke: bool) -> Value {
         // Nothing repeats (`wanify-loop`'s plans): prices class detection.
         probe("fairness_solve/8dc_distinct_56", &|s| solve(&sim8, &distinct, s)),
         // What `fleet-closed` puts on the WAN: ~130 flows per event.
-        probe("engine_events/8dc_8tenants", &|_| churn(frozen_sim(8), 8)),
+        probe("engine_events/8dc_8tenants", &|_| churn(frozen_sim(8))),
         // The same on live dynamics, as `gateway-overload` runs it.
-        probe("engine_events/8dc_live_8tenants", &|_| churn(live_sim(8, 30.0), 8)),
+        probe("engine_events/8dc_live_8tenants", &|_| churn(live_sim(8, 30.0))),
     ])
 }
 
