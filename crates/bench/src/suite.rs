@@ -645,3 +645,47 @@ fn scale(smoke: bool) -> Run {
         digest,
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn leaf(row: &[(&'static str, Value)], key: &str) -> Option<f64> {
+        match row.iter().find(|(k, _)| *k == key) {
+            Some((_, Value::Leaf(s))) => Some(s.parse().expect("a number")),
+            _ => None,
+        }
+    }
+
+    #[test]
+    fn smoke_probes_run_each_shape_once_and_write_its_counts_untimed() {
+        let Obj(rows) = probes(true) else { panic!("probes is an object") };
+        let names: Vec<&str> = rows.iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            names,
+            [
+                "allocate_rates/64dc_one_flow",
+                "allocate_rates/64dc_1904_flows",
+                "fairness_solve/tiled64_8x16dc",
+                "fairness_solve/8dc_distinct_56",
+                "engine_events/8dc_8tenants",
+                "engine_events/8dc_live_8tenants",
+            ]
+        );
+        for (name, row) in &rows {
+            let Obj(row) = row else { panic!("{name} is an object") };
+            let events = leaf(row, "events").expect("events");
+            let flows = leaf(row, "flows_per_event").expect("flows_per_event");
+            assert!(leaf(row, "rounds_per_solve").expect("rounds_per_solve") >= 1.0, "{name}");
+            assert!(leaf(row, "us_per_run").is_none(), "{name} is timed under smoke");
+            if name.starts_with("engine_events/") {
+                // 64 drained groups, eight of 56 flows each in flight.
+                assert!(events >= 64.0 && flows > 56.0, "{name}: {events} events, {flows} flows");
+            } else {
+                let want =
+                    [1.0, 1904.0, 8.0 * 240.0, 56.0][names.iter().position(|n| n == name).unwrap()];
+                assert_eq!((events, flows), (1.0, want), "{name}");
+            }
+        }
+    }
+}
