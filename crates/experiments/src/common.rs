@@ -396,7 +396,7 @@ mod tests {
             }
         }
         let uniform = env.run_arm(1, &job, &Tetrium::new(), Arm::Uniform(8));
-        assert!(uniform.latency_s > 0.0 && uniform.belief == "predicted");
+        assert!(uniform.latency_s > 0.0 && &*uniform.belief == "predicted");
     }
 
     #[test]
@@ -406,7 +406,7 @@ mod tests {
         let baseline =
             env.run_arm(2, &job, &Tetrium::new(), Arm::Single(Belief::StaticIndependent));
         let wanified = env.run_arm(2, &job, &Tetrium::new(), Arm::wanify(WanifyMode::full()));
-        assert_eq!(baseline.belief, "static-independent");
+        assert_eq!(&*baseline.belief, "static-independent");
         assert!(wanified.belief.starts_with("wanify("));
         assert!(Measured::from(&wanified).gain_over(&Measured::from(&baseline)).min_bw_ratio > 0.0);
     }

@@ -22,6 +22,7 @@ use wanify_gda::{
     job_family, stage_compute_s, FleetEngine, FleetReport, FleetRun, JobProfile, Percentiles,
     ServingCounters,
 };
+use wanify_netsim::RunStats;
 
 /// What to do with a request that finds the submission queue full.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,6 +104,8 @@ pub struct GatewayReport {
     /// End-to-end latency (gateway arrival → completion) order
     /// statistics of the served requests.
     pub latency: Percentiles,
+    /// The network engine's work over the whole run.
+    pub stats: RunStats,
 }
 
 impl GatewayReport {
@@ -230,12 +233,19 @@ impl Gateway {
         self.counters.offered += 1;
         let now = self.run.time_s();
         if let Some(quota) = self.cfg.quota {
+            // Look the class up by `&str`: only a class's first request
+            // allocates its key.
             let class = job_family(&req.job.name);
-            let bucket = self
-                .buckets
-                .entry(class.to_string())
-                .or_insert_with(|| TokenBucket::new(quota, now));
-            if !bucket.try_take(now) {
+            let within = match self.buckets.get_mut(class) {
+                Some(bucket) => bucket.try_take(now),
+                None => {
+                    let mut bucket = TokenBucket::new(quota, now);
+                    let within = bucket.try_take(now);
+                    self.buckets.insert(class.to_string(), bucket);
+                    within
+                }
+            };
+            if !within {
                 self.counters.quota_rejected += 1;
                 self.dispositions[idx] = Some(Disposition::RejectedQuota);
                 return;
@@ -317,8 +327,9 @@ impl Gateway {
                 d
             })
             .collect();
+        let stats = self.run.sim().last_run_stats();
         let fleet = self.run.into_report().with_serving(self.counters);
-        GatewayReport { fleet, dispositions, latency: Percentiles::of(&latencies) }
+        GatewayReport { fleet, dispositions, latency: Percentiles::of(&latencies), stats }
     }
 
     /// Serves a whole arrival-ordered request stream and finishes.
@@ -419,7 +430,7 @@ impl Gateway {
         let mean_mbps = bw.mean_off_diag().max(1e-6);
         let mut data: Vec<f64> = (0..n).map(|i| job.layout.gb_at(i)).collect();
         let mut total_s = 0.0;
-        for stage in &job.stages {
+        for stage in job.stages.iter() {
             total_s += stage_compute_s(&data, stage.compute_s_per_gb, topo);
             let out: Vec<f64> = data.iter().map(|gb| gb * stage.selectivity).collect();
             let total_out: f64 = out.iter().sum();

@@ -36,14 +36,19 @@ impl std::fmt::Debug for TransferOptions<'_> {
 }
 
 /// Outcome of one query execution.
+///
+/// The three names are shared, not copied: `job` is the profile's own
+/// [`JobProfile::name`], and a fleet converts its scheduler's and belief
+/// source's names once, so every report it emits points at the same two
+/// allocations. Cloning a report copies only its two vectors.
 #[derive(Debug, Clone)]
 pub struct QueryReport {
     /// Job name.
-    pub job: String,
+    pub job: Arc<str>,
     /// Scheduler that planned the run.
-    pub scheduler: String,
+    pub scheduler: Arc<str>,
     /// Provenance of the bandwidth belief the scheduler planned with.
-    pub belief: String,
+    pub belief: Arc<str>,
     /// End-to-end job completion time in seconds.
     pub latency_s: f64,
     /// Itemized dollar cost.
@@ -95,7 +100,7 @@ pub fn run_job<S: BandwidthSource + ?Sized>(
         job.clone(),
         bw_belief,
         belief.name(),
-        scheduler,
+        scheduler.name(),
         sim.topology(),
         opts.conns.cloned(),
     )?;
@@ -229,8 +234,8 @@ pub struct JobRun {
     /// Shared, not copied: a fleet hands every job admitted between two
     /// gauges the same allocation.
     bw_belief: Arc<BwMatrix>,
-    belief_name: String,
-    scheduler_name: String,
+    belief_name: Arc<str>,
+    scheduler_name: Arc<str>,
     /// Stage-shuffle connections; `None` means single connections.
     conns: Option<ConnMatrix>,
     phase: RunPhase,
@@ -251,8 +256,10 @@ impl JobRun {
     /// `bw_belief` (the matrix a [`BandwidthSource`] gauged at admission).
     /// The run only reads the belief, so it takes a plain matrix or a
     /// shared one: a fleet passes each job an `Arc` of its cached gauge
-    /// rather than a copy of it. `conns` is the per-shuffle connection
-    /// matrix; `None` means single connections (vanilla Spark).
+    /// rather than a copy of it. The belief and scheduler names go into
+    /// the report as given; a fleet passes the same two `Arc<str>` to
+    /// every run. `conns` is the per-shuffle connection matrix; `None`
+    /// means single connections (vanilla Spark).
     ///
     /// # Errors
     ///
@@ -261,8 +268,8 @@ impl JobRun {
     pub fn new(
         job: JobProfile,
         bw_belief: impl Into<Arc<BwMatrix>>,
-        belief_name: impl Into<String>,
-        scheduler: &dyn Scheduler,
+        belief_name: impl Into<Arc<str>>,
+        scheduler_name: impl Into<Arc<str>>,
         topo: &Topology,
         conns: Option<ConnMatrix>,
     ) -> Result<Self, WanifyError> {
@@ -284,7 +291,7 @@ impl JobRun {
             job,
             bw_belief,
             belief_name: belief_name.into(),
-            scheduler_name: scheduler.name().to_string(),
+            scheduler_name: scheduler_name.into(),
             conns,
             phase: RunPhase::Computing(0),
             data_gb,
@@ -550,15 +557,15 @@ impl JobRun {
         let cost =
             CostModel::new().price(topo, self.latency_s, &self.egress_gb, self.job.input_gb());
         Box::new(QueryReport {
-            job: self.job.name.clone(),
-            scheduler: self.scheduler_name.clone(),
-            belief: self.belief_name.clone(),
+            job: Arc::clone(&self.job.name),
+            scheduler: Arc::clone(&self.scheduler_name),
+            belief: Arc::clone(&self.belief_name),
             latency_s: self.latency_s,
             cost,
             min_bw_mbps: self.min_bw.unwrap_or(0.0),
             shuffle_gb: self.shuffle_gb,
-            egress_gb: self.egress_gb.clone(),
-            stage_latencies_s: self.stage_latencies_s.clone(),
+            egress_gb: std::mem::take(&mut self.egress_gb),
+            stage_latencies_s: std::mem::take(&mut self.stage_latencies_s),
         })
     }
 }

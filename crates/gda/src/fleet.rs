@@ -543,6 +543,10 @@ pub struct FleetEngine {
     pub(crate) engine: NetEngine,
     scheduler: Box<dyn Scheduler>,
     source: Box<dyn BandwidthSource>,
+    /// `scheduler.name()` and `source.name()`, converted once: every
+    /// report of this fleet shares these two allocations.
+    scheduler_name: Arc<str>,
+    belief_name: Arc<str>,
     config: FleetConfig,
     /// Shared belief cache: the gauged matrix and when it was gauged.
     /// Every job admitted until the next gauge shares this allocation.
@@ -593,6 +597,8 @@ impl FleetEngine {
         }
         Self {
             engine: NetEngine::new(sim),
+            scheduler_name: scheduler.name().into(),
+            belief_name: source.name().into(),
             scheduler,
             source,
             config,
@@ -1348,8 +1354,8 @@ impl FleetRun {
         let run = JobRun::new(
             job,
             Arc::clone(bw),
-            fleet.source.name(),
-            fleet.scheduler.as_ref(),
+            Arc::clone(&fleet.belief_name),
+            Arc::clone(&fleet.scheduler_name),
             fleet.engine.sim().topology(),
             conns,
         )?;

@@ -1,5 +1,7 @@
 //! Analytics job profiles: stage DAGs with compute and shuffle behaviour.
 
+use std::sync::Arc;
+
 use crate::storage::DataLayout;
 
 /// One stage of a job: a compute pass over its input followed by an
@@ -33,29 +35,44 @@ impl StageProfile {
 ///
 /// This is the simulator's stand-in for a Spark job compiled from TeraSort,
 /// WordCount, a TPC-DS query, or an ML training iteration (paper §5.1).
+///
+/// Every part is shared: cloning a profile bumps three reference counts
+/// (name, stages, layout blocks) and allocates nothing. Generators hand
+/// every job of one family the same stage list, and
+/// [`QueryReport::job`](crate::QueryReport::job) shares the name.
+/// Editing a clone's layout copies its blocks first
+/// ([`DataLayout::move_blocks`]), so the original never changes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobProfile {
     /// Job name used in reports.
-    pub name: String,
+    pub name: Arc<str>,
     /// Input block distribution across DCs.
     pub layout: DataLayout,
     /// Stages in execution order.
-    pub stages: Vec<StageProfile>,
+    pub stages: Arc<[StageProfile]>,
 }
 
 impl JobProfile {
-    /// Creates a job over `layout` with the given stages.
+    /// Creates a job over `layout` with the given stages. Both the name
+    /// and the stages may be passed already shared (`Arc<str>`,
+    /// `Arc<[StageProfile]>`); a `&str`, `String` or `Vec` goes into a
+    /// new allocation.
     ///
     /// # Panics
     ///
     /// Panics if `stages` is empty or any selectivity is negative.
-    pub fn new(name: &str, layout: DataLayout, stages: Vec<StageProfile>) -> Self {
+    pub fn new(
+        name: impl Into<Arc<str>>,
+        layout: DataLayout,
+        stages: impl Into<Arc<[StageProfile]>>,
+    ) -> Self {
+        let stages = stages.into();
         assert!(!stages.is_empty(), "a job needs at least one stage");
         assert!(
             stages.iter().all(|s| s.selectivity >= 0.0 && s.compute_s_per_gb >= 0.0),
             "stage parameters must be non-negative"
         );
-        Self { name: name.to_string(), layout, stages }
+        Self { name: name.into(), layout, stages }
     }
 
     /// Total input size in gigabytes.
@@ -68,7 +85,7 @@ impl JobProfile {
     pub fn estimated_shuffle_gb(&self) -> f64 {
         let mut data = self.input_gb();
         let mut shuffled = 0.0;
-        for s in &self.stages {
+        for s in self.stages.iter() {
             data *= s.selectivity;
             if s.shuffles {
                 shuffled += data;

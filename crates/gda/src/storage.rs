@@ -4,13 +4,20 @@
 //! controls skew by moving blocks between regions (§5.8.1). WANify reads
 //! the resulting *skewness weights* from the storage layer (§3.3.1).
 
+use std::sync::Arc;
+
 /// Distribution of a job's input blocks across data centers.
+///
+/// The block counts are shared: cloning a layout bumps one reference
+/// count, and [`DataLayout::move_blocks`] copies the counts on write
+/// (`Arc::make_mut`) when another layout still shares them, so an edit
+/// never shows through a clone.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DataLayout {
     /// Block size in megabytes (the paper uses 64 MB).
     pub block_size_mb: f64,
     /// Number of blocks stored at each DC.
-    pub blocks_per_dc: Vec<u64>,
+    pub blocks_per_dc: Arc<[u64]>,
 }
 
 impl DataLayout {
@@ -75,7 +82,8 @@ impl DataLayout {
     }
 
     /// Moves `blocks` from DC `from` to DC `to` (as §5.8.1 does to create
-    /// skew), clamping at availability.
+    /// skew), clamping at availability. Copies the block counts first if
+    /// another layout shares them.
     ///
     /// # Panics
     ///
@@ -83,8 +91,9 @@ impl DataLayout {
     pub fn move_blocks(&mut self, from: usize, to: usize, blocks: u64) {
         assert!(from < self.len() && to < self.len(), "DC index out of bounds");
         let moved = blocks.min(self.blocks_per_dc[from]);
-        self.blocks_per_dc[from] -= moved;
-        self.blocks_per_dc[to] += moved;
+        let counts = Arc::make_mut(&mut self.blocks_per_dc);
+        counts[from] -= moved;
+        counts[to] += moved;
     }
 
     /// Gini-style skewness indicator: 0 for perfectly uniform layouts,

@@ -40,7 +40,7 @@ fn plan() -> GlobalPlan {
     optimize_global(&bw, &rel, 8, None, None).unwrap()
 }
 
-fn run_key(report: &FleetReport) -> Vec<(String, u64, u64)> {
+fn run_key(report: &FleetReport) -> Vec<(Arc<str>, u64, u64)> {
     report
         .outcomes
         .iter()

@@ -5,6 +5,8 @@
 //! cap: exact totals, per-class aggregates, and per-job state bounded by
 //! one window.
 
+use std::sync::Arc;
+
 use wanify::Pregauged;
 use wanify_gda::{
     poisson_times_iter, Arrivals, FleetConfig, FleetEngine, FleetReport, JobProfile,
@@ -74,11 +76,11 @@ fn stream(
     Box::new(poisson_times_iter(rate_per_s, seed).unwrap().zip(trace_iter(cfg)))
 }
 
-fn run_key(report: &ShardedFleetReport) -> Vec<(String, u64, u64, u64)> {
+fn run_key(report: &ShardedFleetReport) -> Vec<(Arc<str>, u64, u64, u64)> {
     fleet_key(&report.fleet)
 }
 
-fn fleet_key(report: &FleetReport) -> Vec<(String, u64, u64, u64)> {
+fn fleet_key(report: &FleetReport) -> Vec<(Arc<str>, u64, u64, u64)> {
     report
         .outcomes
         .iter()

@@ -1,6 +1,8 @@
 //! Sharded fleet behaviour: completion, deterministic merge, rayon
 //! thread-count invariance, and backbone pressure.
 
+use std::sync::Arc;
+
 use wanify_gda::{
     poisson_times_iter, Arrivals, FleetConfig, FleetEngine, RoundRobinShards, ShardedFleetEngine,
     ShardedFleetReport, Tetrium,
@@ -27,7 +29,7 @@ fn sharded(n_dcs: usize, n_shards: usize, trunk_mbps: f64, sync_s: f64) -> Shard
     )
 }
 
-fn run_key(report: &ShardedFleetReport) -> Vec<(String, u64, u64, u64)> {
+fn run_key(report: &ShardedFleetReport) -> Vec<(Arc<str>, u64, u64, u64)> {
     report
         .fleet
         .outcomes
@@ -101,7 +103,7 @@ fn poisson_arrival_process_is_independent_of_the_shard_count() {
     let arrivals = Arrivals::Poisson { rate_per_s: 0.05, seed: 9 };
     let arrivals_of = |shards: usize| {
         let report = sharded(4, shards, 1500.0, 5.0).run(&trace, &arrivals).unwrap();
-        let mut v: Vec<(String, u64)> = report
+        let mut v: Vec<(Arc<str>, u64)> = report
             .fleet
             .outcomes
             .iter()

@@ -4,6 +4,8 @@
 //! percentiles stay close to the exact order statistics, and a stream
 //! that delivers fewer jobs than promised is an error, not a hang.
 
+use std::sync::Arc;
+
 use wanify_gda::{
     poisson_times_iter, Arrivals, FleetConfig, FleetEngine, JobProfile, RoundRobinShards,
     ShardedFleetEngine, ShardedFleetReport, Tetrium,
@@ -44,7 +46,7 @@ fn stream(jobs: usize, rate_per_s: f64) -> Box<dyn Iterator<Item = (f64, JobProf
     Box::new(poisson_times_iter(rate_per_s, SEED).unwrap().zip(trace_iter(&cfg(jobs))))
 }
 
-fn report_key(report: &ShardedFleetReport) -> Vec<(String, u64, u64, u64)> {
+fn report_key(report: &ShardedFleetReport) -> Vec<(Arc<str>, u64, u64, u64)> {
     report
         .fleet
         .outcomes

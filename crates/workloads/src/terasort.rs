@@ -4,6 +4,7 @@
 //! which is why the paper uses it to stress parallel data transfer
 //! approaches (§5.3.1, Fig. 5). The 100 GB configuration matches §5.1.
 
+use std::sync::{Arc, OnceLock};
 use wanify_gda::{DataLayout, JobProfile, StageProfile};
 
 /// vCPU-seconds per GB for the partition/sample map pass.
@@ -22,14 +23,15 @@ const REDUCE_COMPUTE_S_PER_GB: f64 = 6.0;
 /// assert!((job.estimated_shuffle_gb() - 100.0).abs() < 0.5);
 /// ```
 pub fn job(layout: DataLayout) -> JobProfile {
-    JobProfile::new(
-        "terasort",
-        layout,
-        vec![
+    // Every TeraSort runs the same two stages: build them once and share.
+    static STAGES: OnceLock<Arc<[StageProfile]>> = OnceLock::new();
+    let stages = STAGES.get_or_init(|| {
+        Arc::new([
             StageProfile::shuffling("partition-map", 1.0, MAP_COMPUTE_S_PER_GB),
             StageProfile::terminal("sort-reduce", 1.0, REDUCE_COMPUTE_S_PER_GB),
-        ],
-    )
+        ])
+    });
+    JobProfile::new("terasort", layout, Arc::clone(stages))
 }
 
 /// The paper's TeraSort configuration: 100 GB spread uniformly over `n` DCs.

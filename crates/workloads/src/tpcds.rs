@@ -7,6 +7,7 @@
 //! calibrated to the class: light queries barely shuffle, heavy queries
 //! push tens of gigabytes across the WAN.
 
+use std::sync::{Arc, OnceLock};
 use wanify_gda::{DataLayout, JobProfile, StageProfile};
 
 /// The four TPC-DS queries used throughout the paper's evaluation.
@@ -41,8 +42,21 @@ impl TpcDsQuery {
     /// Builds the query's stage profile over `input_gb` spread uniformly
     /// across `n_dcs` data centers.
     pub fn job(self, n_dcs: usize, input_gb: f64) -> JobProfile {
-        let layout = DataLayout::uniform(n_dcs, input_gb);
-        let stages = match self {
+        self.job_over(DataLayout::uniform(n_dcs, input_gb))
+    }
+
+    /// Builds the query's stage profile over `layout`. Every job of one
+    /// query shares one stage list.
+    pub(crate) fn job_over(self, layout: DataLayout) -> JobProfile {
+        static STAGES: [OnceLock<Arc<[StageProfile]>>; 4] =
+            [OnceLock::new(), OnceLock::new(), OnceLock::new(), OnceLock::new()];
+        let stages = STAGES[self as usize].get_or_init(|| self.stages().into());
+        JobProfile::new(self.name(), layout, Arc::clone(stages))
+    }
+
+    /// The query's Spark stage DAG.
+    fn stages(self) -> Vec<StageProfile> {
+        match self {
             // Light: a selective scan then a pinhole aggregate. The shuffle
             // is ~0.1% of input (≈100 MB at 100 GB).
             TpcDsQuery::Q82 => vec![
@@ -68,8 +82,7 @@ impl TpcDsQuery {
                 StageProfile::shuffling("join-channels", 0.5, 2.0),
                 StageProfile::terminal("ratio-agg", 0.1, 1.0),
             ],
-        };
-        JobProfile::new(self.name(), layout, stages)
+        }
     }
 
     /// The paper's default 100 GB configuration (§5.1).

@@ -138,12 +138,9 @@ impl Iterator for TraceIter {
             let intermediate_mb = input_gb * 1024.0 * rng.gen_range(0.1..1.2);
             wordcount::job_with_intermediate(layout, intermediate_mb)
         } else {
-            let q = TpcDsQuery::all()[rng.gen_range(0..4usize)];
-            let mut j = q.job(cfg.n_dcs, input_gb);
-            j.layout = layout;
-            j
+            TpcDsQuery::all()[rng.gen_range(0..4usize)].job_over(layout)
         };
-        job.name = format!("{}-{idx}", job.name);
+        job.name = format!("{}-{idx}", job.name).into();
         Some(job)
     }
 
@@ -244,7 +241,7 @@ impl Iterator for RegionalTraceIter {
                 slot = (slot + 1) % home_dcs.len();
             }
         }
-        job.name = format!("{}@g{home}", job.name);
+        job.name = format!("{}@g{home}", job.name).into();
         Some(job)
     }
 

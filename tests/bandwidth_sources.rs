@@ -63,7 +63,7 @@ fn every_scheduler_runs_on_every_source() {
             )
             .unwrap();
             assert!(report.latency_s > 0.0, "{}/{expected_name}", sched.name());
-            assert_eq!(report.belief, expected_name, "{}", sched.name());
+            assert_eq!(&*report.belief, expected_name, "{}", sched.name());
         }
     }
 }

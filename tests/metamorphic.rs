@@ -5,7 +5,8 @@
 //! name: renaming the DCs by a permutation — topology order, data
 //! layouts, connection counts, transfers — and renaming the results back
 //! gives the same times bit for bit: every completion, makespan, job
-//! latency and stage latency.
+//! latency and stage latency, and behind a gateway every verdict (served,
+//! shed or rejected) too.
 //!
 //! Accumulated volumes are not label-free. The fairness solve and the
 //! per-DC egress sums add in DC-index order, so a renamed run's
@@ -13,14 +14,17 @@
 //! original's by up to 3 ulp on these inputs. They are left out of R1
 //! until those sums stop depending on the labels.
 
+use wanify::Pregauged;
+use wanify_gateway::{Disposition, Gateway, GatewayConfig, GatewayReport, GatewayRequest};
 use wanify_gda::{
     Arrivals, DataLayout, FleetConfig, FleetEngine, FleetRun, JobProfile, Kimchi, QueryReport,
     Scheduler, Tetrium, VanillaSpark,
 };
 use wanify_netsim::{
-    paper_testbed_n, DcId, Grid, LinkModelParams, NetSim, RunStats, Topology, Transfer, VmType,
+    paper_testbed_n, BwMatrix, DcId, Grid, LinkModelParams, NetSim, RunStats, Topology, Transfer,
+    VmType,
 };
-use wanify_workloads::{mixed_trace, TraceConfig};
+use wanify_workloads::{mixed_trace, offered_load, LoadSpec, TraceConfig};
 
 const N_DCS: usize = 6;
 
@@ -71,7 +75,7 @@ impl Relabel {
 
     fn job(&self, job: &JobProfile) -> JobProfile {
         let layout =
-            DataLayout { blocks_per_dc: self.vec(&job.layout.blocks_per_dc), ..job.layout };
+            DataLayout { blocks_per_dc: self.vec(&job.layout.blocks_per_dc).into(), ..job.layout };
         JobProfile { layout, ..job.clone() }
     }
 }
@@ -166,4 +170,75 @@ fn r1_relabelling_leaves_every_fleet_job_bit_identical() {
             }
         }
     }
+}
+
+/// Serves `requests` through a gateway with a 4-slot fleet and a 6-deep
+/// rejecting queue, planning on a flat 300 Mbps belief.
+fn gateway(topo: Topology, requests: Vec<GatewayRequest>) -> GatewayReport {
+    let engine = FleetEngine::new(
+        frozen(topo),
+        Box::new(Tetrium::new()),
+        Box::new(Pregauged::new(BwMatrix::filled(N_DCS, 300.0))),
+        FleetConfig { max_concurrent: 4, ..FleetConfig::default() },
+    );
+    let config = GatewayConfig { queue_depth: 6, ..GatewayConfig::default() };
+    Gateway::new(engine, config).serve(requests).expect("arrivals are ordered")
+}
+
+fn requests(spec: &LoadSpec) -> Vec<GatewayRequest> {
+    offered_load(spec)
+        .into_iter()
+        .map(|o| GatewayRequest { job: o.job, arrival_s: o.arrival_s, deadline_s: o.deadline_s })
+        .collect()
+}
+
+/// A disposition with its completion time as bits.
+fn verdict(d: &Disposition) -> (u8, u64, bool, bool) {
+    match *d {
+        Disposition::Served { completed_s, met_deadline, failed } => {
+            (0, completed_s.to_bits(), met_deadline, failed)
+        }
+        Disposition::RejectedOverload => (1, 0, false, false),
+        Disposition::RejectedQuota => (2, 0, false, false),
+        Disposition::Shed => (3, 0, false, false),
+    }
+}
+
+#[test]
+fn r1_relabelling_leaves_every_gateway_disposition_bit_identical() {
+    let topo = paper_testbed_n(VmType::t2_medium(), N_DCS);
+    // Calibrate as the gateway benchmark does: the unloaded mean makespan
+    // of the same mix, trickled in, sets the saturation rate of 4 slots.
+    let trickle = LoadSpec::new(N_DCS, 40, 42, 1e-3).scaled(0.8);
+    let mean_s = gateway(topo.clone(), requests(&trickle)).fleet.makespan().mean;
+    let spec = LoadSpec::new(N_DCS, 40, 42, 2.0 * 4.0 / mean_s)
+        .scaled(0.8)
+        .with_deadline_slack(4.0 * mean_s);
+    let offered = requests(&spec);
+    let moved_offered: Vec<GatewayRequest> =
+        offered.iter().map(|r| GatewayRequest { job: Relabel.job(&r.job), ..r.clone() }).collect();
+
+    let base = gateway(topo.clone(), offered);
+    let moved = gateway(Relabel.topology(&topo), moved_offered);
+
+    // Requests are served, shed and rejected: every path of admission ran.
+    let s = base.fleet.serving;
+    assert!(base.served() > 0 && s.shed_jobs > 0 && s.rejected > 0, "{s:?}");
+    // Rule 3: more flows per event than one tenant's all-pairs shuffle.
+    let per_event = base.stats.flows / base.stats.solves;
+    assert!(per_event > (N_DCS * (N_DCS - 1)) as u64, "{per_event} flows per solve");
+
+    let verdicts = |r: &GatewayReport| r.dispositions.iter().map(verdict).collect::<Vec<_>>();
+    assert_eq!(verdicts(&moved), verdicts(&base), "request i keeps its verdict and time");
+    let outcomes = |r: GatewayReport| {
+        let mut v: Vec<_> = r
+            .fleet
+            .outcomes
+            .into_iter()
+            .map(|o| (o.job_idx, o.report.latency_s.to_bits(), bits(&o.report.stage_latencies_s)))
+            .collect();
+        v.sort();
+        v
+    };
+    assert_eq!(outcomes(moved), outcomes(base));
 }
