@@ -11,7 +11,10 @@
 //!   **shards** ([`RoundRobinShards`] balances them by trace index);
 //! * every shard is a full [`FleetEngine`] (own simulator, scheduler,
 //!   belief cache) driven as a resumable [`FleetRun`], so per-shard
-//!   event loops and fairness solves only carry that shard's tenants;
+//!   event loops and fairness solves only carry that shard's tenants.
+//!   A shard owns its simulator, not its solver scratch: each solve
+//!   borrows the scratch of the thread it runs on, so N shards hold one
+//!   set of solver buffers per thread, not N;
 //! * shards are coupled through one tier list, a [`BackboneHierarchy`]
 //!   (a flat [`Backbone`] is its single tier): at every sync point the
 //!   driver refreshes each tier whose cadence is due — collects
@@ -42,7 +45,7 @@ use crate::fleet::{
 use crate::job::JobProfile;
 use rayon::prelude::*;
 use wanify::WanifyError;
-use wanify_netsim::{Backbone, BackboneHierarchy, Grid, Topology};
+use wanify_netsim::{Backbone, BackboneHierarchy, Grid, RunStats, Topology};
 
 /// A tier's grant held between refreshes: per-shard shares and the
 /// demand snapshot they were computed against.
@@ -95,6 +98,10 @@ pub struct ShardedFleetReport {
     pub policy: String,
     /// Backbone epoch exchanges performed (0 when uncoupled).
     pub backbone_syncs: u64,
+    /// The shards' network engines' work over the whole run, summed over
+    /// the shards: `stats.flows / stats.solves` is the mean size of a
+    /// shard's solve.
+    pub stats: RunStats,
     /// Peak per-job state the fleet held at once: the sum of every
     /// shard's [`FleetRun::peak_tracked`] plus the outcomes the driver
     /// retained — the memory proxy `bench scale` tracks. A materialized
@@ -143,17 +150,13 @@ impl ShardedFleetEngine {
     /// topology (each shard sees the whole WAN; only its own tenants'
     /// flows run on it). With `backbone: None` — or a single shard, which
     /// owns every trunk outright — the shards run fully uncoupled and no
-    /// sync deadlines are imposed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is empty.
+    /// sync deadlines are imposed. An empty `shards` is refused by
+    /// [`ShardedFleetEngine::run`] and [`ShardedFleetEngine::run_stream`].
     pub fn new(
         shards: Vec<FleetEngine>,
         policy: Box<dyn ShardPolicy>,
         backbone: Option<Backbone>,
     ) -> Self {
-        assert!(!shards.is_empty(), "a sharded fleet needs at least one shard");
         Self { shards, policy, coupling: backbone.map(BackboneHierarchy::from) }
     }
 
@@ -171,10 +174,15 @@ impl ShardedFleetEngine {
         self
     }
 
-    /// Validates shard topologies and the coupling's group maps, then
-    /// hands the shard engines over to be started.
+    /// Validates the shard list, shard topologies and the coupling's
+    /// group maps, then hands the shard engines over to be started.
     fn take_shards(&mut self) -> Result<Vec<FleetEngine>, WanifyError> {
-        let n_dcs = self.shards[0].sim().topology().len();
+        let Some(first) = self.shards.first() else {
+            return Err(WanifyError::InvalidConfig(
+                "a sharded fleet needs at least one shard".into(),
+            ));
+        };
+        let n_dcs = first.sim().topology().len();
         if let Some(h) = &self.coupling {
             let got = h.tiers()[0].0.groups().len();
             if got != n_dcs {
@@ -215,10 +223,10 @@ impl ShardedFleetEngine {
     ///
     /// # Errors
     ///
-    /// Returns [`WanifyError`] for invalid arrivals, gauge/layout
-    /// failures on any shard (lowest shard index wins when several fail
-    /// in one window), a backbone whose group map does not cover the
-    /// topology, or a shard that can no longer make progress.
+    /// Returns [`WanifyError`] for an empty shard list, invalid arrivals,
+    /// gauge/layout failures on any shard (lowest shard index wins when
+    /// several fail in one window), a backbone whose group map does not
+    /// cover the topology, or a shard that can no longer make progress.
     pub fn run(
         mut self,
         jobs: &[JobProfile],
@@ -389,6 +397,7 @@ impl ShardedFleetEngine {
         }
 
         let peak_tracked = runs.iter().map(FleetRun::peak_tracked).sum::<usize>() + outcomes.len();
+        let stats = merge_stats(runs.iter().map(|r| r.sim().last_run_stats()));
         let shard_completed = runs.iter().map(FleetRun::completed).collect();
         // The drain took every outcome, so these reports carry only each
         // shard's gauges, fault counters and names.
@@ -408,6 +417,7 @@ impl ShardedFleetEngine {
             fleet,
             policy: self.policy.name().to_string(),
             backbone_syncs,
+            stats,
             peak_tracked,
             shard_completed,
         })
@@ -448,6 +458,20 @@ fn exchange_tiers(
     exchanges
 }
 
+/// Sums per-shard engine statistics; the run coalesced if every shard's
+/// engine did.
+fn merge_stats(shards: impl Iterator<Item = RunStats>) -> RunStats {
+    shards
+        .reduce(|a, b| RunStats {
+            solves: a.solves + b.solves,
+            flows: a.flows + b.flows,
+            rounds: a.rounds + b.rounds,
+            epochs: a.epochs + b.epochs,
+            coalesced: a.coalesced && b.coalesced,
+        })
+        .unwrap_or_default()
+}
+
 /// Merges per-shard fault counters: event counters sum across shards;
 /// degraded time does not — every shard replicates the same WAN (and
 /// fault schedule), so summing would multiply one outage by the shard
@@ -486,6 +510,18 @@ mod tests {
                 StageProfile::terminal("reduce", 0.1, 0.5),
             ],
         )
+    }
+
+    #[test]
+    fn an_empty_shard_list_is_an_error_not_a_panic() {
+        let empty = || ShardedFleetEngine::new(Vec::new(), Box::new(RoundRobinShards), None);
+        let closed = Arrivals::Closed { clients: 1, think_s: 0.0 };
+        let refused = |r: Result<ShardedFleetReport, WanifyError>| match r {
+            Err(WanifyError::InvalidConfig(m)) => m.contains("at least one shard"),
+            _ => false,
+        };
+        assert!(refused(empty().run(&[], &closed)));
+        assert!(refused(empty().run_stream(0, Box::new(std::iter::empty()), 0)));
     }
 
     #[test]

@@ -55,6 +55,20 @@
 //! [`crate::fairness`], "What is kept between solves"), and no rate
 //! differs by a bit from the stateless entry's over the same list.
 //!
+//! # Whose buffers a solve uses
+//!
+//! Neither the filing nor the solver's buffers belong to a loop: every
+//! call borrows its thread's scratch (`sim::Scratch`) for its length, so
+//! a process holds one warm set per thread however many engines,
+//! blocking runs and probes it drives (a sharded fleet's shards take
+//! turns on their worker threads' sets). Which set serves a solve moves
+//! no bit: a solve keeps nothing of the last one but buffer capacity, and
+//! the one slot it leaves unfiled, an intra-DC pair, is never read
+//! (`FlowRef::rate` answers for it). The loop keeps only the last solve's
+//! shape, for [`RunStats::rounds`]. A blocking run lends its thread's set
+//! for the whole run, so a seated hook that drives a simulator of its own
+//! solves on a fresh set.
+//!
 //! In debug and test builds every event also runs the **shadow oracle**
 //! (`TransferLoop::shadow_check`). It lists the active pairs afresh from
 //! the groups, and the loop's list must name the same pairs in the same
@@ -65,12 +79,12 @@
 //! on `f64::to_bits`, and its problem must find them physically possible
 //! (finite, within ceilings and capacities).
 
-use crate::fairness::{FairnessWorkspace, PairFlows};
+use crate::fairness::SolveShape;
 use crate::flow::{FlowSpec, Transfer};
 use crate::grid::{BwMatrix, ConnMatrix, Grid};
 use crate::sim::{
-    epochs_until_event, EpochCtx, EpochHook, NetSim, PairProgress, RunStats, INTRA_DC_MBPS,
-    MAX_EPOCHS, PAYLOAD_EPS_GB,
+    epochs_until_event, with_scratch, EpochCtx, EpochHook, NetSim, PairProgress, RunStats, Scratch,
+    INTRA_DC_MBPS, MAX_EPOCHS, PAYLOAD_EPS_GB,
 };
 use crate::topology::{DcId, Topology};
 
@@ -176,11 +190,11 @@ impl<'a> HookSeat<'a> {
     }
 }
 
-/// The one event-coalescing transfer loop: flow groups in flight, the
-/// list of their pairs, and the reused filing and solver buffers. It
-/// borrows the simulator per call, so the blocking
-/// [`NetSim::run_transfers`] builds one on the stack and [`NetEngine`]
-/// keeps one next to the simulator it owns.
+/// The one event-coalescing transfer loop: flow groups in flight and the
+/// list of their pairs. It borrows the simulator and the thread's
+/// [`Scratch`] (filing, solver and merge buffers) per call, so the
+/// blocking [`NetSim::run_transfers`] builds one on the stack and
+/// [`NetEngine`] keeps one next to the simulator it owns.
 #[derive(Debug)]
 pub(crate) struct TransferLoop {
     groups: Vec<GroupState>,
@@ -192,18 +206,12 @@ pub(crate) struct TransferLoop {
     /// [`NetSim::last_run_stats`].
     pub(crate) stats: RunStats,
     /// Every pair in flight, in [`in_flight`] order. A pair's position
-    /// here is its slot in `filed` and the index of its rate.
+    /// here is its slot in the filing and the index of its rate.
     flows: Vec<FlowRef>,
-    /// `flows` as the last solve filed them.
-    filed: PairFlows,
-    ws: FairnessWorkspace,
+    /// Size of the last solve.
+    shape: SolveShape,
     /// Slots of the pairs drained by the serve under way, ascending.
     drained: Vec<u32>,
-    /// Where `collect_completed` moves each group, by index.
-    moved_to: Vec<u32>,
-    /// `(src · n + dst, gigabits)` per submitted transfer, for merging a
-    /// group's transfers per directed pair.
-    merge: Vec<(usize, f64)>,
     /// The shadow oracle's flow list.
     #[cfg(any(debug_assertions, test))]
     shadow: Vec<FlowSpec>,
@@ -272,11 +280,8 @@ impl TransferLoop {
             ready: Vec::new(),
             stats: RunStats { coalesced, ..RunStats::default() },
             flows: Vec::new(),
-            filed: PairFlows::default(),
-            ws: FairnessWorkspace::new(),
+            shape: SolveShape::default(),
             drained: Vec::new(),
-            moved_to: Vec::new(),
-            merge: Vec::new(),
             #[cfg(any(debug_assertions, test))]
             shadow: Default::default(),
         }
@@ -286,6 +291,7 @@ impl TransferLoop {
     pub(crate) fn submit(
         &mut self,
         sim: &NetSim,
+        scratch: &mut Scratch,
         transfers: &[Transfer],
         conns: &ConnMatrix,
     ) -> GroupId {
@@ -300,18 +306,19 @@ impl TransferLoop {
         // One flow per directed pair: a stable sort by pair keeps each
         // pair's payloads in submission order, so their sum rounds as a
         // running total over the transfers would, at O(pairs) cost.
-        self.merge.clear();
+        let merge = &mut scratch.merge;
+        merge.clear();
         for t in transfers {
             assert!(t.src.0 < n && t.dst.0 < n, "transfer endpoint outside the topology");
-            self.merge.push((t.src.0 * n + t.dst.0, t.gigabits));
+            merge.push((t.src.0 * n + t.dst.0, t.gigabits));
         }
-        self.merge.sort_by_key(|&(key, _)| key);
+        merge.sort_by_key(|&(key, _)| key);
         // The newest group's pairs are the last of the flow list. A group
         // holds its pairs until it is collected, so their vector is sized
         // to the runs rather than left with a doubling's slack.
         let g = self.groups.len() as u32;
-        let mut pairs = Vec::with_capacity(self.merge.chunk_by(|a, b| a.0 == b.0).count());
-        for run in self.merge.chunk_by(|a, b| a.0 == b.0) {
+        let mut pairs = Vec::with_capacity(merge.chunk_by(|a, b| a.0 == b.0).count());
+        for run in merge.chunk_by(|a, b| a.0 == b.0) {
             let total = run.iter().fold(0.0, |sum, &(_, gigabits)| sum + gigabits);
             if total > PAYLOAD_EPS_GB {
                 let (src, dst) = (run[0].0 / n, run[0].0 % n);
@@ -352,6 +359,7 @@ impl TransferLoop {
     pub(crate) fn advance(
         &mut self,
         sim: &mut NetSim,
+        scratch: &mut Scratch,
         deadline_s: f64,
         mut seat: Option<&mut HookSeat<'_>>,
     ) -> Vec<GroupState> {
@@ -382,13 +390,16 @@ impl TransferLoop {
 
             // Every event files the flows in flight afresh and solves them
             // from zero; the simulator is read as it is now.
-            self.filed.file(sim.topology().len(), &self.flows, FlowRef::ends);
-            self.ws.solve_pairs(&self.filed, &*sim, self.flows.len());
+            let (filed, ws) = (&mut scratch.solve.flows, &mut scratch.solve.ws);
+            filed.file(sim.topology().len(), &self.flows, FlowRef::ends);
+            ws.solve_pairs(filed, &*sim, self.flows.len());
+            let rates = ws.rates();
+            self.shape = ws.last_shape();
             self.stats.solves += 1;
             self.stats.flows += self.flows.len() as u64;
-            self.stats.rounds += self.ws.last_shape().rounds as u64;
+            self.stats.rounds += self.shape.rounds as u64;
             #[cfg(any(debug_assertions, test))]
-            self.shadow_check(sim);
+            self.shadow_check(sim, rates);
 
             // A seated hook names its next wake; one that declines to
             // (`Some(None)`) wants every epoch, which disables coalescing.
@@ -407,7 +418,7 @@ impl TransferLoop {
             let mut k_step: u64 = if coalesce { u64::MAX } else { 1 };
             for (slot, flow) in self.flows.iter().enumerate() {
                 let pair = &mut self.groups[flow.group as usize].pairs[flow.pair as usize];
-                pair.set_quota(flow.rate(self.ws.rates(), slot) * dt / 1000.0, dt);
+                pair.set_quota(flow.rate(rates, slot) * dt / 1000.0, dt);
                 if coalesce {
                     k_step = pair.epochs_left_below(k_step).unwrap_or(k_step);
                 }
@@ -442,7 +453,7 @@ impl TransferLoop {
             if k_step <= k_deadline {
                 let k = k_step.min(budget);
                 budget -= k;
-                self.serve(sim, k, seat.as_deref_mut());
+                self.serve(sim, rates, k, seat.as_deref_mut());
                 self.collect_completed(sim.time_s(), &mut completed);
             } else {
                 // The deadline lands before the next event: serve the
@@ -486,11 +497,17 @@ impl TransferLoop {
 
     /// Serves `k` whole epochs at the quotas of the last solve, moves the
     /// clock, and runs a seated hook on the segment just closed: it sees
-    /// the solver's rates and the remaining payloads of the segment's
-    /// flows, and its connection edits reach the group before the next
-    /// solve (its throttle edits land on the simulator and stay there).
-    /// A wake-scheduling hook treats off-wake calls as no-ops.
-    pub(crate) fn serve(&mut self, sim: &mut NetSim, k: u64, seat: Option<&mut HookSeat<'_>>) {
+    /// the solver's rates (`rates`, by slot) and the remaining payloads of
+    /// the segment's flows, and its connection edits reach the group
+    /// before the next solve (its throttle edits land on the simulator and
+    /// stay there). A wake-scheduling hook treats off-wake calls as no-ops.
+    pub(crate) fn serve(
+        &mut self,
+        sim: &mut NetSim,
+        rates: &[f64],
+        k: u64,
+        seat: Option<&mut HookSeat<'_>>,
+    ) {
         let dt = sim.epoch_dt();
         for (slot, flow) in self.flows.iter().enumerate() {
             let group = &mut self.groups[flow.group as usize];
@@ -511,7 +528,7 @@ impl TransferLoop {
             }
             for (slot, flow) in self.flows.iter().enumerate() {
                 let pair = &self.groups[flow.group as usize].pairs[flow.pair as usize];
-                seat.observed.set(pair.src(), pair.dst(), flow.rate(self.ws.rates(), slot));
+                seat.observed.set(pair.src(), pair.dst(), flow.rate(rates, slot));
                 let left = if pair.active { pair.current_remaining() } else { 0.0 };
                 seat.remaining.set(pair.src(), pair.dst(), left);
             }
@@ -544,9 +561,10 @@ impl TransferLoop {
     /// The shadow oracle (module docs): every active pair listed from the
     /// groups, which the loop's list must name in the same order; over the
     /// list, the textbook reference must give each pair the loop's rate
-    /// bit for bit, within its problem's ceilings and capacities.
+    /// (`rates`, by slot) bit for bit, within its problem's ceilings and
+    /// capacities.
     #[cfg(any(debug_assertions, test))]
-    fn shadow_check(&mut self, sim: &NetSim) {
+    fn shadow_check(&mut self, sim: &NetSim, rates: &[f64]) {
         let mut listed = self.flows.iter();
         for pair in in_flight(&self.groups) {
             let at = listed.next().map(FlowRef::listed);
@@ -558,7 +576,7 @@ impl TransferLoop {
         specs.extend(self.flows.iter().map(FlowRef::spec));
         let physics = crate::sim::reference::allocate_rates(sim, specs);
         for (slot, (flow, built)) in self.flows.iter().zip(physics).enumerate() {
-            let got = flow.rate(self.ws.rates(), slot);
+            let got = flow.rate(rates, slot);
             assert_eq!(
                 got.to_bits(),
                 built.to_bits(),
@@ -571,19 +589,19 @@ impl TransferLoop {
     /// Moves every group whose last pair has drained into `out`, in
     /// submission order, stamped `done_at`. Its pairs left the list as
     /// they drained; the groups behind it move down, and the list's group
-    /// indices follow them.
+    /// indices follow them: the list is in group order, so one walk of
+    /// both counts the groups that leave ahead of each pair.
     fn collect_completed(&mut self, done_at: f64, out: &mut Vec<GroupState>) {
-        self.moved_to.clear();
-        let mut kept = 0;
-        for group in &self.groups {
-            self.moved_to.push(kept);
-            kept += u32::from(group.active_pairs > 0);
-        }
-        if kept as usize == self.groups.len() {
+        if self.groups.iter().all(|g| g.active_pairs > 0) {
             return;
         }
+        let (mut next, mut gone) = (0, 0);
         for flow in &mut self.flows {
-            flow.group = self.moved_to[flow.group as usize];
+            while next < flow.group as usize {
+                gone += u32::from(self.groups[next].active_pairs == 0);
+                next += 1;
+            }
+            flow.group -= gone;
         }
         out.extend(self.groups.extract_if(.., |g| g.active_pairs == 0).map(|mut g| {
             g.completed_s = done_at;
@@ -742,7 +760,7 @@ impl NetEngine {
     /// Panics if `conns` does not match the topology size or any payload
     /// is negative.
     pub fn submit(&mut self, transfers: &[Transfer], conns: &ConnMatrix) -> GroupId {
-        self.lp.submit(&self.sim, transfers, conns)
+        with_scratch(|scratch| self.lp.submit(&self.sim, scratch, transfers, conns))
     }
 
     /// Advances the simulation until the next group completion or until
@@ -755,7 +773,7 @@ impl NetEngine {
     /// Fairness is re-solved once per segment (pair drain, submission,
     /// deadline, fault boundary, dynamics tick), never every epoch.
     pub fn advance_until(&mut self, deadline_s: f64) -> Vec<GroupReport> {
-        let done = self.lp.advance(&mut self.sim, deadline_s, None);
+        let done = with_scratch(|s| self.lp.advance(&mut self.sim, s, deadline_s, None));
         self.sim.last_run_stats = self.lp.stats;
         let (n, dt) = (self.sim.topology().len(), self.sim.epoch_dt());
         done.iter().map(|g| g.report(n, dt)).collect()
@@ -1726,7 +1744,7 @@ mod tests {
                     let after = engine.stats();
                     prop_assert_eq!(after.solves - before.solves, 1);
                     prop_assert_eq!(after.flows - before.flows, listed);
-                    let rounds = engine.lp.ws.last_shape().rounds as u64;
+                    let rounds = engine.lp.shape.rounds as u64;
                     prop_assert_eq!(after.rounds - before.rounds, rounds);
                 }
                 // Lift what could stall a pair for good, then drain.

@@ -28,7 +28,9 @@
 //!   by offsets, each keeping its capacity from one filing to the next
 //!   (a fixed set of buffers at any host count, not two lists per host);
 //!   [`FairnessWorkspace`] owns every buffer a solve needs, so repeated
-//!   solves are allocation-free once the buffers have grown.
+//!   solves are allocation-free once the buffers have grown. A filing and
+//!   a workspace serve every solve on their thread: the crate's entries
+//!   borrow one per thread (`sim::Scratch`), not one per engine or call.
 //! * **Incremental sums.** Each resource is one record (`Res`): its
 //!   capacity, whether it takes part in the rounds, and its consumed
 //!   bandwidth `used`, active-weight sum `active_w` and active-member
@@ -159,7 +161,11 @@
 //! ## What is kept between solves, and what is deliberately not
 //!
 //! Two things could outlive a solve, and neither does: only the capacity
-//! of the buffers is kept.
+//! of the buffers is kept. That is why one filing and one workspace per
+//! thread can serve every engine, blocking run and probe on it in turn
+//! (`sim::Scratch`): which buffers a solve finds moves no bit. The one
+//! thing a solve leaves behind, a rate in a slot it did not file, is
+//! never read: both callers answer for such a flow themselves.
 //!
 //! The **description** of the problem — which flows exist, on which
 //! directed pair, with how many connections — is a [`PairFlows`]: every
@@ -518,11 +524,6 @@ pub(crate) struct FairnessWorkspace {
 }
 
 impl FairnessWorkspace {
-    /// Creates an empty workspace.
-    pub(crate) fn new() -> Self {
-        Self::default()
-    }
-
     /// Per-slot rates of the most recent solve.
     pub(crate) fn rates(&self) -> &[f64] {
         &self.rates
@@ -1486,7 +1487,7 @@ mod tests {
 
     /// [`solve_with`] through a fresh workspace.
     fn solve(net: &PaletteNet, flows: &[Flow]) -> (Vec<f64>, SolveShape) {
-        solve_with(&mut FairnessWorkspace::new(), net, flows)
+        solve_with(&mut FairnessWorkspace::default(), net, flows)
     }
 
     fn total(rates: &[f64], members: &[usize]) -> f64 {
@@ -1706,7 +1707,7 @@ mod tests {
         let capacity = set.egress.capacity();
         set.file(net.hosts, &[(0, 2, 1)], |&flow: &Flow| flow);
         assert_eq!((set.egress.capacity(), set.size()), (capacity, (1, 3)));
-        let mut ws = FairnessWorkspace::new();
+        let mut ws = FairnessWorkspace::default();
         ws.solve_pairs(&set, &net, 1);
         let fresh = solve(&net, &[(0, 2, 1)]).0[0];
         assert_eq!(ws.rates()[0].to_bits(), fresh.to_bits());
@@ -1732,7 +1733,7 @@ mod tests {
 
     #[test]
     fn workspace_reuse_is_consistent() {
-        let mut ws = FairnessWorkspace::new();
+        let mut ws = FairnessWorkspace::default();
         // Twenty hosts in a ring, each flow alone on its egress NIC.
         let mut big = PaletteNet::open(20);
         let ring: Vec<Flow> = (0..20).map(|i| (i, (i + 1) % 20, 1)).collect();
@@ -1758,7 +1759,7 @@ mod tests {
         net.pair_mut(0, 1).2 = 4000.0;
         net.nics[1].1 = 1350.0; // == the ceiling sum: kept
         let flows = [(0, 1, 2), (0, 1, 1)];
-        let mut ws = FairnessWorkspace::new();
+        let mut ws = FairnessWorkspace::default();
         ws.prepare_pairs(&file(2, &flows), &net, flows.len(), &mut PairSolve::default());
         assert_eq!(ws.live, vec![0, 3], "egress 0 and ingress 1, not the path");
         let shape = solve(&net, &flows).1;
@@ -1805,7 +1806,7 @@ mod tests {
         net.pair_mut(0, 1).2 = 4000.0;
         net.pair_mut(0, 2).2 = 4000.0;
         let flows = [(0, 1, 1), (0, 2, 1)];
-        let mut ws = FairnessWorkspace::new();
+        let mut ws = FairnessWorkspace::default();
         ws.prepare_pairs(&file(3, &flows), &net, flows.len(), &mut PairSolve::default());
         assert_eq!(ws.live, vec![0, 3, 6], "egress 0, ingress 1 and the path 0 → 1");
         let (rates, shape) = solve(&net, &flows);
@@ -1881,8 +1882,7 @@ mod tests {
                 // to wrap: a stale table slot or list link must never be
                 // read.
                 let mut rng = StdRng::seed_from_u64(seed);
-                let mut ws = FairnessWorkspace::new();
-                ws.stamp = u32::MAX - 2;
+                let mut ws = FairnessWorkspace { stamp: u32::MAX - 2, ..Default::default() };
                 for _ in 0..6 {
                     let (net, flows) = if rng.gen_range(0u32..2) == 0 {
                         let (net, flows, _) = palette_flows(rng.gen_range(0..u64::MAX));
@@ -1970,7 +1970,7 @@ mod tests {
                     .flat_map(|conns| [0, 4].map(|src| (1..4).map(move |dst| (src, dst, conns))))
                     .flatten()
                     .collect();
-                let mut ws = FairnessWorkspace::new();
+                let mut ws = FairnessWorkspace::default();
                 ws.prepare_pairs(&file(5, &flows), &net, flows.len(), &mut PairSolve::default());
                 // Both egress NICs, the three ingress NICs, all six paths.
                 assert_eq!(ws.live, vec![0, 3, 5, 7, 8, 10, 11, 12, 13, 14, 15]);
@@ -2150,7 +2150,7 @@ mod tests {
             // offsets: a filing on fewer hosts than the last, or more, must
             // cut them afresh and list every member where a build would.
             let mut rng = StdRng::seed_from_u64(29);
-            let (mut set, mut ws) = (PairFlows::default(), FairnessWorkspace::new());
+            let (mut set, mut ws) = (PairFlows::default(), FairnessWorkspace::default());
             let mut high_water = 0;
             for hosts in [6, 3, 5, 2, 6, 4] {
                 let net = PaletteNet::new(&mut rng, hosts);
@@ -2170,7 +2170,7 @@ mod tests {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let hosts = rng.gen_range(2usize..7);
                 let net = PaletteNet::new(&mut rng, hosts);
-                let (mut set, mut ws) = (PairFlows::default(), FairnessWorkspace::new());
+                let (mut set, mut ws) = (PairFlows::default(), FairnessWorkspace::default());
                 // Two tenants alike: every live flow shares its class.
                 let mut list = tenant(&mut rng, hosts, 2, true);
                 list.extend(tenant(&mut rng, hosts, 2, true));
@@ -2202,7 +2202,7 @@ mod tests {
             let set = file(5, &list);
             let fresh = build(&net, &flows);
             assert_eq!(set.size(), (fresh.flow_count(), fresh.resource_count()));
-            let mut ws = FairnessWorkspace::new();
+            let mut ws = FairnessWorkspace::default();
             let limit = ws.prepare_pairs(&set, &net, list.len(), &mut PairSolve::default());
             assert_eq!(limit, fresh.flow_count() + fresh.resource_count() + 1);
             check(&mut PairFlows::default(), &mut ws, &net, &list);
@@ -2217,7 +2217,7 @@ mod tests {
             for seed in 0..200 {
                 let (net, flows) = tied(seed);
                 let list: Vec<Flow> = flows.iter().flat_map(|&flow| [flow, (3, 3, 1)]).collect();
-                let mut ws = FairnessWorkspace::new();
+                let mut ws = FairnessWorkspace::default();
                 let shape = check(&mut PairFlows::default(), &mut ws, &net, &list);
                 assert_eq!((shape.classes, shape.live_resources), (3, 1), "{shape:?}");
                 assert!(shape.rounds >= 2, "{shape:?}");
@@ -2235,7 +2235,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(11);
             let net = PaletteNet::new(&mut rng, 5);
             let mut list: Vec<Flow> = (0..3).flat_map(|_| tenant(&mut rng, 5, 2, false)).collect();
-            let (mut set, mut ws) = (PairFlows::default(), FairnessWorkspace::new());
+            let (mut set, mut ws) = (PairFlows::default(), FairnessWorkspace::default());
             check(&mut set, &mut ws, &net, &list);
             let gone: Vec<usize> =
                 (0..list.len()).filter(|&slot| slot % 3 == 1 && crosses(&list[slot])).collect();

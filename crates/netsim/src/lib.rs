@@ -41,8 +41,9 @@
 //! [`fairness`] module docs), filed afresh by one counting pass: the loop
 //! files its pairs in flight at every event, and the stateless
 //! [`NetSim::allocate_rates_with`] under gauges and probes files its flow
-//! list into a reusable [`RateScratch`]. Both are allocation-free once
-//! their buffers have grown.
+//! list into a reusable [`RateScratch`]. The crate's own solves (the
+//! loop's, the probes', [`NetSim::allocate_rates`]'s) borrow one scratch
+//! per thread, allocation-free once it has grown.
 //!
 //! The loop has two entry points. [`NetSim::run_transfers`] is the
 //! blocking one: a single flow group with the network to itself, run to

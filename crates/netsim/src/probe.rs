@@ -16,7 +16,7 @@
 
 use crate::flow::FlowSpec;
 use crate::grid::{BwMatrix, ConnMatrix};
-use crate::sim::NetSim;
+use crate::sim::{with_scratch, NetSim};
 use crate::stats::clamp;
 use crate::topology::DcId;
 use rand::Rng;
@@ -43,35 +43,35 @@ pub struct ProbeReading {
 
 impl NetSim {
     /// Rates for an all-to-all measurement round under `conns`. The flow
-    /// list and the solver scratch are the simulator's own, so repeated
-    /// rounds (a stable-runtime probe solves one per second, a prediction
-    /// loop snapshots thousands of times) stay allocation-free.
-    fn measure_round(&mut self, conns: &ConnMatrix) -> BwMatrix {
+    /// list and the solver scratch are the thread's, so repeated rounds (a
+    /// stable-runtime probe solves one per second, a prediction loop
+    /// snapshots thousands of times) stay allocation-free but for the
+    /// matrix they return.
+    fn measure_round(&self, conns: &ConnMatrix) -> BwMatrix {
         let n = self.topology().len();
-        let mut probe = std::mem::take(&mut self.probe);
-        probe.flows.clear();
-        for i in 0..n {
-            for j in 0..n {
-                if i != j && conns.get(i, j) > 0 {
-                    probe.flows.push(FlowSpec::new(DcId(i), DcId(j), conns.get(i, j)));
+        with_scratch(|s| {
+            s.probe.clear();
+            for i in 0..n {
+                for j in 0..n {
+                    if i != j && conns.get(i, j) > 0 {
+                        s.probe.push(FlowSpec::new(DcId(i), DcId(j), conns.get(i, j)));
+                    }
                 }
             }
-        }
-        let rates = self.allocate_rates_with(&probe.flows, &mut probe.rates);
-        let mut bw = BwMatrix::new(n);
-        for (f, &rate) in probe.flows.iter().zip(rates) {
-            bw.put(f.src, f.dst, rate);
-        }
-        self.probe = probe;
-        bw
+            let rates = self.allocate_rates_with(&s.probe, &mut s.solve);
+            let mut bw = BwMatrix::new(n);
+            for (f, &rate) in s.probe.iter().zip(rates) {
+                bw.put(f.src, f.dst, rate);
+            }
+            bw
+        })
     }
 
     /// Measures one directed pair in isolation with `conns` connections,
     /// like a lone iPerf run. Advances time by one second.
     pub fn measure_pair(&mut self, src: DcId, dst: DcId, conns: u32) -> f64 {
-        let mut probe = std::mem::take(&mut self.probe);
-        let rate = self.allocate_rates_with(&[FlowSpec::new(src, dst, conns)], &mut probe.rates)[0];
-        self.probe = probe;
+        let flow = [FlowSpec::new(src, dst, conns)];
+        let rate = with_scratch(|s| self.allocate_rates_with(&flow, &mut s.solve)[0]);
         self.advance(1.0);
         rate
     }

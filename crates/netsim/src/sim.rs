@@ -47,6 +47,7 @@ use crate::params::LinkModelParams;
 use crate::topology::{DcId, Topology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::cell::RefCell;
 
 /// Safety valve on the number of simulated epochs per `run_transfers`.
 pub const MAX_EPOCHS: usize = 4_000_000;
@@ -131,12 +132,15 @@ pub struct RunStats {
 ///
 /// One scratch serves any sequence of calls on any simulator; every
 /// buffer grows to its high-water mark and is then reused, so repeated
-/// solves on the hot path are allocation-free.
+/// solves on the hot path are allocation-free. Every thread holds one for
+/// the solves the crate makes itself (the transfer loop's, the probes'
+/// and [`NetSim::allocate_rates`]'s); a caller that brings its own keeps
+/// it to itself.
 #[derive(Debug, Clone, Default)]
 pub struct RateScratch {
     /// The WAN flows of the last call, each under its input index.
-    flows: PairFlows,
-    ws: FairnessWorkspace,
+    pub(crate) flows: PairFlows,
+    pub(crate) ws: FairnessWorkspace,
     /// Rate per input flow of the last call.
     rates: Vec<f64>,
 }
@@ -147,6 +151,36 @@ impl RateScratch {
     pub fn last_shape(&self) -> SolveShape {
         self.ws.last_shape()
     }
+}
+
+/// The scratch every solve on one thread borrows: a process holds one
+/// warm set of solver buffers per thread, not one per engine, per
+/// blocking run or per simulator. A solve carries nothing from one call
+/// to the next but buffer capacity ([`crate::fairness`], "What is kept
+/// between solves"), so which scratch serves a solve moves no bit.
+#[derive(Debug, Default)]
+pub(crate) struct Scratch {
+    /// The filing, workspace and rates of a solve.
+    pub(crate) solve: RateScratch,
+    /// A measurement round's flow list (`probe.rs`).
+    pub(crate) probe: Vec<FlowSpec>,
+    /// `(src · n + dst, gigabits)` per submitted transfer, for merging a
+    /// group's transfers per directed pair.
+    pub(crate) merge: Vec<(usize, f64)>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::default();
+}
+
+/// Runs `f` on this thread's [`Scratch`], borrowed in place. If it is
+/// already lent — a hook that runs its own simulator inside the blocking
+/// run it is seated on — `f` gets a fresh one instead.
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
+    SCRATCH.with(|cell| match cell.try_borrow_mut() {
+        Ok(mut lent) => f(&mut lent),
+        Err(_) => f(&mut Scratch::default()),
+    })
 }
 
 /// Progress of one directed pair of a flow group through the transfer
@@ -416,9 +450,6 @@ pub struct NetSim {
     faults: Option<Box<ActiveFaults>>,
     /// Total simulated seconds spent with any fault active.
     degraded_s: f64,
-    /// Buffers of the probes in `probe.rs`, which gauge thousands of
-    /// times per run.
-    pub(crate) probe: ProbeScratch,
 }
 
 /// What the link model says about a directed DC pair before any runtime
@@ -468,13 +499,6 @@ impl PairState {
     }
 }
 
-/// Solver scratch plus the all-pairs flow list of a measurement round.
-#[derive(Debug, Default)]
-pub(crate) struct ProbeScratch {
-    pub(crate) rates: RateScratch,
-    pub(crate) flows: Vec<FlowSpec>,
-}
-
 impl NetSim {
     /// Creates a simulator over `topo` with the given parameters and seed.
     ///
@@ -515,7 +539,6 @@ impl NetSim {
             last_run_stats: RunStats::default(),
             faults: None,
             degraded_s: 0.0,
-            probe: ProbeScratch::default(),
         }
     }
 
@@ -768,11 +791,11 @@ impl NetSim {
     /// Intra-DC flows (`src == dst`) are never WAN-limited and receive an
     /// effectively unbounded rate, matching the paper's system model (§2.1).
     ///
-    /// Convenience wrapper over [`NetSim::allocate_rates_with`] that pays
-    /// for fresh buffers; hot loops should hold a [`RateScratch`].
+    /// Convenience wrapper over [`NetSim::allocate_rates_with`] on the
+    /// calling thread's [`RateScratch`]: only the returned vector is
+    /// allocated once the thread's buffers have grown.
     pub fn allocate_rates(&self, flows: &[FlowSpec]) -> Vec<f64> {
-        let mut scratch = RateScratch::default();
-        self.allocate_rates_with(flows, &mut scratch).to_vec()
+        with_scratch(|s| self.allocate_rates_with(flows, &mut s.solve).to_vec())
     }
 
     /// Allocation-free variant of [`NetSim::allocate_rates`]: files the
@@ -786,7 +809,8 @@ impl NetSim {
     ///
     /// This is the stateless entry, for gauges and probes. The transfer
     /// loop ([`crate::engine`]) files its pairs in flight with the same
-    /// pass and solves them with the same workspace code at every event.
+    /// pass and solves them with the same workspace code at every event,
+    /// on the thread's scratch.
     pub fn allocate_rates_with<'s>(
         &self,
         flows: &[FlowSpec],
@@ -840,23 +864,28 @@ impl NetSim {
     ) -> TransferReport {
         // With a hook, the reported flag tracks whether it scheduled wakes.
         let mut lp = TransferLoop::new(hook.is_none());
-        let id = lp.submit(self, transfers, conns);
-        let mut seat = hook.map(|h| HookSeat::new(h, transfers, conns));
-        let (group, truncated) = match lp.advance(self, f64::INFINITY, seat.as_mut()).pop() {
-            Some(group) => (group, false),
-            None => {
-                // The loop gave the group up as permanently stalled, or
-                // it ran out of `MAX_EPOCHS`. A blocking call has nobody
-                // to hand a stall to: cover what is left of the budget in
-                // one jump (clock and busy time advance, nothing moves)
-                // and report the group as it stands, truncated.
-                let left = MAX_EPOCHS as u64 - lp.stats.epochs;
-                if left > 0 {
-                    lp.serve(self, left, seat.as_mut());
+        // The thread's scratch is lent for the whole run, so a seated
+        // hook that runs a simulator of its own solves on a fresh one.
+        let (group, truncated) = with_scratch(|scratch| {
+            let id = lp.submit(self, scratch, transfers, conns);
+            let mut seat = hook.map(|h| HookSeat::new(h, transfers, conns));
+            match lp.advance(self, scratch, f64::INFINITY, seat.as_mut()).pop() {
+                Some(group) => (group, false),
+                None => {
+                    // The loop gave the group up as permanently stalled,
+                    // or it ran out of `MAX_EPOCHS`. A blocking call has
+                    // nobody to hand a stall to: cover what is left of the
+                    // budget in one jump (clock and busy time advance,
+                    // nothing moves) and report the group as it stands,
+                    // truncated.
+                    let left = MAX_EPOCHS as u64 - lp.stats.epochs;
+                    if left > 0 {
+                        lp.serve(self, scratch.solve.ws.rates(), left, seat.as_mut());
+                    }
+                    (lp.cancel(self, id).expect("the lone group is still in flight"), true)
                 }
-                (lp.cancel(self, id).expect("the lone group is still in flight"), true)
             }
-        };
+        });
         self.last_run_stats = lp.stats;
 
         // The group's accounting, per pair and per original transfer.

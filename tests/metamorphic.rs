@@ -6,23 +6,33 @@
 //! layouts, connection counts, transfers — and renaming the results back
 //! gives the same times bit for bit: every completion, makespan, job
 //! latency and stage latency, and behind a gateway every verdict (served,
-//! shed or rejected) too.
+//! shed or rejected) too. A sharded fleet's backbone is renamed with the
+//! DCs: its group map moves, its group labels stay.
 //!
 //! Accumulated volumes are not label-free. The fairness solve and the
 //! per-DC egress sums add in DC-index order, so a renamed run's
 //! per-pair achieved bandwidth and per-DC egress differ from the
 //! original's by up to 3 ulp on these inputs. They are left out of R1
 //! until those sums stop depending on the labels.
+//!
+//! Nor, as the sharded fleet shows, are job and stage latencies. A job's
+//! latency adds up its compute phases, and a phase after a shuffle lasts
+//! as long as the volume its reducers were given, which is a DC-index
+//! order sum (`scheduler::normalize` over the placement weights,
+//! `JobRun`'s total stage output). One job of the 24 there ends 1 ulp
+//! apart in latency; its completion, taken off the fleet's clock, does
+//! not move. Arrivals, admissions, completions and makespans are
+//! checked bit for bit.
 
 use wanify::Pregauged;
 use wanify_gateway::{Disposition, Gateway, GatewayConfig, GatewayReport, GatewayRequest};
 use wanify_gda::{
     Arrivals, DataLayout, FleetConfig, FleetEngine, FleetRun, JobProfile, Kimchi, QueryReport,
-    Scheduler, Tetrium, VanillaSpark,
+    RoundRobinShards, Scheduler, ShardedFleetEngine, ShardedFleetReport, Tetrium, VanillaSpark,
 };
 use wanify_netsim::{
-    paper_testbed_n, BwMatrix, DcId, Grid, LinkModelParams, NetSim, RunStats, Topology, Transfer,
-    VmType,
+    paper_testbed_n, Backbone, BwMatrix, DcId, Grid, LinkModelParams, NetSim, RunStats, Topology,
+    Transfer, VmType,
 };
 use wanify_workloads::{mixed_trace, offered_load, LoadSpec, TraceConfig};
 
@@ -241,4 +251,66 @@ fn r1_relabelling_leaves_every_gateway_disposition_bit_identical() {
         v
     };
     assert_eq!(outcomes(moved), outcomes(base));
+}
+
+/// Runs `jobs` on three round-robin shards of a 3-slot fleet each, under
+/// open-loop arrivals, coupled by `backbone` if any.
+fn sharded(topo: &Topology, backbone: Option<Backbone>, jobs: &[JobProfile]) -> ShardedFleetReport {
+    let config =
+        FleetConfig { max_concurrent: 3, regauge_every_s: 300.0, conns: None, faults: None };
+    let shard = || {
+        FleetEngine::new(
+            frozen(topo.clone()),
+            Box::new(Tetrium::new()),
+            Box::new(wanify::StaticIndependent::new()),
+            config.clone(),
+        )
+    };
+    ShardedFleetEngine::new((0..3).map(|_| shard()).collect(), Box::new(RoundRobinShards), backbone)
+        .run(jobs, &Arrivals::Poisson { rate_per_s: 2.0, seed: 7 })
+        .expect("trace fits the WAN")
+}
+
+/// Every outcome's arrival, admission, completion and makespan as bits,
+/// by trace index. Job and stage latencies are left out (module docs).
+fn sharded_key(report: &ShardedFleetReport) -> Vec<(usize, [u64; 4])> {
+    let mut key: Vec<_> = report
+        .fleet
+        .outcomes
+        .iter()
+        .map(|o| {
+            let times = [o.arrived_s, o.admitted_s, o.completed_s, o.makespan_s()];
+            (o.job_idx, times.map(f64::to_bits))
+        })
+        .collect();
+    key.sort();
+    key
+}
+
+#[test]
+fn r1_relabelling_leaves_every_sharded_fleet_job_bit_identical() {
+    const TRUNK_MBPS: f64 = 150.0;
+    const SYNC_S: f64 = 5.0;
+    let topo = paper_testbed_n(VmType::t2_medium(), N_DCS);
+    let trace = mixed_trace(&TraceConfig::new(N_DCS, 24, 42).scaled(0.5));
+    let moved_trace: Vec<JobProfile> = trace.iter().map(|j| Relabel.job(j)).collect();
+    let backbone = Backbone::regional(&topo, TRUNK_MBPS, SYNC_S);
+    // The group map moves with the DCs; the groups keep their labels.
+    let moved_backbone = Backbone::uniform(Relabel.vec(backbone.groups()), TRUNK_MBPS, SYNC_S);
+
+    let base = sharded(&topo, Some(backbone), &trace);
+    let moved = sharded(&Relabel.topology(&topo), Some(moved_backbone), &moved_trace);
+
+    assert_eq!(base.fleet.outcomes.len(), trace.len(), "every job completes");
+    assert_eq!(base.shard_sizes(), vec![8, 8, 8]);
+    assert!(base.backbone_syncs > 0);
+    // The trunks bind: without them the same trace ends differently.
+    assert_ne!(sharded_key(&sharded(&topo, None, &trace)), sharded_key(&base));
+    // Rule 3: more flows per shard solve than one tenant's all-pairs
+    // shuffle, so at least two groups share a shard's WAN.
+    let per_solve = base.stats.flows / base.stats.solves;
+    assert!(per_solve > (N_DCS * (N_DCS - 1)) as u64, "{per_solve} flows per solve");
+
+    assert_eq!(sharded_key(&moved), sharded_key(&base), "job i keeps every time");
+    assert_eq!(moved.fleet.duration_s.to_bits(), base.fleet.duration_s.to_bits());
 }
