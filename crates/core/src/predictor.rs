@@ -49,7 +49,8 @@ impl BandwidthAnalyzer {
     ///
     /// # Panics
     ///
-    /// Panics if any size is outside `2..=8`.
+    /// Panics if any size is outside `2..=8`, or if a probe reads a
+    /// non-finite feature or bandwidth, which [`Dataset::push`] refuses.
     pub fn collect(&self, sizes: &[usize], seed: u64) -> Dataset {
         let mut data = Dataset::new(FEATURE_COUNT);
         for (k, &n) in sizes.iter().enumerate() {
@@ -77,7 +78,8 @@ fn append_pairs(data: &mut Dataset, snapshot: &ProbeReading, stable: &BwMatrix, 
                 continue;
             }
             let fv = FeatureVector::from_probe(snapshot, topo, DcId(i), DcId(j));
-            data.push(fv.to_array().to_vec(), stable.get(i, j)).expect("feature arity is fixed");
+            data.push(fv.to_array().to_vec(), stable.get(i, j))
+                .expect("a probe row is FEATURE_COUNT wide and finite");
         }
     }
 }
@@ -158,7 +160,7 @@ impl WanPredictionModel {
     /// Panics if `data`'s width differs from the training data's.
     pub fn training_accuracy(&self, data: &Dataset) -> f64 {
         let mut preds = vec![0.0; data.len()];
-        self.forest.predict_rows(&data.row_major(), &mut preds);
+        self.forest.predict_rows(data.row_major(), &mut preds);
         metrics::accuracy_pct(&preds, data.targets())
     }
 

@@ -1,4 +1,11 @@
 //! Row-major regression datasets.
+//!
+//! A [`Dataset`] keeps its feature rows back to back in one `Vec<f64>`,
+//! so [`Dataset::row_major`] hands out the batch form
+//! [`RandomForest::predict_rows`](crate::RandomForest::predict_rows) takes
+//! without copying it. Every value it holds is finite: [`Dataset::push`]
+//! refuses NaN and ±∞, which would otherwise panic a tree's presort or
+//! poison its leaf means.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -13,6 +20,11 @@ pub enum DatasetError {
         /// Number of features in the offending row.
         got: usize,
     },
+    /// A feature or the target was NaN or infinite.
+    NonFinite {
+        /// The offending feature's column, or `None` for the target.
+        column: Option<usize>,
+    },
 }
 
 impl std::fmt::Display for DatasetError {
@@ -21,6 +33,10 @@ impl std::fmt::Display for DatasetError {
             DatasetError::WrongArity { expected, got } => {
                 write!(f, "row has {got} features but the dataset expects {expected}")
             }
+            DatasetError::NonFinite { column: Some(column) } => {
+                write!(f, "feature {column} is not finite")
+            }
+            DatasetError::NonFinite { column: None } => write!(f, "target is not finite"),
         }
     }
 }
@@ -31,7 +47,8 @@ impl std::error::Error for DatasetError {}
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Dataset {
     n_features: usize,
-    xs: Vec<Vec<f64>>,
+    /// Feature `f` of row `i` is `xs[i * n_features + f]`.
+    xs: Vec<f64>,
     ys: Vec<f64>,
 }
 
@@ -46,7 +63,8 @@ impl Dataset {
     /// # Errors
     ///
     /// Returns [`DatasetError::WrongArity`] if `features.len()` differs from
-    /// the dataset's width.
+    /// the dataset's width, and [`DatasetError::NonFinite`] if a feature or
+    /// the target is NaN or infinite; the dataset is unchanged either way.
     pub fn push(&mut self, features: Vec<f64>, target: f64) -> Result<(), DatasetError> {
         if features.len() != self.n_features {
             return Err(DatasetError::WrongArity {
@@ -54,7 +72,13 @@ impl Dataset {
                 got: features.len(),
             });
         }
-        self.xs.push(features);
+        if let Some(column) = features.iter().position(|x| !x.is_finite()) {
+            return Err(DatasetError::NonFinite { column: Some(column) });
+        }
+        if !target.is_finite() {
+            return Err(DatasetError::NonFinite { column: None });
+        }
+        self.xs.extend_from_slice(&features);
         self.ys.push(target);
         Ok(())
     }
@@ -80,7 +104,8 @@ impl Dataset {
     ///
     /// Panics if `i` is out of bounds.
     pub fn row(&self, i: usize) -> &[f64] {
-        &self.xs[i]
+        assert!(i < self.len(), "row {i} of a {}-row dataset", self.len());
+        &self.xs[i * self.n_features..][..self.n_features]
     }
 
     /// Target of row `i`.
@@ -100,13 +125,13 @@ impl Dataset {
     /// Every feature row back to back, the batch form
     /// [`RandomForest::predict_rows`](crate::RandomForest::predict_rows)
     /// takes.
-    pub fn row_major(&self) -> Vec<f64> {
-        self.xs.iter().flatten().copied().collect()
+    pub fn row_major(&self) -> &[f64] {
+        &self.xs
     }
 
     /// Iterates over `(features, target)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&[f64], f64)> {
-        self.xs.iter().map(Vec::as_slice).zip(self.ys.iter().copied())
+        (0..self.len()).map(|i| (self.row(i), self.ys[i]))
     }
 
     /// Merges another dataset of identical width into this one.
@@ -121,8 +146,8 @@ impl Dataset {
                 got: other.n_features,
             });
         }
-        self.xs.extend(other.xs.iter().cloned());
-        self.ys.extend(other.ys.iter().copied());
+        self.xs.extend_from_slice(&other.xs);
+        self.ys.extend_from_slice(&other.ys);
         Ok(())
     }
 
@@ -137,14 +162,8 @@ impl Dataset {
         let mut order: Vec<usize> = (0..self.len()).collect();
         order.shuffle(rng);
         let n_test = (self.len() as f64 * test_fraction).round() as usize;
-        let mut train = Dataset::new(self.n_features);
-        let mut test = Dataset::new(self.n_features);
-        for (k, &i) in order.iter().enumerate() {
-            let dst = if k < n_test { &mut test } else { &mut train };
-            dst.xs.push(self.xs[i].clone());
-            dst.ys.push(self.ys[i]);
-        }
-        (train, test)
+        let (test_rows, train_rows) = order.split_at(n_test);
+        (self.select(train_rows), self.select(test_rows))
     }
 
     /// A new dataset containing the given row indices (with repetition),
@@ -156,7 +175,7 @@ impl Dataset {
     pub fn select(&self, indices: &[usize]) -> Dataset {
         let mut out = Dataset::new(self.n_features);
         for &i in indices {
-            out.xs.push(self.xs[i].clone());
+            out.xs.extend_from_slice(self.row(i));
             out.ys.push(self.ys[i]);
         }
         out
@@ -183,6 +202,42 @@ mod tests {
         let err = d.push(vec![1.0], 0.0).unwrap_err();
         assert_eq!(err, DatasetError::WrongArity { expected: 3, got: 1 });
         assert!(d.is_empty());
+    }
+
+    #[test]
+    fn push_rejects_non_finite_values() {
+        let mut d = Dataset::new(2);
+        let err = d.push(vec![1.0, f64::NAN], 0.0).unwrap_err();
+        assert_eq!(err, DatasetError::NonFinite { column: Some(1) });
+        let err = d.push(vec![f64::NEG_INFINITY, 1.0], 0.0).unwrap_err();
+        assert_eq!(err, DatasetError::NonFinite { column: Some(0) });
+        let err = d.push(vec![1.0, 2.0], f64::NAN).unwrap_err();
+        assert_eq!(err, DatasetError::NonFinite { column: None });
+        assert_eq!(err.to_string(), "target is not finite");
+        assert!(d.is_empty() && d.row_major().is_empty());
+        d.push(vec![-0.0, f64::MIN_POSITIVE], f64::MAX).unwrap();
+        assert_eq!(d.len(), 1);
+    }
+
+    #[test]
+    fn rows_of_a_zero_width_dataset_are_empty() {
+        let mut d = Dataset::new(0);
+        d.push(Vec::new(), 1.0).unwrap();
+        d.push(Vec::new(), 2.0).unwrap();
+        assert_eq!(
+            d.iter().map(|(row, y)| (row.len(), y)).collect::<Vec<_>>(),
+            [(0, 1.0), (0, 2.0)]
+        );
+        assert!(d.row_major().is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "row 2 of a 2-row dataset")]
+    fn row_checks_bounds_at_zero_width() {
+        let mut d = Dataset::new(0);
+        d.push(Vec::new(), 1.0).unwrap();
+        d.push(Vec::new(), 2.0).unwrap();
+        let _ = d.row(2);
     }
 
     #[test]

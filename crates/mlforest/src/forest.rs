@@ -19,6 +19,16 @@
 //! `trees.map(predict).sum() / n` performs, so the bits are the same; only
 //! the interleaving between rows differs. The walk is single-threaded: a
 //! 56-row gauge costs less than a fork/join.
+//!
+//! # Bags: replayed from seeds, not stored
+//!
+//! A fitted forest keeps its trees and, per tree, only the `(seed, rows)`
+//! it was grown from: the RNG seed and the length of its training set.
+//! Tree `k`'s bootstrap bag is the first `rows` draws of
+//! `gen_range(0..rows)` from `StdRng::seed_from_u64(seed)` (`bootstrap_draw`),
+//! so [`RandomForest::oob_mae`] redraws each bag to learn which rows the
+//! tree never saw, instead of keeping an out-of-bag row list per tree that
+//! would grow the model by trees × rows under warm starts.
 
 use crate::dataset::Dataset;
 use crate::tree::{RegressionTree, TreeParams};
@@ -60,8 +70,8 @@ impl Default for ForestParams {
 #[derive(Debug, Clone)]
 pub struct RandomForest {
     trees: Vec<RegressionTree>,
-    /// Out-of-bag row sets per tree (indices into the training data).
-    oob_rows: Vec<Vec<usize>>,
+    /// Per tree, the seed and training-set length its bag replays from.
+    bags: Vec<(u64, usize)>,
     params: ForestParams,
     n_features: usize,
     next_seed: u64,
@@ -78,7 +88,7 @@ impl RandomForest {
         assert!(params.n_estimators > 0, "a forest needs at least one tree");
         let mut forest = Self {
             trees: Vec::new(),
-            oob_rows: Vec::new(),
+            bags: Vec::new(),
             params: params.clone(),
             n_features: data.n_features(),
             next_seed: seed,
@@ -117,30 +127,20 @@ impl RandomForest {
             })
             .collect();
         let bootstrap = self.params.bootstrap;
-        let fitted: Vec<(RegressionTree, Vec<usize>)> = seeds
+        let n = data.len();
+        self.bags.extend(seeds.iter().map(|&seed| (seed, n)));
+        let fitted: Vec<RegressionTree> = seeds
             .into_par_iter()
             .map(|seed| {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let n = data.len();
                 if !bootstrap {
-                    return (RegressionTree::fit(data, &tree_params, &mut rng), Vec::new());
+                    let mut rng = StdRng::seed_from_u64(seed);
+                    return RegressionTree::fit(data, &tree_params, &mut rng);
                 }
-                let mut in_bag = vec![false; n];
-                let sample: Vec<usize> = (0..n)
-                    .map(|_| {
-                        let i = rng.gen_range(0..n);
-                        in_bag[i] = true;
-                        i
-                    })
-                    .collect();
-                let oob: Vec<usize> = (0..n).filter(|&i| !in_bag[i]).collect();
-                (RegressionTree::fit_sample(data, &sample, &tree_params, &mut rng), oob)
+                let (mut rng, sample) = bootstrap_draw(seed, n);
+                RegressionTree::fit_sample(data, &sample, &tree_params, &mut rng)
             })
             .collect();
-        for (tree, oob) in fitted {
-            self.trees.push(tree);
-            self.oob_rows.push(oob);
-        }
+        self.trees.extend(fitted);
     }
 
     /// Ensemble-mean prediction for one feature row.
@@ -187,8 +187,8 @@ impl RandomForest {
         self.n_features
     }
 
-    #[cfg(test)]
-    pub(crate) fn trees(&self) -> &[RegressionTree] {
+    /// The fitted trees, in ensemble order.
+    pub fn trees(&self) -> &[RegressionTree] {
         &self.trees
     }
 
@@ -196,15 +196,24 @@ impl RandomForest {
     /// forest was fitted on). Returns `None` when bootstrap was disabled or
     /// no row was ever out-of-bag.
     pub fn oob_mae(&self, data: &Dataset) -> Option<f64> {
+        if !self.params.bootstrap {
+            return None;
+        }
         // Tree-major like `predict_rows`: each tree walks its own
         // out-of-bag rows, and every row still sums its trees in order.
         let mut sums = vec![0.0; data.len()];
         let mut trees = vec![0usize; data.len()];
-        let mut rows = Vec::new();
-        for (tree, oob) in self.trees.iter().zip(&self.oob_rows) {
+        let (mut in_bag, mut oob, mut rows) = (Vec::new(), Vec::new(), Vec::new());
+        for (tree, &(seed, n)) in self.trees.iter().zip(&self.bags) {
+            in_bag.clear();
+            in_bag.resize(n, false);
+            for i in bootstrap_draw(seed, n).1 {
+                in_bag[i] = true;
+            }
             // A warm-started tree may have been fitted on a longer dataset;
             // its rows past the end of `data` have no target here.
-            let oob = &oob[..oob.partition_point(|&i| i < data.len())];
+            oob.clear();
+            oob.extend((0..n.min(data.len())).filter(|&i| !in_bag[i]));
             rows.clear();
             rows.extend(oob.iter().flat_map(|&i| data.row(i)));
             tree.for_each_leaf(&rows, oob.len(), |k, value| {
@@ -222,6 +231,15 @@ impl RandomForest {
         }
         (count > 0).then(|| total / count as f64)
     }
+}
+
+/// The bootstrap bag of the tree seeded `seed` over `n` rows: `n` row
+/// indices drawn with replacement, and the RNG positioned after the draw,
+/// where the tree's fit continues from.
+fn bootstrap_draw(seed: u64, n: usize) -> (StdRng, Vec<usize>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let sample = (0..n).map(|_| rng.gen_range(0..n)).collect();
+    (rng, sample)
 }
 
 #[cfg(test)]
@@ -422,7 +440,7 @@ mod tests {
             let rows = probes.row_major();
             let mut batch_multi = vec![0.0; probes.len()];
             let pool = rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap();
-            pool.install(|| multi.predict_rows(&rows, &mut batch_multi));
+            pool.install(|| multi.predict_rows(rows, &mut batch_multi));
             assert_eq!(batch_single, batch_multi);
         }
     }

@@ -10,11 +10,17 @@
 //! implements exactly those capabilities:
 //!
 //! * [`RegressionTree`] — CART with variance-reduction splits, fitted from
-//!   per-feature presorted orders and stored as a packed pre-order array;
+//!   per-feature presorted orders and stored as a pre-order array of
+//!   12-byte nodes (threshold or leaf value, plus one `u32` packing the
+//!   split column and the right child);
 //! * [`RandomForest`] — bootstrap aggregation with per-split feature
 //!   subsampling, out-of-bag error estimation, [`RandomForest::warm_start`]
-//!   and one-pass batch prediction ([`RandomForest::predict_rows`]);
-//! * [`Dataset`] — a simple row-major feature matrix;
+//!   and one-pass batch prediction ([`RandomForest::predict_rows`]). A
+//!   fitted forest keeps only its trees and, per tree, the seed and row
+//!   count its bootstrap bag is replayed from, so its size grows with
+//!   nodes, not with trees × training rows;
+//! * [`Dataset`] — a row-major feature matrix in one flat vector, holding
+//!   finite values only;
 //! * [`metrics`] — MSE/MAE/R² plus the paper's percentage "training
 //!   accuracy" (100 − MAPE).
 //!

@@ -7,13 +7,14 @@
 //! at the same points. (b) `predict_rows` is compared with the reference
 //! per-row ensemble mean. Everything is compared on `to_bits`.
 //!
-//! CI runs these in release (`cargo test --release -p wanify-forest
-//! parity`); the 8 400-row case is slow in a debug build.
+//! CI runs these with the rest of the crate in release (`cargo test
+//! --release -p wanify-forest`); the 8 400-row case is slow in a debug
+//! build.
 
 use crate::dataset::Dataset;
 use crate::forest::{ForestParams, RandomForest};
 use crate::tree::reference::{Node, ReferenceTree};
-use crate::tree::{RegressionTree, TreeParams, LANES};
+use crate::tree::{Links, RegressionTree, TreeParams, LANES};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -277,7 +278,7 @@ fn parity_on_the_gauge_shaped_forest() {
     }
     let probes = table3_like(4_032, 18);
     let mut out = vec![0.0; probes.len()];
-    forest.predict_rows(&probes.row_major(), &mut out);
+    forest.predict_rows(probes.row_major(), &mut out);
     for ((row, _), got) in probes.iter().zip(&out) {
         assert_eq!(got.to_bits(), reference.predict(row).to_bits());
     }
@@ -337,4 +338,114 @@ fn parity_of_oob_mae_with_the_row_major_definition() {
     }
     let want = total / count as f64;
     assert_eq!(forest.oob_mae(&data).unwrap().to_bits(), want.to_bits());
+}
+
+/// Each warm start draws its trees' bags over its own dataset: a longer
+/// superset, then a shorter prefix. Out-of-bag error over the original
+/// rows must equal the row-major definition with each tree's bag drawn
+/// over that tree's own row count, its rows past the end of the data
+/// left out; without bootstrap there is no out-of-bag error at all.
+#[test]
+fn parity_of_oob_mae_on_warm_started_forests() {
+    let data = table3_like(300, 5);
+    let mut longer = data.clone();
+    longer.extend_from(&table3_like(120, 6)).unwrap();
+    let prefix: Vec<usize> = (0..180).collect();
+    let shorter = data.select(&prefix);
+    // (dataset, trees grown on it), in the order they were grown.
+    let steps = [(&data, 6), (&longer, 4), (&shorter, 5)];
+
+    let params = ForestParams { n_estimators: 6, ..ForestParams::default() };
+    let mut forest = RandomForest::fit(&data, &params, 21);
+    let mut reference = ReferenceForest::fit(&data, &params, 21);
+    for &(more, count) in &steps[1..] {
+        forest.warm_start(more, count);
+        reference.grow(more, count);
+    }
+
+    let mut seed = 21u64;
+    let mut in_bag = Vec::new();
+    for &(grown_on, count) in &steps {
+        for _ in 0..count {
+            let mut rng = StdRng::seed_from_u64(seed);
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let n = grown_on.len();
+            let mut bag = vec![false; n];
+            for _ in 0..n {
+                bag[rng.gen_range(0..n)] = true;
+            }
+            in_bag.push(bag);
+        }
+    }
+    for evaluated in [&data, &longer, &shorter] {
+        let (mut total, mut count) = (0.0, 0usize);
+        for (i, (row, y)) in evaluated.iter().enumerate() {
+            let (mut sum, mut trees) = (0.0, 0usize);
+            for (tree, bag) in reference.trees.iter().zip(&in_bag) {
+                if i < bag.len() && !bag[i] {
+                    sum += tree.predict(row);
+                    trees += 1;
+                }
+            }
+            if trees > 0 {
+                total += (sum / trees as f64 - y).abs();
+                count += 1;
+            }
+        }
+        let want = total / count as f64;
+        let got = forest.oob_mae(evaluated).expect("bootstrap forests have OOB rows");
+        assert_eq!(got.to_bits(), want.to_bits(), "{} rows", evaluated.len());
+    }
+
+    let params = ForestParams { bootstrap: false, ..params };
+    let mut forest = RandomForest::fit(&data, &params, 21);
+    forest.warm_start(&longer, 2);
+    forest.warm_start(&shorter, 2);
+    assert!(forest.oob_mae(&data).is_none());
+    assert!(forest.oob_mae(&longer).is_none());
+}
+
+/// 70 tie-prone columns take a 7-bit column field and 1 column a 1-bit
+/// one; both fit and predict as the reference does, node for node, with a
+/// split on a column that sets the field's top bit.
+#[test]
+fn parity_on_a_wide_dataset() {
+    for (width, column_bits) in [(70, 7), (1, 1)] {
+        assert_eq!(Links::for_width(width).max_index(), (1 << (32 - column_bits)) - 1);
+        let data = tie_prone_data(400, width, false, width > 2, 70);
+        for features_per_split in [None, Some(width.div_ceil(3))] {
+            let params = TreeParams { max_depth: 18, features_per_split, ..TreeParams::default() };
+            let case = format!("{width} columns, {params:?}");
+            let (mut rng, mut reference_rng) =
+                (StdRng::seed_from_u64(0x70), StdRng::seed_from_u64(0x70));
+            let packed = RegressionTree::fit(&data, &params, &mut rng);
+            let reference = ReferenceTree::fit(&data, &params, &mut reference_rng);
+            assert_same_nodes(&packed, &reference, &case);
+            assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>(), "{case}: RNG");
+            let highest = reference
+                .nodes
+                .iter()
+                .filter_map(|n| match n {
+                    Node::Split { feature, .. } => Some(*feature),
+                    Node::Leaf { .. } => None,
+                })
+                .max();
+            // Some split's column sets the field's top bit (column 64 of 70).
+            let top = (1 << (column_bits - 1)).min(width - 1);
+            assert!(highest >= Some(top), "{case}: highest split column {highest:?}");
+        }
+
+        let params = ForestParams { n_estimators: 4, ..ForestParams::default() };
+        let forest = RandomForest::fit(&data, &params, 0x71);
+        let reference = ReferenceForest::fit(&data, &params, 0x71);
+        for (packed, reference) in forest.trees().iter().zip(&reference.trees) {
+            assert_same_nodes(packed, reference, &format!("{width}-column forest"));
+        }
+        let probes = tie_prone_data(LANES * 3 + 5, width, false, false, 71);
+        let mut out = vec![0.0; probes.len()];
+        forest.predict_rows(probes.row_major(), &mut out);
+        for ((row, _), got) in probes.iter().zip(&out) {
+            assert_eq!(got.to_bits(), reference.predict(row).to_bits(), "{width} columns");
+        }
+    }
 }

@@ -1,13 +1,17 @@
 //! CART regression trees with variance-reduction splits.
 //!
-//! # Stored form: packed, pre-order nodes
+//! # Stored form: 12-byte, pre-order nodes
 //!
 //! The builder emits nodes in pre-order, so a split's left child is always
 //! the next node (`left == at + 1`) and only the right child needs an
-//! index. A node is therefore 16 bytes — `{ t, feature, right }` — where
-//! `t` is the split threshold or the leaf value, `feature` is the split
-//! column or the [`LEAF`] sentinel, and a leaf's `right` points at the
-//! leaf itself. This array is the only stored form of a tree.
+//! index. A node is therefore 12 bytes — `{ t, link }`, aligned to 4 —
+//! where `t` is the split threshold or the leaf value and `link` packs the
+//! rest (`Links`): the split column in its low bits, the right child's
+//! index above them. The column field is as wide as the tree's feature
+//! count needs plus one code, all ones, that marks a leaf (3 bits for the
+//! gauge's 6 columns, 7 for 70); its width is fixed once per tree at fit
+//! time, and the index gets the bits left over. A leaf's right child is
+//! the leaf itself. This array is the only stored form of a tree.
 //!
 //! # Inference: fixed-depth, lane-interleaved walks
 //!
@@ -15,13 +19,14 @@
 //! through the tree together for exactly `depth` steps (the depth is
 //! recorded at fit time). A row that reaches its leaf early stays there,
 //! because a leaf steps to itself whichever way the comparison falls. The
-//! step is a pair of selects with no data-dependent branch, so the node
-//! loads of independent lanes overlap instead of each waiting for the
-//! previous row's walk to finish (`select_unpredictable`, Rust 1.88, is
-//! what keeps the compiler from turning the select back into a branch
-//! that mispredicts half the time). The comparison is the `x <= threshold`
-//! the builder partitioned with, so NaN and values exactly on a threshold
-//! go where they always went.
+//! step decodes the link with one mask and one shift and ends in a pair of
+//! selects with no data-dependent branch, so the node loads of independent
+//! lanes overlap instead of each waiting for the previous row's walk to
+//! finish (`select_unpredictable`, Rust 1.88, is what keeps the compiler
+//! from turning the select back into a branch that mispredicts half the
+//! time). The comparison is the `x <= threshold` the builder partitioned
+//! with, so NaN and values exactly on a threshold go where they always
+//! went.
 //!
 //! # Fit: sort once, partition stably
 //!
@@ -73,23 +78,64 @@ impl Default for TreeParams {
 /// compiles to a branch instead of a select).
 pub(crate) const LANES: usize = 16;
 
-/// `feature` value marking a leaf.
-const LEAF: u32 = u32::MAX;
-
 /// One node of the pre-order array; the left child of a split at `at` is
 /// `at + 1`.
 #[derive(Debug, Clone, Copy, PartialEq)]
+#[repr(C, packed(4))]
 struct PackedNode {
     /// Split threshold, or the leaf's value.
     t: f64,
-    /// Split column, or [`LEAF`].
-    feature: u32,
-    /// Right child of a split; a leaf's own index.
-    right: u32,
+    /// Split column (or the leaf code) and right child, packed by the
+    /// tree's [`Links`].
+    link: u32,
 }
 
-fn node_id(at: usize) -> u32 {
-    u32::try_from(at).expect("a tree indexes its nodes and samples with u32")
+const _: () = assert!(std::mem::size_of::<PackedNode>() == 12);
+
+/// How one tree packs a node's column and right child into a `u32` link:
+/// the column in the low `column_bits` bits, all ones there for a leaf,
+/// the right child's index in the bits above.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct Links {
+    column_bits: u32,
+}
+
+impl Links {
+    /// The narrowest column field that holds every column of an
+    /// `n_features`-wide row and the leaf code.
+    pub(crate) fn for_width(n_features: usize) -> Self {
+        Self { column_bits: usize::BITS - n_features.leading_zeros() }
+    }
+
+    /// The leaf code: all ones across the column field, so also its mask.
+    fn leaf(self) -> u32 {
+        1u32.checked_shl(self.column_bits).map_or(u32::MAX, |bit| bit - 1)
+    }
+
+    /// The largest node index a link can hold.
+    pub(crate) fn max_index(self) -> usize {
+        u32::MAX.checked_shr(self.column_bits).map_or(0, |max| max as usize)
+    }
+
+    /// Packs `column` (or the leaf code) with the right child `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` does not fit in the bits the column field leaves.
+    fn pack(self, column: u32, index: usize) -> u32 {
+        let fits = self.column_bits < u32::BITS && index <= self.max_index();
+        assert!(fits, "a tree's node index fits in the bits its column field leaves over");
+        (index as u32) << self.column_bits | column
+    }
+
+    /// `(column or leaf code, right child)` of a link.
+    fn unpack(self, link: u32) -> (u32, u32) {
+        (link & self.leaf(), link >> self.column_bits)
+    }
+}
+
+fn sample_id(at: usize) -> u32 {
+    u32::try_from(at).expect("a tree indexes its samples with u32")
 }
 
 /// A fitted CART regression tree.
@@ -100,6 +146,7 @@ fn node_id(at: usize) -> u32 {
 #[derive(Debug, Clone, PartialEq)]
 pub struct RegressionTree {
     nodes: Vec<PackedNode>,
+    links: Links,
     n_features: usize,
     depth: usize,
 }
@@ -112,7 +159,7 @@ impl RegressionTree {
     ///
     /// # Panics
     ///
-    /// Panics if `data` is empty or holds a NaN feature.
+    /// Panics if `data` is empty.
     pub fn fit(data: &Dataset, params: &TreeParams, rng: &mut StdRng) -> Self {
         let sample: Vec<usize> = (0..data.len()).collect();
         Self::fit_sample(data, &sample, params, rng)
@@ -131,7 +178,7 @@ impl RegressionTree {
         builder.build(0, sample.len(), 0);
         let mut nodes = builder.nodes;
         nodes.shrink_to_fit();
-        Self { nodes, n_features: data.n_features(), depth: builder.depth }
+        Self { nodes, links: builder.links, n_features: data.n_features(), depth: builder.depth }
     }
 
     /// Predicts the target for one feature row.
@@ -162,19 +209,21 @@ impl RegressionTree {
         let width = self.n_features;
         assert_eq!(rows.len(), n_rows * width, "feature arity mismatch");
         let nodes = self.nodes.as_slice();
+        let links = self.links;
         for start in (0..n_rows).step_by(LANES) {
             let lanes = LANES.min(n_rows - start);
             let mut at = [0u32; LANES];
             for _ in 0..self.depth {
                 for (lane, at) in at[..lanes].iter_mut().enumerate() {
                     let node = nodes[*at as usize];
-                    let is_leaf = node.feature == LEAF;
+                    let (column, right) = links.unpack(node.link);
+                    let is_leaf = column == links.leaf();
                     // A tree with a split has at least one column, so a
                     // leaf may read column 0; its comparison is discarded.
-                    let column = if is_leaf { 0 } else { node.feature as usize };
+                    let column = if is_leaf { 0 } else { column as usize };
                     let x = rows[(start + lane) * width + column];
                     let left = *at + u32::from(!is_leaf);
-                    *at = select_unpredictable(x <= node.t, left, node.right);
+                    *at = select_unpredictable(x <= node.t, left, right);
                 }
             }
             for (lane, &at) in at[..lanes].iter().enumerate() {
@@ -196,13 +245,16 @@ impl RegressionTree {
     /// The packed nodes spelled out as reference nodes, index for index.
     #[cfg(test)]
     pub(crate) fn to_reference_nodes(&self) -> Vec<reference::Node> {
-        let spell = |(at, node): (usize, &PackedNode)| match node.feature {
-            LEAF => reference::Node::Leaf { value: node.t },
-            feature => reference::Node::Split {
-                feature: feature as usize,
+        let spell = |(at, node): (usize, &PackedNode)| match self.links.unpack(node.link) {
+            (column, right) if column == self.links.leaf() => {
+                assert_eq!(right as usize, at, "a leaf links to itself");
+                reference::Node::Leaf { value: node.t }
+            }
+            (column, right) => reference::Node::Split {
+                feature: column as usize,
                 threshold: node.t,
                 left: at + 1,
-                right: node.right as usize,
+                right: right as usize,
             },
         };
         self.nodes.iter().enumerate().map(spell).collect()
@@ -232,6 +284,7 @@ struct Builder<'a> {
     sum2: Vec<f64>,
     /// Candidate features of the node being split.
     features: Vec<usize>,
+    links: Links,
     nodes: Vec<PackedNode>,
     depth: usize,
 }
@@ -240,14 +293,13 @@ impl<'a> Builder<'a> {
     fn new(data: &Dataset, sample: &[usize], params: &'a TreeParams, rng: &'a mut StdRng) -> Self {
         let n_samples = sample.len();
         let n_features = data.n_features();
-        assert!(n_features < LEAF as usize, "a column index must stay below the leaf sentinel");
         let mut xs = vec![0.0; n_features * n_samples];
         for (p, &i) in sample.iter().enumerate() {
             for (f, &x) in data.row(i).iter().enumerate() {
                 xs[f * n_samples + p] = x;
             }
         }
-        let positions = 0..node_id(n_samples);
+        let positions = 0..sample_id(n_samples);
         let mut order = Vec::with_capacity((n_features + 1) * n_samples);
         for column in xs.chunks_exact(n_samples) {
             let start = order.len();
@@ -271,6 +323,7 @@ impl<'a> Builder<'a> {
             sum: vec![0.0; n_samples + 1],
             sum2: vec![0.0; n_samples + 1],
             features: Vec::with_capacity(n_features),
+            links: Links::for_width(n_features),
             nodes: Vec::new(),
             depth: 0,
         }
@@ -295,21 +348,17 @@ impl<'a> Builder<'a> {
                 {
                     self.partition(lo, hi, feature);
                     let at = self.nodes.len();
-                    self.nodes.push(PackedNode {
-                        t: threshold,
-                        feature: node_id(feature),
-                        right: 0, // patched below
-                    });
+                    self.nodes.push(PackedNode { t: threshold, link: 0 }); // patched below
                     self.build(lo, lo + left_len, depth + 1);
-                    self.nodes[at].right = node_id(self.nodes.len());
+                    self.nodes[at].link = self.links.pack(feature as u32, self.nodes.len());
                     self.build(lo + left_len, hi, depth + 1);
                     return;
                 }
             }
         }
         self.depth = self.depth.max(depth);
-        let at = node_id(self.nodes.len());
-        self.nodes.push(PackedNode { t: mean, feature: LEAF, right: at });
+        let link = self.links.pack(self.links.leaf(), self.nodes.len());
+        self.nodes.push(PackedNode { t: mean, link });
     }
 
     /// Finds the (feature, threshold) minimizing weighted child variance.
@@ -641,6 +690,30 @@ mod tests {
             d.iter().map(|(x, y)| (t.predict(x) - y).powi(2)).sum::<f64>() / d.len() as f64
         };
         assert!(err(&deep) < err(&shallow) / 4.0);
+    }
+
+    #[test]
+    fn links_round_trip_at_their_largest_index() {
+        for (n_features, column_bits) in
+            [(0, 0), (1, 1), (6, 3), (7, 3), (8, 4), (70, 7), (1 << 20, 21)]
+        {
+            let links = Links::for_width(n_features);
+            let max = links.max_index();
+            assert_eq!(max, (1usize << (32 - column_bits)) - 1, "{n_features} columns");
+            let last_column = u32::try_from(n_features.saturating_sub(1)).unwrap();
+            for column in [0, last_column, links.leaf()] {
+                let link = links.pack(column, max);
+                assert_eq!(links.unpack(link), (column, max as u32), "{n_features} columns");
+            }
+            assert!(n_features == 0 || links.leaf() > last_column, "the leaf code is no column");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a tree's node index fits in the bits its column field leaves over")]
+    fn a_link_refuses_an_index_past_its_bits() {
+        let links = Links::for_width(70);
+        let _ = links.pack(0, links.max_index() + 1);
     }
 
     #[test]

@@ -7,7 +7,10 @@
 //! gives the same times bit for bit: every completion, makespan, job
 //! latency and stage latency, and behind a gateway every verdict (served,
 //! shed or rejected) too. A sharded fleet's backbone is renamed with the
-//! DCs: its group map moves, its group labels stay.
+//! DCs: its group map moves, its group labels stay. A fault schedule is
+//! renamed event by event (outages, link flaps, stragglers), and under a
+//! fault policy every stall, retry, re-placement and failure lands on the
+//! same job at the same time, so the fault counters agree bit for bit.
 //!
 //! Accumulated volumes are not label-free. The fairness solve and the
 //! per-DC egress sums add in DC-index order, so a renamed run's
@@ -27,12 +30,13 @@
 use wanify::Pregauged;
 use wanify_gateway::{Disposition, Gateway, GatewayConfig, GatewayReport, GatewayRequest};
 use wanify_gda::{
-    Arrivals, DataLayout, FleetConfig, FleetEngine, FleetRun, JobProfile, Kimchi, QueryReport,
-    RoundRobinShards, Scheduler, ShardedFleetEngine, ShardedFleetReport, Tetrium, VanillaSpark,
+    Arrivals, DataLayout, FaultCounters, FaultPolicy, FleetConfig, FleetEngine, FleetReport,
+    FleetRun, JobProfile, Kimchi, QueryReport, RoundRobinShards, Scheduler, ShardedFleetEngine,
+    ShardedFleetReport, Tetrium, VanillaSpark,
 };
 use wanify_netsim::{
-    paper_testbed_n, Backbone, BwMatrix, DcId, Grid, LinkModelParams, NetSim, RunStats, Topology,
-    Transfer, VmType,
+    paper_testbed_n, Backbone, BwMatrix, DcId, FaultKind, FaultSchedule, Grid, LinkModelParams,
+    NetSim, RunStats, Topology, Transfer, VmType,
 };
 use wanify_workloads::{mixed_trace, offered_load, LoadSpec, TraceConfig};
 
@@ -81,6 +85,25 @@ impl Relabel {
             .iter()
             .map(|t| Transfer::new(self.dc(t.src), self.dc(t.dst), t.gigabits))
             .collect()
+    }
+
+    /// A fault schedule, renamed: every event at its time, on the renamed
+    /// DCs, in its order.
+    fn faults(&self, faults: &FaultSchedule) -> FaultSchedule {
+        faults.events().iter().fold(FaultSchedule::new(), |moved, e| {
+            let kind = match e.kind {
+                FaultKind::DcDown(dc) => FaultKind::DcDown(self.dc(dc)),
+                FaultKind::DcUp(dc) => FaultKind::DcUp(self.dc(dc)),
+                FaultKind::LinkFactor { src, dst, factor } => {
+                    FaultKind::LinkFactor { src: self.dc(src), dst: self.dc(dst), factor }
+                }
+                FaultKind::DcFactor { dc, factor } => {
+                    FaultKind::DcFactor { dc: self.dc(dc), factor }
+                }
+                global @ FaultKind::GlobalFactor(_) => global,
+            };
+            moved.at(e.at_s, kind)
+        })
     }
 
     fn job(&self, job: &JobProfile) -> JobProfile {
@@ -313,4 +336,94 @@ fn r1_relabelling_leaves_every_sharded_fleet_job_bit_identical() {
 
     assert_eq!(sharded_key(&moved), sharded_key(&base), "job i keeps every time");
     assert_eq!(moved.fleet.duration_s.to_bits(), base.fleet.duration_s.to_bits());
+}
+
+/// Runs `jobs` on a closed-loop fleet of 4 clients under `faults`, with a
+/// fault policy that cancels a stalled shuffle, re-places its remainder
+/// and resubmits it; returns the report and the engine's counters.
+fn faulted_fleet(
+    topo: Topology,
+    faults: FaultSchedule,
+    jobs: &[JobProfile],
+) -> (FleetReport, RunStats) {
+    let mut sim = frozen(topo);
+    sim.set_fault_schedule(faults);
+    let policy = FaultPolicy { stall_timeout_s: 4.0, max_retries: 4, backoff_base_s: 3.0 };
+    let config = FleetConfig {
+        max_concurrent: 4,
+        regauge_every_s: 300.0,
+        conns: None,
+        faults: Some(policy),
+    };
+    let engine = FleetEngine::new(
+        sim,
+        Box::new(Tetrium::new()),
+        Box::new(wanify::StaticIndependent::new()),
+        config,
+    );
+    let arrivals = Arrivals::Closed { clients: 4, think_s: 0.0 };
+    let mut run = FleetRun::start(engine, jobs.to_vec(), &arrivals).expect("trace fits the WAN");
+    run.run_until(f64::INFINITY).expect("a faulted fleet drains");
+    let stats = run.sim().last_run_stats();
+    (run.into_report(), stats)
+}
+
+/// Every outcome's arrival, admission, completion and makespan as bits,
+/// and whether it failed, by trace index.
+fn faulted_key(report: &FleetReport) -> Vec<(usize, [u64; 4], bool)> {
+    let mut key: Vec<_> = report
+        .outcomes
+        .iter()
+        .map(|o| {
+            let times = [o.arrived_s, o.admitted_s, o.completed_s, o.makespan_s()];
+            (o.job_idx, times.map(f64::to_bits), o.failed)
+        })
+        .collect();
+    key.sort();
+    key
+}
+
+#[test]
+fn r1_relabelling_leaves_a_faulted_fleet_bit_identical() {
+    let topo = paper_testbed_n(VmType::t2_medium(), N_DCS);
+    let trace = mixed_trace(&TraceConfig::new(N_DCS, 16, 42).scaled(0.5));
+    let moved_trace: Vec<JobProfile> = trace.iter().map(|j| Relabel.job(j)).collect();
+    let faults = FaultSchedule::new()
+        .dc_outage(DcId(3), 31.0, 45.0)
+        .link_flap(DcId(0), DcId(2), 0.3, 30.5, 3.0, 5)
+        .straggler(DcId(4), 0.5, 33.0)
+        .straggler(DcId(4), 1.0, 40.0);
+
+    let (base, stats) = faulted_fleet(topo.clone(), faults.clone(), &trace);
+    let (moved, _) = faulted_fleet(Relabel.topology(&topo), Relabel.faults(&faults), &moved_trace);
+
+    assert_eq!(base.outcomes.len(), trace.len(), "every job is accounted for");
+    // The policy intervened: shuffles stalled on the downed DC, were
+    // cancelled, re-placed and resubmitted.
+    let f = base.faults;
+    assert!(f.stalled_flows > 0 && f.retries > 0 && f.replacements > 0, "{f:?}");
+    assert!(f.degraded_s > 0.0, "{f:?}");
+    // The faults bind: without them the same trace ends differently.
+    let (healthy, _) = faulted_fleet(topo.clone(), FaultSchedule::new(), &trace);
+    assert_ne!(faulted_key(&healthy), faulted_key(&base));
+    // Rule 3: more flows per event than one tenant's all-pairs shuffle.
+    let per_event = stats.flows / stats.solves;
+    assert!(per_event > (N_DCS * (N_DCS - 1)) as u64, "{per_event} flows per solve");
+
+    assert_eq!(faulted_key(&moved), faulted_key(&base), "job i keeps every time and verdict");
+    assert_eq!(moved.duration_s.to_bits(), base.duration_s.to_bits());
+    let counters = |f: FaultCounters| {
+        (f.stalled_flows, f.retries, f.replacements, f.failed_jobs, f.degraded_s.to_bits())
+    };
+    assert_eq!(counters(moved.faults), counters(base.faults));
+    let latencies = |r: &FleetReport| {
+        let mut v: Vec<_> = r
+            .outcomes
+            .iter()
+            .map(|o| (o.job_idx, o.report.latency_s.to_bits(), bits(&o.report.stage_latencies_s)))
+            .collect();
+        v.sort();
+        v
+    };
+    assert_eq!(latencies(&moved), latencies(&base));
 }
