@@ -102,15 +102,6 @@ impl WanifyAgent {
         let n = self.optimizers.len();
         BwMatrix::from_fn(n, |i, j| self.optimizers[i].target_bw(j))
     }
-
-    /// The local optimizer of DC `src`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src` is out of range.
-    pub fn optimizer(&self, src: usize) -> &LocalOptimizer {
-        &self.optimizers[src]
-    }
 }
 
 impl EpochHook for WanifyAgent {
@@ -162,6 +153,18 @@ impl EpochHook for WanifyAgent {
     /// between — hooked runs keep the `O(events)` fast path.
     fn next_wake(&mut self, _now_s: f64) -> Option<f64> {
         Some(self.next_update_s)
+    }
+}
+
+#[cfg(test)]
+impl WanifyAgent {
+    /// The local optimizer of DC `src`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is out of range.
+    fn optimizer(&self, src: usize) -> &LocalOptimizer {
+        &self.optimizers[src]
     }
 }
 

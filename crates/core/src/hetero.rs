@@ -1,8 +1,7 @@
 //! Heterogeneity handling (paper §3.3).
 //!
 //! * **Skewed input data** (§3.3.1) — skew weights `ws` flow into
-//!   [`crate::global::optimize_global`]; [`normalize_skew`] sanitizes raw
-//!   storage fractions.
+//!   [`crate::global::optimize_global`].
 //! * **Varying cluster sizes** (§3.3.2) — handled by training the
 //!   prediction model across sizes; see [`crate::predictor`].
 //! * **Heterogeneous providers** (§3.3.3) — [`refactoring_vector`] builds
@@ -28,17 +27,6 @@ pub fn refactoring_vector(topo: &Topology) -> Vec<f64> {
     topo.iter()
         .map(|(_, dc)| if dc.region.provider() == majority { 1.0 } else { CROSS_PROVIDER_RVEC })
         .collect()
-}
-
-/// Normalizes raw per-DC data fractions into skew weights `ws` (sum 1);
-/// falls back to uniform when the input is degenerate.
-pub fn normalize_skew(raw: &[f64]) -> Vec<f64> {
-    let clamped: Vec<f64> = raw.iter().map(|&w| w.max(0.0)).collect();
-    let sum: f64 = clamped.iter().sum();
-    if sum <= 0.0 || raw.is_empty() {
-        return vec![1.0 / raw.len().max(1) as f64; raw.len().max(1)];
-    }
-    clamped.iter().map(|w| w / sum).collect()
 }
 
 /// Splits `total_conns` for one DC pair across `vm_count` VMs as evenly as
@@ -81,15 +69,6 @@ mod tests {
         let rv = refactoring_vector(&topo);
         assert_eq!(rv[0], 1.0);
         assert_eq!(rv[2], CROSS_PROVIDER_RVEC);
-    }
-
-    #[test]
-    fn skew_normalization() {
-        let w = normalize_skew(&[2.0, 2.0, 4.0]);
-        assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
-        assert!((w[2] - 0.5).abs() < 1e-12);
-        assert_eq!(normalize_skew(&[0.0, 0.0]), vec![0.5, 0.5]);
-        assert_eq!(normalize_skew(&[-3.0, 1.0]), vec![0.0, 1.0]);
     }
 
     #[test]

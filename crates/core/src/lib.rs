@@ -46,6 +46,8 @@
 //! # Ok::<(), wanify::WanifyError>(())
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod agent;
 pub mod costs;
 pub mod error;

@@ -38,6 +38,8 @@
 //! [`registry::ENTRIES`] is the single source of truth for this table;
 //! `REPRO.md` at the repository root pins `repro --quick all`.
 
+#![warn(unreachable_pub)]
+
 pub mod common;
 pub mod fig10;
 pub mod fig11;

@@ -22,6 +22,8 @@
 //! bit-deterministic like the rest of the workspace — including across
 //! `RAYON_NUM_THREADS` settings, which CI asserts.
 
+#![warn(unreachable_pub)]
+
 pub mod breaker;
 pub mod gateway;
 pub mod quota;

@@ -3,9 +3,9 @@
 //!
 //! Classes are job *families* — the name prefix before the trailing
 //! `-<index>` tag the trace generators append (`terasort-7` → `terasort`,
-//! `q42-3` → `q42`, see [`wanify_gda::job_family`]) — the same keying
-//! the fleet's per-class aggregates use. Buckets refill in *simulated* time, so quota decisions are as
-//! deterministic as everything else in the workspace.
+//! `q42-3` → `q42`, see [`wanify_gda::job_family`]). Buckets refill in
+//! *simulated* time, so quota decisions are as deterministic as
+//! everything else in the workspace.
 
 /// Token-bucket rate limit applied independently to every tenant class.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -43,7 +43,7 @@ use std::sync::Arc;
 use crate::executor::{JobRun, JobStep};
 use crate::job::JobProfile;
 use crate::scheduler::Scheduler;
-use crate::sketch::{ClassAggregates, StreamingPercentiles};
+use crate::sketch::StreamingPercentiles;
 use crate::QueryReport;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -271,8 +271,6 @@ pub struct StreamingTotals {
     pub cost_usd: f64,
     /// Network (egress) dollars across all queries.
     pub network_cost_usd: f64,
-    /// Per-tenant-class roll-ups, keyed by workload family.
-    pub classes: ClassAggregates,
 }
 
 impl StreamingTotals {
@@ -282,15 +280,11 @@ impl StreamingTotals {
         if outcome.failed {
             self.failed += 1;
         }
-        let makespan_s = outcome.makespan_s();
-        let queue_wait_s = outcome.queue_wait_s();
-        self.queue_wait.observe(queue_wait_s);
-        self.makespan.observe(makespan_s);
-        let egress = outcome.report.egress_gb.iter().sum::<f64>();
-        self.egress_gb += egress;
+        self.queue_wait.observe(outcome.queue_wait_s());
+        self.makespan.observe(outcome.makespan_s());
+        self.egress_gb += outcome.report.egress_gb.iter().sum::<f64>();
         self.cost_usd += outcome.report.cost.total_usd();
         self.network_cost_usd += outcome.report.cost.network_usd;
-        self.classes.record(&outcome.report.job, makespan_s, queue_wait_s, egress, outcome.failed);
     }
 }
 
@@ -391,11 +385,6 @@ impl FleetReport {
     /// driver dropped.
     pub fn completed(&self) -> usize {
         self.totals.completed
-    }
-
-    /// Per-tenant-class roll-ups, keyed by workload family.
-    pub fn classes(&self) -> &ClassAggregates {
-        &self.totals.classes
     }
 
     /// Number of jobs that were aborted by the fault policy.

@@ -58,12 +58,13 @@
 //! from an iterator so the trace is O(1) memory, and its
 //! `retain_outcomes` argument caps the per-job outcomes the driver keeps,
 //! with every completion still folded into deterministic P² percentile
-//! [`sketch`]es and per-tenant-class aggregates (sums stay
-//! bitwise-exact), and shards
-//! couple through one tier list, a [`wanify_netsim::BackboneHierarchy`]
-//! (a flat backbone is one tier; tiled 64+ DC topologies add continental
-//! trunks every Nth sync window to the regional ones). `BENCH_scale.json` pins the resulting
-//! 60 → 10k → 100k query trajectory with a flat memory ceiling.
+//! [`sketch`]es (sums stay bitwise-exact), and shards couple through one
+//! tier list, a [`wanify_netsim::BackboneHierarchy`] (a flat backbone is
+//! one tier; tiled 64+ DC topologies add continental trunks every Nth
+//! sync window to the regional ones). `BENCH_scale.json` pins the
+//! resulting 60 → 10k → 100k query trajectory with a flat memory ceiling.
+
+#![warn(unreachable_pub)]
 
 pub mod cost;
 pub mod executor;
@@ -83,5 +84,5 @@ pub use fleet::{
 pub use job::{JobProfile, StageProfile};
 pub use scheduler::{Kimchi, PlacementCtx, Scheduler, Tetrium, VanillaSpark};
 pub use sharded::{RoundRobinShards, ShardPolicy, ShardedFleetEngine, ShardedFleetReport};
-pub use sketch::{job_family, ClassAggregates, ClassStats, P2Quantile, StreamingPercentiles};
+pub use sketch::{job_family, P2Quantile, StreamingPercentiles};
 pub use storage::DataLayout;

@@ -172,7 +172,7 @@ pub(crate) mod testutil {
     use wanify_netsim::{paper_testbed_n, VmType};
 
     /// A 4-DC topology plus a bandwidth matrix where DC3's links are weak.
-    pub fn ctx_fixture() -> (Topology, BwMatrix, Vec<f64>) {
+    pub(crate) fn ctx_fixture() -> (Topology, BwMatrix, Vec<f64>) {
         let topo = paper_testbed_n(VmType::t2_medium(), 4);
         let bw = BwMatrix::from_fn(4, |i, j| {
             if i == j {

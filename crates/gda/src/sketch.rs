@@ -18,12 +18,8 @@
 //!   exact mean and max. `snapshot()` yields a `Percentiles` whose
 //!   quantiles are estimates (within ~1% of exact nearest-rank on 10k+
 //!   well-behaved samples; pinned by the `sketch_accuracy` tests).
-//! * [`ClassAggregates`] — per-tenant-class roll-ups (jobs, failures,
-//!   makespan/queue-wait sketches, egress) keyed by workload family,
-//!   the constant-memory replacement for grouping outcomes after the
-//!   fact.
-
-use std::collections::BTreeMap;
+//! * [`job_family`] — the workload family of a job name, the key the
+//!   gateway's per-class quotas share.
 
 /// Streaming estimator of one quantile `q` — the P² algorithm.
 ///
@@ -233,86 +229,11 @@ impl StreamingPercentiles {
     }
 }
 
-/// Constant-memory per-tenant-class statistics for one fleet run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ClassStats {
-    /// Completed queries of this class (including failed ones).
-    pub jobs: u64,
-    /// How many of them failed.
-    pub failed: u64,
-    /// Streaming makespan statistics (admission → completion).
-    pub makespan: StreamingPercentiles,
-    /// Streaming queue-wait statistics (arrival → admission).
-    pub queue_wait: StreamingPercentiles,
-    /// Total cross-DC egress attributed to the class, gigabytes.
-    pub egress_gb: f64,
-}
-
-/// Per-tenant-class roll-ups keyed by workload family — the part of
-/// `"terasort-17@g2"` before the trace-index tag (here `"terasort"`),
-/// as [`job_family`] cuts it. A `BTreeMap` keeps iteration (and any
-/// derived digest) deterministic.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ClassAggregates {
-    classes: BTreeMap<String, ClassStats>,
-}
-
 /// The workload family of a job name: everything before the trailing
 /// `-<index>` tag appended by the trace generators (`"tpcds-q82-7@g1"`
 /// → `"tpcds-q82"`); names without a tag are their own family.
 pub fn job_family(name: &str) -> &str {
     name.rsplit_once('-').map_or(name, |(family, _)| family)
-}
-
-impl ClassAggregates {
-    /// An empty roll-up.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Absorbs one completed query into its family's statistics.
-    pub fn record(
-        &mut self,
-        job_name: &str,
-        makespan_s: f64,
-        queue_wait_s: f64,
-        egress_gb: f64,
-        failed: bool,
-    ) {
-        let stats = self.classes.entry(job_family(job_name).to_string()).or_default();
-        stats.jobs += 1;
-        if failed {
-            stats.failed += 1;
-        }
-        stats.makespan.observe(makespan_s);
-        stats.queue_wait.observe(queue_wait_s);
-        stats.egress_gb += egress_gb;
-    }
-
-    /// Total queries absorbed across every class.
-    pub fn total_jobs(&self) -> u64 {
-        self.classes.values().map(|s| s.jobs).sum()
-    }
-
-    /// Statistics of one family, if any query of it completed.
-    pub fn class(&self, family: &str) -> Option<&ClassStats> {
-        self.classes.get(family)
-    }
-
-    /// Iterates the families in deterministic (lexicographic) order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &ClassStats)> {
-        self.classes.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// How many distinct families have been seen.
-    pub fn len(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// Whether no query has been absorbed yet.
-    pub fn is_empty(&self) -> bool {
-        self.classes.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -440,31 +361,12 @@ mod tests {
         assert_eq!(a.max.to_bits(), b.max.to_bits());
     }
 
-    // ---- per-class roll-ups ----
+    // ---- workload families ----
 
     #[test]
     fn job_family_strips_the_trace_index_tag() {
         assert_eq!(job_family("terasort-17"), "terasort");
         assert_eq!(job_family("tpcds-q82-7@g1"), "tpcds-q82");
         assert_eq!(job_family("untagged"), "untagged");
-    }
-
-    #[test]
-    fn class_aggregates_roll_up_by_family_in_sorted_order() {
-        let mut agg = ClassAggregates::new();
-        agg.record("wordcount-1", 10.0, 1.0, 0.5, false);
-        agg.record("terasort-0", 20.0, 2.0, 1.5, false);
-        agg.record("wordcount-3", 30.0, 3.0, 0.5, true);
-        assert_eq!(agg.len(), 2);
-        assert_eq!(agg.total_jobs(), 3);
-        let families: Vec<&str> = agg.iter().map(|(f, _)| f).collect();
-        assert_eq!(families, ["terasort", "wordcount"], "BTreeMap order is deterministic");
-        let wc = agg.class("wordcount").unwrap();
-        assert_eq!(wc.jobs, 2);
-        assert_eq!(wc.failed, 1);
-        assert_eq!(wc.egress_gb, 1.0);
-        assert_eq!(wc.makespan.snapshot().max, 30.0);
-        assert_eq!(wc.queue_wait.snapshot().p50, 1.0);
-        assert!(agg.class("tpcds").is_none());
     }
 }

@@ -14,6 +14,7 @@ use wanify_gda::{
 };
 use wanify_netsim::{
     paper_testbed_n, Backbone, ConnMatrix, EpochCtx, EpochHook, LinkModelParams, NetSim, VmType,
+    EPOCH_DT_S,
 };
 use wanify_workloads::{mixed_trace, TraceConfig};
 
@@ -53,7 +54,7 @@ fn run_key(report: &FleetReport) -> Vec<(Arc<str>, u64, u64)> {
 /// push-down) must then leave every outcome unchanged up to epoch
 /// re-quantization — a wake timer chops the engine's advance windows
 /// exactly like a mid-flight submission does, which can re-phase a
-/// flow's epoch grid by at most one `epoch_dt_s`.
+/// flow's epoch grid by at most one `EPOCH_DT_S`.
 struct Inert {
     wakes: Arc<AtomicUsize>,
 }
@@ -82,7 +83,7 @@ fn inert_agent_leaves_fleet_outcomes_unchanged_up_to_requantization() {
 
     assert_eq!(hooked.outcomes.len(), 8);
     assert!(wakes.load(Ordering::Relaxed) >= 2, "the run spans several 5 s wake intervals");
-    let dt = LinkModelParams::default().epoch_dt_s;
+    let dt = EPOCH_DT_S;
     for (a, b) in plain.outcomes.iter().zip(&hooked.outcomes) {
         assert_eq!(a.report.job, b.report.job, "completion order must not change");
         assert!(

@@ -2,7 +2,8 @@
 //! heap allocations: cloning a trace copies the `Vec` of profiles and
 //! nothing else, an edited layout copies its blocks rather than writing
 //! through to the profile it was cloned from, and every report of one
-//! fleet points at the same scheduler and belief names.
+//! fleet points at the same scheduler and belief names. Absorbing a
+//! completion into a fleet's streaming totals allocates nothing.
 //!
 //! The counter is thread-local, so the tests of this binary can run in
 //! parallel without seeing each other's allocations; it lives in its own
@@ -12,7 +13,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
-use wanify_gda::{Arrivals, FleetConfig, FleetEngine, FleetRun, Tetrium};
+use wanify_gda::{
+    Arrivals, FleetConfig, FleetEngine, FleetRun, JobOutcome, JobProfile, StreamingTotals, Tetrium,
+};
 use wanify_netsim::{paper_testbed_n, LinkModelParams, NetSim, VmType};
 use wanify_workloads::{mixed_trace, TraceConfig};
 
@@ -90,9 +93,9 @@ fn moving_blocks_on_a_clone_copies_them_first() {
     assert!(Arc::ptr_eq(&copy[0].stages, &trace[0].stages));
 }
 
-#[test]
-fn reports_of_one_fleet_share_their_names() {
-    let trace = mixed_trace(&TraceConfig::new(4, 6, 42).scaled(0.5));
+/// The outcomes of `trace` run to completion by a three-tenant fleet on
+/// a frozen four-DC WAN, in completion order.
+fn run_fleet(trace: &[JobProfile]) -> Vec<JobOutcome> {
     let engine = FleetEngine::new(
         NetSim::new(paper_testbed_n(VmType::t2_medium(), 4), LinkModelParams::frozen(), 11),
         Box::new(Tetrium::new()),
@@ -100,10 +103,16 @@ fn reports_of_one_fleet_share_their_names() {
         FleetConfig { max_concurrent: 3, ..FleetConfig::default() },
     );
     let mut run =
-        FleetRun::start(engine, trace.clone(), &Arrivals::Closed { clients: 3, think_s: 0.0 })
+        FleetRun::start(engine, trace.to_vec(), &Arrivals::Closed { clients: 3, think_s: 0.0 })
             .expect("trace fits the WAN");
     run.run_until(f64::INFINITY).expect("the fleet drains");
-    let outcomes = run.into_report().outcomes;
+    run.into_report().outcomes
+}
+
+#[test]
+fn reports_of_one_fleet_share_their_names() {
+    let trace = mixed_trace(&TraceConfig::new(4, 6, 42).scaled(0.5));
+    let outcomes = run_fleet(&trace);
     assert_eq!(outcomes.len(), trace.len());
 
     let (first, second) = (&outcomes[0].report, &outcomes[1].report);
@@ -113,4 +122,16 @@ fn reports_of_one_fleet_share_their_names() {
     for o in &outcomes {
         assert!(Arc::ptr_eq(&o.report.job, &trace[o.job_idx].name), "{}", o.report.job);
     }
+}
+
+#[test]
+fn absorbing_a_completion_allocates_nothing() {
+    let outcomes = run_fleet(&mixed_trace(&TraceConfig::new(4, 6, 42).scaled(0.5)));
+    let mut totals = StreamingTotals::default();
+    totals.absorb(&outcomes[0]);
+    for outcome in &outcomes {
+        let ((), n) = allocations(|| totals.absorb(outcome));
+        assert_eq!(n, 0, "absorbing {} made {n} allocations", outcome.report.job);
+    }
+    assert_eq!(totals.completed, outcomes.len() + 1);
 }

@@ -21,8 +21,8 @@
 //!   nodes, not with trees × training rows;
 //! * [`Dataset`] — a row-major feature matrix in one flat vector, holding
 //!   finite values only;
-//! * [`metrics`] — MSE/MAE/R² plus the paper's percentage "training
-//!   accuracy" (100 − MAPE).
+//! * [`metrics`] — MAPE and the paper's percentage "training accuracy"
+//!   (100 − MAPE).
 //!
 //! ## Example
 //!
@@ -40,6 +40,8 @@
 //! assert!((pred - 16.15).abs() < 1.0);
 //! # Ok::<(), wanify_forest::DatasetError>(())
 //! ```
+
+#![warn(unreachable_pub)]
 
 pub mod baseline;
 pub mod dataset;

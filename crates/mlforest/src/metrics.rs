@@ -1,46 +1,5 @@
 //! Regression quality metrics.
 
-/// Mean squared error.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mse(predictions: &[f64], targets: &[f64]) -> f64 {
-    check(predictions, targets);
-    predictions.iter().zip(targets).map(|(p, t)| (p - t).powi(2)).sum::<f64>()
-        / predictions.len() as f64
-}
-
-/// Mean absolute error.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn mae(predictions: &[f64], targets: &[f64]) -> f64 {
-    check(predictions, targets);
-    predictions.iter().zip(targets).map(|(p, t)| (p - t).abs()).sum::<f64>()
-        / predictions.len() as f64
-}
-
-/// Coefficient of determination R².
-///
-/// Returns 0.0 when the targets have zero variance (so a perfect constant
-/// predictor neither gains nor loses).
-///
-/// # Panics
-///
-/// Panics if the slices differ in length or are empty.
-pub fn r2(predictions: &[f64], targets: &[f64]) -> f64 {
-    check(predictions, targets);
-    let mean = targets.iter().sum::<f64>() / targets.len() as f64;
-    let ss_tot: f64 = targets.iter().map(|t| (t - mean).powi(2)).sum();
-    if ss_tot == 0.0 {
-        return 0.0;
-    }
-    let ss_res: f64 = predictions.iter().zip(targets).map(|(p, t)| (t - p).powi(2)).sum();
-    1.0 - ss_res / ss_tot
-}
-
 /// Mean absolute percentage error, skipping zero targets.
 ///
 /// # Panics
@@ -78,6 +37,38 @@ fn check(predictions: &[f64], targets: &[f64]) {
     assert!(!predictions.is_empty(), "metrics need at least one sample");
 }
 
+/// Mean squared error.
+///
+/// # Panics
+///
+/// Panics if the slices differ in length or are empty.
+#[cfg(test)]
+pub(crate) fn mse(predictions: &[f64], targets: &[f64]) -> f64 {
+    check(predictions, targets);
+    predictions.iter().zip(targets).map(|(p, t)| (p - t).powi(2)).sum::<f64>()
+        / predictions.len() as f64
+}
+
+/// Coefficient of determination R².
+///
+/// Returns 0.0 when the targets have zero variance (so a perfect constant
+/// predictor neither gains nor loses).
+///
+/// # Panics
+///
+/// Panics if the slices differ in length or are empty.
+#[cfg(test)]
+pub(crate) fn r2(predictions: &[f64], targets: &[f64]) -> f64 {
+    check(predictions, targets);
+    let mean = targets.iter().sum::<f64>() / targets.len() as f64;
+    let ss_tot: f64 = targets.iter().map(|t| (t - mean).powi(2)).sum();
+    if ss_tot == 0.0 {
+        return 0.0;
+    }
+    let ss_res: f64 = predictions.iter().zip(targets).map(|(p, t)| (t - p).powi(2)).sum();
+    1.0 - ss_res / ss_tot
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,7 +77,6 @@ mod tests {
     fn perfect_predictions() {
         let y = [1.0, 2.0, 3.0];
         assert_eq!(mse(&y, &y), 0.0);
-        assert_eq!(mae(&y, &y), 0.0);
         assert_eq!(r2(&y, &y), 1.0);
         assert_eq!(accuracy_pct(&y, &y), 100.0);
     }
@@ -96,7 +86,6 @@ mod tests {
         let p = [2.0, 4.0];
         let t = [1.0, 2.0];
         assert_eq!(mse(&p, &t), (1.0 + 4.0) / 2.0);
-        assert_eq!(mae(&p, &t), 1.5);
         assert!((mape(&p, &t) - 1.0).abs() < 1e-12);
         assert_eq!(accuracy_pct(&p, &t), 0.0);
     }
@@ -138,7 +127,6 @@ mod tests {
             ) {
                 let (p, t): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
                 prop_assert!(mse(&p, &t) >= 0.0);
-                prop_assert!(mae(&p, &t) >= 0.0);
                 prop_assert!(r2(&p, &t) <= 1.0 + 1e-12);
                 let acc = accuracy_pct(&p, &t);
                 prop_assert!((0.0..=100.0).contains(&acc));
@@ -150,7 +138,9 @@ mod tests {
             ) {
                 // Jensen: MAE ≤ sqrt(MSE).
                 let (p, t): (Vec<f64>, Vec<f64>) = pairs.into_iter().unzip();
-                prop_assert!(mae(&p, &t) <= mse(&p, &t).sqrt() + 1e-9);
+                let mae =
+                    p.iter().zip(&t).map(|(p, t)| (p - t).abs()).sum::<f64>() / p.len() as f64;
+                prop_assert!(mae <= mse(&p, &t).sqrt() + 1e-9);
             }
 
             #[test]

@@ -152,12 +152,6 @@ impl Backbone {
         self.sync_every_s
     }
 
-    /// Whether a directed DC pair crosses a group boundary (and therefore
-    /// rides the backbone).
-    pub fn is_cross(&self, src: DcId, dst: DcId) -> bool {
-        self.group_of[src.0] != self.group_of[dst.0]
-    }
-
     /// Trunk capacity of a directed group pair, Mbps.
     pub fn trunk_mbps(&self, from_group: usize, to_group: usize) -> f64 {
         self.capacity_mbps.get(from_group, to_group)
@@ -346,6 +340,15 @@ fn continent_of(region: Region) -> usize {
         Region::UsEast | Region::UsWest | Region::SaEast | Region::GcpUsCentral => 0,
         Region::EuWest => 1,
         Region::ApSouth | Region::ApSoutheast1 | Region::ApSoutheast2 | Region::ApNortheast => 2,
+    }
+}
+
+#[cfg(test)]
+impl Backbone {
+    /// Whether a directed DC pair crosses a group boundary (and therefore
+    /// rides the backbone).
+    fn is_cross(&self, src: DcId, dst: DcId) -> bool {
+        self.group_of[src.0] != self.group_of[dst.0]
     }
 }
 

@@ -82,6 +82,7 @@
 use crate::fairness::SolveShape;
 use crate::flow::{FlowSpec, Transfer};
 use crate::grid::{BwMatrix, ConnMatrix, Grid};
+use crate::params::EPOCH_DT_S;
 use crate::sim::{
     epochs_until_event, with_scratch, EpochCtx, EpochHook, NetSim, PairProgress, RunStats, Scratch,
     INTRA_DC_MBPS, MAX_EPOCHS, PAYLOAD_EPS_GB,
@@ -366,7 +367,7 @@ impl TransferLoop {
         if !self.ready.is_empty() {
             return std::mem::take(&mut self.ready);
         }
-        let dt = sim.epoch_dt();
+        let dt = EPOCH_DT_S;
         let mut completed = Vec::new();
         let mut budget = MAX_EPOCHS as u64;
 
@@ -508,7 +509,7 @@ impl TransferLoop {
         k: u64,
         seat: Option<&mut HookSeat<'_>>,
     ) {
-        let dt = sim.epoch_dt();
+        let dt = EPOCH_DT_S;
         for (slot, flow) in self.flows.iter().enumerate() {
             let group = &mut self.groups[flow.group as usize];
             let pair = &mut group.pairs[flow.pair as usize];
@@ -621,7 +622,7 @@ impl TransferLoop {
             stays
         });
         let mut group = self.groups.remove(idx);
-        let dt = sim.epoch_dt();
+        let dt = EPOCH_DT_S;
         for pair in &mut group.pairs {
             pair.reanchor(dt);
         }
@@ -665,27 +666,6 @@ impl NetEngine {
     /// tradeoff the paper's Table 2 is about.
     pub fn sim_mut(&mut self) -> &mut NetSim {
         &mut self.sim
-    }
-
-    /// Unwraps the simulator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if groups are still in flight (their accounting would be
-    /// silently dropped).
-    pub fn into_sim(self) -> NetSim {
-        assert!(
-            self.is_idle(),
-            "cannot unwrap a NetEngine with {} group(s) in flight",
-            self.lp.groups.len() + self.lp.ready.len()
-        );
-        self.sim
-    }
-
-    /// Number of groups currently in flight (excluding instantly-completed
-    /// ones awaiting delivery).
-    pub fn active_groups(&self) -> usize {
-        self.lp.groups.len()
     }
 
     /// True when no group is in flight and no completion awaits delivery.
@@ -740,7 +720,7 @@ impl NetEngine {
             .filter(|p| p.active && p.remaining() > PAYLOAD_EPS_GB)
             .map(|p| Transfer::new(DcId(p.src()), DcId(p.dst()), p.remaining()))
             .collect();
-        Some((group.report(self.sim.topology().len(), self.sim.epoch_dt()), remaining))
+        Some((group.report(self.sim.topology().len(), EPOCH_DT_S), remaining))
     }
 
     /// Cumulative engine statistics (also mirrored into
@@ -775,7 +755,7 @@ impl NetEngine {
     pub fn advance_until(&mut self, deadline_s: f64) -> Vec<GroupReport> {
         let done = with_scratch(|s| self.lp.advance(&mut self.sim, s, deadline_s, None));
         self.sim.last_run_stats = self.lp.stats;
-        let (n, dt) = (self.sim.topology().len(), self.sim.epoch_dt());
+        let (n, dt) = (self.sim.topology().len(), EPOCH_DT_S);
         done.iter().map(|g| g.report(n, dt)).collect()
     }
 
@@ -892,7 +872,7 @@ impl NetEngine {
     /// flow and for freshly submitted groups not yet through a solve.
     pub fn observed_pair_bw_mbps(&self) -> BwMatrix {
         let n = self.sim.topology().len();
-        let dt = self.sim.epoch_dt();
+        let dt = EPOCH_DT_S;
         let mut bw = BwMatrix::new(n);
         for group in &self.lp.groups {
             for pair in &group.pairs {
@@ -937,6 +917,15 @@ impl NetEngine {
             "connection matrix must match topology size"
         );
         self.lp.apply_conns(conns);
+    }
+}
+
+#[cfg(test)]
+impl NetEngine {
+    /// Number of groups currently in flight (excluding instantly-completed
+    /// ones awaiting delivery).
+    fn active_groups(&self) -> usize {
+        self.lp.groups.len()
     }
 }
 
@@ -1118,7 +1107,7 @@ mod tests {
     fn pair_finishing_inside_a_fractional_serve_drains_at_the_deadline() {
         let conns = ConnMatrix::filled(3, 1);
         let mut engine = NetEngine::new(sim3());
-        let dt = engine.sim().params().epoch_dt_s;
+        let dt = EPOCH_DT_S;
         // Size the payload to 80 % of one epoch's quota: it would drain at
         // the first whole epoch, but a deadline at 0.9 epochs covers it
         // (0.9 × quota ≥ 0.8 × quota), so the partial serve must finish it.
@@ -1532,7 +1521,7 @@ mod tests {
         fn a_pair_draining_inside_the_fraction_is_retired() {
             let conns = ConnMatrix::filled(8, 1);
             let mut engine = engine8(LinkModelParams::frozen());
-            let dt = engine.sim().params().epoch_dt_s;
+            let dt = EPOCH_DT_S;
             // One pair sized to drain inside a 0.9-epoch deadline, as in
             // `pair_finishing_inside_a_fractional_serve_drains_at_the_deadline`,
             // beside long ones that keep the group — and its description —
@@ -1761,14 +1750,5 @@ mod tests {
                 prop_assert_eq!(engine.stats(), engine.sim().last_run_stats());
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "in flight")]
-    fn into_sim_refuses_while_groups_run() {
-        let conns = ConnMatrix::filled(3, 1);
-        let mut engine = NetEngine::new(sim3());
-        engine.submit(&[Transfer::new(DcId(0), DcId(1), 1.0)], &conns);
-        let _ = engine.into_sim();
     }
 }

@@ -57,7 +57,7 @@ pub struct TransferReport {
     pub min_pair_bw_mbps: f64,
     /// Total gigabits moved per source DC (for egress cost accounting).
     pub egress_gigabits: Vec<f64>,
-    /// Number of simulation epochs covered (each `epoch_dt_s` seconds).
+    /// Number of simulation epochs covered (each [`crate::EPOCH_DT_S`] seconds).
     /// Coalesced runs *cover* the same epochs they skip re-solving for,
     /// so this count is identical on the fast and per-epoch paths.
     pub epochs: usize,
@@ -66,13 +66,6 @@ pub struct TransferReport {
     /// [`crate::sim::MAX_EPOCHS`], and the other fields describe them as
     /// they stood then.
     pub truncated: bool,
-}
-
-impl TransferReport {
-    /// Mean throughput of the busiest pair, in Mbps.
-    pub fn max_pair_bw_mbps(&self) -> f64 {
-        self.achieved_bw.max_off_diag()
-    }
 }
 
 #[cfg(test)]

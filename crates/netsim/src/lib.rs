@@ -59,7 +59,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use wanify_netsim::{NetSim, Topology, Region, VmType, LinkModelParams};
+//! use wanify_netsim::{ConnMatrix, NetSim, Topology, Region, VmType, LinkModelParams};
 //!
 //! let topo = Topology::builder()
 //!     .dc(Region::UsEast, VmType::t2_medium(), 1)
@@ -69,9 +69,11 @@
 //!     .expect("at least two data centers");
 //! let mut sim = NetSim::new(topo, LinkModelParams::default(), 42);
 //! let static_bw = sim.measure_static_independent();
-//! let runtime = sim.measure_static_simultaneous();
+//! let runtime = sim.measure_runtime(&ConnMatrix::filled(3, 1), 1).bw;
 //! assert!(static_bw.max_off_diag() > runtime.min_off_diag());
 //! ```
+
+#![warn(unreachable_pub)]
 
 pub mod backbone;
 pub mod dynamics;
@@ -97,7 +99,7 @@ pub use faults::{FaultEvent, FaultKind, FaultSchedule};
 pub use flow::{FlowSpec, Transfer, TransferReport};
 pub use geo::{haversine_miles, GeoPoint, Region};
 pub use grid::{BwMatrix, ConnMatrix, Grid};
-pub use params::LinkModelParams;
+pub use params::{LinkModelParams, EPOCH_DT_S};
 pub use probe::{HostMetrics, ProbeReading};
 pub use sim::{EpochCtx, EpochHook, NetSim, RateScratch, RunStats};
 pub use topology::{DataCenter, DcId, Topology, TopologyBuilder, TopologyError};

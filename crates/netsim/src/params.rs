@@ -1,41 +1,54 @@
 //! Calibrated parameters of the WAN link model.
 
-/// Tunable constants of the link model.
-///
-/// Defaults are calibrated so that static-independent single-connection
-/// probes reproduce the paper's Fig. 1 endpoints: ≈1700 Mbps between US East
-/// and US West and ≈121 Mbps between US East and AP Southeast (Singapore).
+/// Fixed RTT component in milliseconds (last-mile + stack latency).
+const RTT_BASE_MS: f64 = 2.0;
+/// RTT growth per great-circle mile (fiber propagation + routing slack).
+const RTT_MS_PER_MILE: f64 = 0.0205;
+/// Numerator of the per-connection window limit, in Mbps · ms^exponent.
+const WINDOW_K: f64 = 4.6e6;
+/// Exponent of the RTT penalty on the per-connection *window* ceiling
+/// (2 calibrates the Fig. 1 endpoints: 1700 Mbps nearby, 121 far).
+const RTT_EXPONENT: f64 = 2.0;
+/// Exponent of the RTT bias in *contention weight*. Deliberately below
+/// the window exponent: under contention, long-RTT flows lose share but
+/// not as steeply as their window limit falls with distance, so runtime
+/// bandwidth is a non-proportional reshuffling of static bandwidth —
+/// nearby links lose the most, ranks can flip (paper §2.2, Table 1).
+const WEIGHT_RTT_EXPONENT: f64 = 1.7;
+/// Backbone capacity per directed region pair, in Mbps.
+pub(crate) const PATH_CAP_MBPS: f64 = 4000.0;
+/// Multiplier on `conn_cap` for flows crossing cloud providers.
+pub(crate) const CROSS_PROVIDER_FACTOR: f64 = 0.8;
+
+/// Simulation step of [`crate::NetSim::run_transfers`] and the
+/// [`crate::NetEngine`] transfer loop, in seconds. Probes always use
+/// 1-second epochs. With frozen dynamics and no hook the loop coalesces
+/// epochs between drain events, so the step sets accounting
+/// granularity, not the number of fairness solves.
+pub const EPOCH_DT_S: f64 = 0.25;
+
+/// The link model's settable parameters: congestion, dynamics and probe
+/// noise. The geometry is fixed by the constants above, calibrated so
+/// that static-independent single-connection probes reproduce the
+/// paper's Fig. 1 endpoints: ≈1700 Mbps between US East and US West and
+/// ≈121 Mbps between US East and AP Southeast (Singapore).
 ///
 /// The model is:
 ///
-/// * `RTT(i,j) = rtt_base_ms + rtt_ms_per_mile · distance(i,j)`
-/// * per-connection throughput ceiling `conn_cap(i,j) = window_k / RTT^rtt_exponent`
+/// * `RTT(i,j) = RTT_BASE_MS + RTT_MS_PER_MILE · distance(i,j)`
+/// * per-connection throughput ceiling
+///   `conn_cap(i,j) = WINDOW_K / RTT^RTT_EXPONENT`, times
+///   `CROSS_PROVIDER_FACTOR` for a pair that crosses cloud providers
 /// * a flow with `n` connections has ceiling `n · conn_cap` and competes for
-///   shared NIC capacity with weight `n / RTT^rtt_exponent` (TCP RTT bias)
+///   shared NIC capacity with weight `n / RTT^WEIGHT_RTT_EXPONENT` (TCP RTT
+///   bias)
 /// * a host whose total active connections exceed its budget `B` wastes
 ///   goodput: its usable NIC capacity is divided by
-///   `1 + congestion_lambda · (conns/B − 1)`
+///   `1 + congestion_lambda · (conns/B − 1)²`
 /// * every directed region pair also has a backbone path capacity
-///   `path_cap_mbps`.
+///   `PATH_CAP_MBPS`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkModelParams {
-    /// Fixed RTT component in milliseconds (last-mile + stack latency).
-    pub rtt_base_ms: f64,
-    /// RTT growth per great-circle mile (fiber propagation + routing slack).
-    pub rtt_ms_per_mile: f64,
-    /// Numerator of the per-connection window limit, in Mbps · ms^exponent.
-    pub window_k: f64,
-    /// Exponent of the RTT penalty on the per-connection *window* ceiling
-    /// (2 calibrates the Fig. 1 endpoints: 1700 Mbps nearby, 121 far).
-    pub rtt_exponent: f64,
-    /// Exponent of the RTT bias in *contention weight*. Deliberately below
-    /// the window exponent: under contention, long-RTT flows lose share but
-    /// not as steeply as their window limit falls with distance, so runtime
-    /// bandwidth is a non-proportional reshuffling of static bandwidth —
-    /// nearby links lose the most, ranks can flip (paper §2.2, Table 1).
-    pub weight_rtt_exponent: f64,
-    /// Backbone capacity per directed region pair, in Mbps.
-    pub path_cap_mbps: f64,
     /// Goodput loss slope once a host exceeds its connection budget.
     pub congestion_lambda: f64,
     /// Relative amplitude of the Ornstein-Uhlenbeck bandwidth dynamics.
@@ -53,32 +66,16 @@ pub struct LinkModelParams {
     pub dynamics_tick_s: f64,
     /// Relative observation noise of a 1-second snapshot probe.
     pub snapshot_noise: f64,
-    /// Multiplier on `conn_cap` for flows crossing cloud providers.
-    pub cross_provider_factor: f64,
-    /// Simulation step of [`crate::NetSim::run_transfers`] in seconds.
-    /// Smaller steps resolve sub-second transfer differences; probes
-    /// always use 1-second epochs. With frozen dynamics and no hook the
-    /// transfer loop coalesces epochs between drain events, so a finer
-    /// step costs accounting granularity, not extra fairness solves.
-    pub epoch_dt_s: f64,
 }
 
 impl Default for LinkModelParams {
     fn default() -> Self {
         Self {
-            rtt_base_ms: 2.0,
-            rtt_ms_per_mile: 0.0205,
-            window_k: 4.6e6,
-            rtt_exponent: 2.0,
-            weight_rtt_exponent: 1.7,
-            path_cap_mbps: 4000.0,
             congestion_lambda: 0.4,
             dynamics_sigma: 0.06,
             dynamics_theta: 0.25,
             dynamics_tick_s: 1.0,
             snapshot_noise: 0.05,
-            cross_provider_factor: 0.8,
-            epoch_dt_s: 0.25,
         }
     }
 }
@@ -86,19 +83,19 @@ impl Default for LinkModelParams {
 impl LinkModelParams {
     /// Round-trip time in milliseconds for a link of `distance_miles`.
     pub fn rtt_ms(&self, distance_miles: f64) -> f64 {
-        self.rtt_base_ms + self.rtt_ms_per_mile * distance_miles
+        RTT_BASE_MS + RTT_MS_PER_MILE * distance_miles
     }
 
     /// Single-connection throughput ceiling in Mbps for a link of
     /// `distance_miles`, before NIC/path caps.
     pub fn conn_cap_mbps(&self, distance_miles: f64) -> f64 {
-        self.window_k / self.rtt_ms(distance_miles).powf(self.rtt_exponent)
+        WINDOW_K / self.rtt_ms(distance_miles).powf(RTT_EXPONENT)
     }
 
     /// Contention weight of one connection on a link of `distance_miles`
     /// (TCP's RTT bias: long-RTT connections lose the bandwidth race).
     pub fn conn_weight(&self, distance_miles: f64) -> f64 {
-        1.0 / self.rtt_ms(distance_miles).powf(self.weight_rtt_exponent)
+        1.0 / self.rtt_ms(distance_miles).powf(WEIGHT_RTT_EXPONENT)
     }
 
     /// Goodput divisor for a host running `conns` connections with budget

@@ -92,14 +92,6 @@ impl NetSim {
         bw
     }
 
-    /// Static-simultaneous probe: all pairs at once, single connection each.
-    /// Advances time by one second.
-    pub fn measure_static_simultaneous(&mut self) -> BwMatrix {
-        let bw = self.measure_round(&ConnMatrix::filled(self.topology().len(), 1));
-        self.advance(1.0);
-        bw
-    }
-
     /// Stable runtime probe: all pairs simultaneously under `conns`,
     /// averaged over `duration_s` seconds of evolving dynamics (the paper
     /// observes that ≥20 s is needed for stability, §2.2).
@@ -265,7 +257,7 @@ mod tests {
     fn probe_advances_simulated_time() {
         let mut sim = sim8();
         let t0 = sim.time_s();
-        let _ = sim.measure_static_simultaneous();
+        let _ = sim.snapshot(&ConnMatrix::filled(8, 1));
         assert!(sim.time_s() > t0);
     }
 }

@@ -57,20 +57,6 @@ impl VmType {
         }
     }
 
-    /// AWS m5.large — the §2.1 example (10 Gbps network, 5 Gbps WAN).
-    pub fn m5_large() -> Self {
-        Self {
-            name: "m5.large".to_string(),
-            vcpus: 2,
-            mem_gib: 8.0,
-            wan_egress_mbps: 5000.0,
-            wan_ingress_mbps: 5000.0,
-            conn_budget: 48,
-            price_per_hour: 0.096,
-            unlimited_burst: false,
-        }
-    }
-
     /// GCP e2-medium — the multi-cloud comparison VM (§5.8.3).
     pub fn e2_medium() -> Self {
         Self {
@@ -96,6 +82,23 @@ impl VmType {
 impl std::fmt::Display for VmType {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(&self.name)
+    }
+}
+
+#[cfg(test)]
+impl VmType {
+    /// AWS m5.large — the §2.1 example (10 Gbps network, 5 Gbps WAN).
+    fn m5_large() -> Self {
+        Self {
+            name: "m5.large".to_string(),
+            vcpus: 2,
+            mem_gib: 8.0,
+            wan_egress_mbps: 5000.0,
+            wan_ingress_mbps: 5000.0,
+            conn_budget: 48,
+            price_per_hour: 0.096,
+            unlimited_burst: false,
+        }
     }
 }
 

@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use wanify_netsim::sim::{MAX_EPOCHS, PAYLOAD_EPS_GB};
 use wanify_netsim::{
     paper_testbed_n, BwMatrix, ConnMatrix, DcId, EpochCtx, EpochHook, FaultSchedule, FlowSpec,
-    LinkModelParams, NetSim, Transfer, TransferReport, VmType,
+    LinkModelParams, NetSim, Transfer, TransferReport, VmType, EPOCH_DT_S,
 };
 
 fn frozen_sim(n: usize, seed: u64) -> NetSim {
@@ -78,7 +78,7 @@ fn reference_run(sim: &mut NetSim, transfers: &[Transfer], conns: &ConnMatrix) -
         }
     }
 
-    let dt = sim.params().epoch_dt_s.max(1e-3);
+    let dt = EPOCH_DT_S;
     let mut epochs = 0usize;
     while pairs.iter().any(|p| p.active) && epochs < MAX_EPOCHS {
         // Fault events fire at solve points; the per-epoch reference has
@@ -253,7 +253,7 @@ fn long_transfer_solve_count_is_bounded_by_drain_events() {
         stats.solves,
         drain_events
     );
-    let dt = sim.params().epoch_dt_s.max(1e-3);
+    let dt = EPOCH_DT_S;
     assert!(
         fast.makespan_s >= 1000.0,
         "workload too small to exercise coalescing: {} s",

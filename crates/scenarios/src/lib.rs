@@ -42,6 +42,8 @@
 //! assert!(outcome.passed());
 //! ```
 
+#![warn(unreachable_pub)]
+
 pub mod catalog;
 pub mod runner;
 pub mod spec;

@@ -561,12 +561,6 @@ impl ScenarioSpec {
         self
     }
 
-    /// Whether the scenario's network moves on its own (live dynamics
-    /// installed), independently of any fault schedule.
-    pub fn has_live_dynamics(&self) -> bool {
-        self.dynamics.is_some()
-    }
-
     /// Appends one invariant.
     #[must_use]
     pub fn expect(mut self, invariant: Invariant) -> Self {
@@ -768,6 +762,15 @@ impl ScenarioSpec {
                 deadline_s: gw.deadline_slack_s.map(|slack| arrival_s + slack),
             })
             .collect()
+    }
+}
+
+#[cfg(test)]
+impl ScenarioSpec {
+    /// Whether the scenario's network moves on its own (live dynamics
+    /// installed), independently of any fault schedule.
+    pub(crate) fn has_live_dynamics(&self) -> bool {
+        self.dynamics.is_some()
     }
 }
 

@@ -26,6 +26,8 @@
 //! identical sequence bit for bit — the form million-query fleets are
 //! driven from.
 
+#![warn(unreachable_pub)]
+
 pub mod loadgen;
 pub mod quantization;
 pub mod terasort;

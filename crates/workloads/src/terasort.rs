@@ -35,7 +35,8 @@ pub fn job(layout: DataLayout) -> JobProfile {
 }
 
 /// The paper's TeraSort configuration: 100 GB spread uniformly over `n` DCs.
-pub fn paper_job(n_dcs: usize) -> JobProfile {
+#[cfg(test)]
+fn paper_job(n_dcs: usize) -> JobProfile {
     job(DataLayout::uniform(n_dcs, 100.0))
 }
 

@@ -84,16 +84,19 @@ impl TpcDsQuery {
             ],
         }
     }
-
-    /// The paper's default 100 GB configuration (§5.1).
-    pub fn paper_job(self, n_dcs: usize) -> JobProfile {
-        self.job(n_dcs, 100.0)
-    }
 }
 
 impl std::fmt::Display for TpcDsQuery {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.name())
+    }
+}
+
+#[cfg(test)]
+impl TpcDsQuery {
+    /// The paper's default 100 GB configuration (§5.1).
+    fn paper_job(self, n_dcs: usize) -> JobProfile {
+        self.job(n_dcs, 100.0)
     }
 }
 
