@@ -4,7 +4,7 @@
 //! so [`Dataset::row_major`] hands out the batch form
 //! [`RandomForest::predict_rows`](crate::RandomForest::predict_rows) takes
 //! without copying it. Every value it holds is finite: [`Dataset::push`]
-//! refuses NaN and ±∞, which would otherwise panic a tree's presort or
+//! refuses NaN and ±∞, which would otherwise panic a fit's rank table or
 //! poison its leaf means.
 
 use rand::rngs::StdRng;

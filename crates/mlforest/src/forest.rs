@@ -4,7 +4,9 @@
 //! parallel, and determinism is preserved by deriving one RNG seed per
 //! tree from the forest seed *before* fanning out, so the ensemble is
 //! bit-identical at any thread count (see
-//! `deterministic_across_thread_counts`).
+//! `deterministic_across_thread_counts`). The trees of one fit or warm
+//! start share one rank table of its dataset (see the [`tree`](crate::tree)
+//! module's "Fit" section), built before the fan-out and dropped after it.
 //!
 //! # Inference: one pass over the forest per batch
 //!
@@ -31,7 +33,7 @@
 //! would grow the model by trees × rows under warm starts.
 
 use crate::dataset::Dataset;
-use crate::tree::{RegressionTree, TreeParams};
+use crate::tree::{Ranks, RegressionTree, TreeParams};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -129,15 +131,16 @@ impl RandomForest {
         let bootstrap = self.params.bootstrap;
         let n = data.len();
         self.bags.extend(seeds.iter().map(|&seed| (seed, n)));
+        let ranks = Ranks::new(data);
         let fitted: Vec<RegressionTree> = seeds
             .into_par_iter()
             .map(|seed| {
-                if !bootstrap {
-                    let mut rng = StdRng::seed_from_u64(seed);
-                    return RegressionTree::fit(data, &tree_params, &mut rng);
-                }
-                let (mut rng, sample) = bootstrap_draw(seed, n);
-                RegressionTree::fit_sample(data, &sample, &tree_params, &mut rng)
+                let (mut rng, sample) = if bootstrap {
+                    bootstrap_draw(seed, n)
+                } else {
+                    (StdRng::seed_from_u64(seed), (0..n).collect())
+                };
+                RegressionTree::fit_sample(data, &ranks, &sample, &tree_params, &mut rng)
             })
             .collect();
         self.trees.extend(fitted);

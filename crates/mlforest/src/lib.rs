@@ -9,10 +9,12 @@
 //! the cluster grows (§3.3.2) or the model goes stale (§3.3.4). This crate
 //! implements exactly those capabilities:
 //!
-//! * [`RegressionTree`] — CART with variance-reduction splits, fitted from
-//!   per-feature presorted orders and stored as a pre-order array of
-//!   12-byte nodes (threshold or leaf value, plus one `u32` packing the
-//!   split column and the right child);
+//! * [`RegressionTree`] — CART with variance-reduction splits, stored as a
+//!   pre-order array of 12-byte nodes (threshold or leaf value, plus one
+//!   `u32` packing the split column and the right child). A fit ranks each
+//!   feature's values once; every tree orders its bootstrap sample with a
+//!   counting pass over those ranks, and each split scan carries its
+//!   running sums in registers over contiguous copies of the node's values;
 //! * [`RandomForest`] — bootstrap aggregation with per-split feature
 //!   subsampling, out-of-bag error estimation, [`RandomForest::warm_start`]
 //!   and one-pass batch prediction ([`RandomForest::predict_rows`]). A

@@ -5,7 +5,9 @@
 //! (a) Fitted trees are compared node for node, and the RNG's next output
 //! after the fit must agree, so the per-node feature shuffles were drawn
 //! at the same points. (b) `predict_rows` is compared with the reference
-//! per-row ensemble mean. Everything is compared on `to_bits`.
+//! per-row ensemble mean. Everything is compared on `to_bits`. (c) The
+//! counting presort is compared, column by column, with the stable
+//! comparison sort it replaced.
 //!
 //! CI runs these with the rest of the crate in release (`cargo test
 //! --release -p wanify-forest`); the 8 400-row case is slow in a debug
@@ -14,7 +16,7 @@
 use crate::dataset::Dataset;
 use crate::forest::{ForestParams, RandomForest};
 use crate::tree::reference::{Node, ReferenceTree};
-use crate::tree::{Links, RegressionTree, TreeParams, LANES};
+use crate::tree::{Links, Ranks, RegressionTree, TreeParams, LANES};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -205,10 +207,40 @@ proptest! {
             ..TreeParams::default()
         };
         let (mut rng, mut reference_rng) = (draw.clone(), draw);
-        let packed = RegressionTree::fit_sample(&data, &sample, &params, &mut rng);
+        let ranks = Ranks::new(&data);
+        let packed = RegressionTree::fit_sample(&data, &ranks, &sample, &params, &mut rng);
         let reference = ReferenceTree::fit(&data.select(&sample), &params, &mut reference_rng);
         assert_same_nodes(&packed, &reference, &format!("{rows}x{width} seed {seed}"));
         prop_assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>());
+    }
+
+    /// (c): on bootstrap draws (most rows repeat) of tie-prone data, zero
+    /// width included, every presorted column equals a stable
+    /// `sort_by(partial_cmp)` of the sample positions, so ties — −0.0
+    /// against +0.0, repeated rows, a constant column — keep ascending
+    /// sample position, and the last array is the positions in order.
+    #[test]
+    fn presort_matches_a_stable_sort_column_by_column(
+        shape in (1usize..70, 0usize..6),
+        constant in 0u8..2,
+        copies in 0u8..2,
+        seed in 0u64..1_000_000,
+    ) {
+        let (rows, width) = shape;
+        let data = tie_prone_data(rows, width, constant == 1, copies == 1, seed);
+        let mut draw = StdRng::seed_from_u64(seed ^ 0x50F7);
+        let sample: Vec<usize> =
+            (0..rows).map(|_| draw.gen_range(0..rows.div_ceil(2))).collect();
+        let order = Ranks::new(&data).presort(&sample);
+        prop_assert_eq!(order.len(), (width + 1) * rows);
+        for (f, got) in order.chunks_exact(rows).enumerate() {
+            let mut want: Vec<u32> = (0..rows as u32).collect();
+            if f < width {
+                let x = |p: u32| data.row(sample[p as usize])[f];
+                want.sort_by(|&a, &b| x(a).partial_cmp(&x(b)).expect("finite feature"));
+            }
+            prop_assert_eq!(got, &want[..], "{}x{} seed {}: column {}", rows, width, seed, f);
+        }
     }
 
     /// (b): every batch size around the lane width, rows salted with NaN,

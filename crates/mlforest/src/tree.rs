@@ -28,24 +28,40 @@
 //! with, so NaN and values exactly on a threshold go where they always
 //! went.
 //!
-//! # Fit: sort once, partition stably
+//! # Fit: rank once, count per tree, partition stably
 //!
-//! A CART node needs its samples ordered by every candidate feature. The
-//! builder sorts the sample positions once per feature (stable, so ties
-//! keep ascending position), keeps the ascending positions as one more
-//! array, and stable-partitions all of them at each accepted split. A
-//! stable partition of a sequence ordered by (value, position) leaves each
-//! side ordered by (value, position), which is exactly what a stable sort
-//! of that side's ascending positions would produce. So every node scans
-//! the same order, builds the same prefix sums, finds the same scores and
-//! thresholds, and draws the same per-node feature shuffle from the RNG as
-//! a builder that re-sorts at every node — the `reference` test module
-//! keeps that builder, and `parity.rs` pins the two node for node.
+//! A CART node needs its samples ordered by every candidate feature. A fit
+//! (or a warm start) first builds a `Ranks` table: per feature, the
+//! dense rank of every dataset row, so rows whose values compare equal
+//! under `partial_cmp` (−0.0 and +0.0 among them) share a rank and rank
+//! order is value order. Each tree then orders its sample positions per
+//! feature with one counting pass over its bootstrap positions by rank.
+//! The pass places positions in ascending order within a rank, so every
+//! array comes out ordered by (value, position): exactly what a stable
+//! comparison sort of the positions yields, with no comparison. The
+//! builder keeps the ascending positions as one more array and
+//! stable-partitions all of them at each accepted split. A stable
+//! partition of a sequence ordered by (value, position) leaves each side
+//! ordered by (value, position), which is exactly what a stable sort of
+//! that side's ascending positions would produce. So every node scans the
+//! same order, finds the same scores and thresholds, and draws the same
+//! per-node feature shuffle from the RNG as a builder that re-sorts at
+//! every node — the `reference` test module keeps that builder, and
+//! `parity.rs` pins the two node for node.
+//!
+//! A split search copies each candidate feature's values and targets, in
+//! that feature's order, into two contiguous buffers, sums the targets,
+//! and scans the cuts with the running sums of y and y² in registers.
+//! Every cut's score is the expression the reference evaluates on its
+//! prefix-sum arrays, over the same additions in the same order, so the
+//! bits agree. A node's mean is computed only if it becomes a leaf.
 //!
 //! Deliberately not done here, because each changes output bits or needs a
 //! proof of its own: `f32` thresholds, quantising features to threshold
-//! ranks, merging equal-valued sibling leaves, and reordering nodes or
-//! trees for locality.
+//! ranks (ranks only order the samples; thresholds stay midpoints of the
+//! raw values, and the partition compares raw values), merging
+//! equal-valued sibling leaves, and reordering nodes or trees for
+//! locality.
 
 use crate::dataset::Dataset;
 use rand::rngs::StdRng;
@@ -161,20 +177,23 @@ impl RegressionTree {
     ///
     /// Panics if `data` is empty.
     pub fn fit(data: &Dataset, params: &TreeParams, rng: &mut StdRng) -> Self {
+        assert!(!data.is_empty(), "cannot fit a tree on an empty dataset");
         let sample: Vec<usize> = (0..data.len()).collect();
-        Self::fit_sample(data, &sample, params, rng)
+        Self::fit_sample(data, &Ranks::new(data), &sample, params, rng)
     }
 
     /// Fits a tree on the rows of `data` that `sample` lists (a bootstrap
-    /// draw lists rows more than once), without copying the rows out.
+    /// draw lists rows more than once), without copying the rows out;
+    /// `ranks` is `data`'s rank table.
     pub(crate) fn fit_sample(
         data: &Dataset,
+        ranks: &Ranks,
         sample: &[usize],
         params: &TreeParams,
         rng: &mut StdRng,
     ) -> Self {
         assert!(!sample.is_empty(), "cannot fit a tree on an empty dataset");
-        let mut builder = Builder::new(data, sample, params, rng);
+        let mut builder = Builder::new(data, ranks, sample, params, rng);
         builder.build(0, sample.len(), 0);
         let mut nodes = builder.nodes;
         nodes.shrink_to_fit();
@@ -241,23 +260,74 @@ impl RegressionTree {
     pub fn depth(&self) -> usize {
         self.depth
     }
+}
 
-    /// The packed nodes spelled out as reference nodes, index for index.
-    #[cfg(test)]
-    pub(crate) fn to_reference_nodes(&self) -> Vec<reference::Node> {
-        let spell = |(at, node): (usize, &PackedNode)| match self.links.unpack(node.link) {
-            (column, right) if column == self.links.leaf() => {
-                assert_eq!(right as usize, at, "a leaf links to itself");
-                reference::Node::Leaf { value: node.t }
+/// Per feature, the dense rank of every row of a dataset under
+/// `partial_cmp`: rows with equal values share a rank, and a feature's
+/// ranks run from 0 to its number of distinct values less one. Built once
+/// per fit or warm start and shared by its trees; a fitted tree keeps
+/// nothing of it.
+pub(crate) struct Ranks {
+    n_rows: usize,
+    /// The rank of row `i` under feature `f` is `ranks[f * n_rows + i]`.
+    ranks: Vec<u32>,
+    /// Per feature, the number of distinct values.
+    levels: Vec<usize>,
+}
+
+impl Ranks {
+    /// The rank table of `data`, which must not be empty.
+    pub(crate) fn new(data: &Dataset) -> Self {
+        let (n_rows, width) = (data.len(), data.n_features());
+        let xs = data.row_major();
+        let mut ranks = vec![0; width * n_rows];
+        let mut levels = Vec::with_capacity(width);
+        let mut by_value: Vec<u32> = (0..sample_id(n_rows)).collect();
+        for (f, column) in ranks.chunks_exact_mut(n_rows).enumerate() {
+            let x = |i: u32| xs[i as usize * width + f];
+            by_value.sort_unstable_by(|&a, &b| x(a).partial_cmp(&x(b)).expect("finite feature"));
+            let (mut rank, mut prev) = (0, x(by_value[0]));
+            for &i in &by_value {
+                if x(i) != prev {
+                    rank += 1;
+                    prev = x(i);
+                }
+                column[i as usize] = rank;
             }
-            (column, right) => reference::Node::Split {
-                feature: column as usize,
-                threshold: node.t,
-                left: at + 1,
-                right: right as usize,
-            },
-        };
-        self.nodes.iter().enumerate().map(spell).collect()
+            levels.push(rank as usize + 1);
+        }
+        Self { n_rows, ranks, levels }
+    }
+
+    /// `n_features + 1` arrays of `sample.len()` positions each: array `f`
+    /// orders the positions by (feature `f`, position), the last is
+    /// ascending. One counting pass per feature, stable in position.
+    pub(crate) fn presort(&self, sample: &[usize]) -> Vec<u32> {
+        let n = sample.len();
+        let mut order = Vec::with_capacity((self.levels.len() + 1) * n);
+        order.resize(self.levels.len() * n, 0);
+        let mut next = vec![0u32; self.levels.iter().max().map_or(0, |&l| l + 1)];
+        for ((ranks, &levels), order) in
+            self.ranks.chunks_exact(self.n_rows).zip(&self.levels).zip(order.chunks_exact_mut(n))
+        {
+            // `next[r]` becomes the first slot of rank `r`: the count of
+            // positions ranked below it.
+            let next = &mut next[..=levels];
+            next.fill(0);
+            for &i in sample {
+                next[ranks[i] as usize + 1] += 1;
+            }
+            for r in 1..levels {
+                next[r] += next[r - 1];
+            }
+            for (p, &i) in sample.iter().enumerate() {
+                let slot = &mut next[ranks[i] as usize];
+                order[*slot as usize] = sample_id(p);
+                *slot += 1;
+            }
+        }
+        order.extend(0..sample_id(n));
+        order
     }
 }
 
@@ -279,9 +349,9 @@ struct Builder<'a> {
     goes_left: Vec<bool>,
     /// The right side of a range while it is being partitioned.
     spill: Vec<u32>,
-    /// Prefix sums of `y` and `y²` over one feature's order of one node.
-    sum: Vec<f64>,
-    sum2: Vec<f64>,
+    /// One node's feature values and targets in one feature's order.
+    node_x: Vec<f64>,
+    node_y: Vec<f64>,
     /// Candidate features of the node being split.
     features: Vec<usize>,
     links: Links,
@@ -290,7 +360,13 @@ struct Builder<'a> {
 }
 
 impl<'a> Builder<'a> {
-    fn new(data: &Dataset, sample: &[usize], params: &'a TreeParams, rng: &'a mut StdRng) -> Self {
+    fn new(
+        data: &Dataset,
+        ranks: &Ranks,
+        sample: &[usize],
+        params: &'a TreeParams,
+        rng: &'a mut StdRng,
+    ) -> Self {
         let n_samples = sample.len();
         let n_features = data.n_features();
         let mut xs = vec![0.0; n_features * n_samples];
@@ -299,17 +375,6 @@ impl<'a> Builder<'a> {
                 xs[f * n_samples + p] = x;
             }
         }
-        let positions = 0..sample_id(n_samples);
-        let mut order = Vec::with_capacity((n_features + 1) * n_samples);
-        for column in xs.chunks_exact(n_samples) {
-            let start = order.len();
-            order.extend(positions.clone());
-            // Stable: equal values keep ascending position.
-            order[start..].sort_by(|&a, &b| {
-                column[a as usize].partial_cmp(&column[b as usize]).expect("finite feature")
-            });
-        }
-        order.extend(positions);
         Self {
             params,
             rng,
@@ -317,11 +382,11 @@ impl<'a> Builder<'a> {
             n_features,
             xs,
             ys: sample.iter().map(|&i| data.target(i)).collect(),
-            order,
+            order: ranks.presort(sample),
             goes_left: vec![false; n_samples],
             spill: vec![0; n_samples],
-            sum: vec![0.0; n_samples + 1],
-            sum2: vec![0.0; n_samples + 1],
+            node_x: vec![0.0; n_samples],
+            node_y: vec![0.0; n_samples],
             features: Vec::with_capacity(n_features),
             links: Links::for_width(n_features),
             nodes: Vec::new(),
@@ -334,8 +399,6 @@ impl<'a> Builder<'a> {
     fn build(&mut self, lo: usize, hi: usize, depth: usize) {
         let params = self.params;
         let len = hi - lo;
-        let ascending = &self.order[self.n_features * self.n_samples..][lo..hi];
-        let mean = ascending.iter().map(|&p| self.ys[p as usize]).sum::<f64>() / len as f64;
         let leaf_ok = depth >= params.max_depth
             || len < params.min_samples_split
             || len < 2 * params.min_samples_leaf;
@@ -357,6 +420,8 @@ impl<'a> Builder<'a> {
             }
         }
         self.depth = self.depth.max(depth);
+        let ascending = &self.order[self.n_features * self.n_samples..][lo..hi];
+        let mean = ascending.iter().map(|&p| self.ys[p as usize]).sum::<f64>() / len as f64;
         let link = self.links.pack(self.links.leaf(), self.nodes.len());
         self.nodes.push(PackedNode { t: mean, link });
     }
@@ -376,36 +441,35 @@ impl<'a> Builder<'a> {
             return None; // no cut leaves both sides non-empty
         }
         let min_leaf = self.params.min_samples_leaf;
-        let (sum, sum2) = (&mut self.sum[..=n], &mut self.sum2[..=n]);
+        // Both sides of a cut are non-empty.
+        let (first, last) = (min_leaf.max(1), (n - min_leaf).min(n - 1));
+        let (xs, ys) = (&mut self.node_x[..n], &mut self.node_y[..n]);
         let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
         for &feature in &self.features {
             let order = &self.order[feature * self.n_samples..][lo..hi];
             let column = &self.xs[feature * self.n_samples..][..self.n_samples];
-            // Prefix sums of y and y^2 over the sorted order enable O(1)
-            // variance computation for every candidate cut.
-            for (k, &p) in order.iter().enumerate() {
-                let y = self.ys[p as usize];
-                sum[k + 1] = sum[k] + y;
-                sum2[k + 1] = sum2[k] + y * y;
+            let (mut total, mut total2) = (0.0, 0.0);
+            for ((&p, x), y) in order.iter().zip(&mut *xs).zip(&mut *ys) {
+                *x = column[p as usize];
+                *y = self.ys[p as usize];
+                total += *y;
+                total2 += *y * *y;
             }
-            let sse = |lo: usize, hi: usize| -> f64 {
-                // Sum of squared errors of targets in order[lo..hi].
-                let cnt = (hi - lo) as f64;
-                let s = sum[hi] - sum[lo];
-                let s2 = sum2[hi] - sum2[lo];
-                (s2 - s * s / cnt).max(0.0)
-            };
-            // Both sides of a cut are non-empty.
-            let cuts = min_leaf.max(1)..=(n - min_leaf).min(n - 1);
-            let mut hi_val = column[order[*cuts.start() - 1] as usize];
-            for cut in cuts {
-                let lo_val = hi_val;
-                hi_val = column[order[cut] as usize];
-                if lo_val == hi_val {
-                    continue; // cannot separate equal feature values
+            // Sum of squared errors of `count` targets summing to `s`,
+            // their squares to `s2`.
+            let sse = |s: f64, s2: f64, count: usize| (s2 - s * s / count as f64).max(0.0);
+            // Running sums of y and y² over the first `cut` samples make
+            // every candidate cut's variance O(1).
+            let (mut s, mut s2) = (0.0, 0.0);
+            for (cut, (&y, pair)) in (1..).zip(ys[..last].iter().zip(xs[..=last].windows(2))) {
+                s += y;
+                s2 += y * y;
+                let (lo_val, hi_val) = (pair[0], pair[1]);
+                if cut < first || lo_val == hi_val {
+                    continue; // a side under the minimum, or equal values split
                 }
-                let score = sse(0, cut) + sse(cut, n);
-                if best.is_none_or(|(_, _, s)| score < s) {
+                let score = sse(s, s2, cut) + sse(total - s, total2 - s2, n - cut);
+                if best.is_none_or(|(_, _, best)| score < best) {
                     best = Some((feature, (lo_val + hi_val) / 2.0, score));
                 }
             }
@@ -445,6 +509,26 @@ impl<'a> Builder<'a> {
             }
             range[lefts..].copy_from_slice(&self.spill[..rights]);
         }
+    }
+}
+
+#[cfg(test)]
+impl RegressionTree {
+    /// The packed nodes spelled out as reference nodes, index for index.
+    pub(crate) fn to_reference_nodes(&self) -> Vec<reference::Node> {
+        let spell = |(at, node): (usize, &PackedNode)| match self.links.unpack(node.link) {
+            (column, right) if column == self.links.leaf() => {
+                assert_eq!(right as usize, at, "a leaf links to itself");
+                reference::Node::Leaf { value: node.t }
+            }
+            (column, right) => reference::Node::Split {
+                feature: column as usize,
+                threshold: node.t,
+                left: at + 1,
+                right: right as usize,
+            },
+        };
+        self.nodes.iter().enumerate().map(spell).collect()
     }
 }
 
