@@ -24,13 +24,12 @@ pub struct AgentSample {
     pub observed_bw: Vec<f64>,
 }
 
-/// The fleet of per-DC local agents driven once per AIMD interval.
+/// The fleet of per-DC local agents driven once per [`AIMD_INTERVAL_S`].
 #[derive(Debug)]
 pub struct WanifyAgent {
     optimizers: Vec<LocalOptimizer>,
     host_egress_mbps: Vec<f64>,
     relations: Option<DcRelations>,
-    interval_s: f64,
     throttling: bool,
     next_update_s: f64,
     trace_src: Option<usize>,
@@ -38,31 +37,25 @@ pub struct WanifyAgent {
     updates: usize,
 }
 
-/// The paper's local-optimizer epoch: target updates every 5 seconds
-/// (§5.7: "an epoch refers to the 5-second interval").
-pub const DEFAULT_AIMD_INTERVAL_S: f64 = 5.0;
+/// The paper's local-optimizer epoch: agents update their targets every
+/// 5 seconds (§5.7: "an epoch refers to the 5-second interval").
+pub const AIMD_INTERVAL_S: f64 = 5.0;
 
 impl WanifyAgent {
     /// Creates agents for every DC of `plan`, updating every
-    /// [`DEFAULT_AIMD_INTERVAL_S`] seconds, with throttling enabled.
+    /// [`AIMD_INTERVAL_S`] seconds, with throttling enabled.
     pub fn new(plan: &GlobalPlan) -> Self {
-        Self::with_options(plan, DEFAULT_AIMD_INTERVAL_S, true)
+        Self::with_options(plan, true)
     }
 
-    /// Creates agents with an explicit AIMD interval and throttling switch
-    /// (throttling off reproduces the WANify-Dynamic variant of Fig. 5).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval_s` is not positive.
-    pub fn with_options(plan: &GlobalPlan, interval_s: f64, throttling: bool) -> Self {
-        assert!(interval_s > 0.0, "AIMD interval must be positive");
+    /// Creates agents with a throttling switch (throttling off reproduces
+    /// the WANify-Dynamic variant of Fig. 5).
+    pub fn with_options(plan: &GlobalPlan, throttling: bool) -> Self {
         let n = plan.max_cons.len();
         Self {
             optimizers: (0..n).map(|src| LocalOptimizer::new(src, plan)).collect(),
             host_egress_mbps: plan.host_egress_mbps.clone(),
             relations: None,
-            interval_s,
             throttling,
             next_update_s: 0.0,
             trace_src: None,
@@ -109,7 +102,7 @@ impl EpochHook for WanifyAgent {
         if ctx.time_s < self.next_update_s {
             return;
         }
-        self.next_update_s = ctx.time_s + self.interval_s;
+        self.next_update_s = ctx.time_s + AIMD_INTERVAL_S;
         self.updates += 1;
         let n = self.optimizers.len();
 
@@ -180,7 +173,7 @@ mod tests {
     fn plan_for(sim: &mut NetSim) -> GlobalPlan {
         let bw = sim.measure_runtime(&ConnMatrix::filled(sim.topology().len(), 1), 5).bw;
         let rel = infer_dc_relations(&bw, 30.0).unwrap();
-        optimize_global(&bw, &rel, 8, None, None).unwrap()
+        optimize_global(&bw, &rel, None, None).unwrap()
     }
 
     fn sim() -> NetSim {
@@ -191,7 +184,7 @@ mod tests {
     fn agent_updates_only_on_interval() {
         let mut s = sim();
         let plan = plan_for(&mut s);
-        let mut agent = WanifyAgent::with_options(&plan, 5.0, false);
+        let mut agent = WanifyAgent::with_options(&plan, false);
         let transfers =
             [Transfer::new(DcId(0), DcId(2), 2.0), Transfer::new(DcId(0), DcId(1), 10.0)];
         let report = s.run_transfers(&transfers, &plan.max_cons, Some(&mut agent));
@@ -244,7 +237,7 @@ mod tests {
             max_bw: BwMatrix::from_fn(n, |i, j| if i == j { 0.0 } else { 50_000.0 }),
             host_egress_mbps: vec![1e12; n],
         };
-        let mut agent = WanifyAgent::with_options(&plan, 5.0, false);
+        let mut agent = WanifyAgent::with_options(&plan, false);
         let transfers = [
             Transfer::new(DcId(0), DcId(1), 60.0),
             Transfer::new(DcId(1), DcId(0), 60.0),
@@ -258,13 +251,5 @@ mod tests {
                 || o.target_cons(2) < plan.max_cons.get(0, 2),
             "at least one contended pair should have backed off"
         );
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_interval_rejected() {
-        let mut s = sim();
-        let plan = plan_for(&mut s);
-        let _ = WanifyAgent::with_options(&plan, 0.0, true);
     }
 }

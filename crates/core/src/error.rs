@@ -10,8 +10,6 @@ pub enum WanifyError {
         /// Provided size.
         got: usize,
     },
-    /// The prediction model was used before training.
-    ModelNotTrained,
     /// The prediction model was trained on rows of a different width than
     /// the Table-3 feature vector it is asked to predict from.
     FeatureArityMismatch {
@@ -29,9 +27,6 @@ impl std::fmt::Display for WanifyError {
         match self {
             WanifyError::DimensionMismatch { expected, got } => {
                 write!(f, "matrix covers {got} DCs but the cluster has {expected}")
-            }
-            WanifyError::ModelNotTrained => {
-                write!(f, "the WAN prediction model has not been trained yet")
             }
             WanifyError::FeatureArityMismatch { expected, got } => {
                 write!(f, "the model was trained on {got} features but a probe row has {expected}")
@@ -51,7 +46,6 @@ mod tests {
     fn messages_are_informative() {
         let e = WanifyError::DimensionMismatch { expected: 8, got: 3 };
         assert!(e.to_string().contains('8') && e.to_string().contains('3'));
-        assert!(WanifyError::ModelNotTrained.to_string().contains("trained"));
         let e = WanifyError::FeatureArityMismatch { expected: 6, got: 4 };
         assert!(e.to_string().contains('6') && e.to_string().contains('4'));
     }

@@ -5,7 +5,8 @@
 //! *window* of parallel connections (`minCons..=maxCons`) and the
 //! corresponding achievable bandwidths (`minBW..=maxBW`). Distant pairs
 //! (high closeness index) receive more connections out of each host's
-//! limited budget `M`, trading strong links for weak ones (paper §3.2.1).
+//! limited budget `M` ([`MAX_CONNS`]), trading strong links for weak ones
+//! (paper §3.2.1).
 //! Skew weights `ws` (§3.3.1) and the provider refactoring vector `rvec`
 //! (§3.3.3) scale the result.
 
@@ -32,6 +33,11 @@ pub struct GlobalPlan {
     pub host_egress_mbps: Vec<f64>,
 }
 
+/// `M`, the per-host parallel-connection budget of Eq. 2-3 (the paper's
+/// worked example in §3.2.1 uses 8, matching the uniform-parallelism
+/// baseline of §5.1).
+pub const MAX_CONNS: u32 = 8;
+
 /// Hard per-pair ceiling applied after skew scaling, as a multiple of `M`.
 const SKEW_CEILING_FACTOR: u32 = 2;
 
@@ -44,8 +50,6 @@ const ROW_BUDGET_FACTOR: u32 = 3;
 ///
 /// * `bw` — predicted runtime single-connection bandwidths;
 /// * `rel` — closeness indices from [`crate::relations::infer_dc_relations`];
-/// * `max_conns` — `M`, the per-host parallel-connection budget (paper
-///   default 8, matching the uniform-parallelism baseline of §5.1);
 /// * `skew_weights` — optional per-DC input-data fractions `ws`; weights
 ///   are normalized to mean 1 and scale the *source* DC's connections;
 /// * `rvec` — optional per-DC provider refactoring factors (§3.3.3),
@@ -54,11 +58,10 @@ const ROW_BUDGET_FACTOR: u32 = 3;
 /// # Errors
 ///
 /// Returns [`WanifyError::DimensionMismatch`] if matrix/vector sizes
-/// disagree, and [`WanifyError::InvalidConfig`] if `max_conns == 0`.
+/// disagree.
 pub fn optimize_global(
     bw: &BwMatrix,
     rel: &DcRelations,
-    max_conns: u32,
     skew_weights: Option<&[f64]>,
     rvec: Option<&[f64]>,
 ) -> Result<GlobalPlan, WanifyError> {
@@ -75,9 +78,6 @@ pub fn optimize_global(
         if rv.len() != n {
             return Err(WanifyError::DimensionMismatch { expected: n, got: rv.len() });
         }
-    }
-    if max_conns == 0 {
-        return Err(WanifyError::InvalidConfig("max_conns must be at least 1".into()));
     }
 
     // Eq. 2: sum of closeness indices skipping class 1 (the diagonal), and
@@ -104,8 +104,8 @@ pub fn optimize_global(
     };
     let rv: Vec<f64> = rvec.map_or_else(|| vec![1.0; n], <[f64]>::to_vec);
 
-    let m = f64::from(max_conns);
-    let ceiling = max_conns * SKEW_CEILING_FACTOR;
+    let m = f64::from(MAX_CONNS);
+    let ceiling = MAX_CONNS * SKEW_CEILING_FACTOR;
     let raw_pair = |i: usize, j: usize| -> (f64, f64) {
         let relij = f64::from(rel.get(i, j));
         let lo = ((relij / sum_all) * (m - 1.0)).floor().max(1.0);
@@ -134,7 +134,7 @@ pub fn optimize_global(
     // Second pass: clamp each row's total parallelism to the host budget
     // (§3.2.1: connections from a VM in a DC are limited; exceeding the
     // optimal threshold degrades performance), preserving row shape.
-    let row_budget = f64::from(max_conns * ROW_BUDGET_FACTOR);
+    let row_budget = f64::from(MAX_CONNS * ROW_BUDGET_FACTOR);
     for i in 0..n {
         let total: f64 = (0..n).filter(|&j| j != i).map(|j| hi_scaled[i][j]).sum();
         if total > row_budget {
@@ -194,7 +194,7 @@ mod tests {
         // Paper §3.2.1: with M = 8, minCons is all ones and maxCons gives
         // nearby pairs 6 and distant pairs 8 connections.
         let (bw, rel) = paper_inputs();
-        let plan = optimize_global(&bw, &rel, 8, None, None).unwrap();
+        let plan = optimize_global(&bw, &rel, None, None).unwrap();
         for (_, _, c) in plan.min_cons.iter_pairs() {
             assert_eq!(c, 1, "minCons should be all ones");
         }
@@ -208,7 +208,7 @@ mod tests {
     #[test]
     fn achievable_bw_is_linear_in_connections() {
         let (bw, rel) = paper_inputs();
-        let plan = optimize_global(&bw, &rel, 8, None, None).unwrap();
+        let plan = optimize_global(&bw, &rel, None, None).unwrap();
         assert!((plan.max_bw.get(0, 2) - 120.0 * 8.0).abs() < 1e-9);
         assert!((plan.min_bw.get(0, 2) - 120.0).abs() < 1e-9);
     }
@@ -216,7 +216,7 @@ mod tests {
     #[test]
     fn distant_pairs_get_at_least_as_many_connections() {
         let (bw, rel) = paper_inputs();
-        let plan = optimize_global(&bw, &rel, 8, None, None).unwrap();
+        let plan = optimize_global(&bw, &rel, None, None).unwrap();
         for (i, j, c) in plan.max_cons.iter_pairs() {
             for (i2, j2, c2) in plan.max_cons.iter_pairs() {
                 if rel.get(i, j) > rel.get(i2, j2) {
@@ -231,8 +231,8 @@ mod tests {
         let (bw, rel) = paper_inputs();
         // DC0 holds 70% of the input.
         let ws = [0.7, 0.2, 0.1];
-        let plan = optimize_global(&bw, &rel, 8, Some(&ws), None).unwrap();
-        let base = optimize_global(&bw, &rel, 8, None, None).unwrap();
+        let plan = optimize_global(&bw, &rel, Some(&ws), None).unwrap();
+        let base = optimize_global(&bw, &rel, None, None).unwrap();
         assert!(
             plan.max_cons.get(0, 2) > base.max_cons.get(0, 2),
             "skewed DC0 gets more outgoing connections"
@@ -244,7 +244,7 @@ mod tests {
     fn skew_scaling_is_capped() {
         let (bw, rel) = paper_inputs();
         let ws = [100.0, 0.001, 0.001];
-        let plan = optimize_global(&bw, &rel, 8, Some(&ws), None).unwrap();
+        let plan = optimize_global(&bw, &rel, Some(&ws), None).unwrap();
         for (_, _, c) in plan.max_cons.iter_pairs() {
             assert!(c <= 16, "cap at 2·M, got {c}");
             assert!(c >= 1);
@@ -255,8 +255,8 @@ mod tests {
     fn rvec_scales_bandwidth_not_connections() {
         let (bw, rel) = paper_inputs();
         let rv = [1.0, 1.0, 0.8]; // DC2 on another provider
-        let plan = optimize_global(&bw, &rel, 8, None, Some(&rv)).unwrap();
-        let base = optimize_global(&bw, &rel, 8, None, None).unwrap();
+        let plan = optimize_global(&bw, &rel, None, Some(&rv)).unwrap();
+        let base = optimize_global(&bw, &rel, None, None).unwrap();
         assert_eq!(plan.max_cons, base.max_cons);
         assert!((plan.max_bw.get(0, 2) - base.max_bw.get(0, 2) * 0.8).abs() < 1e-9);
         assert!((plan.max_bw.get(0, 1) - base.max_bw.get(0, 1)).abs() < 1e-9);
@@ -266,12 +266,8 @@ mod tests {
     fn dimension_checks() {
         let (bw, rel) = paper_inputs();
         assert!(matches!(
-            optimize_global(&bw, &rel, 8, Some(&[1.0]), None),
+            optimize_global(&bw, &rel, Some(&[1.0]), None),
             Err(WanifyError::DimensionMismatch { .. })
-        ));
-        assert!(matches!(
-            optimize_global(&bw, &rel, 0, None, None),
-            Err(WanifyError::InvalidConfig(_))
         ));
     }
 
@@ -299,20 +295,19 @@ mod tests {
             #[test]
             fn plan_invariants_hold(
                 bw in arb_bw(),
-                m in 1u32..12,
                 d in 0.0f64..300.0,
                 ws in proptest::collection::vec(0.0f64..1.0, 4),
             ) {
                 let rel = infer_dc_relations(&bw, d).unwrap();
-                let plan = optimize_global(&bw, &rel, m, Some(&ws), None).unwrap();
-                let row_budget = f64::from(m * 3);
+                let plan = optimize_global(&bw, &rel, Some(&ws), None).unwrap();
+                let row_budget = f64::from(MAX_CONNS * 3);
                 for i in 0..4 {
                     let mut row_total = 0.0;
                     for j in 0..4 {
                         let lo = plan.min_cons.get(i, j);
                         let hi = plan.max_cons.get(i, j);
                         prop_assert!(lo >= 1 && hi >= lo);
-                        prop_assert!(hi <= m * 2, "pair cap 2M violated: {hi}");
+                        prop_assert!(hi <= MAX_CONNS * 2, "pair cap 2M violated: {hi}");
                         prop_assert!(
                             plan.min_bw.get(i, j) <= plan.max_bw.get(i, j) + 1e-9
                         );
@@ -328,12 +323,9 @@ mod tests {
             }
 
             #[test]
-            fn farther_class_never_fewer_connections_without_skew(
-                bw in arb_bw(),
-                m in 2u32..10,
-            ) {
+            fn farther_class_never_fewer_connections_without_skew(bw in arb_bw()) {
                 let rel = infer_dc_relations(&bw, 50.0).unwrap();
-                let plan = optimize_global(&bw, &rel, m, None, None).unwrap();
+                let plan = optimize_global(&bw, &rel, None, None).unwrap();
                 for i in 0..4 {
                     for j in 0..4 {
                         for k in 0..4 {
@@ -355,12 +347,10 @@ mod tests {
     #[test]
     fn min_never_exceeds_max() {
         let (bw, rel) = paper_inputs();
-        for m in [1u32, 2, 4, 8, 16] {
-            let plan = optimize_global(&bw, &rel, m, None, None).unwrap();
-            for (i, j, lo) in plan.min_cons.iter_pairs() {
-                assert!(lo <= plan.max_cons.get(i, j));
-                assert!(plan.min_bw.get(i, j) <= plan.max_bw.get(i, j) + 1e-9);
-            }
+        let plan = optimize_global(&bw, &rel, None, None).unwrap();
+        for (i, j, lo) in plan.min_cons.iter_pairs() {
+            assert!(lo <= plan.max_cons.get(i, j));
+            assert!(plan.min_bw.get(i, j) <= plan.max_bw.get(i, j) + 1e-9);
         }
     }
 }

@@ -11,22 +11,18 @@ use crate::agent::WanifyAgent;
 use crate::error::WanifyError;
 use crate::global::{optimize_global, GlobalPlan};
 use crate::local::feasible_factor;
-use crate::relations::{infer_dc_relations, DcRelations};
+use crate::relations::{infer_dc_relations, DcRelations, MIN_DIFF_MBPS};
 use crate::source::BandwidthSource;
 use crate::throttle::throttle_caps;
 use wanify_netsim::{BwMatrix, ConnMatrix, Grid, NetSim};
 
-/// Configuration of the WANify pipeline.
+/// Configuration of the WANify pipeline. The paper's fixed planning
+/// inputs (`M`, `D`, the AIMD epoch) are constants, listed in the
+/// [crate docs](crate).
 #[derive(Debug, Clone, PartialEq)]
 pub struct WanifyConfig {
-    /// `M` — per-host parallel-connection budget (paper example: 8).
-    pub max_conns_per_pair: u32,
-    /// `D` — minimum bandwidth difference for Algorithm 1's level merge.
-    pub relation_min_diff_mbps: f64,
     /// Enable traffic-control throttling of BW-rich links (WANify-TC).
     pub throttling: bool,
-    /// AIMD update interval for local agents, seconds.
-    pub aimd_interval_s: f64,
     /// Optional per-DC skew weights `ws` (from the storage layer, §3.3.1).
     pub skew_weights: Option<Vec<f64>>,
     /// Optional provider refactoring vector `rvec` (§3.3.3).
@@ -35,14 +31,7 @@ pub struct WanifyConfig {
 
 impl Default for WanifyConfig {
     fn default() -> Self {
-        Self {
-            max_conns_per_pair: 8,
-            relation_min_diff_mbps: 30.0,
-            throttling: true,
-            aimd_interval_s: crate::agent::DEFAULT_AIMD_INTERVAL_S,
-            skew_weights: None,
-            rvec: None,
-        }
+        Self { throttling: true, skew_weights: None, rvec: None }
     }
 }
 
@@ -97,11 +86,6 @@ impl Wanify {
         Self { config }
     }
 
-    /// Read access to the configuration.
-    pub fn config(&self) -> &WanifyConfig {
-        &self.config
-    }
-
     /// Gauges `net` through any [`BandwidthSource`] and plans from the
     /// result — the provenance-agnostic entry point of the pipeline.
     ///
@@ -127,14 +111,13 @@ impl Wanify {
     ///
     /// # Errors
     ///
-    /// Returns [`WanifyError`] when the configured skew/rvec vectors
-    /// mismatch the matrix size or the configuration is invalid.
+    /// Returns [`WanifyError::DimensionMismatch`] when the configured
+    /// skew/rvec vectors mismatch the matrix size.
     pub fn try_plan_matrix(&self, predicted_bw: &BwMatrix) -> Result<WanifyPlan, WanifyError> {
-        let relations = infer_dc_relations(predicted_bw, self.config.relation_min_diff_mbps)?;
+        let relations = infer_dc_relations(predicted_bw, MIN_DIFF_MBPS)?;
         let global = optimize_global(
             predicted_bw,
             &relations,
-            self.config.max_conns_per_pair,
             self.config.skew_weights.as_deref(),
             self.config.rvec.as_deref(),
         )?;
@@ -148,7 +131,7 @@ impl Wanify {
 
     /// Spawns the local-agent fleet for a plan.
     pub fn agent(&self, plan: &WanifyPlan) -> WanifyAgent {
-        WanifyAgent::with_options(&plan.global, self.config.aimd_interval_s, self.config.throttling)
+        WanifyAgent::with_options(&plan.global, self.config.throttling)
             .with_relations(plan.relations.clone())
     }
 }
@@ -193,15 +176,6 @@ mod tests {
             ..WanifyConfig::default()
         });
         assert!(matches!(w.try_plan_matrix(&bw3()), Err(WanifyError::DimensionMismatch { .. })));
-    }
-
-    #[test]
-    fn agent_respects_config_interval() {
-        let config = WanifyConfig { aimd_interval_s: 2.5, ..WanifyConfig::default() };
-        let wanify = Wanify::new(config);
-        let plan = wanify.try_plan_matrix(&bw3()).unwrap();
-        let agent = wanify.agent(&plan);
-        assert_eq!(agent.updates(), 0);
     }
 
     #[test]

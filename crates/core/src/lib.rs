@@ -29,6 +29,24 @@
 //! through one interface, which is exactly the coupling §2.2 argues
 //! against in existing systems.
 //!
+//! ## Paper constants
+//!
+//! The paper fixes WANify's planning inputs and the inputs of its
+//! monitoring-cost model; each is one named constant.
+//!
+//! | Input | Value | Constant | Paper |
+//! |---|---|---|---|
+//! | `M`, per-host parallel-connection budget | 8 | [`global::MAX_CONNS`] | §3.2.1, Eq. 2-3 |
+//! | `D`, minimum significant bandwidth difference | 30 Mbps | [`relations::MIN_DIFF_MBPS`] | §3.2.1, Algorithm 1 |
+//! | AIMD epoch of the local agents | 5 s | [`agent::AIMD_INTERVAL_S`] | §5.7 |
+//! | `O`, monitoring events per year | 17 520 | [`costs::OCCURRENCES_PER_YEAR`] | §2.2, Eq. 1 |
+//! | Probe VM (`x`) | unlimited-burst t3.nano | [`VmType::t3_nano`](wanify_netsim::VmType::t3_nano) | §2.2, Eq. 1 |
+//! | `y`, runtime monitoring duration | 20 s | [`costs::RUNTIME_DURATION_S`] | §2.2, Eq. 1 |
+//! | Snapshot duration | 1 s | [`costs::SNAPSHOT_DURATION_S`] | §2.2, Table 2 |
+//! | Average probe bandwidth (`z`) | 200 Mbps | [`costs::AVG_PROBE_BW_MBPS`] | §2.2, Eq. 1 |
+//! | Inter-region transfer price (`z`) | 0.02 USD/GB | [`costs::NETWORK_PRICE_PER_GB`] | §2.2, Eq. 1 |
+//! | Training samples | 1 000 | [`costs::TRAINING_SAMPLES`] | §2.2, Table 2 |
+//!
 //! ## Quick example
 //!
 //! ```

@@ -161,7 +161,7 @@ mod tests {
             vec![1000.0, 400.0, 120.0, 380.0, 1000.0, 130.0, 110.0, 120.0, 1000.0],
         );
         let rel = infer_dc_relations(&bw, 30.0).unwrap();
-        optimize_global(&bw, &rel, 8, None, None).unwrap()
+        optimize_global(&bw, &rel, None, None).unwrap()
     }
 
     #[test]

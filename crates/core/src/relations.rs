@@ -15,12 +15,18 @@ use wanify_netsim::{BwMatrix, Grid};
 /// value identifies the weakest link class in the cluster.
 pub type DcRelations = Grid<u32>;
 
+/// `D`, the minimum bandwidth difference Algorithm 1 treats as significant
+/// when [`crate::Wanify`] plans (the paper's example in §3.2.1 uses
+/// 30 Mbps).
+pub const MIN_DIFF_MBPS: f64 = 30.0;
+
 /// Implements Algorithm 1 of the paper.
 ///
 /// `bw` is the predicted runtime bandwidth matrix (diagonal entries are
 /// treated as intra-DC and assigned the strongest class); `min_diff` is
 /// `D`, the minimum bandwidth difference considered significant when
-/// merging adjacent bandwidth levels (the paper's example uses 30 Mbps).
+/// merging adjacent bandwidth levels ([`Wanify`](crate::Wanify) plans
+/// with [`MIN_DIFF_MBPS`]).
 ///
 /// # Errors
 ///

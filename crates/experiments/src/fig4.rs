@@ -23,7 +23,6 @@ fn ml_config(effort: Effort) -> QuantConfig {
             Effort::Full => 10,
         },
         target_transfer_s: 25.0,
-        ..QuantConfig::default()
     }
 }
 

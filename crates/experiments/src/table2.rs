@@ -1,7 +1,7 @@
 //! Table 2: accurate prediction saves ~96% in monitoring costs.
 
 use crate::table::Table;
-use wanify::costs::{table2, table2_savings_pct, MonitoringCostParams, Table2Row};
+use wanify::costs::{table2, table2_savings_pct, Table2Row};
 
 /// Result of the Table 2 reproduction.
 #[derive(Debug, Clone)]
@@ -45,8 +45,7 @@ impl Table2 {
 
 /// Runs the cost model with the paper's parameters.
 pub fn run() -> Table2 {
-    let params = MonitoringCostParams::default();
-    Table2 { rows: table2(&params), savings_pct: table2_savings_pct(&params) }
+    Table2 { rows: table2(), savings_pct: table2_savings_pct() }
 }
 
 #[cfg(test)]

@@ -58,23 +58,14 @@ impl std::fmt::Display for CostBreakdown {
     }
 }
 
-/// Prices a query execution on a topology.
-#[derive(Debug, Clone)]
-pub struct CostModel {
-    /// Price multiplier for experiments on discounted capacity (default 1).
-    pub price_factor: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        Self { price_factor: 1.0 }
-    }
-}
+/// Prices a query execution on a topology at the published unit prices.
+#[derive(Debug, Clone, Default)]
+pub struct CostModel;
 
 impl CostModel {
     /// Creates the default model.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Prices a run: `duration_s` of the whole fleet plus per-source egress
@@ -102,11 +93,7 @@ impl CostModel {
             .map(|((_, dc), gb)| egress_price_per_gb(dc.region) * gb)
             .sum();
         let storage_usd = stored_input_gb * STORAGE_PRICE_PER_GB_MONTH * hours / HOURS_PER_MONTH;
-        CostBreakdown {
-            compute_usd: compute_usd * self.price_factor,
-            network_usd: network_usd * self.price_factor,
-            storage_usd: storage_usd * self.price_factor,
-        }
+        CostBreakdown { compute_usd, network_usd, storage_usd }
     }
 }
 

@@ -38,7 +38,7 @@ fn plan() -> GlobalPlan {
         NetSim::new(paper_testbed_n(VmType::t2_medium(), N_DCS), LinkModelParams::frozen(), 17);
     let bw = probe.measure_runtime(&ConnMatrix::filled(N_DCS, 1), 5).bw;
     let rel = infer_dc_relations(&bw, 30.0).unwrap();
-    optimize_global(&bw, &rel, 8, None, None).unwrap()
+    optimize_global(&bw, &rel, None, None).unwrap()
 }
 
 fn run_key(report: &FleetReport) -> Vec<(Arc<str>, u64, u64)> {

@@ -38,13 +38,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
-/// Hyper-parameters of a [`RandomForest`].
+/// Hyper-parameters of a [`RandomForest`]. Every tree grows to depth 18
+/// at most, with at least one sample per leaf.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ForestParams {
     /// Number of trees. The paper settles on 100 estimators (§5.1).
     pub n_estimators: usize,
-    /// Per-tree CART parameters.
-    pub tree: TreeParams,
     /// Features sampled per split; `None` = `max(1, n_features / 3)`,
     /// the common regression default.
     pub features_per_split: Option<usize>,
@@ -54,14 +53,14 @@ pub struct ForestParams {
 
 impl Default for ForestParams {
     fn default() -> Self {
-        Self {
-            n_estimators: 100,
-            tree: TreeParams { max_depth: 18, min_samples_leaf: 1, ..TreeParams::default() },
-            features_per_split: None,
-            bootstrap: true,
-        }
+        Self { n_estimators: 100, features_per_split: None, bootstrap: true }
     }
 }
+
+/// Per-tree CART parameters of every forest; `features_per_split` is
+/// filled in from [`ForestParams::features_per_split`] at fit time.
+pub(crate) const TREE_PARAMS: TreeParams =
+    TreeParams { max_depth: 18, min_samples_leaf: 1, features_per_split: None };
 
 /// A fitted Random Forest regressor.
 ///
@@ -116,7 +115,7 @@ impl RandomForest {
                 .params
                 .features_per_split
                 .or(Some((data.n_features() / 3).max(1))),
-            ..self.params.tree.clone()
+            ..TREE_PARAMS
         };
         // Pre-derive every tree's seed from the forest seed chain so the
         // per-tree work can fan out to any number of threads while the

@@ -14,7 +14,7 @@
 //! build.
 
 use crate::dataset::Dataset;
-use crate::forest::{ForestParams, RandomForest};
+use crate::forest::{ForestParams, RandomForest, TREE_PARAMS};
 use crate::tree::reference::{Node, ReferenceTree};
 use crate::tree::{Links, Ranks, RegressionTree, TreeParams, LANES};
 use proptest::prelude::*;
@@ -42,7 +42,7 @@ impl ReferenceForest {
                 .params
                 .features_per_split
                 .or(Some((data.n_features() / 3).max(1))),
-            ..self.params.tree.clone()
+            ..TREE_PARAMS
         };
         for _ in 0..count {
             let mut rng = StdRng::seed_from_u64(self.next_seed);
@@ -168,12 +168,7 @@ proptest! {
         for min_samples_leaf in [1, 3] {
             for max_depth in [0, 2, 18] {
                 for features_per_split in [None, Some(1), Some(width)] {
-                    let params = TreeParams {
-                        max_depth,
-                        min_samples_leaf,
-                        features_per_split,
-                        ..TreeParams::default()
-                    };
+                    let params = TreeParams { max_depth, min_samples_leaf, features_per_split };
                     let case = format!("{rows}x{width} seed {seed} {params:?}");
                     let (mut rng, mut reference_rng) =
                         (StdRng::seed_from_u64(seed ^ 0xB0B), StdRng::seed_from_u64(seed ^ 0xB0B));
@@ -204,7 +199,6 @@ proptest! {
             max_depth: 18,
             min_samples_leaf,
             features_per_split: Some(width.div_ceil(2)),
-            ..TreeParams::default()
         };
         let (mut rng, mut reference_rng) = (draw.clone(), draw);
         let ranks = Ranks::new(&data);

@@ -15,7 +15,7 @@
 //!
 //! # Inference: fixed-depth, lane-interleaved walks
 //!
-//! [`RegressionTree::for_each_leaf`] walks a block of [`LANES`] rows
+//! Prediction (`for_each_leaf`) walks a block of `LANES` (16) rows
 //! through the tree together for exactly `depth` steps (the depth is
 //! recorded at fit time). A row that reaches its leaf early stays there,
 //! because a leaf steps to itself whichever way the comparison falls. The
@@ -68,13 +68,12 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use std::hint::select_unpredictable;
 
-/// Hyper-parameters of a single regression tree.
+/// Hyper-parameters of a single regression tree. A node is split only if
+/// it holds at least two samples (CART's minimum).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TreeParams {
     /// Maximum depth; the root is depth 0.
     pub max_depth: usize,
-    /// Minimum samples required to attempt a split.
-    pub min_samples_split: usize,
     /// Minimum samples each child must retain.
     pub min_samples_leaf: usize,
     /// Features sampled per split (`None` = all features).
@@ -83,9 +82,13 @@ pub struct TreeParams {
 
 impl Default for TreeParams {
     fn default() -> Self {
-        Self { max_depth: 16, min_samples_split: 2, min_samples_leaf: 1, features_per_split: None }
+        Self { max_depth: 16, min_samples_leaf: 1, features_per_split: None }
     }
 }
+
+/// Minimum samples a node needs for a split to be tried: CART's (and
+/// scikit-learn's) default of 2.
+pub(crate) const MIN_SAMPLES_SPLIT: usize = 2;
 
 /// Rows that walk a tree together: enough that the out-of-order core
 /// always has independent node loads in flight. Measured on the 56-row,
@@ -400,7 +403,7 @@ impl<'a> Builder<'a> {
         let params = self.params;
         let len = hi - lo;
         let leaf_ok = depth >= params.max_depth
-            || len < params.min_samples_split
+            || len < MIN_SAMPLES_SPLIT
             || len < 2 * params.min_samples_leaf;
         if !leaf_ok {
             if let Some((feature, threshold)) = self.best_split(lo, hi) {
@@ -606,7 +609,7 @@ pub(crate) mod reference {
         ) -> usize {
             let mean = indices.iter().map(|&i| data.target(i)).sum::<f64>() / indices.len() as f64;
             let leaf_ok = depth >= params.max_depth
-                || indices.len() < params.min_samples_split
+                || indices.len() < super::MIN_SAMPLES_SPLIT
                 || indices.len() < 2 * params.min_samples_leaf;
             if !leaf_ok {
                 if let Some((feature, threshold)) = self.best_split(data, &indices, params, rng) {

@@ -13,7 +13,7 @@ use std::cell::Cell;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use wanify_forest::{Dataset, ForestParams, RandomForest, TreeParams};
+use wanify_forest::{Dataset, ForestParams, RandomForest};
 
 thread_local! {
     static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
@@ -89,12 +89,8 @@ const PER_TREE: usize = 2 * (48 + 16);
 #[test]
 fn a_fitted_forest_retains_its_nodes_and_a_constant_per_tree() {
     let data = gauge_like(2_000, 3);
-    let params = ForestParams {
-        n_estimators: 12,
-        features_per_split: Some(4),
-        tree: TreeParams { max_depth: 18, ..TreeParams::default() },
-        ..ForestParams::default()
-    };
+    let params =
+        ForestParams { n_estimators: 12, features_per_split: Some(4), ..ForestParams::default() };
     // Warm-up: anything a first fit sets up once is not the forest's.
     drop(retained(|| RandomForest::fit(&data, &params, 1)));
 

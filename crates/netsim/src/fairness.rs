@@ -23,11 +23,11 @@
 //! here and in `sim.rs` hold the two to `f64::to_bits` equality, and the
 //! transfer loop's shadow oracle holds every engine event to it.
 //!
-//! * **Reuse.** A problem is described pair-major, as a [`PairFlows`]:
+//! * **Reuse.** A problem is described pair-major, as a `PairFlows`:
 //!   two flat member arrays, one per direction, cut into per-host lists
 //!   by offsets, each keeping its capacity from one filing to the next
 //!   (a fixed set of buffers at any host count, not two lists per host);
-//!   [`FairnessWorkspace`] owns every buffer a solve needs, so repeated
+//!   `FairnessWorkspace` owns every buffer a solve needs, so repeated
 //!   solves are allocation-free once the buffers have grown. A filing and
 //!   a workspace serve every solve on their thread: the crate's entries
 //!   borrow one per thread (`sim::Scratch`), not one per engine or call.
@@ -168,7 +168,7 @@
 //! never read: both callers answer for such a flow themselves.
 //!
 //! The **description** of the problem — which flows exist, on which
-//! directed pair, with how many connections — is a [`PairFlows`]: every
+//! directed pair, with how many connections — is a `PairFlows`: every
 //! flow filed once under its pair, in ascending *slot* (its index in a
 //! flow list; flows no WAN resource constrains are gaps), plus per host
 //! the occupied pairs out of it and the slots into it, each host's list

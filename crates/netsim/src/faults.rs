@@ -16,7 +16,7 @@
 //!    run stays bit-identical across repeats and thread counts.
 //! 2. **Epoch-aligned firing.** Events fire at the first *solve point* at
 //!    or after their timestamp: the coalesced fast path clips its jumps at
-//!    the next pending event ([`crate::NetSim::epochs_until_next_fault`]),
+//!    the next pending event (`NetSim::epochs_until_next_fault`),
 //!    so it applies each fault at the same simulated epoch as naive
 //!    per-second stepping — the parity the `coalescing` suite pins down.
 //!

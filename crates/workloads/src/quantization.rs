@@ -11,7 +11,17 @@
 use wanify_gda::{CostBreakdown, CostModel};
 use wanify_netsim::{BwMatrix, ConnMatrix, DcId, EpochHook, NetSim, Transfer};
 
-/// Configuration of the quantized training run.
+/// Smallest precision SAGQ may select, bits.
+pub const MIN_BITS: u32 = 2;
+
+/// Full precision, bits.
+pub const MAX_BITS: u32 = 32;
+
+/// Stored dataset size in GB (MNIST after union transforms ≈ 6.8).
+pub const INPUT_GB: f64 = 6.8;
+
+/// Configuration of the quantized training run. Precision ranges over
+/// [`MIN_BITS`]..=[`MAX_BITS`] and the stored input is [`INPUT_GB`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct QuantConfig {
     /// Data center hosting the parameter server (paper: US East).
@@ -24,12 +34,6 @@ pub struct QuantConfig {
     pub epochs: u32,
     /// Per-link transfer-time budget SAGQ aims for, in seconds.
     pub target_transfer_s: f64,
-    /// Smallest precision SAGQ may select.
-    pub min_bits: u32,
-    /// Full precision.
-    pub max_bits: u32,
-    /// Stored dataset size in GB (MNIST after union transforms ≈ 6.8).
-    pub input_gb: f64,
 }
 
 impl Default for QuantConfig {
@@ -40,9 +44,6 @@ impl Default for QuantConfig {
             compute_s_per_epoch: 240.0,
             epochs: 10,
             target_transfer_s: 60.0,
-            min_bits: 2,
-            max_bits: 32,
-            input_gb: 6.8,
         }
     }
 }
@@ -66,7 +67,7 @@ pub struct TrainingReport {
     pub cost: CostBreakdown,
     /// Weakest observed per-pair mean bandwidth across epochs, Mbps.
     pub min_bw_mbps: f64,
-    /// Precision selected per worker DC (master's entry = `max_bits`).
+    /// Precision selected per worker DC (master's entry = [`MAX_BITS`]).
     pub bits_per_worker: Vec<u32>,
 }
 
@@ -75,8 +76,8 @@ pub struct TrainingReport {
 pub fn bits_for(bw_mbps: f64, cfg: &QuantConfig) -> u32 {
     // Exchange at `bits` moves grad_mb·bits/32 MB ⇒ seconds = MB·8/bw.
     let affordable =
-        (cfg.target_transfer_s * bw_mbps * f64::from(cfg.max_bits)) / (cfg.grad_mb_per_epoch * 8.0);
-    (affordable.floor() as u32).clamp(cfg.min_bits, cfg.max_bits)
+        (cfg.target_transfer_s * bw_mbps * f64::from(MAX_BITS)) / (cfg.grad_mb_per_epoch * 8.0);
+    (affordable.floor() as u32).clamp(MIN_BITS, MAX_BITS)
 }
 
 /// Runs the training loop on the simulated WAN.
@@ -102,10 +103,10 @@ pub fn run_training<'a, 'b: 'a>(
     let bits: Vec<u32> = (0..n)
         .map(|w| {
             if w == cfg.master.0 {
-                cfg.max_bits
+                MAX_BITS
             } else {
                 match policy {
-                    QuantPolicy::FullPrecision => cfg.max_bits,
+                    QuantPolicy::FullPrecision => MAX_BITS,
                     QuantPolicy::BwDriven(bw) => {
                         assert_eq!(bw.len(), n, "belief matrix size mismatch");
                         // The exchange is bidirectional; the weaker believed
@@ -130,8 +131,7 @@ pub fn run_training<'a, 'b: 'a>(
             if w == cfg.master.0 {
                 continue;
             }
-            let gb =
-                cfg.grad_mb_per_epoch / 1024.0 * f64::from(worker_bits) / f64::from(cfg.max_bits);
+            let gb = cfg.grad_mb_per_epoch / 1024.0 * f64::from(worker_bits) / f64::from(MAX_BITS);
             // Gradients up, quantized model deltas down.
             transfers.push(Transfer::from_gigabytes(DcId(w), cfg.master, gb));
             transfers.push(Transfer::from_gigabytes(cfg.master, DcId(w), gb));
@@ -144,7 +144,7 @@ pub fn run_training<'a, 'b: 'a>(
         }
     }
 
-    let cost = CostModel::new().price(sim.topology(), training_s, &egress_gb, cfg.input_gb);
+    let cost = CostModel::new().price(sim.topology(), training_s, &egress_gb, INPUT_GB);
     TrainingReport {
         training_s,
         cost,
@@ -179,14 +179,14 @@ mod tests {
         let weak = bits_for(120.0, &cfg);
         let strong = bits_for(1700.0, &cfg);
         assert!(weak < strong, "weak link {weak} bits vs strong {strong} bits");
-        assert!(weak >= cfg.min_bits);
+        assert!(weak >= MIN_BITS);
     }
 
     #[test]
     fn bits_clamped_to_range() {
         let cfg = QuantConfig::default();
-        assert_eq!(bits_for(0.0, &cfg), cfg.min_bits);
-        assert_eq!(bits_for(f64::MAX, &cfg), cfg.max_bits);
+        assert_eq!(bits_for(0.0, &cfg), MIN_BITS);
+        assert_eq!(bits_for(f64::MAX, &cfg), MAX_BITS);
     }
 
     #[test]
@@ -212,7 +212,7 @@ mod tests {
         let mut s = sim(3);
         let belief = BwMatrix::filled(3, 50.0);
         let r = run_training(&mut s, &cfg, &QuantPolicy::BwDriven(belief), None, None);
-        assert_eq!(r.bits_per_worker[cfg.master.0], cfg.max_bits);
+        assert_eq!(r.bits_per_worker[cfg.master.0], MAX_BITS);
     }
 
     #[test]
