@@ -4,11 +4,10 @@
 //! simulator, so cross-query contention — the regime Tetrium (Hung et
 //! al., EuroSys'18) and Kimchi (Oh et al., TPDS'21) actually target — is
 //! unrepresentable there. [`FleetEngine`] lifts the same per-job state
-//! machine ([`JobRun`]) onto the resumable
-//! [`NetEngine`](wanify_netsim::NetEngine): every admitted query's
-//! shuffles are job-tagged flow groups contending under weighted max-min
-//! fairness with everyone else's, and the engine's completion events
-//! drive the per-job `migrate → compute → shuffle` progressions.
+//! machine ([`JobRun`]) onto the resumable [`NetEngine`]: every admitted
+//! query's shuffles are job-tagged flow groups contending under weighted
+//! max-min fairness with everyone else's, and the engine's completion
+//! events drive the per-job `migrate → compute → shuffle` progressions.
 //!
 //! The fleet adds the serving-layer concerns around that core:
 //!

@@ -1,8 +1,8 @@
 //! Sharded multi-sim fleet: tenants partitioned across shard-local
 //! engines, coupled by a cross-shard backbone, run on rayon.
 //!
-//! [`FleetEngine`](crate::FleetEngine) serializes every tenant through
-//! one [`NetEngine`](wanify_netsim::NetEngine): fleet scale is capped by
+//! [`FleetEngine`] serializes every tenant through one
+//! [`NetEngine`](wanify_netsim::NetEngine): fleet scale is capped by
 //! a single event loop on a single core, and every fairness solve sees
 //! *all* tenants' flows at once. [`ShardedFleetEngine`] breaks that wall
 //! with the decomposition distributed node runtimes use:

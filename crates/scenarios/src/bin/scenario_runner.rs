@@ -2,16 +2,15 @@
 //! report artifacts.
 //!
 //! ```text
-//! scenario_runner [--smoke] [--out PATH] [--digest PATH] [name...]
+//! scenario_runner [--out PATH] [--digest PATH] [name...]
 //! ```
 //!
-//! * `--smoke`   — run only the two fastest scenarios (CI sanity lane).
 //! * `--out`     — write the markdown report (the committed copy lives
 //!   at `SCENARIOS.md`; CI regenerates it and fails on drift).
 //! * `--digest`  — write the bit-exact outcome digests (committed as
-//!   `SCENARIOS.digest`; the determinism matrix diffs it across
-//!   `RAYON_NUM_THREADS` values).
-//! * `name...`   — run only the named scenarios.
+//!   `SCENARIOS.digest`; `bench scenarios` asserts that a repeat and
+//!   1- and 4-thread pools reproduce them).
+//! * `name...`   — run only the named scenarios (in catalog order).
 //!
 //! Exits nonzero if any scenario's invariants fail, printing the
 //! offending checks.
@@ -19,51 +18,32 @@
 use wanify_scenarios::{catalog, render_digests, render_markdown, run_all};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let path_arg = |flag: &str| match args.iter().position(|a| a == flag) {
-        Some(i) => match args.get(i + 1) {
-            Some(path) if !path.starts_with("--") => Some(path.clone()),
-            _ => {
-                eprintln!("error: {flag} requires a path argument");
-                std::process::exit(2);
+    let mut out = None;
+    let mut digest_path = None;
+    let mut names = Vec::new();
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--out" | "--digest" => {
+                let Some(path) = args.next().filter(|p| !p.starts_with("--")) else {
+                    eprintln!("error: {arg} requires a path argument");
+                    std::process::exit(2);
+                };
+                let slot = if arg == "--out" { &mut out } else { &mut digest_path };
+                *slot = Some(path);
             }
-        },
-        None => None,
-    };
-    let out = path_arg("--out");
-    let digest_path = path_arg("--digest");
-    let mut names: Vec<&str> = Vec::new();
-    let mut skip_next = false;
-    for (i, a) in args.iter().enumerate() {
-        if skip_next {
-            skip_next = false;
-            continue;
-        }
-        match a.as_str() {
-            "--smoke" => {}
-            "--out" | "--digest" => skip_next = true,
             "--help" | "-h" => usage(""),
-            other if other.starts_with("--") => usage(&format!("unknown flag {other}")),
-            other => {
-                let _ = i;
-                names.push(other);
-            }
+            flag if flag.starts_with("--") => usage(&format!("unknown flag {flag}")),
+            _ => names.push(arg),
         }
     }
 
+    if let Some(name) = names.iter().find(|n| catalog::by_name(n).is_none()) {
+        usage(&format!("unknown scenario {name}"));
+    }
     let mut specs = catalog::all();
     if !names.is_empty() {
-        let known: Vec<&str> = specs.iter().map(|s| s.name).collect();
-        for name in &names {
-            if !known.contains(name) {
-                usage(&format!("unknown scenario {name}; known: {}", known.join(" ")));
-            }
-        }
-        specs.retain(|s| names.contains(&s.name));
-    } else if smoke {
-        // The two cheapest studies: one recovery path, one failure path.
-        specs.retain(|s| s.name == "permanent-outage" || s.name == "link-flap");
+        specs.retain(|s| names.iter().any(|n| n == s.name));
     }
 
     let outcomes = run_all(&specs);
@@ -90,7 +70,7 @@ fn usage(msg: &str) -> ! {
         eprintln!("error: {msg}");
     }
     eprintln!(
-        "usage: scenario_runner [--smoke] [--out PATH] [--digest PATH] [name...]\n\
+        "usage: scenario_runner [--out PATH] [--digest PATH] [name...]\n\
          scenarios: {}",
         wanify_scenarios::all().iter().map(|s| s.name).collect::<Vec<_>>().join(" ")
     );

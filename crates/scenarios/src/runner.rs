@@ -3,10 +3,10 @@
 //! [`run_scenario`] drives one [`ScenarioSpec`] through every arm the
 //! suite guarantees:
 //!
-//! * **solo, faulted, twice** — the two runs must produce bit-identical
-//!   digests (simulated values compared via `f64::to_bits`);
-//! * **sharded, faulted, twice** — same determinism bar, plus every job
-//!   of the trace must be accounted for (completed or reported failed);
+//! * **solo, faulted** — through the serving gateway when the spec
+//!   declares one;
+//! * **sharded, faulted** (batch specs only) — every job of the trace
+//!   must be accounted for (completed or reported failed);
 //! * **counterfactual arms on demand** — a no-fault rerun for
 //!   [`Invariant::SlowdownAtLeast`], a static-belief rerun for
 //!   [`Invariant::RuntimeBeliefNoWorse`];
@@ -16,7 +16,9 @@
 //! [`render_markdown`] emits the deterministic `SCENARIOS.md` (simulated
 //! metrics only — no wall-clock — so CI can regenerate and
 //! `git diff --exit-code` it), and [`render_digests`] the bit-exact
-//! `SCENARIOS.digest` the thread-count determinism matrix compares.
+//! `SCENARIOS.digest` (simulated values via `f64::to_bits`). `bench
+//! scenarios` is the determinism gate: a repeat, a 1-thread and a
+//! 4-thread pool must reproduce these digests.
 
 use std::fmt::Write as _;
 
@@ -118,13 +120,30 @@ fn run_gateway(spec: &ScenarioSpec) -> FleetReport {
 }
 
 fn run_sharded(spec: &ScenarioSpec) -> ShardedFleetReport {
-    ShardedFleetEngine::new(
+    let report = ShardedFleetEngine::new(
         (0..spec.shards).map(|_| spec.engine(true)).collect(),
         Box::new(RoundRobinShards::new()),
         Some(spec.backbone()),
     )
     .run(&spec.trace(), &spec.arrivals)
-    .unwrap_or_else(|e| panic!("scenario {}: sharded arm failed to run: {e:?}", spec.name))
+    .unwrap_or_else(|e| panic!("scenario {}: sharded arm failed to run: {e:?}", spec.name));
+    assert_eq!(
+        report.fleet.outcomes.len(),
+        spec.jobs,
+        "scenario {}: the sharded arm must account for every job",
+        spec.name
+    );
+    report
+}
+
+/// The rules only the spec knows; the fleet, sharded and gateway layers
+/// check the rest of their inputs themselves.
+fn check_spec(spec: &ScenarioSpec) {
+    let name = spec.name;
+    let sharded_ok = spec.gateway.is_some() || spec.shards >= 2;
+    assert!(sharded_ok, "scenario {name}: the sharded arm needs at least 2 shards");
+    let dynamics_ok = spec.dynamics.is_none_or(|d| d.tick_s > 0.0);
+    assert!(dynamics_ok, "scenario {name}: dynamics must be schedulable (tick_s > 0)");
 }
 
 /// Runs one spec through every arm (see the module docs) and evaluates
@@ -132,38 +151,15 @@ fn run_sharded(spec: &ScenarioSpec) -> ShardedFleetReport {
 ///
 /// # Panics
 ///
-/// Panics if an arm fails to run, if repeated runs are not
-/// bit-identical, or if the sharded arm loses track of a job — those are
-/// harness guarantees, not scenario-dependent outcomes.
+/// Panics if the spec is malformed (a sharded arm of fewer than 2 shards,
+/// dynamics with `tick_s <= 0`), if an arm fails to run, or if the
+/// sharded arm loses track of a job — those are harness guarantees, not
+/// scenario-dependent outcomes.
 pub fn run_scenario(spec: &ScenarioSpec) -> ScenarioOutcome {
+    check_spec(spec);
     let gated = spec.gateway.is_some();
-    let run_once = || if gated { run_gateway(spec) } else { run_solo(spec, true, spec.belief) };
-    let solo = run_once();
-    let solo_again = run_once();
-    assert_eq!(
-        digest(&solo),
-        digest(&solo_again),
-        "scenario {}: solo runs must be bit-identical",
-        spec.name
-    );
-
-    let sharded = (!gated).then(|| {
-        let sharded = run_sharded(spec);
-        let sharded_again = run_sharded(spec);
-        assert_eq!(
-            digest(&sharded.fleet),
-            digest(&sharded_again.fleet),
-            "scenario {}: sharded runs must be bit-identical",
-            spec.name
-        );
-        assert_eq!(
-            sharded.fleet.outcomes.len(),
-            spec.jobs,
-            "scenario {}: the sharded arm must account for every job",
-            spec.name
-        );
-        sharded
-    });
+    let solo = if gated { run_gateway(spec) } else { run_solo(spec, true, spec.belief) };
+    let sharded = (!gated).then(|| run_sharded(spec));
 
     let nofault_duration_s = spec
         .invariants
@@ -202,10 +198,10 @@ pub fn render_markdown(outcomes: &[ScenarioOutcome]) -> String {
         md,
         "Deterministic WAN-misbehaviour studies over the fleet engine: every \
          scenario composes a topology, a mixed trace, a `FaultSchedule` and a \
-         recovery `FaultPolicy`, runs solo **and** sharded (each twice, \
-         bit-identity asserted), and checks directional invariants. All numbers \
-         are simulated — regenerating this file on any machine must produce the \
-         identical bytes, which CI enforces.\n"
+         recovery `FaultPolicy`, runs solo **and** sharded (`bench scenarios` \
+         asserts bit-identity across repeats and thread counts), and checks \
+         directional invariants. All numbers are simulated — regenerating this \
+         file on any machine must produce the identical bytes, which CI enforces.\n"
     );
     let _ = writeln!(
         md,
@@ -342,7 +338,8 @@ pub fn render_markdown(outcomes: &[ScenarioOutcome]) -> String {
 }
 
 /// Renders the bit-exact digest file (one block per scenario, solo then
-/// sharded) the CI determinism matrix diffs across thread counts.
+/// sharded): the text `bench scenarios`' identity gate compares and
+/// `SCENARIOS.digest` commits.
 pub fn render_digests(outcomes: &[ScenarioOutcome]) -> String {
     let mut out = String::new();
     for o in outcomes {
@@ -364,14 +361,15 @@ mod tests {
     use wanify_netsim::{DcId, FaultSchedule};
 
     fn tiny_spec() -> ScenarioSpec {
-        ScenarioSpec::new("tiny", "smallest runnable scenario")
-            .jobs(2)
-            .scale(0.3)
-            .scheduler(SchedKind::Vanilla)
-            .faults(FaultSchedule::new().dc_outage(DcId(1), 2.0, 12.0))
-            .policy(Some(FaultPolicy { stall_timeout_s: 3.0, max_retries: 4, backoff_base_s: 3.0 }))
-            .expect(Invariant::AllComplete)
-            .expect(Invariant::DegradedBetween(0.5, 10.5))
+        ScenarioSpec {
+            jobs: 2,
+            scale: 0.3,
+            sched: SchedKind::Vanilla,
+            faults: FaultSchedule::new().dc_outage(DcId(1), 2.0, 12.0),
+            policy: Some(FaultPolicy { stall_timeout_s: 3.0, max_retries: 4, backoff_base_s: 3.0 }),
+            invariants: vec![Invariant::AllComplete, Invariant::DegradedBetween(0.5, 10.5)],
+            ..ScenarioSpec::new("tiny", "smallest runnable scenario")
+        }
     }
 
     #[test]
@@ -389,14 +387,16 @@ mod tests {
     fn gateway_scenario_skips_the_sharded_arm_and_counts_serving() {
         use crate::spec::GatewaySpec;
         use wanify_gda::Arrivals;
-        let spec = ScenarioSpec::new("tiny-gated", "gateway smoke")
-            .jobs(3)
-            .scale(0.3)
-            .scheduler(SchedKind::Vanilla)
-            .arrivals(Arrivals::Poisson { rate_per_s: 0.05, seed: 3 })
-            .faults(FaultSchedule::new().straggler(DcId(1), 0.5, 2.0).straggler(DcId(1), 1.0, 30.0))
-            .gateway(GatewaySpec::default())
-            .expect(Invariant::ServedAtLeast(3));
+        let spec = ScenarioSpec {
+            jobs: 3,
+            scale: 0.3,
+            sched: SchedKind::Vanilla,
+            arrivals: Arrivals::Poisson { rate_per_s: 0.05, seed: 3 },
+            faults: FaultSchedule::new().straggler(DcId(1), 0.5, 2.0).straggler(DcId(1), 1.0, 30.0),
+            gateway: Some(GatewaySpec::default()),
+            invariants: vec![Invariant::ServedAtLeast(3)],
+            ..ScenarioSpec::new("tiny-gated", "gateway smoke")
+        };
         let outcome = run_scenario(&spec);
         assert!(outcome.passed(), "checks: {:?}", outcome.checks);
         assert!(outcome.sharded.is_none(), "gateway scenarios are solo-only");
@@ -414,7 +414,8 @@ mod tests {
 
     #[test]
     fn failing_invariant_is_reported_not_panicked() {
-        let spec = tiny_spec().expect(Invariant::FailedAtLeast(99));
+        let mut spec = tiny_spec();
+        spec.invariants.push(Invariant::FailedAtLeast(99));
         let outcome = run_scenario(&spec);
         assert!(!outcome.passed());
         let md = render_markdown(&[outcome]);

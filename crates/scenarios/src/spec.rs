@@ -1,12 +1,12 @@
 //! Declarative scenario specs: topology + trace + faults + invariants.
 //!
-//! A [`ScenarioSpec`] is built fluently and composes everything one
-//! fault-injection study needs — the paper-testbed topology prefix, the
-//! deterministic mixed trace, the arrival process, the belief provenance
-//! and scheduler under test, a [`FaultSchedule`], the fleet's recovery
-//! [`FaultPolicy`], and the directional [`Invariant`]s the run must
-//! satisfy. Adding a scenario to the suite is ~20 lines of spec in
-//! [`crate::catalog`], not a new binary.
+//! A [`ScenarioSpec`] is a struct literal over [`ScenarioSpec::new`]'s
+//! defaults and composes everything one fault-injection study needs — the
+//! paper-testbed topology prefix, the deterministic mixed trace, the
+//! arrival process, the belief provenance and scheduler under test, a
+//! [`FaultSchedule`], the fleet's recovery [`FaultPolicy`], and the
+//! directional [`Invariant`]s the run must satisfy. Adding a scenario to
+//! the suite is ~20 lines of spec in [`crate::catalog`], not a new binary.
 
 use wanify::{BandwidthSource, MeasuredRuntime, Pregauged, StaticIndependent, Wanify};
 use wanify_gateway::{
@@ -393,7 +393,7 @@ pub struct ScenarioSpec {
     pub faults: FaultSchedule,
     /// Stall detection/recovery policy (`None` = legacy stall-is-error).
     pub policy: Option<FaultPolicy>,
-    /// Admission limit.
+    /// Admission limit (≥ 1).
     pub max_concurrent: usize,
     /// Shared-belief staleness bound.
     pub regauge_every_s: f64,
@@ -401,20 +401,22 @@ pub struct ScenarioSpec {
     pub shards: usize,
     /// Whether the trace is region-homed to the backbone's groups.
     pub regional: bool,
-    /// Live WAN dynamics (`None` = frozen network).
+    /// Live WAN dynamics (`None` = frozen network; `tick_s > 0`).
     pub dynamics: Option<DynamicsSpec>,
     /// AIMD agent fleet on the faulted arms (`None` = agent-free).
     pub agent: Option<AgentSpec>,
     /// Serving gateway front-end (`None` = batch submission). Gateway
-    /// scenarios run the solo arm through the gateway and skip the
-    /// sharded arm.
+    /// scenarios need open-loop arrivals (a closed loop can never
+    /// overload the fleet); they run the solo arm through the gateway and
+    /// skip the sharded arm.
     pub gateway: Option<GatewaySpec>,
     /// Directional properties the solo faulted run must satisfy.
     pub invariants: Vec<Invariant>,
 }
 
 impl ScenarioSpec {
-    /// A scenario skeleton with fleet-sized defaults.
+    /// A scenario skeleton with fleet-sized defaults; a spec sets its own
+    /// fields in a struct literal, `..ScenarioSpec::new(name, summary)`.
     pub fn new(name: &'static str, summary: &'static str) -> Self {
         Self {
             name,
@@ -437,135 +439,6 @@ impl ScenarioSpec {
             gateway: None,
             invariants: Vec::new(),
         }
-    }
-
-    /// Sets the admission limit (concurrent queries).
-    #[must_use]
-    pub fn concurrent(mut self, max_concurrent: usize) -> Self {
-        assert!(max_concurrent >= 1, "admission limit must allow at least one query");
-        self.max_concurrent = max_concurrent;
-        self
-    }
-
-    /// Sets the shared-belief staleness bound.
-    #[must_use]
-    pub fn regauge_every(mut self, every_s: f64) -> Self {
-        self.regauge_every_s = every_s;
-        self
-    }
-
-    /// Fronts the solo arm with a serving gateway. Gateway scenarios
-    /// need an open-loop arrival process (Poisson or Scheduled) — a
-    /// closed loop can never overload the fleet.
-    #[must_use]
-    pub fn gateway(mut self, gateway: GatewaySpec) -> Self {
-        assert!(
-            !matches!(self.arrivals, Arrivals::Closed { .. }),
-            "gateway scenarios need open-loop arrivals: set .arrivals(...) first"
-        );
-        self.gateway = Some(gateway);
-        self
-    }
-
-    /// Sets the paper-testbed prefix size.
-    #[must_use]
-    pub fn dcs(mut self, n: usize) -> Self {
-        self.n_dcs = n;
-        self
-    }
-
-    /// Sets the trace length.
-    #[must_use]
-    pub fn jobs(mut self, jobs: usize) -> Self {
-        self.jobs = jobs;
-        self
-    }
-
-    /// Sets the trace + simulator seed.
-    #[must_use]
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the trace input-size multiplier.
-    #[must_use]
-    pub fn scale(mut self, scale: f64) -> Self {
-        self.scale = scale;
-        self
-    }
-
-    /// Sets the arrival process.
-    #[must_use]
-    pub fn arrivals(mut self, arrivals: Arrivals) -> Self {
-        self.arrivals = arrivals;
-        self
-    }
-
-    /// Sets the belief provenance.
-    #[must_use]
-    pub fn belief(mut self, belief: BeliefKind) -> Self {
-        self.belief = belief;
-        self
-    }
-
-    /// Sets the scheduler.
-    #[must_use]
-    pub fn scheduler(mut self, sched: SchedKind) -> Self {
-        self.sched = sched;
-        self
-    }
-
-    /// Installs the fault timeline.
-    #[must_use]
-    pub fn faults(mut self, faults: FaultSchedule) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the recovery policy (`None` = legacy stall-is-error).
-    #[must_use]
-    pub fn policy(mut self, policy: Option<FaultPolicy>) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Sets the sharded arm's shard count.
-    #[must_use]
-    pub fn shards(mut self, shards: usize) -> Self {
-        assert!(shards >= 2, "the sharded arm needs at least 2 shards");
-        self.shards = shards;
-        self
-    }
-
-    /// Homes the trace's tenants to the backbone's region groups.
-    #[must_use]
-    pub fn regional(mut self) -> Self {
-        self.regional = true;
-        self
-    }
-
-    /// Installs live tick-quantized WAN dynamics.
-    #[must_use]
-    pub fn dynamics(mut self, dynamics: DynamicsSpec) -> Self {
-        assert!(dynamics.tick_s > 0.0, "scenario dynamics must be schedulable (tick_s > 0)");
-        self.dynamics = Some(dynamics);
-        self
-    }
-
-    /// Rides an AIMD agent fleet on the faulted arms, waking every
-    /// `interval_s` simulated seconds.
-    #[must_use]
-    pub fn agents(mut self, interval_s: f64) -> Self {
-        self.agent = Some(AgentSpec { interval_s });
-        self
-    }
-
-    /// Appends one invariant.
-    #[must_use]
-    pub fn expect(mut self, invariant: Invariant) -> Self {
-        self.invariants.push(invariant);
-        self
     }
 
     /// Short human label of the arrival process for reports.
@@ -672,12 +545,13 @@ impl ScenarioSpec {
     /// [`Invariant::SlowdownAtLeast`] compares the hooked fleet against
     /// an unassisted clean baseline.
     pub fn engine_with(&self, faulted: bool, belief: BeliefKind) -> FleetEngine {
-        let engine = FleetEngine::new(
-            self.sim(faulted),
-            self.sched.build(),
-            belief.build(self.n_dcs),
-            self.fleet_config(),
-        );
+        self.engine_on(faulted, belief.build(self.n_dcs))
+    }
+
+    /// A fresh solo fleet engine planning with `source`.
+    fn engine_on(&self, faulted: bool, source: Box<dyn BandwidthSource>) -> FleetEngine {
+        let engine =
+            FleetEngine::new(self.sim(faulted), self.sched.build(), source, self.fleet_config());
         if faulted && self.agent.is_some() {
             engine.with_agent(self.build_agent())
         } else {
@@ -713,11 +587,7 @@ impl ScenarioSpec {
             }
             None => (self.belief.build(self.n_dcs), None),
         };
-        let engine =
-            FleetEngine::new(self.sim(true), self.sched.build(), source, self.fleet_config());
-        let engine =
-            if self.agent.is_some() { engine.with_agent(self.build_agent()) } else { engine };
-        (engine, handle)
+        (self.engine_on(true, source), handle)
     }
 
     /// The gateway arm's [`GatewayConfig`].
@@ -777,20 +647,23 @@ impl ScenarioSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run_scenario;
     use wanify_netsim::DcId;
 
     #[test]
     fn builder_composes_a_spec() {
-        let spec = ScenarioSpec::new("t", "test")
-            .dcs(4)
-            .jobs(7)
-            .seed(9)
-            .scale(0.25)
-            .scheduler(SchedKind::Kimchi)
-            .belief(BeliefKind::StaticIndependent)
-            .faults(FaultSchedule::new().dc_outage(DcId(1), 10.0, 20.0))
-            .shards(3)
-            .expect(Invariant::AllComplete);
+        let spec = ScenarioSpec {
+            n_dcs: 4,
+            jobs: 7,
+            seed: 9,
+            scale: 0.25,
+            sched: SchedKind::Kimchi,
+            belief: BeliefKind::StaticIndependent,
+            faults: FaultSchedule::new().dc_outage(DcId(1), 10.0, 20.0),
+            shards: 3,
+            invariants: vec![Invariant::AllComplete],
+            ..ScenarioSpec::new("t", "test")
+        };
         assert_eq!(spec.n_dcs, 4);
         assert_eq!(spec.jobs, 7);
         assert_eq!(spec.faults.len(), 2);
@@ -802,20 +675,19 @@ mod tests {
 
     #[test]
     fn trace_is_deterministic_per_spec() {
-        let spec = ScenarioSpec::new("t", "test").dcs(4).jobs(6);
+        let spec = ScenarioSpec { n_dcs: 4, jobs: 6, ..ScenarioSpec::new("t", "test") };
         assert_eq!(spec.trace(), spec.trace());
-        let regional = spec.clone().regional();
+        let regional = ScenarioSpec { regional: true, ..spec.clone() };
         assert_eq!(regional.trace(), regional.trace());
         assert!(regional.trace()[0].name.contains("@g"));
     }
 
     #[test]
     fn counterfactual_sim_carries_no_faults() {
-        let spec = ScenarioSpec::new("t", "test").faults(FaultSchedule::new().dc_outage(
-            DcId(0),
-            1.0,
-            2.0,
-        ));
+        let spec = ScenarioSpec {
+            faults: FaultSchedule::new().dc_outage(DcId(0), 1.0, 2.0),
+            ..ScenarioSpec::new("t", "test")
+        };
         assert!(spec.sim(true).has_pending_faults());
         assert!(!spec.sim(false).has_pending_faults());
     }
@@ -831,19 +703,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least 2 shards")]
     fn single_shard_arm_is_rejected() {
-        let _ = ScenarioSpec::new("t", "test").shards(1);
+        let _ = run_scenario(&ScenarioSpec { shards: 1, ..ScenarioSpec::new("t", "test") });
     }
 
     #[test]
     fn dynamics_and_agent_compose() {
-        let spec = ScenarioSpec::new("t", "test")
-            .dynamics(DynamicsSpec {
+        let spec = ScenarioSpec {
+            dynamics: Some(DynamicsSpec {
                 sigma: 0.05,
                 theta: 0.2,
                 tick_s: 30.0,
                 diurnal: Some((0.2, 100.0)),
-            })
-            .agents(5.0);
+            }),
+            agent: Some(AgentSpec { interval_s: 5.0 }),
+            ..ScenarioSpec::new("t", "test")
+        };
         assert!(spec.has_live_dynamics());
         let mut sim = spec.sim(false);
         assert!(sim.dynamics_mut().next_change_after(0.0).is_some());
@@ -854,11 +728,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "schedulable")]
     fn continuous_dynamics_are_rejected() {
-        let _ = ScenarioSpec::new("t", "test").dynamics(DynamicsSpec {
-            sigma: 0.05,
-            theta: 0.2,
-            tick_s: 0.0,
-            diurnal: None,
+        let _ = run_scenario(&ScenarioSpec {
+            dynamics: Some(DynamicsSpec { sigma: 0.05, theta: 0.2, tick_s: 0.0, diurnal: None }),
+            ..ScenarioSpec::new("t", "test")
         });
     }
 }

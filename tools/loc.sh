@@ -12,7 +12,9 @@
 #
 # Everything before a file's first `#[cfg(test)]` counts, even where that
 # attribute marks a lone test helper, so test-only items belong at the end
-# of their file, just above its test module.
+# of their file, just above its test module. A file that a
+# `#[cfg(test)] mod name;` item declares is test-only and not counted, nor
+# is any file under that module's directory.
 set -euo pipefail
 
 root=$(git rev-parse --show-toplevel)
@@ -33,9 +35,38 @@ content_of() {
     if [[ -n $ref ]]; then git show "$ref:$1"; else cat "$1"; fi
 }
 
-count() {
-    local n=0 f
+# `<dir>/<name>` of every `#[cfg(test)] mod <name>;` item in a crate: the
+# module lives at `<dir>/<name>.rs` or under `<dir>/<name>/`.
+test_only_mods() {
+    local f dir
     while read -r f; do
+        dir=${f%.rs}
+        if [[ $f =~ /(lib|main|mod)\.rs$ || $(dirname "$f") == */src/bin ]]; then
+            dir=$(dirname "$f")
+        fi
+        content_of "$f" | awk -v dir="$dir" '
+            /^[[:space:]]*#\[cfg\(test\)\]/ {
+                t = 1
+                sub(/^[[:space:]]*#\[cfg\(test\)\][[:space:]]*/, "")
+                if ($0 == "") next
+            }
+            t && /^[[:space:]]*#\[/ { next }
+            t && /^[[:space:]]*(pub(\([a-z]+\))?[[:space:]]+)?mod[[:space:]]+[A-Za-z0-9_]+[[:space:]]*;/ {
+                sub(/^.*mod[[:space:]]+/, "")
+                sub(/[[:space:]]*;.*$/, "")
+                print dir "/" $0
+            }
+            { t = 0 }'
+    done < <(files_of "$1")
+}
+
+count() {
+    local n=0 f m skip
+    mapfile -t skip < <(test_only_mods "$1")
+    while read -r f; do
+        for m in "${skip[@]}"; do
+            [[ $f == "$m.rs" || $f == "$m/"* ]] && continue 2
+        done
         n=$((n + $(content_of "$f" | awk '
             /^[[:space:]]*#\[cfg\(test\)\]/ { exit }
             /^[[:space:]]*(\/\/.*)?$/ { next }
