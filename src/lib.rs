@@ -11,3 +11,8 @@ pub use wanify_forest;
 pub use wanify_gda;
 pub use wanify_netsim;
 pub use wanify_workloads;
+
+/// The README's Rust blocks, compiled and run by `cargo test` as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeExamples;
